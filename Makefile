@@ -1,4 +1,4 @@
-.PHONY: install test acceptance lint
+.PHONY: install test acceptance bench
 
 install:
 	pip install -e . --no-build-isolation
@@ -8,3 +8,6 @@ test:
 
 acceptance:
 	python3 -m pytest tests/test_acceptance.py -v -s
+
+bench:
+	python3 bench/report.py

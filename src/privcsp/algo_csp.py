@@ -36,13 +36,12 @@ from .dp_mechanisms import (
     as_generator,
     em_over_assignments,
     exponential_mechanism,
+    keep_probability,
     sample_laplace,
 )
-from .oracles import exact_median_theta
+from .oracles import _constraint_q_pmf, exact_median_theta
 
 __all__ = [
-    "PartitionState",
-    "ActiveSet",
     "AdvRandConfig",
     "boost_scale",
     "private_boost",
@@ -54,42 +53,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionState:
-    """A random split of the variables into fixed and greedy sets."""
-
-    fixed: tuple[int, ...]
-    greedy: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        f, g = set(self.fixed), set(self.greedy)
-        if f & g:
-            raise ValueError("fixed and greedy sets must be disjoint")
+# Cached (theta, gamma) per multiset of per-constraint derivative pmfs. A
+# pmf is named by a small integer id, one per distinct pmf, looked up by
+# the constraint's shape (sign or truth table, arity, position of j in the
+# scope), which alone fixes the pmf. The maps grow with the shapes seen,
+# not with instances or trials.
+_MEDIAN_CACHE: dict[tuple[int, ...], tuple[float, float]] = {}
+_PMF_IDS: dict[tuple, int] = {}
+_SHAPE_PMF_ID: dict[tuple, int] = {}
 
 
-@dataclass(frozen=True)
-class ActiveSet:
-    """The constraints active for one greedy variable.
-
-    A constraint is active when exactly one of its scope variables is
-    greedy. fixed_support collects the fixed variables those constraints
-    touch; on triangle-free instances these sets are pairwise disjoint
-    across greedy variables.
-    """
-
-    j: int
-    constraint_indices: tuple[int, ...]
-    fixed_support: tuple[int, ...]
-
-
-# Cached (theta, gamma) per multiset of per-constraint derivative pmfs.
-_MEDIAN_CACHE: dict[tuple, tuple[float, float]] = {}
+def _pmf_id(c: Constraint, j: int) -> int:
+    shape = (c.b, c.table, c.arity, c.scope.index(j))
+    pid = _SHAPE_PMF_ID.get(shape)
+    if pid is None:
+        pmf = tuple(sorted(_constraint_q_pmf(c, j).items()))
+        pid = _PMF_IDS.setdefault(pmf, len(_PMF_IDS))
+        _SHAPE_PMF_ID[shape] = pid
+    return pid
 
 
 def _median_for(constraints: Sequence[Constraint], j: int) -> tuple[float, float]:
-    from .oracles import _constraint_q_pmf
-
-    sig = tuple(sorted(tuple(sorted(_constraint_q_pmf(c, j).items())) for c in constraints))
+    sig = tuple(sorted(_pmf_id(c, j) for c in constraints))
     hit = _MEDIAN_CACHE.get(sig)
     if hit is None:
         hit = exact_median_theta(list(constraints), j)
@@ -118,8 +103,7 @@ def alg1_triangle_free_bounded(
     randomized response at the full budget. Every output coordinate is
     marginally uniform.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    keep_prob = keep_probability(epsilon)
     if check and not is_triangle_free(instance):
         raise ValueError("alg1 requires a triangle-free instance")
     gen = as_generator(rng)
@@ -131,7 +115,6 @@ def alg1_triangle_free_bounded(
         hits = [i for i in c.scope if greedy[i]]
         if len(hits) == 1:
             active.setdefault(hits[0], []).append(c)
-    keep_prob = math.exp(epsilon) / (1.0 + math.exp(epsilon))
     for j in np.flatnonzero(greedy):
         j = int(j)
         cs = active.get(j, [])
@@ -159,8 +142,7 @@ def alg1_batch(
 ) -> np.ndarray:
     """Vectorized alg1 for sign-form instances of arity >= 2; returns a
     (trials, n) matrix of assignments, one independent run per row."""
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    keep_prob = keep_probability(epsilon)
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg1_batch requires a sign-form instance")
     if any(c.arity < 2 for c in instance.constraints):
@@ -190,7 +172,6 @@ def alg1_batch(
     gamma = gammas[count]
     tie = gen.random((trials, n)) < gamma
     z = np.where(sum_q > theta, 1, np.where(sum_q < theta, -1, np.where(tie, 1, -1)))
-    keep_prob = math.exp(epsilon) / (1.0 + math.exp(epsilon))
     y = np.where(gen.random((trials, n)) < keep_prob, 1, -1)
     return np.where(greedy, y * z, x).astype(np.int8)
 
@@ -324,8 +305,8 @@ def alg3_dp_advrand(
             if i != j:
                 prod *= int(x[i])
         lam[j] += c.b * prod / sqrt_m
-    for j in kept:
-        x[j] = private_boost(float(lam[j]), scale, gen)
+    # one vector draw yields the same doubles as one scalar draw per kept j
+    x[kept] = private_boost(lam[kept], scale, gen)
     r = (
         config.flip_index
         if config.flip_index is not None

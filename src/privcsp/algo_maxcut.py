@@ -43,7 +43,6 @@ GENERAL_BUDGET_FRACTIONS = (
 
 __all__ = [
     "Cut",
-    "DegreePartition",
     "MatchingState",
     "MATCHING_EM_BUDGET",
     "MATCHING_EM_SENSITIVITY",
@@ -78,20 +77,6 @@ class Cut:
 
     def value(self, graph: WeightedGraph) -> float:
         return cut_value(graph, np.asarray(self.side))
-
-
-@dataclass(frozen=True)
-class DegreePartition:
-    """A noisy-degree threshold split of the vertex set."""
-
-    noisy_degrees: tuple[float, ...]
-    threshold: float
-    high: tuple[int, ...]
-
-    @property
-    def low(self) -> tuple[int, ...]:
-        high = set(self.high)
-        return tuple(v for v in range(len(self.noisy_degrees)) if v not in high)
 
 
 @dataclass(frozen=True)

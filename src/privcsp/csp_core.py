@@ -11,6 +11,10 @@ with b = -1, and a WeightedGraph. Graph algorithms consume the graph
 view; CSP algorithms the instance view.
 
 All types are immutable after construction; operations are pure.
+Data derived from an instance (a graph's edge columns, degree counts and
+unit-weight flag; a CSP instance's degrees and triangle-freeness) is
+computed once per object, on first use, and returned read-only, so
+callers that run many trials on one instance pay for it once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -174,6 +179,18 @@ class CspInstance:
         if len(set(scopes)) != len(scopes):
             raise ValueError("instance has duplicate scopes")
 
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = np.zeros(self.n, dtype=np.int64)
+        for c in self.constraints:
+            for i in c.scope:
+                deg[i] += 1
+        return _read_only(deg)
+
+    @cached_property
+    def _triangle_free(self) -> bool:
+        return _scan_triangle_free(self.constraints)
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -197,28 +214,37 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        arr = np.asarray(self.edges, dtype=np.float64).reshape(-1, 3)
+        return (
+            _read_only(arr[:, 0].astype(np.int64)),
+            _read_only(arr[:, 1].astype(np.int64)),
+            _read_only(arr[:, 2].copy()),
+        )
+
+    @cached_property
+    def _degree_counts(self) -> np.ndarray:
+        u, v, _ = self._columns
+        deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
+        return _read_only(deg.astype(np.int64, copy=False))
+
+    @cached_property
+    def _unweighted(self) -> bool:
+        return bool(np.all(self._columns[2] == 1))
+
     @property
     def is_unweighted(self) -> bool:
-        return all(w == 1 for _, _, w in self.edges)
+        return self._unweighted
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (u, v, w) column arrays; empty arrays for no edges."""
-        if not self.edges:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            )
-        arr = np.asarray([(u, v, w) for u, v, w in self.edges], dtype=np.float64)
-        return arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64), arr[:, 2]
+        """Returns the read-only (u, v, w) column arrays; empty arrays for no
+        edges."""
+        return self._columns
 
     def degree_counts(self) -> np.ndarray:
-        """Incident-edge counts per vertex."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        """Read-only incident-edge counts per vertex."""
+        return self._degree_counts
 
     def weighted_degrees(self) -> np.ndarray:
         deg = np.zeros(self.n, dtype=np.float64)
@@ -243,6 +269,11 @@ class WeightedGraph:
             if neigh[u] & neigh[v]:
                 return True
         return False
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def eval_value(instance: CspInstance | WeightedGraph, x) -> float:
@@ -311,8 +342,12 @@ def mu(obj: Constraint | CspInstance) -> float:
 
 def is_triangle_free(instance: CspInstance) -> bool:
     """True iff every pair of constraints shares at most one variable and
-    no three constraints pairwise intersect."""
-    scopes = [frozenset(c.scope) for c in instance.constraints]
+    no three constraints pairwise intersect. Scanned once per instance."""
+    return instance._triangle_free
+
+
+def _scan_triangle_free(constraints: Sequence[Constraint]) -> bool:
+    scopes = [frozenset(c.scope) for c in constraints]
     m = len(scopes)
     adj: list[set[int]] = [set() for _ in range(m)]
     for a in range(m):
@@ -331,12 +366,9 @@ def is_triangle_free(instance: CspInstance) -> bool:
 
 
 def degrees(instance: CspInstance) -> np.ndarray:
-    """Per-variable count of constraints whose scope contains the variable."""
-    deg = np.zeros(instance.n, dtype=np.int64)
-    for c in instance.constraints:
-        for i in c.scope:
-            deg[i] += 1
-    return deg
+    """Read-only per-variable count of constraints whose scope contains the
+    variable."""
+    return instance._degrees
 
 
 def derivative_q(constraint: Constraint, j: int, fixed: Mapping[int, int]) -> float:

@@ -7,6 +7,7 @@ concurrent trials must use distinct stream ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,7 @@ __all__ = [
     "as_generator",
     "sample_laplace",
     "sample_discrete_laplace",
+    "keep_probability",
     "randomized_response",
     "exponential_mechanism",
     "em_over_assignments",
@@ -58,9 +60,6 @@ class RngStream:
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((self.seed, self.stream)))
         )
-
-    def child(self, index: int) -> "RngStream":
-        return RngStream(self.seed, self.stream * 1_000_003 + 1 + index)
 
 
 def as_generator(rng) -> np.random.Generator:
@@ -105,14 +104,26 @@ def sample_discrete_laplace(epsilon: float, rng, size=None):
     return out.astype(np.int64)
 
 
+def keep_probability(epsilon: float) -> float:
+    """Randomized-response keep probability e^eps / (1 + e^eps), computed as
+    1 / (1 + e^-eps): the direct form is inf / inf = nan from eps ~ 710 on.
+
+    Rejects negative and non-finite eps (nan compares false everywhere and
+    would otherwise pass as a valid budget).
+    """
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    return 1.0 / (1.0 + math.exp(-epsilon))
+
+
 def randomized_response(bit, epsilon: float, rng, domain: str = "pm1"):
-    """Keeps the input with probability e^eps / (1 + e^eps), flips otherwise.
+    """Keeps the input with probability keep_probability(eps), flips
+    otherwise.
 
     domain selects the flip target: 'pm1' negates, '01' complements.
     Works elementwise on arrays.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    keep_prob = keep_probability(epsilon)
     if domain not in ("pm1", "01"):
         raise ValueError(f"domain must be 'pm1' or '01', got {domain!r}")
     gen = as_generator(rng)
@@ -120,7 +131,6 @@ def randomized_response(bit, epsilon: float, rng, domain: str = "pm1"):
     valid = {-1, 1} if domain == "pm1" else {0, 1}
     if not set(np.unique(arr).tolist()) <= valid:
         raise ValueError(f"input values must lie in {sorted(valid)}")
-    keep_prob = np.exp(epsilon) / (1.0 + np.exp(epsilon))
     keep = gen.random(size=arr.shape) < keep_prob
     flipped = -arr if domain == "pm1" else 1 - arr
     out = np.where(keep, arr, flipped)

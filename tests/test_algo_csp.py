@@ -9,6 +9,7 @@ from privcsp.algo_csp import (
     alg1_triangle_free_bounded,
     alg2_partition_kxor,
     alg3_dp_advrand,
+    _median_for,
     alg_oddk_unbounded,
     boost_scale,
     private_boost,
@@ -22,6 +23,7 @@ from privcsp.csp_core import (
 )
 from privcsp.dp_mechanisms import RngStream
 from privcsp.generators import GenSpec, gen_random_kxor
+from privcsp.oracles import exact_median_theta
 
 
 def gen(seed=0):
@@ -130,6 +132,68 @@ class TestAlg1:
     def test_negative_eps(self):
         with pytest.raises(ValueError):
             alg1_triangle_free_bounded(cycle_instance(4), -1.0, gen())
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps(self, eps):
+        with pytest.raises(ValueError):
+            alg1_triangle_free_bounded(cycle_instance(4), eps, gen())
+        with pytest.raises(ValueError):
+            alg1_batch(cycle_instance(4), eps, gen(), 4)
+
+    def test_huge_eps_keeps_greedy_sign(self):
+        # the keep probability is exactly 1.0 from eps ~ 37 on, so eps = 800
+        # must run, not overflow, and draw exactly what eps = 40 draws
+        inst = cycle_instance(6)
+        assert np.array_equal(
+            alg1_triangle_free_bounded(inst, 800.0, gen(11)),
+            alg1_triangle_free_bounded(inst, 40.0, gen(11)),
+        )
+        assert np.array_equal(
+            alg1_batch(inst, 800.0, gen(12), 50), alg1_batch(inst, 40.0, gen(12), 50)
+        )
+
+    def test_triangle_scan_once_per_instance(self, monkeypatch):
+        import privcsp.csp_core as core
+
+        calls = []
+        scan = core._scan_triangle_free
+
+        def counting_scan(constraints):
+            calls.append(1)
+            return scan(constraints)
+
+        monkeypatch.setattr(core, "_scan_triangle_free", counting_scan)
+        inst = cycle_instance(8)
+        for t in range(5):
+            assert core.is_triangle_free(inst)
+            alg1_triangle_free_bounded(inst, 1.0, gen(t))
+            alg2_partition_kxor(inst, 1.0, gen(t))
+        assert len(calls) == 1
+        # an equal but distinct object scans on its own
+        assert core.is_triangle_free(cycle_instance(8)) and len(calls) == 2
+
+
+class TestMedianMemo:
+    @pytest.mark.parametrize(
+        "tables",
+        [
+            [(0, 1, 1, 1)],
+            [(0, 1, 1, 1), (0, 1, 1, 1)],
+            [(0, 0, 1, 0)],
+            [(0, 0, 1, 0), (0, 1, 1, 1), (1, 0, 0, 1)],
+        ],
+    )
+    @pytest.mark.parametrize("pos", [0, 1])
+    def test_matches_oracle(self, tables, pos):
+        # j = 0 sits at scope position pos of every constraint; the other
+        # scope variables are distinct, as on a triangle-free instance
+        cons = []
+        for t, table in enumerate(tables):
+            scope = (0, t + 1) if pos == 0 else (t + 1, 0)
+            cons.append(Constraint(scope=scope, table=table))
+        cons.append(xor((0, len(tables) + 1)))
+        assert _median_for(cons, 0) == exact_median_theta(cons, 0)
+        assert _median_for(cons[:-1], 0) == exact_median_theta(cons[:-1], 0)
 
 
 class TestAlg2:

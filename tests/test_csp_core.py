@@ -372,3 +372,49 @@ class TestGraphValidation:
         c = Constraint(scope=(0, 1), table=(1, 0, 0, 1))
         with pytest.raises(ValueError):
             CspInstance(n=2, constraints=(c,), kind="kxor")
+
+
+class TestDerivedDataOncePerObject:
+    def graph(self):
+        return WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)))
+
+    def test_edge_arrays_read_only_and_shared(self):
+        g = self.graph()
+        u, v, w = g.edge_arrays()
+        for arr in (u, v, w):
+            with pytest.raises(ValueError):
+                arr[0] = 3
+        assert g.edge_arrays() is g.edge_arrays()
+        assert u.tolist() == [0, 1, 2] and v.tolist() == [1, 2, 3]
+        assert w.tolist() == [1.0, 1.0, 2.0]
+
+    def test_empty_graph_arrays(self):
+        g = WeightedGraph(n=3, edges=())
+        u, v, w = g.edge_arrays()
+        assert u.shape == v.shape == w.shape == (0,)
+        assert u.dtype == np.int64 and w.dtype == np.float64
+        assert g.degree_counts().tolist() == [0, 0, 0]
+        assert g.is_unweighted
+
+    def test_degree_counts_read_only_and_shared(self):
+        g = self.graph()
+        deg = g.degree_counts()
+        with pytest.raises(ValueError):
+            deg[0] = 7
+        assert g.degree_counts() is deg
+        assert deg.dtype == np.int64 and deg.tolist() == [1, 2, 2, 1]
+
+    def test_degree_counts_multigraph(self):
+        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)))
+        assert g.degree_counts().tolist() == [2, 3, 1]
+
+    def test_unit_weight_flag(self):
+        assert not self.graph().is_unweighted
+        assert WeightedGraph(n=2, edges=((0, 1, 1.0),)).is_unweighted
+
+    def test_instance_degrees_read_only_and_shared(self):
+        inst = CspInstance(n=4, constraints=(xor((0, 1)), xor((1, 2, 3))), kind="kxor")
+        deg = degrees(inst)
+        with pytest.raises(ValueError):
+            deg[0] = 5
+        assert degrees(inst) is deg

@@ -10,6 +10,7 @@ from privcsp.dp_mechanisms import (
     em_over_assignments,
     em_over_assignments_batch,
     exponential_mechanism,
+    keep_probability,
     randomized_response,
     sample_discrete_laplace,
     sample_laplace,
@@ -115,6 +116,26 @@ class TestRandomizedResponse:
             keep = math.exp(eps) / (1 + math.exp(eps))
             # Pr[out = 1 | in = 1] / Pr[out = 1 | in = -1] = keep / (1 - keep)
             assert keep / (1 - keep) == pytest.approx(math.exp(eps), rel=1e-12)
+
+    def test_keep_probability_stable(self):
+        assert keep_probability(0.0) == 0.5
+        assert keep_probability(800.0) == 1.0
+        for eps in (0.1, 1.0, 3.0):
+            assert keep_probability(eps) == pytest.approx(
+                math.exp(eps) / (1 + math.exp(eps)), rel=1e-15
+            )
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf, -math.inf])
+    def test_invalid_eps_rejected(self, eps):
+        with pytest.raises(ValueError):
+            keep_probability(eps)
+        with pytest.raises(ValueError):
+            randomized_response(np.ones(3, dtype=np.int64), eps, gen())
+
+    def test_huge_eps_keeps_every_input(self):
+        bits = 2 * gen(12).integers(0, 2, size=10_000) - 1
+        out = randomized_response(bits, 800.0, gen(13))
+        assert np.array_equal(out, bits)
 
     def test_01_domain(self):
         out = randomized_response(np.array([0, 1, 0]), 100.0, gen(11), domain="01")
