@@ -34,6 +34,7 @@ from .csp_core import (
 )
 from .dp_mechanisms import (
     as_generator,
+    check_epsilon,
     em_over_assignments,
     exponential_mechanism,
     keep_probability,
@@ -53,11 +54,13 @@ __all__ = [
 ]
 
 
-# Cached (theta, gamma) per multiset of per-constraint derivative pmfs. A
-# pmf is named by a small integer id, one per distinct pmf, looked up by
-# the constraint's shape (sign or truth table, arity, position of j in the
-# scope), which alone fixes the pmf. The maps grow with the shapes seen,
-# not with instances or trials.
+# Cached (theta, gamma) per multiset of per-constraint derivative pmfs,
+# for constraints whose fixed supports (scope minus j) are pairwise
+# disjoint: only then is the summed derivative a sum of independent terms
+# whose law the multiset fixes. A pmf is named by a small integer id, one
+# per distinct pmf, looked up by the constraint's shape (sign or truth
+# table, arity, position of j in the scope), which alone fixes the pmf. The
+# maps grow with the shapes seen, not with instances or trials.
 _MEDIAN_CACHE: dict[tuple[int, ...], tuple[float, float]] = {}
 _PMF_IDS: dict[tuple, int] = {}
 _SHAPE_PMF_ID: dict[tuple, int] = {}
@@ -74,6 +77,11 @@ def _pmf_id(c: Constraint, j: int) -> int:
 
 
 def _median_for(constraints: Sequence[Constraint], j: int) -> tuple[float, float]:
+    if len(constraints) > 1:  # one scope never overlaps itself
+        fixed = [i for c in constraints for i in c.scope if i != j]
+        if len(set(fixed)) < len(fixed):
+            # overlapping supports (a non-triangle-free instance run unchecked)
+            return exact_median_theta(list(constraints), j)
     sig = tuple(sorted(_pmf_id(c, j) for c in constraints))
     hit = _MEDIAN_CACHE.get(sig)
     if hit is None:
@@ -275,8 +283,7 @@ def alg3_dp_advrand(
     the Chebyshev bias (1 - cos(r pi / k) / 2) / 2; phase 4 applies the
     configured global sign step.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    check_epsilon(epsilon)
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg3 requires a sign-form instance")
     if instance.m == 0:

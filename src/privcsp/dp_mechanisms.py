@@ -24,6 +24,7 @@ __all__ = [
     "as_generator",
     "sample_laplace",
     "sample_discrete_laplace",
+    "check_epsilon",
     "keep_probability",
     "randomized_response",
     "exponential_mechanism",
@@ -39,8 +40,7 @@ class PrivacyBudget:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        check_epsilon(self.epsilon)
 
     def split(self, *fractions) -> tuple[float, ...]:
         """Exact fractional split for budget ledgers; fractions must sum to 1."""
@@ -104,15 +104,21 @@ def sample_discrete_laplace(epsilon: float, rng, size=None):
     return out.astype(np.int64)
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
+    """Raises ValueError unless epsilon is a finite, nonnegative budget.
+    nan compares false everywhere, so a bare `epsilon < 0` check lets it
+    (and inf) pass as a valid budget."""
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {epsilon}")
+
+
 def keep_probability(epsilon: float) -> float:
     """Randomized-response keep probability e^eps / (1 + e^eps), computed as
     1 / (1 + e^-eps): the direct form is inf / inf = nan from eps ~ 710 on.
 
-    Rejects negative and non-finite eps (nan compares false everywhere and
-    would otherwise pass as a valid budget).
+    Rejects negative and non-finite eps (see check_epsilon).
     """
-    if not (math.isfinite(epsilon) and epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    check_epsilon(epsilon)
     return 1.0 / (1.0 + math.exp(-epsilon))
 
 
@@ -162,8 +168,7 @@ def exponential_mechanism(
         raise ValueError("candidate set must be nonempty")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    check_epsilon(epsilon)
     if callable(score):
         scores = np.asarray([float(score(c)) for c in candidates])
     else:
@@ -194,6 +199,9 @@ def em_over_assignments(
     Returns an int8 vector aligned with `active`. An empty active set
     returns an empty vector without consuming randomness.
     """
+    check_epsilon(budget, "budget")
+    if not sensitivity > 0:
+        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     active = list(active)
     if len(active) == 0:
         return np.empty(0, dtype=np.int8)
@@ -201,10 +209,6 @@ def em_over_assignments(
         raise ResourceCapError(
             f"em_over_assignments: |active| = {len(active)} exceeds cap {cap}"
         )
-    if not sensitivity > 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
     values = all_values(problem, active)
     probs = _em_probabilities(values, budget, sensitivity)
     gen = as_generator(rng)
@@ -229,6 +233,9 @@ def em_over_assignments_batch(
     vectorizes only the inverse-CDF sampling, so each row has exactly the
     single-draw law.
     """
+    check_epsilon(budget, "budget")
+    if not sensitivity > 0:
+        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     active = list(active)
     if len(active) == 0:
         return np.empty((trials, 0), dtype=np.int8)
@@ -236,10 +243,6 @@ def em_over_assignments_batch(
         raise ResourceCapError(
             f"em_over_assignments: |active| = {len(active)} exceeds cap {cap}"
         )
-    if not sensitivity > 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
     values = all_values(problem, active)
     probs = _em_probabilities(values, budget, sensitivity)
     gen = as_generator(rng)

@@ -36,7 +36,13 @@ from .csp_core import (
     instance_to_graph,
     mu,
 )
-from .dp_mechanisms import RngStream, em_over_assignments, randomized_response
+from .dp_mechanisms import (
+    RngStream,
+    check_epsilon,
+    em_over_assignments,
+    em_over_assignments_batch,
+    randomized_response,
+)
 from .oracles import (
     AuditReport,
     brute_force_opt,
@@ -312,7 +318,7 @@ def _audit_dp_shearer(epsilon: float, trials: int, rng) -> AuditReport:
     assert _neighboring_delta(g_edge, g_none) == 1
 
     def mech(graph, gen, t):
-        return [tuple(r) for r in algo_maxcut.dp_shearer_batch(graph, epsilon, gen, t)]
+        return algo_maxcut.dp_shearer_batch(graph, epsilon, gen, t)
 
     return empirical_epsilon(
         mech, g_edge, g_none, trials, rng, coarsening_label="full-output"
@@ -327,7 +333,7 @@ def _audit_alg1(epsilon: float, trials: int, rng) -> AuditReport:
     assert _neighboring_delta(inst_a, inst_b) == 1
 
     def mech(inst, gen, t):
-        return [tuple(r) for r in algo_csp.alg1_batch(inst, epsilon, gen, t)]
+        return algo_csp.alg1_batch(inst, epsilon, gen, t)
 
     return empirical_epsilon(
         mech, inst_a, inst_b, trials, rng, coarsening_label="full-output"
@@ -348,12 +354,7 @@ def _audit_em(epsilon: float, trials: int, rng) -> AuditReport:
     assert _neighboring_delta(inst_a, inst_b) == 1
 
     def mech(inst, gen, t):
-        from .dp_mechanisms import em_over_assignments_batch
-
-        return [
-            tuple(r)
-            for r in em_over_assignments_batch(inst, [0, 1, 2], epsilon, 1.0, gen, t)
-        ]
+        return em_over_assignments_batch(inst, [0, 1, 2], epsilon, 1.0, gen, t)
 
     return empirical_epsilon(
         mech, inst_a, inst_b, trials, rng, coarsening_label="full-output"
@@ -373,12 +374,14 @@ def audit(mechanism: str, epsilon: float, trials: int, seed: int) -> tuple[Audit
 
     Returns (report, ok); ok is False when the confidence interval's
     lower bound exceeds the configured epsilon, the privacy-violation
-    signal.
+    signal. A nan, infinite or negative epsilon is rejected before any
+    trial runs.
     """
     if mechanism not in AUDIT_MECHANISMS:
         raise ValueError(
             f"unknown audit mechanism {mechanism!r}; known: {sorted(AUDIT_MECHANISMS)}"
         )
+    check_epsilon(epsilon)
     report = AUDIT_MECHANISMS[mechanism](epsilon, trials, RngStream(seed, 0))
     return report, report.ci_lower <= epsilon
 

@@ -195,6 +195,17 @@ class TestMedianMemo:
         assert _median_for(cons, 0) == exact_median_theta(cons, 0)
         assert _median_for(cons[:-1], 0) == exact_median_theta(cons[:-1], 0)
 
+    def test_overlapping_supports_bypass_the_cache(self):
+        # OR on (0, 1) and (1, 0): both fixed supports are {1}, so the two
+        # derivatives are dependent, unlike the disjoint pair with the same
+        # pmf multiset that is cached first
+        orr = (0, 1, 1, 1)
+        disjoint = [Constraint(scope=(0, 1), table=orr), Constraint(scope=(2, 0), table=orr)]
+        overlap = [Constraint(scope=(0, 1), table=orr), Constraint(scope=(1, 0), table=orr)]
+        assert _median_for(disjoint, 0) == exact_median_theta(disjoint, 0)
+        assert _median_for(overlap, 0) == exact_median_theta(overlap, 0)
+        assert exact_median_theta(overlap, 0) != exact_median_theta(disjoint, 0)
+
 
 class TestAlg2:
     def test_runs_and_valid(self):
@@ -303,6 +314,12 @@ class TestAlg3:
         inst = gen_random_kxor(GenSpec(n=12, m=20, k=3, seed=2))
         x = alg3_dp_advrand(inst, 1.0, gen(17))
         assert x.shape == (12,) and set(np.unique(x)) <= {-1, 1}
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_invalid_eps_rejected(self, eps):
+        inst = CspInstance(n=3, constraints=(xor((0, 1)), xor((1, 2))), kind="kxor")
+        with pytest.raises(ValueError, match="finite"):
+            alg3_dp_advrand(inst, eps, gen())
 
     def test_empty_instance_rejected(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,14 @@ class TestAuditCommand:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "mechanism,eps,trials,eps_hat,ci_lo,ci_hi,coarsening"
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_invalid_eps_is_a_validation_error(self, capsys, eps):
+        code, out, err = run(
+            capsys,
+            "audit", "--mechanism", "em", "--eps", eps, "--trials", "1000",
+        )
+        assert code == EXIT_VALIDATION and out == "" and "finite" in err
+
 
 class TestVerifyHardnessCommand:
     def test_pass(self, capsys):

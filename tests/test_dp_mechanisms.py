@@ -40,6 +40,11 @@ class TestPrivacyBudget:
             PrivacyBudget(-0.1)
         PrivacyBudget(0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            PrivacyBudget(eps)
+
     def test_split(self):
         from fractions import Fraction
 
@@ -193,10 +198,24 @@ class TestExponentialMechanism:
         out = exponential_mechanism([0, 1], [1e6, 0.0], 10.0, 1.0, gen(15))
         assert out == 0
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            exponential_mechanism([0, 1], [1.0, 0.0], eps, 1.0, gen())
+
 
 class TestEmOverAssignments:
     def graph3(self):
         return WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    @pytest.mark.parametrize("active", [[0, 1, 2], []])
+    def test_non_finite_budget_rejected(self, eps, active):
+        # also on an empty active set, which draws nothing
+        with pytest.raises(ValueError, match="finite"):
+            em_over_assignments(self.graph3(), active, eps, 1.0, gen())
+        with pytest.raises(ValueError, match="finite"):
+            em_over_assignments_batch(self.graph3(), active, eps, 1.0, gen(), 4)
 
     def test_empty_active_no_randomness(self):
         g1, g2 = gen(16), gen(16)

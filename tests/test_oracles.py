@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from privcsp import harness
 from privcsp.constants import AT_THRESHOLD_LOWER_C
 from privcsp.csp_core import (
     Constraint,
@@ -14,9 +16,12 @@ from privcsp.csp_core import (
     cut_value,
     eval_value,
 )
-from privcsp.dp_mechanisms import RngStream, randomized_response
+from privcsp.dp_mechanisms import RngStream, as_generator, randomized_response
 from privcsp.oracles import (
+    AuditReport,
+    BucketRow,
     PackingFamily,
+    _bucket_counts,
     adversarial_single_constraint,
     at_threshold_prob,
     brute_force_opt,
@@ -265,6 +270,156 @@ class TestEmpiricalEpsilon:
 
         with pytest.raises(ResourceCapError):
             empirical_epsilon(mech, "a", "b", 5_000, gen(9))
+
+
+def _counter_counts(out_a, out_b) -> dict:
+    """{label: (hits_a, hits_b)} by a Counter over per-row Python values."""
+
+    def label(row):
+        return tuple(row.tolist()) if isinstance(row, np.ndarray) else row.item()
+
+    ca, cb = Counter(map(label, out_a)), Counter(map(label, out_b))
+    return {k: (ca[k], cb[k]) for k in set(ca) | set(cb)}
+
+
+def _counter_reference(
+    mechanism, input_a, input_b, trials, rng, coarsening_label="identity",
+    confidence=0.95, min_hits=100, max_buckets=64,
+) -> AuditReport:
+    """empirical_epsilon as it was with per-trial Counter bucketing: the
+    reference the array counting must reproduce exactly."""
+    g = as_generator(rng)
+    counts = _counter_counts(mechanism(input_a, g, trials), mechanism(input_b, g, trials))
+    labels = sorted(counts, key=repr)
+    if len(labels) > max_buckets:
+        raise ResourceCapError("cap")
+    rows, best = [], None
+    for lab in labels:
+        ka, kb = counts[lab]
+        reliable = ka >= min_hits and kb >= min_hits
+        if ka > 0 and kb > 0:
+            log_ratio = abs(math.log((ka / trials) / (kb / trials)))
+            rows.append(BucketRow(repr(lab), ka, kb, log_ratio, reliable, False))
+            if reliable and (best is None or log_ratio > best[0]):
+                best = (log_ratio, ka, kb)
+        else:
+            hi, lo = (ka, kb) if ka > 0 else (kb, ka)
+            lo_hi = wilson_interval(lo, trials, confidence)[1]
+            hi_lo = wilson_interval(hi, trials, confidence)[0]
+            bound = math.log(hi_lo / lo_hi) if hi_lo > 0 and lo_hi > 0 else 0.0
+            rows.append(BucketRow(repr(lab), ka, kb, None, False, True, max(0.0, bound)))
+    if best is None:
+        for row in rows:
+            if row.log_ratio is not None and (best is None or row.log_ratio > best[0]):
+                best = (row.log_ratio, row.hits_a, row.hits_b)
+    if best is None:
+        return AuditReport(0.0, 0.0, 0.0, trials, coarsening_label, tuple(rows))
+    eps_hat, ka, kb = best
+    la, ua = wilson_interval(ka, trials, confidence)
+    lb, ub = wilson_interval(kb, trials, confidence)
+    raw_lo, raw_hi = math.log(la / ub), math.log(ua / lb)
+    ci_lower = 0.0 if raw_lo <= 0.0 <= raw_hi else min(abs(raw_lo), abs(raw_hi))
+    ci_upper = max(abs(raw_lo), abs(raw_hi))
+    return AuditReport(
+        eps_hat, min(ci_lower, eps_hat), max(ci_upper, eps_hat), trials,
+        coarsening_label, tuple(rows),
+    )
+
+
+class TestBucketCounts:
+    def check(self, out_a, out_b, max_buckets=64):
+        labels, ka, kb = _bucket_counts(out_a, out_b, max_buckets)
+        got = {lab: (int(a), int(b)) for lab, a, b in zip(labels, ka, kb)}
+        assert len(got) == len(labels)
+        assert got == _counter_counts(out_a, out_b)
+        return got
+
+    def test_one_dimensional(self):
+        g = gen(20)
+        out_a = randomized_response(np.ones(5_000, dtype=np.int64), 1.0, g)
+        out_b = randomized_response(-np.ones(5_000, dtype=np.int64), 1.0, g)
+        got = self.check(out_a, out_b)
+        assert set(got) == {-1, 1}
+        assert all(type(lab) is int for lab in got)
+
+    def test_pm1_int8_rows(self):
+        g = gen(21)
+        out_a = (2 * (g.random((4_000, 5)) < 0.7) - 1).astype(np.int8)
+        out_b = (2 * (g.random((4_000, 5)) < 0.4) - 1).astype(np.int8)
+        got = self.check(out_a, out_b)
+        assert len(got) == 32
+        assert all(type(v) is int for lab in got for v in lab)
+
+    def test_mixed_values_with_one_sided_buckets(self):
+        g = gen(22)
+        vals = np.array([-3, 0, 7, 100])
+        out_a = vals[g.integers(0, 4, size=(3_000, 2))]
+        out_b = vals[g.integers(0, 3, size=(3_000, 2))]
+        out_b[:5, 1] = 55  # only side b emits 55
+        got = self.check(out_a, out_b)
+        assert any(kb == 0 for _, kb in got.values())
+        assert any(ka == 0 for ka, _ in got.values())
+
+    def test_zero_width_rows(self):
+        got = self.check(np.empty((10, 0), dtype=np.int8), np.empty((10, 0), dtype=np.int8))
+        assert got == {(): (10, 10)}
+
+    def test_cap_on_combined_rows(self):
+        rows = (np.arange(128)[:, None] >> np.arange(7)) & 1  # all 128 binary rows
+        with pytest.raises(ResourceCapError):
+            _bucket_counts(rows, rows[:1], 64)
+        assert len(self.check(rows[:, :6], rows[:1, :6])) == 64
+
+    def test_cap_on_one_column(self):
+        with pytest.raises(ResourceCapError):
+            _bucket_counts(np.arange(65), np.zeros(65, dtype=np.int64), 64)
+        assert len(self.check(np.arange(64), np.zeros(64, dtype=np.int64))) == 64
+
+
+class TestEmpiricalEpsilonMatchesCounter:
+    @pytest.mark.parametrize("mechanism", sorted(harness.AUDIT_MECHANISMS))
+    def test_builtin_audits(self, mechanism, monkeypatch):
+        pairs = []
+        real = harness.empirical_epsilon
+
+        def both(mech, input_a, input_b, trials, rng, **kwargs):
+            got = real(mech, input_a, input_b, trials, rng, **kwargs)
+            pairs.append((got, _counter_reference(mech, input_a, input_b, trials, rng, **kwargs)))
+            return got
+
+        monkeypatch.setattr(harness, "empirical_epsilon", both)
+        harness.audit(mechanism, 1.0, 3_000, seed=31)
+        (got, ref), = pairs
+        assert got == ref and got.buckets == ref.buckets
+
+    def test_labels_are_plain_values(self):
+        def one_d(bit, g, t):
+            return randomized_response(np.full(t, bit), 1.0, g)
+
+        def two_d(bit, g, t):
+            return np.stack([np.full(t, -1), randomized_response(np.full(t, bit), 1.0, g)], axis=1)
+
+        report = empirical_epsilon(one_d, 1, -1, 2_000, gen(32))
+        assert [r.label for r in report.buckets] == ["-1", "1"]
+        report = empirical_epsilon(two_d, 1, -1, 2_000, gen(33))
+        assert [r.label for r in report.buckets] == ["(-1, -1)", "(-1, 1)"]
+
+    def test_buckets_in_repr_order(self):
+        # repr order, not numeric order, as with the Counter labels
+        def mech(bit, g, t):
+            return np.where(randomized_response(np.full(t, bit), 1.0, g) > 0, 10, 2)
+
+        report = empirical_epsilon(mech, 1, -1, 2_000, gen(34))
+        assert [r.label for r in report.buckets] == ["10", "2"]
+        assert report == _counter_reference(mech, 1, -1, 2_000, gen(34))
+
+    def test_output_contract(self):
+        with pytest.raises(ValueError, match="integer"):
+            empirical_epsilon(lambda x, g, t: g.random(t), 1, 2, 100, gen())
+        with pytest.raises(ValueError, match="shape"):
+            empirical_epsilon(lambda x, g, t: np.zeros(t - 1, dtype=int), 1, 2, 100, gen())
+        with pytest.raises(ValueError, match="differ"):
+            empirical_epsilon(lambda x, g, t: np.zeros((t, x), dtype=int), 1, 2, 100, gen())
 
 
 class TestAdversarialSingleConstraint:
