@@ -4,7 +4,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	PYTHONPATH=src python3 -m pytest -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q --continue-on-collection-errors
 
 acceptance:
 	PYTHONPATH=src python3 -m pytest tests/test_acceptance.py -v -s

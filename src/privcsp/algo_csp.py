@@ -203,8 +203,7 @@ def alg2_partition_kxor(
     """
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg2 requires a sign-form instance")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     k = max(instance.max_arity, 1)
     if subroutine is None:
@@ -357,8 +356,7 @@ def alg_oddk_unbounded(
     k = instance.max_arity
     if k % 2 == 0:
         raise ValueError("alg_oddk requires odd arity; use alg2_partition_kxor")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon, positive=True)
 
     def subroutine(inst, eps, gen):
         return alg3_dp_advrand(inst, eps, gen, config=config)

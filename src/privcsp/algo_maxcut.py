@@ -25,6 +25,7 @@ import numpy as np
 from .csp_core import WeightedGraph, cut_value
 from .dp_mechanisms import (
     as_generator,
+    check_epsilon,
     em_over_assignments,
     exponential_mechanism,
     sample_discrete_laplace,
@@ -42,7 +43,6 @@ GENERAL_BUDGET_FRACTIONS = (
 )
 
 __all__ = [
-    "Cut",
     "MatchingState",
     "MATCHING_EM_BUDGET",
     "MATCHING_EM_SENSITIVITY",
@@ -59,24 +59,6 @@ __all__ = [
     "matching_em_cut",
     "dp_maxcut_general",
 ]
-
-
-@dataclass(frozen=True)
-class Cut:
-    """A two-sided vertex partition as a +-1 side vector."""
-
-    side: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(v not in (-1, 1) for v in self.side):
-            raise ValueError("cut sides must be -1 or +1")
-
-    @classmethod
-    def from_array(cls, sides: np.ndarray) -> "Cut":
-        return cls(tuple(int(v) for v in sides))
-
-    def value(self, graph: WeightedGraph) -> float:
-        return cut_value(graph, np.asarray(self.side))
 
 
 @dataclass(frozen=True)
@@ -159,8 +141,7 @@ def shearer_baseline(graph: WeightedGraph, rng) -> np.ndarray:
 def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> np.ndarray:
     """Vectorized dp_shearer; one independent run per row."""
     _require_unweighted(graph, "dp_shearer")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     c1, c2, ell = _two_color_batch(graph, gen, trials)
     deg = graph.degree_counts()
@@ -190,8 +171,7 @@ def dp_maxcut_unbounded(
     the output.
     """
     _require_unweighted(graph, "dp_maxcut_unbounded")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     threshold = 10000.0 / epsilon ** 2
     noisy = graph.degree_counts() + sample_laplace(3.0 / epsilon, gen, size=graph.n)

@@ -15,6 +15,14 @@ Data derived from an instance (a graph's edge columns, degree counts and
 unit-weight flag; a CSP instance's degrees and triangle-freeness) is
 computed once per object, on first use, and returned read-only, so
 callers that run many trials on one instance pay for it once.
+
+Exact enumeration (all_values, and brute_force_opt in oracles) runs on one
+kernel, value_chunks. Over an ordered list `active` of k variables, row r
+of the value table is the assignment with active[t] = +1 exactly when bit
+t of r is set, else -1. Each constraint inside `active` contributes its
+2^arity local table, broadcast over the rows, so no assignment block is
+built; working memory is one chunk of 2^VALUE_CHUNK_BITS float64 entries
+(8 MiB), plus the result for all_values.
 """
 
 from __future__ import annotations
@@ -28,6 +36,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 ARITY_CAP = 20
+# A value-table chunk holds 2^VALUE_CHUNK_BITS float64 entries (8 MiB).
+# Each constraint's table is spelled out over the lowest VALUE_RUN_BITS
+# bits before it is added: numpy adds a broadcast operand fast only along
+# a long contiguous axis (2-3x over broadcasting bit by bit).
+VALUE_CHUNK_BITS = 20
+VALUE_RUN_BITS = 10
 
 __all__ = [
     "ARITY_CAP",
@@ -45,8 +59,9 @@ __all__ = [
     "degrees",
     "derivative_q",
     "lambda_j",
-    "assignment_blocks",
-    "compile_values",
+    "VALUE_CHUNK_BITS",
+    "assignment_rows",
+    "value_chunks",
     "all_values",
     "graph_to_instance",
     "instance_to_graph",
@@ -432,80 +447,95 @@ def lambda_j(
     return total / np.sqrt(instance.m)
 
 
-def assignment_blocks(
-    nvars: int, chunk: int = 1 << 20
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yields (offset, X) blocks covering all 2^nvars sign assignments.
-
-    Row offset+r of the full enumeration has entry t equal to +1 when bit
-    t of (offset+r) is set, else -1 (bit 0 = variable position 0).
-    """
-    total = 1 << nvars
-    bits = np.arange(nvars)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        block = np.where((idx[:, None] >> bits) & 1 == 1, 1, -1).astype(np.int8)
-        yield start, block
+def assignment_rows(rows, k: int) -> np.ndarray:
+    """Decodes enumeration row indices into int8 assignments of k active
+    variables: entry t is +1 when bit t of the row is set, else -1. A
+    scalar row gives shape (k,), an array of rows one assignment per row."""
+    bits = np.asarray(rows)[..., None] >> np.arange(k)
+    return np.where(bits & 1 == 1, 1, -1).astype(np.int8)
 
 
-def compile_values(problem: CspInstance | WeightedGraph, active: Sequence[int]):
-    """Returns an evaluator mapping an assignment block (rows of +-1 entries,
-    columns aligned with `active`) to the induced sub-problem values.
-
-    Only constraints (edges) whose scope lies entirely inside `active`
-    contribute.
-    """
-    active = list(active)
+def _local_tables(
+    problem: CspInstance | WeightedGraph, active: Sequence[int]
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(positions in `active`, local value table) for each constraint (edge)
+    whose scope lies inside `active`, in constraint order. A table has one
+    length-2 axis per scope variable, in scope order; index 1 means +1."""
     pos = {v: t for t, v in enumerate(active)}
     if len(pos) != len(active):
         raise ValueError("active variables must be distinct")
     if isinstance(problem, WeightedGraph):
-        inner = [
-            (pos[u_], pos[v_], w)
-            for u_, v_, w in problem.edges
-            if u_ in pos and v_ in pos
+        return [
+            ((pos[u], pos[v]), np.array([[0.0, w], [w, 0.0]]))
+            for u, v, w in problem.edges
+            if u in pos and v in pos
         ]
+    tables = []
+    for c in problem.constraints:
+        if not all(i in pos for i in c.scope):
+            continue
+        if c.is_xor:
+            prod = np.ones(())
+            for _ in c.scope:
+                prod = np.multiply.outer(prod, [-1.0, 1.0])
+            table = (prod == c.b).astype(np.float64)
+        else:
+            # flat index bit t is scope position t, the last C-order axis
+            table = np.asarray(c.table, dtype=np.float64).reshape((2,) * c.arity).T
+        tables.append((tuple(pos[i] for i in c.scope), table))
+    return tables
 
-        def eval_graph_block(block: np.ndarray) -> np.ndarray:
-            acc = np.zeros(block.shape[0], dtype=np.float64)
-            for pu, pv, w in inner:
-                acc += w * (block[:, pu] != block[:, pv])
-            return acc
 
-        return eval_graph_block
-    inner_c = [c for c in problem.constraints if all(i in pos for i in c.scope)]
+def value_chunks(
+    problem: CspInstance | WeightedGraph, active: Sequence[int], bits: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields (start, values) chunks of the value table over `active`,
+    covering rows [0, 2^bits) in order; active positions >= bits stay -1.
 
-    def eval_csp_block(block: np.ndarray) -> np.ndarray:
-        acc = np.zeros(block.shape[0], dtype=np.float64)
-        for c in inner_c:
-            cols = [block[:, pos[i]] for i in c.scope]
-            if c.is_xor:
-                prod = cols[0].astype(np.int64)
-                for col in cols[1:]:
-                    prod = prod * col
-                acc += prod == c.b
-            else:
-                idx = np.zeros(block.shape[0], dtype=np.int64)
-                for t, col in enumerate(cols):
-                    idx |= (col == 1).astype(np.int64) << t
-                acc += np.asarray(c.table, dtype=np.float64)[idx]
-        return acc
-
-    return eval_csp_block
+    Row r is the assignment with active[t] = +1 exactly when bit t of r is
+    set. Each chunk fixes the bits from L = min(bits, VALUE_CHUNK_BITS) up
+    and holds one float64 entry per setting of the low L bits. Every
+    constraint (edge) inside `active` adds its local table, sliced at the
+    chunk's fixed bits and broadcast over the rest, in constraint order.
+    """
+    tables = _local_tables(problem, list(active))
+    low_bits = min(bits, VALUE_CHUNK_BITS)
+    run_bits = min(low_bits, VALUE_RUN_BITS)
+    for start in range(0, 1 << bits, 1 << low_bits):
+        # Fortran order: axis 0 is bits 0..run_bits-1, axis j > 0 is bit
+        # run_bits+j-1, and the flat row view is a view
+        acc = np.zeros((1 << run_bits,) + (2,) * (low_bits - run_bits), order="F")
+        for positions, table in tables:
+            index = tuple(
+                slice(None) if t < low_bits else (start >> t) & 1 for t in positions
+            )
+            low = [t for t in positions if t < low_bits]
+            shape = [1] * low_bits
+            for t in low:
+                shape[t] = 2
+            local = table[index].transpose(np.argsort(low)).reshape(shape)
+            # spell out the run bits, so each add is a contiguous inner loop
+            tail = tuple(shape[run_bits:])
+            run = np.broadcast_to(local, (2,) * run_bits + tail)
+            acc += run.reshape((1 << run_bits,) + tail, order="F")
+        yield start, acc.reshape(-1, order="F")
 
 
 def all_values(
-    problem: CspInstance | WeightedGraph,
-    active: Sequence[int],
-    chunk: int = 1 << 20,
+    problem: CspInstance | WeightedGraph, active: Sequence[int]
 ) -> np.ndarray:
     """Values of the sub-problem induced on `active`, for all 2^|active|
-    assignments of the active variables in assignment_blocks order."""
+    assignments of the active variables.
+
+    Row r has active[t] = +1 exactly when bit t of r is set, else -1 (see
+    assignment_rows). Only constraints (edges) whose scope lies entirely
+    inside `active` contribute. Working memory beyond the result is one
+    chunk of 2^VALUE_CHUNK_BITS float64 entries.
+    """
     active = list(active)
-    evaluate = compile_values(problem, active)
-    out = np.zeros(1 << len(active), dtype=np.float64)
-    for start, block in assignment_blocks(len(active), chunk):
-        out[start:start + block.shape[0]] = evaluate(block)
+    out = np.empty(1 << len(active), dtype=np.float64)
+    for start, values in value_chunks(problem, active, len(active)):
+        out[start:start + values.shape[0]] = values
     return out
 
 

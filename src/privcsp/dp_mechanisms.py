@@ -13,7 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .csp_core import CspInstance, ResourceCapError, WeightedGraph, all_values
+from .csp_core import (
+    CspInstance,
+    ResourceCapError,
+    WeightedGraph,
+    all_values,
+    assignment_rows,
+)
 
 EM_ENUMERATION_CAP = 24
 
@@ -85,8 +91,7 @@ def sample_discrete_laplace(epsilon: float, rng, size=None):
     One uniform decides zero versus sign; an unconditional geometric draw
     supplies the magnitude, so every sample consumes exactly two draws.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     q = np.exp(-epsilon)
     p_zero = (1.0 - q) / (1.0 + q)
@@ -104,12 +109,15 @@ def sample_discrete_laplace(epsilon: float, rng, size=None):
     return out.astype(np.int64)
 
 
-def check_epsilon(epsilon: float, name: str = "epsilon") -> None:
-    """Raises ValueError unless epsilon is a finite, nonnegative budget.
-    nan compares false everywhere, so a bare `epsilon < 0` check lets it
-    (and inf) pass as a valid budget."""
+def check_epsilon(epsilon: float, name: str = "epsilon", positive: bool = False) -> None:
+    """Raises ValueError unless epsilon is a finite, nonnegative budget, and
+    with `positive` also nonzero. nan compares false everywhere, so a bare
+    `epsilon < 0` check lets it (and inf) pass as a valid budget; a bare
+    `not epsilon > 0` check lets inf pass."""
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {epsilon}")
+    if positive and epsilon == 0:
+        raise ValueError(f"{name} must be positive, got {epsilon}")
 
 
 def keep_probability(epsilon: float) -> float:
@@ -145,11 +153,16 @@ def randomized_response(bit, epsilon: float, rng, domain: str = "pm1"):
     return out
 
 
-def _em_probabilities(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarray:
+def _em_draws(
+    scores: np.ndarray, epsilon: float, sensitivity: float, gen, trials: int
+) -> np.ndarray:
+    """Indices of `trials` independent draws with weight
+    exp(epsilon * score / (2 * sensitivity)), by inverse CDF on one
+    uniform each; ties go by the uniform, never by index."""
     logw = (epsilon / (2.0 * sensitivity)) * scores
-    logw = logw - logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
+    w = np.exp(logw - logw.max())
+    idx = np.searchsorted(np.cumsum(w / w.sum()), gen.random(trials), side="right")
+    return np.minimum(idx, scores.shape[0] - 1)
 
 
 def exponential_mechanism(
@@ -177,11 +190,7 @@ def exponential_mechanism(
             raise ValueError("score vector length must match candidate count")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    probs = _em_probabilities(scores, epsilon, sensitivity)
-    gen = as_generator(rng)
-    idx = int(np.searchsorted(np.cumsum(probs), gen.random(), side="right"))
-    idx = min(idx, len(candidates) - 1)
-    return candidates[idx]
+    return candidates[int(_em_draws(scores, epsilon, sensitivity, as_generator(rng), 1)[0])]
 
 
 def em_over_assignments(
@@ -197,25 +206,10 @@ def em_over_assignments(
     Scores are values of the sub-problem induced on `active`; the sampled
     weight of assignment a is exp(budget * value(a) / (2 * sensitivity)).
     Returns an int8 vector aligned with `active`. An empty active set
-    returns an empty vector without consuming randomness.
+    returns an empty vector without consuming randomness. Row 0 of
+    em_over_assignments_batch with one trial.
     """
-    check_epsilon(budget, "budget")
-    if not sensitivity > 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    active = list(active)
-    if len(active) == 0:
-        return np.empty(0, dtype=np.int8)
-    if len(active) > cap:
-        raise ResourceCapError(
-            f"em_over_assignments: |active| = {len(active)} exceeds cap {cap}"
-        )
-    values = all_values(problem, active)
-    probs = _em_probabilities(values, budget, sensitivity)
-    gen = as_generator(rng)
-    idx = int(np.searchsorted(np.cumsum(probs), gen.random(), side="right"))
-    idx = min(idx, probs.shape[0] - 1)
-    bits = np.arange(len(active))
-    return np.where((idx >> bits) & 1 == 1, 1, -1).astype(np.int8)
+    return em_over_assignments_batch(problem, active, budget, sensitivity, rng, 1, cap)[0]
 
 
 def em_over_assignments_batch(
@@ -227,12 +221,8 @@ def em_over_assignments_batch(
     trials: int,
     cap: int = EM_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """Independent em_over_assignments draws, one per row.
-
-    Shares the scoring and weighting path with the single-draw form and
-    vectorizes only the inverse-CDF sampling, so each row has exactly the
-    single-draw law.
-    """
+    """Independent em_over_assignments draws, one per row of the returned
+    (trials, |active|) int8 array; the value table is built once."""
     check_epsilon(budget, "budget")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
@@ -244,9 +234,5 @@ def em_over_assignments_batch(
             f"em_over_assignments: |active| = {len(active)} exceeds cap {cap}"
         )
     values = all_values(problem, active)
-    probs = _em_probabilities(values, budget, sensitivity)
-    gen = as_generator(rng)
-    idx = np.searchsorted(np.cumsum(probs), gen.random(trials), side="right")
-    idx = np.minimum(idx, probs.shape[0] - 1)
-    bits = np.arange(len(active))
-    return np.where((idx[:, None] >> bits) & 1 == 1, 1, -1).astype(np.int8)
+    idx = _em_draws(values, budget, sensitivity, as_generator(rng), trials)
+    return assignment_rows(idx, len(active))

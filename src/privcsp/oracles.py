@@ -22,10 +22,11 @@ from .csp_core import (
     CspInstance,
     ResourceCapError,
     WeightedGraph,
-    assignment_blocks,
-    compile_values,
+    assignment_rows,
     mu,
+    value_chunks,
 )
+from .dp_mechanisms import check_epsilon
 
 BRUTE_FORCE_CAP = 26
 MEDIAN_ENUMERATION_CAP = 22
@@ -55,32 +56,19 @@ def brute_force_opt(
     """Exact maximum value and a first-found argmax assignment.
 
     For graphs, the search space is halved by pinning the last vertex to
-    side -1 (cut values are invariant under a global flip).
+    side -1 (cut values are invariant under a global flip). Rows are scanned
+    in value_chunks order; the first row with the largest value wins.
     """
     n = problem.n
     if n > cap:
         raise ResourceCapError(f"brute_force_opt: n = {n} exceeds cap {cap}")
     halve = isinstance(problem, WeightedGraph) and n >= 1
-    search_vars = list(range(n - 1 if halve else n))
-    evaluate = compile_values(problem, list(range(n)))
-    best_val = -np.inf
-    best_row: np.ndarray | None = None
-    if not search_vars:
-        row = np.full(n, -1, dtype=np.int8)
-        return float(evaluate(row[None, :])[0]), row
-    for _, block in assignment_blocks(len(search_vars)):
-        if halve:
-            full = np.concatenate(
-                [block, np.full((block.shape[0], 1), -1, dtype=np.int8)], axis=1
-            )
-        else:
-            full = block
-        vals = evaluate(full)
-        idx = int(np.argmax(vals))
-        if vals[idx] > best_val:
-            best_val = float(vals[idx])
-            best_row = full[idx].copy()
-    return best_val, best_row
+    best_val, best_row = -np.inf, 0
+    for start, values in value_chunks(problem, range(n), n - 1 if halve else n):
+        idx = int(np.argmax(values))
+        if values[idx] > best_val:
+            best_val, best_row = float(values[idx]), start + idx
+    return best_val, assignment_rows(best_row, n)
 
 
 def _constraint_q_pmf(c: Constraint, j: int) -> dict[Fraction, Fraction]:
@@ -218,8 +206,7 @@ def threshold_pmf(d: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if d < 1:
         raise ValueError(f"d must be a positive integer, got {d}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon, positive=True)
     z, zp = _discrete_laplace_pmf(epsilon)
     x = np.arange(d)
     xp = stats.binom.pmf(x, d - 1, 0.5)
@@ -249,6 +236,7 @@ def exact_em_distribution(
         raise ValueError("scores must be finite")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    check_epsilon(epsilon)
     logw = (epsilon / (2.0 * sensitivity)) * s
     logw -= logw.max()
     w = np.exp(logw)
@@ -515,8 +503,7 @@ class PackingFamily:
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("n must be even and at least 2")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(self.epsilon, positive=True)
         sets = [frozenset(s) for s in self.supports]
         for i, s in enumerate(sets):
             if len(s) != self.n // 2:

@@ -236,6 +236,13 @@ class TestAlg2:
         with pytest.raises(ValueError):
             alg2_partition_kxor(cycle_instance(4), 0.0, gen())
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # eps=inf used to fail inside the degree noise, naming neither eps
+        # nor the stage
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            alg2_partition_kxor(cycle_instance(4), eps, gen())
+
     def test_custom_subroutine_called(self):
         calls = []
 
@@ -402,3 +409,9 @@ class TestAlgOddK:
         inst = gen_random_kxor(GenSpec(n=6, m=4, k=3, seed=9))
         with pytest.raises(ValueError):
             alg_oddk_unbounded(inst, 0.0, gen())
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        inst = gen_random_kxor(GenSpec(n=6, m=4, k=3, seed=9))
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            alg_oddk_unbounded(inst, eps, gen())

@@ -8,7 +8,6 @@ from privcsp.algo_maxcut import (
     MATCHING_EM_BUDGET,
     MATCHING_EM_SENSITIVITY,
     UNBOUNDED_BUDGET_FRACTIONS,
-    Cut,
     MatchingState,
     budget_ledger,
     dp_maxcut_general,
@@ -47,10 +46,10 @@ def edge_cut_freqs(graph, rows):
 
 class TestCutAndLedger:
     def test_cut_validation(self):
+        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
         with pytest.raises(ValueError):
-            Cut(side=(1, 0))
-        c = Cut.from_array(np.array([1, -1]))
-        assert c.value(WeightedGraph(n=2, edges=((0, 1, 1.0),))) == 1.0
+            cut_value(g, [1, 0])
+        assert cut_value(g, np.array([1, -1])) == 1.0
 
     def test_matching_state_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +117,15 @@ class TestDpShearer:
     def test_positive_eps_required(self):
         with pytest.raises(ValueError):
             dp_shearer(cycle(4), 0.0, gen())
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # a one-edge graph at eps=inf used to return an assignment
+        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        with pytest.raises(ValueError, match="finite"):
+            dp_shearer(g, eps, gen())
+        with pytest.raises(ValueError, match="finite"):
+            dp_shearer_batch(g, eps, gen(), 3)
 
     def test_rejects_weighted(self):
         g = WeightedGraph(n=2, edges=((0, 1, 0.5),))
@@ -188,6 +196,11 @@ class TestDpMaxcutUnbounded:
     def test_positive_eps_required(self):
         with pytest.raises(ValueError):
             dp_maxcut_unbounded(cycle(4), 0.0, gen())
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            dp_maxcut_unbounded(cycle(4), eps, gen())
 
 
 class TestMutualChoiceMatching:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privcsp import csp_core
 from privcsp.csp_core import (
     Constraint,
     CspInstance,
@@ -14,7 +15,7 @@ from privcsp.csp_core import (
     all_values,
     as_assignment,
     associated_advantage,
-    assignment_blocks,
+    assignment_rows,
     cut_value,
     degrees,
     derivative_q,
@@ -33,6 +34,12 @@ from privcsp.csp_core import (
 
 def xor(scope, b=1):
     return Constraint(scope=tuple(scope), b=b)
+
+
+def all_rows(k):
+    """Every +-1 assignment of k variables, in enumeration order: entry t
+    of row r is +1 exactly when bit t of r is set."""
+    return [np.array([1 if (r >> t) & 1 else -1 for t in range(k)]) for r in range(1 << k)]
 
 
 def rand_instance(rng, n=8, m=6, k=3, kind="kxor"):
@@ -107,11 +114,7 @@ class TestAdvantage:
     def test_centered_average_is_zero(self):
         rng = np.random.default_rng(0)
         inst = rand_instance(rng, n=6, m=5, k=2)
-        total = sum(
-            associated_advantage(inst, row)
-            for _, block in assignment_blocks(6)
-            for row in block
-        )
+        total = sum(associated_advantage(inst, row) for row in all_rows(6))
         assert abs(total) < 1e-9
 
     def test_maxcut_single_edge(self):
@@ -154,9 +157,8 @@ class TestGValue:
         )
         inst = CspInstance(n=5, constraints=cons, kind="kxor")
         total = 0.0
-        for _, block in assignment_blocks(5):
-            for row in block:
-                total += g_value(inst, row) ** 2
+        for row in all_rows(5):
+            total += g_value(inst, row) ** 2
         assert total / 2 ** 5 == pytest.approx(1.0)
 
     def test_kind_error(self):
@@ -299,15 +301,128 @@ class TestEnumeration:
         rng = np.random.default_rng(4)
         inst = rand_instance(rng, n=6, m=7, k=2)
         vals = all_values(inst, list(range(6)))
-        for start, block in assignment_blocks(6):
-            for r, row in enumerate(block):
-                assert vals[start + r] == eval_value(inst, row)
+        for r, row in enumerate(all_rows(6)):
+            assert vals[r] == eval_value(inst, row)
 
     def test_induced_subproblem_only(self):
         g = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
         vals = all_values(g, [0, 1])
         # only the (0,1) edge lies inside the active set
         assert vals.max() == 1.0 and vals.min() == 0.0
+
+
+def mixed_instance(seed, n=9, m=14):
+    """Sign-form and truth-table constraints of arity 1 to 4."""
+    rng = np.random.default_rng(seed)
+    cons = []
+    for _ in range(m):
+        k = int(rng.integers(1, 5))
+        scope = tuple(rng.choice(n, size=k, replace=False).tolist())
+        if rng.random() < 0.5:
+            cons.append(Constraint(scope=scope, b=int(2 * rng.integers(0, 2) - 1)))
+        else:
+            cons.append(Constraint(scope=scope, table=tuple(rng.integers(0, 2, 2 ** k).tolist())))
+    return CspInstance(n=n, constraints=tuple(cons))
+
+
+def weighted_graph(seed, n=8, m=16):
+    """Non-dyadic weights, so the sum order shows in the last bits; with
+    repeated edges."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for _ in range(m):
+        u, v = rng.choice(n, size=2, replace=False).tolist()
+        edges.append((u, v, float(rng.uniform(0.1, 3.0))))
+    edges.append(edges[0])
+    return WeightedGraph(n=n, edges=tuple(edges))
+
+
+def reference_values(problem, active):
+    """Per-row values of the sub-problem induced on `active`: eval_value for
+    a CSP; for a graph, cut weights added in edge order, as a float sum."""
+    inside = set(active)
+    vals = []
+    for row in all_rows(len(active)):
+        x = np.full(problem.n, -1)
+        x[list(active)] = row
+        if isinstance(problem, WeightedGraph):
+            vals.append(sum(w for u, v, w in problem.edges
+                            if u in inside and v in inside and x[u] != x[v]))
+        else:
+            sub = CspInstance(n=problem.n, constraints=tuple(
+                c for c in problem.constraints if inside.issuperset(c.scope)))
+            vals.append(eval_value(sub, x))
+    return np.array(vals, dtype=np.float64)
+
+
+class TestValueKernel:
+    # permuted, non-sorted active sets; the partial ones leave constraints
+    # straddling the boundary, which must not count
+    ACTIVE = ([4, 0, 7, 2, 8, 1, 5], [8, 7, 6, 5, 4, 3, 2, 1, 0], [3], [6, 1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("active", ACTIVE)
+    def test_mixed_constraints_match_reference(self, seed, active):
+        inst = mixed_instance(seed)
+        assert np.array_equal(all_values(inst, active), reference_values(inst, active))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("active", [[5, 0, 3, 7, 1], [7, 6, 5, 4, 3, 2, 1, 0]])
+    def test_weighted_graph_matches_reference(self, seed, active):
+        g = weighted_graph(seed)
+        assert np.array_equal(all_values(g, active), reference_values(g, active))
+
+    def test_straddling_constraints_excluded(self):
+        inst = CspInstance(n=3, constraints=(
+            Constraint(scope=(0, 1), b=1),
+            Constraint(scope=(2,), table=(1, 1)),
+        ))
+        # only the (0, 1) parity lies inside; rows 0 and 3 satisfy it
+        assert all_values(inst, [1, 0]).tolist() == [1.0, 0.0, 0.0, 1.0]
+        assert all_values(inst, [1, 2]).tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    def test_empty_and_single_variable(self):
+        inst = CspInstance(n=2, constraints=(
+            Constraint(scope=(0,), table=(0, 1)),
+            Constraint(scope=(0,), b=-1),
+            Constraint(scope=(0, 1), b=1),
+        ))
+        assert all_values(inst, []).tolist() == [0.0]
+        assert all_values(inst, [0]).tolist() == [1.0, 1.0]
+        assert all_values(WeightedGraph(n=2, edges=((0, 1, 1.5),)), [1]).tolist() == [0.0, 0.0]
+
+    # (chunk bits, run bits): several chunks, and runs shorter than a chunk
+    @pytest.mark.parametrize("chunk_bits, run_bits", [(20, 2), (3, 0), (3, 2), (1, 1), (0, 0)])
+    def test_multi_chunk(self, monkeypatch, chunk_bits, run_bits):
+        inst, g = mixed_instance(7), weighted_graph(7)
+        inst_active, g_active = [8, 2, 6, 0, 4, 1, 7], [6, 2, 7, 0, 3, 5]
+        whole = (all_values(inst, inst_active), all_values(g, g_active))
+        monkeypatch.setattr(csp_core, "VALUE_CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(csp_core, "VALUE_RUN_BITS", run_bits)
+        assert np.array_equal(all_values(inst, inst_active), whole[0])
+        assert np.array_equal(all_values(inst, inst_active), reference_values(inst, inst_active))
+        assert np.array_equal(all_values(g, g_active), whole[1])
+        assert np.array_equal(all_values(g, g_active), reference_values(g, g_active))
+
+    def test_chunks_cover_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(csp_core, "VALUE_CHUNK_BITS", 2)
+        monkeypatch.setattr(csp_core, "VALUE_RUN_BITS", 1)
+        inst = mixed_instance(3)
+        chunks = list(csp_core.value_chunks(inst, range(6), 5))
+        assert [start for start, _ in chunks] == [0, 4, 8, 12, 16, 20, 24, 28]
+        # position 5 is pinned to -1: the first half of the 6-bit table
+        joined = np.concatenate([vals for _, vals in chunks])
+        assert np.array_equal(joined, all_values(inst, range(6))[:32])
+
+    def test_duplicate_active_rejected(self):
+        with pytest.raises(ValueError):
+            all_values(mixed_instance(0), [1, 2, 1])
+
+    def test_assignment_rows(self):
+        assert assignment_rows(6, 4).tolist() == [-1, 1, 1, -1]
+        rows = assignment_rows(np.arange(8), 3)
+        assert rows.dtype == np.int8
+        assert np.array_equal(rows, np.array(all_rows(3)))
 
 
 class TestSerialization:

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from privcsp.csp_core import Constraint, CspInstance, ResourceCapError, WeightedGraph
+from privcsp.csp_core import (
+    Constraint,
+    CspInstance,
+    ResourceCapError,
+    WeightedGraph,
+    all_values,
+    assignment_rows,
+)
 from privcsp.dp_mechanisms import (
     PrivacyBudget,
     RngStream,
@@ -79,6 +86,13 @@ class TestDiscreteLaplace:
     def test_argument_error(self):
         with pytest.raises(ValueError):
             sample_discrete_laplace(0.0, gen())
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            sample_discrete_laplace(eps, gen())
+        with pytest.raises(ValueError, match="finite"):
+            sample_discrete_laplace(eps, gen(), size=3)
 
     def test_mass_formula_ln2(self):
         # eps = ln 2: Pr[0] = 1/3, Pr[+-1] = 1/6 each
@@ -283,3 +297,14 @@ class TestEmOverAssignments:
         a = em_over_assignments(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21))
         b = em_over_assignments(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21))
         assert np.array_equal(a, b)
+
+    def test_single_draw_reads_one_uniform(self):
+        # the single draw is row 0 of a one-trial batch: it reads the one
+        # double gen.random() reads, and inverts the same CDF
+        probs = exact_em_distribution(all_values(self.graph3(), [2, 0, 1]), 1.0, 1.0)
+        for seed in range(200):
+            g1, g2 = gen(seed), gen(seed)
+            out = em_over_assignments(self.graph3(), [2, 0, 1], 1.0, 1.0, g1)
+            idx = int(np.searchsorted(np.cumsum(probs), g2.random(), side="right"))
+            assert np.array_equal(out, assignment_rows(idx, 3))
+            assert g1.random() == g2.random()

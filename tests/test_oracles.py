@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from privcsp import harness
+from privcsp import csp_core, harness
 from privcsp.constants import AT_THRESHOLD_LOWER_C
 from privcsp.csp_core import (
     Constraint,
@@ -12,7 +12,6 @@ from privcsp.csp_core import (
     ResourceCapError,
     WeightedGraph,
     all_values,
-    assignment_blocks,
     cut_value,
     eval_value,
 )
@@ -36,6 +35,21 @@ from privcsp.oracles import (
 
 def gen(seed=0):
     return RngStream(seed, 0).generator()
+
+
+def ascending_scan(problem):
+    """Reference for brute_force_opt: rows in ascending order (graphs with
+    vertex n-1 pinned to -1), replacing the best only on a strictly larger
+    value."""
+    n = problem.n
+    halve = isinstance(problem, WeightedGraph) and n >= 1
+    best_val, best_x = -math.inf, None
+    for r in range(1 << (n - 1 if halve else n)):
+        x = np.array([1 if (r >> t) & 1 else -1 for t in range(n)])
+        val = eval_value(problem, x)
+        if val > best_val:
+            best_val, best_x = val, x
+    return best_val, best_x
 
 
 class TestBruteForceOpt:
@@ -67,6 +81,29 @@ class TestBruteForceOpt:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             brute_force_opt(CspInstance(n=27, constraints=(), kind="kxor"))
+
+    @pytest.mark.parametrize("problem", [
+        # three disjoint edges and two isolated vertices: 16 tied optima
+        # among the 256 rows with vertex 8 pinned
+        WeightedGraph(n=9, edges=((0, 5, 1.0), (6, 2, 1.0), (3, 7, 1.0))),
+        WeightedGraph(n=6, edges=((0, 1, 0.7), (1, 2, 1.3), (2, 0, 0.4), (3, 4, 2.2), (5, 3, 0.1))),
+        CspInstance(n=7, constraints=(
+            Constraint(scope=(4, 1), b=1),
+            Constraint(scope=(2, 6, 0), b=-1),
+            Constraint(scope=(5,), table=(0, 1)),
+        )),
+        CspInstance(n=2, constraints=()),
+        WeightedGraph(n=1, edges=()),
+    ])
+    # (chunk bits, run bits); None keeps the module constants
+    @pytest.mark.parametrize("bits", [None, (0, 0), (2, 1), (3, 3)])
+    def test_first_strict_maximum(self, monkeypatch, problem, bits):
+        if bits is not None:
+            monkeypatch.setattr(csp_core, "VALUE_CHUNK_BITS", bits[0])
+            monkeypatch.setattr(csp_core, "VALUE_RUN_BITS", bits[1])
+        val, x = brute_force_opt(problem)
+        ref_val, ref_x = ascending_scan(problem)
+        assert val == ref_val and x.dtype == np.int8 and np.array_equal(x, ref_x)
 
 
 class TestExactMedianTheta:
@@ -178,6 +215,11 @@ class TestAtThresholdProb:
         with pytest.raises(ValueError):
             at_threshold_prob(3, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_pmf(3, eps)
+
 
 class TestExactEmDistribution:
     def test_two_scores(self):
@@ -187,6 +229,11 @@ class TestExactEmDistribution:
     def test_uniform(self):
         probs = exact_em_distribution([5.0] * 7, 3.0, 1.0)
         assert np.allclose(probs, 1 / 7)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            exact_em_distribution([1.0, 0.0], eps, 1.0)
 
     def test_sums_to_one(self):
         rng = gen(2)
@@ -475,6 +522,11 @@ class TestPackingFamily:
         with pytest.raises(ValueError):
             PackingFamily(n=8, supports=((0, 1, 2),), epsilon=0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+    def test_invalid_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            PackingFamily(n=8, supports=((0, 1, 2, 3),), epsilon=eps)
+
     def test_overlap_invariant(self):
         # overlap 3 = 3n/8 exactly: must be strict
         with pytest.raises(ValueError):
@@ -505,14 +557,14 @@ class TestPackingSeparation:
         nd = n * fam.degree
         graphs = [fam.graph(i) for i in range(2)]
         violation = False
-        for _, block in assignment_blocks(n - 1):
-            for row in block:
-                sides = np.concatenate([row, [-1]]).astype(np.int8)
-                vals = [cut_value(g, sides) for g in graphs]
-                for i in range(2):
-                    for j in range(2):
-                        if i != j and vals[i] > 7 * nd / 16 and vals[j] > 6 * nd / 16:
-                            violation = True
+        for r in range(1 << (n - 1)):
+            # vertex n-1 pinned to -1, as in verify_packing_separation
+            sides = np.array([1 if (r >> t) & 1 else -1 for t in range(n)], dtype=np.int8)
+            vals = [cut_value(g, sides) for g in graphs]
+            for i in range(2):
+                for j in range(2):
+                    if i != j and vals[i] > 7 * nd / 16 and vals[j] > 6 * nd / 16:
+                        violation = True
         ok, _ = verify_packing_separation(fam)
         assert ok == (not violation)
 
