@@ -1,4 +1,11 @@
-.PHONY: install test acceptance bench
+.PHONY: install test acceptance bench bench-ab
+
+# bench-ab: alternating benchmark runs of AB_BASE and the working tree
+AB_WORKLOAD ?= mc_large
+AB_SEED ?= 14
+AB_PAIRS ?= 10
+AB_SECONDS ?= 20
+AB_BASE ?= HEAD
 
 install:
 	pip install -e . --no-build-isolation
@@ -11,3 +18,6 @@ acceptance:
 
 bench:
 	python3 bench/report.py
+
+bench-ab:
+	python3 tools/bench_ab.py --workload $(AB_WORKLOAD) --seed $(AB_SEED) --pairs $(AB_PAIRS) --seconds $(AB_SECONDS) --base $(AB_BASE)

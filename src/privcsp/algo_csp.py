@@ -18,6 +18,7 @@ Monte-Carlo experiments and audits on sign-form instances.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,10 +26,11 @@ import numpy as np
 
 from .csp_core import (
     Constraint,
+    ConstraintGroup,
     CspInstance,
     as_assignment,
     degrees,
-    derivative_q,
+    constraint_groups,
     eval_value,
     is_triangle_free,
 )
@@ -64,6 +66,10 @@ __all__ = [
 _MEDIAN_CACHE: dict[tuple[int, ...], tuple[float, float]] = {}
 _PMF_IDS: dict[tuple, int] = {}
 _SHAPE_PMF_ID: dict[tuple, int] = {}
+# Per constraint group (one instance's constraints of one form and arity),
+# the pmf id of each constraint at each scope position; dropped with the
+# instance.
+_GROUP_PMF_IDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _pmf_id(c: Constraint, j: int) -> int:
@@ -101,6 +107,89 @@ def _xor_median_by_count(max_count: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, gammas
 
 
+def _group_pmf_ids(instance: CspInstance, group: ConstraintGroup) -> np.ndarray:
+    """_pmf_id of each constraint of a group at each scope position, as a
+    (constraints, arity) array; computed once per group."""
+    ids = _GROUP_PMF_IDS.get(group)
+    if ids is None:
+        ids = np.array([
+            [_pmf_id(instance.constraints[c], j) for j in scope]
+            for c, scope in zip(group.cons.tolist(), group.scopes.tolist())
+        ], dtype=np.intp).reshape(group.scopes.shape)
+        _GROUP_PMF_IDS[group] = ids
+    return ids
+
+
+def _single_hits(instance: CspInstance, mask: np.ndarray):
+    """Yields (group, rows, positions, variables) for each constraint group:
+    the rows whose scope holds exactly one variable of `mask`, that
+    variable's scope position, and the variable."""
+    for group in constraint_groups(instance):
+        hits = mask[group.scopes]
+        rows = np.flatnonzero(hits.sum(axis=1) == 1)
+        pos = hits[rows].argmax(axis=1)
+        yield group, rows, pos, group.scopes[rows, pos]
+
+
+def _greedy_terms(instance: CspInstance, greedy: np.ndarray, x: np.ndarray):
+    """(constraint, variable, derivative, pmf id) of every constraint with
+    exactly one greedy scope variable j: its derivative_q at j with the
+    other scope variables read from x, and the id of its derivative pmf.
+    Also each (j, fixed variable) pair of those constraints, coded j*n + i."""
+    parts = []
+    for group, rows, pos, j in _single_hits(instance, greedy):
+        if group.signs is not None:
+            # b times the product over the scope without j: x_j is +-1, so
+            # multiplying it in again divides it out
+            q = group.signs[rows] * group.products(x)[rows] * x[j] / 2
+        else:
+            idx = group.table_index(x)[rows]
+            tables = group.tables[rows]
+            k = np.arange(rows.size)
+            q = (tables[k, idx | (1 << pos)] - tables[k, idx & ~(1 << pos)]) / 2
+        pids = _group_pmf_ids(instance, group)[rows, pos]
+        scopes = group.scopes[rows]
+        fixed = (j[:, None] * instance.n + scopes)[scopes != j[:, None]]
+        parts.append((group.cons[rows], j, q, pids, fixed))
+    if not parts:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0), empty, empty
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _greedy_medians(instance: CspInstance, cons, var, pids, fixed, n: int):
+    """(theta, gamma) per variable: _median_for of each variable's active
+    constraints, (0, 1/2) without any. Variables whose active constraints
+    have the same multiset of pmf ids and pairwise disjoint fixed supports
+    share one _median_for call; `fixed` holds the (j, fixed variable) pairs
+    from _greedy_terms."""
+    theta, gamma = np.zeros(n), np.full(n, 0.5)
+    if var.size == 0:
+        return theta, gamma
+
+    def median(j):
+        cs = [instance.constraints[c] for c in np.sort(cons[var == j])]
+        return _median_for(cs, int(j))
+
+    ids, rank = np.unique(pids, return_inverse=True)
+    counts = np.bincount(var * ids.size + rank, minlength=n * ids.size).reshape(n, ids.size)
+    # a (j, fixed variable) pair seen twice: j's fixed supports overlap
+    pairs = np.sort(fixed)
+    overlap = np.unique(pairs[1:][pairs[1:] == pairs[:-1]] // n)
+    for j in overlap:
+        theta[j], gamma[j] = median(j)
+    counts[overlap] = 0
+    # runs of equal rows of pmf-id counts share a median; zero rows keep (0, 1/2)
+    order = np.lexsort(counts.T)
+    ranked = counts[order]
+    starts = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [n]):
+        if ranked[start].any():
+            js = order[start:stop]
+            theta[js], gamma[js] = median(order[start])
+    return theta, gamma
+
+
 def alg1_triangle_free_bounded(
     instance: CspInstance, epsilon: float, rng, check: bool = True
 ) -> np.ndarray:
@@ -118,30 +207,21 @@ def alg1_triangle_free_bounded(
     n = instance.n
     greedy = gen.random(n) < 0.5
     x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
-    active: dict[int, list[Constraint]] = {}
-    for c in instance.constraints:
-        hits = [i for i in c.scope if greedy[i]]
-        if len(hits) == 1:
-            active.setdefault(hits[0], []).append(c)
-    for j in np.flatnonzero(greedy):
-        j = int(j)
-        cs = active.get(j, [])
-        if cs:
-            sum_q = 0.0
-            for c in cs:
-                fixed = {i: int(x[i]) for i in c.scope if i != j}
-                sum_q += derivative_q(c, j, fixed)
-            theta, gamma = _median_for(cs, j)
-        else:
-            sum_q, theta, gamma = 0.0, 0.0, 0.5
-        if sum_q > theta:
-            z = 1
-        elif sum_q < theta:
-            z = -1
-        else:
-            z = 1 if gen.random() < gamma else -1
-        y = 1 if gen.random() < keep_prob else -1
-        x[j] = y * z
+    # the fixed scope variables of an active constraint are not greedy, so
+    # every derivative reads the initial x; sums of +-1/2 are exact
+    cons, var, q, pids, fixed = _greedy_terms(instance, greedy, x)
+    sum_q = np.bincount(var, weights=q, minlength=n)
+    theta, gamma = _greedy_medians(instance, cons, var, pids, fixed, n)
+    js = np.flatnonzero(greedy)
+    s, th = sum_q[js], theta[js]
+    tie = (s == th).astype(np.intp)
+    # in ascending j: a tie draw on a tie, then the keep draw; one vector
+    # draw yields the same doubles as those scalar draws
+    first = np.cumsum(1 + tie) - (1 + tie)
+    u = gen.random(js.size + int(tie.sum()))
+    z = np.where(s > th, 1, np.where(s < th, -1, np.where(u[first] < gamma[js], 1, -1)))
+    y = np.where(u[first + tie] < keep_prob, 1, -1)
+    x[js] = y * z
     return x
 
 
@@ -268,6 +348,25 @@ def private_boost(lambda_value, scale: float, rng, size=None):
     return out.astype(np.int8)
 
 
+def _kept_influence(instance: CspInstance, keep: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per variable j, the sum over the constraints whose scope holds j and
+    no other kept variable of b times the product of x over the rest of
+    the scope, over sqrt(m); 0 for the others. Terms are added in
+    constraint order, starting from 0.0."""
+    sqrt_m = math.sqrt(instance.m)
+    cons, var, terms = [], [], []
+    for group, rows, _, j in _single_hits(instance, keep):
+        # multiplying x_j (+-1) into the scope product again divides it out
+        cons.append(group.cons[rows])
+        var.append(j)
+        terms.append(group.signs[rows] * group.products(x)[rows] * x[j] / sqrt_m)
+    order = np.argsort(np.concatenate(cons))
+    # bincount adds each variable's weights in the order given
+    return np.bincount(
+        np.concatenate(var)[order], weights=np.concatenate(terms)[order], minlength=instance.n
+    )
+
+
 def alg3_dp_advrand(
     instance: CspInstance,
     epsilon: float,
@@ -298,19 +397,7 @@ def alg3_dp_advrand(
     x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
     scale = boost_scale(epsilon, m)
     kept = np.flatnonzero(keep)
-    kept_set = set(int(j) for j in kept)
-    sqrt_m = math.sqrt(m)
-    lam = np.zeros(n)
-    for c in instance.constraints:
-        hits = [i for i in c.scope if i in kept_set]
-        if len(hits) != 1:
-            continue
-        j = hits[0]
-        prod = 1
-        for i in c.scope:
-            if i != j:
-                prod *= int(x[i])
-        lam[j] += c.b * prod / sqrt_m
+    lam = _kept_influence(instance, keep, x)
     # one vector draw yields the same doubles as one scalar draw per kept j
     x[kept] = private_boost(lam[kept], scale, gen)
     r = (

@@ -110,14 +110,11 @@ def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int
     n = graph.n
     c1 = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
     c2 = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
-    ell = np.zeros((trials, n), dtype=np.int64)
-    if graph.m:
-        u, v, _ = graph.edge_arrays()
-        same = (c1[:, u] == c1[:, v]).astype(np.int64)
-        rows = np.arange(trials)[:, None]
-        np.add.at(ell, (rows, u[None, :]), same)
-        np.add.at(ell, (rows, v[None, :]), same)
-    return c1, c2, ell
+    u, v, _ = graph.edge_arrays()
+    same = c1[:, u] == c1[:, v]
+    # flat (trial, vertex) index of both endpoints of every same-color edge
+    ends = (np.arange(trials)[:, None] * n + np.concatenate((u, v)))[np.tile(same, 2)]
+    return c1, c2, np.bincount(ends, minlength=trials * n).reshape(trials, n)
 
 
 def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:

@@ -12,9 +12,19 @@ view; CSP algorithms the instance view.
 
 All types are immutable after construction; operations are pure.
 Data derived from an instance (a graph's edge columns, degree counts and
-unit-weight flag; a CSP instance's degrees and triangle-freeness) is
-computed once per object, on first use, and returned read-only, so
-callers that run many trials on one instance pay for it once.
+unit-weight flag; a CSP instance's degrees, maximum arity, scope
+distinctness, triangle-freeness and constraint groups) is computed once
+per object, on first use, and returned read-only, so callers that run
+many trials on one instance pay for it once.
+
+One evaluator, eval_value, computes values. It takes one assignment (a
+float comes back) or a (trials, n) block of assignments (a float64
+vector comes back, one value per row). It works on constraint groups:
+the constraints of one form (sign or truth table) and one arity, as
+arrays of scope indices, signs and tables. A CSP value is the integer
+count of satisfied constraints, so it is exact. A cut value adds the cut
+edges' weights in edge order, one float addition per edge, as
+value_chunks does; unit weights give exact integer counts.
 
 Exact enumeration (all_values, and brute_force_opt in oracles) runs on one
 kernel, value_chunks. Over an ordered list `active` of k variables, row r
@@ -48,6 +58,7 @@ __all__ = [
     "ResourceCapError",
     "Constraint",
     "CspInstance",
+    "ConstraintGroup",
     "WeightedGraph",
     "as_assignment",
     "eval_value",
@@ -57,6 +68,7 @@ __all__ = [
     "mu",
     "is_triangle_free",
     "degrees",
+    "constraint_groups",
     "derivative_q",
     "lambda_j",
     "VALUE_CHUNK_BITS",
@@ -154,6 +166,46 @@ class Constraint:
         return self.evaluate_local([int(x[i]) for i in self.scope])
 
 
+class ConstraintGroup:
+    """An instance's constraints of one form (sign or truth table) and one
+    arity, as read-only arrays, one row per constraint in constraint order.
+
+    cons holds the constraints' indices in the instance, scopes their
+    variables (one column per scope position), signs the b of each parity
+    constraint and tables each truth table (None for the other form).
+    The methods take one assignment x or a block of them (last axis the n
+    variables) and return one column per constraint.
+    """
+
+    def __init__(self, cons: np.ndarray, scopes: np.ndarray,
+                 signs: np.ndarray | None, tables: np.ndarray | None) -> None:
+        self.cons, self.scopes, self.signs, self.tables = cons, scopes, signs, tables
+
+    @property
+    def arity(self) -> int:
+        return self.scopes.shape[1]
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """Product of x over each scope (int8 when x is)."""
+        prod = x[..., self.scopes[:, 0]]
+        for t in range(1, self.arity):
+            prod = prod * x[..., self.scopes[:, t]]
+        return prod
+
+    def table_index(self, x: np.ndarray) -> np.ndarray:
+        """Truth-table entry of x on each scope: bit t set for x = +1 at
+        scope position t."""
+        idx = (x[..., self.scopes[:, 0]] > 0).astype(np.intp)
+        for t in range(1, self.arity):
+            idx |= (x[..., self.scopes[:, t]] > 0).astype(np.intp) << t
+        return idx
+
+    def satisfied(self, x: np.ndarray) -> np.ndarray:
+        if self.signs is not None:
+            return self.products(x) == self.signs
+        return self.tables[np.arange(len(self.cons)), self.table_index(x)] == 1
+
+
 @dataclass(frozen=True)
 class CspInstance:
     """A multiset of constraints over n variables.
@@ -185,14 +237,39 @@ class CspInstance:
     def m(self) -> int:
         return len(self.constraints)
 
-    @property
+    @cached_property
     def max_arity(self) -> int:
         return max((c.arity for c in self.constraints), default=0)
 
     def require_distinct_scopes(self) -> None:
-        scopes = [tuple(sorted(c.scope)) for c in self.constraints]
-        if len(set(scopes)) != len(scopes):
+        if not self._distinct_scopes:
             raise ValueError("instance has duplicate scopes")
+
+    @cached_property
+    def _distinct_scopes(self) -> bool:
+        scopes = {frozenset(c.scope) for c in self.constraints}
+        return len(scopes) == len(self.constraints)
+
+    @cached_property
+    def _groups(self) -> tuple[ConstraintGroup, ...]:
+        members: dict[tuple[bool, int], list[int]] = {}
+        for idx, c in enumerate(self.constraints):
+            members.setdefault((c.is_xor, c.arity), []).append(idx)
+        groups = []
+        for (is_xor, arity), idxs in sorted(members.items()):
+            cons = [self.constraints[i] for i in idxs]
+            signs = tables = None
+            if is_xor:
+                signs = _read_only(np.array([c.b for c in cons], dtype=np.int8))
+            else:
+                tables = _read_only(np.array([c.table for c in cons], dtype=np.int8))
+            groups.append(ConstraintGroup(
+                cons=_read_only(np.array(idxs, dtype=np.intp)),
+                scopes=_read_only(np.array([c.scope for c in cons], dtype=np.intp)),
+                signs=signs,
+                tables=tables,
+            ))
+        return tuple(groups)
 
     @cached_property
     def _degrees(self) -> np.ndarray:
@@ -291,21 +368,55 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def eval_value(instance: CspInstance | WeightedGraph, x) -> float:
-    """Number (or total weight) of satisfied constraints / cut edges."""
-    if isinstance(instance, WeightedGraph):
-        return cut_value(instance, x)
-    xv = as_assignment(x, instance.n)
-    return float(sum(c.evaluate(xv) for c in instance.constraints))
+def eval_value(problem: CspInstance | WeightedGraph, xs):
+    """Number of satisfied constraints (total weight of cut edges) of one
+    assignment, as a float, or of each row of a (trials, n) block of
+    assignments, as a float64 vector.
+
+    Rows are evaluated a chunk at a time, so the temporaries of a chunk
+    hold about 2^VALUE_CHUNK_BITS (row, scope entry) pairs. On a graph each row
+    adds its cut edges' weights in edge order, starting from 0.0, as
+    value_chunks does: row r of all_values(g, active) equals the value of
+    assignment_rows(r, len(active)) placed on `active` (others -1).
+    """
+    arr = np.asarray(xs)
+    if arr.ndim == 1:
+        return float(_block_values(problem, as_assignment(arr, problem.n)[None])[0])
+    if arr.ndim != 2:
+        raise ValueError(f"assignments must be one row or a 2-D block, got shape {arr.shape}")
+    if arr.shape[1] != problem.n:
+        raise ValueError(f"assignment length {arr.shape[1]} != variable count {problem.n}")
+    if not np.all(np.abs(arr) == 1):
+        raise ValueError("assignment entries must be -1 or +1")
+    block = arr.astype(np.int8, copy=False)
+    out = np.empty(block.shape[0])
+    width = problem.m * (2 if isinstance(problem, WeightedGraph) else problem.max_arity)
+    step = max(1, (1 << VALUE_CHUNK_BITS) // max(1, width))
+    for start in range(0, block.shape[0], step):
+        out[start:start + step] = _block_values(problem, block[start:start + step])
+    return out
+
+
+def _block_values(problem: CspInstance | WeightedGraph, block: np.ndarray) -> np.ndarray:
+    if isinstance(problem, WeightedGraph):
+        if problem.m == 0:
+            return np.zeros(block.shape[0])
+        u, v, w = problem.edge_arrays()
+        cut = block[:, u] != block[:, v]
+        if problem.is_unweighted:
+            return cut.sum(axis=1).astype(np.float64)
+        # a running sum, for the edge-order float additions
+        return np.cumsum(np.where(cut, w, 0.0), axis=1)[:, -1]
+    count = np.zeros(block.shape[0], dtype=np.int64)
+    for group in problem._groups:
+        count += group.satisfied(block).sum(axis=1)
+    return count.astype(np.float64)
 
 
 def cut_value(graph: WeightedGraph, sides) -> float:
-    """Total weight of edges whose endpoints lie on opposite sides."""
-    sv = as_assignment(sides, graph.n)
-    if graph.m == 0:
-        return 0.0
-    u, v, w = graph.edge_arrays()
-    return float(w[sv[u] != sv[v]].sum())
+    """Total weight of edges whose endpoints lie on opposite sides: the
+    graph's eval_value."""
+    return eval_value(graph, sides)
 
 
 def associated_advantage(instance: CspInstance, x) -> float:
@@ -378,6 +489,12 @@ def _scan_triangle_free(constraints: Sequence[Constraint]) -> bool:
             if b > a and adj[a] & adj[b]:
                 return False
     return True
+
+
+def constraint_groups(instance: CspInstance) -> tuple[ConstraintGroup, ...]:
+    """The instance's constraints grouped by form and arity, computed once
+    per instance; together the groups hold every constraint once."""
+    return instance._groups
 
 
 def degrees(instance: CspInstance) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Experiment orchestration: ratio estimation, epsilon sweeps, privacy
 audits, and hardness verification.
 
-Trials run sequentially with per-trial stream ids 0..trials-1, so a
-fixed (config, seed) reproduces identical results; the CSV determinism
-contract covers every column except wall_ms.
+Trials run sequentially with per-trial stream ids 0..trials-1: trial t
+draws from RngStream(seed, t) at every epsilon, so a fixed (config, seed)
+reproduces identical results; the CSV determinism contract covers every
+column except wall_ms. The trials at one epsilon fill an int8
+(trials, n) block of assignments, which one eval_value call evaluates.
 
 An instance is converted to the view its algorithm consumes and validated
 once per experiment, not once per trial: the conversion happens once for
@@ -30,7 +32,6 @@ from .csp_core import (
     Constraint,
     CspInstance,
     WeightedGraph,
-    cut_value,
     eval_value,
     graph_to_instance,
     instance_to_graph,
@@ -136,6 +137,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if len(self.eps) == 0:
             raise ValueError("epsilon grid must be nonempty")
+        for e in self.eps:
+            check_epsilon(e, name="epsilon grid value")
 
     def config_hash(self, problem) -> str:
         from .csp_core import instance_to_json
@@ -235,11 +238,10 @@ def _run_one_eps(
     algorithm consumes; the row reports on problem."""
     runner = ALGORITHMS[config.algorithm][0]
     t0 = time.perf_counter()
-    values = np.empty(config.trials)
+    block = np.empty((config.trials, view.n), dtype=np.int8)
     for t in range(config.trials):
-        gen = RngStream(config.seed, t).generator()
-        x = runner(view, eps, config.alpha, gen)
-        values[t] = eval_value(view, np.asarray(x))
+        block[t] = runner(view, eps, config.alpha, RngStream(config.seed, t).generator())
+    values = eval_value(view, block)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0

@@ -120,6 +120,25 @@ class TestSolveRatioSweep:
         assert code == EXIT_OK
         assert out.splitlines()[1].startswith("random_baseline,2,")
 
+    @pytest.mark.parametrize("algorithm", ["random_baseline", "alg1", "em_baseline"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_invalid_eps_grid_rejected_before_trials(
+        self, instance_path, monkeypatch, capsys, algorithm, eps
+    ):
+        from privcsp import harness
+
+        runs = []
+        monkeypatch.setattr(harness, "_run_one_eps", lambda *args: runs.append(args))
+        for command in ("ratio", "sweep"):
+            code, out, err = run(
+                capsys,
+                command, "--algorithm", algorithm, "--instance", instance_path,
+                "--eps", "1.0", eps, "--trials", "5",
+            )
+            assert code == EXIT_VALIDATION and out == ""
+            assert "epsilon grid value must be finite and nonnegative" in err
+        assert runs == []
+
     def test_invalid_instance_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 2, "constraints": [], "kind": "kxor", "extra": 1}')

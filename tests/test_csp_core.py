@@ -17,6 +17,7 @@ from privcsp.csp_core import (
     associated_advantage,
     assignment_rows,
     cut_value,
+    constraint_groups,
     degrees,
     derivative_q,
     eval_value,
@@ -533,3 +534,46 @@ class TestDerivedDataOncePerObject:
         with pytest.raises(ValueError):
             deg[0] = 5
         assert degrees(inst) is deg
+
+    def test_max_arity_computed_once(self):
+        inst = CspInstance(n=4, constraints=(xor((0, 1)), xor((1, 2, 3))), kind="kxor")
+        assert inst.max_arity == 3
+        # a second read returns the stored value, not a new scan
+        object.__setattr__(inst, "constraints", ())
+        assert inst.max_arity == 3
+        assert CspInstance(n=2, constraints=(), kind="kxor").max_arity == 0
+
+    def test_distinct_scopes_checked_once(self):
+        dup = CspInstance(n=3, constraints=(xor((0, 1)), xor((1, 0), b=-1)), kind="kxor")
+        with pytest.raises(ValueError, match="^instance has duplicate scopes$"):
+            dup.require_distinct_scopes()
+        object.__setattr__(dup, "constraints", ())
+        with pytest.raises(ValueError, match="^instance has duplicate scopes$"):
+            dup.require_distinct_scopes()
+        ok = CspInstance(n=3, constraints=(xor((0, 1)), xor((1, 2))), kind="kxor")
+        ok.require_distinct_scopes()
+        object.__setattr__(ok, "constraints", (xor((0, 1)), xor((0, 1))))
+        ok.require_distinct_scopes()
+
+    def test_constraint_groups_read_only_and_shared(self):
+        inst = CspInstance(n=5, constraints=(
+            xor((0, 1)),
+            Constraint(scope=(2,), table=(0, 1)),
+            xor((1, 2, 3), b=-1),
+            xor((3, 4)),
+            Constraint(scope=(4,), table=(1, 0)),
+        ), kind="general")
+        groups = constraint_groups(inst)
+        assert constraint_groups(inst) is groups
+        assert sorted(i for g in groups for i in g.cons.tolist()) == [0, 1, 2, 3, 4]
+        for g in groups:
+            for arr in (g.cons, g.scopes):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+            for i, scope, row in zip(g.cons, g.scopes, range(len(g.cons))):
+                c = inst.constraints[i]
+                assert tuple(scope) == c.scope
+                if c.is_xor:
+                    assert g.signs[row] == c.b and g.tables is None
+                else:
+                    assert tuple(g.tables[row]) == c.table and g.signs is None

@@ -38,6 +38,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="alg1", eps=(1.0,), trials=0, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_eps_grid_checked_for_every_algorithm(self, bad):
+        for algorithm in ALGORITHMS:
+            with pytest.raises(ValueError, match="epsilon grid value"):
+                ExperimentConfig(algorithm=algorithm, eps=(1.0, bad), trials=10, seed=0)
+            ExperimentConfig(algorithm=algorithm, eps=(0.0, 1.0), trials=10, seed=0)
+
     def test_registry_complete(self):
         assert set(ALGORITHMS) == {
             "alg1",
