@@ -253,11 +253,17 @@ def dp_maxcut_general(
     _require_unweighted(graph, "dp_maxcut_general")
     if not (0.0 < epsilon <= 0.1):
         raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    rate = epsilon ** (1.0 + alpha) / 70.0
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    eps_pow = epsilon ** (1.0 + alpha)
+    if eps_pow == 0.0:
+        raise ValueError(
+            f"alpha = {alpha} is too large: eps^(1+alpha) underflows to 0 "
+            f"at eps = {epsilon}"
+        )
+    rate = eps_pow / 70.0
     _check_amplification(rate, epsilon)
-    utility_cap = min(0.0106, 1.8 / math.log(10.0 / epsilon ** (1.0 + alpha)))
+    utility_cap = min(0.0106, 1.8 / math.log(10.0 / eps_pow))
     if epsilon ** alpha > utility_cap:
         warnings.warn(
             f"eps^alpha = {epsilon ** alpha:.4g} exceeds {utility_cap:.4g}; "
@@ -266,7 +272,7 @@ def dp_maxcut_general(
         )
     gen = as_generator(rng)
     n = graph.n
-    threshold = 24.0 / epsilon ** (1.0 + alpha)
+    threshold = 24.0 / eps_pow
     noisy = graph.degree_counts() + sample_laplace(12.0 / epsilon, gen, size=n)
     high_mask = noisy > threshold
     high = np.flatnonzero(high_mask)
@@ -277,12 +283,10 @@ def dp_maxcut_general(
             graph, high.tolist(), epsilon / 6.0, 1.0, gen, cap=cap
         )
 
-    low_edges = tuple(
-        (u, v, w)
-        for u, v, w in graph.edges
-        if not high_mask[u] and not high_mask[v]
-    )
-    kept = tuple(e for e in low_edges if gen.random() < rate)
+    u, v, _ = graph.edge_arrays()
+    low = np.flatnonzero(~(high_mask[u] | high_mask[v]))
+    # one uniform per low edge, in edge order
+    kept = tuple(graph.edges[i] for i in low[gen.random(low.size) < rate])
     matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
     s2 = matching_em_cut(n, matching, gen)
 

@@ -3,11 +3,17 @@
 Subcommands: gen, solve, ratio, sweep, audit, verify-hardness.
 Exit codes: 0 pass, 1 validation error, 2 acceptance/audit failure,
 3 resource cap hit.
+
+main builds one argparse parser per process, on its first call, and
+reuses it: parse_args keeps no state between calls, and building the
+parser costs about as much as a small solve. build_parser() still
+returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -253,8 +259,13 @@ def _cmd_verify_hardness(args) -> int:
     return EXIT_OK
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Runs one subcommand and returns its exit code. The parser is built
+    on the first call in a process and reused by every later one."""
+    args = _parser().parse_args(argv)
     try:
         if args.command == "gen":
             return _cmd_gen(args)

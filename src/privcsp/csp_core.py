@@ -283,6 +283,11 @@ class CspInstance:
     def _triangle_free(self) -> bool:
         return _scan_triangle_free(self.constraints)
 
+    @cached_property
+    def _em_cdf_memo(self) -> dict:
+        """One-entry memo of dp_mechanisms.em_over_assignments_batch."""
+        return {}
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -324,6 +329,11 @@ class WeightedGraph:
     @cached_property
     def _unweighted(self) -> bool:
         return bool(np.all(self._columns[2] == 1))
+
+    @cached_property
+    def _em_cdf_memo(self) -> dict:
+        """One-entry memo of dp_mechanisms.em_over_assignments_batch."""
+        return {}
 
     @property
     def is_unweighted(self) -> bool:

@@ -153,16 +153,20 @@ def randomized_response(bit, epsilon: float, rng, domain: str = "pm1"):
     return out
 
 
-def _em_draws(
-    scores: np.ndarray, epsilon: float, sensitivity: float, gen, trials: int
-) -> np.ndarray:
-    """Indices of `trials` independent draws with weight
-    exp(epsilon * score / (2 * sensitivity)), by inverse CDF on one
-    uniform each; ties go by the uniform, never by index."""
+def _em_cdf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarray:
+    """Cumulative selection probabilities of candidates with weight
+    exp(epsilon * score / (2 * sensitivity)), in candidate order."""
     logw = (epsilon / (2.0 * sensitivity)) * scores
     w = np.exp(logw - logw.max())
-    idx = np.searchsorted(np.cumsum(w / w.sum()), gen.random(trials), side="right")
-    return np.minimum(idx, scores.shape[0] - 1)
+    return np.cumsum(w / w.sum())
+
+
+def _em_draws(cdf: np.ndarray, gen, trials: int) -> np.ndarray:
+    """Indices of `trials` independent draws from the law with cumulative
+    probabilities `cdf`, by inverse CDF on one uniform each; ties go by
+    the uniform, never by index."""
+    idx = np.searchsorted(cdf, gen.random(trials), side="right")
+    return np.minimum(idx, cdf.shape[0] - 1)
 
 
 def exponential_mechanism(
@@ -190,7 +194,8 @@ def exponential_mechanism(
             raise ValueError("score vector length must match candidate count")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    return candidates[int(_em_draws(scores, epsilon, sensitivity, as_generator(rng), 1)[0])]
+    cdf = _em_cdf(scores, epsilon, sensitivity)
+    return candidates[int(_em_draws(cdf, as_generator(rng), 1)[0])]
 
 
 def em_over_assignments(
@@ -207,7 +212,8 @@ def em_over_assignments(
     weight of assignment a is exp(budget * value(a) / (2 * sensitivity)).
     Returns an int8 vector aligned with `active`. An empty active set
     returns an empty vector without consuming randomness. Row 0 of
-    em_over_assignments_batch with one trial.
+    em_over_assignments_batch with one trial, so it shares that function's
+    CDF memo.
     """
     return em_over_assignments_batch(problem, active, budget, sensitivity, rng, 1, cap)[0]
 
@@ -222,7 +228,17 @@ def em_over_assignments_batch(
     cap: int = EM_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Independent em_over_assignments draws, one per row of the returned
-    (trials, |active|) int8 array; the value table is built once."""
+    (trials, |active|) int8 array; the value table is built once.
+
+    The CDF over the 2^|active| assignments is memoized in one slot on the
+    problem object (`problem._em_cdf_memo`), keyed by
+    (tuple(active), budget, sensitivity). A repeat call with the same key
+    skips the table and draws from the stored CDF: the same `gen.random`
+    doubles give the same rows. A call with another key replaces the entry,
+    so each instance holds at most one CDF, and it is freed with the
+    instance. Instances are immutable, so the entry never goes stale. The
+    budget, sensitivity and cap checks run on every call.
+    """
     check_epsilon(budget, "budget")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
@@ -233,6 +249,12 @@ def em_over_assignments_batch(
         raise ResourceCapError(
             f"em_over_assignments: |active| = {len(active)} exceeds cap {cap}"
         )
-    values = all_values(problem, active)
-    idx = _em_draws(values, budget, sensitivity, as_generator(rng), trials)
+    key = (tuple(active), budget, sensitivity)
+    memo = problem._em_cdf_memo
+    cdf = memo.get(key)
+    if cdf is None:
+        memo.clear()
+        cdf = memo[key] = _em_cdf(all_values(problem, active), budget, sensitivity)
+        cdf.flags.writeable = False
+    idx = _em_draws(cdf, as_generator(rng), trials)
     return assignment_rows(idx, len(active))

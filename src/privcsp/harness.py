@@ -11,7 +11,9 @@ An instance is converted to the view its algorithm consumes and validated
 once per experiment, not once per trial: the conversion happens once for
 the whole epsilon grid, and the checks the algorithms repeat on every
 trial (triangle-freeness, unit weights, degrees, edge columns) read data
-the instance computed on first use.
+the instance computed on first use. em_baseline's value table and CDF
+are built once per (instance, epsilon) as well: em_over_assignments keeps
+the last CDF on the instance, and every trial draws from it.
 """
 
 from __future__ import annotations
@@ -79,6 +81,8 @@ def _wants_graph(problem, want_graph: bool):
 
 
 def _run_em_baseline(problem, eps, alpha, gen):
+    """Exponential mechanism (budget eps, sensitivity 1) over the variables
+    some constraint touches; the others are uniform."""
     if isinstance(problem, WeightedGraph):
         deg = problem.degree_counts()
         n = problem.n

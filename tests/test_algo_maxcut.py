@@ -294,6 +294,18 @@ class TestDpMaxcutGeneral:
         with pytest.raises(ValueError):
             dp_maxcut_general(cycle(4), 0.05, -1.0, gen())
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            dp_maxcut_general(cycle(4), 0.1, alpha, gen())
+
+    @pytest.mark.parametrize("eps,alpha", [(0.1, 1e308), (0.1, 400.0), (1e-4, 100.0)])
+    def test_alpha_whose_rate_underflows_rejected(self, eps, alpha):
+        # eps^(1+alpha) is 0.0 here, which the threshold would divide by
+        assert eps ** (1.0 + alpha) == 0.0
+        with pytest.raises(ValueError, match="alpha"):
+            dp_maxcut_general(cycle(4), eps, alpha, gen())
+
     def test_runs_without_warning_at_large_alpha(self):
         import warnings
 

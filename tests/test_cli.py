@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from privcsp import cli
 from privcsp.cli import (
     EXIT_FAILURE,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VALIDATION,
+    build_parser,
     main,
 )
 
@@ -214,3 +216,96 @@ class TestEdgeListLoading:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert len(doc["assignment"]) == 4
+
+
+class TestAlg6Alpha:
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+    def test_bad_alpha_is_a_validation_error(self, tmp_path, capsys, alpha):
+        path = tmp_path / "cycle.json"
+        assert run(capsys, "gen", "--kind", "even_cycle", "--n", "8", "--out", str(path))[0] == 0
+        code, out, err = run(
+            capsys,
+            "solve", "--algorithm", "alg6", "--instance", str(path),
+            "--eps", "0.1", "--alpha", alpha,
+        )
+        assert code == EXIT_VALIDATION and out == "" and "alpha" in err
+
+
+def _call(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; an argparse rejection
+    gives its SystemExit code. ratio and sweep lose the wall_ms column."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    out = captured.out
+    if argv[:1] in (["ratio"], ["sweep"]):
+        out = [line if line.startswith("#") else line.rsplit(",", 1)[0]
+               for line in out.splitlines()]
+    return code, out, captured.err
+
+
+class TestParserReuse:
+    def sequence(self, tmp_path):
+        kxor, cycle = str(tmp_path / "kxor.json"), str(tmp_path / "cycle.json")
+        return [
+            ["gen", "--kind", "kxor", "--n", "10", "--m", "8", "--k", "2",
+             "--triangle-free", "--seed", "3", "--out", kxor],
+            ["gen", "--kind", "even_cycle", "--n", "10", "--out", cycle],
+            ["solve", "--algorithm", "alg1", "--instance", kxor, "--seed", "3"],
+            ["solve", "--instance", kxor],  # no --algorithm: argparse exits
+            ["ratio", "--algorithm", "em_baseline", "--instance", kxor,
+             "--eps", "0.5", "1.0", "--trials", "30", "--seed", "2"],
+            ["audit", "--mechanism", "randomized_response", "--eps", "1.0",
+             "--trials", "2000", "--seed", "4"],
+            ["sweep", "--algorithm", "dp_shearer", "--instance", cycle,
+             "--eps", "0.5", "1.0", "--trials", "40"],
+            ["solve", "--algorithm", "alg6", "--instance", cycle, "--eps", "0.1",
+             "--alpha", "nan"],
+            ["verify-hardness", "--n", "8", "--size", "3", "--eps", "0.5"],
+            ["gen", "--kind", "single", "--n", "4", "--scope", "2", "3", "--sign", "-1"],
+            ["ratio", "--algorithm", "alg1", "--instance", kxor, "--bogus"],
+            ["gen", "--kind", "single", "--n", "4"],
+            ["solve", "--algorithm", "alg6", "--instance", cycle, "--eps", "0.1",
+             "--alpha", "2", "--seed", "1"],
+            ["ratio", "--algorithm", "alg1", "--instance", kxor, "--trials", "20"],
+            ["audit", "--mechanism", "em", "--eps", "nan"],
+            ["solve", "--algorithm", "alg1", "--instance", kxor, "--seed", "3"],
+        ]
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_mixed_sequence_matches_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        argvs = self.sequence(tmp_path)
+        shared = [_call(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [_call(capsys, argv) for argv in argvs]
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes.count(("SystemExit", 2)) == 2 and EXIT_VALIDATION in codes
+        assert shared[2] == shared[-1]
+
+    def test_rejected_call_leaves_next_call_alone(self, capsys):
+        argv = ["gen", "--kind", "single", "--n", "5", "--scope", "1", "4"]
+        before = _call(capsys, argv)
+        for bad in (["gen", "--kind", "single", "--n", "5", "--scope", "x"],
+                    ["gen", "--kind", "nope"], ["audit"], []):
+            assert _call(capsys, bad)[0] == ("SystemExit", 2)
+            assert _call(capsys, argv) == before
+
+    def test_list_defaults_unchanged(self, capsys):
+        for argv in (["gen", "--kind", "single", "--n", "6", "--scope", "4", "5"],
+                     ["gen", "--kind", "single", "--n", "3", "--eps", "0.5", "2"],
+                     ["gen", "--kind", "single", "--n", "3"]):
+            assert _call(capsys, argv)[0] == EXIT_OK
+        parser = cli._parser()
+        assert parser is cli._parser()
+        args = parser.parse_args(["gen", "--kind", "single"])
+        assert args.scope == [0, 1] and args.eps == [1.0]
+        fresh = build_parser()
+        for command in (["gen", "--kind", "kxor"], ["solve", "--algorithm", "alg1"],
+                        ["audit", "--mechanism", "em"], ["verify-hardness"]):
+            assert vars(parser.parse_args(command)) == vars(fresh.parse_args(command))
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

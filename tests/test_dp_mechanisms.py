@@ -11,6 +11,8 @@ from privcsp.csp_core import (
     all_values,
     assignment_rows,
 )
+from privcsp import dp_mechanisms
+from privcsp.algo_maxcut import dp_maxcut_general
 from privcsp.dp_mechanisms import (
     PrivacyBudget,
     RngStream,
@@ -308,3 +310,145 @@ class TestEmOverAssignments:
             idx = int(np.searchsorted(np.cumsum(probs), g2.random(), side="right"))
             assert np.array_equal(out, assignment_rows(idx, 3))
             assert g1.random() == g2.random()
+
+
+def memo_kxor():
+    return CspInstance(n=5, constraints=(
+        Constraint(scope=(0, 1), b=1),
+        Constraint(scope=(1, 2, 3), b=-1),
+        Constraint(scope=(3, 4), b=1),
+        Constraint(scope=(0, 4), b=-1),
+    ), kind="kxor")
+
+
+def memo_graph():
+    return WeightedGraph(n=5, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (3, 4, 1.0)))
+
+
+def disable_memo(monkeypatch):
+    """Gives every call an empty memo of its own, so each one builds the
+    value table and CDF afresh, as before the memo existed."""
+    for cls in (CspInstance, WeightedGraph):
+        monkeypatch.setattr(cls, "_em_cdf_memo", property(lambda self: {}))
+
+
+def count_tables(monkeypatch):
+    calls = []
+
+    def counting(problem, active):
+        calls.append(tuple(active))
+        return all_values(problem, active)
+
+    monkeypatch.setattr(dp_mechanisms, "all_values", counting)
+    return calls
+
+
+# (problem index, active, budget, trials): repeats, and alternation between
+# two equal instances, two budgets and two active sets
+MEMO_CALLS = [
+    (0, (0, 1, 2, 3, 4), 1.0, 1),
+    (0, (0, 1, 2, 3, 4), 1.0, 3),
+    (1, (0, 1, 2, 3, 4), 1.0, 1),
+    (0, (0, 1, 2, 3, 4), 2.5, 1),
+    (0, (0, 1, 2, 3, 4), 1.0, 1),
+    (1, (4, 3, 2), 2.5, 2),
+    (0, (4, 3, 2), 2.5, 1),
+    (1, (4, 3, 2), 1.0, 1),
+    (1, (0, 1, 2, 3, 4), 2.5, 1),
+    (1, (0, 1, 2, 3, 4), 2.5, 1),
+]
+
+
+def run_memo_calls(make, seed):
+    problems = [make(), make()]
+    rng = gen(seed)
+    rows = [
+        em_over_assignments_batch(problems[p], list(active), budget, 1.0, rng, trials)
+        for p, active, budget, trials in MEMO_CALLS
+    ]
+    return rows, rng.bit_generator.state
+
+
+class TestEmMemo:
+    @pytest.mark.parametrize("make", [memo_kxor, memo_graph])
+    def test_draws_match_without_memo(self, monkeypatch, make):
+        with_memo = [run_memo_calls(make, seed) for seed in range(200)]
+        disable_memo(monkeypatch)
+        for seed, (rows, state) in enumerate(with_memo):
+            ref_rows, ref_state = run_memo_calls(make, seed)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, ref_rows))
+            assert state == ref_state
+
+    @pytest.mark.parametrize("make", [memo_kxor, memo_graph])
+    def test_alternating_keys_use_their_own_cdf(self, monkeypatch, make):
+        # each call must draw what a fresh instance draws from the same
+        # generator state, and reuse a table only on its own instance
+        calls = count_tables(monkeypatch)
+        problems = [make(), make()]
+        assert problems[0] == problems[1]
+        misses = 0
+        last = [None, None]
+        for i, (p, active, budget, trials) in enumerate(MEMO_CALLS):
+            key = (active, budget, 1.0)
+            misses += last[p] != key
+            last[p] = key
+            out = em_over_assignments_batch(problems[p], list(active), budget, 1.0, gen(i), trials)
+            ref = em_over_assignments_batch(make(), list(active), budget, 1.0, gen(i), trials)
+            assert np.array_equal(out, ref)
+            assert list(problems[p]._em_cdf_memo) == [key]
+        # one table per miss on the shared instances, one per fresh instance
+        assert len(calls) == misses + len(MEMO_CALLS)
+        assert problems[0]._em_cdf_memo is not problems[1]._em_cdf_memo
+
+    def test_repeat_builds_one_table(self, monkeypatch):
+        calls = count_tables(monkeypatch)
+        inst = memo_kxor()
+        for seed in range(20):
+            em_over_assignments(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(seed))
+        assert calls == [(0, 1, 2, 3, 4)]
+        (cdf,) = inst._em_cdf_memo.values()
+        assert not cdf.flags.writeable
+
+    @pytest.mark.parametrize("budget,sensitivity,error", [
+        (math.nan, 1.0, ValueError),
+        (math.inf, 1.0, ValueError),
+        (-1.0, 1.0, ValueError),
+        (1.0, 0.0, ValueError),
+        (1.0, -1.0, ValueError),
+        (1.0, math.nan, ValueError),
+    ])
+    def test_checks_run_on_a_memo_hit(self, budget, sensitivity, error):
+        # a stored entry under the very key of the bad call (the same nan
+        # object compares equal inside a tuple) must not let it through
+        inst = memo_kxor()
+        active = [0, 1, 2]
+        em_over_assignments(inst, active, 1.0, 1.0, gen())
+        (cdf,) = inst._em_cdf_memo.values()
+        inst._em_cdf_memo.clear()
+        inst._em_cdf_memo[(tuple(active), budget, sensitivity)] = cdf
+        with pytest.raises(error):
+            em_over_assignments(inst, active, budget, sensitivity, gen())
+        with pytest.raises(error):
+            em_over_assignments_batch(inst, active, budget, sensitivity, gen(), 4)
+
+    def test_cap_checked_on_a_memo_hit(self):
+        inst = memo_kxor()
+        em_over_assignments(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen())
+        with pytest.raises(ResourceCapError):
+            em_over_assignments(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(), cap=4)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_alg6_keeps_one_entry(self):
+        # noise lifts a few of 14 vertices above the threshold, a
+        # different few on each seed
+        rng = np.random.default_rng(5)
+        edges = tuple(tuple(rng.choice(14, size=2, replace=False).tolist()) + (1.0,)
+                      for _ in range(300))
+        g = WeightedGraph(n=14, edges=edges)
+        keys = set()
+        for seed in range(60):
+            dp_maxcut_general(g, 0.1, 0.0, gen(seed))
+            assert len(g._em_cdf_memo) <= 1
+            keys.update(g._em_cdf_memo)
+        assert len(keys) > 5
+        assert len(g._em_cdf_memo) == 1

@@ -3,7 +3,8 @@
 The references below are the per-constraint forms that the array code
 replaced: eval_value summing Constraint.evaluate, alg1 with a derivative_q
 call and scalar draws per greedy variable, alg3's influence loop,
-_two_color_batch with np.add.at, and the harness's per-trial evaluation.
+_two_color_batch with np.add.at, the harness's per-trial evaluation, and
+alg6's low-edge subsampling with one scalar draw per edge.
 Every comparison is exact (np.array_equal or ==), and the generator state
 after a run must match too, so each draw is the same draw.
 """
@@ -20,7 +21,12 @@ from privcsp.algo_csp import (
     alg1_triangle_free_bounded,
     alg3_dp_advrand,
 )
-from privcsp.algo_maxcut import _two_color_batch
+from privcsp.algo_maxcut import (
+    _two_color_batch,
+    dp_maxcut_general,
+    matching_em_cut,
+    mutual_choice_matching,
+)
 from privcsp.csp_core import (
     Constraint,
     CspInstance,
@@ -31,7 +37,14 @@ from privcsp.csp_core import (
     derivative_q,
     eval_value,
 )
-from privcsp.dp_mechanisms import RngStream, as_generator, keep_probability
+from privcsp.dp_mechanisms import (
+    RngStream,
+    as_generator,
+    em_over_assignments,
+    exponential_mechanism,
+    keep_probability,
+    sample_laplace,
+)
 from privcsp.generators import GenSpec, gen_random_kxor
 
 SEEDS = range(200)
@@ -115,6 +128,32 @@ def ref_two_color_batch(graph, gen, trials):
         np.add.at(ell, (rows, u[None, :]), same)
         np.add.at(ell, (rows, v[None, :]), same)
     return c1, c2, ell
+
+
+def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
+    """dp_maxcut_general without its checks, low edges kept one draw at a
+    time. Also returns the size of the high set."""
+    gen = as_generator(rng)
+    n = graph.n
+    threshold = 24.0 / epsilon ** (1.0 + alpha)
+    noisy = graph.degree_counts() + sample_laplace(12.0 / epsilon, gen, size=n)
+    high_mask = noisy > threshold
+    high = np.flatnonzero(high_mask)
+    s1 = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
+    if high.size:
+        s1[high] = em_over_assignments(graph, high.tolist(), epsilon / 6.0, 1.0, gen)
+    rate = epsilon ** (1.0 + alpha) / 70.0
+    low_edges = tuple(
+        (u, v, w) for u, v, w in graph.edges if not high_mask[u] and not high_mask[v]
+    )
+    kept = tuple(e for e in low_edges if gen.random() < rate)
+    matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
+    s2 = matching_em_cut(n, matching, gen)
+    s3 = np.where(high_mask, 1, -1).astype(np.int8)
+    chosen = exponential_mechanism(
+        [s1, s2, s3], lambda cand: ref_eval_value(graph, cand), epsilon / 2.0, 1.0, gen
+    )
+    return np.asarray(chosen, dtype=np.int8), int(high.size)
 
 
 def ref_run_one_eps(config, problem, view, eps, opt, chash):
@@ -434,3 +473,36 @@ class TestHarness:
         monkeypatch.setattr(harness, "_run_one_eps", ref_run_one_eps)
         ref = harness.estimate_ratio(config, problem).csv()
         assert _without_wall_ms(new) == _without_wall_ms(ref)
+
+
+class TestAlg6Subsampling:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("eps,alpha", [(0.1, 0.0), (0.05, 0.0), (0.1, 0.2)])
+    def test_outputs_match_scalar_loop(self, eps, alpha):
+        high_seeds = 0
+        for seed in SEEDS:
+            # about 7% of the vertices clear the threshold through noise
+            # alone, so many seeds have a nonempty high set; the graph is
+            # dense enough that even a large rate keeps some edges
+            make = lambda: unit_graph(seed, n=14, m=300)  # noqa: E731
+            gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = dp_maxcut_general(make(), eps, alpha, gen_new)
+            ref, high = ref_dp_maxcut_general(make(), eps, alpha, gen_ref)
+            assert np.array_equal(new, ref) and new.dtype == ref.dtype
+            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+            high_seeds += high > 0
+        assert high_seeds >= 50
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_no_edges_and_one_edge(self):
+        # no low edges (always for the edgeless graph, and for the single
+        # edge whenever noise lifts an endpoint into the high set): the
+        # vector draw takes no uniform, like the loop
+        cases = [WeightedGraph(n=4, edges=()), WeightedGraph(n=2, edges=((0, 1, 1.0),))]
+        for seed in SEEDS:
+            for g in cases:
+                gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                new = dp_maxcut_general(g, 0.1, 0.0, gen_new)
+                ref, _ = ref_dp_maxcut_general(g, 0.1, 0.0, gen_ref)
+                assert np.array_equal(new, ref)
+                assert gen_new.bit_generator.state == gen_ref.bit_generator.state

@@ -18,8 +18,11 @@ median and quartiles, the change's median relative to the base, the
 number of pairs the working tree wins, and whether the gap between the
 medians exceeds the base's interquartile range. It also reports whether
 every run checked its outputs as correct and whether ``outputs_sha256``
-is the same on both sides. The temporary copies are removed at the end.
-Standard library only.
+is the same on both sides, and each side's median number of timed passes
+(``len(pass_s)`` in the result file). The timed phase repeats passes for
+``--seconds``, so a faster side runs more of them, and ``peak_rss_mb``
+rises with the pass count: read a small RSS rise next to the two counts.
+The temporary copies are removed at the end. Standard library only.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "correct": result["correct"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "sha": record["outputs_sha256"],
+        "passes": len(record["pass_s"]),
     }
 
 
@@ -108,6 +112,8 @@ def report(workload: str, runs: dict[str, list[dict]]) -> str:
     correct = all(r["correct"] for side in runs.values() for r in side)
     shas = {side: {r["sha"] for r in rs} for side, rs in runs.items()}
     same = len(shas["base"] | shas["change"]) == 1
+    lines.append("median passes: " + ", ".join(
+        f"{side} {statistics.median(r['passes'] for r in rs):g}" for side, rs in runs.items()))
     lines.append(f"all runs correct: {correct}")
     lines.append(f"outputs_sha256 identical: {same} "
                  f"(base {sorted(shas['base'])}, change {sorted(shas['change'])})")
