@@ -33,6 +33,7 @@ from .csp_core import (
     constraint_groups,
     eval_value,
     is_triangle_free,
+    signs_from_bits,
 )
 from .dp_mechanisms import (
     as_generator,
@@ -97,13 +98,27 @@ def _median_for(constraints: Sequence[Constraint], j: int) -> tuple[float, float
 
 
 def _xor_median_by_count(max_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, gamma) arrays indexed by the number of active sign-form
-    constraints of arity >= 2, via the exact-median oracle on stand-ins."""
+    """(theta, gamma) arrays indexed by the number q of active sign-form
+    constraints of arity >= 2 with disjoint fixed supports, for q up to
+    max_count.
+
+    Each such constraint adds +-1/2 with equal odds, so the summed
+    derivative is (2 Bin(q, 1/2) - q) / 2. theta is its median, the first
+    support value whose cdf reaches 1/2, and gamma = (1/2 - P[> theta]) /
+    P[= theta]; both are exact ratios of binomial coefficients, rounded
+    once to float, so they equal exact_median_theta on q stand-ins.
+    """
     thetas = np.zeros(max_count + 1)
     gammas = np.full(max_count + 1, 0.5)
     for q in range(1, max_count + 1):
-        stand_ins = [Constraint(scope=(0, i + 1), b=1) for i in range(q)]
-        thetas[q], gammas[q] = _median_for(stand_ins, 0)
+        total, cdf, b = 1 << q, 0, -1
+        while 2 * cdf < total:
+            b += 1
+            cdf += math.comb(q, b)
+        thetas[q] = (2 * b - q) / 2
+        # (1/2 - (total - cdf) / total) / (comb(q, b) / total); int / int is
+        # the exact fraction rounded once, as float(Fraction) is
+        gammas[q] = (2 * cdf - total) / (2 * math.comb(q, b))
     return thetas, gammas
 
 
@@ -229,7 +244,13 @@ def alg1_batch(
     instance: CspInstance, epsilon: float, rng, trials: int, check: bool = True
 ) -> np.ndarray:
     """Vectorized alg1 for sign-form instances of arity >= 2; returns a
-    (trials, n) matrix of assignments, one independent run per row."""
+    (trials, n) int8 matrix of assignments, one independent run per row.
+
+    Draws, each one (trials, n) array: the greedy mask, the initial x, the
+    tie draw and the keep draw. Medians come from the closed-form table
+    _xor_median_by_count, built up to the largest count of active
+    constraints any greedy variable has.
+    """
     keep_prob = keep_probability(epsilon)
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg1_batch requires a sign-form instance")
@@ -238,30 +259,34 @@ def alg1_batch(
     if check and not is_triangle_free(instance):
         raise ValueError("alg1 requires a triangle-free instance")
     gen = as_generator(rng)
-    n, m = instance.n, instance.m
+    n = instance.n
     greedy = gen.random((trials, n)) < 0.5
-    x = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
-    sum_q = np.zeros((trials, n))
-    count = np.zeros((trials, n), dtype=np.int64)
+    x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
+    # per variable: twice its summed derivative, and its number of active
+    # constraints (those whose only greedy scope variable it is)
+    sum2 = np.zeros((trials, n), dtype=np.intp)
+    count = np.zeros((trials, n), dtype=np.intp)
     for c in instance.constraints:
-        scope = np.asarray(c.scope)
+        scope = list(c.scope)
         gsub = greedy[:, scope]
-        rows = np.flatnonzero(gsub.sum(axis=1) == 1)
-        if rows.size == 0:
-            continue
-        jcol = scope[np.argmax(gsub[rows], axis=1)]
-        prod_all = x[rows][:, scope].prod(axis=1).astype(np.int64)
-        # product over scope minus the greedy variable: divide out its +-1 value
-        q = 0.5 * c.b * prod_all * x[rows, jcol]
-        np.add.at(sum_q, (rows, jcol), q)
-        np.add.at(count, (rows, jcol), 1)
-    thetas, gammas = _xor_median_by_count(m)
-    theta = thetas[count]
-    gamma = gammas[count]
-    tie = gen.random((trials, n)) < gamma
-    z = np.where(sum_q > theta, 1, np.where(sum_q < theta, -1, np.where(tie, 1, -1)))
-    y = np.where(gen.random((trials, n)) < keep_prob, 1, -1)
-    return np.where(greedy, y * z, x).astype(np.int8)
+        single = gsub.sum(axis=1) == 1
+        # b times the product over the scope; times x_j (+-1) it is b times
+        # the product over the scope without j
+        prod = c.b * x[:, scope].prod(axis=1)
+        for p, j in enumerate(scope):
+            hit = gsub[:, p] & single
+            sum2[:, j] += hit * prod * x[:, j]
+            count[:, j] += hit
+    thetas, gammas = _xor_median_by_count(int(count.max(initial=0)))
+    theta2 = (2 * thetas).astype(np.intp)[count]
+    tie = gen.random((trials, n)) < gammas[count]
+    keep = gen.random((trials, n)) < keep_prob
+    # z = +1 when s > theta, or s == theta and tie; y = +1 when keep; and
+    # y * z = +1 exactly when the two agree
+    agree = ((sum2 > theta2) | ((sum2 == theta2) & tie)) == keep
+    # np.where(greedy, y * z, x) in bool algebra: np.where branches per
+    # element and is several times slower on a random mask
+    return signs_from_bits((greedy & agree) | (~greedy & (x > 0)))
 
 
 def alg2_partition_kxor(

@@ -578,8 +578,21 @@ def assignment_rows(rows, k: int) -> np.ndarray:
     """Decodes enumeration row indices into int8 assignments of k active
     variables: entry t is +1 when bit t of the row is set, else -1. A
     scalar row gives shape (k,), an array of rows one assignment per row."""
-    bits = np.asarray(rows)[..., None] >> np.arange(k)
-    return np.where(bits & 1 == 1, 1, -1).astype(np.int8)
+    rows = np.asarray(rows)
+    # bit index first, so each shift runs over all rows in one inner loop
+    bits = rows.reshape(1, -1) >> np.arange(k).reshape(k, 1)
+    bits &= 1
+    return signs_from_bits(bits.T.reshape(rows.shape + (k,)))
+
+
+def signs_from_bits(bits) -> np.ndarray:
+    """+1 where a 0/1 (or bool) array is 1, -1 where it is 0, as a
+    C-ordered int8 array. The map runs in place in int8, so no wider
+    temporary than the input is made."""
+    out = np.asarray(bits).astype(np.int8, order="C")
+    out *= 2
+    out -= 1
+    return out
 
 
 def _local_tables(

@@ -89,24 +89,33 @@ def sample_discrete_laplace(epsilon: float, rng, size=None):
     """Integer draw(s) with mass (e^eps - 1)/(e^eps + 1) * e^{-eps|x|}.
 
     One uniform decides zero versus sign; an unconditional geometric draw
-    supplies the magnitude, so every sample consumes exactly two draws.
+    supplies the magnitude, so every sample consumes exactly two draws. An
+    array of draws is the int64 magnitude times the sign (u >= p0) -
+    2 (u >= mid), which is 0, 1 or -1. An epsilon so small that 1 - e^-eps
+    rounds to 0 (below about 1.1e-16) leaves the geometric law without a
+    success probability and is rejected with a ValueError before any draw.
     """
     check_epsilon(epsilon, positive=True)
-    gen = as_generator(rng)
     q = np.exp(-epsilon)
+    if 1.0 - q == 0.0:
+        raise ValueError(
+            f"epsilon = {epsilon} is too small for the discrete-Laplace sampler: "
+            "1 - exp(-epsilon) rounds to 0"
+        )
+    gen = as_generator(rng)
     p_zero = (1.0 - q) / (1.0 + q)
+    mid = p_zero + (1.0 - p_zero) / 2.0
     u = gen.random(size=size)
     magnitude = gen.geometric(1.0 - q, size=size)
     if size is None:
         if u < p_zero:
             return 0
-        return int(magnitude) if u < p_zero + (1.0 - p_zero) / 2.0 else -int(magnitude)
-    out = np.where(
-        u < p_zero,
-        0,
-        np.where(u < p_zero + (1.0 - p_zero) / 2.0, magnitude, -magnitude),
-    )
-    return out.astype(np.int64)
+        return int(magnitude) if u < mid else -int(magnitude)
+    # in place on the fresh magnitude array, with an int8 sign
+    sign = (u >= p_zero).astype(np.int8)
+    sign -= 2 * (u >= mid).astype(np.int8)
+    magnitude *= sign
+    return magnitude
 
 
 def check_epsilon(epsilon: float, name: str = "epsilon", positive: bool = False) -> None:
@@ -142,9 +151,9 @@ def randomized_response(bit, epsilon: float, rng, domain: str = "pm1"):
         raise ValueError(f"domain must be 'pm1' or '01', got {domain!r}")
     gen = as_generator(rng)
     arr = np.asarray(bit)
-    valid = {-1, 1} if domain == "pm1" else {0, 1}
-    if not set(np.unique(arr).tolist()) <= valid:
-        raise ValueError(f"input values must lie in {sorted(valid)}")
+    a, b = (-1, 1) if domain == "pm1" else (0, 1)
+    if not np.all((arr == a) | (arr == b)):
+        raise ValueError(f"input values must lie in {[a, b]}")
     keep = gen.random(size=arr.shape) < keep_prob
     flipped = -arr if domain == "pm1" else 1 - arr
     out = np.where(keep, arr, flipped)

@@ -32,6 +32,8 @@ BRUTE_FORCE_CAP = 26
 MEDIAN_ENUMERATION_CAP = 22
 PACKING_CAP = 24
 EM_DISTRIBUTION_CAP = 1 << 20
+# most values (max - min + 1) an audit column's rank table may span
+RANGE_TABLE_SPAN = 1 << 16
 
 __all__ = [
     "AuditReport",
@@ -286,6 +288,28 @@ class AuditReport:
             raise ValueError("audit interval must bracket the point estimate")
 
 
+def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank of each entry of an integer column among the column's distinct
+    values (0 for the smallest), and the number of distinct values.
+
+    A column whose [min, max] holds at most RANGE_TABLE_SPAN integers is
+    ranked through a presence table over that range: bincount of the
+    offsets from the minimum, then cumsum - 1 as the rank lookup. The
+    offsets are taken in intp, since in the column's own dtype int8
+    -128..127 would overflow; uint64 wraps modulo 2**64 in intp, which
+    leaves a small offset exact. Wider columns keep np.unique and
+    np.searchsorted.
+    """
+    lo, hi = col.min(), col.max()
+    if int(hi) - int(lo) < RANGE_TABLE_SPAN:
+        offsets = col.astype(np.intp)
+        offsets -= lo.astype(np.intp)
+        lookup = np.cumsum(np.bincount(offsets) > 0) - 1
+        return lookup[offsets], int(lookup[-1]) + 1
+    vals = np.unique(col)
+    return np.searchsorted(vals, col), len(vals)
+
+
 def _bucket_counts(
     out_a: np.ndarray, out_b: np.ndarray, max_buckets: int
 ) -> tuple[list, np.ndarray, np.ndarray]:
@@ -296,21 +320,27 @@ def _bucket_counts(
     built column by column: code * len(values) + rank of the entry among
     the column's values, re-compacted to 0..distinct-1 through a bincount
     presence mask, so no intermediate exceeds max_buckets**2. Ranks come
-    from np.searchsorted, several times faster on int8 columns than
-    np.unique's return_inverse.
+    from _column_ranks: a presence table over the column's [min, max]
+    range, or np.unique and np.searchsorted for columns whose range spans
+    more than RANGE_TABLE_SPAN integers.
     """
     stacked = np.concatenate([out_a, out_b])
     flat = stacked.reshape(stacked.shape[0], -1)
     code = np.zeros(flat.shape[0], dtype=np.int64)
     size = 1
     for col in flat.T:
-        vals = np.unique(col)
-        if len(vals) > max_buckets:
+        ranks, nvals = _column_ranks(col)
+        if nvals > max_buckets:
             raise ResourceCapError(
-                f"audit output column has {len(vals)} values, bucket cap is {max_buckets}"
+                f"audit output column has {nvals} values, bucket cap is {max_buckets}"
             )
-        code = code * len(vals) + np.searchsorted(vals, col)
-        present = np.bincount(code, minlength=size * len(vals)) > 0
+        if size == 1:
+            # every code is 0 so far, and ranks are already 0..nvals-1
+            code, size = ranks, nvals
+            continue
+        code *= nvals
+        code += ranks
+        present = np.bincount(code, minlength=size * nvals) > 0
         size = int(np.count_nonzero(present))
         if size > max_buckets:
             raise ResourceCapError(

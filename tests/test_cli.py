@@ -186,6 +186,34 @@ class TestAuditCommand:
         assert code == EXIT_VALIDATION and out == "" and "finite" in err
 
 
+    def test_tiny_eps_names_the_sampler(self, capsys):
+        code, out, err = run(
+            capsys,
+            "audit", "--mechanism", "dp_shearer", "--eps", "1e-17", "--trials", "1000",
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "epsilon" in err and "discrete-Laplace sampler" in err
+
+
+class TestTinyEpsSweep:
+    def test_dp_shearer_names_the_sampler(self, tmp_path, capsys):
+        path = tmp_path / "cycle_graph.json"
+        assert run(capsys, "gen", "--kind", "even_cycle", "--n", "8", "--out", str(path))[0] == 0
+        code, out, err = run(
+            capsys,
+            "sweep", "--algorithm", "dp_shearer", "--instance", str(path),
+            "--eps", "1e-17", "--trials", "5",
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "epsilon" in err and "discrete-Laplace sampler" in err
+        code, out, _ = run(
+            capsys,
+            "sweep", "--algorithm", "dp_shearer", "--instance", str(path),
+            "--eps", "1e-12", "--trials", "5",
+        )
+        assert code == EXIT_OK and out.startswith("algorithm,")
+
+
 class TestVerifyHardnessCommand:
     def test_pass(self, capsys):
         code, out, _ = run(

@@ -96,6 +96,22 @@ class TestDiscreteLaplace:
         with pytest.raises(ValueError, match="finite"):
             sample_discrete_laplace(eps, gen(), size=3)
 
+    @pytest.mark.parametrize("eps", [1e-17, 5e-18, 1e-300, 5e-324])
+    def test_tiny_eps_rejected_before_any_draw(self, eps):
+        # 1 - e^-eps rounds to 0: the geometric law has no success probability
+        for size in (None, 3, (2, 2)):
+            g = gen(14)
+            state = g.bit_generator.state
+            with pytest.raises(ValueError, match="epsilon.*discrete-Laplace sampler"):
+                sample_discrete_laplace(eps, g, size=size)
+            assert g.bit_generator.state == state
+
+    @pytest.mark.parametrize("eps", [1e-12, 2e-16])
+    def test_tiny_eps_that_rounds_above_zero_samples(self, eps):
+        x = sample_discrete_laplace(eps, gen(15), size=1000)
+        assert x.dtype == np.int64 and x.shape == (1000,)
+        assert isinstance(sample_discrete_laplace(eps, gen(16)), int)
+
     def test_mass_formula_ln2(self):
         # eps = ln 2: Pr[0] = 1/3, Pr[+-1] = 1/6 each
         x = sample_discrete_laplace(math.log(2.0), gen(4), size=500_000)

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from privcsp import csp_core, harness
+from privcsp import csp_core, harness, oracles
 from privcsp.constants import AT_THRESHOLD_LOWER_C
 from privcsp.csp_core import (
     Constraint,
@@ -421,6 +421,64 @@ class TestBucketCounts:
         with pytest.raises(ResourceCapError):
             _bucket_counts(np.arange(65), np.zeros(65, dtype=np.int64), 64)
         assert len(self.check(np.arange(64), np.zeros(64, dtype=np.int64))) == 64
+
+
+class TestBucketRanking:
+    """Both ranking paths of _bucket_counts: the range table and, for
+    columns spanning more than RANGE_TABLE_SPAN integers, np.unique."""
+
+    @staticmethod
+    def columns():
+        g = gen(23)
+        yield g.integers(-128, 128, size=(3_000, 1)).astype(np.int8)  # full int8 range
+        yield g.integers(-128, 128, size=3_000).astype(np.int8)
+        yield np.array([-128, 127], dtype=np.int8)[g.integers(0, 2, size=(500, 3))]
+        yield g.integers(0, 256, size=(3_000, 1)).astype(np.uint8)
+        yield g.integers(0, 3, size=(3_000, 3)).astype(np.uint8)
+        yield g.random((3_000, 4)) < 0.3  # bool
+        yield g.random(3_000) < 0.5
+        # above 2**63 the intp offsets wrap, and stay exact
+        yield np.array([2**64 - 3, 2**64 - 1], dtype=np.uint64)[g.integers(0, 2, size=(2_000, 2))]
+        yield np.array([2**64 - 3, 2**63, 2**64 - 1], dtype=np.uint64)[g.integers(0, 3, size=2_000)]
+        # +-2**62 spans 2**63 + 1 integers: the np.unique path
+        yield np.array([-(2**62), 2**62, 5], dtype=np.int64)[g.integers(0, 3, size=(2_000, 2))]
+        yield np.array([-(2**62), 2**62], dtype=np.int64)[g.integers(0, 2, size=2_000)]
+
+    @pytest.mark.parametrize("span", [oracles.RANGE_TABLE_SPAN, 0])
+    def test_matches_counter(self, monkeypatch, span):
+        monkeypatch.setattr(oracles, "RANGE_TABLE_SPAN", span)
+        for out in self.columns():
+            half = out.shape[0] // 2
+            labels, ka, kb = _bucket_counts(out[:half], out[half:], 256)
+            got = {lab: (int(a), int(b)) for lab, a, b in zip(labels, ka, kb)}
+            assert len(got) == len(labels)
+            ref = _counter_counts(out[:half], out[half:])
+            assert got == ref
+            # same label types (bool labels stay bool)
+            assert sorted(map(repr, got)) == sorted(map(repr, ref))
+
+    def test_table_and_fallback_agree(self, monkeypatch):
+        for out in self.columns():
+            half = out.shape[0] // 2
+            table = _bucket_counts(out[:half], out[half:], 256)
+            monkeypatch.setattr(oracles, "RANGE_TABLE_SPAN", 0)
+            fallback = _bucket_counts(out[:half], out[half:], 256)
+            monkeypatch.undo()
+            assert table[0] == fallback[0]
+            assert [type(v) for v in table[0]] == [type(v) for v in fallback[0]]
+            for a, b in zip(table[1:], fallback[1:]):
+                assert np.array_equal(a, b) and a.dtype == b.dtype
+
+    @pytest.mark.parametrize("span", [oracles.RANGE_TABLE_SPAN, 0])
+    def test_caps(self, monkeypatch, span):
+        monkeypatch.setattr(oracles, "RANGE_TABLE_SPAN", span)
+        rows = ((np.arange(128)[:, None] >> np.arange(7)) & 1).astype(np.int8)
+        with pytest.raises(ResourceCapError, match="at least 128 buckets, cap is 64"):
+            _bucket_counts(rows, rows[:1], 64)
+        with pytest.raises(ResourceCapError, match="column has 65 values, bucket cap is 64"):
+            _bucket_counts(np.arange(65), np.zeros(65, dtype=np.int64), 64)
+        with pytest.raises(ResourceCapError, match="column has 65 values"):
+            _bucket_counts(np.zeros((3, 2), dtype=np.int8), np.arange(130).reshape(65, 2), 64)
 
 
 class TestEmpiricalEpsilonMatchesCounter:

@@ -4,11 +4,16 @@ The references below are the per-constraint forms that the array code
 replaced: eval_value summing Constraint.evaluate, alg1 with a derivative_q
 call and scalar draws per greedy variable, alg3's influence loop,
 _two_color_batch with np.add.at, the harness's per-trial evaluation, and
-alg6's low-edge subsampling with one scalar draw per edge.
+alg6's low-edge subsampling with one scalar draw per edge. The audit
+kernels have copies of their float64/int64 forms with nested np.where:
+alg1_batch with np.add.at and the stand-in median table,
+sample_discrete_laplace, assignment_rows, randomized_response's
+np.unique input check, and dp_shearer_batch.
 Every comparison is exact (np.array_equal or ==), and the generator state
 after a run must match too, so each draw is the same draw.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +29,7 @@ from privcsp.algo_csp import (
 from privcsp.algo_maxcut import (
     _two_color_batch,
     dp_maxcut_general,
+    dp_shearer_batch,
     matching_em_cut,
     mutual_choice_matching,
 )
@@ -43,9 +49,12 @@ from privcsp.dp_mechanisms import (
     em_over_assignments,
     exponential_mechanism,
     keep_probability,
+    randomized_response,
+    sample_discrete_laplace,
     sample_laplace,
 )
 from privcsp.generators import GenSpec, gen_random_kxor
+from privcsp.oracles import exact_median_theta
 
 SEEDS = range(200)
 
@@ -171,6 +180,103 @@ def ref_run_one_eps(config, problem, view, eps, opt, chash):
         advantage=mean - harness._baseline_value(problem), seed=config.seed,
         config_hash=chash, wall_ms=0.0,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def ref_xor_median_by_count(max_count):
+    """The exact-median oracle on q stand-in parities, for every q up to
+    max_count; read only."""
+    thetas = np.zeros(max_count + 1)
+    gammas = np.full(max_count + 1, 0.5)
+    for q in range(1, max_count + 1):
+        stand_ins = [Constraint(scope=(0, i + 1), b=1) for i in range(q)]
+        thetas[q], gammas[q] = exact_median_theta(stand_ins, 0)
+    return thetas, gammas
+
+
+def ref_alg1_batch(instance, epsilon, rng, trials):
+    """alg1_batch without its checks: float sums with np.add.at, the
+    stand-in median table up to m, and nested np.where."""
+    keep_prob = keep_probability(epsilon)
+    gen = as_generator(rng)
+    n, m = instance.n, instance.m
+    greedy = gen.random((trials, n)) < 0.5
+    x = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
+    sum_q = np.zeros((trials, n))
+    count = np.zeros((trials, n), dtype=np.int64)
+    for c in instance.constraints:
+        scope = np.asarray(c.scope)
+        gsub = greedy[:, scope]
+        rows = np.flatnonzero(gsub.sum(axis=1) == 1)
+        if rows.size == 0:
+            continue
+        jcol = scope[np.argmax(gsub[rows], axis=1)]
+        prod_all = x[rows][:, scope].prod(axis=1).astype(np.int64)
+        q = 0.5 * c.b * prod_all * x[rows, jcol]
+        np.add.at(sum_q, (rows, jcol), q)
+        np.add.at(count, (rows, jcol), 1)
+    thetas, gammas = ref_xor_median_by_count(m)
+    theta = thetas[count]
+    gamma = gammas[count]
+    tie = gen.random((trials, n)) < gamma
+    z = np.where(sum_q > theta, 1, np.where(sum_q < theta, -1, np.where(tie, 1, -1)))
+    y = np.where(gen.random((trials, n)) < keep_prob, 1, -1)
+    return np.where(greedy, y * z, x).astype(np.int8)
+
+
+def ref_sample_discrete_laplace(epsilon, rng, size=None):
+    gen = as_generator(rng)
+    q = np.exp(-epsilon)
+    p_zero = (1.0 - q) / (1.0 + q)
+    u = gen.random(size=size)
+    magnitude = gen.geometric(1.0 - q, size=size)
+    if size is None:
+        if u < p_zero:
+            return 0
+        return int(magnitude) if u < p_zero + (1.0 - p_zero) / 2.0 else -int(magnitude)
+    out = np.where(
+        u < p_zero,
+        0,
+        np.where(u < p_zero + (1.0 - p_zero) / 2.0, magnitude, -magnitude),
+    )
+    return out.astype(np.int64)
+
+
+def ref_assignment_rows(rows, k):
+    bits = np.asarray(rows)[..., None] >> np.arange(k)
+    return np.where(bits & 1 == 1, 1, -1).astype(np.int8)
+
+
+def ref_randomized_response(bit, epsilon, rng, domain="pm1"):
+    keep_prob = keep_probability(epsilon)
+    gen = as_generator(rng)
+    arr = np.asarray(bit)
+    valid = {-1, 1} if domain == "pm1" else {0, 1}
+    if not set(np.unique(arr).tolist()) <= valid:
+        raise ValueError(f"input values must lie in {sorted(valid)}")
+    keep = gen.random(size=arr.shape) < keep_prob
+    flipped = -arr if domain == "pm1" else 1 - arr
+    out = np.where(keep, arr, flipped)
+    if np.isscalar(bit) or arr.shape == ():
+        return int(out)
+    return out
+
+
+def ref_dp_shearer_batch(graph, epsilon, rng, trials):
+    gen = as_generator(rng)
+    c1, c2, ell = ref_two_color_batch(graph, gen, trials)
+    zeta = ref_sample_discrete_laplace(epsilon / 2.0, gen, size=(trials, graph.n))
+    take_first = ell - graph.degree_counts() // 2 + zeta <= 0
+    return np.where(take_first, c1, c2).astype(np.int8)
+
+
+def same_result(a, b):
+    """Equal values of the same type, and for arrays the same dtype and
+    shape."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and np.array_equal(a, b))
+    return type(a) is type(b) and a == b
 
 
 # ------------------------------------------------------------- instances
@@ -429,11 +535,135 @@ class TestTwoColor:
     @pytest.mark.parametrize("trials", [1, 7])
     def test_counts_match_add_at(self, trials):
         graphs = [unit_graph(s) for s in range(20)] + [WeightedGraph(n=5, edges=())]
-        for seed, g in enumerate(graphs):
-            new = _two_color_batch(g, np.random.default_rng(seed), trials)
-            ref = ref_two_color_batch(g, np.random.default_rng(seed), trials)
+        for seed in SEEDS:
+            g = graphs[seed % len(graphs)]
+            gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = _two_color_batch(g, gen_new, trials)
+            ref = ref_two_color_batch(g, gen_ref, trials)
             for a, b in zip(new, ref):
-                assert np.array_equal(a, b) and a.dtype == b.dtype
+                assert same_result(a, b)
+            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.5, 2.0, 800.0])
+    def test_dp_shearer_batch(self, eps):
+        graphs = [unit_graph(s, n=8, m=12) for s in range(10)]
+        graphs += [WeightedGraph(n=2, edges=((0, 1, 1.0),)), WeightedGraph(n=3, edges=())]
+        for seed in SEEDS:
+            g = graphs[seed % len(graphs)]
+            gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert same_result(dp_shearer_batch(g, eps, gen_new, 9),
+                               ref_dp_shearer_batch(g, eps, gen_ref, 9))
+            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+
+class TestAlg1Batch:
+    KXOR = [gen_random_kxor(GenSpec(n=30, m=12, k=k, seed=k, triangle_free=True))
+            for k in (2, 3)]
+    CYCLE = CspInstance(n=8, constraints=tuple(
+        Constraint(scope=(i, (i + 1) % 8), b=-1) for i in range(8)), kind="maxcut")
+    # the audit's neighbouring pair: one constraint, and none
+    PAIR = [CspInstance(n=4, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor"),
+            CspInstance(n=4, constraints=(), kind="kxor")]
+    EMPTY = [CspInstance(n=0, constraints=(), kind="kxor")]
+    # up to five active constraints on variable 0, with signs of both kinds
+    STAR = CspInstance(n=6, constraints=tuple(
+        Constraint(scope=(0, i), b=(-1) ** i) for i in range(1, 6)), kind="kxor")
+
+    def run_both(self, inst, eps, seed, check=True, trials=8):
+        gen_new, gen_ref = RngStream(seed, 2).generator(), RngStream(seed, 2).generator()
+        out = algo_csp.alg1_batch(inst, eps, gen_new, trials, check=check)
+        assert same_result(out, ref_alg1_batch(inst, eps, gen_ref, trials))
+        assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 800.0])
+    def test_matches_reference(self, eps):
+        # every instance ties: a greedy variable without active constraints
+        # always sits at its median 0, and one with a single constraint
+        # ties whenever its derivative is -1/2
+        for seed in SEEDS:
+            for inst in self.KXOR + [self.CYCLE] + self.PAIR + self.EMPTY:
+                self.run_both(inst, eps, seed)
+            self.run_both(self.STAR, eps, seed, check=False)
+
+    def test_one_trial_and_zero_trials(self):
+        for seed in range(20):
+            for trials in (0, 1):
+                self.run_both(self.KXOR[0], 1.0, seed, trials=trials)
+
+    def test_closed_form_median_table(self):
+        thetas, gammas = algo_csp._xor_median_by_count(60)
+        ref_thetas, ref_gammas = ref_xor_median_by_count(60)
+        assert thetas.tolist() == ref_thetas.tolist()
+        assert gammas.tolist() == ref_gammas.tolist()
+
+    def test_table_only_up_to_largest_count(self, monkeypatch):
+        # 120 disjoint parities: no variable has more than one constraint
+        inst = CspInstance(n=240, constraints=tuple(
+            Constraint(scope=(2 * i, 2 * i + 1), b=1) for i in range(120)), kind="kxor")
+        sizes = []
+        real = algo_csp._xor_median_by_count
+        monkeypatch.setattr(algo_csp, "_xor_median_by_count",
+                            lambda q: sizes.append(q) or real(q))
+        algo_csp.alg1_batch(inst, 1.0, np.random.default_rng(0), 50)
+        algo_csp.alg1_batch(self.STAR, 1.0, np.random.default_rng(0), 1000, check=False)
+        assert sizes == [1, 5]
+
+
+class TestDiscreteLaplace:
+    @pytest.mark.parametrize("eps", [1e-12, 1e-3, 0.5, 1.0, 3.0, 40.0])
+    def test_matches_nested_where(self, eps):
+        for seed in SEEDS:
+            for size in (None, (), 5, (3, 4)):
+                gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert same_result(sample_discrete_laplace(eps, gen_new, size=size),
+                                   ref_sample_discrete_laplace(eps, gen_ref, size=size))
+                assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+
+class TestAssignmentRows:
+    @pytest.mark.parametrize("k", [0, 1, 24])
+    def test_matches_where(self, k):
+        for seed in SEEDS:
+            rows = np.random.default_rng(seed).integers(0, 1 << k, size=(5, 4))
+            for r in (rows, rows[0], int(rows[0, 0]), rows[0, 0]):
+                assert same_result(assignment_rows(r, k), ref_assignment_rows(r, k))
+
+
+class TestRandomizedResponseCheck:
+    INPUTS = {
+        "pm1": [1, -1, np.array([1, -1, 1], dtype=np.int64),
+                np.array([[-1, 1], [1, 1]], dtype=np.int8), np.array([1.0, -1.0])],
+        "01": [0, 1, np.array([0, 1, 1], dtype=np.int64), np.array([True, False]),
+               np.array([[1, 0]], dtype=np.uint8)],
+    }
+    INVALID = [2, 0, np.array([1, 0]), np.array([-1, 1, 2]), np.array([0.5]),
+               np.array([np.nan]), np.array([True, False])]
+
+    @pytest.mark.parametrize("domain", ["pm1", "01"])
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 800.0])
+    def test_matches_unique_check(self, domain, eps):
+        for seed in SEEDS:
+            for bit in self.INPUTS[domain]:
+                gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert same_result(randomized_response(bit, eps, gen_new, domain),
+                                   ref_randomized_response(bit, eps, gen_ref, domain))
+                assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    @pytest.mark.parametrize("domain", ["pm1", "01"])
+    def test_same_rejections(self, domain):
+        for bit in self.INVALID:
+            outcomes = []
+            for fn in (randomized_response, ref_randomized_response):
+                try:
+                    fn(bit, 1.0, np.random.default_rng(0), domain)
+                    outcomes.append(None)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+        with pytest.raises(ValueError, match=r"input values must lie in \[-1, 1\]"):
+            randomized_response(np.array([0, 1]), 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"input values must lie in \[0, 1\]"):
+            randomized_response(-1, 1.0, np.random.default_rng(0), "01")
 
 
 def _without_wall_ms(csv_text):

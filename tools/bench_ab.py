@@ -22,6 +22,8 @@ is the same on both sides, and each side's median number of timed passes
 (``len(pass_s)`` in the result file). The timed phase repeats passes for
 ``--seconds``, so a faster side runs more of them, and ``peak_rss_mb``
 rises with the pass count: read a small RSS rise next to the two counts.
+A run whose outputs ``bench/run.py`` reports as incorrect makes the exit
+status 1, after the table, with each such run named by side and pair.
 The temporary copies are removed at the end. Standard library only.
 """
 
@@ -146,6 +148,11 @@ def main() -> int:
         print(report(args.workload, runs))
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    incorrect = [f"{side} pair {i + 1}" for side, rs in runs.items()
+                 for i, r in enumerate(rs) if not r["correct"]]
+    if incorrect:
+        print("incorrect outputs: " + ", ".join(incorrect), file=sys.stderr)
+        return 1
     return 0
 
 
