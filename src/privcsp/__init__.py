@@ -18,7 +18,6 @@ from .csp_core import (
     mu,
 )
 from .dp_mechanisms import (
-    PrivacyBudget,
     RngStream,
     em_over_assignments,
     exponential_mechanism,
@@ -34,7 +33,6 @@ __all__ = [
     "CspInstance",
     "WeightedGraph",
     "ResourceCapError",
-    "PrivacyBudget",
     "RngStream",
     "eval_value",
     "cut_value",

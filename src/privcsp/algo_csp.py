@@ -29,19 +29,20 @@ from .csp_core import (
     ConstraintGroup,
     CspInstance,
     as_assignment,
-    degrees,
     constraint_groups,
     eval_value,
     is_triangle_free,
     signs_from_bits,
 )
 from .dp_mechanisms import (
+    UNBOUNDED_BUDGET_FRACTIONS,
     as_generator,
     check_epsilon,
-    em_over_assignments,
+    em_on_part,
     exponential_mechanism,
     keep_probability,
-    sample_laplace,
+    noisy_high_mask,
+    stage_budget,
 )
 from .oracles import _constraint_q_pmf, exact_median_theta
 
@@ -310,21 +311,16 @@ def alg2_partition_kxor(
         raise ValueError("alg2 requires a sign-form instance")
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
-    k = max(instance.max_arity, 1)
     if subroutine is None:
         subroutine = alg1_triangle_free_bounded
         if threshold is None:
             threshold = 10000.0 / epsilon ** 4
     elif threshold is None:
         threshold = 100.0 / epsilon ** 2
-    noisy = degrees(instance) + sample_laplace(3.0 * k / epsilon, gen, size=instance.n)
-    high = np.flatnonzero(noisy > threshold)
-    x1 = (2 * gen.integers(0, 2, size=instance.n) - 1).astype(np.int8)
-    if high.size:
-        x1[high] = em_over_assignments(
-            instance, high.tolist(), epsilon / 3.0, 1.0, gen, cap=cap
-        )
-    x2 = as_assignment(subroutine(instance, epsilon / 3.0, gen), instance.n)
+    degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
+    high = noisy_high_mask(instance, epsilon, degree_share, threshold, gen)
+    x1 = em_on_part(instance, high, stage_budget(epsilon, em_share), gen, cap)
+    x2 = as_assignment(subroutine(instance, stage_budget(epsilon, sub_share), gen), instance.n)
     return x1 if gen.random() < 0.5 else x2
 
 

@@ -3,8 +3,9 @@
 - shearer_baseline: the non-private two-color local rule.
 - dp_shearer: its pure-DP version with integer Laplace noise on the
   same-color counts.
-- dp_maxcut_unbounded: noisy degree split, exponential mechanism on the
-  high-degree part, dp_shearer on the whole graph, fair coin.
+- dp_maxcut_unbounded: noisy degree split (Laplace(6/eps): one edge moves
+  two degrees), exponential mechanism on the high-degree part, dp_shearer
+  on the whole graph, fair coin.
 - dp_maxcut_general: degree split, subsampled mutual-choice matching with
   a factorized exponential mechanism, and a final three-way selection.
 
@@ -18,29 +19,25 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .csp_core import WeightedGraph, cut_value, signs_from_bits
 from .dp_mechanisms import (
+    GENERAL_BUDGET_FRACTIONS,
+    UNBOUNDED_BUDGET_FRACTIONS,
     as_generator,
+    budget_ledger,
     check_epsilon,
-    em_over_assignments,
+    em_on_part,
     exponential_mechanism,
+    noisy_high_mask,
     sample_discrete_laplace,
-    sample_laplace,
+    stage_budget,
 )
 
 MATCHING_EM_BUDGET = 2.5
 MATCHING_EM_SENSITIVITY = 2.0
-UNBOUNDED_BUDGET_FRACTIONS = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
-GENERAL_BUDGET_FRACTIONS = (
-    Fraction(1, 6),
-    Fraction(1, 6),
-    Fraction(1, 6),
-    Fraction(1, 2),
-)
 
 __all__ = [
     "MatchingState",
@@ -87,21 +84,6 @@ def matched_edge_cut_probability() -> float:
     exponential mechanism: e^{2.5/4} / (1 + e^{2.5/4})."""
     w = math.exp(MATCHING_EM_BUDGET / (2.0 * MATCHING_EM_SENSITIVITY))
     return w / (1.0 + w)
-
-
-def budget_ledger(algorithm: str, epsilon: float) -> tuple[tuple[str, float], ...]:
-    """Stage budgets for the composed algorithms; the exact fractions sum
-    to 1, so the float stages always total epsilon."""
-    if algorithm == "dp_maxcut_unbounded":
-        names = ("degree-noise", "high-part-em", "dp-shearer")
-        fractions = UNBOUNDED_BUDGET_FRACTIONS
-    elif algorithm == "dp_maxcut_general":
-        names = ("degree-noise", "high-part-em", "matching-em", "final-selection")
-        fractions = GENERAL_BUDGET_FRACTIONS
-    else:
-        raise ValueError(f"no budget ledger for {algorithm!r}")
-    assert sum(fractions) == 1
-    return tuple((name, float(f) * epsilon) for name, f in zip(names, fractions))
 
 
 def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int):
@@ -162,25 +144,20 @@ def dp_maxcut_unbounded(
 ) -> np.ndarray:
     """Unbounded-degree private Max-Cut.
 
-    Noisy degrees (Laplace(3/epsilon)) against the threshold 10000/eps^2
-    select the high-degree part; one candidate cut applies the
-    exponential mechanism (budget epsilon/3, sensitivity 1) to the
-    induced high-degree subgraph with uniform sides elsewhere, the other
-    runs dp_shearer on the whole graph at epsilon/3. A fair coin picks
-    the output.
+    Noisy degrees (Laplace(6/epsilon), as one edge moves two degrees)
+    against the threshold 10000/eps^2 select the high-degree part; one
+    candidate cut applies the exponential mechanism (budget epsilon/3,
+    sensitivity 1) to the induced high-degree subgraph with uniform sides
+    elsewhere, the other runs dp_shearer on the whole graph at epsilon/3.
+    A fair coin picks the output; each of the three stages spends epsilon/3.
     """
     _require_unweighted(graph, "dp_maxcut_unbounded")
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
-    threshold = 10000.0 / epsilon ** 2
-    noisy = graph.degree_counts() + sample_laplace(3.0 / epsilon, gen, size=graph.n)
-    high = np.flatnonzero(noisy > threshold)
-    s1 = (2 * gen.integers(0, 2, size=graph.n) - 1).astype(np.int8)
-    if high.size:
-        s1[high] = em_over_assignments(
-            graph, high.tolist(), epsilon / 3.0, 1.0, gen, cap=cap
-        )
-    s2 = dp_shearer(graph, epsilon / 3.0, gen)
+    degree_share, em_share, shearer_share = UNBOUNDED_BUDGET_FRACTIONS
+    high = noisy_high_mask(graph, epsilon, degree_share, 10000.0 / epsilon ** 2, gen)
+    s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen, cap)
+    s2 = dp_shearer(graph, stage_budget(epsilon, shearer_share), gen)
     return s1 if gen.random() < 0.5 else s2
 
 
@@ -226,12 +203,12 @@ def matching_em_cut(n: int, matching: MatchingState, rng) -> np.ndarray:
     return sides
 
 
-def _check_amplification(rate: float, epsilon: float) -> None:
+def _check_amplification(rate: float, budget: float) -> None:
     amplified = math.log1p(rate * (math.exp(MATCHING_EM_BUDGET) - 1.0))
-    if amplified > epsilon / 6.0 + 1e-12:
+    if amplified > budget + 1e-12:
         raise ValueError(
             f"subsampling amplification {amplified:.6g} exceeds stage budget "
-            f"{epsilon / 6.0:.6g}"
+            f"{budget:.6g}"
         )
 
 
@@ -263,8 +240,9 @@ def dp_maxcut_general(
             f"alpha = {alpha} is too large: eps^(1+alpha) underflows to 0 "
             f"at eps = {epsilon}"
         )
+    degree_share, em_share, matching_share, final_share = GENERAL_BUDGET_FRACTIONS
     rate = eps_pow / 70.0
-    _check_amplification(rate, epsilon)
+    _check_amplification(rate, stage_budget(epsilon, matching_share))
     utility_cap = min(0.0106, 1.8 / math.log(10.0 / eps_pow))
     if epsilon ** alpha > utility_cap:
         warnings.warn(
@@ -274,16 +252,8 @@ def dp_maxcut_general(
         )
     gen = as_generator(rng)
     n = graph.n
-    threshold = 24.0 / eps_pow
-    noisy = graph.degree_counts() + sample_laplace(12.0 / epsilon, gen, size=n)
-    high_mask = noisy > threshold
-    high = np.flatnonzero(high_mask)
-
-    s1 = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
-    if high.size:
-        s1[high] = em_over_assignments(
-            graph, high.tolist(), epsilon / 6.0, 1.0, gen, cap=cap
-        )
+    high_mask = noisy_high_mask(graph, epsilon, degree_share, 24.0 / eps_pow, gen)
+    s1 = em_on_part(graph, high_mask, stage_budget(epsilon, em_share), gen, cap)
 
     u, v, _ = graph.edge_arrays()
     low = np.flatnonzero(~(high_mask[u] | high_mask[v]))
@@ -297,7 +267,7 @@ def dp_maxcut_general(
     chosen = exponential_mechanism(
         [s1, s2, s3],
         lambda cand: cut_value(graph, cand),
-        epsilon / 2.0,
+        stage_budget(epsilon, final_share),
         1.0,
         gen,
     )

@@ -507,10 +507,12 @@ def constraint_groups(instance: CspInstance) -> tuple[ConstraintGroup, ...]:
     return instance._groups
 
 
-def degrees(instance: CspInstance) -> np.ndarray:
+def degrees(problem: CspInstance | WeightedGraph) -> np.ndarray:
     """Read-only per-variable count of constraints whose scope contains the
-    variable."""
-    return instance._degrees
+    variable; for a graph, its degree_counts()."""
+    if isinstance(problem, WeightedGraph):
+        return problem.degree_counts()
+    return problem._degrees
 
 
 def derivative_q(constraint: Constraint, j: int, fixed: Mapping[int, int]) -> float:

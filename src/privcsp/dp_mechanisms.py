@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -19,13 +20,24 @@ from .csp_core import (
     WeightedGraph,
     all_values,
     assignment_rows,
+    degrees,
 )
 
 EM_ENUMERATION_CAP = 24
+# Shares of epsilon of the degree-split algorithms' stages, in stage order;
+# each table sums to 1, and every stage spends stage_budget(epsilon, share).
+UNBOUNDED_BUDGET_FRACTIONS = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+GENERAL_BUDGET_FRACTIONS = (Fraction(1, 6), Fraction(1, 6), Fraction(1, 6), Fraction(1, 2))
+# algorithm -> (shares, stage names)
+_LEDGERS = {
+    "alg2_partition_kxor": (UNBOUNDED_BUDGET_FRACTIONS, "degree-noise high-part-em subroutine"),
+    "dp_maxcut_unbounded": (UNBOUNDED_BUDGET_FRACTIONS, "degree-noise high-part-em dp-shearer"),
+    "dp_maxcut_general": (
+        GENERAL_BUDGET_FRACTIONS, "degree-noise high-part-em matching-em final-selection"),
+}
 
 __all__ = [
     "EM_ENUMERATION_CAP",
-    "PrivacyBudget",
     "RngStream",
     "as_generator",
     "sample_laplace",
@@ -36,23 +48,13 @@ __all__ = [
     "exponential_mechanism",
     "em_over_assignments",
     "em_over_assignments_batch",
+    "UNBOUNDED_BUDGET_FRACTIONS",
+    "GENERAL_BUDGET_FRACTIONS",
+    "stage_budget",
+    "budget_ledger",
+    "noisy_high_mask",
+    "em_on_part",
 ]
-
-
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """A pure-DP budget; epsilon = 0 (perfect privacy) is permitted."""
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
-
-    def split(self, *fractions) -> tuple[float, ...]:
-        """Exact fractional split for budget ledgers; fractions must sum to 1."""
-        if sum(fractions) != 1:
-            raise ValueError(f"budget fractions {fractions} do not sum to 1")
-        return tuple(float(f) * self.epsilon for f in fractions)
 
 
 @dataclass(frozen=True)
@@ -267,3 +269,43 @@ def em_over_assignments_batch(
         cdf.flags.writeable = False
     idx = _em_draws(cdf, as_generator(rng), trials)
     return assignment_rows(idx, len(active))
+
+
+def stage_budget(epsilon: float, share: Fraction) -> float:
+    """Epsilon times the share's numerator, over its denominator: for a unit
+    share 1/d exactly epsilon / d, which float(share) * epsilon is not."""
+    return epsilon * share.numerator / share.denominator
+
+
+def budget_ledger(algorithm: str, epsilon: float) -> tuple[tuple[str, float], ...]:
+    """(stage, budget) pairs of a degree-split algorithm, each budget the one
+    it spends; the shares sum to 1, so the budgets total epsilon up to
+    rounding."""
+    if algorithm not in _LEDGERS:
+        raise ValueError(f"no budget ledger for {algorithm!r}")
+    shares, names = _LEDGERS[algorithm]
+    return tuple((name, stage_budget(epsilon, f)) for name, f in zip(names.split(), shares))
+
+
+def noisy_high_mask(problem, epsilon: float, share: Fraction, threshold: float, rng) -> np.ndarray:
+    """Degree stage: the bool mask of the variables whose degree plus
+    Laplace noise (one sample_laplace draw of size n) exceeds threshold.
+    One constraint moves k degrees by one each, so the scale k / (share *
+    epsilon), with k the max arity (at least 1) of an instance and 2 for a
+    graph, spends share * epsilon (Dwork, McSherry, Nissim and Smith 2006).
+    """
+    k = 2 if isinstance(problem, WeightedGraph) else max(problem.max_arity, 1)
+    scale = k * share.denominator / (share.numerator * epsilon)
+    return degrees(problem) + sample_laplace(scale, rng, size=problem.n) > threshold
+
+
+def em_on_part(problem, part: np.ndarray, budget: float, rng, cap: int = EM_ENUMERATION_CAP):
+    """A uniform +-1 int8 vector, with the variables of the bool mask part
+    replaced by one em_over_assignments draw (budget, sensitivity 1) on
+    them; an empty part draws only the uniform vector."""
+    gen = as_generator(rng)
+    x = (2 * gen.integers(0, 2, size=problem.n) - 1).astype(np.int8)
+    idx = np.flatnonzero(part)
+    if idx.size:
+        x[idx] = em_over_assignments(problem, idx.tolist(), budget, 1.0, gen, cap=cap)
+    return x

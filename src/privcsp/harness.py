@@ -23,6 +23,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,22 +35,26 @@ from .csp_core import (
     Constraint,
     CspInstance,
     WeightedGraph,
+    degrees,
     eval_value,
     graph_to_instance,
     instance_to_graph,
+    instance_to_json,
     mu,
 )
 from .dp_mechanisms import (
     RngStream,
     check_epsilon,
-    em_over_assignments,
+    em_on_part,
     em_over_assignments_batch,
     randomized_response,
 )
+from .generators import gen_hard_family
 from .oracles import (
     AuditReport,
     brute_force_opt,
     empirical_epsilon,
+    verify_packing_separation,
 )
 
 CSV_COLUMNS = (
@@ -83,19 +88,7 @@ def _wants_graph(problem, want_graph: bool):
 def _run_em_baseline(problem, eps, alpha, gen):
     """Exponential mechanism (budget eps, sensitivity 1) over the variables
     some constraint touches; the others are uniform."""
-    if isinstance(problem, WeightedGraph):
-        deg = problem.degree_counts()
-        n = problem.n
-    else:
-        from .csp_core import degrees
-
-        deg = degrees(problem)
-        n = problem.n
-    covered = np.flatnonzero(deg > 0)
-    x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
-    if covered.size:
-        x[covered] = em_over_assignments(problem, covered.tolist(), eps, 1.0, gen)
-    return x
+    return em_on_part(problem, degrees(problem) > 0, eps, gen)
 
 
 def _run_random_baseline(problem, eps, alpha, gen):
@@ -145,8 +138,6 @@ class ExperimentConfig:
             check_epsilon(e, name="epsilon grid value")
 
     def config_hash(self, problem) -> str:
-        from .csp_core import instance_to_json
-
         blob = json.dumps(
             {
                 "algorithm": self.algorithm,
@@ -303,8 +294,6 @@ def _neighboring_delta(a, b) -> int:
     else:
         items_a = sorted((c.scope, c.b, c.table) for c in a.constraints)
         items_b = sorted((c.scope, c.b, c.table) for c in b.constraints)
-    from collections import Counter
-
     ca, cb = Counter(items_a), Counter(items_b)
     return sum((ca - cb).values()) + sum((cb - ca).values())
 
@@ -414,9 +403,6 @@ class HardnessReport:
 def verify_hardness(n: int, epsilon: float, size: int, seed: int) -> HardnessReport:
     """Generates the hard family and checks the separation property and
     the exact optimum of each member graph."""
-    from .generators import gen_hard_family
-    from .oracles import verify_packing_separation
-
     family, complete = gen_hard_family(n, epsilon, size, seed)
     ok, counterexample = verify_packing_separation(family)
     opt_ok = True

@@ -26,12 +26,13 @@ from .csp_core import (
     mu,
     value_chunks,
 )
-from .dp_mechanisms import check_epsilon
+from .dp_mechanisms import as_generator, check_epsilon
 
 BRUTE_FORCE_CAP = 26
 MEDIAN_ENUMERATION_CAP = 22
 PACKING_CAP = 24
 EM_DISTRIBUTION_CAP = 1 << 20
+LAPLACE_SUPPORT_CAP = 1 << 22
 # most values (max - min + 1) an audit column's rank table may span
 RANGE_TABLE_SPAN = 1 << 16
 
@@ -191,10 +192,17 @@ def _discrete_laplace_pmf(epsilon: float, tail: float = 1e-15) -> tuple[np.ndarr
     """Truncated, renormalized pmf of the integer Laplace law at epsilon.
 
     Truncates where the two-sided tail mass drops below `tail` and
-    redistributes the removed mass proportionally.
+    redistributes the removed mass proportionally. A support above
+    LAPLACE_SUPPORT_CAP entries raises ResourceCapError before allocating.
     """
     q = math.exp(-epsilon)
-    zmax = max(1, math.ceil(math.log(2.0 / (tail * (1.0 + q))) / epsilon))
+    half = math.log(2.0 / (tail * (1.0 + q))) / epsilon
+    if 2 * half + 1 > LAPLACE_SUPPORT_CAP:
+        raise ResourceCapError(
+            f"threshold_pmf: the integer Laplace support at epsilon = {epsilon} "
+            f"has {2 * half + 1:.3g} entries, above cap {LAPLACE_SUPPORT_CAP}"
+        )
+    zmax = max(1, math.ceil(half))
     z = np.arange(-zmax, zmax + 1)
     pmf = (1.0 - q) / (1.0 + q) * q ** np.abs(z)
     return z, pmf / pmf.sum()
@@ -395,8 +403,6 @@ def empirical_epsilon(
     flagged unreliable. More than `max_buckets` distinct rows raise
     ResourceCapError.
     """
-    from .dp_mechanisms import as_generator
-
     if trials <= 0:
         raise ValueError("trials must be positive")
     gen = as_generator(rng)
@@ -481,8 +487,6 @@ def adversarial_single_constraint(
     `mechanism(instance, generator, trials)` must return an array of
     shape (trials, n) with +-1 entries.
     """
-    from .dp_mechanisms import as_generator
-
     if not candidates:
         raise ValueError("need at least one candidate constraint")
     scopes = {c.scope for c in candidates}

@@ -1,4 +1,5 @@
-"""tools/bench_ab.py: the exit status follows the runs' correctness."""
+"""tools/bench_ab.py: the exit status follows the runs' correctness, and the
+report gives each side's src/ line count."""
 
 import importlib.util
 import json
@@ -51,3 +52,20 @@ def test_incorrect_run_exits_one_and_is_named(bench_ab, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "all runs correct: False" in captured.out
     assert "incorrect outputs: base pair 3, change pair 2" in captured.err
+
+
+def test_src_line_counts(bench_ab, monkeypatch, capsys):
+    def write_src(directory, files):
+        for name, text in files.items():
+            path = directory / "src" / "pkg" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+
+    # counted as wc -l counts: newlines in .py files only, at any depth
+    monkeypatch.setattr(bench_ab, "export_revision", lambda revision, directory: write_src(
+        directory, {"a.py": "x = 1\ny = 2\n", "notes.txt": "1\n2\n3\n"}))
+    monkeypatch.setattr(bench_ab, "export_worktree", lambda directory: write_src(
+        directory, {"a.py": "x = 1\n", "sub/b.py": "y = 2\nz = 3\nw = 4"}))
+    fake_runs(bench_ab, monkeypatch, set())
+    assert bench_ab.main() == 0
+    assert "src/ lines: base 2, change 3" in capsys.readouterr().out

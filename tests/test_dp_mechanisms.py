@@ -14,8 +14,8 @@ from privcsp.csp_core import (
 from privcsp import dp_mechanisms
 from privcsp.algo_maxcut import dp_maxcut_general
 from privcsp.dp_mechanisms import (
-    PrivacyBudget,
     RngStream,
+    check_epsilon,
     em_over_assignments,
     em_over_assignments_batch,
     exponential_mechanism,
@@ -43,24 +43,22 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
 
-class TestPrivacyBudget:
-    def test_nonnegative(self):
-        with pytest.raises(ValueError):
-            PrivacyBudget(-0.1)
-        PrivacyBudget(0.0)
+class TestCheckEpsilon:
+    def test_accepted(self):
+        for eps in (0.0, 5e-324, 1.5, 1e308):
+            check_epsilon(eps)
+        check_epsilon(0.5, positive=True)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf])
-    def test_non_finite_rejected(self, eps):
-        with pytest.raises(ValueError, match="finite"):
-            PrivacyBudget(eps)
+    @pytest.mark.parametrize("eps", [-0.1, -math.inf, math.nan, math.inf])
+    def test_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            check_epsilon(eps)
+        with pytest.raises(ValueError, match="budget must be finite"):
+            check_epsilon(eps, "budget", positive=True)
 
-    def test_split(self):
-        from fractions import Fraction
-
-        parts = PrivacyBudget(1.5).split(Fraction(1, 3), Fraction(2, 3))
-        assert parts == (0.5, 1.0)
-        with pytest.raises(ValueError):
-            PrivacyBudget(1.0).split(Fraction(1, 3), Fraction(1, 3))
+    def test_zero_rejected_when_positive(self):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            check_epsilon(0.0, positive=True)
 
 
 class TestLaplace:

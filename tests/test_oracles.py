@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -219,6 +220,21 @@ class TestAtThresholdProb:
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="finite"):
             threshold_pmf(3, eps)
+
+    @pytest.mark.parametrize("eps,entries", [(1e-17, "6.91e+18"), (1e-6, "6.91e+07"), (5e-324, "inf")])
+    def test_support_over_cap_refused(self, eps, entries):
+        # the noise support, 2 * 34.5 / eps + 1 entries, is refused before
+        # any array is sized, with epsilon and the size in the message
+        for call in (threshold_pmf, at_threshold_prob):
+            with pytest.raises(ResourceCapError, match=re.escape(f"epsilon = {eps} has {entries} entries")):
+                call(3, eps)
+
+    def test_support_under_cap(self):
+        # 2 * ceil(34.5 / 1e-4) + 1 = 690779 noise entries, under the cap
+        # of 2^22, and d - 1 more for the binomial
+        assert oracles.LAPLACE_SUPPORT_CAP == 1 << 22
+        support, probs = threshold_pmf(3, 1e-4)
+        assert support.size == 690779 + 2 and probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExactEmDistribution:

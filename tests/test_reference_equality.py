@@ -24,11 +24,14 @@ from privcsp.algo_csp import (
     _kept_influence,
     _median_for,
     alg1_triangle_free_bounded,
+    alg2_partition_kxor,
     alg3_dp_advrand,
 )
 from privcsp.algo_maxcut import (
     _two_color_batch,
     dp_maxcut_general,
+    dp_maxcut_unbounded,
+    dp_shearer,
     dp_shearer_batch,
     matching_em_cut,
     mutual_choice_matching,
@@ -40,6 +43,7 @@ from privcsp.csp_core import (
     all_values,
     as_assignment,
     assignment_rows,
+    degrees,
     derivative_q,
     eval_value,
 )
@@ -163,6 +167,52 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
         [s1, s2, s3], lambda cand: ref_eval_value(graph, cand), epsilon / 2.0, 1.0, gen
     )
     return np.asarray(chosen, dtype=np.int8), int(high.size)
+
+
+def ref_alg2(instance, epsilon, rng, subroutine, threshold, cap=24):
+    """alg2_partition_kxor without its checks, with its own copy of the
+    noisy-degree split: literal Laplace scale and stage budgets. Also
+    returns the size of the high set."""
+    gen = as_generator(rng)
+    k = max(instance.max_arity, 1)
+    noisy = degrees(instance) + sample_laplace(3.0 * k / epsilon, gen, size=instance.n)
+    high = np.flatnonzero(noisy > threshold)
+    x1 = (2 * gen.integers(0, 2, size=instance.n) - 1).astype(np.int8)
+    if high.size:
+        x1[high] = em_over_assignments(
+            instance, high.tolist(), epsilon / 3.0, 1.0, gen, cap=cap
+        )
+    x2 = as_assignment(subroutine(instance, epsilon / 3.0, gen), instance.n)
+    return (x1 if gen.random() < 0.5 else x2), int(high.size)
+
+
+def ref_dp_maxcut_unbounded(graph, epsilon, rng):
+    """dp_maxcut_unbounded without its checks, with its own copy of the
+    noisy-degree split; the Laplace scale is 6/epsilon (one edge moves two
+    degrees)."""
+    gen = as_generator(rng)
+    noisy = graph.degree_counts() + sample_laplace(6.0 / epsilon, gen, size=graph.n)
+    high = np.flatnonzero(noisy > 10000.0 / epsilon ** 2)
+    s1 = (2 * gen.integers(0, 2, size=graph.n) - 1).astype(np.int8)
+    if high.size:
+        s1[high] = em_over_assignments(graph, high.tolist(), epsilon / 3.0, 1.0, gen)
+    s2 = dp_shearer(graph, epsilon / 3.0, gen)
+    return s1 if gen.random() < 0.5 else s2
+
+
+def ref_run_em_baseline(problem, eps, alpha, gen):
+    """harness._run_em_baseline with its own view branch and split."""
+    if isinstance(problem, WeightedGraph):
+        deg = problem.degree_counts()
+        n = problem.n
+    else:
+        deg = degrees(problem)
+        n = problem.n
+    covered = np.flatnonzero(deg > 0)
+    x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
+    if covered.size:
+        x[covered] = em_over_assignments(problem, covered.tolist(), eps, 1.0, gen)
+    return x
 
 
 def ref_run_one_eps(config, problem, view, eps, opt, chash):
@@ -735,4 +785,63 @@ class TestAlg6Subsampling:
                 new = dp_maxcut_general(g, 0.1, 0.0, gen_new)
                 ref, _ = ref_dp_maxcut_general(g, 0.1, 0.0, gen_ref)
                 assert np.array_equal(new, ref)
+                assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+
+class TestDegreeSplit:
+    """alg2, alg5 and em_baseline on the shared degree-split helpers
+    against copies of their own hand-written splits."""
+
+    @pytest.mark.parametrize("eps,threshold", [(1.0, 2.0), (4.0, 2.0), (2.0, -1e9)])
+    def test_alg2_alg1_subroutine(self, eps, threshold):
+        high_seeds = 0
+        for seed in SEEDS:
+            # a small threshold puts noise-dependent high sets on most seeds
+            make = lambda: gen_random_kxor(  # noqa: E731
+                GenSpec(n=14, m=6, k=2 + seed % 2, seed=seed, triangle_free=True))
+            gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = alg2_partition_kxor(make(), eps, gen_new, threshold=threshold)
+            ref, high = ref_alg2(make(), eps, gen_ref, alg1_triangle_free_bounded, threshold)
+            assert same_result(new, ref)
+            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+            high_seeds += high > 0
+        assert high_seeds >= 100
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    def test_alg2_alg3_subroutine(self, eps):
+        sub = lambda inst, e, g: alg3_dp_advrand(inst, e, g)  # noqa: E731
+        for seed in SEEDS:
+            make = lambda: distinct_sign_instance(seed)  # noqa: E731
+            gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = alg2_partition_kxor(make(), eps, gen_new, subroutine=sub, threshold=3.0)
+            ref, _ = ref_alg2(make(), eps, gen_ref, sub, 3.0)
+            assert same_result(new, ref)
+            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    @pytest.mark.parametrize("eps", [60.0, 200.0])
+    def test_alg5(self, eps):
+        # threshold 10000/eps^2 is 2.8 or 0.25 against degrees near 5
+        for seed in SEEDS:
+            make = lambda: unit_graph(seed, n=12, m=30)  # noqa: E731
+            gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = dp_maxcut_unbounded(make(), eps, gen_new)
+            ref = ref_dp_maxcut_unbounded(make(), eps, gen_ref)
+            assert same_result(new, ref)
+            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_em_baseline(self, eps):
+        cases = [
+            lambda seed: gen_random_kxor(GenSpec(n=12, m=5, k=2, seed=seed, triangle_free=True)),
+            lambda seed: unit_graph(seed, n=12, m=10),
+            lambda seed: CspInstance(n=5, constraints=(Constraint(scope=(1, 3), b=-1),), kind="kxor"),
+            lambda seed: CspInstance(n=4, constraints=(), kind="kxor"),
+            lambda seed: WeightedGraph(n=3, edges=()),
+        ]
+        for seed in SEEDS:
+            for make in cases:
+                gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                new = harness._run_em_baseline(make(seed), eps, 0.0, gen_new)
+                ref = ref_run_em_baseline(make(seed), eps, 0.0, gen_ref)
+                assert same_result(new, ref)
                 assert gen_new.bit_generator.state == gen_ref.bit_generator.state

@@ -19,9 +19,11 @@ number of pairs the working tree wins, and whether the gap between the
 medians exceeds the base's interquartile range. It also reports whether
 every run checked its outputs as correct and whether ``outputs_sha256``
 is the same on both sides, and each side's median number of timed passes
-(``len(pass_s)`` in the result file). The timed phase repeats passes for
-``--seconds``, so a faster side runs more of them, and ``peak_rss_mb``
-rises with the pass count: read a small RSS rise next to the two counts.
+(``len(pass_s)`` in the result file), and each side's ``src/`` line
+count (newlines in its ``src/**/*.py`` files, as ``wc -l`` counts them).
+The timed phase repeats passes for ``--seconds``, so a faster side runs
+more of them, and ``peak_rss_mb`` rises with the pass count: read a
+small RSS rise next to the two counts.
 A run whose outputs ``bench/run.py`` reports as incorrect makes the exit
 status 1, after the table, with each such run named by side and pair.
 The temporary copies are removed at the end. Standard library only.
@@ -86,6 +88,10 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def src_lines(root: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -93,7 +99,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(workload: str, runs: dict[str, list[dict]]) -> str:
+def report(workload: str, runs: dict[str, list[dict]], src_counts: dict[str, int]) -> str:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     lines = [f"{workload}: {len(runs['base'])} pairs (base vs change)",
              f"{'metric':<14} {'base q1/med/q3':>34} {'change q1/med/q3':>34} "
@@ -116,6 +122,7 @@ def report(workload: str, runs: dict[str, list[dict]]) -> str:
     same = len(shas["base"] | shas["change"]) == 1
     lines.append("median passes: " + ", ".join(
         f"{side} {statistics.median(r['passes'] for r in rs):g}" for side, rs in runs.items()))
+    lines.append(f"src/ lines: base {src_counts['base']}, change {src_counts['change']}")
     lines.append(f"all runs correct: {correct}")
     lines.append(f"outputs_sha256 identical: {same} "
                  f"(base {sorted(shas['base'])}, change {sorted(shas['change'])})")
@@ -145,7 +152,7 @@ def main() -> int:
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} trials_per_s={runs[side][-1]['metrics'].get('trials_per_s', float('nan')):.4g}"
                 for side in ("base", "change")), file=sys.stderr, flush=True)
-        print(report(args.workload, runs))
+        print(report(args.workload, runs, {side: src_lines(root) for side, root in roots.items()}))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     incorrect = [f"{side} pair {i + 1}" for side, rs in runs.items()
