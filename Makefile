@@ -1,6 +1,8 @@
-.PHONY: install test acceptance bench bench-ab
+.PHONY: install test acceptance bench bench-ab bench-ab-all
 
-# bench-ab: alternating benchmark runs of AB_BASE and the working tree
+# bench-ab: alternating benchmark runs of AB_BASE and the working tree;
+# bench-ab-all: the same on every workload in turn, stopping at the first
+# run whose outputs are incorrect
 AB_WORKLOAD ?= mc_large
 AB_SEED ?= 14
 AB_PAIRS ?= 10
@@ -21,3 +23,8 @@ bench:
 
 bench-ab:
 	python3 tools/bench_ab.py --workload $(AB_WORKLOAD) --seed $(AB_SEED) --pairs $(AB_PAIRS) --seconds $(AB_SECONDS) --base $(AB_BASE)
+
+bench-ab-all:
+	for workload in mc_large exact_enum audit; do \
+		python3 tools/bench_ab.py --workload $$workload --seed $(AB_SEED) --pairs $(AB_PAIRS) --seconds $(AB_SECONDS) --base $(AB_BASE) || exit 1; \
+	done

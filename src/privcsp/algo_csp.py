@@ -1,18 +1,19 @@
 """Private CSP algorithms.
 
-Four entry points:
+Every algorithm is one batch kernel that returns a (trials, n) int8 block,
+one independent run per row; the single-run form is row 0 of the kernel
+with one trial.
 
-- alg1_triangle_free_bounded: greedy signed-majority rounding with
-  randomized response, for triangle-free instances.
-- alg2_partition_kxor: noisy degree split, exponential mechanism on the
-  high-degree part, a low-degree subroutine on the whole instance, and a
-  fair coin between the two candidates.
-- alg3_dp_advrand: scaled keep-set selection, per-variable private boost
-  with a tanh marginal, and a Chebyshev-bias coordinate flip.
-- alg_oddk_unbounded: the odd-arity wrapper combining alg2 with alg3.
-
-A vectorized multi-trial variant of alg1 (alg1_batch) is provided for
-Monte-Carlo experiments and audits on sign-form instances.
+- alg1_batch / alg1_triangle_free_bounded: greedy signed-majority
+  rounding with randomized response, for triangle-free instances.
+- alg2_batch / alg2_partition_kxor: noisy degree split, exponential
+  mechanism on the high-degree part, a low-degree subroutine on the whole
+  instance, and a fair coin between the two candidates.
+- alg3_batch / alg3_dp_advrand: scaled keep-set selection, per-variable
+  private boost with a tanh marginal, and a Chebyshev-bias coordinate
+  flip.
+- alg_oddk_batch / alg_oddk_unbounded: the odd-arity wrapper combining
+  alg2 with alg3.
 """
 
 from __future__ import annotations
@@ -53,8 +54,11 @@ __all__ = [
     "alg1_triangle_free_bounded",
     "alg1_batch",
     "alg2_partition_kxor",
+    "alg2_batch",
     "alg3_dp_advrand",
+    "alg3_batch",
     "alg_oddk_unbounded",
+    "alg_oddk_batch",
 ]
 
 
@@ -72,6 +76,11 @@ _SHAPE_PMF_ID: dict[tuple, int] = {}
 # the pmf id of each constraint at each scope position; dropped with the
 # instance.
 _GROUP_PMF_IDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Per constraint group, its _position_layers; dropped with the instance.
+_GROUP_LAYERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# A parity of arity >= 2 has the derivative +-1/2 with equal odds at any
+# scope position and for either sign, so all of them share this one's pmf.
+_XOR_STAND_IN = Constraint(scope=(0, 1), b=1)
 
 
 def _pmf_id(c: Constraint, j: int) -> int:
@@ -136,151 +145,162 @@ def _group_pmf_ids(instance: CspInstance, group: ConstraintGroup) -> np.ndarray:
     return ids
 
 
+def _position_layers(group: ConstraintGroup) -> list:
+    """Per scope position p, the group's rows split into layers in which the
+    variables at position p are distinct, as (rows, variables) pairs, so
+    that one fancy-indexed column add counts each row once; computed once
+    per group."""
+    layers = _GROUP_LAYERS.get(group)
+    if layers is None:
+        layers = []
+        for col in group.scopes.T:
+            order = np.argsort(col, kind="stable")
+            ranked = col[order]
+            starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            # the k-th occurrence of a variable goes to layer k
+            occurrence = np.arange(col.size) - np.repeat(starts, np.diff(np.r_[starts, col.size]))
+            layers.append([
+                (order[occurrence == k], ranked[occurrence == k])
+                for k in range(occurrence.max(initial=-1) + 1)
+            ])
+        _GROUP_LAYERS[group] = layers
+    return layers
+
+
 def _single_hits(instance: CspInstance, mask: np.ndarray):
-    """Yields (group, rows, positions, variables) for each constraint group:
-    the rows whose scope holds exactly one variable of `mask`, that
-    variable's scope position, and the variable."""
+    """Yields (group, t, c, pos) for each constraint group and a (trials, n)
+    bool block `mask`: every pair of a row t and a constraint c of the group
+    (its row in the group's arrays) whose scope holds exactly one variable
+    of mask[t], with that variable's scope position."""
     for group in constraint_groups(instance):
-        hits = mask[group.scopes]
-        rows = np.flatnonzero(hits.sum(axis=1) == 1)
-        pos = hits[rows].argmax(axis=1)
-        yield group, rows, pos, group.scopes[rows, pos]
+        hits = mask[:, group.scopes]
+        t, c = np.nonzero(hits.sum(axis=2) == 1)
+        yield group, t, c, hits[t, c].argmax(axis=1)
 
 
-def _greedy_terms(instance: CspInstance, greedy: np.ndarray, x: np.ndarray):
-    """(constraint, variable, derivative, pmf id) of every constraint with
-    exactly one greedy scope variable j: its derivative_q at j with the
-    other scope variables read from x, and the id of its derivative pmf.
-    Also each (j, fixed variable) pair of those constraints, coded j*n + i."""
-    parts = []
-    for group, rows, pos, j in _single_hits(instance, greedy):
+def _greedy_sums(instance: CspInstance, greedy: np.ndarray, x: np.ndarray):
+    """Per cell (trial t, variable j) of (trials, n) blocks, over the
+    constraints active at j in trial t (j is their only greedy scope
+    variable): twice the summed derivative_q at j, with the other scope
+    variables read from x[t]; the number of active parities of arity >= 2;
+    and the number of the other active constraints. All exact integers,
+    bounded by the degree, in int32."""
+    trials, n = greedy.shape
+    sum2, xors, others = (np.zeros((trials, n), dtype=np.int32) for _ in range(3))
+    for group in constraint_groups(instance):
+        hits = greedy[:, group.scopes]
+        single = hits.sum(axis=2) == 1
         if group.signs is not None:
-            # b times the product over the scope without j: x_j is +-1, so
-            # multiplying it in again divides it out
-            q = group.signs[rows] * group.products(x)[rows] * x[j] / 2
+            prod = group.signs * group.products(x)
         else:
-            idx = group.table_index(x)[rows]
-            tables = group.tables[rows]
-            k = np.arange(rows.size)
-            q = (tables[k, idx | (1 << pos)] - tables[k, idx & ~(1 << pos)]) / 2
-        pids = _group_pmf_ids(instance, group)[rows, pos]
-        scopes = group.scopes[rows]
-        fixed = (j[:, None] * instance.n + scopes)[scopes != j[:, None]]
-        parts.append((group.cons[rows], j, q, pids, fixed))
-    if not parts:
-        empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, np.zeros(0), empty, empty
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+            idx = group.table_index(x)
+            rows = np.arange(len(group.cons))
+        counter = xors if group.signs is not None and group.arity >= 2 else others
+        for p, layers in enumerate(_position_layers(group)):
+            hit = hits[:, :, p] & single
+            if group.signs is not None:
+                # b times the scope product, times x_j (+-1), is b times the
+                # product over the scope without j
+                q2 = hit * prod * x[:, group.scopes[:, p]]
+            else:
+                q2 = hit * (group.tables[rows, idx | (1 << p)] - group.tables[rows, idx & ~(1 << p)])
+            for layer, cols in layers:
+                sum2[:, cols] += q2[:, layer]
+                counter[:, cols] += hit[:, layer]
+    return sum2, xors, others
 
 
-def _greedy_medians(instance: CspInstance, cons, var, pids, fixed, n: int):
-    """(theta, gamma) per variable: _median_for of each variable's active
-    constraints, (0, 1/2) without any. Variables whose active constraints
-    have the same multiset of pmf ids and pairwise disjoint fixed supports
-    share one _median_for call; `fixed` holds the (j, fixed variable) pairs
-    from _greedy_terms."""
-    theta, gamma = np.zeros(n), np.full(n, 0.5)
-    if var.size == 0:
-        return theta, gamma
+def _cell_medians(instance: CspInstance, greedy: np.ndarray, cells: np.ndarray, overlaps: bool):
+    """(theta, gamma) arrays of the exact median of the summed derivative,
+    and its tie bias, at each cell t * n + j of the sorted array `cells`,
+    each with at least one active constraint. Cells with the same multiset
+    of pmf ids share one _median_for call. With `overlaps`, a cell whose
+    active constraints' fixed supports (scope minus j) overlap gets a call
+    of its own (one per distinct constraint set and j), which _median_for
+    sends to the oracle."""
+    trials, n = greedy.shape
+    marked = np.zeros(trials * n, dtype=bool)
+    marked[cells] = True
+    marked = marked.reshape(trials, n)
+    xor_id = _pmf_id(_XOR_STAND_IN, 0)
+    parts, fixed = [], []
+    for group, t, c, pos in _single_hits(instance, greedy):
+        j = group.scopes[c, pos]
+        sel = marked[t, j]
+        t, c, pos, j = t[sel], c[sel], pos[sel], j[sel]
+        if group.signs is not None and group.arity >= 2:
+            pids = np.full(c.size, xor_id)
+        else:
+            pids = _group_pmf_ids(instance, group)[c, pos]
+        rank = np.searchsorted(cells, t * n + j)
+        parts.append((rank, pids, group.cons[c]))
+        if overlaps:
+            scopes = group.scopes[c]
+            fixed.append((rank[:, None] * n + scopes)[scopes != j[:, None]])
+    rank, pids, cons = (np.concatenate(cols) for cols in zip(*parts))
+    order = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank, np.arange(cells.size + 1), sorter=order)
+    memo = {}
 
-    def median(j):
-        cs = [instance.constraints[c] for c in np.sort(cons[var == j])]
-        return _median_for(cs, int(j))
+    def median(k):
+        cs = np.sort(cons[order[bounds[k]:bounds[k + 1]]])
+        key = (cs.tobytes(), int(cells[k] % n))
+        if key not in memo:
+            memo[key] = _median_for([instance.constraints[i] for i in cs.tolist()], key[1])
+        return memo[key]
 
-    ids, rank = np.unique(pids, return_inverse=True)
-    counts = np.bincount(var * ids.size + rank, minlength=n * ids.size).reshape(n, ids.size)
-    # a (j, fixed variable) pair seen twice: j's fixed supports overlap
-    pairs = np.sort(fixed)
-    overlap = np.unique(pairs[1:][pairs[1:] == pairs[:-1]] // n)
-    for j in overlap:
-        theta[j], gamma[j] = median(j)
-    counts[overlap] = 0
-    # runs of equal rows of pmf-id counts share a median; zero rows keep (0, 1/2)
-    order = np.lexsort(counts.T)
-    ranked = counts[order]
-    starts = np.flatnonzero(np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)])
-    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [n]):
-        if ranked[start].any():
-            js = order[start:stop]
-            theta[js], gamma[js] = median(order[start])
-    return theta, gamma
-
-
-def alg1_triangle_free_bounded(
-    instance: CspInstance, epsilon: float, rng, check: bool = True
-) -> np.ndarray:
-    """Signed-majority rounding with randomized response on triangle-free
-    instances. Fixed variables are uniform; each greedy variable follows
-    the sign of its summed constraint derivative against an exact median
-    (randomized tie bias keeps the sign exactly unbiased), passed through
-    randomized response at the full budget. Every output coordinate is
-    marginally uniform.
-    """
-    keep_prob = keep_probability(epsilon)
-    if check and not is_triangle_free(instance):
-        raise ValueError("alg1 requires a triangle-free instance")
-    gen = as_generator(rng)
-    n = instance.n
-    greedy = gen.random(n) < 0.5
-    x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
-    # the fixed scope variables of an active constraint are not greedy, so
-    # every derivative reads the initial x; sums of +-1/2 are exact
-    cons, var, q, pids, fixed = _greedy_terms(instance, greedy, x)
-    sum_q = np.bincount(var, weights=q, minlength=n)
-    theta, gamma = _greedy_medians(instance, cons, var, pids, fixed, n)
-    js = np.flatnonzero(greedy)
-    s, th = sum_q[js], theta[js]
-    tie = (s == th).astype(np.intp)
-    # in ascending j: a tie draw on a tie, then the keep draw; one vector
-    # draw yields the same doubles as those scalar draws
-    first = np.cumsum(1 + tie) - (1 + tie)
-    u = gen.random(js.size + int(tie.sum()))
-    z = np.where(s > th, 1, np.where(s < th, -1, np.where(u[first] < gamma[js], 1, -1)))
-    y = np.where(u[first + tie] < keep_prob, 1, -1)
-    x[js] = y * z
-    return x
+    ids, id_rank = np.unique(pids, return_inverse=True)
+    sigs = np.bincount(rank * ids.size + id_rank, minlength=cells.size * ids.size)
+    sigs = sigs.reshape(cells.size, ids.size)
+    if overlaps:
+        # a (cell, fixed variable) pair seen twice: the supports overlap, so
+        # the median depends on more than the pmfs; such a cell is a group
+        # of its own, and the memo shares calls between equal ones
+        pairs = np.sort(np.concatenate(fixed))
+        overlap = np.unique(pairs[1:][pairs[1:] == pairs[:-1]] // n)
+        sigs[overlap, 0] = -1 - overlap
+    _, first, sig = np.unique(sigs, axis=0, return_index=True, return_inverse=True)
+    meds = np.array([median(k) for k in first.tolist()])[sig.ravel()]
+    return meds[:, 0], meds[:, 1]
 
 
 def alg1_batch(
     instance: CspInstance, epsilon: float, rng, trials: int, check: bool = True
 ) -> np.ndarray:
-    """Vectorized alg1 for sign-form instances of arity >= 2; returns a
-    (trials, n) int8 matrix of assignments, one independent run per row.
+    """Signed-majority rounding with randomized response on triangle-free
+    instances; returns a (trials, n) int8 block, one independent run per
+    row. Fixed variables are uniform; each greedy variable follows the sign
+    of its summed constraint derivative against an exact median
+    (randomized tie bias keeps the sign exactly unbiased), passed through
+    randomized response at the full budget. Every output coordinate is
+    marginally uniform.
 
     Draws, each one (trials, n) array: the greedy mask, the initial x, the
-    tie draw and the keep draw. Medians come from the closed-form table
-    _xor_median_by_count, built up to the largest count of active
-    constraints any greedy variable has.
+    tie draw and the keep draw. The fixed scope variables of an active
+    constraint are not greedy, so every derivative reads the initial x.
+    A cell (trial, variable) whose active constraints are all parities of
+    arity >= 2 reads its median from the closed form _xor_median_by_count
+    at their count. The other cells go to _median_for, and so do, with
+    check=False (the instance may have triangles), all cells with two or
+    more active constraints, whose fixed supports may overlap.
     """
     keep_prob = keep_probability(epsilon)
-    if instance.kind not in ("kxor", "maxcut"):
-        raise ValueError("alg1_batch requires a sign-form instance")
-    if any(c.arity < 2 for c in instance.constraints):
-        raise ValueError("alg1_batch requires arity >= 2 throughout")
     if check and not is_triangle_free(instance):
         raise ValueError("alg1 requires a triangle-free instance")
     gen = as_generator(rng)
     n = instance.n
     greedy = gen.random((trials, n)) < 0.5
     x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
-    # per variable: twice its summed derivative, and its number of active
-    # constraints (those whose only greedy scope variable it is)
-    sum2 = np.zeros((trials, n), dtype=np.intp)
-    count = np.zeros((trials, n), dtype=np.intp)
-    for c in instance.constraints:
-        scope = list(c.scope)
-        gsub = greedy[:, scope]
-        single = gsub.sum(axis=1) == 1
-        # b times the product over the scope; times x_j (+-1) it is b times
-        # the product over the scope without j
-        prod = c.b * x[:, scope].prod(axis=1)
-        for p, j in enumerate(scope):
-            hit = gsub[:, p] & single
-            sum2[:, j] += hit * prod * x[:, j]
-            count[:, j] += hit
-    thetas, gammas = _xor_median_by_count(int(count.max(initial=0)))
-    theta2 = (2 * thetas).astype(np.intp)[count]
-    tie = gen.random((trials, n)) < gammas[count]
+    sum2, xors, others = _greedy_sums(instance, greedy, x)
+    thetas, gammas = _xor_median_by_count(int(xors.max(initial=0)))
+    # twice the median: an integer, as the derivatives are multiples of 1/2
+    theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
+    general = others > 0 if check else (others > 0) | (xors > 1)
+    cells = np.flatnonzero(general)
+    if cells.size:
+        theta, gamma.flat[cells] = _cell_medians(instance, greedy, cells, overlaps=not check)
+        theta2.flat[cells] = 2 * theta
+    tie = gen.random((trials, n)) < gamma
     keep = gen.random((trials, n)) < keep_prob
     # z = +1 when s > theta, or s == theta and tie; y = +1 when keep; and
     # y * z = +1 exactly when the two agree
@@ -288,6 +308,55 @@ def alg1_batch(
     # np.where(greedy, y * z, x) in bool algebra: np.where branches per
     # element and is several times slower on a random mask
     return signs_from_bits((greedy & agree) | (~greedy & (x > 0)))
+
+
+def alg1_triangle_free_bounded(
+    instance: CspInstance, epsilon: float, rng, check: bool = True
+) -> np.ndarray:
+    """One run of alg1: row 0 of alg1_batch with one trial."""
+    return alg1_batch(instance, epsilon, rng, 1, check)[0]
+
+
+def alg2_batch(
+    instance: CspInstance,
+    epsilon: float,
+    rng,
+    trials: int,
+    subroutine: Callable | None = None,
+    threshold: float | None = None,
+    cap: int = 24,
+) -> np.ndarray:
+    """Noisy-degree split with an exponential mechanism on the high part;
+    one independent run per row of the returned (trials, n) int8 block.
+
+    Degrees are perturbed with Laplace(3k/epsilon) noise; variables above
+    the threshold form the high set. One candidate assignment applies the
+    exponential mechanism (budget epsilon/3, sensitivity 1) to the
+    constraints contained in the high set and uniform values elsewhere;
+    the other runs the subroutine on the whole instance at epsilon/3. A
+    fair coin picks between them. The subroutine is a batch kernel,
+    subroutine(instance, epsilon, gen, trials) -> (trials, n) block;
+    alg1_batch by default.
+    """
+    if instance.kind not in ("kxor", "maxcut"):
+        raise ValueError("alg2 requires a sign-form instance")
+    check_epsilon(epsilon, positive=True)
+    gen = as_generator(rng)
+    if subroutine is None:
+        subroutine = alg1_batch
+        if threshold is None:
+            threshold = 10000.0 / epsilon ** 4
+    elif threshold is None:
+        threshold = 100.0 / epsilon ** 2
+    degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
+    high = noisy_high_mask(instance, epsilon, degree_share, threshold, gen, trials)
+    x1 = em_on_part(instance, high, stage_budget(epsilon, em_share), gen, cap)
+    x2 = np.asarray(subroutine(instance, stage_budget(epsilon, sub_share), gen, trials))
+    if x2.shape != x1.shape or not np.all(np.abs(x2) == 1):
+        raise ValueError(
+            f"subroutine must return a {x1.shape} block of -1/+1 entries, got shape {x2.shape}"
+        )
+    return np.where((gen.random(trials) < 0.5)[:, None], x1, x2).astype(np.int8)
 
 
 def alg2_partition_kxor(
@@ -298,30 +367,13 @@ def alg2_partition_kxor(
     threshold: float | None = None,
     cap: int = 24,
 ) -> np.ndarray:
-    """Noisy-degree split with an exponential mechanism on the high part.
-
-    Degrees are perturbed with Laplace(3k/epsilon) noise; variables above
-    the threshold form the high set. One candidate assignment applies the
-    exponential mechanism (budget epsilon/3, sensitivity 1) to the
-    constraints contained in the high set and uniform values elsewhere;
-    the other runs the subroutine on the whole instance at epsilon/3. A
-    fair coin picks between them.
-    """
-    if instance.kind not in ("kxor", "maxcut"):
-        raise ValueError("alg2 requires a sign-form instance")
-    check_epsilon(epsilon, positive=True)
-    gen = as_generator(rng)
-    if subroutine is None:
-        subroutine = alg1_triangle_free_bounded
-        if threshold is None:
-            threshold = 10000.0 / epsilon ** 4
-    elif threshold is None:
-        threshold = 100.0 / epsilon ** 2
-    degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
-    high = noisy_high_mask(instance, epsilon, degree_share, threshold, gen)
-    x1 = em_on_part(instance, high, stage_budget(epsilon, em_share), gen, cap)
-    x2 = as_assignment(subroutine(instance, stage_budget(epsilon, sub_share), gen), instance.n)
-    return x1 if gen.random() < 0.5 else x2
+    """One run of alg2: row 0 of alg2_batch with one trial. A given
+    subroutine is a single run, subroutine(instance, epsilon, gen) -> x."""
+    batch = None
+    if subroutine is not None:
+        def batch(inst, eps, gen, trials):
+            return as_assignment(subroutine(inst, eps, gen), inst.n)[None]
+    return alg2_batch(instance, epsilon, rng, 1, batch, threshold, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -334,7 +386,9 @@ class AdvRandConfig:
     'random-flip' negates the assignment with probability 1/2 (the stated
     step), 'argmax' picks the better of {x, -x} (NON-PRIVATE, diagnostic
     only), 'em-pair' spends sign_budget on a two-candidate exponential
-    mechanism over {x, -x}.
+    mechanism over {x, -x}. That budget comes on top of epsilon: with
+    'em-pair', alg3 is (epsilon + sign_budget)-DP, and no budget ledger
+    records the extra stage yet.
     """
 
     scale: int | None = None
@@ -370,37 +424,43 @@ def private_boost(lambda_value, scale: float, rng, size=None):
 
 
 def _kept_influence(instance: CspInstance, keep: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per variable j, the sum over the constraints whose scope holds j and
-    no other kept variable of b times the product of x over the rest of
-    the scope, over sqrt(m); 0 for the others. Terms are added in
-    constraint order, starting from 0.0."""
+    """Per row t and variable j of (trials, n) blocks, the sum over the
+    constraints whose scope holds j and no other variable kept in row t of
+    b times the product of x[t] over the rest of the scope, over sqrt(m);
+    0 for the others. Terms are added in constraint order, starting from
+    0.0."""
+    trials, n = keep.shape
     sqrt_m = math.sqrt(instance.m)
-    cons, var, terms = [], [], []
-    for group, rows, _, j in _single_hits(instance, keep):
+    rows, cons, terms = [], [], []
+    for group, t, c, pos in _single_hits(instance, keep):
+        j = group.scopes[c, pos]
+        rows.append(t * n + j)
+        cons.append(group.cons[c])
         # multiplying x_j (+-1) into the scope product again divides it out
-        cons.append(group.cons[rows])
-        var.append(j)
-        terms.append(group.signs[rows] * group.products(x)[rows] * x[j] / sqrt_m)
+        terms.append(group.signs[c] * group.products(x)[t, c] * x[t, j] / sqrt_m)
     order = np.argsort(np.concatenate(cons))
-    # bincount adds each variable's weights in the order given
+    # bincount adds each row's weights in the order given
     return np.bincount(
-        np.concatenate(var)[order], weights=np.concatenate(terms)[order], minlength=instance.n
-    )
+        np.concatenate(rows)[order], weights=np.concatenate(terms)[order], minlength=trials * n
+    ).reshape(trials, n)
 
 
-def alg3_dp_advrand(
+def alg3_batch(
     instance: CspInstance,
     epsilon: float,
     rng,
+    trials: int,
     config: AdvRandConfig | None = None,
 ) -> np.ndarray:
-    """Scaled advantage rounding with a private tanh boost.
+    """Scaled advantage rounding with a private tanh boost; one independent
+    run per row of the returned (trials, n) int8 block.
 
     Phase 1 keeps each variable with probability 2^-s and fixes the rest
     uniformly; phase 2 boosts each kept variable toward the sign of its
     normalized active-constraint sum; phase 3 flips kept coordinates with
     the Chebyshev bias (1 - cos(r pi / k) / 2) / 2; phase 4 applies the
-    configured global sign step.
+    configured global sign step. Each row draws its own scale s, flip
+    index r and global sign.
     """
     check_epsilon(epsilon)
     if instance.kind not in ("kxor", "maxcut"):
@@ -409,45 +469,79 @@ def alg3_dp_advrand(
         raise ValueError("alg3 requires at least one constraint")
     instance.require_distinct_scopes()
     config = config or AdvRandConfig()
+    k = instance.max_arity
+    if config.flip_index is not None and config.flip_index > k:
+        raise ValueError(f"flip_index {config.flip_index} exceeds arity {k}")
     gen = as_generator(rng)
     n, m = instance.n, instance.m
-    k = instance.max_arity
     smax = max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-    s = config.scale if config.scale is not None else int(gen.integers(1, smax + 1))
-    keep = gen.random(n) < 2.0 ** (-s)
-    x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
-    scale = boost_scale(epsilon, m)
-    kept = np.flatnonzero(keep)
+    if config.scale is not None:
+        s = np.full(trials, config.scale)
+    else:
+        s = gen.integers(1, smax + 1, size=trials)
+    keep = gen.random((trials, n)) < (2.0 ** -s)[:, None]
+    x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
     lam = _kept_influence(instance, keep, x)
-    # one vector draw yields the same doubles as one scalar draw per kept j
-    x[kept] = private_boost(lam[kept], scale, gen)
-    r = (
-        config.flip_index
-        if config.flip_index is not None
-        else int(gen.integers(0, k + 1))
-    )
-    if r > k:
-        raise ValueError(f"flip_index {r} exceeds arity {k}")
-    eta = math.cos(r * math.pi / k) / 2.0
-    flip = gen.random(n) < (1.0 - eta) / 2.0
+    x = np.where(keep, private_boost(lam, boost_scale(epsilon, m), gen), x)
+    if config.flip_index is not None:
+        r = np.full(trials, config.flip_index)
+    else:
+        r = gen.integers(0, k + 1, size=trials)
+    eta = np.array([math.cos(i * math.pi / k) / 2.0 for i in range(k + 1)])[r]
+    flip = gen.random((trials, n)) < ((1.0 - eta) / 2.0)[:, None]
     x = np.where(keep & flip, -x, x).astype(np.int8)
     if config.global_sign == "random-flip":
-        if gen.random() < 0.5:
-            x = (-x).astype(np.int8)
+        negate = gen.random(trials) < 0.5
     elif config.global_sign == "argmax":
-        if eval_value(instance, -x) > eval_value(instance, x):
-            x = (-x).astype(np.int8)
+        negate = eval_value(instance, -x) > eval_value(instance, x)
     else:
-        x = np.asarray(
-            exponential_mechanism(
-                [x, (-x).astype(np.int8)],
-                lambda cand: eval_value(instance, cand),
-                config.sign_budget,
-                1.0,
-                gen,
-            )
-        )
-    return x
+        values = np.stack([eval_value(instance, x), eval_value(instance, -x)], axis=1)
+        negate = np.array([
+            exponential_mechanism((False, True), v, config.sign_budget, 1.0, gen)
+            for v in values
+        ], dtype=bool)
+    return np.where(negate[:, None], -x, x).astype(np.int8)
+
+
+def alg3_dp_advrand(
+    instance: CspInstance,
+    epsilon: float,
+    rng,
+    config: AdvRandConfig | None = None,
+) -> np.ndarray:
+    """One run of alg3: row 0 of alg3_batch with one trial."""
+    return alg3_batch(instance, epsilon, rng, 1, config)[0]
+
+
+def alg_oddk_batch(
+    instance: CspInstance,
+    epsilon: float,
+    rng,
+    trials: int,
+    threshold_const: float = 100.0,
+    config: AdvRandConfig | None = None,
+) -> np.ndarray:
+    """Odd-arity unbounded-degree wrapper: the degree-split pipeline with
+    the advantage-rounding subroutine and threshold threshold_const/eps^2;
+    one independent run per row of the returned (trials, n) int8 block."""
+    if instance.kind not in ("kxor", "maxcut"):
+        raise ValueError("alg_oddk requires a sign-form instance")
+    k = instance.max_arity
+    if k % 2 == 0:
+        raise ValueError("alg_oddk requires odd arity; use alg2_partition_kxor")
+    check_epsilon(epsilon, positive=True)
+
+    def subroutine(inst, eps, gen, sub_trials):
+        return alg3_batch(inst, eps, gen, sub_trials, config=config)
+
+    return alg2_batch(
+        instance,
+        epsilon,
+        rng,
+        trials,
+        subroutine=subroutine,
+        threshold=threshold_const / epsilon ** 2,
+    )
 
 
 def alg_oddk_unbounded(
@@ -457,22 +551,5 @@ def alg_oddk_unbounded(
     threshold_const: float = 100.0,
     config: AdvRandConfig | None = None,
 ) -> np.ndarray:
-    """Odd-arity unbounded-degree wrapper: the degree-split pipeline with
-    the advantage-rounding subroutine and threshold threshold_const/eps^2."""
-    if instance.kind not in ("kxor", "maxcut"):
-        raise ValueError("alg_oddk requires a sign-form instance")
-    k = instance.max_arity
-    if k % 2 == 0:
-        raise ValueError("alg_oddk requires odd arity; use alg2_partition_kxor")
-    check_epsilon(epsilon, positive=True)
-
-    def subroutine(inst, eps, gen):
-        return alg3_dp_advrand(inst, eps, gen, config=config)
-
-    return alg2_partition_kxor(
-        instance,
-        epsilon,
-        rng,
-        subroutine=subroutine,
-        threshold=threshold_const / epsilon ** 2,
-    )
+    """One run of alg_oddk: row 0 of alg_oddk_batch with one trial."""
+    return alg_oddk_batch(instance, epsilon, rng, 1, threshold_const, config)[0]

@@ -9,9 +9,11 @@
 - dp_maxcut_general: degree split, subsampled mutual-choice matching with
   a factorized exponential mechanism, and a final three-way selection.
 
-All algorithms require unweighted graphs and return +-1 side vectors.
-Batch variants return one run per row and are exact distributional twins
-of the single-run forms.
+All algorithms require unweighted graphs and return +-1 sides. Each is
+one batch kernel (shearer_batch, dp_shearer_batch,
+dp_maxcut_unbounded_batch, dp_maxcut_general_batch) that returns a
+(trials, n) int8 block, one independent run per row; the single-run form
+is row 0 of the kernel with one trial.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .csp_core import WeightedGraph, cut_value, signs_from_bits
 from .dp_mechanisms import (
@@ -52,9 +55,11 @@ __all__ = [
     "dp_shearer",
     "dp_shearer_batch",
     "dp_maxcut_unbounded",
+    "dp_maxcut_unbounded_batch",
     "mutual_choice_matching",
     "matching_em_cut",
     "dp_maxcut_general",
+    "dp_maxcut_general_batch",
 ]
 
 
@@ -94,9 +99,18 @@ def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int
     c2 = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
     u, v, _ = graph.edge_arrays()
     same = c1[:, u] == c1[:, v]
-    # flat (trial, vertex) index of both endpoints of every same-color edge
-    ends = (np.arange(trials)[:, None] * n + np.concatenate((u, v)))[np.tile(same, 2)]
-    return c1, c2, np.bincount(ends, minlength=trials * n).reshape(trials, n)
+    # the (trials, m) same-color indicator times the (m, n) sparse
+    # edge-vertex incidence: per vertex, its same-color edges, a count up to
+    # its degree, so the smallest unsigned type that holds the largest
+    # degree is exact (uint8 reads the bool indicator without a copy)
+    dtype = np.min_scalar_type(int(graph.degree_counts().max(initial=0)))
+    edges = np.arange(u.size)
+    incidence = sparse.csr_array(
+        (np.ones(2 * u.size, dtype=dtype), (np.concatenate((edges, edges)), np.concatenate((u, v)))),
+        shape=(u.size, n),
+    )
+    ell = incidence.T @ same.T.view(np.uint8).astype(dtype, copy=False)
+    return c1, c2, np.ascontiguousarray(ell.T, dtype=np.int64)
 
 
 def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
@@ -125,8 +139,11 @@ def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> 
     c1, c2, ell = _two_color_batch(graph, gen, trials)
     deg = graph.degree_counts()
     zeta = sample_discrete_laplace(epsilon / 2.0, gen, size=(trials, graph.n))
+    # ell - ceil((d - 1) / 2) + zeta, in place on the fresh noise array;
     # ceil((d - 1) / 2) equals d // 2 for every nonnegative integer d
-    take_first = ell - deg // 2 + zeta <= 0
+    zeta += ell
+    zeta -= deg // 2
+    take_first = zeta <= 0
     # np.where(take_first, c1, c2) in bool algebra: np.where branches per
     # element and is several times slower on a random mask
     return signs_from_bits((take_first & (c1 > 0)) | (~take_first & (c2 > 0)))
@@ -139,10 +156,11 @@ def dp_shearer(graph: WeightedGraph, epsilon: float, rng) -> np.ndarray:
     return dp_shearer_batch(graph, epsilon, rng, 1)[0]
 
 
-def dp_maxcut_unbounded(
-    graph: WeightedGraph, epsilon: float, rng, cap: int = 24
+def dp_maxcut_unbounded_batch(
+    graph: WeightedGraph, epsilon: float, rng, trials: int, cap: int = 24
 ) -> np.ndarray:
-    """Unbounded-degree private Max-Cut.
+    """Unbounded-degree private Max-Cut; one independent run per row of the
+    returned (trials, n) int8 block.
 
     Noisy degrees (Laplace(6/epsilon), as one edge moves two degrees)
     against the threshold 10000/eps^2 select the high-degree part; one
@@ -155,10 +173,17 @@ def dp_maxcut_unbounded(
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     degree_share, em_share, shearer_share = UNBOUNDED_BUDGET_FRACTIONS
-    high = noisy_high_mask(graph, epsilon, degree_share, 10000.0 / epsilon ** 2, gen)
+    high = noisy_high_mask(graph, epsilon, degree_share, 10000.0 / epsilon ** 2, gen, trials)
     s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen, cap)
-    s2 = dp_shearer(graph, stage_budget(epsilon, shearer_share), gen)
-    return s1 if gen.random() < 0.5 else s2
+    s2 = dp_shearer_batch(graph, stage_budget(epsilon, shearer_share), gen, trials)
+    return np.where((gen.random(trials) < 0.5)[:, None], s1, s2)
+
+
+def dp_maxcut_unbounded(
+    graph: WeightedGraph, epsilon: float, rng, cap: int = 24
+) -> np.ndarray:
+    """One run of alg5: row 0 of dp_maxcut_unbounded_batch with one trial."""
+    return dp_maxcut_unbounded_batch(graph, epsilon, rng, 1, cap)[0]
 
 
 def mutual_choice_matching(graph: WeightedGraph, rng) -> MatchingState:
@@ -212,14 +237,16 @@ def _check_amplification(rate: float, budget: float) -> None:
         )
 
 
-def dp_maxcut_general(
+def dp_maxcut_general_batch(
     graph: WeightedGraph,
     epsilon: float,
     alpha: float,
     rng,
+    trials: int,
     cap: int = 24,
 ) -> np.ndarray:
-    """General-graph private Max-Cut.
+    """General-graph private Max-Cut; one independent run per row of the
+    returned (trials, n) int8 block.
 
     Builds three candidate cuts: an exponential mechanism on the noisy
     high-degree part (budget epsilon/6), a factorized exponential
@@ -227,7 +254,9 @@ def dp_maxcut_general(
     eps^{1+alpha}/70 within the low part (inner budget 2.5, amplified to
     at most epsilon/6 by subsampling), and the degree partition itself.
     A final exponential mechanism at budget epsilon/2 and sensitivity 1
-    selects among them by cut value.
+    selects among them by cut value. The degree split and the first
+    candidate are drawn for all rows at once; the matching and the final
+    selection run row by row, after them.
     """
     _require_unweighted(graph, "dp_maxcut_general")
     if not (0.0 < epsilon <= 0.1):
@@ -252,23 +281,33 @@ def dp_maxcut_general(
         )
     gen = as_generator(rng)
     n = graph.n
-    high_mask = noisy_high_mask(graph, epsilon, degree_share, 24.0 / eps_pow, gen)
-    s1 = em_on_part(graph, high_mask, stage_budget(epsilon, em_share), gen, cap)
-
+    high = noisy_high_mask(graph, epsilon, degree_share, 24.0 / eps_pow, gen, trials)
+    s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen, cap)
     u, v, _ = graph.edge_arrays()
-    low = np.flatnonzero(~(high_mask[u] | high_mask[v]))
-    # one uniform per low edge, in edge order
-    kept = tuple(graph.edges[i] for i in low[gen.random(low.size) < rate])
-    matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
-    s2 = matching_em_cut(n, matching, gen)
+    out = np.empty((trials, n), dtype=np.int8)
+    for t, high_mask in enumerate(high):
+        low = np.flatnonzero(~(high_mask[u] | high_mask[v]))
+        # one uniform per low edge, in edge order
+        kept = tuple(graph.edges[i] for i in low[gen.random(low.size) < rate])
+        matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
+        s2 = matching_em_cut(n, matching, gen)
+        s3 = np.where(high_mask, 1, -1).astype(np.int8)
+        out[t] = exponential_mechanism(
+            [s1[t], s2, s3],
+            lambda cand: cut_value(graph, cand),
+            stage_budget(epsilon, final_share),
+            1.0,
+            gen,
+        )
+    return out
 
-    s3 = np.where(high_mask, 1, -1).astype(np.int8)
 
-    chosen = exponential_mechanism(
-        [s1, s2, s3],
-        lambda cand: cut_value(graph, cand),
-        stage_budget(epsilon, final_share),
-        1.0,
-        gen,
-    )
-    return np.asarray(chosen, dtype=np.int8)
+def dp_maxcut_general(
+    graph: WeightedGraph,
+    epsilon: float,
+    alpha: float,
+    rng,
+    cap: int = 24,
+) -> np.ndarray:
+    """One run of alg6: row 0 of dp_maxcut_general_batch with one trial."""
+    return dp_maxcut_general_batch(graph, epsilon, alpha, rng, 1, cap)[0]

@@ -17,8 +17,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from .csp_core import (
     Constraint,
     CspInstance,
@@ -184,10 +182,10 @@ def _cmd_solve(args) -> int:
     problem = _load_problem(args.instance)
     from .harness import _wants_graph
 
-    runner, want_graph = ALGORITHMS[args.algorithm]
+    kernel, want_graph = ALGORITHMS[args.algorithm]
     prob = _wants_graph(problem, want_graph)
-    gen = RngStream(args.seed, 0).generator()
-    x = np.asarray(runner(prob, args.eps[0], args.alpha, gen))
+    # row 0 of a one-trial kernel call: ratio --trials 1 with this seed
+    x = kernel(prob, args.eps[0], args.alpha, RngStream(args.seed, 0).generator(), 1)[0]
     print(
         json.dumps(
             {

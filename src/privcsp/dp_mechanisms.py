@@ -21,6 +21,7 @@ from .csp_core import (
     all_values,
     assignment_rows,
     degrees,
+    signs_from_bits,
 )
 
 EM_ENUMERATION_CAP = 24
@@ -287,25 +288,38 @@ def budget_ledger(algorithm: str, epsilon: float) -> tuple[tuple[str, float], ..
     return tuple((name, stage_budget(epsilon, f)) for name, f in zip(names.split(), shares))
 
 
-def noisy_high_mask(problem, epsilon: float, share: Fraction, threshold: float, rng) -> np.ndarray:
+def noisy_high_mask(
+    problem, epsilon: float, share: Fraction, threshold: float, rng, trials: int | None = None
+) -> np.ndarray:
     """Degree stage: the bool mask of the variables whose degree plus
-    Laplace noise (one sample_laplace draw of size n) exceeds threshold.
+    Laplace noise exceeds threshold, from one sample_laplace draw of size n
+    (shape (n,)), or of shape (trials, n) with `trials`, one row per run.
     One constraint moves k degrees by one each, so the scale k / (share *
     epsilon), with k the max arity (at least 1) of an instance and 2 for a
     graph, spends share * epsilon (Dwork, McSherry, Nissim and Smith 2006).
     """
     k = 2 if isinstance(problem, WeightedGraph) else max(problem.max_arity, 1)
     scale = k * share.denominator / (share.numerator * epsilon)
-    return degrees(problem) + sample_laplace(scale, rng, size=problem.n) > threshold
+    size = problem.n if trials is None else (trials, problem.n)
+    return degrees(problem) + sample_laplace(scale, rng, size=size) > threshold
 
 
 def em_on_part(problem, part: np.ndarray, budget: float, rng, cap: int = EM_ENUMERATION_CAP):
-    """A uniform +-1 int8 vector, with the variables of the bool mask part
-    replaced by one em_over_assignments draw (budget, sensitivity 1) on
-    them; an empty part draws only the uniform vector."""
+    """A uniform +-1 int8 array shaped like the bool mask part (one vector,
+    or a (trials, n) block with one part per row), with the variables of
+    each row's part replaced by an em_over_assignments draw (budget,
+    sensitivity 1) on them. Rows with the same part share one
+    em_over_assignments_batch call, one draw per row; empty parts draw
+    only the uniform array."""
     gen = as_generator(rng)
-    x = (2 * gen.integers(0, 2, size=problem.n) - 1).astype(np.int8)
-    idx = np.flatnonzero(part)
-    if idx.size:
-        x[idx] = em_over_assignments(problem, idx.tolist(), budget, 1.0, gen, cap=cap)
+    x = signs_from_bits(gen.integers(0, 2, size=np.shape(part)))
+    rows, parts = np.atleast_2d(x, np.asarray(part))
+    groups: dict[bytes, list[int]] = {}
+    for r in np.flatnonzero(parts.any(axis=1)).tolist():
+        groups.setdefault(parts[r].tobytes(), []).append(r)
+    for members in groups.values():
+        idx = np.flatnonzero(parts[members[0]])
+        rows[np.ix_(members, idx)] = em_over_assignments_batch(
+            problem, idx.tolist(), budget, 1.0, gen, len(members), cap=cap
+        )
     return x

@@ -1,19 +1,25 @@
 """Experiment orchestration: ratio estimation, epsilon sweeps, privacy
 audits, and hardness verification.
 
-Trials run sequentially with per-trial stream ids 0..trials-1: trial t
-draws from RngStream(seed, t) at every epsilon, so a fixed (config, seed)
+Every algorithm is one batch kernel, kernel(view, eps, alpha, gen,
+trials) -> (trials, n) int8 block. At each epsilon the trials fill one
+block, one kernel call per chunk of about 2^VALUE_CHUNK_BITS // n rows,
+and one eval_value call per chunk evaluates it. All chunks at one epsilon
+draw from one fresh RngStream(seed, 0) generator, so every epsilon reads
+the same random numbers from the start, and a fixed (config, seed)
 reproduces identical results; the CSV determinism contract covers every
-column except wall_ms. The trials at one epsilon fill an int8
-(trials, n) block of assignments, which one eval_value call evaluates.
+column except wall_ms. Row t of a block depends on the trial count (the
+chunks split the draws by row count), so a run with more trials does not
+extend a run with fewer. `solve` is row 0 of a one-trial kernel call on
+RngStream(seed, 0), so it equals `ratio --trials 1` with the same seed.
 
 An instance is converted to the view its algorithm consumes and validated
 once per experiment, not once per trial: the conversion happens once for
-the whole epsilon grid, and the checks the algorithms repeat on every
-trial (triangle-freeness, unit weights, degrees, edge columns) read data
-the instance computed on first use. em_baseline's value table and CDF
-are built once per (instance, epsilon) as well: em_over_assignments keeps
-the last CDF on the instance, and every trial draws from it.
+the whole epsilon grid, and the checks the kernels repeat per call
+(triangle-freeness, unit weights, degrees, edge columns) read data the
+instance computed on first use. em_baseline's value table and CDF are
+built once per (instance, epsilon) as well: em_over_assignments_batch
+keeps the last CDF on the instance.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from scipy import stats
 
 from . import algo_csp, algo_maxcut
 from .csp_core import (
+    VALUE_CHUNK_BITS,
     Constraint,
     CspInstance,
     WeightedGraph,
@@ -41,6 +48,7 @@ from .csp_core import (
     instance_to_graph,
     instance_to_json,
     mu,
+    signs_from_bits,
 )
 from .dp_mechanisms import (
     RngStream,
@@ -85,31 +93,29 @@ def _wants_graph(problem, want_graph: bool):
     return problem
 
 
-def _run_em_baseline(problem, eps, alpha, gen):
+def _em_baseline_batch(problem, eps, alpha, gen, trials):
     """Exponential mechanism (budget eps, sensitivity 1) over the variables
     some constraint touches; the others are uniform."""
-    return em_on_part(problem, degrees(problem) > 0, eps, gen)
+    covered = np.broadcast_to(degrees(problem) > 0, (trials, problem.n))
+    return em_on_part(problem, covered, eps, gen)
 
 
-def _run_random_baseline(problem, eps, alpha, gen):
-    return (2 * gen.integers(0, 2, size=problem.n) - 1).astype(np.int8)
+def _random_baseline_batch(problem, eps, alpha, gen, trials):
+    return signs_from_bits(gen.integers(0, 2, size=(trials, problem.n)))
 
 
-# id -> (runner(problem, eps, alpha, gen) -> assignment, wants_graph)
+# id -> (kernel(problem, eps, alpha, gen, trials) -> (trials, n) block, wants_graph)
 ALGORITHMS: dict[str, tuple[Callable, bool]] = {
-    "alg1": (
-        lambda p, e, a, g: algo_csp.alg1_triangle_free_bounded(p, e, g),
-        False,
-    ),
-    "alg2": (lambda p, e, a, g: algo_csp.alg2_partition_kxor(p, e, g), False),
-    "alg3": (lambda p, e, a, g: algo_csp.alg3_dp_advrand(p, e, g), False),
-    "alg_oddk": (lambda p, e, a, g: algo_csp.alg_oddk_unbounded(p, e, g), False),
-    "shearer": (lambda p, e, a, g: algo_maxcut.shearer_baseline(p, g), True),
-    "dp_shearer": (lambda p, e, a, g: algo_maxcut.dp_shearer(p, e, g), True),
-    "alg5": (lambda p, e, a, g: algo_maxcut.dp_maxcut_unbounded(p, e, g), True),
-    "alg6": (lambda p, e, a, g: algo_maxcut.dp_maxcut_general(p, e, a, g), True),
-    "em_baseline": (_run_em_baseline, False),
-    "random_baseline": (_run_random_baseline, False),
+    "alg1": (lambda p, e, a, g, t: algo_csp.alg1_batch(p, e, g, t), False),
+    "alg2": (lambda p, e, a, g, t: algo_csp.alg2_batch(p, e, g, t), False),
+    "alg3": (lambda p, e, a, g, t: algo_csp.alg3_batch(p, e, g, t), False),
+    "alg_oddk": (lambda p, e, a, g, t: algo_csp.alg_oddk_batch(p, e, g, t), False),
+    "shearer": (lambda p, e, a, g, t: algo_maxcut.shearer_batch(p, g, t), True),
+    "dp_shearer": (lambda p, e, a, g, t: algo_maxcut.dp_shearer_batch(p, e, g, t), True),
+    "alg5": (lambda p, e, a, g, t: algo_maxcut.dp_maxcut_unbounded_batch(p, e, g, t), True),
+    "alg6": (lambda p, e, a, g, t: algo_maxcut.dp_maxcut_general_batch(p, e, a, g, t), True),
+    "em_baseline": (_em_baseline_batch, False),
+    "random_baseline": (_random_baseline_batch, False),
 }
 
 
@@ -227,32 +233,35 @@ def _run_one_eps(
     view,
     eps: float,
     opt: float | None,
+    baseline: float,
     chash: str,
 ) -> ReportRow:
     """Runs the trials at one eps on view, the form of problem that the
-    algorithm consumes; the row reports on problem."""
-    runner = ALGORITHMS[config.algorithm][0]
+    algorithm consumes; the row reports on problem, whose uniform-assignment
+    value is baseline."""
+    kernel = ALGORITHMS[config.algorithm][0]
     t0 = time.perf_counter()
-    block = np.empty((config.trials, view.n), dtype=np.int8)
-    for t in range(config.trials):
-        block[t] = runner(view, eps, config.alpha, RngStream(config.seed, t).generator())
-    values = eval_value(view, block)
+    gen = RngStream(config.seed, 0).generator()
+    step = max(1, (1 << VALUE_CHUNK_BITS) // max(1, view.n))
+    values = np.concatenate([
+        eval_value(view, kernel(view, eps, config.alpha, gen, min(step, config.trials - start)))
+        for start in range(0, config.trials, step)
+    ])
     wall_ms = (time.perf_counter() - t0) * 1000.0
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
-    size = problem.m
     return ReportRow(
         algorithm=config.algorithm,
         eps=eps,
         alpha=config.alpha,
         n=problem.n,
-        m=size,
+        m=problem.m,
         trials=config.trials,
         mean_val=mean,
         se=se,
         opt=opt,
         ratio=(mean / opt) if opt else None,
-        advantage=mean - _baseline_value(problem),
+        advantage=mean - baseline,
         seed=config.seed,
         config_hash=chash,
         wall_ms=wall_ms,
@@ -267,8 +276,9 @@ def estimate_ratio(config: ExperimentConfig, problem) -> ExperimentReport:
     if problem.n <= config.opt_cap:
         opt = brute_force_opt(problem, cap=config.opt_cap)[0]
     chash = config.config_hash(problem)
+    baseline = _baseline_value(problem)
     rows = tuple(
-        _run_one_eps(config, problem, view, e, opt, chash) for e in config.eps
+        _run_one_eps(config, problem, view, e, opt, baseline, chash) for e in config.eps
     )
     return ExperimentReport(rows=rows)
 

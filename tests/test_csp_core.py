@@ -482,6 +482,61 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             WeightedGraph(n=2, edges=((0, 1, 0.0),))
 
+    @staticmethod
+    def loop_check(n, edges):
+        """The edge-by-edge check the column check must agree with."""
+        for u, v, w in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            if not w > 0:
+                raise ValueError(f"edge weight must be positive, got {w}")
+
+    @pytest.mark.parametrize("edges,message", [
+        (((0, 1, 1.0), (2, 2, 1.0), (0, 9, 1.0)), "self-loop at vertex 2"),
+        (((0, 1, 1.0), (0, 3, 1.0), (2, 2, 1.0)), r"edge \(0,3\) out of range for n=3"),
+        (((-1, 1, 1.0),), r"edge \(-1,1\) out of range for n=3"),
+        (((0, 1, 1.0), (1, 2, -0.5), (1, 1, 1.0)), "edge weight must be positive, got -0.5"),
+        (((0, 1, 0),), "edge weight must be positive, got 0"),
+        (((0, 1, float("nan")),), "edge weight must be positive, got nan"),
+        (((float("nan"), 1, 1.0),), r"edge \(nan,1\) out of range for n=3"),
+        (((2 ** 70, 1, 1.0),), r"edge \(1180591620717411303424,1\) out of range for n=3"),
+    ])
+    def test_first_offending_edge_named(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedGraph(n=3, edges=edges)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.loop_check(3, edges)
+
+    @pytest.mark.parametrize("edges", [
+        (("0", "1", 1.0),), ((None, 1, 1.0),), ((0, 1),), ((0, 1, 1.0, 2),),
+        ((0, 1, 1.0), (0, 1, 2, 9), (1, 2)), ((0, 1, [1.0]),), (5,), ((0, 1, 1 + 0j),),
+        ((0, 1, 1.0), (1, 2, "x")),
+    ])
+    def test_other_rejections_unchanged(self, edges):
+        with pytest.raises(Exception) as new:
+            WeightedGraph(n=3, edges=edges)
+        with pytest.raises(Exception) as ref:
+            self.loop_check(3, edges)
+        assert type(new.value) is type(ref.value) and str(new.value) == str(ref.value)
+
+    def test_accepted_edges_and_columns(self):
+        cases = [
+            ((0, 1, 1.0), (1, 2, 2.5)), ((True, False, 1),), ((0.5, 1, 1.0),),
+            ((np.int64(0), np.int64(2), np.float64(3.0)),), (),
+        ]
+        for edges in cases:
+            g = WeightedGraph(n=3, edges=edges)
+            arr = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+            u, v, w = g.edge_arrays()
+            assert u.dtype == v.dtype == np.int64 and w.dtype == np.float64
+            assert u.tolist() == arr[:, 0].astype(np.int64).tolist()
+            assert v.tolist() == arr[:, 1].astype(np.int64).tolist()
+            assert w.tolist() == arr[:, 2].tolist()
+        # two ids that float64 rounds to one value: the check compares them exactly
+        WeightedGraph(n=2 ** 60, edges=((2 ** 53, 2 ** 53 + 1, 1.0),))
+
     def test_kind_invariants(self):
         with pytest.raises(ValueError):
             CspInstance(n=2, constraints=(xor((0, 1), b=1),), kind="maxcut")

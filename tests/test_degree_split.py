@@ -70,15 +70,17 @@ def degree_stage_loss(deg_a, deg_b, scale, threshold):
 
 
 def spy_em_budgets(monkeypatch):
-    """Records the budget of every em_over_assignments call of the helper."""
+    """Records the budget of every em_over_assignments_batch call of the
+    helper."""
     budgets = []
-    real = dp_mechanisms.em_over_assignments
+    real = dp_mechanisms.em_over_assignments_batch
 
-    def spy(problem, active, budget, sensitivity, rng, cap=dp_mechanisms.EM_ENUMERATION_CAP):
+    def spy(problem, active, budget, sensitivity, rng, trials,
+            cap=dp_mechanisms.EM_ENUMERATION_CAP):
         budgets.append(budget)
-        return real(problem, active, budget, sensitivity, rng, cap)
+        return real(problem, active, budget, sensitivity, rng, trials, cap)
 
-    monkeypatch.setattr(dp_mechanisms, "em_over_assignments", spy)
+    monkeypatch.setattr(dp_mechanisms, "em_over_assignments_batch", spy)
     return budgets
 
 
@@ -150,13 +152,13 @@ class TestBudgetsMatchLedger:
         # degree-2 vertices are high
         em = spy_em_budgets(monkeypatch)
         shearer = []
-        real = algo_maxcut.dp_shearer
+        real = algo_maxcut.dp_shearer_batch
 
-        def spy(graph, e, rng):
+        def spy(graph, e, rng, trials):
             shearer.append(e)
-            return real(graph, e, rng)
+            return real(graph, e, rng, trials)
 
-        monkeypatch.setattr(algo_maxcut, "dp_shearer", spy)
+        monkeypatch.setattr(algo_maxcut, "dp_shearer_batch", spy)
         cycle = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4, 1.0) for i in range(4)))
         dp_maxcut_unbounded(cycle, eps, gen(4))
         ledger = dict(budget_ledger("dp_maxcut_unbounded", eps))

@@ -1,16 +1,24 @@
-"""Array-shaped trial code against per-constraint reference copies.
+"""Array-shaped trial code against per-constraint and per-trial reference
+copies.
 
-The references below are the per-constraint forms that the array code
-replaced: eval_value summing Constraint.evaluate, alg1 with a derivative_q
-call and scalar draws per greedy variable, alg3's influence loop,
-_two_color_batch with np.add.at, the harness's per-trial evaluation, and
-alg6's low-edge subsampling with one scalar draw per edge. The audit
-kernels have copies of their float64/int64 forms with nested np.where:
-alg1_batch with np.add.at and the stand-in median table,
-sample_discrete_laplace, assignment_rows, randomized_response's
-np.unique input check, and dp_shearer_batch.
-Every comparison is exact (np.array_equal or ==), and the generator state
-after a run must match too, so each draw is the same draw.
+The references below are the forms that the array code replaced:
+eval_value summing Constraint.evaluate, alg1 with a derivative_q call and
+scalar draws per greedy variable, alg3's influence loop and its per-trial
+body, _two_color_batch with np.add.at, the harness's per-trial runs on
+RngStream(seed, t), and alg6's low-edge subsampling with one scalar draw
+per edge. The audit kernels have copies of their float64/int64 forms with
+nested np.where: alg1_batch with np.add.at and the stand-in median table,
+sample_discrete_laplace, assignment_rows, randomized_response's np.unique
+input check, and dp_shearer_batch.
+
+Where a kernel reads the same draws as its reference, every comparison is
+exact (np.array_equal or ==), and the generator state after a run must
+match too, so each draw is the same draw. Where the batch kernels read
+other draws than the per-trial forms (alg1 off the sign-form audit path,
+alg3, and every algorithm in the harness), the tests compare output laws
+instead: a fixed-seed chi-square test of the kernel's rows against the
+exact law where an oracle exists, or against the reference's rows, with a
+4-sigma tolerance.
 """
 
 import functools
@@ -21,11 +29,13 @@ import pytest
 
 from privcsp import algo_csp, harness
 from privcsp.algo_csp import (
+    AdvRandConfig,
     _kept_influence,
     _median_for,
     alg1_triangle_free_bounded,
     alg2_partition_kxor,
     alg3_dp_advrand,
+    private_boost,
 )
 from privcsp.algo_maxcut import (
     _two_color_batch,
@@ -58,7 +68,7 @@ from privcsp.dp_mechanisms import (
     sample_laplace,
 )
 from privcsp.generators import GenSpec, gen_random_kxor
-from privcsp.oracles import exact_median_theta
+from privcsp.oracles import exact_em_distribution, exact_median_theta
 
 SEEDS = range(200)
 
@@ -196,7 +206,7 @@ def ref_dp_maxcut_unbounded(graph, epsilon, rng):
     s1 = (2 * gen.integers(0, 2, size=graph.n) - 1).astype(np.int8)
     if high.size:
         s1[high] = em_over_assignments(graph, high.tolist(), epsilon / 3.0, 1.0, gen)
-    s2 = dp_shearer(graph, epsilon / 3.0, gen)
+    s2 = ref_dp_shearer_batch(graph, epsilon / 3.0, gen, 1)[0]
     return s1 if gen.random() < 0.5 else s2
 
 
@@ -215,21 +225,154 @@ def ref_run_em_baseline(problem, eps, alpha, gen):
     return x
 
 
-def ref_run_one_eps(config, problem, view, eps, opt, chash):
-    runner = harness.ALGORITHMS[config.algorithm][0]
-    values = np.empty(config.trials)
-    for t in range(config.trials):
-        gen = RngStream(config.seed, t).generator()
-        values[t] = ref_eval_value(view, np.asarray(runner(view, eps, config.alpha, gen)))
+def ref_alg3(instance, epsilon, rng, config=None):
+    """alg3_dp_advrand's per-trial body without its checks: a scalar scale
+    and flip index, one boost draw per kept variable, ref_kept_influence."""
+    config = config or AdvRandConfig()
+    gen = as_generator(rng)
+    n, m = instance.n, instance.m
+    k = instance.max_arity
+    smax = max(1, math.ceil(math.log2(k)) if k > 1 else 1)
+    s = config.scale if config.scale is not None else int(gen.integers(1, smax + 1))
+    keep = gen.random(n) < 2.0 ** (-s)
+    x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
+    kept = np.flatnonzero(keep)
+    lam = ref_kept_influence(instance, keep, x)
+    x[kept] = private_boost(lam[kept], epsilon * math.sqrt(m) / 2.0, gen)
+    r = config.flip_index if config.flip_index is not None else int(gen.integers(0, k + 1))
+    eta = math.cos(r * math.pi / k) / 2.0
+    flip = gen.random(n) < (1.0 - eta) / 2.0
+    x = np.where(keep & flip, -x, x).astype(np.int8)
+    if config.global_sign == "random-flip":
+        if gen.random() < 0.5:
+            x = (-x).astype(np.int8)
+    elif config.global_sign == "argmax":
+        if ref_eval_value(instance, -x) > ref_eval_value(instance, x):
+            x = (-x).astype(np.int8)
+    else:
+        x = np.asarray(exponential_mechanism(
+            [x, (-x).astype(np.int8)], lambda cand: ref_eval_value(instance, cand),
+            config.sign_budget, 1.0, gen,
+        ))
+    return x
+
+
+def ref_shearer(graph, gen):
+    """shearer_baseline on ref_two_color_batch."""
+    c1, c2, ell = ref_two_color_batch(graph, gen, 1)
+    deg = graph.degree_counts()
+    coin = gen.random((1, graph.n)) < 0.5
+    take_first = np.where(2 * ell < deg, True, np.where(2 * ell > deg, False, coin))
+    return np.where(take_first, c1, c2).astype(np.int8)[0]
+
+
+# per-trial reference of every ALGORITHMS entry: runner(problem, eps, alpha, gen)
+REF_RUNNERS = {
+    "alg1": lambda p, e, a, g: ref_alg1(p, e, g),
+    "alg2": lambda p, e, a, g: ref_alg2(p, e, g, ref_alg1, 10000.0 / e ** 4)[0],
+    "alg3": lambda p, e, a, g: ref_alg3(p, e, g),
+    "alg_oddk": lambda p, e, a, g: ref_alg2(p, e, g, ref_alg3, 100.0 / e ** 2)[0],
+    "shearer": lambda p, e, a, g: ref_shearer(p, g),
+    "dp_shearer": lambda p, e, a, g: ref_dp_shearer_batch(p, e, g, 1)[0],
+    "alg5": lambda p, e, a, g: ref_dp_maxcut_unbounded(p, e, g),
+    "alg6": lambda p, e, a, g: ref_dp_maxcut_general(p, e, a, g)[0],
+    "em_baseline": ref_run_em_baseline,
+    "random_baseline": lambda p, e, a, g: (2 * g.integers(0, 2, size=p.n) - 1).astype(np.int8),
+}
+
+
+def ref_rows(algorithm, view, eps, alpha, seed, trials):
+    """The per-trial layout: trial t runs the reference on RngStream(seed, t)."""
+    runner = REF_RUNNERS[algorithm]
+    return np.array([
+        runner(view, eps, alpha, RngStream(seed, t).generator()) for t in range(trials)
+    ], dtype=np.int8).reshape(trials, view.n)
+
+
+def ref_run_one_eps(config, problem, view, eps, opt, baseline, chash):
+    values = np.array([
+        ref_eval_value(view, row)
+        for row in ref_rows(config.algorithm, view, eps, config.alpha, config.seed, config.trials)
+    ])
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
     return harness.ReportRow(
         algorithm=config.algorithm, eps=eps, alpha=config.alpha, n=problem.n,
         m=problem.m, trials=config.trials, mean_val=mean, se=se, opt=opt,
         ratio=(mean / opt) if opt else None,
-        advantage=mean - harness._baseline_value(problem), seed=config.seed,
+        advantage=mean - baseline, seed=config.seed,
         config_hash=chash, wall_ms=0.0,
     )
+
+
+def exact_alg1_law(instance, epsilon):
+    """The exact output law of alg1 (check=False) over the 2^n assignments,
+    index sum((x_j = +1) << j), by enumerating the greedy mask and the
+    initial x: given both, the outputs are independent across variables,
+    with derivative_q sums and exact_median_theta medians."""
+    n = instance.n
+    keep = keep_probability(epsilon)
+    medians = {}
+    law = np.zeros(1 << n)
+    for gmask in range(1 << n):
+        active = {}
+        for c in instance.constraints:
+            hits = [i for i in c.scope if (gmask >> i) & 1]
+            if len(hits) == 1:
+                active.setdefault(hits[0], []).append(c)
+        for xmask in range(1 << n):
+            x = [1 if (xmask >> i) & 1 else -1 for i in range(n)]
+            probs = np.ones(1)
+            for j in range(n):
+                if not (gmask >> j) & 1:
+                    p_plus = float(x[j] > 0)
+                else:
+                    cs = active.get(j, [])
+                    s = sum(derivative_q(c, j, {i: x[i] for i in c.scope if i != j}) for c in cs)
+                    key = (tuple(cs), j)
+                    if key not in medians:
+                        medians[key] = exact_median_theta(cs, j) if cs else (0.0, 0.5)
+                    theta, gamma = medians[key]
+                    p_z = 1.0 if s > theta else 0.0 if s < theta else gamma
+                    p_plus = keep * p_z + (1 - keep) * (1 - p_z)
+                # bit j is the last axis added: index bit j set for x_j = +1
+                probs = np.concatenate((probs * (1 - p_plus), probs * p_plus))
+            law += probs
+    return law / 4 ** n
+
+
+def output_counts(rows, n):
+    rows = np.asarray(rows).reshape(len(rows), n)
+    codes = ((rows > 0).astype(np.int64) << np.arange(n)).sum(axis=1)
+    return np.bincount(codes, minlength=1 << n)
+
+
+def chi2_bound(df):
+    """Mean plus 4 standard deviations of a chi-square law with df degrees."""
+    return df + 4 * math.sqrt(2 * df)
+
+
+def assert_law(rows, law):
+    """One-sample chi-square test of the rows against an exact law: no row
+    outside its support, and the statistic within 4 sigma."""
+    n = int(round(math.log2(law.size)))
+    counts = output_counts(rows, n)
+    support = law > 1e-15
+    assert counts[~support].sum() == 0
+    expect = counts.sum() * law[support]
+    stat = float(((counts[support] - expect) ** 2 / expect).sum())
+    assert stat <= chi2_bound(support.sum() - 1) + 1e-9, stat
+
+
+def assert_same_law(rows_a, rows_b, n):
+    """Two-sample chi-square test (unequal sizes) of two sets of rows on
+    the cells either one reaches, within 4 sigma."""
+    a, b = output_counts(rows_a, n), output_counts(rows_b, n)
+    seen = (a + b) > 0
+    a, b = a[seen], b[seen]
+    ka, kb = math.sqrt(b.sum() / a.sum()), math.sqrt(a.sum() / b.sum())
+    stat = float(((ka * a - kb * b) ** 2 / (a + b)).sum())
+    assert stat <= chi2_bound(seen.sum() - 1) + 1e-9, stat
 
 
 @functools.lru_cache(maxsize=None)
@@ -490,40 +633,46 @@ class TestWeightedOrder:
 
 
 class TestAlg1:
-    def run_both(self, inst, eps, seed, check=True):
-        g_new = RngStream(seed, 0).generator()
-        g_ref = RngStream(seed, 0).generator()
-        out = alg1_triangle_free_bounded(inst, eps, g_new, check=check)
-        ref = ref_alg1(inst, eps, g_ref, check=check)
-        assert np.array_equal(out, ref) and out.dtype == ref.dtype
-        assert g_new.bit_generator.state == g_ref.bit_generator.state
+    """The alg1 kernel's rows against the exact law (exact_alg1_law) and
+    against the per-trial reference ref_alg1; one kernel call per case."""
+
+    TRIALS, REF_TRIALS = 20_000, 2_000
+
+    def check(self, inst, eps, seed, check=True):
+        rows = algo_csp.alg1_batch(inst, eps, RngStream(seed, 0).generator(), self.TRIALS, check)
+        assert rows.shape == (self.TRIALS, inst.n) and rows.dtype == np.int8
+        assert_law(rows, exact_alg1_law(inst, eps))
+        ref = [ref_alg1(inst, eps, RngStream(seed, t).generator(), check=check)
+               for t in range(self.REF_TRIALS)]
+        assert_same_law(rows, ref, inst.n)
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 800.0])
     def test_triangle_free_kxor(self, eps):
-        insts = [gen_random_kxor(GenSpec(n=30, m=12, k=k, seed=k, triangle_free=True))
-                 for k in (2, 3)]
-        for seed in SEEDS:
-            for inst in insts:
-                self.run_both(inst, eps, seed)
+        path = CspInstance(n=6, constraints=tuple(
+            Constraint(scope=(i, i + 1), b=(-1) ** i) for i in range(5)), kind="kxor")
+        # mixed arity: (0,1,2) and (2,3,4) share 2, (2,3,4) and (4,5) share 4
+        mixed = CspInstance(n=6, constraints=(
+            Constraint(scope=(0, 1, 2), b=1), Constraint(scope=(2, 3, 4), b=-1),
+            Constraint(scope=(4, 5), b=1)), kind="kxor")
+        for seed, inst in enumerate((path, mixed)):
+            self.check(inst, eps, seed)
 
     def test_truth_tables(self):
-        cons = []
         rng = np.random.default_rng(0)
-        # disjoint pairs and a path: triangle-free, some shared variables
-        for a in range(0, 12, 2):
-            cons.append(Constraint(scope=(a, a + 1), table=random_table(rng, 2)))
-        for a, b in ((13, 12), (12, 14), (14, 15)):
-            cons.append(Constraint(scope=(a, b), table=(0, 1, 1, 1)))
-        cons.append(Constraint(scope=(16, 17, 18), table=random_table(rng, 3)))
-        cons.append(Constraint(scope=(18, 19), b=-1))
-        inst = CspInstance(n=20, constraints=tuple(cons), kind="general")
-        for seed in SEEDS:
-            self.run_both(inst, 1.0, seed)
+        # a disjoint pair, a path of OR tables and a parity: triangle-free,
+        # some variables with two active constraints of different shapes
+        inst = CspInstance(n=6, constraints=(
+            Constraint(scope=(0, 1), table=random_table(rng, 2)),
+            Constraint(scope=(3, 2), table=(0, 1, 1, 1)),
+            Constraint(scope=(3, 4), table=(0, 1, 1, 1)),
+            Constraint(scope=(4, 5), b=-1),
+        ), kind="general")
+        self.check(inst, 1.0, 1)
 
     @pytest.mark.parametrize("make", [sign_instance, mixed_instance])
     def test_overlapping_supports_unchecked(self, make):
-        for seed in SEEDS:
-            self.run_both(make(seed), 1.5, seed, check=False)
+        for seed in range(2):
+            self.check(make(seed, n=5, m=5), 1.5, seed, check=False)
 
     def test_overlapping_or_pair(self):
         # at j = 0 the two OR tables share the fixed variable 1: the exact
@@ -534,21 +683,17 @@ class TestAlg1:
             Constraint(scope=(2, 3), table=(0, 1, 1, 1)),
             Constraint(scope=(4, 2), table=(0, 1, 1, 1)),
         ), kind="general")
-        for seed in SEEDS:
-            self.run_both(inst, 2.0, seed, check=False)
+        self.check(inst, 2.0, 2, check=False)
 
     def test_ties(self):
-        inst = tie_instance()
-        for seed in SEEDS:
-            self.run_both(inst, 1.0, seed, check=False)
+        self.check(tie_instance(), 1.0, 3, check=False)
 
     def test_empty_greedy_and_empty_instance(self):
         single = CspInstance(n=1, constraints=(Constraint(scope=(0,), b=1),), kind="kxor")
         empty = CspInstance(n=4, constraints=(), kind="kxor")
         nothing = CspInstance(n=0, constraints=(), kind="kxor")
-        for seed in SEEDS:
-            for inst in (single, empty, nothing):
-                self.run_both(inst, 0.5, seed)
+        for seed, inst in enumerate((single, empty, nothing)):
+            self.check(inst, 0.5, seed)
 
 
 class TestAlg3:
@@ -561,30 +706,29 @@ class TestAlg3:
             rng = np.random.default_rng(seed)
             keep = rng.random(inst.n) < rng.choice([0.0, 0.1, 0.2, 0.5, 1.0])
             x = (2 * rng.integers(0, 2, size=inst.n) - 1).astype(np.int8)
-            assert np.array_equal(_kept_influence(inst, keep, x),
+            assert np.array_equal(_kept_influence(inst, keep[None], x[None])[0],
                                   ref_kept_influence(inst, keep, x))
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 800.0])
-    def test_outputs_match_loop(self, monkeypatch, eps):
-        insts = [distinct_sign_instance(s, n=6, m=8) for s in range(4)]
-        runs = []
-        for ref in (False, True):
-            if ref:
-                monkeypatch.setattr(algo_csp, "_kept_influence", ref_kept_influence)
-            out = []
-            for seed in SEEDS:
-                for inst in insts:
-                    gen = RngStream(seed, 1).generator()
-                    out.append((alg3_dp_advrand(inst, eps, gen), gen.bit_generator.state))
-            runs.append(out)
-        for (a, sa), (b, sb) in zip(*runs):
-            assert np.array_equal(a, b) and sa == sb
+    def test_outputs_match_loop(self, eps):
+        # the kernel's rows (per-row scale, flip index and sign) against the
+        # per-trial body; the last config takes the em-pair sign step
+        configs = [None, AdvRandConfig(scale=2, flip_index=1),
+                   AdvRandConfig(global_sign="em-pair", sign_budget=2.0)]
+        for s, config in enumerate(configs):
+            inst = distinct_sign_instance(s, n=5, m=8)
+            rows = algo_csp.alg3_batch(inst, eps, RngStream(s, 1).generator(), 20_000, config)
+            ref = [ref_alg3(inst, eps, RngStream(s, t).generator(), config) for t in range(3_000)]
+            assert_same_law(rows, ref, inst.n)
 
 
 class TestTwoColor:
     @pytest.mark.parametrize("trials", [1, 7])
     def test_counts_match_add_at(self, trials):
         graphs = [unit_graph(s) for s in range(20)] + [WeightedGraph(n=5, edges=())]
+        # a star of degree 600: its center counts about 300 same-color edges,
+        # above the 255 of the narrowest type
+        graphs.append(WeightedGraph(n=601, edges=tuple((0, i, 1.0) for i in range(1, 601))))
         for seed in SEEDS:
             g = graphs[seed % len(graphs)]
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -747,12 +891,116 @@ class TestHarness:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("algorithm", sorted(CASES))
     def test_csv_matches_per_trial_loop(self, monkeypatch, algorithm):
+        # the kernel layout against per-trial references on RngStream(seed,
+        # t): every column but the statistics is equal, and each mean is
+        # within 4 combined standard errors
         problem, eps = self.CASES[algorithm]
-        config = harness.ExperimentConfig(algorithm=algorithm, eps=eps, trials=40, seed=11)
-        new = harness.estimate_ratio(config, problem).csv()
+        config = harness.ExperimentConfig(algorithm=algorithm, eps=eps, trials=1000, seed=11)
+        new = harness.estimate_ratio(config, problem).rows
         monkeypatch.setattr(harness, "_run_one_eps", ref_run_one_eps)
-        ref = harness.estimate_ratio(config, problem).csv()
-        assert _without_wall_ms(new) == _without_wall_ms(ref)
+        ref = harness.estimate_ratio(config, problem).rows
+        stats = ("mean_val", "se", "ratio", "advantage", "wall_ms")
+        for a, b in zip(new, ref, strict=True):
+            assert a.__class__ is b.__class__
+            for field in a.__dataclass_fields__:
+                if field not in stats:
+                    assert getattr(a, field) == getattr(b, field), field
+            assert abs(a.mean_val - b.mean_val) <= 4 * math.hypot(a.se, b.se) + 1e-12
+            assert a.advantage - b.advantage == pytest.approx(a.mean_val - b.mean_val)
+
+
+class TestKernelLaws:
+    """Every ALGORITHMS kernel on a tiny instance: its rows from one call
+    against the per-trial reference's rows, and against the exact law where
+    an oracle exists. Each case puts its stages to work: eps makes the
+    degree splits' high sets vary from run to run."""
+
+    PATH = CspInstance(n=4, constraints=(
+        Constraint(scope=(0, 1), b=1), Constraint(scope=(1, 2), b=-1),
+        Constraint(scope=(2, 3), b=1)), kind="kxor")
+    ODD = CspInstance(n=4, constraints=(
+        Constraint(scope=(0, 1, 2), b=1), Constraint(scope=(1, 3), b=-1),
+        Constraint(scope=(3,), b=-1)), kind="kxor")
+    GRAPH = WeightedGraph(n=4, edges=tuple(
+        (u, v, 1.0) for u, v in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))))
+    CASES = {
+        "alg1": (PATH, 1.0),
+        # threshold 10000/15^4 = 0.2 against noise of scale 0.4
+        "alg2": (PATH, 15.0),
+        "alg3": (ODD, 2.0),
+        # threshold 100/8^2 = 1.6 against noise of scale 9/8
+        "alg_oddk": (ODD, 8.0),
+        "shearer": (GRAPH, 1.0),
+        "dp_shearer": (GRAPH, 1.0),
+        # threshold 10000/eps^2 = 2: the degree-2 vertices are high half the time
+        "alg5": (GRAPH, 100.0 / math.sqrt(2.0)),
+        "alg6": (GRAPH, 0.1),
+        "em_baseline": (CspInstance(n=4, constraints=(
+            Constraint(scope=(0, 1), b=1), Constraint(scope=(1, 2), b=-1)), kind="kxor"), 2.0),
+        "random_baseline": (PATH, 1.0),
+    }
+    TRIALS, REF_TRIALS = 20_000, 3_000
+
+    def test_every_algorithm_covered(self):
+        assert set(self.CASES) == set(harness.ALGORITHMS)
+
+    def kernel_rows(self, algorithm, seed=5):
+        problem, eps = self.CASES[algorithm]
+        kernel = harness.ALGORITHMS[algorithm][0]
+        rows = kernel(problem, eps, 0.0, RngStream(seed, 0).generator(), self.TRIALS)
+        assert rows.shape == (self.TRIALS, problem.n) and rows.dtype == np.int8
+        return problem, eps, rows
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("algorithm", sorted(CASES))
+    def test_matches_per_trial_reference(self, algorithm):
+        problem, eps, rows = self.kernel_rows(algorithm)
+        ref = ref_rows(algorithm, problem, eps, 0.0, 6, self.REF_TRIALS)
+        assert_same_law(rows, ref, problem.n)
+
+    def test_em_baseline_exact_law(self):
+        # variables 0-2 follow the exponential mechanism, variable 3 is uniform
+        problem, eps, rows = self.kernel_rows("em_baseline")
+        em = exact_em_distribution(all_values(problem, [0, 1, 2]), eps, 1.0)
+        assert_law(rows, np.concatenate((em, em)) / 2)
+
+    def test_random_baseline_exact_law(self):
+        _, _, rows = self.kernel_rows("random_baseline")
+        assert_law(rows, np.full(16, 1 / 16))
+
+    def test_alg1_exact_law(self):
+        problem, eps, rows = self.kernel_rows("alg1")
+        assert_law(rows, exact_alg1_law(problem, eps))
+
+    @pytest.mark.parametrize("eps,threshold", [(3.0, 1.5), (6.0, 0.5)])
+    def test_alg2_exact_law(self, eps, threshold):
+        # a constant subroutine row, so the law is half a point mass and half
+        # the degree split's: P[high set = H] from the closed-form Laplace
+        # tails at scale 3k/eps, then the exponential mechanism at eps/3 on H
+        problem = self.ODD
+        n, scale, budget = problem.n, 3.0 * problem.max_arity / eps, eps / 3.0
+        ones = np.ones(n, dtype=np.int8)
+
+        def constant(inst, e, gen, trials):
+            return np.broadcast_to(ones, (trials, n))
+
+        rows = algo_csp.alg2_batch(
+            problem, eps, RngStream(9, 0).generator(), self.TRIALS, constant, threshold)
+        t = threshold - degrees(problem)
+        p_high = np.where(t >= 0, 0.5 * np.exp(-np.abs(t) / scale), 1 - 0.5 * np.exp(-np.abs(t) / scale))
+        law = np.zeros(1 << n)
+        law[(1 << n) - 1] += 0.5
+        for hmask in range(1 << n):
+            high = [j for j in range(n) if (hmask >> j) & 1]
+            p = np.prod([p_high[j] if (hmask >> j) & 1 else 1 - p_high[j] for j in range(n)])
+            em = exact_em_distribution(all_values(problem, high), budget, 1.0) if high else [1.0]
+            for r, q in enumerate(em):
+                # row r sets high[t] = +1 for bit t; the others are uniform
+                fixed = sum(1 << j for t, j in enumerate(high) if (r >> t) & 1)
+                for rest in range(1 << n):
+                    if rest & hmask == 0:
+                        law[fixed | rest] += 0.5 * p * q / 2 ** (n - len(high))
+        assert_law(rows, law)
 
 
 class TestAlg6Subsampling:
@@ -841,7 +1089,7 @@ class TestDegreeSplit:
         for seed in SEEDS:
             for make in cases:
                 gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                new = harness._run_em_baseline(make(seed), eps, 0.0, gen_new)
+                new = harness._em_baseline_batch(make(seed), eps, 0.0, gen_new, 1)[0]
                 ref = ref_run_em_baseline(make(seed), eps, 0.0, gen_ref)
                 assert same_result(new, ref)
                 assert gen_new.bit_generator.state == gen_ref.bit_generator.state
