@@ -85,7 +85,16 @@ def sample_laplace(scale: float, rng, size=None):
         raise ValueError(f"scale must be positive, got {scale}")
     gen = as_generator(rng)
     u = gen.uniform(-0.5, 0.5, size=size)
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    if size is None:
+        return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    # the same operations in place, on two arrays
+    mag = np.abs(u)
+    mag *= -2.0
+    np.log1p(mag, out=mag)
+    np.sign(u, out=u)
+    u *= -scale
+    u *= mag
+    return u
 
 
 def sample_discrete_laplace(epsilon: float, rng, size=None):
