@@ -76,8 +76,6 @@ _SHAPE_PMF_ID: dict[tuple, int] = {}
 # the pmf id of each constraint at each scope position; dropped with the
 # instance.
 _GROUP_PMF_IDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# Per constraint group, its _position_layers; dropped with the instance.
-_GROUP_LAYERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 # A parity of arity >= 2 has the derivative +-1/2 with equal odds at any
 # scope position and for either sign, so all of them share this one's pmf.
 _XOR_STAND_IN = Constraint(scope=(0, 1), b=1)
@@ -145,87 +143,86 @@ def _group_pmf_ids(instance: CspInstance, group: ConstraintGroup) -> np.ndarray:
     return ids
 
 
-def _position_layers(group: ConstraintGroup) -> list:
-    """Per scope position p, the group's rows split into layers in which the
-    variables at position p are distinct, as (rows, variables) pairs, so
-    that one fancy-indexed column add counts each row once; computed once
-    per group."""
-    layers = _GROUP_LAYERS.get(group)
-    if layers is None:
-        layers = []
-        for col in group.scopes.T:
-            order = np.argsort(col, kind="stable")
-            ranked = col[order]
-            starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-            # the k-th occurrence of a variable goes to layer k
-            occurrence = np.arange(col.size) - np.repeat(starts, np.diff(np.r_[starts, col.size]))
-            layers.append([
-                (order[occurrence == k], ranked[occurrence == k])
-                for k in range(occurrence.max(initial=-1) + 1)
-            ])
-        _GROUP_LAYERS[group] = layers
-    return layers
-
-
-def _single_hits(instance: CspInstance, mask: np.ndarray):
-    """Yields (group, t, c, pos) for each constraint group and a (trials, n)
-    bool block `mask`: every pair of a row t and a constraint c of the group
-    (its row in the group's arrays) whose scope holds exactly one variable
-    of mask[t], with that variable's scope position."""
+def _single_hit_terms(instance: CspInstance, mask: np.ndarray, x: np.ndarray):
+    """Yields (group, t, c, pos, j, q2) for each constraint group and
+    (trials, n) blocks mask (bool) and x: every pair of a row t and a
+    constraint c of the group (its row in the group's arrays) whose scope
+    holds exactly one variable j of mask[t], at scope position pos, with
+    q2 twice derivative_q of c at j, the other scope variables read from
+    x[t] (an integer in -1..1)."""
     for group in constraint_groups(instance):
         hits = mask[:, group.scopes]
-        t, c = np.nonzero(hits.sum(axis=2) == 1)
-        yield group, t, c, hits[t, c].argmax(axis=1)
-
-
-def _greedy_sums(instance: CspInstance, greedy: np.ndarray, x: np.ndarray):
-    """Per cell (trial t, variable j) of (trials, n) blocks, over the
-    constraints active at j in trial t (j is their only greedy scope
-    variable): twice the summed derivative_q at j, with the other scope
-    variables read from x[t]; the number of active parities of arity >= 2;
-    and the number of the other active constraints. All exact integers,
-    bounded by the degree, in int32."""
-    trials, n = greedy.shape
-    sum2, xors, others = (np.zeros((trials, n), dtype=np.int32) for _ in range(3))
-    for group in constraint_groups(instance):
-        hits = greedy[:, group.scopes]
-        single = hits.sum(axis=2) == 1
+        single = hits & (hits.sum(axis=2) == 1)[:, :, None]
+        # flat (row, constraint, position) indices; flatnonzero and divmod
+        # are several times faster than a 2-D nonzero and an argmax
+        tc, pos = np.divmod(np.flatnonzero(single), group.arity)
+        t, c = np.divmod(tc, len(group.cons))
+        j = group.scopes[c, pos]
         if group.signs is not None:
-            prod = group.signs * group.products(x)
+            # b times the scope product, times x_j (+-1), is b times the
+            # product over the scope without j
+            q2 = group.signs[c] * group.products(x)[t, c] * x[t, j]
         else:
-            idx = group.table_index(x)
-            rows = np.arange(len(group.cons))
-        counter = xors if group.signs is not None and group.arity >= 2 else others
-        for p, layers in enumerate(_position_layers(group)):
-            hit = hits[:, :, p] & single
-            if group.signs is not None:
-                # b times the scope product, times x_j (+-1), is b times the
-                # product over the scope without j
-                q2 = hit * prod * x[:, group.scopes[:, p]]
-            else:
-                q2 = hit * (group.tables[rows, idx | (1 << p)] - group.tables[rows, idx & ~(1 << p)])
-            for layer, cols in layers:
-                sum2[:, cols] += q2[:, layer]
-                counter[:, cols] += hit[:, layer]
-    return sum2, xors, others
+            idx, rows = group.table_index(x)[t, c], np.arange(c.size)
+            tables = group.tables[c]
+            q2 = tables[rows, idx | (1 << pos)] - tables[rows, idx & ~(1 << pos)]
+        yield group, t, c, pos, j, q2
 
 
-def _cell_medians(instance: CspInstance, greedy: np.ndarray, cells: np.ndarray, overlaps: bool):
+def _greedy_medians(instance: CspInstance, greedy: np.ndarray, x: np.ndarray, check: bool):
+    """(sum2, theta2, gamma) per cell (trial t, variable j) of (trials, n)
+    blocks, over the constraints active at j in trial t (j is their only
+    greedy scope variable): twice the summed derivative_q, twice its exact
+    median, both exact integers in int32, and the median's tie bias.
+
+    A cell whose active constraints are all parities of arity >= 2 reads
+    the closed form _xor_median_by_count at their count; the other cells
+    go to _cell_medians, and so do, with check=False (the instance may
+    have triangles), all cells with two or more active constraints, whose
+    fixed supports may overlap.
+    """
+    trials, n = greedy.shape
+    terms = list(_single_hit_terms(instance, greedy, x))
+    flat, q2s, xor_flat, other_flat = ([np.zeros(0, dtype=np.intp)] for _ in range(4))
+    for group, t, _, _, j, q2 in terms:
+        flat.append(t * n + j)
+        q2s.append(q2)
+        (xor_flat if group.signs is not None and group.arity >= 2 else other_flat).append(flat[-1])
+
+    def total(parts, weights=None):
+        sums = np.bincount(np.concatenate(parts), weights=weights, minlength=trials * n)
+        return sums.astype(np.int32).reshape(trials, n)
+
+    sum2, xors, others = total(flat, np.concatenate(q2s)), total(xor_flat), total(other_flat)
+    thetas, gammas = _xor_median_by_count(int(xors.max(initial=0)))
+    # twice the median: an integer, as the derivatives are multiples of 1/2
+    theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
+    general = others > 0 if check else (others > 0) | (xors > 1)
+    cells = np.flatnonzero(general)
+    if cells.size:
+        theta, gamma.flat[cells] = _cell_medians(instance, terms, trials, cells, overlaps=not check)
+        theta2.flat[cells] = 2 * theta
+    return sum2, theta2, gamma
+
+
+def _cell_medians(
+    instance: CspInstance, terms: list, trials: int, cells: np.ndarray, overlaps: bool
+):
     """(theta, gamma) arrays of the exact median of the summed derivative,
     and its tie bias, at each cell t * n + j of the sorted array `cells`,
-    each with at least one active constraint. Cells with the same multiset
+    each with at least one active constraint (terms are the
+    _single_hit_terms of the greedy mask). Cells with the same multiset
     of pmf ids share one _median_for call. With `overlaps`, a cell whose
     active constraints' fixed supports (scope minus j) overlap gets a call
     of its own (one per distinct constraint set and j), which _median_for
     sends to the oracle."""
-    trials, n = greedy.shape
+    n = instance.n
     marked = np.zeros(trials * n, dtype=bool)
     marked[cells] = True
     marked = marked.reshape(trials, n)
     xor_id = _pmf_id(_XOR_STAND_IN, 0)
     parts, fixed = [], []
-    for group, t, c, pos in _single_hits(instance, greedy):
-        j = group.scopes[c, pos]
+    for group, t, c, pos, j, _ in terms:
         sel = marked[t, j]
         t, c, pos, j = t[sel], c[sel], pos[sel], j[sel]
         if group.signs is not None and group.arity >= 2:
@@ -277,12 +274,8 @@ def alg1_batch(
 
     Draws, each one (trials, n) array: the greedy mask, the initial x, the
     tie draw and the keep draw. The fixed scope variables of an active
-    constraint are not greedy, so every derivative reads the initial x.
-    A cell (trial, variable) whose active constraints are all parities of
-    arity >= 2 reads its median from the closed form _xor_median_by_count
-    at their count. The other cells go to _median_for, and so do, with
-    check=False (the instance may have triangles), all cells with two or
-    more active constraints, whose fixed supports may overlap.
+    constraint are not greedy, so every derivative reads the initial x;
+    _greedy_medians gives the sums and their medians.
     """
     keep_prob = keep_probability(epsilon)
     if check and not is_triangle_free(instance):
@@ -291,15 +284,7 @@ def alg1_batch(
     n = instance.n
     greedy = gen.random((trials, n)) < 0.5
     x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
-    sum2, xors, others = _greedy_sums(instance, greedy, x)
-    thetas, gammas = _xor_median_by_count(int(xors.max(initial=0)))
-    # twice the median: an integer, as the derivatives are multiples of 1/2
-    theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
-    general = others > 0 if check else (others > 0) | (xors > 1)
-    cells = np.flatnonzero(general)
-    if cells.size:
-        theta, gamma.flat[cells] = _cell_medians(instance, greedy, cells, overlaps=not check)
-        theta2.flat[cells] = 2 * theta
+    sum2, theta2, gamma = _greedy_medians(instance, greedy, x, check)
     tie = gen.random((trials, n)) < gamma
     keep = gen.random((trials, n)) < keep_prob
     # z = +1 when s > theta, or s == theta and tie; y = +1 when keep; and
@@ -432,12 +417,11 @@ def _kept_influence(instance: CspInstance, keep: np.ndarray, x: np.ndarray) -> n
     trials, n = keep.shape
     sqrt_m = math.sqrt(instance.m)
     rows, cons, terms = [], [], []
-    for group, t, c, pos in _single_hits(instance, keep):
-        j = group.scopes[c, pos]
+    for group, t, c, _, j, q2 in _single_hit_terms(instance, keep, x):
         rows.append(t * n + j)
         cons.append(group.cons[c])
-        # multiplying x_j (+-1) into the scope product again divides it out
-        terms.append(group.signs[c] * group.products(x)[t, c] * x[t, j] / sqrt_m)
+        # twice derivative_q of a parity: b times the product over the rest
+        terms.append(q2 / sqrt_m)
     order = np.argsort(np.concatenate(cons))
     # bincount adds each row's weights in the order given
     return np.bincount(

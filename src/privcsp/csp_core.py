@@ -73,6 +73,7 @@ __all__ = [
     "derivative_q",
     "lambda_j",
     "VALUE_CHUNK_BITS",
+    "rows_per_chunk",
     "assignment_rows",
     "value_chunks",
     "all_values",
@@ -388,10 +389,10 @@ def eval_value(problem: CspInstance | WeightedGraph, xs):
     assignment, as a float, or of each row of a (trials, n) block of
     assignments, as a float64 vector.
 
-    Rows are evaluated a chunk at a time, so the temporaries of a chunk
-    hold about 2^VALUE_CHUNK_BITS (row, scope entry) pairs. On a graph each row
-    adds its cut edges' weights in edge order, starting from 0.0, as
-    value_chunks does: row r of all_values(g, active) equals the value of
+    Rows are evaluated rows_per_chunk at a time, so the temporaries of a
+    chunk hold about 2^VALUE_CHUNK_BITS (row, scope entry) pairs. On a
+    graph each row adds its cut edges' weights in edge order, starting
+    from 0.0, as value_chunks does: row r of all_values(g, active) equals the value of
     assignment_rows(r, len(active)) placed on `active` (others -1).
     """
     arr = np.asarray(xs)
@@ -405,11 +406,19 @@ def eval_value(problem: CspInstance | WeightedGraph, xs):
         raise ValueError("assignment entries must be -1 or +1")
     block = arr.astype(np.int8, copy=False)
     out = np.empty(block.shape[0])
-    width = problem.m * (2 if isinstance(problem, WeightedGraph) else problem.max_arity)
-    step = max(1, (1 << VALUE_CHUNK_BITS) // max(1, width))
+    step = rows_per_chunk(problem)
     for start in range(0, block.shape[0], step):
         out[start:start + step] = _block_values(problem, block[start:start + step])
     return out
+
+
+def rows_per_chunk(problem: CspInstance | WeightedGraph) -> int:
+    """Rows of a (rows, n) assignment block per chunk, so that a chunk
+    holds about 2^VALUE_CHUNK_BITS entries of the widest per-row array the
+    value and the kernels build: n variables, or m * arity (row, scope
+    entry) pairs, arity 2 on a graph. At least one row."""
+    width = problem.m * (2 if isinstance(problem, WeightedGraph) else problem.max_arity)
+    return max(1, (1 << VALUE_CHUNK_BITS) // max(1, problem.n, width))
 
 
 def _block_values(problem: CspInstance | WeightedGraph, block: np.ndarray) -> np.ndarray:

@@ -85,16 +85,7 @@ def sample_laplace(scale: float, rng, size=None):
         raise ValueError(f"scale must be positive, got {scale}")
     gen = as_generator(rng)
     u = gen.uniform(-0.5, 0.5, size=size)
-    if size is None:
-        return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    # the same operations in place, on two arrays
-    mag = np.abs(u)
-    mag *= -2.0
-    np.log1p(mag, out=mag)
-    np.sign(u, out=u)
-    u *= -scale
-    u *= mag
-    return u
+    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
 def sample_discrete_laplace(epsilon: float, rng, size=None):
@@ -298,37 +289,34 @@ def budget_ledger(algorithm: str, epsilon: float) -> tuple[tuple[str, float], ..
 
 
 def noisy_high_mask(
-    problem, epsilon: float, share: Fraction, threshold: float, rng, trials: int | None = None
+    problem, epsilon: float, share: Fraction, threshold: float, rng, trials: int
 ) -> np.ndarray:
-    """Degree stage: the bool mask of the variables whose degree plus
-    Laplace noise exceeds threshold, from one sample_laplace draw of size n
-    (shape (n,)), or of shape (trials, n) with `trials`, one row per run.
-    One constraint moves k degrees by one each, so the scale k / (share *
-    epsilon), with k the max arity (at least 1) of an instance and 2 for a
-    graph, spends share * epsilon (Dwork, McSherry, Nissim and Smith 2006).
+    """Degree stage: the (trials, n) bool mask of the variables whose degree
+    plus Laplace noise exceeds threshold, one row per run, from one
+    sample_laplace draw of shape (trials, n). One constraint moves k
+    degrees by one each, so the scale k / (share * epsilon), with k the max
+    arity (at least 1) of an instance and 2 for a graph, spends share *
+    epsilon (Dwork, McSherry, Nissim and Smith 2006).
     """
     k = 2 if isinstance(problem, WeightedGraph) else max(problem.max_arity, 1)
     scale = k * share.denominator / (share.numerator * epsilon)
-    size = problem.n if trials is None else (trials, problem.n)
-    return degrees(problem) + sample_laplace(scale, rng, size=size) > threshold
+    return degrees(problem) + sample_laplace(scale, rng, size=(trials, problem.n)) > threshold
 
 
 def em_on_part(problem, part: np.ndarray, budget: float, rng, cap: int = EM_ENUMERATION_CAP):
-    """A uniform +-1 int8 array shaped like the bool mask part (one vector,
-    or a (trials, n) block with one part per row), with the variables of
-    each row's part replaced by an em_over_assignments draw (budget,
-    sensitivity 1) on them. Rows with the same part share one
-    em_over_assignments_batch call, one draw per row; empty parts draw
-    only the uniform array."""
+    """A uniform +-1 int8 block shaped like the (trials, n) bool block part,
+    one part per row, with the variables of each row's part replaced by an
+    em_over_assignments draw (budget, sensitivity 1) on them. Rows with the
+    same part share one em_over_assignments_batch call, one draw per row;
+    empty parts draw only the uniform block."""
     gen = as_generator(rng)
-    x = signs_from_bits(gen.integers(0, 2, size=np.shape(part)))
-    rows, parts = np.atleast_2d(x, np.asarray(part))
+    x = signs_from_bits(gen.integers(0, 2, size=part.shape))
     groups: dict[bytes, list[int]] = {}
-    for r in np.flatnonzero(parts.any(axis=1)).tolist():
-        groups.setdefault(parts[r].tobytes(), []).append(r)
+    for r in np.flatnonzero(part.any(axis=1)).tolist():
+        groups.setdefault(part[r].tobytes(), []).append(r)
     for members in groups.values():
-        idx = np.flatnonzero(parts[members[0]])
-        rows[np.ix_(members, idx)] = em_over_assignments_batch(
+        idx = np.flatnonzero(part[members[0]])
+        x[np.ix_(members, idx)] = em_over_assignments_batch(
             problem, idx.tolist(), budget, 1.0, gen, len(members), cap=cap
         )
     return x

@@ -3,12 +3,13 @@ audits, and hardness verification.
 
 Every algorithm is one batch kernel, kernel(view, eps, alpha, gen,
 trials) -> (trials, n) int8 block. At each epsilon the trials fill one
-block, one kernel call per chunk of about 2^VALUE_CHUNK_BITS // n rows,
-and one eval_value call per chunk evaluates it. All chunks at one epsilon
-draw from one fresh RngStream(seed, 0) generator, so every epsilon reads
-the same random numbers from the start, and a fixed (config, seed)
-reproduces identical results; the CSV determinism contract covers every
-column except wall_ms. Row t of a block depends on the trial count (the
+block, one kernel call per chunk of rows_per_chunk rows (about 2^20
+entries of the widest per-row array: n variables or m * arity scope
+entries), and one eval_value call per chunk evaluates it. All chunks at
+one epsilon draw from one fresh RngStream(seed, 0) generator, so every
+epsilon reads the same random numbers from the start, and a fixed
+(config, seed) reproduces identical results; the CSV determinism
+contract covers every column except wall_ms. Row t of a block depends on the trial count (the
 chunks split the draws by row count), so a run with more trials does not
 extend a run with fewer. `solve` is row 0 of a one-trial kernel call on
 RngStream(seed, 0), so it equals `ratio --trials 1` with the same seed.
@@ -38,7 +39,6 @@ from scipy import stats
 
 from . import algo_csp, algo_maxcut
 from .csp_core import (
-    VALUE_CHUNK_BITS,
     Constraint,
     CspInstance,
     WeightedGraph,
@@ -48,6 +48,7 @@ from .csp_core import (
     instance_to_graph,
     instance_to_json,
     mu,
+    rows_per_chunk,
     signs_from_bits,
 )
 from .dp_mechanisms import (
@@ -242,7 +243,7 @@ def _run_one_eps(
     kernel = ALGORITHMS[config.algorithm][0]
     t0 = time.perf_counter()
     gen = RngStream(config.seed, 0).generator()
-    step = max(1, (1 << VALUE_CHUNK_BITS) // max(1, view.n))
+    step = rows_per_chunk(view)
     values = np.concatenate([
         eval_value(view, kernel(view, eps, config.alpha, gen, min(step, config.trials - start)))
         for start in range(0, config.trials, step)

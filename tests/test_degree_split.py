@@ -238,7 +238,7 @@ class TestNoisyHighMask:
         for i, eps in enumerate(log_uniform_eps(300, seed=2).tolist()):
             for share, literal in ((Fraction(1, 3), 3.0 * k / eps), (Fraction(1, 6), 6.0 * k / eps)):
                 g1, g2 = gen(i), gen(i)
-                mask = noisy_high_mask(problem, eps, share, 1.5, g1)
+                mask = noisy_high_mask(problem, eps, share, 1.5, g1, 1)[0]
                 ref = degrees(problem) + dp_mechanisms.sample_laplace(literal, g2, size=problem.n) > 1.5
                 # the reference draw goes through the spy too: the helper's is second to last
                 assert scales[-2] == literal
@@ -254,12 +254,12 @@ class TestNoisyHighMask:
 class TestEmOnPart:
     def test_empty_part_draws_only_the_uniform_vector(self):
         g1, g2 = gen(5), gen(5)
-        x = em_on_part(one_constraint(3), np.zeros(3, dtype=bool), 1.0, g1)
-        ref = (2 * g2.integers(0, 2, size=3) - 1).astype(np.int8)
+        x = em_on_part(one_constraint(3), np.zeros((1, 3), dtype=bool), 1.0, g1)
+        ref = (2 * g2.integers(0, 2, size=(1, 3)) - 1).astype(np.int8)
         assert x.dtype == np.int8 and np.array_equal(x, ref)
         assert g1.bit_generator.state == g2.bit_generator.state
 
     def test_part_over_cap_refused(self):
         inst = CspInstance(n=5, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor")
         with pytest.raises(dp_mechanisms.ResourceCapError, match="exceeds cap 4"):
-            em_on_part(inst, np.ones(5, dtype=bool), 1.0, gen(), cap=4)
+            em_on_part(inst, np.ones((1, 5), dtype=bool), 1.0, gen(), cap=4)

@@ -2,6 +2,7 @@
 `solve` is `ratio --trials 1`, and the harness fills each epsilon's block
 in row chunks from one generator."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -75,6 +76,20 @@ def bipartite(n=1000, m=2000, seed=0):
     return WeightedGraph(n=n, edges=tuple((int(a), int(b), 1.0) for a, b in zip(u, v)))
 
 
+def dense_kxor(seed=0):
+    """5000 distinct 2XOR constraints across two halves of 200 variables:
+    average degree 50."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.choice(100 * 100, size=5000, replace=False)
+    return CspInstance(n=200, constraints=tuple(
+        Constraint(scope=(int(p // 100), 100 + int(p % 100)), b=int(rng.choice((-1, 1))))
+        for p in pairs
+    ), kind="kxor")
+
+
+DENSE_KXOR = dense_kxor()
+
+
 def without_wall_ms(report):
     return [line.rsplit(",", 1)[0] for line in report.csv().splitlines()]
 
@@ -91,7 +106,8 @@ class TestChunkedBlocks:
         monkeypatch.setattr(dp_mechanisms.RngStream, "generator", spy)
         config = harness.ExperimentConfig(algorithm="dp_shearer", eps=(0.5, 1.0, 2.0), trials=2500, seed=4)
         harness.estimate_ratio(config, bipartite())
-        # n = 1000: 2500 trials take three chunks of at most 1048 rows
+        # n = 1000, m = 2000: 2500 trials take ten chunks of at most 262
+        # rows, one generator per eps
         assert streams == [(4, 0)] * 3
 
     def test_chunked_run_is_deterministic(self):
@@ -100,20 +116,26 @@ class TestChunkedBlocks:
         assert without_wall_ms(harness.estimate_ratio(config, g)) == without_wall_ms(
             harness.estimate_ratio(config, bipartite()))
 
-    def test_memory_bounded_by_chunk(self):
-        # 20000 trials on n = 1000 in chunks of 1048 rows: the dp_shearer
-        # kernel's (rows, m) temporaries for one chunk peak near 30 MB, for
-        # the whole block they would take some 20 times that
-        config = harness.ExperimentConfig(algorithm="dp_shearer", eps=(1.0,), trials=20_000, seed=2)
-        g = bipartite()
-        g.edge_arrays()
+    @pytest.mark.parametrize("algorithm,problem,trials", [
+        # 20000 trials on n = 1000 in chunks of 262 rows: the dp_shearer
+        # kernel's (rows, m) temporaries for one chunk peak near 8 MB, for
+        # the whole block they would take some 80 times that
+        ("dp_shearer", bipartite(), 20_000),
+        # average degree 200 and 50: chunks of 2^20 / n rows, each of m
+        # entries, would peak near 115 and 210 MB at these trial counts
+        ("dp_shearer", bipartite(n=200, m=20_000), 2000),
+        ("alg3", DENSE_KXOR, 1000),
+    ], ids=["dp_shearer-n1000", "dp_shearer-degree200", "alg3-degree50"])
+    def test_memory_bounded_by_chunk(self, algorithm, problem, trials):
+        config = harness.ExperimentConfig(algorithm=algorithm, eps=(1.0,), trials=trials, seed=2)
+        harness.estimate_ratio(dataclasses.replace(config, trials=1), problem)
         tracemalloc.start()
         try:
-            harness.estimate_ratio(config, g)
+            harness.estimate_ratio(config, problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 40 * 2 ** 20
 
     def test_baseline_value_once_per_report(self, monkeypatch):
         calls = []
