@@ -19,7 +19,7 @@ from .csp_core import (
 )
 from .dp_mechanisms import (
     RngStream,
-    em_over_assignments,
+    em_over_assignments_batch,
     exponential_mechanism,
     randomized_response,
     sample_discrete_laplace,
@@ -47,6 +47,6 @@ __all__ = [
     "sample_discrete_laplace",
     "randomized_response",
     "exponential_mechanism",
-    "em_over_assignments",
+    "em_over_assignments_batch",
     "__version__",
 ]

@@ -1,19 +1,17 @@
 """Private CSP algorithms.
 
-Every algorithm is one batch kernel that returns a (trials, n) int8 block,
-one independent run per row; the single-run form is row 0 of the kernel
-with one trial.
+Every algorithm is one batch kernel, its only entry point, that returns a
+(trials, n) int8 block, one independent run per row; a single run is
+kernel(..., 1)[0].
 
-- alg1_batch / alg1_triangle_free_bounded: greedy signed-majority
-  rounding with randomized response, for triangle-free instances.
-- alg2_batch / alg2_partition_kxor: noisy degree split, exponential
-  mechanism on the high-degree part, a low-degree subroutine on the whole
-  instance, and a fair coin between the two candidates.
-- alg3_batch / alg3_dp_advrand: scaled keep-set selection, per-variable
-  private boost with a tanh marginal, and a Chebyshev-bias coordinate
-  flip.
-- alg_oddk_batch / alg_oddk_unbounded: the odd-arity wrapper combining
-  alg2 with alg3.
+- alg1_batch: greedy signed-majority rounding with randomized response,
+  for triangle-free instances.
+- alg2_batch: the degree-split pipeline (dp_mechanisms.degree_split_batch)
+  with alg1 as its subroutine.
+- alg3_batch: scaled keep-set selection, per-variable private boost with a
+  tanh marginal, and a Chebyshev-bias coordinate flip.
+- alg_oddk_batch: the degree-split pipeline with alg3 as its subroutine,
+  for odd arity.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,21 +27,17 @@ from .csp_core import (
     Constraint,
     ConstraintGroup,
     CspInstance,
-    as_assignment,
     constraint_groups,
     eval_value,
     is_triangle_free,
     signs_from_bits,
 )
 from .dp_mechanisms import (
-    UNBOUNDED_BUDGET_FRACTIONS,
     as_generator,
     check_epsilon,
-    em_on_part,
+    degree_split_batch,
     exponential_mechanism,
     keep_probability,
-    noisy_high_mask,
-    stage_budget,
 )
 from .oracles import _constraint_q_pmf, exact_median_theta
 
@@ -51,13 +45,9 @@ __all__ = [
     "AdvRandConfig",
     "boost_scale",
     "private_boost",
-    "alg1_triangle_free_bounded",
     "alg1_batch",
-    "alg2_partition_kxor",
     "alg2_batch",
-    "alg3_dp_advrand",
     "alg3_batch",
-    "alg_oddk_unbounded",
     "alg_oddk_batch",
 ]
 
@@ -295,75 +285,26 @@ def alg1_batch(
     return signs_from_bits((greedy & agree) | (~greedy & (x > 0)))
 
 
-def alg1_triangle_free_bounded(
-    instance: CspInstance, epsilon: float, rng, check: bool = True
-) -> np.ndarray:
-    """One run of alg1: row 0 of alg1_batch with one trial."""
-    return alg1_batch(instance, epsilon, rng, 1, check)[0]
+def alg2_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.ndarray:
+    """Unbounded-degree alg2 on a sign-form instance; one independent run
+    per row of the returned (trials, n) int8 block.
 
-
-def alg2_batch(
-    instance: CspInstance,
-    epsilon: float,
-    rng,
-    trials: int,
-    subroutine: Callable | None = None,
-    threshold: float | None = None,
-    cap: int = 24,
-) -> np.ndarray:
-    """Noisy-degree split with an exponential mechanism on the high part;
-    one independent run per row of the returned (trials, n) int8 block.
-
-    Degrees are perturbed with Laplace(3k/epsilon) noise; variables above
-    the threshold form the high set. One candidate assignment applies the
-    exponential mechanism (budget epsilon/3, sensitivity 1) to the
-    constraints contained in the high set and uniform values elsewhere;
-    the other runs the subroutine on the whole instance at epsilon/3. A
-    fair coin picks between them. The subroutine is a batch kernel,
-    subroutine(instance, epsilon, gen, trials) -> (trials, n) block;
-    alg1_batch by default.
+    The degree-split pipeline (dp_mechanisms.degree_split_batch): degrees
+    perturbed with Laplace(3k/epsilon) noise against the threshold
+    10000/eps^4 select the high set; one candidate applies the exponential
+    mechanism (budget epsilon/3, sensitivity 1) to the constraints inside
+    the high set, with uniform values elsewhere; the other runs alg1 on
+    the whole instance at epsilon/3. A fair coin picks between them.
     """
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg2 requires a sign-form instance")
     check_epsilon(epsilon, positive=True)
-    gen = as_generator(rng)
-    if subroutine is None:
-        subroutine = alg1_batch
-        if threshold is None:
-            threshold = 10000.0 / epsilon ** 4
-    elif threshold is None:
-        threshold = 100.0 / epsilon ** 2
-    degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
-    high = noisy_high_mask(instance, epsilon, degree_share, threshold, gen, trials)
-    x1 = em_on_part(instance, high, stage_budget(epsilon, em_share), gen, cap)
-    x2 = np.asarray(subroutine(instance, stage_budget(epsilon, sub_share), gen, trials))
-    if x2.shape != x1.shape or not np.all(np.abs(x2) == 1):
-        raise ValueError(
-            f"subroutine must return a {x1.shape} block of -1/+1 entries, got shape {x2.shape}"
-        )
-    return np.where((gen.random(trials) < 0.5)[:, None], x1, x2).astype(np.int8)
-
-
-def alg2_partition_kxor(
-    instance: CspInstance,
-    epsilon: float,
-    rng,
-    subroutine: Callable | None = None,
-    threshold: float | None = None,
-    cap: int = 24,
-) -> np.ndarray:
-    """One run of alg2: row 0 of alg2_batch with one trial. A given
-    subroutine is a single run, subroutine(instance, epsilon, gen) -> x."""
-    batch = None
-    if subroutine is not None:
-        def batch(inst, eps, gen, trials):
-            return as_assignment(subroutine(inst, eps, gen), inst.n)[None]
-    return alg2_batch(instance, epsilon, rng, 1, batch, threshold, cap)[0]
+    return degree_split_batch(instance, epsilon, rng, trials, alg1_batch, 10000.0 / epsilon ** 4)
 
 
 @dataclass(frozen=True)
 class AdvRandConfig:
-    """Knobs for alg3_dp_advrand.
+    """Knobs for alg3_batch.
 
     scale fixes the keep-probability exponent (None draws it uniformly
     from 1..ceil(log2 k)); flip_index fixes the Chebyshev flip index r in
@@ -487,53 +428,14 @@ def alg3_batch(
     return np.where(negate[:, None], -x, x).astype(np.int8)
 
 
-def alg3_dp_advrand(
-    instance: CspInstance,
-    epsilon: float,
-    rng,
-    config: AdvRandConfig | None = None,
-) -> np.ndarray:
-    """One run of alg3: row 0 of alg3_batch with one trial."""
-    return alg3_batch(instance, epsilon, rng, 1, config)[0]
-
-
-def alg_oddk_batch(
-    instance: CspInstance,
-    epsilon: float,
-    rng,
-    trials: int,
-    threshold_const: float = 100.0,
-    config: AdvRandConfig | None = None,
-) -> np.ndarray:
-    """Odd-arity unbounded-degree wrapper: the degree-split pipeline with
-    the advantage-rounding subroutine and threshold threshold_const/eps^2;
-    one independent run per row of the returned (trials, n) int8 block."""
+def alg_oddk_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.ndarray:
+    """Odd-arity unbounded-degree alg_oddk; one independent run per row of
+    the returned (trials, n) int8 block: the degree-split pipeline
+    (dp_mechanisms.degree_split_batch) with the threshold 100/eps^2 and
+    alg3 (advantage rounding) as its subroutine at epsilon/3."""
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg_oddk requires a sign-form instance")
-    k = instance.max_arity
-    if k % 2 == 0:
-        raise ValueError("alg_oddk requires odd arity; use alg2_partition_kxor")
+    if instance.max_arity % 2 == 0:
+        raise ValueError("alg_oddk requires odd arity; use alg2_batch")
     check_epsilon(epsilon, positive=True)
-
-    def subroutine(inst, eps, gen, sub_trials):
-        return alg3_batch(inst, eps, gen, sub_trials, config=config)
-
-    return alg2_batch(
-        instance,
-        epsilon,
-        rng,
-        trials,
-        subroutine=subroutine,
-        threshold=threshold_const / epsilon ** 2,
-    )
-
-
-def alg_oddk_unbounded(
-    instance: CspInstance,
-    epsilon: float,
-    rng,
-    threshold_const: float = 100.0,
-    config: AdvRandConfig | None = None,
-) -> np.ndarray:
-    """One run of alg_oddk: row 0 of alg_oddk_batch with one trial."""
-    return alg_oddk_batch(instance, epsilon, rng, 1, threshold_const, config)[0]
+    return degree_split_batch(instance, epsilon, rng, trials, alg3_batch, 100.0 / epsilon ** 2)

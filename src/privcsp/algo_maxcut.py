@@ -1,19 +1,17 @@
 """Private Max-Cut algorithms on the graph view.
 
-- shearer_baseline: the non-private two-color local rule.
-- dp_shearer: its pure-DP version with integer Laplace noise on the
+- shearer_batch: the non-private two-color local rule.
+- dp_shearer_batch: its pure-DP version with integer Laplace noise on the
   same-color counts.
-- dp_maxcut_unbounded: noisy degree split (Laplace(6/eps): one edge moves
-  two degrees), exponential mechanism on the high-degree part, dp_shearer
-  on the whole graph, fair coin.
-- dp_maxcut_general: degree split, subsampled mutual-choice matching with
-  a factorized exponential mechanism, and a final three-way selection.
+- dp_maxcut_unbounded_batch (alg5): the degree-split pipeline
+  (dp_mechanisms.degree_split_batch) with dp_shearer as its subroutine.
+- dp_maxcut_general_batch (alg6): degree split, subsampled mutual-choice
+  matching with a factorized exponential mechanism, and a final
+  three-way selection.
 
 All algorithms require unweighted graphs and return +-1 sides. Each is
-one batch kernel (shearer_batch, dp_shearer_batch,
-dp_maxcut_unbounded_batch, dp_maxcut_general_batch) that returns a
-(trials, n) int8 block, one independent run per row; the single-run form
-is row 0 of the kernel with one trial.
+one batch kernel, its only entry point, that returns a (trials, n) int8
+block, one independent run per row; a single run is kernel(..., 1)[0].
 """
 
 from __future__ import annotations
@@ -25,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .csp_core import WeightedGraph, cut_value, signs_from_bits
+from .csp_core import WeightedGraph, eval_value, signs_from_bits
 from .dp_mechanisms import (
     GENERAL_BUDGET_FRACTIONS,
-    UNBOUNDED_BUDGET_FRACTIONS,
     as_generator,
-    budget_ledger,
     check_epsilon,
+    degree_split_batch,
     em_on_part,
     exponential_mechanism,
     noisy_high_mask,
@@ -46,19 +43,13 @@ __all__ = [
     "MatchingState",
     "MATCHING_EM_BUDGET",
     "MATCHING_EM_SENSITIVITY",
-    "UNBOUNDED_BUDGET_FRACTIONS",
     "GENERAL_BUDGET_FRACTIONS",
     "matched_edge_cut_probability",
-    "budget_ledger",
-    "shearer_baseline",
     "shearer_batch",
-    "dp_shearer",
     "dp_shearer_batch",
-    "dp_maxcut_unbounded",
     "dp_maxcut_unbounded_batch",
     "mutual_choice_matching",
     "matching_em_cut",
-    "dp_maxcut_general",
     "dp_maxcut_general_batch",
 ]
 
@@ -114,8 +105,11 @@ def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int
 
 
 def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
-    """Vectorized shearer_baseline; one independent run per row."""
-    _require_unweighted(graph, "shearer_baseline")
+    """Two-coloring local rule; one independent run per row of the returned
+    (trials, n) int8 block. Keep the first color when strictly fewer than
+    half the neighbors share it, switch to the second when strictly more
+    do, and flip a fair coin on a tie."""
+    _require_unweighted(graph, "shearer_batch")
     gen = as_generator(rng)
     c1, c2, ell = _two_color_batch(graph, gen, trials)
     deg = graph.degree_counts()
@@ -124,16 +118,12 @@ def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
     return np.where(take_first, c1, c2).astype(np.int8)
 
 
-def shearer_baseline(graph: WeightedGraph, rng) -> np.ndarray:
-    """Two-coloring local rule: keep the first color when strictly fewer
-    than half the neighbors share it, switch to the second when strictly
-    more do, and flip a fair coin on a tie."""
-    return shearer_batch(graph, rng, 1)[0]
-
-
 def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> np.ndarray:
-    """Vectorized dp_shearer; one independent run per row."""
-    _require_unweighted(graph, "dp_shearer")
+    """Pure-DP variant of the two-coloring rule; one independent run per
+    row of the returned (trials, n) int8 block. The neighbor count is
+    compared against ceil((d(v)-1)/2) plus integer Laplace noise at
+    epsilon/2, which makes the sensitivity-2 count vector epsilon-DP."""
+    _require_unweighted(graph, "dp_shearer_batch")
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     c1, c2, ell = _two_color_batch(graph, gen, trials)
@@ -149,41 +139,24 @@ def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> 
     return signs_from_bits((take_first & (c1 > 0)) | (~take_first & (c2 > 0)))
 
 
-def dp_shearer(graph: WeightedGraph, epsilon: float, rng) -> np.ndarray:
-    """Pure-DP variant of the two-coloring rule: the neighbor count is
-    compared against ceil((d(v)-1)/2) plus integer Laplace noise at
-    epsilon/2, which makes the sensitivity-2 count vector epsilon-DP."""
-    return dp_shearer_batch(graph, epsilon, rng, 1)[0]
-
-
 def dp_maxcut_unbounded_batch(
-    graph: WeightedGraph, epsilon: float, rng, trials: int, cap: int = 24
+    graph: WeightedGraph, epsilon: float, rng, trials: int
 ) -> np.ndarray:
-    """Unbounded-degree private Max-Cut; one independent run per row of the
-    returned (trials, n) int8 block.
+    """Unbounded-degree private Max-Cut (alg5); one independent run per row
+    of the returned (trials, n) int8 block.
 
-    Noisy degrees (Laplace(6/epsilon), as one edge moves two degrees)
-    against the threshold 10000/eps^2 select the high-degree part; one
-    candidate cut applies the exponential mechanism (budget epsilon/3,
-    sensitivity 1) to the induced high-degree subgraph with uniform sides
-    elsewhere, the other runs dp_shearer on the whole graph at epsilon/3.
-    A fair coin picks the output; each of the three stages spends epsilon/3.
+    The degree-split pipeline (dp_mechanisms.degree_split_batch): noisy
+    degrees (Laplace(6/epsilon), as one edge moves two degrees) against
+    the threshold 10000/eps^2 select the high-degree part; one candidate
+    cut applies the exponential mechanism (budget epsilon/3, sensitivity
+    1) to the induced high-degree subgraph with uniform sides elsewhere,
+    the other runs dp_shearer on the whole graph at epsilon/3. A fair
+    coin picks the output; each of the three stages spends epsilon/3.
     """
-    _require_unweighted(graph, "dp_maxcut_unbounded")
+    _require_unweighted(graph, "dp_maxcut_unbounded_batch")
     check_epsilon(epsilon, positive=True)
-    gen = as_generator(rng)
-    degree_share, em_share, shearer_share = UNBOUNDED_BUDGET_FRACTIONS
-    high = noisy_high_mask(graph, epsilon, degree_share, 10000.0 / epsilon ** 2, gen, trials)
-    s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen, cap)
-    s2 = dp_shearer_batch(graph, stage_budget(epsilon, shearer_share), gen, trials)
-    return np.where((gen.random(trials) < 0.5)[:, None], s1, s2)
-
-
-def dp_maxcut_unbounded(
-    graph: WeightedGraph, epsilon: float, rng, cap: int = 24
-) -> np.ndarray:
-    """One run of alg5: row 0 of dp_maxcut_unbounded_batch with one trial."""
-    return dp_maxcut_unbounded_batch(graph, epsilon, rng, 1, cap)[0]
+    threshold = 10000.0 / epsilon ** 2
+    return degree_split_batch(graph, epsilon, rng, trials, dp_shearer_batch, threshold)
 
 
 def mutual_choice_matching(graph: WeightedGraph, rng) -> MatchingState:
@@ -243,10 +216,9 @@ def dp_maxcut_general_batch(
     alpha: float,
     rng,
     trials: int,
-    cap: int = 24,
 ) -> np.ndarray:
-    """General-graph private Max-Cut; one independent run per row of the
-    returned (trials, n) int8 block.
+    """General-graph private Max-Cut (alg6); one independent run per row of
+    the returned (trials, n) int8 block.
 
     Builds three candidate cuts: an exponential mechanism on the noisy
     high-degree part (budget epsilon/6), a factorized exponential
@@ -258,7 +230,7 @@ def dp_maxcut_general_batch(
     candidate are drawn for all rows at once; the matching and the final
     selection run row by row, after them.
     """
-    _require_unweighted(graph, "dp_maxcut_general")
+    _require_unweighted(graph, "dp_maxcut_general_batch")
     if not (0.0 < epsilon <= 0.1):
         raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon}")
     if not (math.isfinite(alpha) and alpha >= 0):
@@ -282,7 +254,7 @@ def dp_maxcut_general_batch(
     gen = as_generator(rng)
     n = graph.n
     high = noisy_high_mask(graph, epsilon, degree_share, 24.0 / eps_pow, gen, trials)
-    s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen, cap)
+    s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen)
     u, v, _ = graph.edge_arrays()
     out = np.empty((trials, n), dtype=np.int8)
     for t, high_mask in enumerate(high):
@@ -292,22 +264,8 @@ def dp_maxcut_general_batch(
         matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
         s2 = matching_em_cut(n, matching, gen)
         s3 = np.where(high_mask, 1, -1).astype(np.int8)
+        candidates = np.stack([s1[t], s2, s3])
         out[t] = exponential_mechanism(
-            [s1[t], s2, s3],
-            lambda cand: cut_value(graph, cand),
-            stage_budget(epsilon, final_share),
-            1.0,
-            gen,
+            candidates, eval_value(graph, candidates), stage_budget(epsilon, final_share), 1.0, gen
         )
     return out
-
-
-def dp_maxcut_general(
-    graph: WeightedGraph,
-    epsilon: float,
-    alpha: float,
-    rng,
-    cap: int = 24,
-) -> np.ndarray:
-    """One run of alg6: row 0 of dp_maxcut_general_batch with one trial."""
-    return dp_maxcut_general_batch(graph, epsilon, alpha, rng, 1, cap)[0]

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen, solve, ratio, sweep, audit, verify-hardness.
-Exit codes: 0 pass, 1 validation error, 2 acceptance/audit failure,
-3 resource cap hit.
+Subcommands: gen, solve, ratio, sweep, audit, verify-hardness. Each takes
+only the flags its handler reads, so any other flag is an argparse error
+(exit 2). Exit codes: 0 pass, 1 validation error, 2 acceptance/audit
+failure, 3 resource cap hit.
 
 main builds one argparse parser per process, on its first call, and
 reuses it: parse_args keeps no state between calls, and building the
@@ -38,6 +39,7 @@ from .harness import (
     ALGORITHMS,
     AUDIT_MECHANISMS,
     ExperimentConfig,
+    _wants_graph,
     audit,
     audit_csv_row,
     estimate_ratio,
@@ -57,13 +59,21 @@ def _load_problem(path: str):
     return load_instance(path)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--eps", type=float, nargs="+", default=[1.0])
-    parser.add_argument("--alpha", type=float, default=0.0)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--instance", type=str, default=None)
+# flag -> add_argument keywords, for the flags several subcommands share;
+# ratio and sweep take an epsilon grid instead of one --eps
+_FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": int, "default": 1000},
+    "--eps": {"type": float, "default": 1.0},
+    "--alpha": {"type": float, "default": 0.0},
+    "--out": {"type": str, "default": None},
+    "--instance": {"type": str, "default": None},
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -117,29 +127,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--scope", type=int, nargs="+", default=[0, 1])
     p_gen.add_argument("--triangle-free", action="store_true")
     p_gen.add_argument("--max-degree", type=int, default=None)
-    _add_common(p_gen)
+    _add_flags(p_gen, "--seed", "--out")
 
     p_solve = sub.add_parser("solve", help="run an algorithm once")
     p_solve.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
-    p_solve.add_argument("--config", type=str, default=None)
-    _add_common(p_solve)
+    _add_flags(p_solve, "--instance", "--eps", "--alpha", "--seed")
 
     for name in ("ratio", "sweep"):
         p = sub.add_parser(name, help=f"{name} experiment")
         p.add_argument("--algorithm", required=True, choices=sorted(ALGORITHMS))
         p.add_argument("--config", type=str, default=None)
-        _add_common(p)
+        p.add_argument("--eps", type=float, nargs="+", default=[1.0])
+        _add_flags(p, "--instance", "--alpha", "--trials", "--seed", "--out")
 
     p_audit = sub.add_parser("audit", help="empirical privacy audit")
     p_audit.add_argument(
         "--mechanism", required=True, choices=sorted(AUDIT_MECHANISMS)
     )
-    _add_common(p_audit)
+    _add_flags(p_audit, "--eps", "--trials", "--seed", "--out")
 
     p_hard = sub.add_parser("verify-hardness", help="hard-family checks")
     p_hard.add_argument("--n", type=int, default=8)
     p_hard.add_argument("--size", type=int, default=3)
-    _add_common(p_hard)
+    _add_flags(p_hard, "--eps", "--seed")
 
     return parser
 
@@ -180,17 +190,15 @@ def _cmd_solve(args) -> int:
     if not args.instance:
         raise ValueError("solve requires --instance")
     problem = _load_problem(args.instance)
-    from .harness import _wants_graph
-
     kernel, want_graph = ALGORITHMS[args.algorithm]
     prob = _wants_graph(problem, want_graph)
     # row 0 of a one-trial kernel call: ratio --trials 1 with this seed
-    x = kernel(prob, args.eps[0], args.alpha, RngStream(args.seed, 0).generator(), 1)[0]
+    x = kernel(prob, args.eps, args.alpha, RngStream(args.seed, 0).generator(), 1)[0]
     print(
         json.dumps(
             {
                 "algorithm": args.algorithm,
-                "eps": args.eps[0],
+                "eps": args.eps,
                 "assignment": [int(v) for v in x],
                 "value": eval_value(prob, x),
             }
@@ -214,9 +222,9 @@ def _cmd_ratio(args, use_sweep: bool) -> int:
 
 
 def _cmd_audit(args) -> int:
-    report, ok = audit(args.mechanism, args.eps[0], args.trials, args.seed)
+    report, ok = audit(args.mechanism, args.eps, args.trials, args.seed)
     header = "mechanism,eps,trials,eps_hat,ci_lo,ci_hi,coarsening"
-    row = audit_csv_row(args.mechanism, args.eps[0], report)
+    row = audit_csv_row(args.mechanism, args.eps, report)
     text = header + "\n" + row + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -225,7 +233,7 @@ def _cmd_audit(args) -> int:
     if not ok:
         print(
             f"AUDIT FAILURE: ci lower bound {report.ci_lower:.4g} exceeds "
-            f"eps {args.eps[0]:.4g}",
+            f"eps {args.eps:.4g}",
             file=sys.stderr,
         )
         return EXIT_FAILURE
@@ -233,7 +241,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_verify_hardness(args) -> int:
-    report = verify_hardness(args.n, args.eps[0], args.size, args.seed)
+    report = verify_hardness(args.n, args.eps, args.size, args.seed)
     print(
         json.dumps(
             {

@@ -1,8 +1,19 @@
-"""Seedable privacy primitives with exact, auditable output laws.
+"""Seedable privacy primitives with exact, auditable output laws, and the
+stages the algorithms compose them into.
 
 Every mechanism draws from a numpy Generator. RngStream wraps a
 (seed, stream) pair that reproduces draws bit-for-bit across runs;
 concurrent trials must use distinct stream ids.
+
+The exponential mechanism has two forms: exponential_mechanism picks one
+of a few candidates by precomputed score, and em_over_assignments_batch
+draws (trials, |active|) blocks over all sign assignments of a variable
+set. The noisy-degree split is three helpers that work on (trials, n)
+blocks, one run per row: noisy_high_mask (the degree stage), em_on_part
+(the exponential mechanism on each row's part) and degree_split_batch,
+the unbounded-degree pipeline of alg2, alg_oddk and alg5. The share
+tables give each stage its part of epsilon, and budget_ledger lists them
+per ALGORITHMS id.
 """
 
 from __future__ import annotations
@@ -29,12 +40,12 @@ EM_ENUMERATION_CAP = 24
 # each table sums to 1, and every stage spends stage_budget(epsilon, share).
 UNBOUNDED_BUDGET_FRACTIONS = (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 GENERAL_BUDGET_FRACTIONS = (Fraction(1, 6), Fraction(1, 6), Fraction(1, 6), Fraction(1, 2))
-# algorithm -> (shares, stage names)
+# ALGORITHMS id -> (shares, stage names)
 _LEDGERS = {
-    "alg2_partition_kxor": (UNBOUNDED_BUDGET_FRACTIONS, "degree-noise high-part-em subroutine"),
-    "dp_maxcut_unbounded": (UNBOUNDED_BUDGET_FRACTIONS, "degree-noise high-part-em dp-shearer"),
-    "dp_maxcut_general": (
-        GENERAL_BUDGET_FRACTIONS, "degree-noise high-part-em matching-em final-selection"),
+    "alg2": (UNBOUNDED_BUDGET_FRACTIONS, "degree-noise high-part-em subroutine"),
+    "alg_oddk": (UNBOUNDED_BUDGET_FRACTIONS, "degree-noise high-part-em subroutine"),
+    "alg5": (UNBOUNDED_BUDGET_FRACTIONS, "degree-noise high-part-em dp-shearer"),
+    "alg6": (GENERAL_BUDGET_FRACTIONS, "degree-noise high-part-em matching-em final-selection"),
 }
 
 __all__ = [
@@ -47,7 +58,6 @@ __all__ = [
     "keep_probability",
     "randomized_response",
     "exponential_mechanism",
-    "em_over_assignments",
     "em_over_assignments_batch",
     "UNBOUNDED_BUDGET_FRACTIONS",
     "GENERAL_BUDGET_FRACTIONS",
@@ -55,6 +65,7 @@ __all__ = [
     "budget_ledger",
     "noisy_high_mask",
     "em_on_part",
+    "degree_split_batch",
 ]
 
 
@@ -183,51 +194,27 @@ def _em_draws(cdf: np.ndarray, gen, trials: int) -> np.ndarray:
 
 def exponential_mechanism(
     candidates: Sequence,
-    score,
+    scores: Sequence[float],
     epsilon: float,
     sensitivity: float,
     rng,
 ):
-    """Samples a candidate with weight exp(epsilon * score / (2 * sensitivity)).
-
-    score may be a callable or a sequence of precomputed scores. Ties are
-    broken by the sampler's uniform draw, never by candidate index.
+    """Samples a candidate with weight exp(epsilon * score / (2 * sensitivity)),
+    given one precomputed score per candidate. Ties are broken by the
+    sampler's uniform draw, never by candidate index.
     """
     if len(candidates) == 0:
         raise ValueError("candidate set must be nonempty")
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     check_epsilon(epsilon)
-    if callable(score):
-        scores = np.asarray([float(score(c)) for c in candidates])
-    else:
-        scores = np.asarray([float(s) for s in score])
-        if scores.shape[0] != len(candidates):
-            raise ValueError("score vector length must match candidate count")
+    scores = np.asarray([float(s) for s in scores])
+    if scores.shape[0] != len(candidates):
+        raise ValueError("score vector length must match candidate count")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     cdf = _em_cdf(scores, epsilon, sensitivity)
     return candidates[int(_em_draws(cdf, as_generator(rng), 1)[0])]
-
-
-def em_over_assignments(
-    problem: CspInstance | WeightedGraph,
-    active: Sequence[int],
-    budget: float,
-    sensitivity: float,
-    rng,
-    cap: int = EM_ENUMERATION_CAP,
-) -> np.ndarray:
-    """Exponential mechanism over all sign assignments of `active`.
-
-    Scores are values of the sub-problem induced on `active`; the sampled
-    weight of assignment a is exp(budget * value(a) / (2 * sensitivity)).
-    Returns an int8 vector aligned with `active`. An empty active set
-    returns an empty vector without consuming randomness. Row 0 of
-    em_over_assignments_batch with one trial, so it shares that function's
-    CDF memo.
-    """
-    return em_over_assignments_batch(problem, active, budget, sensitivity, rng, 1, cap)[0]
 
 
 def em_over_assignments_batch(
@@ -239,8 +226,14 @@ def em_over_assignments_batch(
     trials: int,
     cap: int = EM_ENUMERATION_CAP,
 ) -> np.ndarray:
-    """Independent em_over_assignments draws, one per row of the returned
-    (trials, |active|) int8 array; the value table is built once.
+    """Exponential mechanism over all sign assignments of `active`, one
+    independent draw per row of the returned (trials, |active|) int8 array.
+
+    Scores are values of the sub-problem induced on `active`; the sampled
+    weight of assignment a is exp(budget * value(a) / (2 * sensitivity)).
+    Column i of a row is the sign of variable active[i]. An empty active
+    set returns a (trials, 0) array without consuming randomness; a
+    nonempty one reads one gen.random double per row.
 
     The CDF over the 2^|active| assignments is memoized in one slot on the
     problem object (`problem._em_cdf_memo`), keyed by
@@ -259,7 +252,7 @@ def em_over_assignments_batch(
         return np.empty((trials, 0), dtype=np.int8)
     if len(active) > cap:
         raise ResourceCapError(
-            f"em_over_assignments: |active| = {len(active)} exceeds cap {cap}"
+            f"em_over_assignments_batch: |active| = {len(active)} exceeds cap {cap}"
         )
     key = (tuple(active), budget, sensitivity)
     memo = problem._em_cdf_memo
@@ -306,9 +299,9 @@ def noisy_high_mask(
 def em_on_part(problem, part: np.ndarray, budget: float, rng, cap: int = EM_ENUMERATION_CAP):
     """A uniform +-1 int8 block shaped like the (trials, n) bool block part,
     one part per row, with the variables of each row's part replaced by an
-    em_over_assignments draw (budget, sensitivity 1) on them. Rows with the
-    same part share one em_over_assignments_batch call, one draw per row;
-    empty parts draw only the uniform block."""
+    exponential-mechanism draw (budget, sensitivity 1) on them. Rows with
+    the same part share one em_over_assignments_batch call, one draw per
+    row; empty parts draw only the uniform block."""
     gen = as_generator(rng)
     x = signs_from_bits(gen.integers(0, 2, size=part.shape))
     groups: dict[bytes, list[int]] = {}
@@ -320,3 +313,29 @@ def em_on_part(problem, part: np.ndarray, budget: float, rng, cap: int = EM_ENUM
             problem, idx.tolist(), budget, 1.0, gen, len(members), cap=cap
         )
     return x
+
+
+def degree_split_batch(
+    problem, epsilon: float, rng, trials: int, subroutine, threshold: float
+) -> np.ndarray:
+    """The unbounded-degree pipeline; one independent run per row of the
+    returned (trials, n) int8 block. Input checks are the caller's.
+
+    The degree stage (noisy_high_mask) marks each row's high part: the
+    variables whose noisy degree exceeds threshold. One candidate is
+    em_on_part on that part, uniform elsewhere; the other is the batch
+    kernel subroutine(problem, budget, gen, trials) -> (trials, n) +-1
+    block, run on the whole problem. A fair coin per row picks between
+    them. The three stages spend the UNBOUNDED_BUDGET_FRACTIONS shares of
+    epsilon, in that order, and draw in that order.
+    """
+    gen = as_generator(rng)
+    degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
+    high = noisy_high_mask(problem, epsilon, degree_share, threshold, gen, trials)
+    x1 = em_on_part(problem, high, stage_budget(epsilon, em_share), gen)
+    x2 = np.asarray(subroutine(problem, stage_budget(epsilon, sub_share), gen, trials))
+    if x2.shape != x1.shape or not np.all(np.abs(x2) == 1):
+        raise ValueError(
+            f"subroutine must return a {x1.shape} block of -1/+1 entries, got shape {x2.shape}"
+        )
+    return np.where((gen.random(trials) < 0.5)[:, None], x1, x2).astype(np.int8, copy=False)

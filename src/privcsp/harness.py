@@ -1,8 +1,9 @@
 """Experiment orchestration: ratio estimation, epsilon sweeps, privacy
 audits, and hardness verification.
 
-Every algorithm is one batch kernel, kernel(view, eps, alpha, gen,
-trials) -> (trials, n) int8 block. At each epsilon the trials fill one
+Every ALGORITHMS entry wraps its algorithm's batch kernel, the only entry
+point the algorithm has, as kernel(view, eps, alpha, gen, trials) ->
+(trials, n) int8 block. At each epsilon the trials fill one
 block, one kernel call per chunk of rows_per_chunk rows (about 2^20
 entries of the widest per-row array: n variables or m * arity scope
 entries), and one eval_value call per chunk evaluates it. All chunks at
@@ -31,7 +32,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,11 +65,6 @@ from .oracles import (
     brute_force_opt,
     empirical_epsilon,
     verify_packing_separation,
-)
-
-CSV_COLUMNS = (
-    "algorithm,eps,alpha,n,m,trials,mean_val,se,opt,ratio,advantage,"
-    "seed,config_hash,wall_ms"
 )
 
 __all__ = [
@@ -177,6 +173,9 @@ class ReportRow:
     wall_ms: float
 
     def csv(self) -> str:
+        """The row's fields in CSV_COLUMNS order: floats to 17 significant
+        digits, None as an empty cell."""
+
         def fmt(x) -> str:
             if x is None:
                 return ""
@@ -184,25 +183,10 @@ class ReportRow:
                 return f"{x:.17g}"
             return str(x)
 
-        return ",".join(
-            fmt(v)
-            for v in (
-                self.algorithm,
-                self.eps,
-                self.alpha,
-                self.n,
-                self.m,
-                self.trials,
-                self.mean_val,
-                self.se,
-                self.opt,
-                self.ratio,
-                self.advantage,
-                self.seed,
-                self.config_hash,
-                self.wall_ms,
-            )
-        )
+        return ",".join(fmt(getattr(self, f.name)) for f in fields(self))
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(ReportRow))
 
 
 @dataclass(frozen=True)
@@ -285,13 +269,19 @@ def estimate_ratio(config: ExperimentConfig, problem) -> ExperimentReport:
 
 
 def sweep(config: ExperimentConfig, problem) -> ExperimentReport:
-    """estimate_ratio plus a monotone-trend summary of advantage vs eps."""
+    """estimate_ratio plus a monotone-trend summary of advantage vs eps: the
+    Spearman correlation, nan when either vector is constant (an algorithm
+    that ignores eps reads the same draws at every eps)."""
     report = estimate_ratio(config, problem)
     spearman = None
     if len(report.rows) >= 2:
         adv = [r.advantage for r in report.rows]
         eps = [r.eps for r in report.rows]
-        spearman = float(stats.spearmanr(eps, adv).statistic)
+        if len(set(adv)) == 1 or len(set(eps)) == 1:
+            # scipy returns nan here too, with a ConstantInputWarning
+            spearman = math.nan
+        else:
+            spearman = float(stats.spearmanr(eps, adv).statistic)
     return ExperimentReport(rows=report.rows, spearman_advantage_eps=spearman)
 
 

@@ -23,6 +23,7 @@ from .csp_core import (
     ResourceCapError,
     WeightedGraph,
     assignment_rows,
+    eval_value,
     mu,
     value_chunks,
 )
@@ -485,7 +486,7 @@ def adversarial_single_constraint(
     1 - e^{-epsilon} * (1 - mu) plus three standard errors.
 
     `mechanism(instance, generator, trials)` must return an array of
-    shape (trials, n) with +-1 entries.
+    shape (trials, n) with +-1 entries; eval_value rejects any other.
     """
     if not candidates:
         raise ValueError("need at least one candidate constraint")
@@ -494,21 +495,14 @@ def adversarial_single_constraint(
         raise ValueError("all candidates must share one scope")
     gen = as_generator(rng)
     empty = CspInstance(n=n, constraints=(), kind=kind)
-    outs = np.asarray(mechanism(empty, gen, trials))
-    masses = []
-    for c in candidates:
-        sat = np.fromiter(
-            (c.evaluate(row) for row in outs), dtype=np.float64, count=outs.shape[0]
-        )
-        masses.append(float(sat.mean()))
+    outs = mechanism(empty, gen, trials)
+    masses = [
+        float(eval_value(CspInstance(n=n, constraints=(c,)), outs).mean()) for c in candidates
+    ]
     pick = int(np.argmin(masses))
     chosen = candidates[pick]
     phi = CspInstance(n=n, constraints=(chosen,), kind=kind)
-    outs2 = np.asarray(mechanism(phi, gen, trials))
-    sat2 = np.fromiter(
-        (chosen.evaluate(row) for row in outs2), dtype=np.float64, count=outs2.shape[0]
-    )
-    p = float(sat2.mean())
+    p = float(eval_value(phi, mechanism(phi, gen, trials)).mean())
     se = max(math.sqrt(max(p * (1.0 - p), 0.0) / trials), math.sqrt(0.25 / trials) / 10)
     bound = 1.0 - math.exp(-epsilon) * (1.0 - mu(chosen))
     return AdversarialReport(

@@ -13,8 +13,6 @@ from privcsp.algo_maxcut import (
     GENERAL_BUDGET_FRACTIONS,
     MATCHING_EM_BUDGET,
     MATCHING_EM_SENSITIVITY,
-    UNBOUNDED_BUDGET_FRACTIONS,
-    budget_ledger,
     dp_shearer_batch,
     matched_edge_cut_probability,
     mutual_choice_matching,
@@ -29,8 +27,10 @@ from privcsp.csp_core import (
     lambda_j,
 )
 from privcsp.dp_mechanisms import (
+    UNBOUNDED_BUDGET_FRACTIONS,
     RngStream,
-    em_over_assignments,
+    budget_ledger,
+    em_over_assignments_batch,
     randomized_response,
     sample_discrete_laplace,
 )
@@ -95,7 +95,7 @@ def test_criterion_01_mechanism_exactness():
     trials = 100_000
     counts = np.zeros(8)
     for _ in range(trials):
-        out = em_over_assignments(inst, [0, 1, 2], 2.0, 1.0, rng)
+        out = em_over_assignments_batch(inst, [0, 1, 2], 2.0, 1.0, rng, 1)[0]
         counts[sum(1 << t for t, v in enumerate(out) if v == 1)] += 1
     tv = 0.5 * float(np.abs(counts / trials - probs).sum())
     ok &= tv <= 0.01
@@ -241,7 +241,7 @@ def test_criterion_09_matching_mechanism_and_budget_ledgers():
     ok = abs(matched_edge_cut_probability() - w / (1 + w)) < 1e-12
     ok &= sum(UNBOUNDED_BUDGET_FRACTIONS) == 1
     ok &= sum(GENERAL_BUDGET_FRACTIONS) == 1
-    for name in ("dp_maxcut_unbounded", "dp_maxcut_general"):
+    for name in ("alg5", "alg6"):
         stages = budget_ledger(name, 0.1)
         ok &= abs(sum(b for _, b in stages) - 0.1) < 1e-15
     rng = gen(900)

@@ -6,11 +6,10 @@ import pytest
 from privcsp.algo_csp import (
     AdvRandConfig,
     alg1_batch,
-    alg1_triangle_free_bounded,
-    alg2_partition_kxor,
-    alg3_dp_advrand,
+    alg2_batch,
+    alg3_batch,
     _median_for,
-    alg_oddk_unbounded,
+    alg_oddk_batch,
     boost_scale,
     private_boost,
 )
@@ -21,7 +20,7 @@ from privcsp.csp_core import (
     eval_value,
     lambda_j,
 )
-from privcsp.dp_mechanisms import RngStream
+from privcsp.dp_mechanisms import RngStream, degree_split_batch
 from privcsp.generators import GenSpec, gen_random_kxor
 from privcsp.oracles import exact_median_theta
 
@@ -53,14 +52,14 @@ class TestAlg1:
         cons = (xor((0, 1)), xor((1, 2)), xor((0, 2)))
         inst = CspInstance(n=3, constraints=cons, kind="kxor")
         with pytest.raises(ValueError):
-            alg1_triangle_free_bounded(inst, 1.0, gen())
+            alg1_batch(inst, 1.0, gen(), 1)
         with pytest.raises(ValueError):
             alg1_batch(inst, 1.0, gen(), 4)
 
     def test_check_bypass(self):
         cons = (xor((0, 1)), xor((1, 2)), xor((0, 2)))
         inst = CspInstance(n=3, constraints=cons, kind="kxor")
-        out = alg1_triangle_free_bounded(inst, 1.0, gen(), check=False)
+        out = alg1_batch(inst, 1.0, gen(), 1, check=False)[0]
         assert out.shape == (3,)
 
     def test_empty_instance_uniform(self):
@@ -95,7 +94,7 @@ class TestAlg1:
         trials = 20_000
         loop_vals = np.array(
             [
-                eval_value(inst, alg1_triangle_free_bounded(inst, 1.0, g))
+                eval_value(inst, alg1_batch(inst, 1.0, g, 1)[0])
                 for g in (RngStream(5, t).generator() for t in range(trials))
             ]
         )
@@ -114,7 +113,7 @@ class TestAlg1:
         inst = CspInstance(n=4, constraints=cons, kind="general")
         vals = np.array(
             [
-                eval_value(inst, alg1_triangle_free_bounded(inst, 2.0, g))
+                eval_value(inst, alg1_batch(inst, 2.0, g, 1)[0])
                 for g in (RngStream(7, t).generator() for t in range(20_000))
             ]
         )
@@ -125,18 +124,18 @@ class TestAlg1:
 
     def test_determinism(self):
         inst = cycle_instance(6)
-        a = alg1_triangle_free_bounded(inst, 1.0, gen(8))
-        b = alg1_triangle_free_bounded(inst, 1.0, gen(8))
+        a = alg1_batch(inst, 1.0, gen(8), 1)[0]
+        b = alg1_batch(inst, 1.0, gen(8), 1)[0]
         assert np.array_equal(a, b)
 
     def test_negative_eps(self):
         with pytest.raises(ValueError):
-            alg1_triangle_free_bounded(cycle_instance(4), -1.0, gen())
+            alg1_batch(cycle_instance(4), -1.0, gen(), 1)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps(self, eps):
         with pytest.raises(ValueError):
-            alg1_triangle_free_bounded(cycle_instance(4), eps, gen())
+            alg1_batch(cycle_instance(4), eps, gen(), 1)
         with pytest.raises(ValueError):
             alg1_batch(cycle_instance(4), eps, gen(), 4)
 
@@ -145,8 +144,8 @@ class TestAlg1:
         # must run, not overflow, and draw exactly what eps = 40 draws
         inst = cycle_instance(6)
         assert np.array_equal(
-            alg1_triangle_free_bounded(inst, 800.0, gen(11)),
-            alg1_triangle_free_bounded(inst, 40.0, gen(11)),
+            alg1_batch(inst, 800.0, gen(11), 1)[0],
+            alg1_batch(inst, 40.0, gen(11), 1)[0],
         )
         assert np.array_equal(
             alg1_batch(inst, 800.0, gen(12), 50), alg1_batch(inst, 40.0, gen(12), 50)
@@ -166,8 +165,8 @@ class TestAlg1:
         inst = cycle_instance(8)
         for t in range(5):
             assert core.is_triangle_free(inst)
-            alg1_triangle_free_bounded(inst, 1.0, gen(t))
-            alg2_partition_kxor(inst, 1.0, gen(t))
+            alg1_batch(inst, 1.0, gen(t), 1)
+            alg2_batch(inst, 1.0, gen(t), 1)
         assert len(calls) == 1
         # an equal but distinct object scans on its own
         assert core.is_triangle_free(cycle_instance(8)) and len(calls) == 2
@@ -210,14 +209,14 @@ class TestMedianMemo:
 class TestAlg2:
     def test_runs_and_valid(self):
         inst = gen_random_kxor(GenSpec(n=14, m=10, k=2, seed=0, triangle_free=True))
-        x = alg2_partition_kxor(inst, 2.0, gen(9))
+        x = alg2_batch(inst, 2.0, gen(9), 1)[0]
         assert x.shape == (14,) and set(np.unique(x)) <= {-1, 1}
 
     def test_half_value_floor(self):
         inst = gen_random_kxor(GenSpec(n=12, m=8, k=2, seed=1, triangle_free=True))
         vals = np.array(
             [
-                eval_value(inst, alg2_partition_kxor(inst, 1.0, g))
+                eval_value(inst, alg2_batch(inst, 1.0, g, 1)[0])
                 for g in (RngStream(10, t).generator() for t in range(5_000))
             ]
         )
@@ -230,28 +229,28 @@ class TestAlg2:
             kind="general",
         )
         with pytest.raises(ValueError):
-            alg2_partition_kxor(inst, 1.0, gen())
+            alg2_batch(inst, 1.0, gen(), 1)
 
     def test_positive_eps_required(self):
         with pytest.raises(ValueError):
-            alg2_partition_kxor(cycle_instance(4), 0.0, gen())
+            alg2_batch(cycle_instance(4), 0.0, gen(), 1)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_rejected(self, eps):
         # eps=inf used to fail inside the degree noise, naming neither eps
         # nor the stage
         with pytest.raises(ValueError, match="epsilon must be finite"):
-            alg2_partition_kxor(cycle_instance(4), eps, gen())
+            alg2_batch(cycle_instance(4), eps, gen(), 1)
 
     def test_custom_subroutine_called(self):
         calls = []
 
-        def sub(inst, eps, g):
+        def sub(inst, eps, g, trials):
             calls.append(eps)
-            return np.ones(inst.n, dtype=np.int8)
+            return np.ones((trials, inst.n), dtype=np.int8)
 
         inst = cycle_instance(6)
-        alg2_partition_kxor(inst, 3.0, gen(11), subroutine=sub)
+        degree_split_batch(inst, 3.0, gen(11), 1, sub, 100.0 / 3.0 ** 2)
         assert calls == [1.0]
 
 
@@ -319,24 +318,24 @@ class TestLambdaSensitivity:
 class TestAlg3:
     def test_runs_and_valid(self):
         inst = gen_random_kxor(GenSpec(n=12, m=20, k=3, seed=2))
-        x = alg3_dp_advrand(inst, 1.0, gen(17))
+        x = alg3_batch(inst, 1.0, gen(17), 1)[0]
         assert x.shape == (12,) and set(np.unique(x)) <= {-1, 1}
 
     @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
     def test_invalid_eps_rejected(self, eps):
         inst = CspInstance(n=3, constraints=(xor((0, 1)), xor((1, 2))), kind="kxor")
         with pytest.raises(ValueError, match="finite"):
-            alg3_dp_advrand(inst, eps, gen())
+            alg3_batch(inst, eps, gen(), 1)
 
     def test_empty_instance_rejected(self):
         with pytest.raises(ValueError):
-            alg3_dp_advrand(CspInstance(n=3, constraints=(), kind="kxor"), 1.0, gen())
+            alg3_batch(CspInstance(n=3, constraints=(), kind="kxor"), 1.0, gen(), 1)
 
     def test_duplicate_scopes_rejected(self):
         cons = (xor((0, 1), b=1), xor((0, 1), b=-1))
         inst = CspInstance(n=2, constraints=cons, kind="kxor")
         with pytest.raises(ValueError):
-            alg3_dp_advrand(inst, 1.0, gen())
+            alg3_batch(inst, 1.0, gen(), 1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -352,7 +351,7 @@ class TestAlg3:
         cfg = AdvRandConfig(global_sign="argmax", flip_index=0)
         advs = np.array(
             [
-                associated_advantage(inst, alg3_dp_advrand(inst, 2.0, g, config=cfg))
+                associated_advantage(inst, alg3_batch(inst, 2.0, g, 1, config=cfg)[0])
                 for g in (RngStream(18, t).generator() for t in range(5_000))
             ]
         )
@@ -363,7 +362,7 @@ class TestAlg3:
         inst = gen_random_kxor(GenSpec(n=8, m=12, k=3, seed=4))
         rows = np.array(
             [
-                alg3_dp_advrand(inst, 1.0, g)
+                alg3_batch(inst, 1.0, g, 1)[0]
                 for g in (RngStream(19, t).generator() for t in range(40_000))
             ]
         )
@@ -372,13 +371,13 @@ class TestAlg3:
     def test_em_pair_runs(self):
         inst = gen_random_kxor(GenSpec(n=8, m=12, k=3, seed=5))
         cfg = AdvRandConfig(global_sign="em-pair", sign_budget=1.0)
-        x = alg3_dp_advrand(inst, 1.0, gen(20), config=cfg)
+        x = alg3_batch(inst, 1.0, gen(20), 1, config=cfg)[0]
         assert x.shape == (8,)
 
     def test_determinism(self):
         inst = gen_random_kxor(GenSpec(n=8, m=12, k=3, seed=6))
-        a = alg3_dp_advrand(inst, 1.0, gen(21))
-        b = alg3_dp_advrand(inst, 1.0, gen(21))
+        a = alg3_batch(inst, 1.0, gen(21), 1)[0]
+        b = alg3_batch(inst, 1.0, gen(21), 1)[0]
         assert np.array_equal(a, b)
 
 
@@ -386,11 +385,11 @@ class TestAlgOddK:
     def test_even_arity_rejected(self):
         inst = gen_random_kxor(GenSpec(n=8, m=6, k=2, seed=7))
         with pytest.raises(ValueError):
-            alg_oddk_unbounded(inst, 1.0, gen())
+            alg_oddk_batch(inst, 1.0, gen(), 1)
 
     def test_runs_k3(self):
         inst = gen_random_kxor(GenSpec(n=10, m=15, k=3, seed=8))
-        x = alg_oddk_unbounded(inst, 1.5, gen(22))
+        x = alg_oddk_batch(inst, 1.5, gen(22), 1)[0]
         assert x.shape == (10,) and set(np.unique(x)) <= {-1, 1}
 
     def test_k1_respects_half_floor(self):
@@ -398,7 +397,7 @@ class TestAlgOddK:
         inst = CspInstance(n=8, constraints=cons, kind="kxor")
         vals = np.array(
             [
-                eval_value(inst, alg_oddk_unbounded(inst, 1.0, g))
+                eval_value(inst, alg_oddk_batch(inst, 1.0, g, 1)[0])
                 for g in (RngStream(23, t).generator() for t in range(5_000))
             ]
         )
@@ -408,10 +407,10 @@ class TestAlgOddK:
     def test_positive_eps_required(self):
         inst = gen_random_kxor(GenSpec(n=6, m=4, k=3, seed=9))
         with pytest.raises(ValueError):
-            alg_oddk_unbounded(inst, 0.0, gen())
+            alg_oddk_batch(inst, 0.0, gen(), 1)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_rejected(self, eps):
         inst = gen_random_kxor(GenSpec(n=6, m=4, k=3, seed=9))
         with pytest.raises(ValueError, match="epsilon must be finite"):
-            alg_oddk_unbounded(inst, eps, gen())
+            alg_oddk_batch(inst, eps, gen(), 1)

@@ -7,21 +7,17 @@ from privcsp.algo_maxcut import (
     GENERAL_BUDGET_FRACTIONS,
     MATCHING_EM_BUDGET,
     MATCHING_EM_SENSITIVITY,
-    UNBOUNDED_BUDGET_FRACTIONS,
     MatchingState,
-    budget_ledger,
-    dp_maxcut_general,
-    dp_maxcut_unbounded,
-    dp_shearer,
+    dp_maxcut_general_batch,
+    dp_maxcut_unbounded_batch,
     dp_shearer_batch,
     matched_edge_cut_probability,
     matching_em_cut,
     mutual_choice_matching,
-    shearer_baseline,
     shearer_batch,
 )
 from privcsp.csp_core import WeightedGraph, cut_value
-from privcsp.dp_mechanisms import RngStream
+from privcsp.dp_mechanisms import UNBOUNDED_BUDGET_FRACTIONS, RngStream, budget_ledger
 from privcsp.generators import gen_triangle_free_graph
 
 
@@ -60,7 +56,7 @@ class TestCutAndLedger:
         assert sum(GENERAL_BUDGET_FRACTIONS) == 1
 
     def test_ledger_sums_to_epsilon(self):
-        for name, eps in (("dp_maxcut_unbounded", 0.7), ("dp_maxcut_general", 0.09)):
+        for name, eps in (("alg5", 0.7), ("alg6", 0.09)):
             stages = budget_ledger(name, eps)
             assert sum(b for _, b in stages) == pytest.approx(eps, rel=1e-12)
         with pytest.raises(ValueError):
@@ -77,7 +73,7 @@ class TestShearerBaseline:
     def test_rejects_weighted(self):
         g = WeightedGraph(n=2, edges=((0, 1, 2.0),))
         with pytest.raises(ValueError):
-            shearer_baseline(g, gen())
+            shearer_batch(g, gen(), 1)
 
     def test_isolated_vertex_uniform(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
@@ -109,28 +105,28 @@ class TestShearerBaseline:
                 assert p > bound - 3.5 * sigma
 
     def test_single_run_shape(self):
-        out = shearer_baseline(cycle(4), gen(4))
+        out = shearer_batch(cycle(4), gen(4), 1)[0]
         assert out.shape == (4,) and set(np.unique(out)) <= {-1, 1}
 
 
 class TestDpShearer:
     def test_positive_eps_required(self):
         with pytest.raises(ValueError):
-            dp_shearer(cycle(4), 0.0, gen())
+            dp_shearer_batch(cycle(4), 0.0, gen(), 1)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_rejected(self, eps):
         # a one-edge graph at eps=inf used to return an assignment
         g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
         with pytest.raises(ValueError, match="finite"):
-            dp_shearer(g, eps, gen())
+            dp_shearer_batch(g, eps, gen(), 1)
         with pytest.raises(ValueError, match="finite"):
             dp_shearer_batch(g, eps, gen(), 3)
 
     def test_rejects_weighted(self):
         g = WeightedGraph(n=2, edges=((0, 1, 0.5),))
         with pytest.raises(ValueError):
-            dp_shearer(g, 1.0, gen())
+            dp_shearer_batch(g, 1.0, gen(), 1)
 
     def test_single_edge_exact(self):
         # closed form from the noisy comparison: with
@@ -169,8 +165,8 @@ class TestDpShearer:
         assert 0.5 * np.abs(hist_a - hist_b).sum() <= 0.02
 
     def test_determinism(self):
-        a = dp_shearer(cycle(6), 1.0, gen(9))
-        b = dp_shearer(cycle(6), 1.0, gen(9))
+        a = dp_shearer_batch(cycle(6), 1.0, gen(9), 1)[0]
+        b = dp_shearer_batch(cycle(6), 1.0, gen(9), 1)[0]
         assert np.array_equal(a, b)
 
 
@@ -178,14 +174,14 @@ class TestDpMaxcutUnbounded:
     def test_high_part_empty_at_moderate_eps(self):
         # threshold 10000/eps^2 dwarfs any small graph degree
         graph = cycle(12)
-        x = dp_maxcut_unbounded(graph, 1.0, gen(10))
+        x = dp_maxcut_unbounded_batch(graph, 1.0, gen(10), 1)[0]
         assert x.shape == (12,)
 
     def test_positive_advantage(self):
         graph = cycle(16)
         vals = np.array(
             [
-                cut_value(graph, dp_maxcut_unbounded(graph, 1.0, g))
+                cut_value(graph, dp_maxcut_unbounded_batch(graph, 1.0, g, 1)[0])
                 for g in (RngStream(11, t).generator() for t in range(20_000))
             ]
         )
@@ -195,12 +191,12 @@ class TestDpMaxcutUnbounded:
 
     def test_positive_eps_required(self):
         with pytest.raises(ValueError):
-            dp_maxcut_unbounded(cycle(4), 0.0, gen())
+            dp_maxcut_unbounded_batch(cycle(4), 0.0, gen(), 1)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="finite"):
-            dp_maxcut_unbounded(cycle(4), eps, gen())
+            dp_maxcut_unbounded_batch(cycle(4), eps, gen(), 1)
 
 
 class TestMutualChoiceMatching:
@@ -288,35 +284,35 @@ class TestMatchingEmCut:
 class TestDpMaxcutGeneral:
     def test_eps_range(self):
         with pytest.raises(ValueError):
-            dp_maxcut_general(cycle(4), 0.2, 0.0, gen())
+            dp_maxcut_general_batch(cycle(4), 0.2, 0.0, gen(), 1)
         with pytest.raises(ValueError):
-            dp_maxcut_general(cycle(4), 0.0, 0.0, gen())
+            dp_maxcut_general_batch(cycle(4), 0.0, 0.0, gen(), 1)
         with pytest.raises(ValueError):
-            dp_maxcut_general(cycle(4), 0.05, -1.0, gen())
+            dp_maxcut_general_batch(cycle(4), 0.05, -1.0, gen(), 1)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
     def test_non_finite_alpha_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
-            dp_maxcut_general(cycle(4), 0.1, alpha, gen())
+            dp_maxcut_general_batch(cycle(4), 0.1, alpha, gen(), 1)
 
     @pytest.mark.parametrize("eps,alpha", [(0.1, 1e308), (0.1, 400.0), (1e-4, 100.0)])
     def test_alpha_whose_rate_underflows_rejected(self, eps, alpha):
         # eps^(1+alpha) is 0.0 here, which the threshold would divide by
         assert eps ** (1.0 + alpha) == 0.0
         with pytest.raises(ValueError, match="alpha"):
-            dp_maxcut_general(cycle(4), eps, alpha, gen())
+            dp_maxcut_general_batch(cycle(4), eps, alpha, gen(), 1)
 
     def test_runs_without_warning_at_large_alpha(self):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            x = dp_maxcut_general(cycle(8), 0.1, 2.0, gen(18))
+            x = dp_maxcut_general_batch(cycle(8), 0.1, 2.0, gen(18), 1)[0]
         assert x.shape == (8,) and set(np.unique(x)) <= {-1, 1}
 
     def test_warns_when_utility_guarantee_lapses(self):
         with pytest.warns(UserWarning):
-            dp_maxcut_general(cycle(8), 0.1, 0.0, gen(19))
+            dp_maxcut_general_batch(cycle(8), 0.1, 0.0, gen(19), 1)
 
     def test_amplification_budget_honored(self):
         # the inner budget amplified by the subsample rate must stay
@@ -328,6 +324,6 @@ class TestDpMaxcutGeneral:
                 assert amplified <= eps / 6.0 + 1e-12
 
     def test_determinism(self):
-        a = dp_maxcut_general(k33(), 0.1, 2.0, gen(20))
-        b = dp_maxcut_general(k33(), 0.1, 2.0, gen(20))
+        a = dp_maxcut_general_batch(k33(), 0.1, 2.0, gen(20), 1)[0]
+        b = dp_maxcut_general_batch(k33(), 0.1, 2.0, gen(20), 1)[0]
         assert np.array_equal(a, b)

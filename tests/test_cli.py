@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -321,15 +324,19 @@ class TestParserReuse:
             assert _call(capsys, bad)[0] == ("SystemExit", 2)
             assert _call(capsys, argv) == before
 
-    def test_list_defaults_unchanged(self, capsys):
+    def test_list_defaults_unchanged(self, tmp_path, capsys):
+        kxor = str(tmp_path / "kxor.json")
         for argv in (["gen", "--kind", "single", "--n", "6", "--scope", "4", "5"],
-                     ["gen", "--kind", "single", "--n", "3", "--eps", "0.5", "2"],
+                     ["gen", "--kind", "single", "--n", "3", "--out", kxor],
+                     ["sweep", "--algorithm", "random_baseline", "--instance", kxor,
+                      "--eps", "0.5", "2", "--trials", "3"],
                      ["gen", "--kind", "single", "--n", "3"]):
             assert _call(capsys, argv)[0] == EXIT_OK
         parser = cli._parser()
         assert parser is cli._parser()
         args = parser.parse_args(["gen", "--kind", "single"])
-        assert args.scope == [0, 1] and args.eps == [1.0]
+        assert args.scope == [0, 1]
+        assert parser.parse_args(["sweep", "--algorithm", "alg1"]).eps == [1.0]
         fresh = build_parser()
         for command in (["gen", "--kind", "kxor"], ["solve", "--algorithm", "alg1"],
                         ["audit", "--mechanism", "em"], ["verify-hardness"]):
@@ -337,3 +344,73 @@ class TestParserReuse:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
+
+
+class TestUnreadFlags:
+    """Each subcommand takes only the flags its handler reads: any other
+    flag, or a second --eps value where one epsilon is used, is an argparse
+    error (exit 2), not a silently ignored setting."""
+
+    BASE = {
+        "gen": ["gen", "--kind", "single", "--n", "3"],
+        "solve": ["solve", "--algorithm", "alg1", "--instance", "x.json"],
+        "audit": ["audit", "--mechanism", "em"],
+        "verify-hardness": ["verify-hardness"],
+    }
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gen", ["--trials", "5"]),
+        ("gen", ["--eps", "0.5"]),
+        ("gen", ["--alpha", "1"]),
+        ("gen", ["--instance", "x.json"]),
+        ("solve", ["--config", "missing.json"]),
+        ("solve", ["--trials", "5"]),
+        ("solve", ["--out", "f"]),
+        ("solve", ["--eps", "0.5", "9"]),
+        ("audit", ["--alpha", "3"]),
+        ("audit", ["--instance", "x"]),
+        ("audit", ["--eps", "0.5", "9"]),
+        ("verify-hardness", ["--out", "f"]),
+        ("verify-hardness", ["--trials", "5"]),
+        ("verify-hardness", ["--alpha", "1"]),
+        ("verify-hardness", ["--instance", "x"]),
+        ("verify-hardness", ["--eps", "0.5", "9"]),
+    ])
+    def test_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.BASE[command], *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from the repository checkout."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkArgv:
+    """Every argv the benchmark passes to privcsp.cli.main parses, so a flag
+    change that would break the benchmark fails here first. Nothing runs."""
+
+    workloads = _bench_workloads()
+
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    def test_ops_parse(self, workload):
+        parser = build_parser()
+        for seed in range(4):
+            for op in self.workloads.ops(workload, seed):
+                assert parser.parse_args(list(op.argv)).command == op.kind
+
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    def test_instance_gen_argv_parse(self, workload):
+        parser = build_parser()
+        for instance_set in range(self.workloads.INSTANCE_SETS):
+            for inst in self.workloads.instances(workload, instance_set):
+                argv = [*inst.gen_argv, "--seed", str(inst.base_seed), "--out", "inst.json"]
+                assert parser.parse_args(argv).command == "gen"

@@ -10,17 +10,15 @@ import numpy as np
 import pytest
 
 from privcsp import algo_csp, algo_maxcut, dp_mechanisms
-from privcsp.algo_csp import alg2_partition_kxor
-from privcsp.algo_maxcut import (
-    GENERAL_BUDGET_FRACTIONS,
-    UNBOUNDED_BUDGET_FRACTIONS,
-    dp_maxcut_general,
-    dp_maxcut_unbounded,
-)
+from privcsp.algo_csp import alg2_batch
+from privcsp.algo_maxcut import dp_maxcut_general_batch, dp_maxcut_unbounded_batch
 from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, degrees
 from privcsp.dp_mechanisms import (
+    GENERAL_BUDGET_FRACTIONS,
+    UNBOUNDED_BUDGET_FRACTIONS,
     RngStream,
     budget_ledger,
+    degree_split_batch,
     em_on_part,
     noisy_high_mask,
     stage_budget,
@@ -95,11 +93,11 @@ class TestDegreeStageLoss:
     @pytest.mark.parametrize("algorithm", ["alg5", "alg6"])
     def test_graph_pair(self, monkeypatch, algorithm, eps):
         if algorithm == "alg5":
-            run = lambda g: dp_maxcut_unbounded(g, eps, gen(1))  # noqa: E731
+            run = lambda g: dp_maxcut_unbounded_batch(g, eps, gen(1), 1)[0]  # noqa: E731
             share = UNBOUNDED_BUDGET_FRACTIONS[0]
         else:
             eps /= 30.0  # alg6 takes epsilon in (0, 0.1]
-            run = lambda g: dp_maxcut_general(g, eps, 0.0, gen(1))  # noqa: E731
+            run = lambda g: dp_maxcut_general_batch(g, eps, 0.0, gen(1), 1)[0]  # noqa: E731
             share = GENERAL_BUDGET_FRACTIONS[0]
         scales = spy_laplace_scales(monkeypatch)
         one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
@@ -120,7 +118,7 @@ class TestDegreeStageLoss:
         # instance is taken at the scale of the k-ary side
         scales = spy_laplace_scales(monkeypatch)
         inst = one_constraint(k)
-        alg2_partition_kxor(inst, eps, gen(2))
+        alg2_batch(inst, eps, gen(2), 1)
         assert len(scales) == 1
         empty_deg = np.zeros(k, dtype=np.int64)
         share = UNBOUNDED_BUDGET_FRACTIONS[0]
@@ -137,12 +135,12 @@ class TestBudgetsMatchLedger:
         em = spy_em_budgets(monkeypatch)
         sub = []
 
-        def subroutine(inst, e, g):
+        def subroutine(inst, e, g, trials):
             sub.append(e)
-            return np.ones(inst.n, dtype=np.int8)
+            return np.ones((trials, inst.n), dtype=np.int8)
 
-        alg2_partition_kxor(one_constraint(3), eps, gen(3), subroutine=subroutine, threshold=-1e9)
-        ledger = dict(budget_ledger("alg2_partition_kxor", eps))
+        degree_split_batch(one_constraint(3), eps, gen(3), 1, subroutine, -1e9)
+        ledger = dict(budget_ledger("alg2", eps))
         assert em == [ledger["high-part-em"]]
         assert sub == [ledger["subroutine"]]
 
@@ -160,8 +158,8 @@ class TestBudgetsMatchLedger:
 
         monkeypatch.setattr(algo_maxcut, "dp_shearer_batch", spy)
         cycle = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4, 1.0) for i in range(4)))
-        dp_maxcut_unbounded(cycle, eps, gen(4))
-        ledger = dict(budget_ledger("dp_maxcut_unbounded", eps))
+        dp_maxcut_unbounded_batch(cycle, eps, gen(4), 1)
+        ledger = dict(budget_ledger("alg5", eps))
         assert em == [ledger["high-part-em"]]
         assert shearer == [ledger["dp-shearer"]]
 
@@ -186,8 +184,8 @@ class TestBudgetsMatchLedger:
         monkeypatch.setattr(algo_maxcut, "exponential_mechanism", select)
         graph = WeightedGraph(n=2, edges=((0, 1, 1.0),) * 600)
         for seed in range(5):
-            dp_maxcut_general(graph, eps, 0.0, gen(seed))
-        ledger = dict(budget_ledger("dp_maxcut_general", eps))
+            dp_maxcut_general_batch(graph, eps, 0.0, gen(seed), 1)
+        ledger = dict(budget_ledger("alg6", eps))
         assert len(em) >= 1 and set(em) == {ledger["high-part-em"]}
         assert matching == [ledger["matching-em"]] * 5
         assert final == [ledger["final-selection"]] * 5
@@ -213,12 +211,13 @@ class TestStageBudget:
     def test_ledger_entries(self):
         for eps in log_uniform_eps(2000, seed=1).tolist():
             third = eps / 3.0
-            assert budget_ledger("alg2_partition_kxor", eps) == (
-                ("degree-noise", third), ("high-part-em", third), ("subroutine", third))
-            assert budget_ledger("dp_maxcut_unbounded", eps) == (
+            for algorithm in ("alg2", "alg_oddk"):
+                assert budget_ledger(algorithm, eps) == (
+                    ("degree-noise", third), ("high-part-em", third), ("subroutine", third))
+            assert budget_ledger("alg5", eps) == (
                 ("degree-noise", third), ("high-part-em", third), ("dp-shearer", third))
             sixth = eps / 6.0
-            assert budget_ledger("dp_maxcut_general", eps) == (
+            assert budget_ledger("alg6", eps) == (
                 ("degree-noise", sixth), ("high-part-em", sixth), ("matching-em", sixth),
                 ("final-selection", eps / 2.0))
 

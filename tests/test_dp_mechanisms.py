@@ -12,11 +12,10 @@ from privcsp.csp_core import (
     assignment_rows,
 )
 from privcsp import dp_mechanisms
-from privcsp.algo_maxcut import dp_maxcut_general
+from privcsp.algo_maxcut import dp_maxcut_general_batch
 from privcsp.dp_mechanisms import (
     RngStream,
     check_epsilon,
-    em_over_assignments,
     em_over_assignments_batch,
     exponential_mechanism,
     keep_probability,
@@ -243,20 +242,20 @@ class TestEmOverAssignments:
     def test_non_finite_budget_rejected(self, eps, active):
         # also on an empty active set, which draws nothing
         with pytest.raises(ValueError, match="finite"):
-            em_over_assignments(self.graph3(), active, eps, 1.0, gen())
+            em_over_assignments_batch(self.graph3(), active, eps, 1.0, gen(), 1)
         with pytest.raises(ValueError, match="finite"):
             em_over_assignments_batch(self.graph3(), active, eps, 1.0, gen(), 4)
 
     def test_empty_active_no_randomness(self):
         g1, g2 = gen(16), gen(16)
-        out = em_over_assignments(self.graph3(), [], 1.0, 1.0, g1)
+        out = em_over_assignments_batch(self.graph3(), [], 1.0, 1.0, g1, 1)[0]
         assert out.size == 0
         assert g1.random() == g2.random()
 
     def test_cap(self):
         inst = CspInstance(n=30, constraints=(), kind="kxor")
         with pytest.raises(ResourceCapError):
-            em_over_assignments(inst, list(range(25)), 1.0, 1.0, gen())
+            em_over_assignments_batch(inst, list(range(25)), 1.0, 1.0, gen(), 1)
 
     def test_single_edge_cut_probability(self):
         # one edge, the factorized selection exponent: budget 2.5 at
@@ -267,7 +266,7 @@ class TestEmOverAssignments:
         trials = 100_000
         cuts = 0
         for _ in range(trials):
-            out = em_over_assignments(g, [0, 1], 2.5, 2.0, rng)
+            out = em_over_assignments_batch(g, [0, 1], 2.5, 2.0, rng, 1)[0]
             cuts += out[0] != out[1]
         sigma = math.sqrt(target * (1 - target) / trials)
         assert abs(cuts / trials - target) < 3.5 * sigma
@@ -289,7 +288,7 @@ class TestEmOverAssignments:
         trials = 100_000
         counts = np.zeros(8)
         for _ in range(trials):
-            out = em_over_assignments(inst, [0, 1, 2], 2.0, 1.0, rng)
+            out = em_over_assignments_batch(inst, [0, 1, 2], 2.0, 1.0, rng, 1)[0]
             idx = sum((1 << t) for t, v in enumerate(out) if v == 1)
             counts[idx] += 1
         tv = 0.5 * np.abs(counts / trials - probs).sum()
@@ -306,12 +305,12 @@ class TestEmOverAssignments:
         assert abs(sat - target) < 0.01
 
     def test_untouched_outside_active(self):
-        out = em_over_assignments(self.graph3(), [2], 1.0, 1.0, gen(20))
+        out = em_over_assignments_batch(self.graph3(), [2], 1.0, 1.0, gen(20), 1)[0]
         assert out.shape == (1,)
 
     def test_determinism(self):
-        a = em_over_assignments(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21))
-        b = em_over_assignments(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21))
+        a = em_over_assignments_batch(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21), 1)[0]
+        b = em_over_assignments_batch(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21), 1)[0]
         assert np.array_equal(a, b)
 
     def test_single_draw_reads_one_uniform(self):
@@ -320,7 +319,7 @@ class TestEmOverAssignments:
         probs = exact_em_distribution(all_values(self.graph3(), [2, 0, 1]), 1.0, 1.0)
         for seed in range(200):
             g1, g2 = gen(seed), gen(seed)
-            out = em_over_assignments(self.graph3(), [2, 0, 1], 1.0, 1.0, g1)
+            out = em_over_assignments_batch(self.graph3(), [2, 0, 1], 1.0, 1.0, g1, 1)[0]
             idx = int(np.searchsorted(np.cumsum(probs), g2.random(), side="right"))
             assert np.array_equal(out, assignment_rows(idx, 3))
             assert g1.random() == g2.random()
@@ -418,7 +417,7 @@ class TestEmMemo:
         calls = count_tables(monkeypatch)
         inst = memo_kxor()
         for seed in range(20):
-            em_over_assignments(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(seed))
+            em_over_assignments_batch(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(seed), 1)
         assert calls == [(0, 1, 2, 3, 4)]
         (cdf,) = inst._em_cdf_memo.values()
         assert not cdf.flags.writeable
@@ -436,20 +435,20 @@ class TestEmMemo:
         # object compares equal inside a tuple) must not let it through
         inst = memo_kxor()
         active = [0, 1, 2]
-        em_over_assignments(inst, active, 1.0, 1.0, gen())
+        em_over_assignments_batch(inst, active, 1.0, 1.0, gen(), 1)
         (cdf,) = inst._em_cdf_memo.values()
         inst._em_cdf_memo.clear()
         inst._em_cdf_memo[(tuple(active), budget, sensitivity)] = cdf
         with pytest.raises(error):
-            em_over_assignments(inst, active, budget, sensitivity, gen())
+            em_over_assignments_batch(inst, active, budget, sensitivity, gen(), 1)
         with pytest.raises(error):
             em_over_assignments_batch(inst, active, budget, sensitivity, gen(), 4)
 
     def test_cap_checked_on_a_memo_hit(self):
         inst = memo_kxor()
-        em_over_assignments(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen())
+        em_over_assignments_batch(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(), 1)
         with pytest.raises(ResourceCapError):
-            em_over_assignments(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(), cap=4)
+            em_over_assignments_batch(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(), 1, cap=4)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_alg6_keeps_one_entry(self):
@@ -461,7 +460,7 @@ class TestEmMemo:
         g = WeightedGraph(n=14, edges=edges)
         keys = set()
         for seed in range(60):
-            dp_maxcut_general(g, 0.1, 0.0, gen(seed))
+            dp_maxcut_general_batch(g, 0.1, 0.0, gen(seed), 1)
             assert len(g._em_cdf_memo) <= 1
             keys.update(g._em_cdf_memo)
         assert len(keys) > 5

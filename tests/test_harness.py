@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from privcsp.csp_core import Constraint, CspInstance, WeightedGraph
 from privcsp.generators import GenSpec, gen_random_kxor
@@ -10,6 +12,7 @@ from privcsp.harness import (
     AUDIT_MECHANISMS,
     CSV_COLUMNS,
     ExperimentConfig,
+    ReportRow,
     audit,
     audit_csv_row,
     estimate_ratio,
@@ -123,6 +126,29 @@ class TestSweep:
         assert strip(rep_a.csv()) == strip(rep_b.csv())
         assert rep_a.csv().startswith(CSV_COLUMNS)
         assert rep_a.spearman_advantage_eps == 1.0
+
+    @pytest.mark.parametrize("algorithm", ["random_baseline", "shearer"])
+    def test_eps_blind_algorithm_gives_nan_without_warning(self, algorithm):
+        # every eps reads the same draws, so the advantage vector is
+        # constant: the summary is nan, as scipy gives (with a warning)
+        config = ExperimentConfig(algorithm=algorithm, eps=(0.5, 1.0, 2.0), trials=40, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sweep(config, maxcut_cycle(8))
+        adv = [r.advantage for r in rep.rows]
+        assert len(set(adv)) == 1 and math.isnan(rep.spearman_advantage_eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert math.isnan(stats.spearmanr([0.5, 1.0, 2.0], adv).statistic)
+        assert rep.csv().endswith("\n# spearman(advantage, eps) = nan\n")
+
+    def test_csv_layout(self):
+        assert CSV_COLUMNS == (
+            "algorithm,eps,alpha,n,m,trials,mean_val,se,opt,ratio,advantage,"
+            "seed,config_hash,wall_ms"
+        )
+        row = ReportRow("alg1", 0.5, 0.0, 4, 3, 10, 1.25, 0.1, None, None, -0.25, 7, "abc", 1.5)
+        assert row.csv() == "alg1,0.5,0,4,3,10,1.25,0.10000000000000001,,,-0.25,7,abc,1.5"
 
     def test_single_eps_no_spearman(self):
         config = ExperimentConfig(algorithm="random_baseline", eps=(1.0,), trials=5, seed=5)

@@ -1,6 +1,5 @@
-"""Batch-first kernels: the single run is row 0 of a one-trial kernel call,
-`solve` is `ratio --trials 1`, and the harness fills each epsilon's block
-in row chunks from one generator."""
+"""Batch-first kernels: `solve` is `ratio --trials 1`, and the harness
+fills each epsilon's block in row chunks from one generator."""
 
 import dataclasses
 import json
@@ -9,10 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privcsp import algo_csp, algo_maxcut, dp_mechanisms, harness
+from privcsp import dp_mechanisms, harness
 from privcsp.cli import EXIT_OK, main
 from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, save_instance
-from privcsp.dp_mechanisms import RngStream
 from privcsp.generators import GenSpec, gen_random_kxor
 
 KXOR = gen_random_kxor(GenSpec(n=14, m=8, k=2, seed=3, triangle_free=True))
@@ -20,19 +18,19 @@ K3 = CspInstance(n=9, constraints=tuple(
     Constraint(scope=(3 * i, 3 * i + 1, 3 * i + 2), b=(-1) ** i) for i in range(3)
 ) + (Constraint(scope=(0, 4, 8), b=1),), kind="kxor")
 CYCLE = WeightedGraph(n=10, edges=tuple((i, (i + 1) % 10, 1.0) for i in range(10)))
-# algorithm -> (problem in the view its kernel takes, eps, public single run or None)
+# algorithm -> (problem in the view its kernel takes, eps)
 CASES = {
-    "alg1": (KXOR, 1.0, lambda p, e, a, g: algo_csp.alg1_triangle_free_bounded(p, e, g)),
+    "alg1": (KXOR, 1.0),
     # eps = 12 puts noise-dependent high sets on the degree split
-    "alg2": (KXOR, 12.0, lambda p, e, a, g: algo_csp.alg2_partition_kxor(p, e, g)),
-    "alg3": (KXOR, 1.0, lambda p, e, a, g: algo_csp.alg3_dp_advrand(p, e, g)),
-    "alg_oddk": (K3, 6.0, lambda p, e, a, g: algo_csp.alg_oddk_unbounded(p, e, g)),
-    "shearer": (CYCLE, 1.0, lambda p, e, a, g: algo_maxcut.shearer_baseline(p, g)),
-    "dp_shearer": (CYCLE, 1.0, lambda p, e, a, g: algo_maxcut.dp_shearer(p, e, g)),
-    "alg5": (CYCLE, 70.0, lambda p, e, a, g: algo_maxcut.dp_maxcut_unbounded(p, e, g)),
-    "alg6": (CYCLE, 0.1, lambda p, e, a, g: algo_maxcut.dp_maxcut_general(p, e, a, g)),
-    "em_baseline": (KXOR, 1.0, None),
-    "random_baseline": (KXOR, 1.0, None),
+    "alg2": (KXOR, 12.0),
+    "alg3": (KXOR, 1.0),
+    "alg_oddk": (K3, 6.0),
+    "shearer": (CYCLE, 1.0),
+    "dp_shearer": (CYCLE, 1.0),
+    "alg5": (CYCLE, 70.0),
+    "alg6": (CYCLE, 0.1),
+    "em_baseline": (KXOR, 1.0),
+    "random_baseline": (KXOR, 1.0),
 }
 
 
@@ -41,23 +39,9 @@ def test_every_algorithm_covered():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("algorithm", sorted(a for a, case in CASES.items() if case[2]))
-def test_single_run_is_row_zero(algorithm):
-    problem, eps, single = CASES[algorithm]
-    kernel = harness.ALGORITHMS[algorithm][0]
-    for seed in range(20):
-        g_kernel, g_single = RngStream(seed, 0).generator(), RngStream(seed, 0).generator()
-        row = kernel(problem, eps, 0.0, g_kernel, 1)
-        x = single(problem, eps, 0.0, g_single)
-        assert row.shape == (1, problem.n) and row.dtype == np.int8
-        assert x.dtype == np.int8 and np.array_equal(row[0], x)
-        assert g_kernel.bit_generator.state == g_single.bit_generator.state
-
-
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("algorithm", sorted(CASES))
 def test_solve_is_ratio_with_one_trial(tmp_path, capsys, algorithm):
-    problem, eps, _ = CASES[algorithm]
+    problem, eps = CASES[algorithm]
     path = str(tmp_path / "inst.json")
     save_instance(problem, path)
     for seed in (0, 7):

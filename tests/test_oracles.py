@@ -563,6 +563,14 @@ class TestAdversarialSingleConstraint:
         report = adversarial_single_constraint(mech, 3, candidates, 0.0, 10_000, gen(11))
         assert report.bound == pytest.approx(0.5)
 
+    def test_non_sign_outputs_rejected(self):
+        # outputs are scored by eval_value, which takes -1/+1 rows only
+        candidates = [Constraint(scope=(0, 1), b=1)]
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            adversarial_single_constraint(
+                lambda i, g, t: np.zeros((t, 3), dtype=int), 3, candidates, 1.0, 10, gen()
+            )
+
     def test_scope_mismatch_rejected(self):
         candidates = [Constraint(scope=(0, 1), b=1), Constraint(scope=(1, 2), b=1)]
         with pytest.raises(ValueError):

@@ -32,16 +32,14 @@ from privcsp.algo_csp import (
     AdvRandConfig,
     _kept_influence,
     _median_for,
-    alg1_triangle_free_bounded,
-    alg2_partition_kxor,
-    alg3_dp_advrand,
+    alg1_batch,
+    alg3_batch,
     private_boost,
 )
 from privcsp.algo_maxcut import (
     _two_color_batch,
-    dp_maxcut_general,
-    dp_maxcut_unbounded,
-    dp_shearer,
+    dp_maxcut_general_batch,
+    dp_maxcut_unbounded_batch,
     dp_shearer_batch,
     matching_em_cut,
     mutual_choice_matching,
@@ -60,7 +58,8 @@ from privcsp.csp_core import (
 from privcsp.dp_mechanisms import (
     RngStream,
     as_generator,
-    em_over_assignments,
+    degree_split_batch,
+    em_over_assignments_batch,
     exponential_mechanism,
     keep_probability,
     randomized_response,
@@ -154,7 +153,7 @@ def ref_two_color_batch(graph, gen, trials):
 
 
 def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
-    """dp_maxcut_general without its checks, low edges kept one draw at a
+    """dp_maxcut_general_batch's one-trial form without its checks, low edges kept one draw at a
     time. Also returns the size of the high set."""
     gen = as_generator(rng)
     n = graph.n
@@ -164,7 +163,7 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
     high = np.flatnonzero(high_mask)
     s1 = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
     if high.size:
-        s1[high] = em_over_assignments(graph, high.tolist(), epsilon / 6.0, 1.0, gen)
+        s1[high] = em_over_assignments_batch(graph, high.tolist(), epsilon / 6.0, 1.0, gen, 1)[0]
     rate = epsilon ** (1.0 + alpha) / 70.0
     low_edges = tuple(
         (u, v, w) for u, v, w in graph.edges if not high_mask[u] and not high_mask[v]
@@ -173,14 +172,15 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
     matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
     s2 = matching_em_cut(n, matching, gen)
     s3 = np.where(high_mask, 1, -1).astype(np.int8)
+    candidates = [s1, s2, s3]
     chosen = exponential_mechanism(
-        [s1, s2, s3], lambda cand: ref_eval_value(graph, cand), epsilon / 2.0, 1.0, gen
+        candidates, [ref_eval_value(graph, c) for c in candidates], epsilon / 2.0, 1.0, gen
     )
     return np.asarray(chosen, dtype=np.int8), int(high.size)
 
 
 def ref_alg2(instance, epsilon, rng, subroutine, threshold, cap=24):
-    """alg2_partition_kxor without its checks, with its own copy of the
+    """alg2_batch's one-trial form without its checks, with its own copy of the
     noisy-degree split: literal Laplace scale and stage budgets. Also
     returns the size of the high set."""
     gen = as_generator(rng)
@@ -189,15 +189,15 @@ def ref_alg2(instance, epsilon, rng, subroutine, threshold, cap=24):
     high = np.flatnonzero(noisy > threshold)
     x1 = (2 * gen.integers(0, 2, size=instance.n) - 1).astype(np.int8)
     if high.size:
-        x1[high] = em_over_assignments(
-            instance, high.tolist(), epsilon / 3.0, 1.0, gen, cap=cap
-        )
+        x1[high] = em_over_assignments_batch(
+            instance, high.tolist(), epsilon / 3.0, 1.0, gen, 1, cap=cap
+        )[0]
     x2 = as_assignment(subroutine(instance, epsilon / 3.0, gen), instance.n)
     return (x1 if gen.random() < 0.5 else x2), int(high.size)
 
 
 def ref_dp_maxcut_unbounded(graph, epsilon, rng):
-    """dp_maxcut_unbounded without its checks, with its own copy of the
+    """dp_maxcut_unbounded_batch's one-trial form without its checks, with its own copy of the
     noisy-degree split; the Laplace scale is 6/epsilon (one edge moves two
     degrees)."""
     gen = as_generator(rng)
@@ -205,7 +205,7 @@ def ref_dp_maxcut_unbounded(graph, epsilon, rng):
     high = np.flatnonzero(noisy > 10000.0 / epsilon ** 2)
     s1 = (2 * gen.integers(0, 2, size=graph.n) - 1).astype(np.int8)
     if high.size:
-        s1[high] = em_over_assignments(graph, high.tolist(), epsilon / 3.0, 1.0, gen)
+        s1[high] = em_over_assignments_batch(graph, high.tolist(), epsilon / 3.0, 1.0, gen, 1)[0]
     s2 = ref_dp_shearer_batch(graph, epsilon / 3.0, gen, 1)[0]
     return s1 if gen.random() < 0.5 else s2
 
@@ -221,12 +221,12 @@ def ref_run_em_baseline(problem, eps, alpha, gen):
     covered = np.flatnonzero(deg > 0)
     x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
     if covered.size:
-        x[covered] = em_over_assignments(problem, covered.tolist(), eps, 1.0, gen)
+        x[covered] = em_over_assignments_batch(problem, covered.tolist(), eps, 1.0, gen, 1)[0]
     return x
 
 
 def ref_alg3(instance, epsilon, rng, config=None):
-    """alg3_dp_advrand's per-trial body without its checks: a scalar scale
+    """alg3_batch's per-trial body without its checks: a scalar scale
     and flip index, one boost draw per kept variable, ref_kept_influence."""
     config = config or AdvRandConfig()
     gen = as_generator(rng)
@@ -250,20 +250,26 @@ def ref_alg3(instance, epsilon, rng, config=None):
         if ref_eval_value(instance, -x) > ref_eval_value(instance, x):
             x = (-x).astype(np.int8)
     else:
+        candidates = [x, (-x).astype(np.int8)]
         x = np.asarray(exponential_mechanism(
-            [x, (-x).astype(np.int8)], lambda cand: ref_eval_value(instance, cand),
+            candidates, [ref_eval_value(instance, c) for c in candidates],
             config.sign_budget, 1.0, gen,
         ))
     return x
 
 
 def ref_shearer(graph, gen):
-    """shearer_baseline on ref_two_color_batch."""
+    """shearer_batch's one-trial form on ref_two_color_batch."""
     c1, c2, ell = ref_two_color_batch(graph, gen, 1)
     deg = graph.degree_counts()
     coin = gen.random((1, graph.n)) < 0.5
     take_first = np.where(2 * ell < deg, True, np.where(2 * ell > deg, False, coin))
     return np.where(take_first, c1, c2).astype(np.int8)[0]
+
+
+def single_run(kernel):
+    """kernel's row 0 with one trial, as a per-trial subroutine(inst, eps, gen)."""
+    return lambda inst, e, g: kernel(inst, e, g, 1)[0]
 
 
 # per-trial reference of every ALGORITHMS entry: runner(problem, eps, alpha, gen)
@@ -974,9 +980,10 @@ class TestKernelLaws:
 
     @pytest.mark.parametrize("eps,threshold", [(3.0, 1.5), (6.0, 0.5)])
     def test_alg2_exact_law(self, eps, threshold):
-        # a constant subroutine row, so the law is half a point mass and half
-        # the degree split's: P[high set = H] from the closed-form Laplace
-        # tails at scale 3k/eps, then the exponential mechanism at eps/3 on H
+        # the pipeline with a constant subroutine row, so the law is half a
+        # point mass and half the degree split's: P[high set = H] from the
+        # closed-form Laplace tails at scale 3k/eps, then the exponential
+        # mechanism at eps/3 on H
         problem = self.ODD
         n, scale, budget = problem.n, 3.0 * problem.max_arity / eps, eps / 3.0
         ones = np.ones(n, dtype=np.int8)
@@ -984,7 +991,7 @@ class TestKernelLaws:
         def constant(inst, e, gen, trials):
             return np.broadcast_to(ones, (trials, n))
 
-        rows = algo_csp.alg2_batch(
+        rows = degree_split_batch(
             problem, eps, RngStream(9, 0).generator(), self.TRIALS, constant, threshold)
         t = threshold - degrees(problem)
         p_high = np.where(t >= 0, 0.5 * np.exp(-np.abs(t) / scale), 1 - 0.5 * np.exp(-np.abs(t) / scale))
@@ -1014,7 +1021,7 @@ class TestAlg6Subsampling:
             # dense enough that even a large rate keeps some edges
             make = lambda: unit_graph(seed, n=14, m=300)  # noqa: E731
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = dp_maxcut_general(make(), eps, alpha, gen_new)
+            new = dp_maxcut_general_batch(make(), eps, alpha, gen_new, 1)[0]
             ref, high = ref_dp_maxcut_general(make(), eps, alpha, gen_ref)
             assert np.array_equal(new, ref) and new.dtype == ref.dtype
             assert gen_new.bit_generator.state == gen_ref.bit_generator.state
@@ -1030,14 +1037,15 @@ class TestAlg6Subsampling:
         for seed in SEEDS:
             for g in cases:
                 gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                new = dp_maxcut_general(g, 0.1, 0.0, gen_new)
+                new = dp_maxcut_general_batch(g, 0.1, 0.0, gen_new, 1)[0]
                 ref, _ = ref_dp_maxcut_general(g, 0.1, 0.0, gen_ref)
                 assert np.array_equal(new, ref)
                 assert gen_new.bit_generator.state == gen_ref.bit_generator.state
 
 
 class TestDegreeSplit:
-    """alg2, alg5 and em_baseline on the shared degree-split helpers
+    """The degree-split pipeline (with the alg1 and alg3 kernels as
+    subroutines), alg5 and em_baseline on the shared degree-split helpers
     against copies of their own hand-written splits."""
 
     @pytest.mark.parametrize("eps,threshold", [(1.0, 2.0), (4.0, 2.0), (2.0, -1e9)])
@@ -1048,8 +1056,8 @@ class TestDegreeSplit:
             make = lambda: gen_random_kxor(  # noqa: E731
                 GenSpec(n=14, m=6, k=2 + seed % 2, seed=seed, triangle_free=True))
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = alg2_partition_kxor(make(), eps, gen_new, threshold=threshold)
-            ref, high = ref_alg2(make(), eps, gen_ref, alg1_triangle_free_bounded, threshold)
+            new = degree_split_batch(make(), eps, gen_new, 1, alg1_batch, threshold)[0]
+            ref, high = ref_alg2(make(), eps, gen_ref, single_run(alg1_batch), threshold)
             assert same_result(new, ref)
             assert gen_new.bit_generator.state == gen_ref.bit_generator.state
             high_seeds += high > 0
@@ -1057,12 +1065,11 @@ class TestDegreeSplit:
 
     @pytest.mark.parametrize("eps", [0.5, 2.0])
     def test_alg2_alg3_subroutine(self, eps):
-        sub = lambda inst, e, g: alg3_dp_advrand(inst, e, g)  # noqa: E731
         for seed in SEEDS:
             make = lambda: distinct_sign_instance(seed)  # noqa: E731
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = alg2_partition_kxor(make(), eps, gen_new, subroutine=sub, threshold=3.0)
-            ref, _ = ref_alg2(make(), eps, gen_ref, sub, 3.0)
+            new = degree_split_batch(make(), eps, gen_new, 1, alg3_batch, 3.0)[0]
+            ref, _ = ref_alg2(make(), eps, gen_ref, single_run(alg3_batch), 3.0)
             assert same_result(new, ref)
             assert gen_new.bit_generator.state == gen_ref.bit_generator.state
 
@@ -1072,7 +1079,7 @@ class TestDegreeSplit:
         for seed in SEEDS:
             make = lambda: unit_graph(seed, n=12, m=30)  # noqa: E731
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = dp_maxcut_unbounded(make(), eps, gen_new)
+            new = dp_maxcut_unbounded_batch(make(), eps, gen_new, 1)[0]
             ref = ref_dp_maxcut_unbounded(make(), eps, gen_ref)
             assert same_result(new, ref)
             assert gen_new.bit_generator.state == gen_ref.bit_generator.state
