@@ -76,10 +76,18 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
+_CONFIG_FIELDS = {"algorithm", "eps", "trials", "seed", "alpha", "instance"}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("config document must be a JSON object")
+        unknown = set(doc) - _CONFIG_FIELDS
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         merged = {
             "algorithm": doc.get("algorithm", args.algorithm),
             "eps": tuple(doc.get("eps", args.eps)),

@@ -31,8 +31,16 @@ kernel, value_chunks. Over an ordered list `active` of k variables, row r
 of the value table is the assignment with active[t] = +1 exactly when bit
 t of r is set, else -1. Each constraint inside `active` contributes its
 2^arity local table, broadcast over the rows, so no assignment block is
-built; working memory is one chunk of 2^VALUE_CHUNK_BITS float64 entries
-(8 MiB), plus the result for all_values.
+built. When every local table is 0/1 times one weight w (every CSP
+instance, and a graph whose edges inside `active` share one weight), a
+chunk holds integer hit counts in the smallest unsigned dtype that holds
+the number of tables: one byte per row up to 255 tables. A count k maps
+to its value through the ordered sum S[0] = 0.0, S[k] = S[k-1] + w, which
+is the edge-order float sum bit for bit, since an uncut edge adds 0.0.
+Only a graph whose edges inside `active` differ in weight keeps float64
+chunks, adding its tables in edge order. Working memory is one chunk of
+2^VALUE_CHUNK_BITS entries (1 MiB of uint8 counts, 8 MiB of float64),
+plus the result for all_values.
 """
 
 from __future__ import annotations
@@ -47,7 +55,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 ARITY_CAP = 20
-# A value-table chunk holds 2^VALUE_CHUNK_BITS float64 entries (8 MiB).
+# A value-table chunk holds 2^VALUE_CHUNK_BITS entries: hit counts in the
+# smallest unsigned dtype that holds the number of constraints inside the
+# active set (1 MiB in uint8), or float64 values (8 MiB) for a graph whose
+# edges there differ in weight.
 # Each constraint's table is spelled out over the lowest VALUE_RUN_BITS
 # bits before it is added: numpy adds a broadcast operand fast only along
 # a long contiguous axis (2-3x over broadcasting bit by bit).
@@ -75,6 +86,7 @@ __all__ = [
     "VALUE_CHUNK_BITS",
     "rows_per_chunk",
     "assignment_rows",
+    "ValueChunks",
     "value_chunks",
     "all_values",
     "graph_to_instance",
@@ -613,85 +625,135 @@ def signs_from_bits(bits) -> np.ndarray:
 
 def _local_tables(
     problem: CspInstance | WeightedGraph, active: Sequence[int]
-) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(positions in `active`, local value table) for each constraint (edge)
-    whose scope lies inside `active`, in constraint order. A table has one
-    length-2 axis per scope variable, in scope order; index 1 means +1."""
+) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], np.ndarray | None]:
+    """(positions in `active`, local table) for each constraint (edge)
+    whose scope lies inside `active`, in constraint order, and the
+    count-to-value map. A table has one length-2 axis per scope variable,
+    in scope order; index 1 means +1.
+
+    When every table is 0/1 times one weight w (every CSP instance, and a
+    graph whose edges inside `active` share one weight), the tables hold
+    0/1 counts in the smallest unsigned dtype that holds their number,
+    one array per distinct table, and the map is
+    sums[0] = 0.0, sums[k] = sums[k-1] + w, or None when w = 1, since a
+    count then is its value. Otherwise the tables hold float64 values and
+    the map is None.
+    """
     pos = {v: t for t, v in enumerate(active)}
     if len(pos) != len(active):
         raise ValueError("active variables must be distinct")
     if isinstance(problem, WeightedGraph):
-        return [
-            ((pos[u], pos[v]), np.array([[0.0, w], [w, 0.0]]))
-            for u, v, w in problem.edges
-            if u in pos and v in pos
-        ]
-    tables = []
-    for c in problem.constraints:
-        if not all(i in pos for i in c.scope):
-            continue
-        if c.is_xor:
-            prod = np.ones(())
-            for _ in c.scope:
-                prod = np.multiply.outer(prod, [-1.0, 1.0])
-            table = (prod == c.b).astype(np.float64)
-        else:
-            # flat index bit t is scope position t, the last C-order axis
-            table = np.asarray(c.table, dtype=np.float64).reshape((2,) * c.arity).T
-        tables.append((tuple(pos[i] for i in c.scope), table))
-    return tables
+        inside = [(pos[u], pos[v], w) for u, v, w in problem.edges if u in pos and v in pos]
+        weights = {w for _, _, w in inside}
+        if len(weights) > 1:
+            return [((a, b), np.array([[0.0, w], [w, 0.0]])) for a, b, w in inside], None
+        weight = weights.pop() if weights else 1.0
+        cut = np.array([[0, 1], [1, 0]], dtype=np.min_scalar_type(len(inside)))
+        tables = [((a, b), cut) for a, b, _ in inside]
+    else:
+        weight = 1.0
+        inside = [c for c in problem.constraints if all(i in pos for i in c.scope)]
+        dtype = np.min_scalar_type(len(inside))
+        shared: dict[tuple, np.ndarray] = {}
+        tables = []
+        for c in inside:
+            key = (c.arity, c.b, c.table)
+            if key not in shared:
+                shared[key] = _count_table(c, dtype)
+            tables.append((tuple(pos[i] for i in c.scope), shared[key]))
+    if weight == 1:
+        return tables, None
+    # one float addition per hit, in order, as eval_value adds cut weights
+    hits = itertools.accumulate(itertools.repeat(float(weight), len(tables)), initial=0.0)
+    return tables, np.fromiter(hits, dtype=np.float64, count=len(tables) + 1)
+
+
+def _count_table(c: Constraint, dtype) -> np.ndarray:
+    """The constraint's 0/1 local table in dtype."""
+    if c.is_xor:
+        # the product is b when the number of -1 signs is even for b = +1,
+        # odd for b = -1; the count does not depend on the axis order
+        minus = c.arity - np.bitwise_count(np.arange(1 << c.arity))
+        return ((minus & 1) == (c.b < 0)).astype(dtype).reshape((2,) * c.arity)
+    # flat index bit t is scope position t, the last C-order axis
+    return np.asarray(c.table, dtype=dtype).reshape((2,) * c.arity).T
+
+
+class ValueChunks:
+    """The value table of the sub-problem induced on `active`, over rows
+    [0, 2^bits), as (start, chunk) pairs in row order; active positions
+    >= bits stay -1.
+
+    Row r is the assignment with active[t] = +1 exactly when bit t of r is
+    set. Each chunk fixes the bits from L = min(bits, VALUE_CHUNK_BITS) up
+    and holds one entry per setting of the low L bits. Every constraint
+    (edge) inside `active` adds its local table (see _local_tables), sliced
+    at the chunk's fixed bits and broadcast over the rest, in constraint
+    order. An entry is the row's hit count, which `sums` maps to its value
+    (strictly increasing, so counts order rows as values do), or, when
+    `sums` is None, the row's value itself: a float64 value, or a count of
+    unit weight. values() maps a chunk or an entry to its values.
+    """
+
+    def __init__(
+        self, problem: CspInstance | WeightedGraph, active: Sequence[int], bits: int
+    ) -> None:
+        self.tables, self.sums = _local_tables(problem, list(active))
+        self.dtype = self.tables[0][1].dtype if self.tables else np.uint8
+        self.bits = bits
+
+    def values(self, counts):
+        return counts if self.sums is None else self.sums[counts]
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        low_bits = min(self.bits, VALUE_CHUNK_BITS)
+        run_bits = min(low_bits, VALUE_RUN_BITS)
+        for start in range(0, 1 << self.bits, 1 << low_bits):
+            # Fortran order: axis 0 is bits 0..run_bits-1, axis j > 0 is bit
+            # run_bits+j-1, and the flat row view is a view
+            acc = np.zeros(
+                (1 << run_bits,) + (2,) * (low_bits - run_bits), dtype=self.dtype, order="F"
+            )
+            for positions, table in self.tables:
+                index = tuple(
+                    slice(None) if t < low_bits else (start >> t) & 1 for t in positions
+                )
+                low = [t for t in positions if t < low_bits]
+                shape = [1] * low_bits
+                for t in low:
+                    shape[t] = 2
+                local = table[index].transpose(np.argsort(low)).reshape(shape)
+                # spell out the run bits, so each add is a contiguous inner loop
+                tail = tuple(shape[run_bits:])
+                run = np.broadcast_to(local, (2,) * run_bits + tail)
+                acc += run.reshape((1 << run_bits,) + tail, order="F")
+            yield start, acc.reshape(-1, order="F")
 
 
 def value_chunks(
     problem: CspInstance | WeightedGraph, active: Sequence[int], bits: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yields (start, values) chunks of the value table over `active`,
-    covering rows [0, 2^bits) in order; active positions >= bits stay -1.
-
-    Row r is the assignment with active[t] = +1 exactly when bit t of r is
-    set. Each chunk fixes the bits from L = min(bits, VALUE_CHUNK_BITS) up
-    and holds one float64 entry per setting of the low L bits. Every
-    constraint (edge) inside `active` adds its local table, sliced at the
-    chunk's fixed bits and broadcast over the rest, in constraint order.
-    """
-    tables = _local_tables(problem, list(active))
-    low_bits = min(bits, VALUE_CHUNK_BITS)
-    run_bits = min(low_bits, VALUE_RUN_BITS)
-    for start in range(0, 1 << bits, 1 << low_bits):
-        # Fortran order: axis 0 is bits 0..run_bits-1, axis j > 0 is bit
-        # run_bits+j-1, and the flat row view is a view
-        acc = np.zeros((1 << run_bits,) + (2,) * (low_bits - run_bits), order="F")
-        for positions, table in tables:
-            index = tuple(
-                slice(None) if t < low_bits else (start >> t) & 1 for t in positions
-            )
-            low = [t for t in positions if t < low_bits]
-            shape = [1] * low_bits
-            for t in low:
-                shape[t] = 2
-            local = table[index].transpose(np.argsort(low)).reshape(shape)
-            # spell out the run bits, so each add is a contiguous inner loop
-            tail = tuple(shape[run_bits:])
-            run = np.broadcast_to(local, (2,) * run_bits + tail)
-            acc += run.reshape((1 << run_bits,) + tail, order="F")
-        yield start, acc.reshape(-1, order="F")
+) -> ValueChunks:
+    """The ValueChunks of `problem` over `active`, rows [0, 2^bits)."""
+    return ValueChunks(problem, active, bits)
 
 
 def all_values(
     problem: CspInstance | WeightedGraph, active: Sequence[int]
 ) -> np.ndarray:
     """Values of the sub-problem induced on `active`, for all 2^|active|
-    assignments of the active variables.
+    assignments of the active variables, as float64.
 
     Row r has active[t] = +1 exactly when bit t of r is set, else -1 (see
     assignment_rows). Only constraints (edges) whose scope lies entirely
-    inside `active` contribute. Working memory beyond the result is one
-    chunk of 2^VALUE_CHUNK_BITS float64 entries.
+    inside `active` contribute. Each chunk of value_chunks is mapped to
+    values once; working memory beyond the result is one chunk and its
+    float64 values.
     """
     active = list(active)
     out = np.empty(1 << len(active), dtype=np.float64)
-    for start, values in value_chunks(problem, active, len(active)):
-        out[start:start + values.shape[0]] = values
+    chunks = value_chunks(problem, active, len(active))
+    for start, chunk in chunks:
+        out[start:start + chunk.shape[0]] = chunks.values(chunk)
     return out
 
 

@@ -224,7 +224,6 @@ def em_over_assignments_batch(
     sensitivity: float,
     rng,
     trials: int,
-    cap: int = EM_ENUMERATION_CAP,
 ) -> np.ndarray:
     """Exponential mechanism over all sign assignments of `active`, one
     independent draw per row of the returned (trials, |active|) int8 array.
@@ -242,7 +241,8 @@ def em_over_assignments_batch(
     doubles give the same rows. A call with another key replaces the entry,
     so each instance holds at most one CDF, and it is freed with the
     instance. Instances are immutable, so the entry never goes stale. The
-    budget, sensitivity and cap checks run on every call.
+    budget, sensitivity and cap checks run on every call; the cap is
+    EM_ENUMERATION_CAP, read at call time.
     """
     check_epsilon(budget, "budget")
     if not sensitivity > 0:
@@ -250,9 +250,10 @@ def em_over_assignments_batch(
     active = list(active)
     if len(active) == 0:
         return np.empty((trials, 0), dtype=np.int8)
-    if len(active) > cap:
+    if len(active) > EM_ENUMERATION_CAP:
         raise ResourceCapError(
-            f"em_over_assignments_batch: |active| = {len(active)} exceeds cap {cap}"
+            f"em_over_assignments_batch: |active| = {len(active)} "
+            f"exceeds cap {EM_ENUMERATION_CAP}"
         )
     key = (tuple(active), budget, sensitivity)
     memo = problem._em_cdf_memo
@@ -296,7 +297,7 @@ def noisy_high_mask(
     return degrees(problem) + sample_laplace(scale, rng, size=(trials, problem.n)) > threshold
 
 
-def em_on_part(problem, part: np.ndarray, budget: float, rng, cap: int = EM_ENUMERATION_CAP):
+def em_on_part(problem, part: np.ndarray, budget: float, rng):
     """A uniform +-1 int8 block shaped like the (trials, n) bool block part,
     one part per row, with the variables of each row's part replaced by an
     exponential-mechanism draw (budget, sensitivity 1) on them. Rows with
@@ -310,7 +311,7 @@ def em_on_part(problem, part: np.ndarray, budget: float, rng, cap: int = EM_ENUM
     for members in groups.values():
         idx = np.flatnonzero(part[members[0]])
         x[np.ix_(members, idx)] = em_over_assignments_batch(
-            problem, idx.tolist(), budget, 1.0, gen, len(members), cap=cap
+            problem, idx.tolist(), budget, 1.0, gen, len(members)
         )
     return x
 

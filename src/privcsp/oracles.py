@@ -61,18 +61,23 @@ def brute_force_opt(
 
     For graphs, the search space is halved by pinning the last vertex to
     side -1 (cut values are invariant under a global flip). Rows are scanned
-    in value_chunks order; the first row with the largest value wins.
+    in value_chunks order and the first row with the largest entry wins.
+    The argmax runs on the chunks as value_chunks yields them: integer hit
+    counts, whose map to values is strictly increasing, so the same row
+    wins as on the values, or float64 values for a graph whose edges
+    differ in weight. Only the winning entry is mapped to its value.
     """
     n = problem.n
     if n > cap:
         raise ResourceCapError(f"brute_force_opt: n = {n} exceeds cap {cap}")
     halve = isinstance(problem, WeightedGraph) and n >= 1
-    best_val, best_row = -np.inf, 0
-    for start, values in value_chunks(problem, range(n), n - 1 if halve else n):
-        idx = int(np.argmax(values))
-        if values[idx] > best_val:
-            best_val, best_row = float(values[idx]), start + idx
-    return best_val, assignment_rows(best_row, n)
+    chunks = value_chunks(problem, range(n), n - 1 if halve else n)
+    best, best_row = None, 0
+    for start, chunk in chunks:
+        idx = int(np.argmax(chunk))
+        if best is None or chunk[idx] > best:
+            best, best_row = chunk[idx], start + idx
+    return float(chunks.values(best)), assignment_rows(best_row, n)
 
 
 def _constraint_q_pmf(c: Constraint, j: int) -> dict[Fraction, Fraction]:
@@ -576,34 +581,33 @@ def verify_packing_separation(
 
     Cut counts are compared as exact integers: with half-size supports,
     value thresholds 7nd/16 and 6nd/16 equal weight * 7n^2/32 and
-    weight * 6n^2/32.
+    weight * 6n^2/32. R masks are uint32 and counts int16: a cut count is
+    at most n^2/4 = 144 at PACKING_CAP 24, and 32 times that is 4608.
     """
     n = family.n
     if n > cap:
         raise ResourceCapError(f"verify_packing_separation: n = {n} exceeds cap {cap}")
     if len(family.supports) < 2:
         return True, None
-    masks = np.arange(1 << (n - 1), dtype=np.uint64)
+    masks = np.arange(1 << (n - 1), dtype=np.uint32)
     half = n // 2
-    counts = []
+    r = np.bitwise_count(masks).astype(np.int16)
+    # per support, 32 * count > 7n^2 and 32 * count > 6n^2
+    over, above = [], []
     for s in family.supports:
-        smask = np.uint64(sum(1 << v for v in s if v < n - 1))
-        a = np.bitwise_count(masks & smask).astype(np.int64)
-        r = np.bitwise_count(masks).astype(np.int64)
+        smask = np.uint32(sum(1 << v for v in s if v < n - 1))
+        a = np.bitwise_count(masks & smask).astype(np.int16)
         # vertex n-1 is on the -1 side; adjust |S| seen on the +1 side
-        cut = a * ((n - half) - (r - a)) + (half - a) * (r - a)
-        counts.append(cut)
-    hi = 7 * n * n  # compare 32*count vs 7n^2 -> count*32 > 7n^2
-    lo = 6 * n * n
-    for i, ci in enumerate(counts):
-        over = ci * 32 > hi
-        if not np.any(over):
+        cut32 = (a * ((n - half) - (r - a)) + (half - a) * (r - a)) * 32
+        over.append(cut32 > 7 * n * n)
+        above.append(cut32 > 6 * n * n)
+    for i, over_i in enumerate(over):
+        if not np.any(over_i):
             continue
-        for j, cj in enumerate(counts):
+        for j, above_j in enumerate(above):
             if i == j:
                 continue
-            bad = over & (cj * 32 > lo)
+            bad = over_i & above_j
             if np.any(bad):
-                r_mask = int(masks[np.argmax(bad)])
-                return False, (r_mask, i, j)
+                return False, (int(masks[np.argmax(bad)]), i, j)
     return True, None

@@ -125,6 +125,16 @@ class TestSolveRatioSweep:
         assert code == EXIT_OK
         assert out.splitlines()[1].startswith("random_baseline,2,")
 
+    def test_unknown_config_fields_rejected(self, instance_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tirals": 9000, "eps": [1.0], "sed": 2}))
+        code, out, err = run(
+            capsys, "ratio", "--algorithm", "alg1", "--instance", instance_path,
+            "--trials", "5", "--config", str(cfg),
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "unknown config fields: ['sed', 'tirals']" in err
+
     @pytest.mark.parametrize("algorithm", ["random_baseline", "alg1", "em_baseline"])
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_invalid_eps_grid_rejected_before_trials(

@@ -426,6 +426,52 @@ class TestValueKernel:
         assert np.array_equal(rows, np.array(all_rows(3)))
 
 
+def uniform_graph(w, seed=0, n=9, m=30):
+    """Edges of one non-dyadic weight w, with repeated edges: rows cut 6
+    and more edges, where the ordered sum w + w + ... differs from k * w."""
+    rng = np.random.default_rng(seed)
+    edges = [tuple(rng.choice(n, size=2, replace=False).tolist()) + (w,) for _ in range(m)]
+    return WeightedGraph(n=n, edges=tuple(edges))
+
+
+class TestCountPath:
+    @pytest.mark.parametrize("count, dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_count_dtype_edge(self, count, dtype):
+        # every constraint inside the active set holds on the all-+1 row,
+        # which so counts `count` hits: one byte would wrap 256 to 0; the
+        # two constraints on variable 3 straddle the active set
+        rng = np.random.default_rng(count)
+        cons = [Constraint(scope=(3, 0), b=1), Constraint(scope=(1, 3), b=-1)]
+        for _ in range(count):
+            k = int(rng.integers(1, 4))
+            scope = tuple(rng.choice(3, size=k, replace=False).tolist())
+            if rng.random() < 0.5:
+                cons.append(Constraint(scope=scope, b=1))
+            else:
+                table = rng.integers(0, 2, 2 ** k).tolist()
+                cons.append(Constraint(scope=scope, table=tuple(table[:-1]) + (1,)))
+        inst = CspInstance(n=4, constraints=tuple(cons))
+        active = [2, 0, 1]
+        values = all_values(inst, active)
+        assert values[7] == count
+        assert np.array_equal(values, reference_values(inst, active))
+        assert [c.dtype for _, c in csp_core.value_chunks(inst, active, 3)] == [dtype]
+
+    @pytest.mark.parametrize("w", [0.1, 1 / 640])
+    def test_uniform_weight_is_the_ordered_sum(self, w):
+        g = uniform_graph(w)
+        values = all_values(g, range(g.n))
+        exact = eval_value(g, assignment_rows(np.arange(1 << g.n), g.n))
+        assert values.tobytes() == exact.tobytes()
+        assert [c.dtype for _, c in csp_core.value_chunks(g, range(g.n), g.n)] == [np.uint8]
+        # rows where k * w is not the value occur
+        assert np.any(values != np.round(values / w) * w)
+
+    def test_differing_weights_keep_float64(self):
+        g = weighted_graph(0)
+        assert [c.dtype for _, c in csp_core.value_chunks(g, range(g.n), g.n)] == [np.float64]
+
+
 class TestSerialization:
     def test_roundtrip_instance(self):
         rng = np.random.default_rng(5)

@@ -73,10 +73,9 @@ def spy_em_budgets(monkeypatch):
     budgets = []
     real = dp_mechanisms.em_over_assignments_batch
 
-    def spy(problem, active, budget, sensitivity, rng, trials,
-            cap=dp_mechanisms.EM_ENUMERATION_CAP):
+    def spy(problem, active, budget, sensitivity, rng, trials):
         budgets.append(budget)
-        return real(problem, active, budget, sensitivity, rng, trials, cap)
+        return real(problem, active, budget, sensitivity, rng, trials)
 
     monkeypatch.setattr(dp_mechanisms, "em_over_assignments_batch", spy)
     return budgets
@@ -258,7 +257,8 @@ class TestEmOnPart:
         assert x.dtype == np.int8 and np.array_equal(x, ref)
         assert g1.bit_generator.state == g2.bit_generator.state
 
-    def test_part_over_cap_refused(self):
+    def test_part_over_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(dp_mechanisms, "EM_ENUMERATION_CAP", 4)
         inst = CspInstance(n=5, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor")
         with pytest.raises(dp_mechanisms.ResourceCapError, match="exceeds cap 4"):
-            em_on_part(inst, np.ones((1, 5), dtype=bool), 1.0, gen(), cap=4)
+            em_on_part(inst, np.ones((1, 5), dtype=bool), 1.0, gen())

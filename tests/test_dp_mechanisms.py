@@ -444,11 +444,12 @@ class TestEmMemo:
         with pytest.raises(error):
             em_over_assignments_batch(inst, active, budget, sensitivity, gen(), 4)
 
-    def test_cap_checked_on_a_memo_hit(self):
+    def test_cap_checked_on_a_memo_hit(self, monkeypatch):
         inst = memo_kxor()
         em_over_assignments_batch(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(), 1)
+        monkeypatch.setattr(dp_mechanisms, "EM_ENUMERATION_CAP", 4)
         with pytest.raises(ResourceCapError):
-            em_over_assignments_batch(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(), 1, cap=4)
+            em_over_assignments_batch(inst, [0, 1, 2, 3, 4], 1.0, 1.0, gen(), 1)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_alg6_keeps_one_entry(self):

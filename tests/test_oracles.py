@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -106,6 +107,35 @@ class TestBruteForceOpt:
         ref_val, ref_x = ascending_scan(problem)
         assert val == ref_val and x.dtype == np.int8 and np.array_equal(x, ref_x)
 
+    @pytest.mark.parametrize("w", [0.1, 1 / 640])
+    def test_uniform_non_dyadic_weight(self, w):
+        rng = np.random.default_rng(1)
+        edges = tuple(tuple(rng.choice(9, size=2, replace=False).tolist()) + (w,)
+                      for _ in range(30))
+        g = WeightedGraph(n=9, edges=edges)
+        val, x = brute_force_opt(g)
+        ref_val, ref_x = ascending_scan(g)
+        assert val == ref_val and np.array_equal(x, ref_x)
+        # the optimum cuts k edges with k * w not its value
+        assert val != round(val / w) * w
+
+    @pytest.mark.parametrize("problem", [
+        CspInstance(n=24, constraints=tuple(
+            Constraint(scope=(i % 24, (5 * i + 1) % 24), b=1 - 2 * (i % 2)) for i in range(40)
+        ), kind="kxor"),
+        PackingFamily(n=24, supports=(tuple(range(12)),), epsilon=0.5).graph(0),
+    ])
+    def test_memory_at_n24(self, problem):
+        # one uint8 chunk of 2^VALUE_CHUNK_BITS counts, two while the next
+        # is built; a float64 chunk alone would be 8 times one
+        tracemalloc.start()
+        try:
+            brute_force_opt(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << csp_core.VALUE_CHUNK_BITS
+
 
 class TestExactMedianTheta:
     def test_empty(self):
@@ -205,10 +235,15 @@ class TestAtThresholdProb:
             assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_frozen_scan_constant(self):
-        for eps in (0.1, 0.5, 1.0):
-            for d in (1, 2, 10, 50):
-                bound = AT_THRESHOLD_LOWER_C / math.sqrt(d + 1.0 / eps ** 2)
-                assert at_threshold_prob(d, eps) >= bound
+        # the scan that froze AT_THRESHOLD_LOWER_C: min over d in 1..50 and
+        # eps in {0.1, 0.5, 1} of at_threshold_prob(d, eps) * sqrt(d + 1/eps^2)
+        ratio, d, eps = min(
+            (at_threshold_prob(d, eps) * math.sqrt(d + 1.0 / eps ** 2), d, eps)
+            for eps in (0.1, 0.5, 1.0)
+            for d in range(1, 51)
+        )
+        assert (d, eps) == (20, 0.1) and ratio == pytest.approx(0.46306562, abs=5e-9)
+        assert AT_THRESHOLD_LOWER_C < ratio
 
     def test_argument_errors(self):
         with pytest.raises(ValueError):

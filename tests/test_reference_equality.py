@@ -179,7 +179,7 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
     return np.asarray(chosen, dtype=np.int8), int(high.size)
 
 
-def ref_alg2(instance, epsilon, rng, subroutine, threshold, cap=24):
+def ref_alg2(instance, epsilon, rng, subroutine, threshold):
     """alg2_batch's one-trial form without its checks, with its own copy of the
     noisy-degree split: literal Laplace scale and stage budgets. Also
     returns the size of the high set."""
@@ -190,7 +190,7 @@ def ref_alg2(instance, epsilon, rng, subroutine, threshold, cap=24):
     x1 = (2 * gen.integers(0, 2, size=instance.n) - 1).astype(np.int8)
     if high.size:
         x1[high] = em_over_assignments_batch(
-            instance, high.tolist(), epsilon / 3.0, 1.0, gen, 1, cap=cap
+            instance, high.tolist(), epsilon / 3.0, 1.0, gen, 1
         )[0]
     x2 = as_assignment(subroutine(instance, epsilon / 3.0, gen), instance.n)
     return (x1 if gen.random() < 0.5 else x2), int(high.size)
