@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,6 @@ from .csp_core import (
     ConstraintGroup,
     CspInstance,
     constraint_groups,
-    eval_value,
     is_triangle_free,
     signs_from_bits,
 )
@@ -36,13 +34,11 @@ from .dp_mechanisms import (
     as_generator,
     check_epsilon,
     degree_split_batch,
-    exponential_mechanism,
     keep_probability,
 )
 from .oracles import _constraint_q_pmf, exact_median_theta
 
 __all__ = [
-    "AdvRandConfig",
     "boost_scale",
     "private_boost",
     "alg1_batch",
@@ -302,49 +298,17 @@ def alg2_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     return degree_split_batch(instance, epsilon, rng, trials, alg1_batch, 10000.0 / epsilon ** 4)
 
 
-@dataclass(frozen=True)
-class AdvRandConfig:
-    """Knobs for alg3_batch.
-
-    scale fixes the keep-probability exponent (None draws it uniformly
-    from 1..ceil(log2 k)); flip_index fixes the Chebyshev flip index r in
-    0..k (None draws uniformly). global_sign selects the final step:
-    'random-flip' negates the assignment with probability 1/2 (the stated
-    step), 'argmax' picks the better of {x, -x} (NON-PRIVATE, diagnostic
-    only), 'em-pair' spends sign_budget on a two-candidate exponential
-    mechanism over {x, -x}. That budget comes on top of epsilon: with
-    'em-pair', alg3 is (epsilon + sign_budget)-DP, and no budget ledger
-    records the extra stage yet.
-    """
-
-    scale: int | None = None
-    flip_index: int | None = None
-    global_sign: str = "random-flip"
-    sign_budget: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.global_sign not in ("random-flip", "argmax", "em-pair"):
-            raise ValueError(f"unknown global_sign {self.global_sign!r}")
-        if self.global_sign == "em-pair" and not self.sign_budget > 0:
-            raise ValueError("em-pair needs a positive sign_budget")
-        if self.scale is not None and self.scale < 1:
-            raise ValueError("scale must be >= 1")
-        if self.flip_index is not None and self.flip_index < 0:
-            raise ValueError("flip_index must be >= 0")
-
-
 def boost_scale(epsilon: float, m: int) -> float:
     """The tanh steepness used by the private boost: epsilon * sqrt(m) / 2."""
     return epsilon * math.sqrt(m) / 2.0
 
 
-def private_boost(lambda_value, scale: float, rng, size=None):
+def private_boost(lambda_value, scale: float, rng):
     """Draws +-1 with Pr[+1] = (1 + tanh(scale * lambda_value)) / 2."""
     gen = as_generator(rng)
     p_plus = (1.0 + np.tanh(scale * np.asarray(lambda_value))) / 2.0
-    draw = gen.random(size=size if size is not None else np.shape(lambda_value))
-    out = np.where(draw < p_plus, 1, -1)
-    if np.isscalar(lambda_value) and size is None:
+    out = np.where(gen.random(size=np.shape(lambda_value)) < p_plus, 1, -1)
+    if np.isscalar(lambda_value):
         return int(out)
     return out.astype(np.int8)
 
@@ -375,7 +339,9 @@ def alg3_batch(
     epsilon: float,
     rng,
     trials: int,
-    config: AdvRandConfig | None = None,
+    *,
+    scale: int | None = None,
+    flip_index: int | None = None,
 ) -> np.ndarray:
     """Scaled advantage rounding with a private tanh boost; one independent
     run per row of the returned (trials, n) int8 block.
@@ -383,9 +349,13 @@ def alg3_batch(
     Phase 1 keeps each variable with probability 2^-s and fixes the rest
     uniformly; phase 2 boosts each kept variable toward the sign of its
     normalized active-constraint sum; phase 3 flips kept coordinates with
-    the Chebyshev bias (1 - cos(r pi / k) / 2) / 2; phase 4 applies the
-    configured global sign step. Each row draws its own scale s, flip
-    index r and global sign.
+    the Chebyshev bias (1 - cos(r pi / k) / 2) / 2; phase 4 negates the
+    whole row with probability 1/2. Each row draws its own scale s, flip
+    index r and negation.
+
+    scale fixes s for every row (it must be >= 1; None draws it uniformly
+    from 1..ceil(log2 k)); flip_index fixes r for every row (it must lie
+    in 0..k; None draws it uniformly). Both only pin the law in tests.
     """
     check_epsilon(epsilon)
     if instance.kind not in ("kxor", "maxcut"):
@@ -393,38 +363,30 @@ def alg3_batch(
     if instance.m == 0:
         raise ValueError("alg3 requires at least one constraint")
     instance.require_distinct_scopes()
-    config = config or AdvRandConfig()
     k = instance.max_arity
-    if config.flip_index is not None and config.flip_index > k:
-        raise ValueError(f"flip_index {config.flip_index} exceeds arity {k}")
+    if scale is not None and scale < 1:
+        raise ValueError(f"scale {scale} must be >= 1")
+    if flip_index is not None and not 0 <= flip_index <= k:
+        raise ValueError(f"flip_index {flip_index} must lie in 0..{k} (the arity)")
     gen = as_generator(rng)
     n, m = instance.n, instance.m
     smax = max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-    if config.scale is not None:
-        s = np.full(trials, config.scale)
+    if scale is not None:
+        s = np.full(trials, scale)
     else:
         s = gen.integers(1, smax + 1, size=trials)
     keep = gen.random((trials, n)) < (2.0 ** -s)[:, None]
     x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
     lam = _kept_influence(instance, keep, x)
     x = np.where(keep, private_boost(lam, boost_scale(epsilon, m), gen), x)
-    if config.flip_index is not None:
-        r = np.full(trials, config.flip_index)
+    if flip_index is not None:
+        r = np.full(trials, flip_index)
     else:
         r = gen.integers(0, k + 1, size=trials)
     eta = np.array([math.cos(i * math.pi / k) / 2.0 for i in range(k + 1)])[r]
     flip = gen.random((trials, n)) < ((1.0 - eta) / 2.0)[:, None]
     x = np.where(keep & flip, -x, x).astype(np.int8)
-    if config.global_sign == "random-flip":
-        negate = gen.random(trials) < 0.5
-    elif config.global_sign == "argmax":
-        negate = eval_value(instance, -x) > eval_value(instance, x)
-    else:
-        values = np.stack([eval_value(instance, x), eval_value(instance, -x)], axis=1)
-        negate = np.array([
-            exponential_mechanism((False, True), v, config.sign_budget, 1.0, gen)
-            for v in values
-        ], dtype=bool)
+    negate = gen.random(trials) < 0.5
     return np.where(negate[:, None], -x, x).astype(np.int8)
 
 

@@ -76,34 +76,45 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
-_CONFIG_FIELDS = {"algorithm", "eps", "trials", "seed", "alpha", "instance"}
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# config field -> (type check, what the field must be)
+_CONFIG_FIELDS = {
+    "algorithm": (lambda v: type(v) is str, "a string"),
+    "instance": (lambda v: type(v) is str, "a string"),
+    "eps": (lambda v: type(v) is list and all(map(_is_number, v)), "a list of numbers"),
+    "trials": (lambda v: type(v) is int, "an integer"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "alpha": (_is_number, "a number"),
+}
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The command line's experiment, with the fields of a --config JSON
+    object, if given, in place of the flags'."""
+    doc = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("config document must be a JSON object")
-        unknown = set(doc) - _CONFIG_FIELDS
+        unknown = set(doc) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        merged = {
-            "algorithm": doc.get("algorithm", args.algorithm),
-            "eps": tuple(doc.get("eps", args.eps)),
-            "trials": doc.get("trials", args.trials),
-            "seed": doc.get("seed", args.seed),
-            "alpha": doc.get("alpha", args.alpha),
-        }
+        for key, value in doc.items():
+            check, kind = _CONFIG_FIELDS[key]
+            if not check(value):
+                raise ValueError(f"config field {key!r} must be {kind}, got {value!r}")
         if "instance" in doc and not args.instance:
             args.instance = doc["instance"]
-        return ExperimentConfig(**merged)
     return ExperimentConfig(
-        algorithm=args.algorithm,
-        eps=tuple(args.eps),
-        trials=args.trials,
-        seed=args.seed,
-        alpha=args.alpha,
+        algorithm=doc.get("algorithm", args.algorithm),
+        eps=tuple(doc.get("eps", args.eps)),
+        trials=doc.get("trials", args.trials),
+        seed=doc.get("seed", args.seed),
+        alpha=doc.get("alpha", args.alpha),
     )
 
 

@@ -24,10 +24,10 @@ the constraints of one form (sign or truth table) and one arity, as
 arrays of scope indices, signs and tables. A CSP value is the integer
 count of satisfied constraints, so it is exact. A cut value adds the cut
 edges' weights in edge order, one float addition per edge, as
-value_chunks does; unit weights give exact integer counts.
+ValueChunks does; unit weights give exact integer counts.
 
 Exact enumeration (all_values, and brute_force_opt in oracles) runs on one
-kernel, value_chunks. Over an ordered list `active` of k variables, row r
+kernel, ValueChunks. Over an ordered list `active` of k variables, row r
 of the value table is the assignment with active[t] = +1 exactly when bit
 t of r is set, else -1. Each constraint inside `active` contributes its
 2^arity local table, broadcast over the rows, so no assignment block is
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -87,7 +88,6 @@ __all__ = [
     "rows_per_chunk",
     "assignment_rows",
     "ValueChunks",
-    "value_chunks",
     "all_values",
     "graph_to_instance",
     "instance_to_graph",
@@ -313,6 +313,7 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
+        inf = math.inf
         for u, v, w in self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -320,6 +321,8 @@ class WeightedGraph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
             if not w > 0:
                 raise ValueError(f"edge weight must be positive, got {w}")
+            if w == inf:
+                raise ValueError(f"edge weight must be finite, got {w}")
 
     @property
     def m(self) -> int:
@@ -404,7 +407,7 @@ def eval_value(problem: CspInstance | WeightedGraph, xs):
     Rows are evaluated rows_per_chunk at a time, so the temporaries of a
     chunk hold about 2^VALUE_CHUNK_BITS (row, scope entry) pairs. On a
     graph each row adds its cut edges' weights in edge order, starting
-    from 0.0, as value_chunks does: row r of all_values(g, active) equals the value of
+    from 0.0, as ValueChunks does: row r of all_values(g, active) equals the value of
     assignment_rows(r, len(active)) placed on `active` (others -1).
     """
     arr = np.asarray(xs)
@@ -730,13 +733,6 @@ class ValueChunks:
             yield start, acc.reshape(-1, order="F")
 
 
-def value_chunks(
-    problem: CspInstance | WeightedGraph, active: Sequence[int], bits: int
-) -> ValueChunks:
-    """The ValueChunks of `problem` over `active`, rows [0, 2^bits)."""
-    return ValueChunks(problem, active, bits)
-
-
 def all_values(
     problem: CspInstance | WeightedGraph, active: Sequence[int]
 ) -> np.ndarray:
@@ -745,13 +741,13 @@ def all_values(
 
     Row r has active[t] = +1 exactly when bit t of r is set, else -1 (see
     assignment_rows). Only constraints (edges) whose scope lies entirely
-    inside `active` contribute. Each chunk of value_chunks is mapped to
+    inside `active` contribute. Each chunk of ValueChunks is mapped to
     values once; working memory beyond the result is one chunk and its
     float64 values.
     """
     active = list(active)
     out = np.empty(1 << len(active), dtype=np.float64)
-    chunks = value_chunks(problem, active, len(active))
+    chunks = ValueChunks(problem, active, len(active))
     for start, chunk in chunks:
         out[start:start + chunk.shape[0]] = chunks.values(chunk)
     return out
@@ -795,7 +791,36 @@ def instance_to_json(problem: CspInstance | WeightedGraph) -> str:
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
 
+def _json_int(value, field: str) -> int:
+    """value, if it is a JSON integer (not a bool, a float or a string)."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _reject_edge(edge):
+    raise ValueError(f"edge endpoints must be integers and its weight a number, got {list(edge)}")
+
+
+def _json_edges(entries) -> tuple[tuple[int, int, float], ...]:
+    """Edge triples with integer endpoints and numeric weights, weights as
+    float. The type test runs inline, so a valid list is read without
+    converting its endpoints."""
+    try:
+        return tuple(
+            (u, v, float(w))
+            if type(u) is int and type(v) is int and type(w) in (float, int)
+            else _reject_edge((u, v, w))
+            for u, v, w in entries
+        )
+    except OverflowError as exc:
+        raise ValueError(f"edge weight out of float range: {exc}") from None
+
+
 def instance_from_json(text: str) -> CspInstance | WeightedGraph:
+    """Parses instance_to_json's format. n, scope entries, b, table entries
+    and edge endpoints must be JSON integers and edge weights JSON numbers:
+    anything else (a float, a bool, a string) is rejected, not rounded."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")
@@ -804,29 +829,31 @@ def instance_from_json(text: str) -> CspInstance | WeightedGraph:
         raise ValueError(f"unknown instance fields: {sorted(unknown)}")
     if "n" not in doc or "kind" not in doc:
         raise ValueError("instance document requires 'n' and 'kind'")
-    n, kind = doc["n"], doc["kind"]
+    n, kind = _json_int(doc["n"], "n"), doc["kind"]
     if "edges" in doc:
         if kind != "maxcut":
             raise ValueError("'edges' is only valid for kind 'maxcut'")
         if "constraints" in doc:
             raise ValueError("give either 'constraints' or 'edges', not both")
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in doc["edges"])
-        return WeightedGraph(n=int(n), edges=edges)
+        return WeightedGraph(n=n, edges=_json_edges(doc["edges"]))
     cons = []
     for entry in doc.get("constraints", []):
+        if not isinstance(entry, dict):
+            raise ValueError(f"constraint must be a JSON object, got {entry!r}")
         unknown = set(entry) - _CONSTRAINT_FIELDS
         if unknown:
             raise ValueError(f"unknown constraint fields: {sorted(unknown)}")
-        scope = tuple(int(i) for i in entry["scope"])
+        scope = tuple(_json_int(i, "scope entry") for i in entry["scope"])
         if "b" in entry and "table" in entry:
             raise ValueError("give either 'b' or 'table', not both")
         if "b" in entry:
-            cons.append(Constraint(scope=scope, b=int(entry["b"])))
+            cons.append(Constraint(scope=scope, b=_json_int(entry["b"], "b")))
         elif "table" in entry:
-            cons.append(Constraint(scope=scope, table=tuple(int(t) for t in entry["table"])))
+            table = tuple(_json_int(t, "table entry") for t in entry["table"])
+            cons.append(Constraint(scope=scope, table=table))
         else:
             raise ValueError("constraint requires 'b' or 'table'")
-    return CspInstance(n=int(n), constraints=tuple(cons), kind=kind)
+    return CspInstance(n=n, constraints=tuple(cons), kind=kind)
 
 
 def load_instance(path: str) -> CspInstance | WeightedGraph:

@@ -61,6 +61,7 @@ from .dp_mechanisms import (
 )
 from .generators import gen_hard_family
 from .oracles import (
+    BRUTE_FORCE_CAP,
     AuditReport,
     brute_force_opt,
     empirical_epsilon,
@@ -125,7 +126,6 @@ class ExperimentConfig:
     trials: int
     seed: int
     alpha: float = 0.0
-    opt_cap: int = 26
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -258,8 +258,8 @@ def estimate_ratio(config: ExperimentConfig, problem) -> ExperimentReport:
     optimum and approximation ratio when the instance is small enough."""
     view = _wants_graph(problem, ALGORITHMS[config.algorithm][1])
     opt: float | None = None
-    if problem.n <= config.opt_cap:
-        opt = brute_force_opt(problem, cap=config.opt_cap)[0]
+    if problem.n <= BRUTE_FORCE_CAP:
+        opt = brute_force_opt(problem)[0]
     chash = config.config_hash(problem)
     baseline = _baseline_value(problem)
     rows = tuple(

@@ -25,7 +25,7 @@ from .csp_core import (
     assignment_rows,
     eval_value,
     mu,
-    value_chunks,
+    ValueChunks,
 )
 from .dp_mechanisms import as_generator, check_epsilon
 
@@ -54,24 +54,23 @@ __all__ = [
 ]
 
 
-def brute_force_opt(
-    problem: CspInstance | WeightedGraph, cap: int = BRUTE_FORCE_CAP
-) -> tuple[float, np.ndarray]:
+def brute_force_opt(problem: CspInstance | WeightedGraph) -> tuple[float, np.ndarray]:
     """Exact maximum value and a first-found argmax assignment.
 
     For graphs, the search space is halved by pinning the last vertex to
     side -1 (cut values are invariant under a global flip). Rows are scanned
-    in value_chunks order and the first row with the largest entry wins.
-    The argmax runs on the chunks as value_chunks yields them: integer hit
+    in ValueChunks order and the first row with the largest entry wins.
+    The argmax runs on the chunks as ValueChunks yields them: integer hit
     counts, whose map to values is strictly increasing, so the same row
     wins as on the values, or float64 values for a graph whose edges
     differ in weight. Only the winning entry is mapped to its value.
+    Refuses n above BRUTE_FORCE_CAP, read at call time.
     """
     n = problem.n
-    if n > cap:
-        raise ResourceCapError(f"brute_force_opt: n = {n} exceeds cap {cap}")
+    if n > BRUTE_FORCE_CAP:
+        raise ResourceCapError(f"brute_force_opt: n = {n} exceeds cap {BRUTE_FORCE_CAP}")
     halve = isinstance(problem, WeightedGraph) and n >= 1
-    chunks = value_chunks(problem, range(n), n - 1 if halve else n)
+    chunks = ValueChunks(problem, range(n), n - 1 if halve else n)
     best, best_row = None, 0
     for start, chunk in chunks:
         idx = int(np.argmax(chunk))
@@ -116,14 +115,13 @@ def _convolve(a: dict[Fraction, Fraction], b: dict[Fraction, Fraction]) -> dict[
     return out
 
 
-def _sum_q_pmf(
-    active_constraints: Sequence[Constraint], j: int, cap: int
-) -> dict[Fraction, Fraction]:
+def _sum_q_pmf(active_constraints: Sequence[Constraint], j: int) -> dict[Fraction, Fraction]:
     """Exact pmf of the summed derivative at j over uniform fixed variables.
 
     Per-constraint convolution when the fixed scopes are pairwise disjoint
     (guaranteed on triangle-free instances); otherwise joint enumeration
-    over the union, capped at `cap` variables.
+    over the union, capped at MEDIAN_ENUMERATION_CAP variables (read at
+    call time).
     """
     others = [tuple(i for i in c.scope if i != j) for c in active_constraints]
     disjoint = True
@@ -139,9 +137,9 @@ def _sum_q_pmf(
             pmf = _convolve(pmf, _constraint_q_pmf(c, j))
         return pmf
     union = sorted(set(i for o in others for i in o))
-    if len(union) > cap:
+    if len(union) > MEDIAN_ENUMERATION_CAP:
         raise ResourceCapError(
-            f"exact_median_theta: joint support {len(union)} exceeds cap {cap}"
+            f"exact_median_theta: joint support {len(union)} exceeds cap {MEDIAN_ENUMERATION_CAP}"
         )
     pmf = {}
     weight = Fraction(1, 2 ** len(union))
@@ -163,11 +161,7 @@ def _sum_q_pmf(
     return pmf
 
 
-def exact_median_theta(
-    active_constraints: Sequence[Constraint],
-    j: int,
-    cap: int = MEDIAN_ENUMERATION_CAP,
-) -> tuple[float, float]:
+def exact_median_theta(active_constraints: Sequence[Constraint], j: int) -> tuple[float, float]:
     """Median of the summed derivative at j, plus the tie bias that makes the
     three-way sign comparison exactly unbiased.
 
@@ -178,7 +172,7 @@ def exact_median_theta(
     """
     if not active_constraints:
         return 0.0, 0.5
-    pmf = _sum_q_pmf(active_constraints, j, cap)
+    pmf = _sum_q_pmf(active_constraints, j)
     support = sorted(pmf)
     cdf = Fraction(0)
     theta = support[-1]
@@ -569,7 +563,7 @@ class PackingFamily:
 
 
 def verify_packing_separation(
-    family: PackingFamily, cap: int = PACKING_CAP
+    family: PackingFamily,
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """Exhaustively checks the cross-support value separation.
 
@@ -583,10 +577,11 @@ def verify_packing_separation(
     value thresholds 7nd/16 and 6nd/16 equal weight * 7n^2/32 and
     weight * 6n^2/32. R masks are uint32 and counts int16: a cut count is
     at most n^2/4 = 144 at PACKING_CAP 24, and 32 times that is 4608.
+    Refuses n above PACKING_CAP, read at call time.
     """
     n = family.n
-    if n > cap:
-        raise ResourceCapError(f"verify_packing_separation: n = {n} exceeds cap {cap}")
+    if n > PACKING_CAP:
+        raise ResourceCapError(f"verify_packing_separation: n = {n} exceeds cap {PACKING_CAP}")
     if len(family.supports) < 2:
         return True, None
     masks = np.arange(1 << (n - 1), dtype=np.uint32)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from privcsp.algo_csp import (
-    AdvRandConfig,
     alg1_batch,
     alg2_batch,
     alg3_batch,
@@ -16,7 +15,6 @@ from privcsp.algo_csp import (
 from privcsp.csp_core import (
     Constraint,
     CspInstance,
-    associated_advantage,
     eval_value,
     lambda_j,
 )
@@ -337,26 +335,17 @@ class TestAlg3:
         with pytest.raises(ValueError):
             alg3_batch(inst, 1.0, gen(), 1)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdvRandConfig(global_sign="best")
-        with pytest.raises(ValueError):
-            AdvRandConfig(global_sign="em-pair")
-        with pytest.raises(ValueError):
-            AdvRandConfig(scale=0)
-        AdvRandConfig(global_sign="em-pair", sign_budget=0.5)
-
-    def test_argmax_positive_advantage(self):
-        inst = gen_random_kxor(GenSpec(n=10, m=30, k=3, seed=3))
-        cfg = AdvRandConfig(global_sign="argmax", flip_index=0)
-        advs = np.array(
-            [
-                associated_advantage(inst, alg3_batch(inst, 2.0, g, 1, config=cfg)[0])
-                for g in (RngStream(18, t).generator() for t in range(5_000))
-            ]
-        )
-        se = advs.std() / math.sqrt(advs.size)
-        assert advs.mean() > 3 * se
+    def test_scale_and_flip_index_validated(self):
+        inst = gen_random_kxor(GenSpec(n=8, m=12, k=3, seed=5))
+        for kwargs, msg in (
+            ({"scale": 0}, "scale 0"),
+            ({"flip_index": -1}, "flip_index -1"),
+            ({"flip_index": 4}, "flip_index 4"),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                alg3_batch(inst, 1.0, gen(), 1, **kwargs)
+        for kwargs in ({"scale": 1}, {"flip_index": 0}, {"flip_index": 3}):
+            assert alg3_batch(inst, 1.0, gen(), 2, **kwargs).shape == (2, 8)
 
     def test_random_flip_coordinate_uniform(self):
         inst = gen_random_kxor(GenSpec(n=8, m=12, k=3, seed=4))
@@ -367,12 +356,6 @@ class TestAlg3:
             ]
         )
         assert np.all(np.abs(rows.mean(axis=0)) < 4.0 / math.sqrt(rows.shape[0]))
-
-    def test_em_pair_runs(self):
-        inst = gen_random_kxor(GenSpec(n=8, m=12, k=3, seed=5))
-        cfg = AdvRandConfig(global_sign="em-pair", sign_budget=1.0)
-        x = alg3_batch(inst, 1.0, gen(20), 1, config=cfg)[0]
-        assert x.shape == (8,)
 
     def test_determinism(self):
         inst = gen_random_kxor(GenSpec(n=8, m=12, k=3, seed=6))

@@ -135,6 +135,34 @@ class TestSolveRatioSweep:
         assert code == EXIT_VALIDATION and out == ""
         assert "unknown config fields: ['sed', 'tirals']" in err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"n": 3.9, "kind": "kxor", "constraints": []}, "n must be"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1.7], "b": 1}]}, "scope entry"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 1e999]]}, "must be finite"),
+    ])
+    def test_non_integral_instance_values_rejected(self, tmp_path, capsys, doc, field):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "solve", "--algorithm", "random_baseline", "--instance", str(path)
+        )
+        assert code == EXIT_VALIDATION and out == "" and field in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("eps", 1.0), ("eps", ["1.0"]), ("eps", [True]), ("trials", "9"), ("trials", 9.5),
+        ("trials", True), ("seed", 2.0), ("seed", False), ("alpha", "0.5"), ("alpha", True),
+        ("algorithm", 3), ("instance", ["a.json"]),
+    ])
+    def test_config_value_types_rejected(self, instance_path, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        code, out, err = run(
+            capsys, "ratio", "--algorithm", "alg1", "--instance", instance_path,
+            "--trials", "5", "--config", str(cfg),
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"config field '{field}' must be" in err
+
     @pytest.mark.parametrize("algorithm", ["random_baseline", "alg1", "em_baseline"])
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_invalid_eps_grid_rejected_before_trials(

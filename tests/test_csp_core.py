@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -409,7 +410,7 @@ class TestValueKernel:
         monkeypatch.setattr(csp_core, "VALUE_CHUNK_BITS", 2)
         monkeypatch.setattr(csp_core, "VALUE_RUN_BITS", 1)
         inst = mixed_instance(3)
-        chunks = list(csp_core.value_chunks(inst, range(6), 5))
+        chunks = list(csp_core.ValueChunks(inst, range(6), 5))
         assert [start for start, _ in chunks] == [0, 4, 8, 12, 16, 20, 24, 28]
         # position 5 is pinned to -1: the first half of the 6-bit table
         joined = np.concatenate([vals for _, vals in chunks])
@@ -455,7 +456,7 @@ class TestCountPath:
         values = all_values(inst, active)
         assert values[7] == count
         assert np.array_equal(values, reference_values(inst, active))
-        assert [c.dtype for _, c in csp_core.value_chunks(inst, active, 3)] == [dtype]
+        assert [c.dtype for _, c in csp_core.ValueChunks(inst, active, 3)] == [dtype]
 
     @pytest.mark.parametrize("w", [0.1, 1 / 640])
     def test_uniform_weight_is_the_ordered_sum(self, w):
@@ -463,13 +464,13 @@ class TestCountPath:
         values = all_values(g, range(g.n))
         exact = eval_value(g, assignment_rows(np.arange(1 << g.n), g.n))
         assert values.tobytes() == exact.tobytes()
-        assert [c.dtype for _, c in csp_core.value_chunks(g, range(g.n), g.n)] == [np.uint8]
+        assert [c.dtype for _, c in csp_core.ValueChunks(g, range(g.n), g.n)] == [np.uint8]
         # rows where k * w is not the value occur
         assert np.any(values != np.round(values / w) * w)
 
     def test_differing_weights_keep_float64(self):
         g = weighted_graph(0)
-        assert [c.dtype for _, c in csp_core.value_chunks(g, range(g.n), g.n)] == [np.float64]
+        assert [c.dtype for _, c in csp_core.ValueChunks(g, range(g.n), g.n)] == [np.float64]
 
 
 class TestSerialization:
@@ -502,6 +503,49 @@ class TestSerialization:
         doc = {"n": 2, "kind": "kxor", "edges": [[0, 1, 1.0]]}
         with pytest.raises(ValueError):
             instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"n": 3.9, "kind": "kxor", "constraints": []}, "n must be"),
+        ({"n": True, "kind": "kxor", "constraints": []}, "n must be"),
+        ({"n": "3", "kind": "kxor", "constraints": []}, "n must be"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1.7], "b": 1}]}, "scope entry"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, True], "b": 1}]}, "scope entry"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": 1.5}]}, "b must be"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": True}]}, "b must be"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": 1.0}]}, "b must be"),
+        ({"n": 2, "kind": "general", "constraints": [{"scope": [0], "table": [0.6, 1]}]},
+         "table entry"),
+        ({"n": 2, "kind": "general", "constraints": [{"scope": [0], "table": [False, 1]}]},
+         "table entry"),
+        ({"n": 3, "kind": "kxor", "constraints": [[0, 1]]}, "constraint must be"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1.9, 1.0]]}, "edge endpoints"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, True, 1.0]]}, "edge endpoints"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, "1.0"]]}, "edge endpoints"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, False]]}, "edge endpoints"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.inf]]}, "must be finite"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.nan]]}, "must be positive"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 10 ** 400]]}, "out of float range"),
+    ])
+    def test_non_integral_values_rejected(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            instance_from_json(json.dumps(doc))
+
+    def test_integer_weights_read_as_float(self):
+        g = instance_from_json('{"n": 2, "kind": "maxcut", "edges": [[0, 1, 2]]}')
+        assert g.edges == ((0, 1, 2.0),) and type(g.edges[0][2]) is float
+
+    @pytest.mark.parametrize("line", ["0 1.9", "0 true", "0 1 x"])
+    def test_edge_list_rejects_non_integral(self, tmp_path, line):
+        p = tmp_path / "g.edges"
+        p.write_text(f"0 1\n{line}\n")
+        with pytest.raises(ValueError, match="invalid literal for int|could not convert"):
+            load_edge_list(str(p))
+
+    def test_edge_list_rejects_infinite_weight(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("0 1 inf\n")
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            load_edge_list(str(p))
 
     def test_edge_list(self, tmp_path):
         p = tmp_path / "g.edges"
@@ -538,6 +582,8 @@ class TestGraphValidation:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if not w > 0:
                 raise ValueError(f"edge weight must be positive, got {w}")
+            if w == math.inf:
+                raise ValueError(f"edge weight must be finite, got {w}")
 
     @pytest.mark.parametrize("edges,message", [
         (((0, 1, 1.0), (2, 2, 1.0), (0, 9, 1.0)), "self-loop at vertex 2"),
@@ -548,6 +594,8 @@ class TestGraphValidation:
         (((0, 1, float("nan")),), "edge weight must be positive, got nan"),
         (((float("nan"), 1, 1.0),), r"edge \(nan,1\) out of range for n=3"),
         (((2 ** 70, 1, 1.0),), r"edge \(1180591620717411303424,1\) out of range for n=3"),
+        (((0, 1, 1.0), (1, 2, math.inf)), "edge weight must be finite, got inf"),
+        (((0, 1, np.float32("inf")),), "edge weight must be finite, got inf"),
     ])
     def test_first_offending_edge_named(self, edges, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

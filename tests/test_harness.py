@@ -101,11 +101,10 @@ class TestEstimateRatio:
         report = estimate_ratio(config, inst)
         assert report.rows[0].n == 6
 
-    def test_opt_cap_skips_bruteforce(self):
-        inst = cycle_instance(8)
-        config = ExperimentConfig(
-            algorithm="random_baseline", eps=(1.0,), trials=10, seed=3, opt_cap=4
-        )
+    def test_above_brute_force_cap_skips_opt(self):
+        # 28 variables, above BRUTE_FORCE_CAP (26)
+        inst = cycle_instance(28)
+        config = ExperimentConfig(algorithm="random_baseline", eps=(1.0,), trials=10, seed=3)
         row = estimate_ratio(config, inst).rows[0]
         assert row.opt is None and row.ratio is None
 

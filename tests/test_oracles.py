@@ -193,11 +193,13 @@ class TestExactMedianTheta:
         # the two derivative terms cancel: sum is identically 0
         assert theta == 0.0 and gamma == 0.5
 
-    def test_joint_cap(self):
+    def test_joint_cap(self, monkeypatch):
+        # an 18-variable joint support, above a cap lowered to 10
+        monkeypatch.setattr(oracles, "MEDIAN_ENUMERATION_CAP", 10)
         cons = [Constraint(scope=tuple([0] + list(range(1, 13))), b=1),
                 Constraint(scope=tuple([0] + list(range(7, 19))), b=1)]
-        with pytest.raises(ResourceCapError):
-            exact_median_theta(cons, 0, cap=10)
+        with pytest.raises(ResourceCapError, match="exceeds cap 10"):
+            exact_median_theta(cons, 0)
 
 
 class TestAtThresholdProb:
@@ -692,4 +694,4 @@ class TestPackingSeparation:
             epsilon=0.5,
         )
         with pytest.raises(ResourceCapError):
-            verify_packing_separation(fam, cap=24)
+            verify_packing_separation(fam)

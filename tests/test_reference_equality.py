@@ -29,7 +29,6 @@ import pytest
 
 from privcsp import algo_csp, harness
 from privcsp.algo_csp import (
-    AdvRandConfig,
     _kept_influence,
     _median_for,
     alg1_batch,
@@ -225,36 +224,25 @@ def ref_run_em_baseline(problem, eps, alpha, gen):
     return x
 
 
-def ref_alg3(instance, epsilon, rng, config=None):
+def ref_alg3(instance, epsilon, rng, scale=None, flip_index=None):
     """alg3_batch's per-trial body without its checks: a scalar scale
     and flip index, one boost draw per kept variable, ref_kept_influence."""
-    config = config or AdvRandConfig()
     gen = as_generator(rng)
     n, m = instance.n, instance.m
     k = instance.max_arity
     smax = max(1, math.ceil(math.log2(k)) if k > 1 else 1)
-    s = config.scale if config.scale is not None else int(gen.integers(1, smax + 1))
+    s = scale if scale is not None else int(gen.integers(1, smax + 1))
     keep = gen.random(n) < 2.0 ** (-s)
     x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
     kept = np.flatnonzero(keep)
     lam = ref_kept_influence(instance, keep, x)
     x[kept] = private_boost(lam[kept], epsilon * math.sqrt(m) / 2.0, gen)
-    r = config.flip_index if config.flip_index is not None else int(gen.integers(0, k + 1))
+    r = flip_index if flip_index is not None else int(gen.integers(0, k + 1))
     eta = math.cos(r * math.pi / k) / 2.0
     flip = gen.random(n) < (1.0 - eta) / 2.0
     x = np.where(keep & flip, -x, x).astype(np.int8)
-    if config.global_sign == "random-flip":
-        if gen.random() < 0.5:
-            x = (-x).astype(np.int8)
-    elif config.global_sign == "argmax":
-        if ref_eval_value(instance, -x) > ref_eval_value(instance, x):
-            x = (-x).astype(np.int8)
-    else:
-        candidates = [x, (-x).astype(np.int8)]
-        x = np.asarray(exponential_mechanism(
-            candidates, [ref_eval_value(instance, c) for c in candidates],
-            config.sign_budget, 1.0, gen,
-        ))
+    if gen.random() < 0.5:
+        x = (-x).astype(np.int8)
     return x
 
 
@@ -615,7 +603,7 @@ class TestEvalValue:
 
 class TestWeightedOrder:
     """A weighted cut value adds the cut edges' weights in edge order, as
-    value_chunks does, so a row of all_values equals eval_value of the
+    ValueChunks does, so a row of all_values equals eval_value of the
     assignment the row decodes to, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(10))
@@ -718,13 +706,11 @@ class TestAlg3:
     @pytest.mark.parametrize("eps", [0.0, 1.0, 800.0])
     def test_outputs_match_loop(self, eps):
         # the kernel's rows (per-row scale, flip index and sign) against the
-        # per-trial body; the last config takes the em-pair sign step
-        configs = [None, AdvRandConfig(scale=2, flip_index=1),
-                   AdvRandConfig(global_sign="em-pair", sign_budget=2.0)]
-        for s, config in enumerate(configs):
+        # per-trial body, with scale and flip index drawn and then fixed
+        for s, kwargs in enumerate(({}, {"scale": 2, "flip_index": 1})):
             inst = distinct_sign_instance(s, n=5, m=8)
-            rows = algo_csp.alg3_batch(inst, eps, RngStream(s, 1).generator(), 20_000, config)
-            ref = [ref_alg3(inst, eps, RngStream(s, t).generator(), config) for t in range(3_000)]
+            rows = algo_csp.alg3_batch(inst, eps, RngStream(s, 1).generator(), 20_000, **kwargs)
+            ref = [ref_alg3(inst, eps, RngStream(s, t).generator(), **kwargs) for t in range(3_000)]
             assert_same_law(rows, ref, inst.n)
 
 
