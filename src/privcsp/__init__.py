@@ -8,7 +8,6 @@ from .csp_core import (
     ResourceCapError,
     WeightedGraph,
     associated_advantage,
-    cut_value,
     degrees,
     derivative_q,
     eval_value,
@@ -35,7 +34,6 @@ __all__ = [
     "ResourceCapError",
     "RngStream",
     "eval_value",
-    "cut_value",
     "associated_advantage",
     "g_value",
     "mu",

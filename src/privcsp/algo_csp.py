@@ -78,11 +78,6 @@ def _pmf_id(c: Constraint, j: int) -> int:
 
 
 def _median_for(constraints: Sequence[Constraint], j: int) -> tuple[float, float]:
-    if len(constraints) > 1:  # one scope never overlaps itself
-        fixed = [i for c in constraints for i in c.scope if i != j]
-        if len(set(fixed)) < len(fixed):
-            # overlapping supports (a non-triangle-free instance run unchecked)
-            return exact_median_theta(list(constraints), j)
     sig = tuple(sorted(_pmf_id(c, j) for c in constraints))
     hit = _MEDIAN_CACHE.get(sig)
     if hit is None:
@@ -155,7 +150,7 @@ def _single_hit_terms(instance: CspInstance, mask: np.ndarray, x: np.ndarray):
         yield group, t, c, pos, j, q2
 
 
-def _greedy_medians(instance: CspInstance, greedy: np.ndarray, x: np.ndarray, check: bool):
+def _greedy_medians(instance: CspInstance, greedy: np.ndarray, x: np.ndarray):
     """(sum2, theta2, gamma) per cell (trial t, variable j) of (trials, n)
     blocks, over the constraints active at j in trial t (j is their only
     greedy scope variable): twice the summed derivative_q, twice its exact
@@ -163,9 +158,7 @@ def _greedy_medians(instance: CspInstance, greedy: np.ndarray, x: np.ndarray, ch
 
     A cell whose active constraints are all parities of arity >= 2 reads
     the closed form _xor_median_by_count at their count; the other cells
-    go to _cell_medians, and so do, with check=False (the instance may
-    have triangles), all cells with two or more active constraints, whose
-    fixed supports may overlap.
+    with an active constraint go to _cell_medians.
     """
     trials, n = greedy.shape
     terms = list(_single_hit_terms(instance, greedy, x))
@@ -183,31 +176,27 @@ def _greedy_medians(instance: CspInstance, greedy: np.ndarray, x: np.ndarray, ch
     thetas, gammas = _xor_median_by_count(int(xors.max(initial=0)))
     # twice the median: an integer, as the derivatives are multiples of 1/2
     theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
-    general = others > 0 if check else (others > 0) | (xors > 1)
-    cells = np.flatnonzero(general)
+    cells = np.flatnonzero(others > 0)
     if cells.size:
-        theta, gamma.flat[cells] = _cell_medians(instance, terms, trials, cells, overlaps=not check)
+        theta, gamma.flat[cells] = _cell_medians(instance, terms, trials, cells)
         theta2.flat[cells] = 2 * theta
     return sum2, theta2, gamma
 
 
-def _cell_medians(
-    instance: CspInstance, terms: list, trials: int, cells: np.ndarray, overlaps: bool
-):
+def _cell_medians(instance: CspInstance, terms: list, trials: int, cells: np.ndarray):
     """(theta, gamma) arrays of the exact median of the summed derivative,
     and its tie bias, at each cell t * n + j of the sorted array `cells`,
     each with at least one active constraint (terms are the
-    _single_hit_terms of the greedy mask). Cells with the same multiset
-    of pmf ids share one _median_for call. With `overlaps`, a cell whose
-    active constraints' fixed supports (scope minus j) overlap gets a call
-    of its own (one per distinct constraint set and j), which _median_for
-    sends to the oracle."""
+    _single_hit_terms of the greedy mask). On a triangle-free instance the
+    active constraints of a cell share only j, so their fixed supports are
+    disjoint and the multiset of their pmf ids fixes the median: cells
+    with the same multiset share one _median_for call."""
     n = instance.n
     marked = np.zeros(trials * n, dtype=bool)
     marked[cells] = True
     marked = marked.reshape(trials, n)
     xor_id = _pmf_id(_XOR_STAND_IN, 0)
-    parts, fixed = [], []
+    parts = []
     for group, t, c, pos, j, _ in terms:
         sel = marked[t, j]
         t, c, pos, j = t[sel], c[sel], pos[sel], j[sel]
@@ -215,41 +204,24 @@ def _cell_medians(
             pids = np.full(c.size, xor_id)
         else:
             pids = _group_pmf_ids(instance, group)[c, pos]
-        rank = np.searchsorted(cells, t * n + j)
-        parts.append((rank, pids, group.cons[c]))
-        if overlaps:
-            scopes = group.scopes[c]
-            fixed.append((rank[:, None] * n + scopes)[scopes != j[:, None]])
+        parts.append((np.searchsorted(cells, t * n + j), pids, group.cons[c]))
     rank, pids, cons = (np.concatenate(cols) for cols in zip(*parts))
     order = np.argsort(rank, kind="stable")
     bounds = np.searchsorted(rank, np.arange(cells.size + 1), sorter=order)
-    memo = {}
 
     def median(k):
-        cs = np.sort(cons[order[bounds[k]:bounds[k + 1]]])
-        key = (cs.tobytes(), int(cells[k] % n))
-        if key not in memo:
-            memo[key] = _median_for([instance.constraints[i] for i in cs.tolist()], key[1])
-        return memo[key]
+        cs = cons[order[bounds[k]:bounds[k + 1]]].tolist()
+        return _median_for([instance.constraints[i] for i in cs], int(cells[k] % n))
 
     ids, id_rank = np.unique(pids, return_inverse=True)
     sigs = np.bincount(rank * ids.size + id_rank, minlength=cells.size * ids.size)
     sigs = sigs.reshape(cells.size, ids.size)
-    if overlaps:
-        # a (cell, fixed variable) pair seen twice: the supports overlap, so
-        # the median depends on more than the pmfs; such a cell is a group
-        # of its own, and the memo shares calls between equal ones
-        pairs = np.sort(np.concatenate(fixed))
-        overlap = np.unique(pairs[1:][pairs[1:] == pairs[:-1]] // n)
-        sigs[overlap, 0] = -1 - overlap
     _, first, sig = np.unique(sigs, axis=0, return_index=True, return_inverse=True)
     meds = np.array([median(k) for k in first.tolist()])[sig.ravel()]
     return meds[:, 0], meds[:, 1]
 
 
-def alg1_batch(
-    instance: CspInstance, epsilon: float, rng, trials: int, check: bool = True
-) -> np.ndarray:
+def alg1_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.ndarray:
     """Signed-majority rounding with randomized response on triangle-free
     instances; returns a (trials, n) int8 block, one independent run per
     row. Fixed variables are uniform; each greedy variable follows the sign
@@ -264,13 +236,13 @@ def alg1_batch(
     _greedy_medians gives the sums and their medians.
     """
     keep_prob = keep_probability(epsilon)
-    if check and not is_triangle_free(instance):
+    if not is_triangle_free(instance):
         raise ValueError("alg1 requires a triangle-free instance")
     gen = as_generator(rng)
     n = instance.n
     greedy = gen.random((trials, n)) < 0.5
     x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
-    sum2, theta2, gamma = _greedy_medians(instance, greedy, x, check)
+    sum2, theta2, gamma = _greedy_medians(instance, greedy, x)
     tie = gen.random((trials, n)) < gamma
     keep = gen.random((trials, n)) < keep_prob
     # z = +1 when s > theta, or s == theta and tie; y = +1 when keep; and

@@ -14,6 +14,7 @@ returns a fresh parser.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -76,19 +77,9 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
-# config field -> (type check, what the field must be)
-_CONFIG_FIELDS = {
-    "algorithm": (lambda v: type(v) is str, "a string"),
-    "instance": (lambda v: type(v) is str, "a string"),
-    "eps": (lambda v: type(v) is list and all(map(_is_number, v)), "a list of numbers"),
-    "trials": (lambda v: type(v) is int, "an integer"),
-    "seed": (lambda v: type(v) is int, "an integer"),
-    "alpha": (_is_number, "a number"),
-}
+# the keys of a --config JSON object: ExperimentConfig's fields, which it
+# type-checks, and the instance path
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig)) | {"instance"}
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -100,18 +91,17 @@ def _config_from_args(args) -> ExperimentConfig:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("config document must be a JSON object")
-        unknown = set(doc) - set(_CONFIG_FIELDS)
+        unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key, value in doc.items():
-            check, kind = _CONFIG_FIELDS[key]
-            if not check(value):
-                raise ValueError(f"config field {key!r} must be {kind}, got {value!r}")
-        if "instance" in doc and not args.instance:
-            args.instance = doc["instance"]
+        if "instance" in doc:
+            if type(doc["instance"]) is not str:
+                raise ValueError(f"config field 'instance' must be a string, got {doc['instance']!r}")
+            if not args.instance:
+                args.instance = doc["instance"]
     return ExperimentConfig(
         algorithm=doc.get("algorithm", args.algorithm),
-        eps=tuple(doc.get("eps", args.eps)),
+        eps=doc.get("eps", args.eps),
         trials=doc.get("trials", args.trials),
         seed=doc.get("seed", args.seed),
         alpha=doc.get("alpha", args.alpha),

@@ -75,7 +75,6 @@ __all__ = [
     "WeightedGraph",
     "as_assignment",
     "eval_value",
-    "cut_value",
     "associated_advantage",
     "g_value",
     "mu",
@@ -450,12 +449,6 @@ def _block_values(problem: CspInstance | WeightedGraph, block: np.ndarray) -> np
     for group in problem._groups:
         count += group.satisfied(block).sum(axis=1)
     return count.astype(np.float64)
-
-
-def cut_value(graph: WeightedGraph, sides) -> float:
-    """Total weight of edges whose endpoints lie on opposite sides: the
-    graph's eval_value."""
-    return eval_value(graph, sides)
 
 
 def associated_advantage(instance: CspInstance, x) -> float:
@@ -880,8 +873,13 @@ def load_edge_list(path: str) -> WeightedGraph:
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"line {lineno}: expected 'u v [weight]', got {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: endpoints must be integers and the weight a number, got {raw!r}"
+                ) from None
             edges.append((u, v, w))
             max_vertex = max(max_vertex, u, v)
     return WeightedGraph(n=max_vertex + 1, edges=tuple(edges))

@@ -117,9 +117,27 @@ ALGORITHMS: dict[str, tuple[Callable, bool]] = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# ExperimentConfig field -> (type check, what the field must be)
+_CONFIG_TYPES = {
+    "algorithm": (lambda v: type(v) is str, "a string"),
+    "eps": (lambda v: type(v) in (list, tuple) and all(map(_is_number, v)), "a list of numbers"),
+    "trials": (lambda v: type(v) is int, "an integer"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "alpha": (_is_number, "a number"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: an algorithm, an instance, an epsilon grid."""
+    """One experiment: an algorithm, an instance, an epsilon grid.
+
+    A field of the wrong type raises ValueError naming it; eps may be a
+    list or a tuple of numbers and is stored as a tuple.
+    """
 
     algorithm: str
     eps: tuple[float, ...]
@@ -128,6 +146,11 @@ class ExperimentConfig:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, (check, kind) in _CONFIG_TYPES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(f"config field {name!r} must be {kind}, got {value!r}")
+        object.__setattr__(self, "eps", tuple(self.eps))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; "

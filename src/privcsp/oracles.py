@@ -23,6 +23,7 @@ from .csp_core import (
     ResourceCapError,
     WeightedGraph,
     assignment_rows,
+    derivative_q,
     eval_value,
     mu,
     ValueChunks,
@@ -30,12 +31,17 @@ from .csp_core import (
 from .dp_mechanisms import as_generator, check_epsilon
 
 BRUTE_FORCE_CAP = 26
-MEDIAN_ENUMERATION_CAP = 22
 PACKING_CAP = 24
 EM_DISTRIBUTION_CAP = 1 << 20
 LAPLACE_SUPPORT_CAP = 1 << 22
 # most values (max - min + 1) an audit column's rank table may span
 RANGE_TABLE_SPAN = 1 << 16
+# empirical_epsilon's settings, read at call time: the Wilson intervals'
+# confidence, the fewest hits per side of a reliable bucket, and the most
+# distinct output rows
+AUDIT_CONFIDENCE = 0.95
+AUDIT_MIN_HITS = 100
+AUDIT_MAX_BUCKETS = 64
 
 __all__ = [
     "AuditReport",
@@ -85,23 +91,12 @@ def _constraint_q_pmf(c: Constraint, j: int) -> dict[Fraction, Fraction]:
     others = [i for i in c.scope if i != j]
     if c.is_xor and len(others) >= 1:
         return {Fraction(1, 2): Fraction(1, 2), Fraction(-1, 2): Fraction(1, 2)}
-    if c.is_xor:
-        return {Fraction(c.b, 2): Fraction(1)}
     pmf: dict[Fraction, Fraction] = {}
     weight = Fraction(1, 2 ** len(others))
     for mask in range(2 ** len(others)):
-        vals_p, vals_m = [], []
-        bit = 0
-        for i in c.scope:
-            if i == j:
-                vals_p.append(1)
-                vals_m.append(-1)
-            else:
-                v = 1 if (mask >> bit) & 1 else -1
-                vals_p.append(v)
-                vals_m.append(v)
-                bit += 1
-        q = Fraction(c.evaluate_local(vals_p) - c.evaluate_local(vals_m), 2)
+        fixed = {i: 1 if (mask >> bit) & 1 else -1 for bit, i in enumerate(others)}
+        # derivative_q is (P(+1) - P(-1)) / 2 of 0/1 values, so it is exact
+        q = Fraction(derivative_q(c, j, fixed))
         pmf[q] = pmf.get(q, Fraction(0)) + weight
     return pmf
 
@@ -115,52 +110,6 @@ def _convolve(a: dict[Fraction, Fraction], b: dict[Fraction, Fraction]) -> dict[
     return out
 
 
-def _sum_q_pmf(active_constraints: Sequence[Constraint], j: int) -> dict[Fraction, Fraction]:
-    """Exact pmf of the summed derivative at j over uniform fixed variables.
-
-    Per-constraint convolution when the fixed scopes are pairwise disjoint
-    (guaranteed on triangle-free instances); otherwise joint enumeration
-    over the union, capped at MEDIAN_ENUMERATION_CAP variables (read at
-    call time).
-    """
-    others = [tuple(i for i in c.scope if i != j) for c in active_constraints]
-    disjoint = True
-    seen: set[int] = set()
-    for o in others:
-        if any(i in seen for i in o):
-            disjoint = False
-            break
-        seen.update(o)
-    if disjoint:
-        pmf: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-        for c in active_constraints:
-            pmf = _convolve(pmf, _constraint_q_pmf(c, j))
-        return pmf
-    union = sorted(set(i for o in others for i in o))
-    if len(union) > MEDIAN_ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"exact_median_theta: joint support {len(union)} exceeds cap {MEDIAN_ENUMERATION_CAP}"
-        )
-    pmf = {}
-    weight = Fraction(1, 2 ** len(union))
-    pos = {i: t for t, i in enumerate(union)}
-    for mask in range(2 ** len(union)):
-        fixed = {i: (1 if (mask >> pos[i]) & 1 else -1) for i in union}
-        total = Fraction(0)
-        for c in active_constraints:
-            vals_p, vals_m = [], []
-            for i in c.scope:
-                if i == j:
-                    vals_p.append(1)
-                    vals_m.append(-1)
-                else:
-                    vals_p.append(fixed[i])
-                    vals_m.append(fixed[i])
-            total += Fraction(c.evaluate_local(vals_p) - c.evaluate_local(vals_m), 2)
-        pmf[total] = pmf.get(total, Fraction(0)) + weight
-    return pmf
-
-
 def exact_median_theta(active_constraints: Sequence[Constraint], j: int) -> tuple[float, float]:
     """Median of the summed derivative at j, plus the tie bias that makes the
     three-way sign comparison exactly unbiased.
@@ -169,10 +118,20 @@ def exact_median_theta(active_constraints: Sequence[Constraint], j: int) -> tupl
     output +1 if s > theta, -1 if s < theta, and +1 with probability gamma
     on a tie. Then Pr[+1] = 1/2 exactly. An empty active set yields
     (0, 1/2), a fair coin.
+
+    The sum's pmf is the convolution of the per-constraint pmfs over
+    uniform fixed variables, so the fixed scopes (scope minus j) must be
+    pairwise disjoint, as on a triangle-free instance; overlapping ones
+    raise ValueError.
     """
-    if not active_constraints:
-        return 0.0, 0.5
-    pmf = _sum_q_pmf(active_constraints, j)
+    seen: set[int] = set()
+    pmf: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
+    for c in active_constraints:
+        fixed = {i for i in c.scope if i != j}
+        if fixed & seen:
+            raise ValueError(f"exact_median_theta: the fixed scopes at j = {j} overlap")
+        seen |= fixed
+        pmf = _convolve(pmf, _constraint_q_pmf(c, j))
     support = sorted(pmf)
     cdf = Fraction(0)
     theta = support[-1]
@@ -253,11 +212,12 @@ def exact_em_distribution(
     return w / w.sum()
 
 
-def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at confidence
+    AUDIT_CONFIDENCE."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    z = float(stats.norm.ppf(0.5 + AUDIT_CONFIDENCE / 2.0))
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -383,9 +343,6 @@ def empirical_epsilon(
     trials: int,
     rng,
     coarsening_label: str = "identity",
-    confidence: float = 0.95,
-    min_hits: int = 100,
-    max_buckets: int = 64,
 ) -> AuditReport:
     """Estimates the worst-case output log-likelihood ratio between two inputs.
 
@@ -399,9 +356,10 @@ def empirical_epsilon(
     |ln(p_a / p_b)|, with a confidence interval propagated from per-side
     Wilson intervals of the maximizing bucket. Buckets seen on one side
     only are reported as lower-bound-only evidence, never as an infinite
-    estimate; buckets with fewer than `min_hits` on either side are
-    flagged unreliable. More than `max_buckets` distinct rows raise
-    ResourceCapError.
+    estimate; buckets with fewer than AUDIT_MIN_HITS on either side are
+    flagged unreliable. More than AUDIT_MAX_BUCKETS distinct rows raise
+    ResourceCapError. Both constants, and AUDIT_CONFIDENCE, are read at
+    call time.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -412,13 +370,13 @@ def empirical_epsilon(
         raise ValueError(
             f"audit outputs differ in shape between inputs: {out_a.shape} vs {out_b.shape}"
         )
-    labels, hits_a, hits_b = _bucket_counts(out_a, out_b, max_buckets)
+    labels, hits_a, hits_b = _bucket_counts(out_a, out_b, AUDIT_MAX_BUCKETS)
     order = sorted(range(len(labels)), key=lambda i: repr(labels[i]))
     rows: list[BucketRow] = []
     best: tuple[float, int, int] | None = None
     for i in order:
         label, ka, kb = labels[i], int(hits_a[i]), int(hits_b[i])
-        reliable = ka >= min_hits and kb >= min_hits
+        reliable = ka >= AUDIT_MIN_HITS and kb >= AUDIT_MIN_HITS
         if ka > 0 and kb > 0:
             log_ratio = abs(math.log((ka / trials) / (kb / trials)))
             rows.append(BucketRow(repr(label), ka, kb, log_ratio, reliable, False))
@@ -426,8 +384,8 @@ def empirical_epsilon(
                 best = (log_ratio, ka, kb)
         else:
             hi, lo = (ka, kb) if ka > 0 else (kb, ka)
-            lo_hi = wilson_interval(lo, trials, confidence)[1]
-            hi_lo = wilson_interval(hi, trials, confidence)[0]
+            lo_hi = wilson_interval(lo, trials)[1]
+            hi_lo = wilson_interval(hi, trials)[0]
             bound = math.log(hi_lo / lo_hi) if hi_lo > 0 and lo_hi > 0 else 0.0
             rows.append(
                 BucketRow(repr(label), ka, kb, None, False, True, max(0.0, bound))
@@ -441,8 +399,8 @@ def empirical_epsilon(
     if best is None:
         return AuditReport(0.0, 0.0, 0.0, trials, coarsening_label, tuple(rows))
     eps_hat, ka, kb = best
-    la, ua = wilson_interval(ka, trials, confidence)
-    lb, ub = wilson_interval(kb, trials, confidence)
+    la, ua = wilson_interval(ka, trials)
+    lb, ub = wilson_interval(kb, trials)
     raw_lo = math.log(la / ub)
     raw_hi = math.log(ua / lb)
     if raw_lo <= 0.0 <= raw_hi:

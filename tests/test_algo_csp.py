@@ -54,12 +54,6 @@ class TestAlg1:
         with pytest.raises(ValueError):
             alg1_batch(inst, 1.0, gen(), 4)
 
-    def test_check_bypass(self):
-        cons = (xor((0, 1)), xor((1, 2)), xor((0, 2)))
-        inst = CspInstance(n=3, constraints=cons, kind="kxor")
-        out = alg1_batch(inst, 1.0, gen(), 1, check=False)[0]
-        assert out.shape == (3,)
-
     def test_empty_instance_uniform(self):
         inst = CspInstance(n=5, constraints=(), kind="kxor")
         rows = alg1_batch(inst, 1.0, gen(1), 50_000)
@@ -192,23 +186,20 @@ class TestMedianMemo:
         assert _median_for(cons, 0) == exact_median_theta(cons, 0)
         assert _median_for(cons[:-1], 0) == exact_median_theta(cons[:-1], 0)
 
-    def test_overlapping_supports_bypass_the_cache(self):
-        # OR on (0, 1) and (1, 0): both fixed supports are {1}, so the two
-        # derivatives are dependent, unlike the disjoint pair with the same
-        # pmf multiset that is cached first
-        orr = (0, 1, 1, 1)
-        disjoint = [Constraint(scope=(0, 1), table=orr), Constraint(scope=(2, 0), table=orr)]
-        overlap = [Constraint(scope=(0, 1), table=orr), Constraint(scope=(1, 0), table=orr)]
-        assert _median_for(disjoint, 0) == exact_median_theta(disjoint, 0)
-        assert _median_for(overlap, 0) == exact_median_theta(overlap, 0)
-        assert exact_median_theta(overlap, 0) != exact_median_theta(disjoint, 0)
-
 
 class TestAlg2:
     def test_runs_and_valid(self):
         inst = gen_random_kxor(GenSpec(n=14, m=10, k=2, seed=0, triangle_free=True))
         x = alg2_batch(inst, 2.0, gen(9), 1)[0]
         assert x.shape == (14,) and set(np.unique(x)) <= {-1, 1}
+
+    def test_rejects_triangles(self):
+        # the low-degree candidate runs alg1 on the whole instance, and alg1
+        # refuses one that is not triangle-free
+        cons = (xor((0, 1)), xor((1, 2)), xor((0, 2)))
+        inst = CspInstance(n=3, constraints=cons, kind="kxor")
+        with pytest.raises(ValueError, match="triangle-free"):
+            alg2_batch(inst, 1.0, gen(), 4)
 
     def test_half_value_floor(self):
         inst = gen_random_kxor(GenSpec(n=12, m=8, k=2, seed=1, triangle_free=True))

@@ -16,7 +16,7 @@ from privcsp.algo_maxcut import (
     mutual_choice_matching,
     shearer_batch,
 )
-from privcsp.csp_core import WeightedGraph, cut_value
+from privcsp.csp_core import WeightedGraph, eval_value
 from privcsp.dp_mechanisms import UNBOUNDED_BUDGET_FRACTIONS, RngStream, budget_ledger
 from privcsp.generators import gen_triangle_free_graph
 
@@ -44,8 +44,8 @@ class TestCutAndLedger:
     def test_cut_validation(self):
         g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
         with pytest.raises(ValueError):
-            cut_value(g, [1, 0])
-        assert cut_value(g, np.array([1, -1])) == 1.0
+            eval_value(g, [1, 0])
+        assert eval_value(g, np.array([1, -1])) == 1.0
 
     def test_matching_state_validation(self):
         with pytest.raises(ValueError):
@@ -181,7 +181,7 @@ class TestDpMaxcutUnbounded:
         graph = cycle(16)
         vals = np.array(
             [
-                cut_value(graph, dp_maxcut_unbounded_batch(graph, 1.0, g, 1)[0])
+                eval_value(graph, dp_maxcut_unbounded_batch(graph, 1.0, g, 1)[0])
                 for g in (RngStream(11, t).generator() for t in range(20_000))
             ]
         )

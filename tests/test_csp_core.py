@@ -17,7 +17,6 @@ from privcsp.csp_core import (
     as_assignment,
     associated_advantage,
     assignment_rows,
-    cut_value,
     constraint_groups,
     degrees,
     derivative_q,
@@ -96,7 +95,7 @@ class TestEvalValue:
 
     def test_maxcut_path(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        assert cut_value(g, [1, -1, 1]) == 2
+        assert eval_value(g, [1, -1, 1]) == 2
 
     def test_length_mismatch(self):
         inst = CspInstance(n=3, constraints=(), kind="kxor")
@@ -538,7 +537,7 @@ class TestSerialization:
     def test_edge_list_rejects_non_integral(self, tmp_path, line):
         p = tmp_path / "g.edges"
         p.write_text(f"0 1\n{line}\n")
-        with pytest.raises(ValueError, match="invalid literal for int|could not convert"):
+        with pytest.raises(ValueError, match="line 2: endpoints must be integers"):
             load_edge_list(str(p))
 
     def test_edge_list_rejects_infinite_weight(self, tmp_path):

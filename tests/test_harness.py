@@ -41,6 +41,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(algorithm="alg1", eps=(1.0,), trials=0, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", 1.0), ("eps", ["1.0"]), ("eps", [True]), ("trials", "9"), ("trials", 9.5),
+        ("trials", True), ("seed", 2.0), ("seed", None), ("alpha", "0.5"), ("alpha", True),
+        ("algorithm", 3),
+    ])
+    def test_field_types_named(self, field, value):
+        fields = {"algorithm": "alg1", "eps": (1.0,), "trials": 5, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"config field '{field}' must be"):
+            ExperimentConfig(**fields)
+
+    def test_eps_list_stored_as_tuple(self):
+        config = ExperimentConfig(algorithm="alg1", eps=[0.5, 1], trials=5, seed=0)
+        assert config.eps == (0.5, 1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
     def test_eps_grid_checked_for_every_algorithm(self, bad):
         for algorithm in ALGORITHMS:

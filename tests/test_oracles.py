@@ -14,7 +14,6 @@ from privcsp.csp_core import (
     ResourceCapError,
     WeightedGraph,
     all_values,
-    cut_value,
     eval_value,
 )
 from privcsp.dp_mechanisms import RngStream, as_generator, randomized_response
@@ -60,7 +59,7 @@ class TestBruteForceOpt:
             n=4, edges=tuple((i, 2 + j, 1.0) for i in range(2) for j in range(2))
         )
         val, x = brute_force_opt(g)
-        assert val == 4 and cut_value(g, x) == 4
+        assert val == 4 and eval_value(g, x) == 4
 
     def test_triangle(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
@@ -69,7 +68,7 @@ class TestBruteForceOpt:
     def test_flip_invariance(self):
         g = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
         val, x = brute_force_opt(g)
-        assert cut_value(g, -x) == val
+        assert eval_value(g, -x) == val
 
     def test_csp_instance(self):
         inst = CspInstance(
@@ -185,20 +184,11 @@ class TestExactMedianTheta:
         z = np.where(sums > theta, 1, np.where(sums < theta, -1, np.where(tie, 1, -1)))
         assert abs(z.mean()) < 3.5 / math.sqrt(trials)
 
-    def test_joint_path_on_shared_support(self):
-        # two constraints sharing a fixed variable: convolution invalid,
-        # joint enumeration must kick in and stay exact
-        cons = [Constraint(scope=(0, 1), b=1), Constraint(scope=(0, 1), b=-1)]
-        theta, gamma = exact_median_theta(cons, 0)
-        # the two derivative terms cancel: sum is identically 0
-        assert theta == 0.0 and gamma == 0.5
-
-    def test_joint_cap(self, monkeypatch):
-        # an 18-variable joint support, above a cap lowered to 10
-        monkeypatch.setattr(oracles, "MEDIAN_ENUMERATION_CAP", 10)
-        cons = [Constraint(scope=tuple([0] + list(range(1, 13))), b=1),
-                Constraint(scope=tuple([0] + list(range(7, 19))), b=1)]
-        with pytest.raises(ResourceCapError, match="exceeds cap 10"):
+    def test_overlapping_fixed_scopes_rejected(self):
+        # two constraints sharing the fixed variable 1 at j = 0: their
+        # derivatives are dependent, and no triangle-free instance has them
+        cons = [Constraint(scope=(0, 1), b=1), Constraint(scope=(1, 0), b=-1)]
+        with pytest.raises(ValueError, match="fixed scopes at j = 0 overlap"):
             exact_median_theta(cons, 0)
 
 
@@ -357,11 +347,12 @@ class TestEmpiricalEpsilon:
         rows = [r for r in report.buckets if r.lower_bound_only]
         assert rows and rows[0].lower_bound is not None
 
-    def test_unreliable_flagging(self):
+    def test_unreliable_flagging(self, monkeypatch):
         def mech(bit, g, t):
             return randomized_response(np.full(t, bit), 3.0, g)
 
-        report = empirical_epsilon(mech, 1, -1, 500, gen(8), min_hits=400)
+        monkeypatch.setattr(oracles, "AUDIT_MIN_HITS", 400)
+        report = empirical_epsilon(mech, 1, -1, 500, gen(8))
         assert any(not r.reliable for r in report.buckets)
 
     def test_bucket_cap(self):
@@ -384,7 +375,7 @@ def _counter_counts(out_a, out_b) -> dict:
 
 def _counter_reference(
     mechanism, input_a, input_b, trials, rng, coarsening_label="identity",
-    confidence=0.95, min_hits=100, max_buckets=64,
+    min_hits=100, max_buckets=64,
 ) -> AuditReport:
     """empirical_epsilon as it was with per-trial Counter bucketing: the
     reference the array counting must reproduce exactly."""
@@ -404,8 +395,8 @@ def _counter_reference(
                 best = (log_ratio, ka, kb)
         else:
             hi, lo = (ka, kb) if ka > 0 else (kb, ka)
-            lo_hi = wilson_interval(lo, trials, confidence)[1]
-            hi_lo = wilson_interval(hi, trials, confidence)[0]
+            lo_hi = wilson_interval(lo, trials)[1]
+            hi_lo = wilson_interval(hi, trials)[0]
             bound = math.log(hi_lo / lo_hi) if hi_lo > 0 and lo_hi > 0 else 0.0
             rows.append(BucketRow(repr(lab), ka, kb, None, False, True, max(0.0, bound)))
     if best is None:
@@ -415,8 +406,8 @@ def _counter_reference(
     if best is None:
         return AuditReport(0.0, 0.0, 0.0, trials, coarsening_label, tuple(rows))
     eps_hat, ka, kb = best
-    la, ua = wilson_interval(ka, trials, confidence)
-    lb, ub = wilson_interval(kb, trials, confidence)
+    la, ua = wilson_interval(ka, trials)
+    lb, ub = wilson_interval(kb, trials)
     raw_lo, raw_hi = math.log(la / ub), math.log(ua / lb)
     ci_lower = 0.0 if raw_lo <= 0.0 <= raw_hi else min(abs(raw_lo), abs(raw_hi))
     ci_upper = max(abs(raw_lo), abs(raw_hi))
@@ -679,7 +670,7 @@ class TestPackingSeparation:
         for r in range(1 << (n - 1)):
             # vertex n-1 pinned to -1, as in verify_packing_separation
             sides = np.array([1 if (r >> t) & 1 else -1 for t in range(n)], dtype=np.int8)
-            vals = [cut_value(g, sides) for g in graphs]
+            vals = [eval_value(g, sides) for g in graphs]
             for i in range(2):
                 for j in range(2):
                     if i != j and vals[i] > 7 * nd / 16 and vals[j] > 6 * nd / 16:

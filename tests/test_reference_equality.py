@@ -53,6 +53,7 @@ from privcsp.csp_core import (
     degrees,
     derivative_q,
     eval_value,
+    is_triangle_free,
 )
 from privcsp.dp_mechanisms import (
     RngStream,
@@ -85,9 +86,9 @@ def ref_eval_value(problem, x):
     return float(sum(c.evaluate(xv) for c in problem.constraints))
 
 
-def ref_alg1(instance, epsilon, rng, check=True):
+def ref_alg1(instance, epsilon, rng):
     keep_prob = keep_probability(epsilon)
-    if check and not instance._triangle_free:
+    if not instance._triangle_free:
         raise ValueError("alg1 requires a triangle-free instance")
     gen = as_generator(rng)
     n = instance.n
@@ -300,7 +301,7 @@ def ref_run_one_eps(config, problem, view, eps, opt, baseline, chash):
 
 
 def exact_alg1_law(instance, epsilon):
-    """The exact output law of alg1 (check=False) over the 2^n assignments,
+    """The exact output law of alg1 over the 2^n assignments,
     index sum((x_j = +1) << j), by enumerating the greedy mask and the
     initial x: given both, the outputs are independent across variables,
     with derivative_q sums and exact_median_theta medians."""
@@ -518,6 +519,16 @@ def distinct_sign_instance(seed, n=10, m=16):
     return CspInstance(n=n, constraints=tuple(cons), kind="kxor")
 
 
+def triangle_free(inst):
+    """inst's constraints in order, without each one that would make the
+    instance not triangle-free."""
+    kept = ()
+    for c in inst.constraints:
+        if is_triangle_free(CspInstance(n=inst.n, constraints=kept + (c,), kind=inst.kind)):
+            kept += (c,)
+    return CspInstance(n=inst.n, constraints=kept, kind=inst.kind)
+
+
 def tie_instance():
     """Arity-1 parities (a point-mass derivative equal to its median) and
     constant tables (derivative 0 = median): every greedy variable ties."""
@@ -632,11 +643,11 @@ class TestAlg1:
 
     TRIALS, REF_TRIALS = 20_000, 2_000
 
-    def check(self, inst, eps, seed, check=True):
-        rows = algo_csp.alg1_batch(inst, eps, RngStream(seed, 0).generator(), self.TRIALS, check)
+    def check(self, inst, eps, seed):
+        rows = algo_csp.alg1_batch(inst, eps, RngStream(seed, 0).generator(), self.TRIALS)
         assert rows.shape == (self.TRIALS, inst.n) and rows.dtype == np.int8
         assert_law(rows, exact_alg1_law(inst, eps))
-        ref = [ref_alg1(inst, eps, RngStream(seed, t).generator(), check=check)
+        ref = [ref_alg1(inst, eps, RngStream(seed, t).generator())
                for t in range(self.REF_TRIALS)]
         assert_same_law(rows, ref, inst.n)
 
@@ -664,23 +675,14 @@ class TestAlg1:
         self.check(inst, 1.0, 1)
 
     @pytest.mark.parametrize("make", [sign_instance, mixed_instance])
-    def test_overlapping_supports_unchecked(self, make):
+    def test_random_triangle_free(self, make):
+        # random scopes of arity 1-4, parities and (for mixed_instance)
+        # random truth tables, several variables in two constraints
         for seed in range(2):
-            self.check(make(seed, n=5, m=5), 1.5, seed, check=False)
-
-    def test_overlapping_or_pair(self):
-        # at j = 0 the two OR tables share the fixed variable 1: the exact
-        # median is (0, 0), not the disjoint-support (1/2, 1/2)
-        inst = CspInstance(n=5, constraints=(
-            Constraint(scope=(0, 1), table=(0, 1, 1, 1)),
-            Constraint(scope=(1, 0), table=(0, 1, 1, 1)),
-            Constraint(scope=(2, 3), table=(0, 1, 1, 1)),
-            Constraint(scope=(4, 2), table=(0, 1, 1, 1)),
-        ), kind="general")
-        self.check(inst, 2.0, 2, check=False)
+            self.check(triangle_free(make(seed, n=6, m=30)), 1.5, seed)
 
     def test_ties(self):
-        self.check(tie_instance(), 1.0, 3, check=False)
+        self.check(tie_instance(), 1.0, 3)
 
     def test_empty_greedy_and_empty_instance(self):
         single = CspInstance(n=1, constraints=(Constraint(scope=(0,), b=1),), kind="kxor")
@@ -751,13 +753,10 @@ class TestAlg1Batch:
     PAIR = [CspInstance(n=4, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor"),
             CspInstance(n=4, constraints=(), kind="kxor")]
     EMPTY = [CspInstance(n=0, constraints=(), kind="kxor")]
-    # up to five active constraints on variable 0, with signs of both kinds
-    STAR = CspInstance(n=6, constraints=tuple(
-        Constraint(scope=(0, i), b=(-1) ** i) for i in range(1, 6)), kind="kxor")
 
-    def run_both(self, inst, eps, seed, check=True, trials=8):
+    def run_both(self, inst, eps, seed, trials=8):
         gen_new, gen_ref = RngStream(seed, 2).generator(), RngStream(seed, 2).generator()
-        out = algo_csp.alg1_batch(inst, eps, gen_new, trials, check=check)
+        out = algo_csp.alg1_batch(inst, eps, gen_new, trials)
         assert same_result(out, ref_alg1_batch(inst, eps, gen_ref, trials))
         assert gen_new.bit_generator.state == gen_ref.bit_generator.state
 
@@ -769,7 +768,6 @@ class TestAlg1Batch:
         for seed in SEEDS:
             for inst in self.KXOR + [self.CYCLE] + self.PAIR + self.EMPTY:
                 self.run_both(inst, eps, seed)
-            self.run_both(self.STAR, eps, seed, check=False)
 
     def test_one_trial_and_zero_trials(self):
         for seed in range(20):
@@ -791,8 +789,9 @@ class TestAlg1Batch:
         monkeypatch.setattr(algo_csp, "_xor_median_by_count",
                             lambda q: sizes.append(q) or real(q))
         algo_csp.alg1_batch(inst, 1.0, np.random.default_rng(0), 50)
-        algo_csp.alg1_batch(self.STAR, 1.0, np.random.default_rng(0), 1000, check=False)
-        assert sizes == [1, 5]
+        # on the cycle a variable lies in two constraints, so two is the most
+        algo_csp.alg1_batch(self.CYCLE, 1.0, np.random.default_rng(0), 1000)
+        assert sizes == [1, 2]
 
 
 class TestDiscreteLaplace:
