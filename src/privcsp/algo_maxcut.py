@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .csp_core import WeightedGraph, eval_value, signs_from_bits
 from .dp_mechanisms import (
@@ -90,17 +89,10 @@ def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int
     c2 = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
     u, v, _ = graph.edge_arrays()
     same = c1[:, u] == c1[:, v]
-    # the (trials, m) same-color indicator times the (m, n) sparse
-    # edge-vertex incidence: per vertex, its same-color edges, a count up to
-    # its degree, so the smallest unsigned type that holds the largest
-    # degree is exact (uint8 reads the bool indicator without a copy)
-    dtype = np.min_scalar_type(int(graph.degree_counts().max(initial=0)))
-    edges = np.arange(u.size)
-    incidence = sparse.csr_array(
-        (np.ones(2 * u.size, dtype=dtype), (np.concatenate((edges, edges)), np.concatenate((u, v)))),
-        shape=(u.size, n),
-    )
-    ell = incidence.T @ same.T.view(np.uint8).astype(dtype, copy=False)
+    # the (trials, m) same-color indicator times the graph's (m, n) incidence, whose
+    # dtype holds every vertex's same-color count (uint8 reads the bool without a copy)
+    incidence = graph._incidence
+    ell = incidence.T @ same.T.view(np.uint8).astype(incidence.dtype, copy=False)
     return c1, c2, np.ascontiguousarray(ell.T, dtype=np.int64)
 
 
@@ -162,23 +154,23 @@ def dp_maxcut_unbounded_batch(
 def mutual_choice_matching(graph: WeightedGraph, rng) -> MatchingState:
     """Each vertex picks a uniform neighbor (vertex order 0..n-1); an edge
     joins the matching exactly when both endpoints picked each other."""
-    gen = as_generator(rng)
-    adj = graph.adjacency_lists()
+    u, v, _ = graph.edge_arrays()
+    return _mutual_choice(graph.n, u, v, as_generator(rng))
+
+
+def _mutual_choice(n: int, u: np.ndarray, v: np.ndarray, gen) -> MatchingState:
+    nbrs: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
+    for a, b in zip(u.tolist(), v.tolist()):
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
     # one uniform per vertex regardless of degree, so a neighboring graph
     # with coupled randomness changes only the endpoints' choices
-    draws = gen.random(graph.n)
-    choices = []
-    for v in range(graph.n):
-        if adj[v]:
-            choices.append(int(sorted(adj[v])[int(draws[v] * len(adj[v]))]))
-        else:
-            choices.append(-1)
-    edges = tuple(
-        (u, choices[u])
-        for u in range(graph.n)
-        if choices[u] > u and choices[choices[u]] == u
-    )
-    return MatchingState(choices=tuple(choices), edges=edges)
+    draws = gen.random(n).tolist()
+    chosen = [-1] * n
+    for x, adj in nbrs.items():
+        chosen[x] = sorted(adj)[int(draws[x] * len(adj))]
+    edges = tuple((x, chosen[x]) for x in sorted(nbrs) if x < chosen[x] and chosen[chosen[x]] == x)
+    return MatchingState(choices=tuple(chosen), edges=edges)
 
 
 def matching_em_cut(n: int, matching: MatchingState, rng) -> np.ndarray:
@@ -260,8 +252,8 @@ def dp_maxcut_general_batch(
     for t, high_mask in enumerate(high):
         low = np.flatnonzero(~(high_mask[u] | high_mask[v]))
         # one uniform per low edge, in edge order
-        kept = tuple(graph.edges[i] for i in low[gen.random(low.size) < rate])
-        matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
+        kept = low[gen.random(low.size) < rate]
+        matching = _mutual_choice(n, u[kept], v[kept], gen)
         s2 = matching_em_cut(n, matching, gen)
         s3 = np.where(high_mask, 1, -1).astype(np.int8)
         candidates = np.stack([s1[t], s2, s3])

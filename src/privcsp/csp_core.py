@@ -7,11 +7,11 @@ predicate stored as an explicit truth table over its scope, or a parity
 the scope product equals b.
 
 Max-Cut admits two lossless views: a CspInstance of 2XOR constraints
-with b = -1, and a WeightedGraph. Graph algorithms consume the graph
-view; CSP algorithms the instance view.
+with b = -1, and a WeightedGraph, stored as n and read-only edge columns
+u, v, w. Graph algorithms consume the graph view; CSP algorithms the other.
 
-All types are immutable after construction; operations are pure.
-Data derived from an instance (a graph's edge columns, degree counts and
+No object is changed after construction; operations are pure.
+Data derived from an instance (a graph's edge triples, degree counts and
 unit-weight flag; a CSP instance's degrees, maximum arity, scope
 distinctness, triangle-freeness and constraint groups) is computed once
 per object, on first use, and returned read-only, so callers that run
@@ -54,6 +54,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 ARITY_CAP = 20
 # A value-table chunk holds 2^VALUE_CHUNK_BITS entries: hit counts in the
@@ -302,43 +303,47 @@ class CspInstance:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class WeightedGraph:
-    """An undirected multigraph with positive edge weights, no self-loops."""
+    """An undirected multigraph with positive finite weights and no self-loops: n and
+    read-only edge columns u, v (int64), w (float64), from integer endpoints and real
+    weights (never bool). `edges` is derived from them; == and hash compare by value."""
 
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
+    def __init__(self, n: int, edges: Iterable) -> None:
+        edges = tuple(edges)
+        try:
+            cols = _triple_columns(edges)
+        except OverflowError:
+            cols = None
+        self.__dict__.update(n=n, _columns=tuple(map(_read_only, _check_edges(n, cols, edges))))
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        inf = math.inf
-        for u, v, w in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if not w > 0:
-                raise ValueError(f"edge weight must be positive, got {w}")
-            if w == inf:
-                raise ValueError(f"edge weight must be finite, got {w}")
+    @classmethod
+    def from_arrays(cls, n: int, u, v, w) -> WeightedGraph:
+        """The graph with edges (u[i], v[i], w[i]), from copies of 1-D columns
+        of one length: u and v of an integer dtype, w of an integer or float one."""
+        cols = [np.asarray(a) for a in (u, v, w)]
+        if {a.shape for a in cols} != {(cols[0].size,)} or not all(
+                a.dtype.kind in k for a, k in zip(cols, ("iu", "iu", "iuf"))):
+            raise ValueError("edge columns must be 1-D, of one length, integer, integer and real")
+        cols = [a.astype(t) for a, t in zip(cols, (np.int64, np.int64, np.float64))]
+        graph = cls.__new__(cls)
+        graph.__dict__.update(n=n, _columns=tuple(map(_read_only, _check_edges(n, cols, ()))))
+        return graph
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WeightedGraph) and self.n == other.n and all(
+            map(np.array_equal, self._columns, other._columns))
+
+    def __hash__(self) -> int:
+        return hash((self.n, *(a.tobytes() for a in self._columns)))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self._columns[0].size
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # __post_init__ checked that every edge is a triple; fromiter over the
-        # flat values converts each as asarray does, without its nested
-        # sequence discovery (0.6 against 1.7 ms for 5000 edges)
-        flat = itertools.chain.from_iterable(self.edges)
-        arr = np.fromiter(flat, dtype=np.float64, count=3 * self.m).reshape(-1, 3)
-        return (
-            _read_only(arr[:, 0].astype(np.int64)),
-            _read_only(arr[:, 1].astype(np.int64)),
-            _read_only(arr[:, 2].copy()),
-        )
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip(*(a.tolist() for a in self._columns)))
 
     @cached_property
     def _degree_counts(self) -> np.ndarray:
@@ -349,6 +354,14 @@ class WeightedGraph:
     @cached_property
     def _unweighted(self) -> bool:
         return bool(np.all(self._columns[2] == 1))
+
+    @cached_property
+    def _incidence(self) -> sparse.csr_array:
+        # (m, n) edge-vertex incidence in the smallest dtype holding the largest degree
+        u, v, _ = self._columns
+        ones = np.ones(2 * u.size, dtype=np.min_scalar_type(self._degree_counts.max(initial=0)))
+        rows = np.tile(np.arange(u.size), 2)
+        return sparse.csr_array((ones, (rows, np.concatenate((u, v)))), shape=(u.size, self.n))
 
     @cached_property
     def _em_cdf_memo(self) -> dict:
@@ -368,29 +381,56 @@ class WeightedGraph:
         """Read-only incident-edge counts per vertex."""
         return self._degree_counts
 
-    def weighted_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.float64)
-        for u, v, w in self.edges:
-            deg[u] += w
-            deg[v] += w
-        return deg
-
-    def adjacency_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def has_triangle(self) -> bool:
-        neigh = [set() for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            neigh[u].add(v)
-            neigh[v].add(u)
-        for u, v, _ in self.edges:
-            if neigh[u] & neigh[v]:
-                return True
-        return False
+        # an edge (x, y) of the adjacency A closes a triangle iff (A @ A)[x, y] > 0
+        u, v, _ = self._columns
+        ends = (np.concatenate((u, v)), np.concatenate((v, u)))
+        adj = sparse.csr_array((np.ones(2 * u.size), ends), shape=(self.n, self.n))
+        return bool((adj @ adj).multiply(adj).sum() > 0)
+
+
+_INTS = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+_REALS = _INTS | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
+_EDGE_TYPE_ERROR = "edge endpoints must be integers and its weight a number, got {}"
+
+
+def _triple_columns(edges: Sequence):
+    """The int64 u, v and float64 w columns of a sequence of (u, v, w) lists or tuples, or
+    None if an entry is not one or has a value not of its column's types (_INTS, _REALS)."""
+    if not set(map(type, edges)) <= {tuple, list} or set(map(len, edges)) - {3}:
+        return None
+    flat = list(itertools.chain.from_iterable(edges))
+    us, vs, ws = flat[0::3], flat[1::3], flat[2::3]
+    if not (set(map(type, us + vs)) <= _INTS and set(map(type, ws)) <= _REALS):
+        return None
+    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+            np.array(ws, dtype=np.float64))
+
+
+def _check_edges(n: int, cols, edges: Sequence):
+    """cols, if every edge has distinct endpoints in [0, n) and a positive finite weight; else
+    raises for the first invalid edge, walking edges (cols None) or the one the test found."""
+    if not 0 <= n < 2 ** 63:
+        raise ValueError(f"vertex count must be nonnegative and below 2^63, got {n}")
+    if cols is not None:
+        u, v, w = cols
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n) | ~(w > 0) | (w == np.inf)
+        if not bad.any():
+            return cols
+        i = int(bad.argmax())
+        edges = (edges[i] if edges else (u[i].item(), v[i].item(), w[i].item()),)
+    for edge in edges:
+        u, v, w = edge
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if not w > 0:
+            raise ValueError(f"edge weight must be positive, got {w}")
+        if w == math.inf:
+            raise ValueError(f"edge weight must be finite, got {w}")
+        if _triple_columns([edge]) is None:
+            raise ValueError(_EDGE_TYPE_ERROR.format(list(edge)))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -437,8 +477,6 @@ def rows_per_chunk(problem: CspInstance | WeightedGraph) -> int:
 
 def _block_values(problem: CspInstance | WeightedGraph, block: np.ndarray) -> np.ndarray:
     if isinstance(problem, WeightedGraph):
-        if problem.m == 0:
-            return np.zeros(block.shape[0])
         u, v, w = problem.edge_arrays()
         cut = block[:, u] != block[:, v]
         if problem.is_unweighted:
@@ -636,10 +674,14 @@ def _local_tables(
     the map is None.
     """
     pos = {v: t for t, v in enumerate(active)}
-    if len(pos) != len(active):
-        raise ValueError("active variables must be distinct")
+    if len(pos) != len(active) or not all(0 <= v < problem.n for v in pos):
+        raise ValueError(f"active variables must be distinct and in [0, {problem.n})")
     if isinstance(problem, WeightedGraph):
-        inside = [(pos[u], pos[v], w) for u, v, w in problem.edges if u in pos and v in pos]
+        u, v, ws = problem.edge_arrays()
+        where = np.full(problem.n, -1)  # each vertex's position in `active`, -1 outside it
+        where[active] = np.arange(len(active))
+        keep = (where[u] >= 0) & (where[v] >= 0)
+        inside = list(zip(where[u[keep]].tolist(), where[v[keep]].tolist(), ws[keep].tolist()))
         weights = {w for _, _, w in inside}
         if len(weights) > 1:
             return [((a, b), np.array([[0.0, w], [w, 0.0]])) for a, b, w in inside], None
@@ -767,20 +809,21 @@ _CONSTRAINT_FIELDS = {"scope", "b", "table"}
 
 
 def instance_to_json(problem: CspInstance | WeightedGraph) -> str:
+    """Compact JSON with sorted keys. A graph's columns are formatted as
+    json.dumps formats ints and finite floats: by %d and float.__repr__."""
     if isinstance(problem, WeightedGraph):
-        doc = {
-            "n": problem.n,
-            "kind": "maxcut",
-            "edges": [[u, v, w] for u, v, w in problem.edges],
-        }
-    else:
-        cons = []
-        for c in problem.constraints:
-            if c.is_xor:
-                cons.append({"scope": list(c.scope), "b": c.b})
-            else:
-                cons.append({"scope": list(c.scope), "table": list(c.table)})
-        doc = {"n": problem.n, "kind": problem.kind, "constraints": cons}
+        flat = [None] * (3 * problem.m)
+        for t, column in enumerate(problem.edge_arrays()):
+            flat[t::3] = column.tolist()
+        edges = ("[%d,%d,%r]," * problem.m)[:-1] % tuple(flat)
+        return '{"edges":[%s],"kind":"maxcut","n":%d}' % (edges, problem.n)
+    cons = []
+    for c in problem.constraints:
+        if c.is_xor:
+            cons.append({"scope": list(c.scope), "b": c.b})
+        else:
+            cons.append({"scope": list(c.scope), "table": list(c.table)})
+    doc = {"n": problem.n, "kind": problem.kind, "constraints": cons}
     return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
 
@@ -789,25 +832,6 @@ def _json_int(value, field: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
-
-
-def _reject_edge(edge):
-    raise ValueError(f"edge endpoints must be integers and its weight a number, got {list(edge)}")
-
-
-def _json_edges(entries) -> tuple[tuple[int, int, float], ...]:
-    """Edge triples with integer endpoints and numeric weights, weights as
-    float. The type test runs inline, so a valid list is read without
-    converting its endpoints."""
-    try:
-        return tuple(
-            (u, v, float(w))
-            if type(u) is int and type(v) is int and type(w) in (float, int)
-            else _reject_edge((u, v, w))
-            for u, v, w in entries
-        )
-    except OverflowError as exc:
-        raise ValueError(f"edge weight out of float range: {exc}") from None
 
 
 def instance_from_json(text: str) -> CspInstance | WeightedGraph:
@@ -828,7 +852,14 @@ def instance_from_json(text: str) -> CspInstance | WeightedGraph:
             raise ValueError("'edges' is only valid for kind 'maxcut'")
         if "constraints" in doc:
             raise ValueError("give either 'constraints' or 'edges', not both")
-        return WeightedGraph(n=n, edges=_json_edges(doc["edges"]))
+        try:
+            cols = _triple_columns(doc["edges"])
+            if cols is None:  # name the first entry that is not [integer, integer, number]
+                bad = next(e for e in doc["edges"] if _triple_columns([e]) is None)
+                raise ValueError(_EDGE_TYPE_ERROR.format(bad))
+        except OverflowError as exc:
+            raise ValueError(f"edge endpoint beyond int64 or weight out of float range: {exc}")
+        return WeightedGraph.from_arrays(n, *cols)
     cons = []
     for entry in doc.get("constraints", []):
         if not isinstance(entry, dict):
@@ -882,4 +913,4 @@ def load_edge_list(path: str) -> WeightedGraph:
                 ) from None
             edges.append((u, v, w))
             max_vertex = max(max_vertex, u, v)
-    return WeightedGraph(n=max_vertex + 1, edges=tuple(edges))
+    return WeightedGraph(n=max_vertex + 1, edges=edges)

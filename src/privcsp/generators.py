@@ -139,25 +139,23 @@ def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> WeightedGraph:
         (n,) = args
         if n < 4 or n % 2 != 0:
             raise ValueError("even_cycle needs an even n >= 4")
-        edges = tuple((i, (i + 1) % n, 1.0) for i in range(n))
-        return WeightedGraph(n=n, edges=edges)
+        return WeightedGraph.from_arrays(n, np.arange(n), (np.arange(n) + 1) % n, np.ones(n))
     if kind == "complete_bipartite":
         a, b = args
         if a < 1 or b < 1:
             raise ValueError("complete_bipartite needs positive part sizes")
-        edges = tuple((i, a + j, 1.0) for i in range(a) for j in range(b))
-        return WeightedGraph(n=a + b, edges=edges)
-    if kind == "random_bipartite":
+        picks = np.arange(a * b)
+    elif kind == "random_bipartite":
         a, b, m = args
         if a < 1 or b < 1:
             raise ValueError("random_bipartite needs positive part sizes")
         if m > a * b:
             raise ValueError(f"requested {m} edges, only {a * b} cross pairs exist")
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        picks = gen.choice(a * b, size=m, replace=False)
-        edges = tuple((int(p) // b, a + int(p) % b, 1.0) for p in sorted(picks))
-        return WeightedGraph(n=a + b, edges=edges)
-    raise ValueError(f"unknown triangle-free graph kind {kind!r}")
+        picks = np.sort(gen.choice(a * b, size=m, replace=False))
+    else:
+        raise ValueError(f"unknown triangle-free graph kind {kind!r}")
+    return WeightedGraph.from_arrays(a + b, picks // b, a + picks % b, np.ones(picks.size))
 
 
 def gen_hard_family(

@@ -231,7 +231,7 @@ class ExperimentReport:
 def _baseline_value(problem) -> float:
     """Expected value of a uniform assignment: mu times total weight."""
     if isinstance(problem, WeightedGraph):
-        return 0.5 * sum(w for _, _, w in problem.edges)
+        return 0.5 * sum(problem.edge_arrays()[2].tolist())
     return mu(problem) * problem.m
 
 

@@ -513,11 +513,10 @@ class PackingFamily:
         return 1.0 / (128.0 * self.epsilon)
 
     def graph(self, index: int) -> WeightedGraph:
-        s = set(self.supports[index])
-        rest = [v for v in range(self.n) if v not in s]
-        w = self.weight
-        edges = tuple((u, v, w) for u in sorted(s) for v in rest)
-        return WeightedGraph(n=self.n, edges=edges)
+        s = np.array(sorted(set(self.supports[index])), dtype=np.int64)
+        rest = np.setdiff1d(np.arange(self.n), s)
+        return WeightedGraph.from_arrays(self.n, np.repeat(s, rest.size), np.tile(rest, s.size),
+                                         np.full(s.size * rest.size, self.weight))
 
 
 def verify_packing_separation(

@@ -230,6 +230,34 @@ class TestMutualChoiceMatching:
             for u, v in state.edges:
                 assert (u, v) in edge_set
 
+    @staticmethod
+    def loop_reference(graph, rng):
+        """The adjacency-list walk the column kernel replaced."""
+        adj = [[] for _ in range(graph.n)]
+        for u, v, _ in graph.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        draws = rng.random(graph.n)
+        choices = [int(sorted(a)[int(draws[v] * len(a))]) if a else -1 for v, a in enumerate(adj)]
+        edges = tuple((u, choices[u]) for u in range(graph.n)
+                      if choices[u] > u and choices[choices[u]] == u)
+        return choices, edges
+
+    def test_matches_adjacency_walk(self):
+        # multigraphs with isolated vertices, repeated edges and both orientations
+        rng = gen(16)
+        graphs = [WeightedGraph(n=0, edges=()), WeightedGraph(n=5, edges=()), cycle(6), k33()]
+        for _ in range(300):
+            n, m = int(rng.integers(2, 12)), int(rng.integers(0, 20))
+            u = rng.integers(0, n, size=m)
+            graphs.append(WeightedGraph.from_arrays(n, u, (u + rng.integers(1, n, size=m)) % n,
+                                                    np.ones(m)))
+        for i, g in enumerate(graphs):
+            state = mutual_choice_matching(g, RngStream(i, 0).generator())
+            choices, edges = self.loop_reference(g, RngStream(i, 0).generator())
+            assert state.choices == tuple(choices) and state.edges == edges
+            assert all(type(c) is int for c in state.choices)
+
     def test_neighboring_graph_coupling(self):
         # same randomness, one extra edge: only the endpoints' choices can
         # change, so the matchings differ in at most 4 edges

@@ -1,5 +1,5 @@
 """tools/bench_ab.py: the exit status follows the runs' correctness, and the
-report gives each side's src/ line count."""
+report gives each side's src/ line count and per-operation-group times."""
 
 import importlib.util
 import json
@@ -31,7 +31,8 @@ def fake_runs(module, monkeypatch, incorrect):
         side = root.name
         calls[side] += 1
         return {"correct": (side, calls[side]) not in incorrect,
-                "metrics": dict.fromkeys(names, 1.0), "sha": "x", "passes": 3}
+                "metrics": dict.fromkeys(names, 1.0), "sha": "x", "passes": 3,
+                "groups": {"audit - em": 1.0}}
 
     monkeypatch.setattr(module, "run_bench", run_bench)
     monkeypatch.setattr(sys, "argv", ["bench_ab.py", "--workload", "audit", "--seed", "1",
@@ -69,3 +70,26 @@ def test_src_line_counts(bench_ab, monkeypatch, capsys):
     fake_runs(bench_ab, monkeypatch, set())
     assert bench_ab.main() == 0
     assert "src/ lines: base 2, change 3" in capsys.readouterr().out
+
+
+def test_op_group_table(bench_ab, monkeypatch, capsys):
+    # exact_enum's pass: ratio xor22 alg3, ratio xor16 em_baseline,
+    # verify-hardness, then 320 alg6 solves on bip80 and bip1000
+    ops = 3 + 320
+    record = {"calib_s": [0.002, 0.006],  # mean 0.004 = CALIB_REF_S: scale 1
+              "op_s": [[float(i) for i in range(ops)], [2.0 * i for i in range(ops)]]}
+    groups = bench_ab.group_seconds(ROOT, "exact_enum", 1, record)
+    bip1000 = [3 + i for i in range(320) if i % 16 == 15]
+    assert list(groups) == ["ratio xor22 alg3", "ratio xor16 em_baseline", "verify-hardness - -",
+                            "solve bip80 alg6", "solve bip1000 alg6"]
+    assert groups["ratio xor16 em_baseline"] == 1.5  # median of 1 and 2
+    assert groups["solve bip1000 alg6"] == 1.5 * sum(bip1000)
+    assert groups["solve bip80 alg6"] == 1.5 * (sum(range(3, ops)) - sum(bip1000))
+    assert bench_ab.group_seconds(ROOT, "exact_enum", 1, dict(record, calib_s=[0.008]))[
+        "verify-hardness - -"] == 0.5 * 3.0  # median of 2 and 4, scale 0.5
+
+    fake_runs(bench_ab, monkeypatch, set())
+    assert bench_ab.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index(next(line for line in lines if line.startswith("op group"))) + 1].split() == [
+        "audit", "-", "em", "1", "1", "1.0000"]

@@ -419,6 +419,12 @@ class TestValueKernel:
         with pytest.raises(ValueError):
             all_values(mixed_instance(0), [1, 2, 1])
 
+    @pytest.mark.parametrize("active", [[0, 9], [-1, 2]])
+    def test_out_of_range_active_rejected(self, active):
+        for problem in (mixed_instance(0), weighted_graph(0, n=9)):
+            with pytest.raises(ValueError, match=r"distinct and in \[0, 9\)"):
+                all_values(problem, active)
+
     def test_assignment_rows(self):
         assert assignment_rows(6, 4).tolist() == [-1, 1, 1, -1]
         rows = assignment_rows(np.arange(8), 3)
@@ -472,6 +478,40 @@ class TestCountPath:
         assert [c.dtype for _, c in csp_core.ValueChunks(g, range(g.n), g.n)] == [np.float64]
 
 
+def edge_walk_tables(g, active):
+    """The edge-by-edge selection that csp_core._local_tables replaced."""
+    pos = {v: t for t, v in enumerate(active)}
+    inside = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
+    weights = {w for _, _, w in inside}
+    if len(weights) > 1:
+        return [((a, b), np.array([[0.0, w], [w, 0.0]])) for a, b, w in inside], None
+    weight = weights.pop() if weights else 1.0
+    cut = np.array([[0, 1], [1, 0]], dtype=np.min_scalar_type(len(inside)))
+    tables = [((a, b), cut) for a, b, _ in inside]
+    if weight == 1:
+        return tables, None
+    hits = itertools.accumulate(itertools.repeat(float(weight), len(tables)), initial=0.0)
+    return tables, np.fromiter(hits, dtype=np.float64, count=len(tables) + 1)
+
+
+class TestGraphTables:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("graph", [weighted_graph, lambda seed: uniform_graph(0.1, seed),
+                                       lambda seed: uniform_graph(1.0, seed)])
+    def test_match_edge_walk(self, seed, graph):
+        g = graph(seed)
+        rng = np.random.default_rng(seed)
+        for size in (0, 1, 3, 5, g.n):
+            active = rng.permutation(g.n)[:size].tolist()  # random and unsorted
+            tables, sums = csp_core._local_tables(g, active)
+            ref_tables, ref_sums = edge_walk_tables(g, active)
+            assert [t for t, _ in tables] == [t for t, _ in ref_tables]
+            for (_, a), (_, b) in zip(tables, ref_tables):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert (sums is None) == (ref_sums is None)
+            assert sums is None or sums.tobytes() == ref_sums.tobytes()
+
+
 class TestSerialization:
     def test_roundtrip_instance(self):
         rng = np.random.default_rng(5)
@@ -483,6 +523,27 @@ class TestSerialization:
         g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 2.5)))
         again = instance_from_json(instance_to_json(g))
         assert again == g
+
+    @staticmethod
+    def dumps_reference(g):
+        """The list comprehension and json.dumps that instance_to_json
+        replaced for graphs."""
+        doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, w] for u, v, w in g.edges]}
+        return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
+
+    @pytest.mark.parametrize("weight", [1.0, 0.1, 2.5, 1e-300, 1e300, 3, "mixed"])
+    def test_graph_json_matches_json_dumps(self, weight):
+        rng = np.random.default_rng(5)
+        for n, m in ((2, 1), (9, 30), (600, 2000)):
+            u = rng.integers(0, n - 1, size=m)
+            v = (u + rng.integers(1, n, size=m)) % n
+            w = rng.uniform(1e-3, 1e3, size=m) if weight == "mixed" else np.full(m, weight)
+            g = WeightedGraph.from_arrays(n, u, v, w)
+            text = instance_to_json(g)
+            assert text == self.dumps_reference(g)
+            assert instance_from_json(text) == g
+        assert instance_to_json(WeightedGraph(n=3, edges=())) == self.dumps_reference(
+            WeightedGraph(n=3, edges=()))
 
     def test_unknown_field_rejected(self):
         doc = {"n": 2, "kind": "kxor", "constraints": [], "extra": 1}
@@ -616,7 +677,7 @@ class TestGraphValidation:
 
     def test_accepted_edges_and_columns(self):
         cases = [
-            ((0, 1, 1.0), (1, 2, 2.5)), ((True, False, 1),), ((0.5, 1, 1.0),),
+            ((0, 1, 1.0), (1, 2, 2.5)), ((0, 2, 3),),
             ((np.int64(0), np.int64(2), np.float64(3.0)),), (),
         ]
         for edges in cases:
@@ -627,8 +688,19 @@ class TestGraphValidation:
             assert u.tolist() == arr[:, 0].astype(np.int64).tolist()
             assert v.tolist() == arr[:, 1].astype(np.int64).tolist()
             assert w.tolist() == arr[:, 2].tolist()
-        # two ids that float64 rounds to one value: the check compares them exactly
-        WeightedGraph(n=2 ** 60, edges=((2 ** 53, 2 ** 53 + 1, 1.0),))
+            assert instance_from_json(instance_to_json(g)) == g
+        # two ids that float64 rounds to one value stay two ids
+        g = WeightedGraph(n=2 ** 60, edges=((2 ** 53, 2 ** 53 + 1, 1.0),))
+        assert [a.tolist() for a in g.edge_arrays()[:2]] == [[2 ** 53], [2 ** 53 + 1]]
+        assert instance_from_json(instance_to_json(g)) == g
+
+    @pytest.mark.parametrize("edges", [
+        ((True, False, 1),), ((0.5, 1, 1.0),), ((0, 1, 1.0), (np.float64(1), 2, 1.0)),
+        ((0, 1, True),),
+    ])
+    def test_non_integer_endpoints_rejected(self, edges):
+        with pytest.raises(ValueError, match="^edge endpoints must be integers and its weight a number"):
+            WeightedGraph(n=3, edges=edges)
 
     def test_kind_invariants(self):
         with pytest.raises(ValueError):
@@ -667,6 +739,28 @@ class TestDerivedDataOncePerObject:
             deg[0] = 7
         assert g.degree_counts() is deg
         assert deg.dtype == np.int64 and deg.tolist() == [1, 2, 2, 1]
+
+    def test_graph_frozen_and_compared_by_value(self):
+        g = self.graph()
+        for name in ("n", "_columns", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+        h = WeightedGraph.from_arrays(4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([1, 1, 2]))
+        assert g == h and hash(g) == hash(h) and g != WeightedGraph(n=5, edges=g.edges)
+
+    def test_triangles_match_neighbour_sets(self):
+        rng = np.random.default_rng(0)
+        graphs = [weighted_graph(3), uniform_graph(1.0, seed=4), WeightedGraph(n=3, edges=()),
+                  WeightedGraph(n=3, edges=((0, 1, 1.0), (2, 1, 1.0), (0, 2, 1.0)))]
+        graphs += [WeightedGraph.from_arrays(8, u, (u + rng.integers(1, 8, 7)) % 8, np.ones(7))
+                   for u in rng.integers(0, 8, size=(40, 7))]
+        for g in graphs:
+            neigh = [set() for _ in range(g.n)]
+            for u, v, _ in g.edges:
+                neigh[u].add(v)
+                neigh[v].add(u)
+            assert g.has_triangle() == any(neigh[u] & neigh[v] for u, v, _ in g.edges)
+        assert graphs[3].has_triangle() and not graphs[2].has_triangle()
 
     def test_degree_counts_multigraph(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)))

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from privcsp.csp_core import (
+    WeightedGraph,
     degrees,
     instance_to_json,
     is_triangle_free,
@@ -91,6 +94,31 @@ class TestGenTriangleFreeGraph:
         b = gen_triangle_free_graph("random_bipartite", 4, 4, 8, seed=9)
         assert a.edges == b.edges
 
+    @staticmethod
+    def tuple_reference(kind, *args, seed=0):
+        """The per-edge tuple construction the column generators replaced."""
+        if kind == "even_cycle":
+            (n,) = args
+            return n, tuple((i, (i + 1) % n, 1.0) for i in range(n))
+        a, b, *rest = args
+        if kind == "complete_bipartite":
+            return a + b, tuple((i, a + j, 1.0) for i in range(a) for j in range(b))
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        picks = gen.choice(a * b, size=rest[0], replace=False)
+        return a + b, tuple((int(p) // b, a + int(p) % b, 1.0) for p in sorted(picks))
+
+    @pytest.mark.parametrize("kind, args, seed", [
+        ("even_cycle", (4,), 0), ("even_cycle", (50,), 0), ("complete_bipartite", (1, 1), 0),
+        ("complete_bipartite", (3, 7), 0), ("random_bipartite", (5, 5, 12), 3),
+        ("random_bipartite", (500, 500, 5000), 1),
+    ])
+    def test_matches_tuple_construction_and_json(self, kind, args, seed):
+        g = gen_triangle_free_graph(kind, *args, seed=seed)
+        n, edges = self.tuple_reference(kind, *args, seed=seed)
+        assert g == WeightedGraph(n=n, edges=edges) and g.edges == edges
+        doc = {"n": n, "kind": "maxcut", "edges": [list(e) for e in edges]}
+        assert instance_to_json(g) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
 
 class TestGenHardFamily:
     def test_invariants(self):
@@ -125,6 +153,13 @@ class TestGenHardFamily:
         # must come back incomplete rather than loop forever
         family, complete = gen_hard_family(8, 0.5, 500, seed=2, max_retries=2_000)
         assert not complete and len(family.supports) < 500
+
+    def test_graph_json_matches_json_dumps(self):
+        family, _ = gen_hard_family(16, 0.3, 3, seed=4)
+        for i in range(len(family.supports)):
+            g = family.graph(i)
+            doc = {"n": g.n, "kind": "maxcut", "edges": [list(e) for e in g.edges]}
+            assert instance_to_json(g) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
     def test_determinism(self):
         a, _ = gen_hard_family(12, 0.5, 3, seed=5)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 
@@ -5,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from privcsp import harness
 from privcsp.csp_core import Constraint, CspInstance, WeightedGraph
-from privcsp.generators import GenSpec, gen_random_kxor
+from privcsp.generators import GenSpec, gen_random_kxor, gen_triangle_free_graph
 from privcsp.harness import (
     ALGORITHMS,
     AUDIT_MECHANISMS,
@@ -82,6 +85,22 @@ class TestExperimentConfig:
         b = ExperimentConfig(algorithm="alg1", eps=(1.0,), trials=5, seed=1)
         assert a.config_hash(inst) != b.config_hash(inst)
         assert a.config_hash(inst) == a.config_hash(cycle_instance(6))
+
+    def test_config_hash_and_baseline_of_a_large_graph(self):
+        g = gen_triangle_free_graph("random_bipartite", 500, 500, 5000, seed=2)
+        config = ExperimentConfig(algorithm="dp_shearer", eps=(0.5, 1.0), trials=50, seed=7)
+        # the reference: the graph's edge lists through json.dumps, as
+        # instance_to_json wrote them before it formatted the columns
+        text = json.dumps({"n": g.n, "kind": "maxcut", "edges": [list(e) for e in g.edges]},
+                          indent=None, separators=(",", ":"), sort_keys=True)
+        blob = json.dumps({"algorithm": "dp_shearer", "eps": [0.5, 1.0], "trials": 50, "seed": 7,
+                           "alpha": config.alpha, "instance": text}, sort_keys=True)
+        assert config.config_hash(g) == hashlib.sha256(blob.encode()).hexdigest()[:12]
+        rng = np.random.default_rng(0)
+        u, v, _ = g.edge_arrays()
+        weighted = WeightedGraph.from_arrays(g.n, u, v, rng.uniform(0.1, 3.0, size=g.m))
+        # the edge-order float sum, bit for bit
+        assert harness._baseline_value(weighted) == 0.5 * sum(w for _, _, w in weighted.edges)
 
 
 class TestEstimateRatio:

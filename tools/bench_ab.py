@@ -21,6 +21,12 @@ every run checked its outputs as correct and whether ``outputs_sha256``
 is the same on both sides, and each side's median number of timed passes
 (``len(pass_s)`` in the result file), and each side's ``src/`` line
 count (newlines in its ``src/**/*.py`` files, as ``wc -l`` counts them).
+A second table shows where the time goes: one row per operation group
+(the operations of ``bench/workloads.py`` with the same kind, instance
+and algorithm or mechanism), with each side's median over its runs of the
+group's median per-pass time, taken from the result file's ``op_s`` and
+scaled by ``CALIB_REF_S`` over the mean of its ``calib_s``, as
+``bench/run.py`` scales its end-to-end times, and change/base.
 The timed phase repeats passes for ``--seconds``, so a faster side runs
 more of them, and ``peak_rss_mb`` rises with the pass count: read a
 small RSS rise next to the two counts.
@@ -32,6 +38,8 @@ The temporary copies are removed at the end. Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib.util
 import io
 import json
 import shutil
@@ -85,7 +93,39 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "sha": record["outputs_sha256"],
         "passes": len(record["pass_s"]),
+        "groups": group_seconds(root, workload, seed, record),
     }
+
+
+def op_groups(root: Path, workload: str, seed: int) -> dict[str, list[int]]:
+    """Indices of the workload's operations per "kind instance algorithm"
+    label (the algorithm or mechanism; "-" for none), in order of first
+    appearance, from the copy's bench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    groups: dict[str, list[int]] = {}
+    for i, op in enumerate(workloads.ops(workload, seed)):
+        name = next((op.argv[op.argv.index(flag) + 1] for flag in ("--algorithm", "--mechanism")
+                     if flag in op.argv), "-")
+        groups.setdefault(f"{op.kind} {op.instance or '-'} {name}", []).append(i)
+    return groups
+
+
+def calib_ref_s(root: Path) -> float:
+    """The value of CALIB_REF_S assigned in the copy's bench/run.py."""
+    tree = ast.parse((root / "bench" / "run.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "CALIB_REF_S" for t in node.targets))
+
+
+def group_seconds(root: Path, workload: str, seed: int, record: dict) -> dict[str, float]:
+    """Each operation group's median per-pass seconds over the record's
+    untraced passes (op_s), scaled by CALIB_REF_S / mean(calib_s)."""
+    scale = calib_ref_s(root) / statistics.fmean(record["calib_s"])
+    return {label: scale * statistics.median(sum(times[i] for i in ops) for times in record["op_s"])
+            for label, ops in op_groups(root, workload, seed).items()}
 
 
 def src_lines(root: Path) -> int:
@@ -117,6 +157,12 @@ def report(workload: str, runs: dict[str, list[dict]], src_counts: dict[str, int
             f"{' / '.join(f'{v:.4g}' for v in cq):>34} {ratio:>11.4f} "
             f"{wins:>3}/{len(base):<2}  {'yes' if gap else 'no'}"
         )
+    lines.append(f"{'op group':<40} {'base s/pass':>12} {'change s/pass':>14} {'change/base':>11}")
+    for label in [g for g in runs["base"][0]["groups"] if g in runs["change"][0]["groups"]]:
+        base, change = (statistics.median(r["groups"][label] for r in runs[side])
+                        for side in ("base", "change"))
+        ratio = change / base if base else float("nan")
+        lines.append(f"{label:<40} {base:>12.4g} {change:>14.4g} {ratio:>11.4f}")
     correct = all(r["correct"] for side in runs.values() for r in side)
     shas = {side: {r["sha"] for r in rs} for side, rs in runs.items()}
     same = len(shas["base"] | shas["change"]) == 1
