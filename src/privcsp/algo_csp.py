@@ -35,6 +35,7 @@ from .dp_mechanisms import (
     check_epsilon,
     degree_split_batch,
     keep_probability,
+    threshold_power,
 )
 from .oracles import _constraint_q_pmf, exact_median_theta
 
@@ -267,7 +268,9 @@ def alg2_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg2 requires a sign-form instance")
     check_epsilon(epsilon, positive=True)
-    return degree_split_batch(instance, epsilon, rng, trials, alg1_batch, 10000.0 / epsilon ** 4)
+    return degree_split_batch(
+        instance, epsilon, rng, trials, alg1_batch, 10000.0 / threshold_power(epsilon, 4, "eps^4")
+    )
 
 
 def boost_scale(epsilon: float, m: int) -> float:
@@ -372,4 +375,6 @@ def alg_oddk_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> n
     if instance.max_arity % 2 == 0:
         raise ValueError("alg_oddk requires odd arity; use alg2_batch")
     check_epsilon(epsilon, positive=True)
-    return degree_split_batch(instance, epsilon, rng, trials, alg3_batch, 100.0 / epsilon ** 2)
+    return degree_split_batch(
+        instance, epsilon, rng, trials, alg3_batch, 100.0 / threshold_power(epsilon, 2, "eps^2")
+    )

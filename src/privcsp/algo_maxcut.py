@@ -7,7 +7,7 @@
   (dp_mechanisms.degree_split_batch) with dp_shearer as its subroutine.
 - dp_maxcut_general_batch (alg6): degree split, subsampled mutual-choice
   matching with a factorized exponential mechanism, and a final
-  three-way selection.
+  three-way selection, each stage one block draw for all rows.
 
 All algorithms require unweighted graphs and return +-1 sides. Each is
 one batch kernel, its only entry point, that returns a (trials, n) int8
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +32,13 @@ from .dp_mechanisms import (
     noisy_high_mask,
     sample_discrete_laplace,
     stage_budget,
+    threshold_power,
 )
 
 MATCHING_EM_BUDGET = 2.5
 MATCHING_EM_SENSITIVITY = 2.0
 
 __all__ = [
-    "MatchingState",
     "MATCHING_EM_BUDGET",
     "MATCHING_EM_SENSITIVITY",
     "GENERAL_BUDGET_FRACTIONS",
@@ -47,26 +46,8 @@ __all__ = [
     "shearer_batch",
     "dp_shearer_batch",
     "dp_maxcut_unbounded_batch",
-    "mutual_choice_matching",
-    "matching_em_cut",
     "dp_maxcut_general_batch",
 ]
-
-
-@dataclass(frozen=True)
-class MatchingState:
-    """Per-vertex neighbor choices and the resulting mutual-choice matching."""
-
-    choices: tuple[int, ...]  # chosen neighbor per vertex, -1 for none
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for u, v in self.edges:
-            if u in seen or v in seen:
-                raise ValueError("matching edges must not share vertices")
-            seen.add(u)
-            seen.add(v)
 
 
 def _require_unweighted(graph: WeightedGraph, name: str) -> None:
@@ -147,50 +128,41 @@ def dp_maxcut_unbounded_batch(
     """
     _require_unweighted(graph, "dp_maxcut_unbounded_batch")
     check_epsilon(epsilon, positive=True)
-    threshold = 10000.0 / epsilon ** 2
+    threshold = 10000.0 / threshold_power(epsilon, 2, "eps^2")
     return degree_split_batch(graph, epsilon, rng, trials, dp_shearer_batch, threshold)
 
 
-def mutual_choice_matching(graph: WeightedGraph, rng) -> MatchingState:
-    """Each vertex picks a uniform neighbor (vertex order 0..n-1); an edge
-    joins the matching exactly when both endpoints picked each other."""
-    u, v, _ = graph.edge_arrays()
-    return _mutual_choice(graph.n, u, v, as_generator(rng))
+def _mutual_choice(n: int, u: np.ndarray, v: np.ndarray, kept: np.ndarray,
+                   draws: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mutual-choice rule on the edges (u, v) that each row of the
+    (trials, m) bool block `kept` keeps, with the (trials, n) uniforms
+    `draws`. In each row a vertex with d kept edges picks the
+    floor(draws[row, vertex] * d)-th of its kept neighbours in increasing
+    order, a neighbour counted once per parallel edge; an edge joins the
+    row's matching exactly when its endpoints picked each other.
 
-
-def _mutual_choice(n: int, u: np.ndarray, v: np.ndarray, gen) -> MatchingState:
-    nbrs: dict[int, list[int]] = {}  # the neighbours of each vertex with an edge
-    for a, b in zip(u.tolist(), v.tolist()):
-        nbrs.setdefault(a, []).append(b)
-        nbrs.setdefault(b, []).append(a)
-    # one uniform per vertex regardless of degree, so a neighboring graph
-    # with coupled randomness changes only the endpoints' choices
-    draws = gen.random(n).tolist()
-    chosen = [-1] * n
-    for x, adj in nbrs.items():
-        chosen[x] = sorted(adj)[int(draws[x] * len(adj))]
-    edges = tuple((x, chosen[x]) for x in sorted(nbrs) if x < chosen[x] and chosen[chosen[x]] == x)
-    return MatchingState(choices=tuple(chosen), edges=edges)
-
-
-def matching_em_cut(n: int, matching: MatchingState, rng) -> np.ndarray:
-    """Factorized exponential mechanism over the assignments of a matching.
-
-    Cut value decomposes over matching edges, so the mechanism factorizes:
-    each matching edge is cut independently with probability
-    e^{2.5/4}/(1+e^{2.5/4}) with a uniform orientation; unmatched vertices
-    are uniform. Identical in law to enumerating all assignments with
-    weight exp(2.5 * value / 4), without any enumeration cap.
+    Returns the (trials, n) int64 block of picks, -1 for a vertex without a
+    kept edge, and the rows and lower endpoints of the matched edges, in
+    row-major order; an edge's upper endpoint is its lower endpoint's pick.
     """
-    gen = as_generator(rng)
-    sides = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
-    p_cut = matched_edge_cut_probability()
-    for u, v in matching.edges:
-        a = 1 if gen.random() < 0.5 else -1
-        cut_it = gen.random() < p_cut
-        sides[u] = a
-        sides[v] = -a if cut_it else a
-    return sides
+    chosen = np.full(draws.shape, -1, dtype=np.int64)
+    rows, e = np.nonzero(kept)
+    if rows.size == 0:
+        return chosen, rows, e
+    # every kept edge from both ends, as (row * n + vertex, neighbour), in
+    # increasing order; each run of equal keys is one vertex's neighbours
+    at = np.concatenate((rows * n + u[e], rows * n + v[e]))
+    nbr = np.concatenate((v[e], u[e]))
+    order = np.lexsort((nbr, at))
+    at, nbr = at[order], nbr[order]
+    first = np.flatnonzero(np.concatenate(([True], at[1:] != at[:-1])))
+    at = at[first]
+    deg = np.diff(first, append=nbr.size)
+    flat = chosen.reshape(-1)
+    flat[at] = nbr[first + (draws.reshape(-1)[at] * deg).astype(np.int64)]
+    x, pick = at % n, flat[at]
+    lower = at[(x < pick) & (flat[at - x + pick] == x)]
+    return chosen, lower // n, lower % n
 
 
 def _check_amplification(rate: float, budget: float) -> None:
@@ -218,21 +190,24 @@ def dp_maxcut_general_batch(
     eps^{1+alpha}/70 within the low part (inner budget 2.5, amplified to
     at most epsilon/6 by subsampling), and the degree partition itself.
     A final exponential mechanism at budget epsilon/2 and sensitivity 1
-    selects among them by cut value. The degree split and the first
-    candidate are drawn for all rows at once; the matching and the final
-    selection run row by row, after them.
+    selects among them by cut value.
+
+    Every stage draws one block for all rows, in this order: the degree
+    noise and em_on_part; one subsampling uniform per (row, edge), the edge
+    kept below the rate unless an endpoint is high in that row; one choice
+    uniform per (row, vertex) for the mutual-choice matching
+    (_mutual_choice); one matching-mechanism uniform per (row, vertex),
+    which gives the vertex side +1 below 1/2, except that a matched edge's
+    lower endpoint takes the side opposite its partner's below
+    matched_edge_cut_probability() and the same side otherwise; one
+    final-selection uniform per row.
     """
     _require_unweighted(graph, "dp_maxcut_general_batch")
     if not (0.0 < epsilon <= 0.1):
         raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon}")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
-    eps_pow = epsilon ** (1.0 + alpha)
-    if eps_pow == 0.0:
-        raise ValueError(
-            f"alpha = {alpha} is too large: eps^(1+alpha) underflows to 0 "
-            f"at eps = {epsilon}"
-        )
+    eps_pow = threshold_power(epsilon, 1.0 + alpha, f"eps^(1+alpha) at alpha = {alpha}")
     degree_share, em_share, matching_share, final_share = GENERAL_BUDGET_FRACTIONS
     rate = eps_pow / 70.0
     _check_amplification(rate, stage_budget(epsilon, matching_share))
@@ -245,19 +220,24 @@ def dp_maxcut_general_batch(
         )
     gen = as_generator(rng)
     n = graph.n
+    u, v, _ = graph.edge_arrays()
     high = noisy_high_mask(graph, epsilon, degree_share, 24.0 / eps_pow, gen, trials)
     s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen)
-    u, v, _ = graph.edge_arrays()
-    out = np.empty((trials, n), dtype=np.int8)
-    for t, high_mask in enumerate(high):
-        low = np.flatnonzero(~(high_mask[u] | high_mask[v]))
-        # one uniform per low edge, in edge order
-        kept = low[gen.random(low.size) < rate]
-        matching = _mutual_choice(n, u[kept], v[kept], gen)
-        s2 = matching_em_cut(n, matching, gen)
-        s3 = np.where(high_mask, 1, -1).astype(np.int8)
-        candidates = np.stack([s1[t], s2, s3])
-        out[t] = exponential_mechanism(
-            candidates, eval_value(graph, candidates), stage_budget(epsilon, final_share), 1.0, gen
-        )
-    return out
+    kept = gen.random((trials, u.size)) < rate
+    kept &= ~(high.take(u, axis=1) | high.take(v, axis=1))
+    # one choice uniform per vertex regardless of degree, so a neighbouring
+    # graph with coupled randomness changes only the endpoints' choices
+    chosen, rows, lower = _mutual_choice(n, u, v, kept, gen.random((trials, n)))
+    # the cut value adds over matched edges, so the exponential mechanism
+    # over all assignments with weight exp(2.5 * value / 4) factorizes: each
+    # matched edge is cut independently, any other vertex is uniform
+    w = gen.random((trials, n))
+    s2 = signs_from_bits(w < 0.5)
+    if rows.size:  # most single runs match no edge; skip the empty scatter
+        upper = s2[rows, chosen[rows, lower]]
+        s2[rows, lower] = np.where(w[rows, lower] < matched_edge_cut_probability(), -upper, upper)
+    # row t of the (trials, 3 * n) concatenation is row t's three candidates
+    candidates = np.concatenate((s1, s2, signs_from_bits(high)), axis=1).reshape(trials, 3, n)
+    scores = eval_value(graph, candidates.reshape(-1, n)).reshape(trials, 3)
+    pick = exponential_mechanism(scores, stage_budget(epsilon, final_share), 1.0, gen)
+    return candidates[np.arange(trials), pick]

@@ -490,31 +490,25 @@ def _block_values(problem: CspInstance | WeightedGraph, block: np.ndarray) -> np
 
 
 def associated_advantage(instance: CspInstance, x) -> float:
-    """Mean centered constraint value: (value - mu * m) / m, computed exactly
-    per constraint so value = (mu + advantage) * m holds."""
+    """Mean centered constraint value: (value - sum of the per-constraint
+    mu) / m, in exact fractions, so value = (mu + advantage) * m holds."""
     if instance.m == 0:
         raise ValueError("advantage undefined for an empty instance")
-    xv = as_assignment(x, instance.n)
-    total = Fraction(0)
-    for c in instance.constraints:
-        total += c.evaluate(xv) - _mu_constraint_exact(c)
-    return float(total / instance.m)
+    mu_sum = sum(map(_mu_constraint_exact, instance.constraints), Fraction(0))
+    value = int(eval_value(instance, as_assignment(x, instance.n)))
+    return float((value - mu_sum) / instance.m)
 
 
 def g_value(instance: CspInstance, x) -> float:
-    """Normalized parity sum (1/sqrt(m)) * sum_l b_l * prod_{i in scope_l} x_i."""
+    """Normalized parity sum (1/sqrt(m)) * sum_l b_l * prod_{i in scope_l} x_i.
+    A term is +1 exactly when its constraint is satisfied, so the sum is
+    2 * value - m."""
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError(f"g_value requires a parity instance, got kind {instance.kind!r}")
     if instance.m == 0:
         raise ValueError("g_value undefined for an empty instance")
     xv = as_assignment(x, instance.n)
-    total = 0
-    for c in instance.constraints:
-        prod = 1
-        for i in c.scope:
-            prod *= int(xv[i])
-        total += c.b * prod
-    return total / np.sqrt(instance.m)
+    return (2 * eval_value(instance, xv) - instance.m) / np.sqrt(instance.m)
 
 
 def _mu_constraint_exact(c: Constraint) -> Fraction:

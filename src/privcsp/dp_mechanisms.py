@@ -5,15 +5,16 @@ Every mechanism draws from a numpy Generator. RngStream wraps a
 (seed, stream) pair that reproduces draws bit-for-bit across runs;
 concurrent trials must use distinct stream ids.
 
-The exponential mechanism has two forms: exponential_mechanism picks one
-of a few candidates by precomputed score, and em_over_assignments_batch
-draws (trials, |active|) blocks over all sign assignments of a variable
-set. The noisy-degree split is three helpers that work on (trials, n)
-blocks, one run per row: noisy_high_mask (the degree stage), em_on_part
-(the exponential mechanism on each row's part) and degree_split_batch,
-the unbounded-degree pipeline of alg2, alg_oddk and alg5. The share
-tables give each stage its part of epsilon, and budget_ledger lists them
-per ALGORITHMS id.
+The exponential mechanism has two forms on one CDF function (_em_cdf):
+exponential_mechanism draws one candidate index per row of a (trials, k)
+score block, and em_over_assignments_batch draws (trials, |active|)
+blocks over all sign assignments of a variable set. The noisy-degree
+split is three helpers that work on (trials, n) blocks, one run per row:
+noisy_high_mask (the degree stage), em_on_part (the exponential mechanism
+on each row's part) and degree_split_batch, the unbounded-degree pipeline
+of alg2, alg_oddk and alg5. The share tables give each stage its part of
+epsilon, budget_ledger lists them per ALGORITHMS id, and threshold_power
+rejects an epsilon whose degree-threshold power underflows.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ __all__ = [
     "UNBOUNDED_BUDGET_FRACTIONS",
     "GENERAL_BUDGET_FRACTIONS",
     "stage_budget",
+    "threshold_power",
     "budget_ledger",
     "noisy_high_mask",
     "em_on_part",
@@ -177,44 +179,40 @@ def randomized_response(bit, epsilon: float, rng, domain: str = "pm1"):
 
 
 def _em_cdf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarray:
-    """Cumulative selection probabilities of candidates with weight
-    exp(epsilon * score / (2 * sensitivity)), in candidate order."""
-    logw = (epsilon / (2.0 * sensitivity)) * scores
-    w = np.exp(logw - logw.max())
-    return np.cumsum(w / w.sum())
+    """Cumulative selection probabilities along the last axis of candidates
+    with weight exp(epsilon * score / (2 * sensitivity)), in candidate order.
+    The weights are taken of the scores minus their maximum, so no product
+    overflows: at any epsilon the maximizers weigh exactly 1, and as epsilon
+    grows the law tends to the uniform one over them."""
+    w = scores - scores.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a huge epsilon makes a loser's weight exp(-inf) = 0
+        w *= epsilon / (2.0 * sensitivity)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w.cumsum(axis=-1)
 
 
-def _em_draws(cdf: np.ndarray, gen, trials: int) -> np.ndarray:
-    """Indices of `trials` independent draws from the law with cumulative
-    probabilities `cdf`, by inverse CDF on one uniform each; ties go by
-    the uniform, never by index."""
-    idx = np.searchsorted(cdf, gen.random(trials), side="right")
-    return np.minimum(idx, cdf.shape[0] - 1)
-
-
-def exponential_mechanism(
-    candidates: Sequence,
-    scores: Sequence[float],
-    epsilon: float,
-    sensitivity: float,
-    rng,
-):
-    """Samples a candidate with weight exp(epsilon * score / (2 * sensitivity)),
-    given one precomputed score per candidate. Ties are broken by the
-    sampler's uniform draw, never by candidate index.
+def exponential_mechanism(scores, epsilon: float, sensitivity: float, rng) -> np.ndarray:
+    """Row-wise exponential mechanism over a (trials, k) block of candidate
+    scores: the returned (trials,) int64 vector holds one candidate index per
+    row, drawn with weight exp(epsilon * score / (2 * sensitivity)) by
+    inverse CDF on one gen.random double per row. Ties are broken by that
+    uniform, never by candidate index.
     """
-    if len(candidates) == 0:
-        raise ValueError("candidate set must be nonempty")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] == 0:
+        raise ValueError(
+            f"scores must be a (trials, k) block with k >= 1 candidates, got shape {scores.shape}"
+        )
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     check_epsilon(epsilon)
-    scores = np.asarray([float(s) for s in scores])
-    if scores.shape[0] != len(candidates):
-        raise ValueError("score vector length must match candidate count")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     cdf = _em_cdf(scores, epsilon, sensitivity)
-    return candidates[int(_em_draws(cdf, as_generator(rng), 1)[0])]
+    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
+    idx = (cdf <= as_generator(rng).random(scores.shape[0])[:, None]).sum(axis=1)
+    return np.minimum(idx, scores.shape[1] - 1)
 
 
 def em_over_assignments_batch(
@@ -262,14 +260,25 @@ def em_over_assignments_batch(
         memo.clear()
         cdf = memo[key] = _em_cdf(all_values(problem, active), budget, sensitivity)
         cdf.flags.writeable = False
-    idx = _em_draws(cdf, as_generator(rng), trials)
-    return assignment_rows(idx, len(active))
+    # inverse CDF on one uniform per row; ties go by the uniform, never by index
+    idx = np.searchsorted(cdf, as_generator(rng).random(trials), side="right")
+    return assignment_rows(np.minimum(idx, cdf.shape[0] - 1), len(active))
 
 
 def stage_budget(epsilon: float, share: Fraction) -> float:
     """Epsilon times the share's numerator, over its denominator: for a unit
     share 1/d exactly epsilon / d, which float(share) * epsilon is not."""
     return epsilon * share.numerator / share.denominator
+
+
+def threshold_power(epsilon: float, exponent: float, power: str) -> float:
+    """epsilon ** exponent, the power a degree threshold divides by. Raises
+    ValueError naming epsilon and the power (described by `power`) when it
+    underflows to 0, so the threshold never divides by zero."""
+    value = epsilon ** exponent
+    if value == 0.0:
+        raise ValueError(f"{power} underflows to 0 at epsilon = {epsilon}")
+    return value
 
 
 def budget_ledger(algorithm: str, epsilon: float) -> tuple[tuple[str, float], ...]:

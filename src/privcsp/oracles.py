@@ -195,7 +195,9 @@ def at_threshold_prob(d: int, epsilon: float) -> float:
 def exact_em_distribution(
     scores: Sequence[float], epsilon: float, sensitivity: float
 ) -> np.ndarray:
-    """Normalized exponential-mechanism weight vector for the given scores."""
+    """Normalized exponential-mechanism weight vector for the given scores.
+    As epsilon grows it tends to the uniform law over the maximizers, which
+    it gives exactly once every other weight underflows to 0."""
     s = np.asarray([float(v) for v in scores], dtype=np.float64)
     if s.size == 0:
         raise ValueError("candidate set must be nonempty")
@@ -206,9 +208,10 @@ def exact_em_distribution(
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     check_epsilon(epsilon)
-    logw = (epsilon / (2.0 * sensitivity)) * s
-    logw -= logw.max()
-    w = np.exp(logw)
+    # weights of the scores minus their maximum: no product overflows, and
+    # the maximizers weigh exactly 1 at any epsilon
+    with np.errstate(over="ignore"):
+        w = np.exp((epsilon / (2.0 * sensitivity)) * (s - s.max()))
     return w / w.sum()
 
 

@@ -13,9 +13,9 @@ from privcsp.algo_maxcut import (
     GENERAL_BUDGET_FRACTIONS,
     MATCHING_EM_BUDGET,
     MATCHING_EM_SENSITIVITY,
+    _mutual_choice,
     dp_shearer_batch,
     matched_edge_cut_probability,
-    mutual_choice_matching,
 )
 from privcsp.constants import AT_THRESHOLD_LOWER_C
 from privcsp.csp_core import (
@@ -244,17 +244,18 @@ def test_criterion_09_matching_mechanism_and_budget_ledgers():
     for name in ("alg5", "alg6"):
         stages = budget_ledger(name, 0.1)
         ok &= abs(sum(b for _, b in stages) - 0.1) < 1e-15
+    # one block of 10 000 rows, each a random subgraph of K6,6 (every
+    # random bipartite graph on up to 6 + 6 vertices is one)
     rng = gen(900)
-    for _ in range(10_000):
-        a = int(rng.integers(2, 7))
-        b = int(rng.integers(2, 7))
-        m = int(rng.integers(1, a * b + 1))
-        graph = gen_triangle_free_graph(
-            "random_bipartite", a, b, m, seed=int(rng.integers(1 << 30))
-        )
-        state = mutual_choice_matching(graph, rng)
-        used = [v for e in state.edges for v in e]
-        ok &= len(used) == len(set(used))
+    n, trials = 12, 10_000
+    u, v = np.repeat(np.arange(6), 6), 6 + np.tile(np.arange(6), 6)
+    kept = rng.random((trials, u.size)) < rng.random((trials, 1))
+    chosen, rows, lower = _mutual_choice(n, u, v, kept, rng.random((trials, n)))
+    upper = chosen[rows, lower]
+    ends = np.concatenate((rows * n + lower, rows * n + upper))
+    ok &= rows.size > trials and np.unique(ends).size == ends.size
+    # each matched pair is an edge its row keeps
+    ok &= bool(kept[rows, 6 * lower + upper - 6].all())
     report("criterion 9: matching mechanism constants, ledgers, and validity", ok)
 
 

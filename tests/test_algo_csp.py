@@ -231,6 +231,13 @@ class TestAlg2:
         with pytest.raises(ValueError, match="epsilon must be finite"):
             alg2_batch(cycle_instance(4), eps, gen(), 1)
 
+    @pytest.mark.parametrize("eps", [1e-100, 1e-90])
+    def test_eps_whose_threshold_underflows_rejected(self, eps):
+        # the threshold 10000/eps^4 used to divide by zero at eps^4 = 0.0
+        assert eps ** 4 == 0.0
+        with pytest.raises(ValueError, match=r"eps\^4 underflows to 0 at epsilon = "):
+            alg2_batch(cycle_instance(4), eps, gen(), 1)
+
     def test_custom_subroutine_called(self):
         calls = []
 
@@ -388,3 +395,9 @@ class TestAlgOddK:
         inst = gen_random_kxor(GenSpec(n=6, m=4, k=3, seed=9))
         with pytest.raises(ValueError, match="epsilon must be finite"):
             alg_oddk_batch(inst, eps, gen(), 1)
+
+    def test_eps_whose_threshold_underflows_rejected(self):
+        # the threshold 100/eps^2 used to divide by zero at eps^2 = 0.0
+        inst = gen_random_kxor(GenSpec(n=6, m=4, k=3, seed=9))
+        with pytest.raises(ValueError, match=r"eps\^2 underflows to 0 at epsilon = 1e-200"):
+            alg_oddk_batch(inst, 1e-200, gen(), 1)

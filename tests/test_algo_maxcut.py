@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from privcsp import algo_maxcut
 from privcsp.algo_maxcut import (
     GENERAL_BUDGET_FRACTIONS,
     MATCHING_EM_BUDGET,
     MATCHING_EM_SENSITIVITY,
-    MatchingState,
+    _mutual_choice,
     dp_maxcut_general_batch,
     dp_maxcut_unbounded_batch,
     dp_shearer_batch,
     matched_edge_cut_probability,
-    matching_em_cut,
-    mutual_choice_matching,
     shearer_batch,
 )
 from privcsp.csp_core import WeightedGraph, eval_value
@@ -35,6 +34,22 @@ def k33():
     )
 
 
+def mutual_choice(graph, kept, draws):
+    """_mutual_choice on a graph's edges: the picks, and each row's matched
+    edges as sorted (lower, upper) tuples."""
+    u, v, _ = graph.edge_arrays()
+    chosen, rows, lower = _mutual_choice(graph.n, u, v, kept, draws)
+    edges = [[] for _ in range(draws.shape[0])]
+    for r, x in zip(rows.tolist(), lower.tolist()):
+        edges[r].append((x, int(chosen[r, x])))
+    return chosen, edges
+
+
+def all_kept(graph, trials, seed):
+    """Every edge kept in each of `trials` rows, with fresh choice uniforms."""
+    return np.ones((trials, graph.m), dtype=bool), gen(seed).random((trials, graph.n))
+
+
 def edge_cut_freqs(graph, rows):
     u, v, _ = graph.edge_arrays()
     return (rows[:, u] != rows[:, v]).mean(axis=0)
@@ -47,9 +62,16 @@ class TestCutAndLedger:
             eval_value(g, [1, 0])
         assert eval_value(g, np.array([1, -1])) == 1.0
 
-    def test_matching_state_validation(self):
-        with pytest.raises(ValueError):
-            MatchingState(choices=(1, 0, 1), edges=((0, 1), (1, 2)))
+    def test_matching_is_vertex_disjoint(self):
+        # 2000 rows, each a random subgraph of a multigraph on 8 vertices
+        rng = gen(21)
+        n, m, trials = 8, 40, 2000
+        u = rng.integers(0, n, size=m)
+        v = (u + rng.integers(1, n, size=m)) % n
+        kept = rng.random((trials, m)) < rng.random((trials, 1))
+        chosen, rows, lower = _mutual_choice(n, u, v, kept, rng.random((trials, n)))
+        ends = np.concatenate((rows * n + lower, rows * n + chosen[rows, lower]))
+        assert rows.size > trials and np.unique(ends).size == ends.size
 
     def test_budget_fractions_exact(self):
         assert sum(UNBOUNDED_BUDGET_FRACTIONS) == 1
@@ -198,22 +220,24 @@ class TestDpMaxcutUnbounded:
         with pytest.raises(ValueError, match="finite"):
             dp_maxcut_unbounded_batch(cycle(4), eps, gen(), 1)
 
+    def test_eps_whose_threshold_underflows_rejected(self):
+        # the threshold 10000/eps^2 used to divide by zero at eps^2 = 0.0
+        with pytest.raises(ValueError, match=r"eps\^2 underflows to 0 at epsilon = 1e-200"):
+            dp_maxcut_unbounded_batch(cycle(4), 1e-200, gen(), 1)
+
 
 class TestMutualChoiceMatching:
     def test_single_edge_forced(self):
         g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
-        state = mutual_choice_matching(g, gen(12))
-        assert state.edges == ((0, 1),)
+        chosen, edges = mutual_choice(g, *all_kept(g, 5, 12))
+        assert edges == [[(0, 1)]] * 5 and np.array_equal(chosen, [[1, 0]] * 5)
 
     def test_path_halves(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        hits = {(0, 1): 0, (1, 2): 0}
         trials = 50_000
-        for t in range(trials):
-            state = mutual_choice_matching(g, RngStream(13, t).generator())
-            assert len(state.edges) == 1
-            hits[state.edges[0]] += 1
-        p = hits[(0, 1)] / trials
+        _, edges = mutual_choice(g, *all_kept(g, trials, 13))
+        assert all(len(row) == 1 for row in edges)
+        p = sum(row == [(0, 1)] for row in edges) / trials
         assert abs(p - 0.5) < 3.5 * math.sqrt(0.25 / trials)
 
     def test_matching_property_random_graphs(self):
@@ -225,26 +249,28 @@ class TestMutualChoiceMatching:
                 int(rng.integers(1, (n // 2) * (n - n // 2) + 1)),
                 seed=int(rng.integers(1 << 30)),
             )
-            state = mutual_choice_matching(g, rng)
-            edge_set = {tuple(sorted((u, v))) for u, v, _ in g.edges}
-            for u, v in state.edges:
-                assert (u, v) in edge_set
+            kept = rng.random((5, g.m)) < 0.5
+            _, edges = mutual_choice(g, kept, rng.random((5, g.n)))
+            for r, row in enumerate(edges):
+                kept_set = {tuple(sorted(g.edges[i][:2])) for i in np.flatnonzero(kept[r])}
+                assert set(row) <= kept_set
 
     @staticmethod
-    def loop_reference(graph, rng):
-        """The adjacency-list walk the column kernel replaced."""
+    def loop_reference(graph, draws):
+        """The adjacency-list walk the column kernel replaced, on one row of
+        choice uniforms."""
         adj = [[] for _ in range(graph.n)]
         for u, v, _ in graph.edges:
             adj[u].append(v)
             adj[v].append(u)
-        draws = rng.random(graph.n)
         choices = [int(sorted(a)[int(draws[v] * len(a))]) if a else -1 for v, a in enumerate(adj)]
-        edges = tuple((u, choices[u]) for u in range(graph.n)
-                      if choices[u] > u and choices[choices[u]] == u)
+        edges = [(u, choices[u]) for u in range(graph.n)
+                 if choices[u] > u and choices[choices[u]] == u]
         return choices, edges
 
     def test_matches_adjacency_walk(self):
-        # multigraphs with isolated vertices, repeated edges and both orientations
+        # multigraphs with isolated vertices, repeated edges and both
+        # orientations, all edges kept in every row, exactly on the same uniforms
         rng = gen(16)
         graphs = [WeightedGraph(n=0, edges=()), WeightedGraph(n=5, edges=()), cycle(6), k33()]
         for _ in range(300):
@@ -253,59 +279,69 @@ class TestMutualChoiceMatching:
             graphs.append(WeightedGraph.from_arrays(n, u, (u + rng.integers(1, n, size=m)) % n,
                                                     np.ones(m)))
         for i, g in enumerate(graphs):
-            state = mutual_choice_matching(g, RngStream(i, 0).generator())
-            choices, edges = self.loop_reference(g, RngStream(i, 0).generator())
-            assert state.choices == tuple(choices) and state.edges == edges
-            assert all(type(c) is int for c in state.choices)
+            kept, draws = all_kept(g, 3, i)
+            chosen, edges = mutual_choice(g, kept, draws)
+            assert chosen.dtype == np.int64
+            for r in range(3):
+                choices, ref_edges = self.loop_reference(g, draws[r])
+                assert chosen[r].tolist() == choices and edges[r] == ref_edges
 
     def test_neighboring_graph_coupling(self):
-        # same randomness, one extra edge: only the endpoints' choices can
-        # change, so the matchings differ in at most 4 edges
+        # same uniforms, one extra edge: only the endpoints' choices can
+        # change, so the matchings differ in at most 4 edges, all touching it
         rng = gen(15)
-        for trial in range(300):
-            n = 12
-            g = gen_triangle_free_graph(
-                "random_bipartite", 6, 6, 12, seed=int(rng.integers(1 << 30))
-            )
-            present = {tuple(sorted((u, v))) for u, v, _ in g.edges}
-            candidates = [
-                (u, 6 + v)
-                for u in range(6)
-                for v in range(6)
-                if (u, 6 + v) not in present
-            ]
-            extra = candidates[int(rng.integers(len(candidates)))]
-            g2 = WeightedGraph(n=n, edges=g.edges + ((extra[0], extra[1], 1.0),))
-            seed = int(rng.integers(1 << 30))
-            m1 = mutual_choice_matching(g, RngStream(seed, 0).generator())
-            m2 = mutual_choice_matching(g2, RngStream(seed, 0).generator())
-            diff = set(m1.edges) ^ set(m2.edges)
+        trials = 300
+        g = gen_triangle_free_graph("random_bipartite", 6, 6, 12, seed=int(rng.integers(1 << 30)))
+        present = {tuple(sorted((u, v))) for u, v, _ in g.edges}
+        candidates = [(u, 6 + v) for u in range(6) for v in range(6) if (u, 6 + v) not in present]
+        extra = candidates[int(rng.integers(len(candidates)))]
+        g2 = WeightedGraph(n=12, edges=g.edges + ((extra[0], extra[1], 1.0),))
+        kept, draws = all_kept(g2, trials, int(rng.integers(1 << 30)))
+        _, m1 = mutual_choice(g, kept[:, :-1], draws)
+        _, m2 = mutual_choice(g2, kept, draws)
+        assert m1 != m2
+        for a, b in zip(m1, m2):
+            diff = set(a) ^ set(b)
             assert len(diff) <= 4
             for u, v in diff:
                 assert {u, v} & set(extra)
 
 
 class TestMatchingEmCut:
-    def test_matched_edges_cut_at_target(self):
-        matching = MatchingState(choices=(1, 0, 3, 2), edges=((0, 1), (2, 3)))
+    """The factorized exponential mechanism of alg6's matching stage, read
+    from one kernel block: the final selection is pinned to the matching
+    candidate, and every row gets the same matching."""
+
+    @staticmethod
+    def matching_rows(monkeypatch, graph, matching, trials, seed):
+        def fixed(n, u, v, kept, draws):
+            chosen = np.full(draws.shape, -1, dtype=np.int64)
+            for a, b in matching:
+                chosen[:, a], chosen[:, b] = b, a
+            rows = np.repeat(np.arange(trials), len(matching))
+            lower = np.tile([min(e) for e in matching], trials).astype(np.intp)
+            return chosen, rows, lower
+
+        monkeypatch.setattr(algo_maxcut, "_mutual_choice", fixed)
+        monkeypatch.setattr(algo_maxcut, "exponential_mechanism",
+                            lambda scores, *args: np.ones(scores.shape[0], dtype=np.int64))
+        return dp_maxcut_general_batch(graph, 0.1, 2.0, gen(seed), trials)
+
+    def test_matched_edges_cut_at_target(self, monkeypatch):
+        matching = ((0, 1), (2, 3))
         target = matched_edge_cut_probability()
         trials = 100_000
-        rows = np.array(
-            [matching_em_cut(4, matching, RngStream(16, t).generator()) for t in range(trials)]
-        )
+        rows = self.matching_rows(monkeypatch, cycle(4), matching, trials, 16)
         sigma = math.sqrt(target * (1 - target) / trials)
-        for u, v in matching.edges:
+        for u, v in matching:
             p = np.mean(rows[:, u] != rows[:, v])
             assert abs(p - target) < 3.5 * sigma
         # the unmatched middle pair is cut with probability exactly 1/2
         p_mid = np.mean(rows[:, 1] != rows[:, 2])
         assert abs(p_mid - 0.5) < 3.5 * math.sqrt(0.25 / trials)
 
-    def test_unmatched_vertices_uniform(self):
-        matching = MatchingState(choices=(-1, -1, -1), edges=())
-        rows = np.array(
-            [matching_em_cut(3, matching, RngStream(17, t).generator()) for t in range(50_000)]
-        )
+    def test_unmatched_vertices_uniform(self, monkeypatch):
+        rows = self.matching_rows(monkeypatch, WeightedGraph(n=3, edges=()), (), 50_000, 17)
         assert np.all(np.abs(rows.mean(axis=0)) < 0.02)
 
 

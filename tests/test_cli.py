@@ -300,6 +300,24 @@ class TestAlg6Alpha:
         assert code == EXIT_VALIDATION and out == "" and "alpha" in err
 
 
+class TestThresholdUnderflow:
+    @pytest.mark.parametrize("algorithm,gen_args,eps,power", [
+        ("alg2", ("--kind", "kxor", "--n", "8", "--m", "3", "--k", "2", "--triangle-free"),
+         "1e-100", "eps^4"),
+        ("alg5", ("--kind", "even_cycle", "--n", "8"), "1e-200", "eps^2"),
+        ("alg_oddk", ("--kind", "kxor", "--n", "8", "--m", "3", "--k", "3"), "1e-200", "eps^2"),
+    ])
+    def test_underflowing_threshold_is_a_validation_error(
+            self, tmp_path, capsys, algorithm, gen_args, eps, power):
+        # each used to end in an uncaught ZeroDivisionError traceback
+        path = tmp_path / "inst.json"
+        assert run(capsys, "gen", *gen_args, "--out", str(path))[0] == 0
+        code, out, err = run(
+            capsys, "solve", "--algorithm", algorithm, "--instance", str(path), "--eps", eps)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and f"{power} underflows to 0 at epsilon = {eps}" in err
+
+
 def _call(capsys, argv):
     """(exit code, stdout, stderr) of one main call; an argparse rejection
     gives its SystemExit code. ratio and sweep lose the wall_ms column."""

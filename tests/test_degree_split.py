@@ -175,9 +175,9 @@ class TestBudgetsMatchLedger:
             matching.append(budget)
             return real_check(rate, budget)
 
-        def select(candidates, score, e, sensitivity, rng):
+        def select(scores, e, sensitivity, rng):
             final.append(e)
-            return real_em(candidates, score, e, sensitivity, rng)
+            return real_em(scores, e, sensitivity, rng)
 
         monkeypatch.setattr(algo_maxcut, "_check_amplification", check)
         monkeypatch.setattr(algo_maxcut, "exponential_mechanism", select)

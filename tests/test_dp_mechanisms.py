@@ -186,51 +186,82 @@ class TestRandomizedResponse:
             randomized_response(1, -1.0, gen())
 
 
+def em_counts(scores, eps, seed, trials):
+    """Index counts of one exponential_mechanism call on `trials` rows of
+    the same scores."""
+    picks = exponential_mechanism(np.tile(scores, (trials, 1)), eps, 1.0, gen(seed))
+    assert picks.shape == (trials,)
+    return np.bincount(picks, minlength=len(scores))
+
+
 class TestExponentialMechanism:
     def test_two_candidates(self):
-        g = gen(12)
-        hits = sum(
-            exponential_mechanism(["best", "other"], [1.0, 0.0], 2.0, 1.0, g) == "best"
-            for _ in range(100_000)
-        )
+        hits = em_counts([1.0, 0.0], 2.0, 12, 100_000)[0]
         target = math.e / (1 + math.e)
         sigma = math.sqrt(target * (1 - target) / 100_000)
         assert abs(hits / 100_000 - target) < 3.5 * sigma
 
     def test_equal_scores_uniform(self):
-        g = gen(13)
-        counts = np.zeros(4)
-        for _ in range(40_000):
-            counts[exponential_mechanism([0, 1, 2, 3], [2.0] * 4, 1.0, 1.0, g)] += 1
+        counts = em_counts([2.0] * 4, 1.0, 13, 40_000)
         assert np.all(np.abs(counts / 40_000 - 0.25) < 0.01)
 
     def test_sampling_matches_exact(self):
         scores = [3.0, 1.0, 0.0, 2.5, 2.0]
         probs = exact_em_distribution(scores, 1.5, 1.0)
-        g = gen(14)
-        counts = np.zeros(len(scores))
         trials = 100_000
-        for _ in range(trials):
-            counts[exponential_mechanism(range(len(scores)), scores, 1.5, 1.0, g)] += 1
-        tv = 0.5 * np.abs(counts / trials - probs).sum()
+        picks = exponential_mechanism(np.tile(scores, (trials, 1)), 1.5, 1.0, gen(14))
+        tv = 0.5 * np.abs(np.bincount(picks, minlength=5) / trials - probs).sum()
         assert tv <= 0.01
+
+    def test_rows_follow_their_own_scores(self):
+        # one block whose rows carry different scores: each row's pick
+        # follows its own scores' law
+        table = np.array([[3.0, 1.0, 0.0], [0.0, 0.0, 4.0], [1.0, 1.0, 1.0], [-2.0, 5.0, 0.5]])
+        trials = 100_000
+        which = np.arange(4 * trials) % 4
+        picks = exponential_mechanism(table[which], 1.5, 1.0, gen(22))
+        for i, scores in enumerate(table):
+            counts = np.bincount(picks[which == i], minlength=3)
+            tv = 0.5 * np.abs(counts / trials - exact_em_distribution(scores, 1.5, 1.0)).sum()
+            assert tv <= 0.01
+
+    def test_one_uniform_per_row(self):
+        # index i is taken when the row's uniform lies in [cdf[i-1], cdf[i])
+        scores = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [5.0, 5.0, 5.0]] * 100)
+        g1, g2 = gen(23), gen(23)
+        picks = exponential_mechanism(scores, 1.0, 1.0, g1)
+        draws = g2.random(scores.shape[0])
+        for row, pick, u in zip(scores, picks, draws):
+            cdf = np.cumsum(exact_em_distribution(row, 1.0, 1.0))
+            assert pick == min(int(np.searchsorted(cdf, u, side="right")), 2)
+        assert g1.random() == g2.random()
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            exponential_mechanism([], [], 1.0, 1.0, gen())
+            exponential_mechanism(np.zeros((1, 0)), 1.0, 1.0, gen())
         with pytest.raises(ValueError):
-            exponential_mechanism([1], [float("nan")], 1.0, 1.0, gen())
+            exponential_mechanism([0.0, 1.0], 1.0, 1.0, gen())
         with pytest.raises(ValueError):
-            exponential_mechanism([1], [0.0], 1.0, 0.0, gen())
+            exponential_mechanism([[float("nan")]], 1.0, 1.0, gen())
+        with pytest.raises(ValueError):
+            exponential_mechanism([[0.0]], 1.0, 0.0, gen())
 
     def test_large_scores_stable(self):
-        out = exponential_mechanism([0, 1], [1e6, 0.0], 10.0, 1.0, gen(15))
-        assert out == 0
+        assert exponential_mechanism([[1e6, 0.0]], 10.0, 1.0, gen(15)).tolist() == [0]
+
+    def test_huge_eps_picks_a_maximizer(self):
+        # eps * score / 2 overflows float at eps = 1e308 and score 4: the
+        # weights are those of the scores minus their maximum, so the law is
+        # the uniform one over the maximizers
+        assert exponential_mechanism([[0.0, 4.0]] * 100, 1e308, 1.0, gen(24)).tolist() == [1] * 100
+        counts = em_counts([4.0, 0.0, 4.0, -1e300], 1e308, 25, 40_000)
+        assert counts[1] == counts[3] == 0
+        assert abs(counts[0] / 40_000 - 0.5) < 3.5 * math.sqrt(0.25 / 40_000)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="finite"):
-            exponential_mechanism([0, 1], [1.0, 0.0], eps, 1.0, gen())
+            exponential_mechanism([[1.0, 0.0]], eps, 1.0, gen())
 
 
 class TestEmOverAssignments:
@@ -312,6 +343,19 @@ class TestEmOverAssignments:
         a = em_over_assignments_batch(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21), 1)[0]
         b = em_over_assignments_batch(self.graph3(), [0, 1, 2], 1.0, 1.0, gen(21), 1)[0]
         assert np.array_equal(a, b)
+
+    def test_huge_budget_uniform_over_maximizers(self):
+        # at budget 1e308 the old weights were inf - inf = nan, and the draw
+        # returned assignment 0 whatever its value
+        inst = CspInstance(n=5, constraints=tuple(
+            Constraint(scope=(i, (i + 1) % 5), b=-1) for i in range(5)), kind="kxor")
+        values = all_values(inst, range(5))
+        best = values == values.max()
+        rows = em_over_assignments_batch(inst, range(5), 1e308, 1.0, gen(26), 10_000)
+        codes = ((rows > 0) << np.arange(5)).sum(axis=1)
+        assert best[codes].all() and np.unique(codes).size == best.sum()
+        cdf = next(iter(inst._em_cdf_memo.values()))
+        assert np.array_equal(np.diff(cdf, prepend=0.0)[~best], np.zeros((~best).sum()))
 
     def test_single_draw_reads_one_uniform(self):
         # the single draw is row 0 of a one-trial batch: it reads the one

@@ -100,18 +100,23 @@ class TestChunkedBlocks:
         assert without_wall_ms(harness.estimate_ratio(config, g)) == without_wall_ms(
             harness.estimate_ratio(config, bipartite()))
 
-    @pytest.mark.parametrize("algorithm,problem,trials", [
+    @pytest.mark.parametrize("algorithm,problem,trials,eps,alpha", [
         # 20000 trials on n = 1000 in chunks of 262 rows: the dp_shearer
         # kernel's (rows, m) temporaries for one chunk peak near 8 MB, for
         # the whole block they would take some 80 times that
-        ("dp_shearer", bipartite(), 20_000),
+        ("dp_shearer", bipartite(), 20_000, 1.0, 0.0),
         # average degree 200 and 50: chunks of 2^20 / n rows, each of m
         # entries, would peak near 115 and 210 MB at these trial counts
-        ("dp_shearer", bipartite(n=200, m=20_000), 2000),
-        ("alg3", DENSE_KXOR, 1000),
-    ], ids=["dp_shearer-n1000", "dp_shearer-degree200", "alg3-degree50"])
-    def test_memory_bounded_by_chunk(self, algorithm, problem, trials):
-        config = harness.ExperimentConfig(algorithm=algorithm, eps=(1.0,), trials=trials, seed=2)
+        ("dp_shearer", bipartite(n=200, m=20_000), 2000, 1.0, 0.0),
+        ("alg3", DENSE_KXOR, 1000, 1.0, 0.0),
+        # the threshold 24/eps^3 leaves the high sets empty, so nothing is
+        # enumerated; alg6's (rows, m) subsampling uniforms and (rows, 3, n)
+        # candidates are the chunk's largest blocks
+        ("alg6", bipartite(), 20_000, 0.1, 2.0),
+    ], ids=["dp_shearer-n1000", "dp_shearer-degree200", "alg3-degree50", "alg6-n1000"])
+    def test_memory_bounded_by_chunk(self, algorithm, problem, trials, eps, alpha):
+        config = harness.ExperimentConfig(
+            algorithm=algorithm, eps=(eps,), alpha=alpha, trials=trials, seed=2)
         harness.estimate_ratio(dataclasses.replace(config, trials=1), problem)
         tracemalloc.start()
         try:

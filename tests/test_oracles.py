@@ -278,6 +278,12 @@ class TestExactEmDistribution:
         with pytest.raises(ValueError, match="finite"):
             exact_em_distribution([1.0, 0.0], eps, 1.0)
 
+    def test_huge_eps_uniform_over_maximizers(self):
+        # eps * score / 2 overflows float at eps = 1e308 and score 4; the law
+        # is exactly the uniform one over the maximizers, not nan
+        assert exact_em_distribution([0.0, 4.0], 1e308, 1.0).tolist() == [0.0, 1.0]
+        assert exact_em_distribution([4.0, 0.0, 4.0, 3.0], 1e308, 1.0).tolist() == [0.5, 0.0, 0.5, 0.0]
+
     def test_sums_to_one(self):
         rng = gen(2)
         for _ in range(20):

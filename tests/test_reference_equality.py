@@ -5,29 +5,35 @@ The references below are the forms that the array code replaced:
 eval_value summing Constraint.evaluate, alg1 with a derivative_q call and
 scalar draws per greedy variable, alg3's influence loop and its per-trial
 body, _two_color_batch with np.add.at, the harness's per-trial runs on
-RngStream(seed, t), and alg6's low-edge subsampling with one scalar draw
-per edge. The audit kernels have copies of their float64/int64 forms with
-nested np.where: alg1_batch with np.add.at and the stand-in median table,
-sample_discrete_laplace, assignment_rows, randomized_response's np.unique
-input check, and dp_shearer_batch.
+RngStream(seed, t), and alg6's per-row body: low-edge subsampling with
+one scalar draw per edge, the adjacency-list walk of the mutual-choice
+matching, a scalar draw loop over the matched edges and a candidate-list
+exponential mechanism. g_value and associated_advantage, which read
+eval_value, have their per-constraint loops. The audit kernels have
+copies of their float64/int64 forms with nested np.where: alg1_batch with
+np.add.at and the stand-in median table, sample_discrete_laplace,
+assignment_rows, randomized_response's np.unique input check, and
+dp_shearer_batch.
 
 Where a kernel reads the same draws as its reference, every comparison is
 exact (np.array_equal or ==), and the generator state after a run must
 match too, so each draw is the same draw. Where the batch kernels read
 other draws than the per-trial forms (alg1 off the sign-form audit path,
-alg3, and every algorithm in the harness), the tests compare output laws
-instead: a fixed-seed chi-square test of the kernel's rows against the
-exact law where an oracle exists, or against the reference's rows, with a
-4-sigma tolerance.
+alg3, alg6, and every algorithm in the harness), the tests compare output
+laws instead: a fixed-seed chi-square test of the kernel's rows against
+the exact law where an oracle exists, or against the reference's rows,
+with a 4-sigma tolerance. alg6's mutual-choice helper is also compared
+exactly with the adjacency walk on the uniforms the kernel draws.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from privcsp import algo_csp, harness
+from privcsp import algo_csp, algo_maxcut, harness
 from privcsp.algo_csp import (
     _kept_influence,
     _median_for,
@@ -40,8 +46,6 @@ from privcsp.algo_maxcut import (
     dp_maxcut_general_batch,
     dp_maxcut_unbounded_batch,
     dp_shearer_batch,
-    matching_em_cut,
-    mutual_choice_matching,
 )
 from privcsp.csp_core import (
     Constraint,
@@ -50,9 +54,11 @@ from privcsp.csp_core import (
     all_values,
     as_assignment,
     assignment_rows,
+    associated_advantage,
     degrees,
     derivative_q,
     eval_value,
+    g_value,
     is_triangle_free,
 )
 from privcsp.dp_mechanisms import (
@@ -60,7 +66,6 @@ from privcsp.dp_mechanisms import (
     as_generator,
     degree_split_batch,
     em_over_assignments_batch,
-    exponential_mechanism,
     keep_probability,
     randomized_response,
     sample_discrete_laplace,
@@ -84,6 +89,28 @@ def ref_eval_value(problem, x):
         return float(w[sv[u] != sv[v]].sum())
     xv = as_assignment(x, problem.n)
     return float(sum(c.evaluate(xv) for c in problem.constraints))
+
+
+def ref_g_value(instance, x):
+    """g_value's per-constraint parity loop."""
+    xv = as_assignment(x, instance.n)
+    total = 0
+    for c in instance.constraints:
+        prod = 1
+        for i in c.scope:
+            prod *= int(xv[i])
+        total += c.b * prod
+    return total / np.sqrt(instance.m)
+
+
+def ref_associated_advantage(instance, x):
+    """associated_advantage's per-constraint loop in exact fractions."""
+    xv = as_assignment(x, instance.n)
+    total = Fraction(0)
+    for c in instance.constraints:
+        mu = Fraction(1, 2) if c.is_xor else Fraction(sum(c.table), len(c.table))
+        total += c.evaluate(xv) - mu
+    return float(total / instance.m)
 
 
 def ref_alg1(instance, epsilon, rng):
@@ -152,9 +179,46 @@ def ref_two_color_batch(graph, gen, trials):
     return c1, c2, ell
 
 
+def ref_mutual_choice(n, edges, draws):
+    """The mutual-choice matching on one row's kept edges by adjacency-list
+    walk: a vertex with kept neighbours adj picks sorted(adj)[int(draws[x] *
+    len(adj))]. Returns the picks (-1 for none) and the matched (x, pick)
+    pairs with x < pick, in vertex order."""
+    nbrs = {}
+    for a, b, _ in edges:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    chosen = [-1] * n
+    for x, adj in nbrs.items():
+        chosen[x] = sorted(adj)[int(draws[x] * len(adj))]
+    pairs = [(x, chosen[x]) for x in sorted(nbrs) if x < chosen[x] and chosen[chosen[x]] == x]
+    return chosen, pairs
+
+
+def ref_matching_em_cut(n, pairs, gen):
+    """The factorized matching mechanism with scalar draws: uniform sides,
+    then per matched edge a fair orientation and a cut with probability
+    e^{2.5/4} / (1 + e^{2.5/4})."""
+    sides = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
+    p_cut = math.exp(2.5 / 4) / (1 + math.exp(2.5 / 4))
+    for u, v in pairs:
+        a = 1 if gen.random() < 0.5 else -1
+        sides[u] = a
+        sides[v] = -a if gen.random() < p_cut else a
+    return sides
+
+
+def ref_exponential_mechanism(candidates, scores, epsilon, sensitivity, gen):
+    """One candidate of a list by inverse CDF of the exact law on one uniform."""
+    cdf = np.cumsum(exact_em_distribution(scores, epsilon, sensitivity))
+    return candidates[min(int(np.searchsorted(cdf, gen.random(), side="right")), len(candidates) - 1)]
+
+
 def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
-    """dp_maxcut_general_batch's one-trial form without its checks, low edges kept one draw at a
-    time. Also returns the size of the high set."""
+    """dp_maxcut_general_batch's old per-row body without its checks: low
+    edges kept one draw at a time, the adjacency walk, the scalar matching
+    mechanism and the candidate-list final selection. Also returns the size
+    of the high set."""
     gen = as_generator(rng)
     n = graph.n
     threshold = 24.0 / epsilon ** (1.0 + alpha)
@@ -169,11 +233,11 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
         (u, v, w) for u, v, w in graph.edges if not high_mask[u] and not high_mask[v]
     )
     kept = tuple(e for e in low_edges if gen.random() < rate)
-    matching = mutual_choice_matching(WeightedGraph(n=n, edges=kept), gen)
-    s2 = matching_em_cut(n, matching, gen)
+    _, pairs = ref_mutual_choice(n, kept, gen.random(n))
+    s2 = ref_matching_em_cut(n, pairs, gen)
     s3 = np.where(high_mask, 1, -1).astype(np.int8)
     candidates = [s1, s2, s3]
-    chosen = exponential_mechanism(
+    chosen = ref_exponential_mechanism(
         candidates, [ref_eval_value(graph, c) for c in candidates], epsilon / 2.0, 1.0, gen
     )
     return np.asarray(chosen, dtype=np.int8), int(high.size)
@@ -612,6 +676,28 @@ class TestEvalValue:
             eval_value(inst, np.ones((2, 2, inst.n), dtype=np.int8))
 
 
+class TestValueEvaluators:
+    """g_value and associated_advantage on eval_value, against their
+    per-constraint loops: equal as floats, bit for bit."""
+
+    @staticmethod
+    def assignments(seed, n):
+        return 2 * np.random.default_rng(seed).integers(0, 2, size=(20, n)) - 1
+
+    def test_g_value_matches_parity_loop(self):
+        for seed in range(40):
+            for inst in (sign_instance(seed), gen_random_kxor(GenSpec(n=12, m=30, k=3, seed=seed))):
+                for x in self.assignments(seed, inst.n):
+                    assert g_value(inst, x) == ref_g_value(inst, x)
+
+    def test_associated_advantage_matches_fraction_loop(self):
+        for seed in range(40):
+            for inst in (sign_instance(seed), mixed_instance(seed),
+                         gen_random_kxor(GenSpec(n=12, m=30, k=3, seed=seed))):
+                for x in self.assignments(seed, inst.n):
+                    assert associated_advantage(inst, x) == ref_associated_advantage(inst, x)
+
+
 class TestWeightedOrder:
     """A weighted cut value adds the cut edges' weights in edge order, as
     ValueChunks does, so a row of all_values equals eval_value of the
@@ -996,36 +1082,78 @@ class TestKernelLaws:
 
 
 class TestAlg6Subsampling:
+    """alg6's matching stage against the old per-row body: the choice
+    helper exactly, on the uniforms the kernel draws, and the kernel's
+    output law against ref_dp_maxcut_general's."""
+
+    CASES = [(0.1, 0.0), (0.05, 0.0), (0.1, 0.2)]
+    TRIALS, REF_TRIALS = 20_000, 3_000
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    @pytest.mark.parametrize("eps,alpha", [(0.1, 0.0), (0.05, 0.0), (0.1, 0.2)])
+    @pytest.mark.parametrize("eps,alpha", CASES)
+    def test_choice_helper_matches_scalar_loop(self, monkeypatch, eps, alpha):
+        # about 7% of the vertices clear the threshold through noise alone;
+        # the graph is dense enough that even the smallest rate keeps edges
+        graph = unit_graph(3, n=14, m=300)
+        u, v, _ = graph.edge_arrays()
+        seen = {}
+        real_high, real_choice = algo_maxcut.noisy_high_mask, algo_maxcut._mutual_choice
+
+        def high_spy(*args):
+            seen["high"] = real_high(*args)
+            return seen["high"]
+
+        def choice_spy(n, u, v, kept, draws):
+            seen["kept"], seen["draws"] = kept, draws
+            seen["out"] = real_choice(n, u, v, kept, draws)
+            return seen["out"]
+
+        monkeypatch.setattr(algo_maxcut, "noisy_high_mask", high_spy)
+        monkeypatch.setattr(algo_maxcut, "_mutual_choice", choice_spy)
+        trials = 2000
+        dp_maxcut_general_batch(graph, eps, alpha, RngStream(7, 0).generator(), trials)
+        high, kept, draws = seen["high"], seen["kept"], seen["draws"]
+        low = ~(high[:, u] | high[:, v])
+        assert high.any(axis=1).sum() >= 500
+        # kept edges are low, and each low edge is kept at the rate
+        assert not (kept & ~low).any()
+        rate, cells = eps ** (1.0 + alpha) / 70.0, low.sum()
+        assert abs(kept.sum() - rate * cells) < 4 * math.sqrt(rate * cells)
+        chosen, rows, lower = seen["out"]
+        assert len(rows) >= 100
+        for r in range(trials):
+            edges = [graph.edges[i] for i in np.flatnonzero(kept[r])]
+            ref_chosen, ref_pairs = ref_mutual_choice(graph.n, edges, draws[r])
+            assert chosen[r].tolist() == ref_chosen
+            assert [(x, ref_chosen[x]) for x in lower[rows == r].tolist()] == ref_pairs
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("eps,alpha", CASES)
     def test_outputs_match_scalar_loop(self, eps, alpha):
-        high_seeds = 0
-        for seed in SEEDS:
-            # about 7% of the vertices clear the threshold through noise
-            # alone, so many seeds have a nonempty high set; the graph is
-            # dense enough that even a large rate keeps some edges
-            make = lambda: unit_graph(seed, n=14, m=300)  # noqa: E731
-            gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = dp_maxcut_general_batch(make(), eps, alpha, gen_new, 1)[0]
-            ref, high = ref_dp_maxcut_general(make(), eps, alpha, gen_ref)
-            assert np.array_equal(new, ref) and new.dtype == ref.dtype
-            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
-            high_seeds += high > 0
-        assert high_seeds >= 50
+        # 300 edges on 5 vertices: high sets vary with the noise, and the
+        # low edges keep an edge in about a quarter of the rows
+        graph = unit_graph(4, n=5, m=300)
+        rows = dp_maxcut_general_batch(graph, eps, alpha, RngStream(8, 0).generator(), self.TRIALS)
+        ref = ref_rows("alg6", graph, eps, alpha, 9, self.REF_TRIALS)
+        assert_same_law(rows, ref, graph.n)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_no_edges_and_one_edge(self):
-        # no low edges (always for the edgeless graph, and for the single
-        # edge whenever noise lifts an endpoint into the high set): the
-        # vector draw takes no uniform, like the loop
-        cases = [WeightedGraph(n=4, edges=()), WeightedGraph(n=2, edges=((0, 1, 1.0),))]
-        for seed in SEEDS:
-            for g in cases:
-                gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                new = dp_maxcut_general_batch(g, 0.1, 0.0, gen_new, 1)[0]
-                ref, _ = ref_dp_maxcut_general(g, 0.1, 0.0, gen_ref)
-                assert np.array_equal(new, ref)
-                assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+        # no edges: every candidate scores 0, so the output is the uniform
+        # s1 or s2 with probability 2/3 and the degree partition s3 (+1 on
+        # the high vertices) with 1/3, each vertex high with probability
+        # P[Laplace(12/eps) > 24/eps] = e^-2 / 2
+        n = 4
+        rows = dp_maxcut_general_batch(WeightedGraph(n=n, edges=()), 0.1, 0.0,
+                                       RngStream(10, 0).generator(), self.TRIALS)
+        p = math.exp(-2.0) / 2
+        pattern = np.array([p ** bin(c).count("1") * (1 - p) ** (n - bin(c).count("1"))
+                            for c in range(1 << n)])
+        assert_law(rows, 2 / 3 / (1 << n) + pattern / 3)
+        # one edge, whose endpoints noise sometimes lifts into the high set
+        graph = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        rows = dp_maxcut_general_batch(graph, 0.1, 0.0, RngStream(11, 0).generator(), self.TRIALS)
+        assert_same_law(rows, ref_rows("alg6", graph, 0.1, 0.0, 12, self.REF_TRIALS), 2)
 
 
 class TestDegreeSplit:
