@@ -10,6 +10,11 @@ Max-Cut admits two lossless views: a CspInstance of 2XOR constraints
 with b = -1, and a WeightedGraph, stored as n and read-only edge columns
 u, v, w. Graph algorithms consume the graph view; CSP algorithms the other.
 
+instance_from_json reads a graph file that is exactly what
+instance_to_json writes (plus at most one final newline) from its bytes
+as arrays, and the graph keeps that text as its instance_to_json; every
+other text, CSP instances included, takes the general json.loads path.
+
 No object is changed after construction; operations are pure.
 Data derived from an instance (a graph's edge triples, degree counts and
 unit-weight flag; a CSP instance's degrees, maximum arity, scope
@@ -367,6 +372,16 @@ class WeightedGraph:
     def _em_cdf_memo(self) -> dict:
         """One-entry memo of dp_mechanisms.em_over_assignments_batch."""
         return {}
+
+    @cached_property
+    def _json_text(self) -> str:
+        """instance_to_json's text, formatted as json.dumps formats ints and finite floats: by %d
+        and float.__repr__. _graph_from_text seeds it with the text it read."""
+        flat = [None] * (3 * self.m)
+        for t, column in enumerate(self._columns):
+            flat[t::3] = column.tolist()
+        edges = ("[%d,%d,%r]," * self.m)[:-1] % tuple(flat)
+        return '{"edges":[%s],"kind":"maxcut","n":%d}' % (edges, self.n)
 
     @property
     def is_unweighted(self) -> bool:
@@ -803,14 +818,10 @@ _CONSTRAINT_FIELDS = {"scope", "b", "table"}
 
 
 def instance_to_json(problem: CspInstance | WeightedGraph) -> str:
-    """Compact JSON with sorted keys. A graph's columns are formatted as
-    json.dumps formats ints and finite floats: by %d and float.__repr__."""
+    """Compact JSON with sorted keys. A graph's text is formatted once per
+    object (or is the text it was read from), as json.dumps formats it."""
     if isinstance(problem, WeightedGraph):
-        flat = [None] * (3 * problem.m)
-        for t, column in enumerate(problem.edge_arrays()):
-            flat[t::3] = column.tolist()
-        edges = ("[%d,%d,%r]," * problem.m)[:-1] % tuple(flat)
-        return '{"edges":[%s],"kind":"maxcut","n":%d}' % (edges, problem.n)
+        return problem._json_text
     cons = []
     for c in problem.constraints:
         if c.is_xor:
@@ -831,7 +842,109 @@ def _json_int(value, field: str) -> int:
 def instance_from_json(text: str) -> CspInstance | WeightedGraph:
     """Parses instance_to_json's format. n, scope entries, b, table entries
     and edge endpoints must be JSON integers and edge weights JSON numbers:
-    anything else (a float, a bool, a string) is rejected, not rounded."""
+    anything else (a float, a bool, a string) is rejected, not rounded.
+
+    Text that is exactly instance_to_json of a graph with edges, plus at
+    most one final newline, is read as arrays (_graph_from_text); any other
+    text goes through json.loads (_instance_from_doc). Both build a graph
+    with WeightedGraph.from_arrays, so they accept and reject alike."""
+    graph = _graph_from_text(text)
+    return _instance_from_doc(text) if graph is None else graph
+
+
+_GRAPH_HEAD = '{"edges":['
+_GRAPH_TAIL = '],"kind":"maxcut","n":'
+_INT_DIGITS = 18  # a canonical %d token of at most 18 digits fits int64
+_FLOAT_REPR_MAX = 24  # len(repr(x)) of a float64 x is at most 24
+_TOKEN_BYTES = b"0123456789.e+-"
+_POW10 = 10 ** np.arange(_INT_DIGITS, dtype=np.int64)
+# the least canonical value of a token of each length: 0 for one digit, 10^(L-1) for L > 1
+_INT_FLOOR = np.array([0, 0, *_POW10[1:]])
+
+
+def _graph_from_text(text: str) -> WeightedGraph | None:
+    """The graph of text that is exactly instance_to_json(graph) for a graph
+    with edges, plus at most one final newline; None for any other text.
+
+    The edges are read from the text's bytes (np.frombuffer). The bytes
+    between tokens must be "[,,]," repeated, endpoints and n canonical %d
+    tokens (digits, no leading zero, at most 18 of them), and each distinct
+    weight token t must be repr(float(t)). So the text is the graph's
+    instance_to_json, which the graph keeps, and json.loads would read the
+    same numbers from it."""
+    if not (text.isascii() and text.startswith(_GRAPH_HEAD + "[")):
+        return None
+    text = text[:-1] if text.endswith("\n") else text
+    end = text.rfind(_GRAPH_TAIL)
+    n_token = text[end + len(_GRAPH_TAIL):-1]
+    if not (end > 0 and text.endswith("}") and n_token.isdigit()
+            and len(n_token) <= _INT_DIGITS and (n_token == "0" or n_token[0] != "0")):
+        return None
+    raw = text[len(_GRAPH_HEAD):].encode("ascii")
+    size = end - len(_GRAPH_HEAD)  # of the body, "[u,v,w],...,[u,v,w]"
+    skeleton = raw[:size].translate(None, _TOKEN_BYTES)
+    m = (len(skeleton) + 1) // 5
+    if skeleton != (b"[,,]," * m)[:-1]:
+        return None
+    # the rest of the text pads the last token's bytes for _float_tokens
+    data = np.frombuffer(raw, dtype=np.uint8)
+    # the commas, one before the body and one after it: each edge's
+    # "[u,v,w]" lies between bounds[3e] and bounds[3e + 3]
+    bounds = np.empty(3 * m + 1, dtype=np.intp)
+    bounds[0] = -1
+    bounds[1:-1] = np.flatnonzero(data[:size] == ord(","))
+    bounds[-1] = size
+    int_ends = np.concatenate((bounds[1::3], bounds[2::3]))  # u, then v
+    int_lengths = int_ends - np.concatenate((bounds[:-1:3] + 2, bounds[1::3] + 1))
+    w_starts = bounds[2::3] + 1
+    w_lengths = bounds[3::3] - 1 - w_starts
+    int_width, w_width = int(int_lengths.max()), int(w_lengths.max())
+    if (min(int_lengths.min(), w_lengths.min()) < 1 or int_width > _INT_DIGITS
+            or w_width > _FLOAT_REPR_MAX):
+        return None
+    ids = _int_tokens(data, int_ends, int_lengths, int_width)
+    w = _float_tokens(data, w_starts, w_lengths, w_width)
+    if ids is None or w is None:
+        return None
+    graph = WeightedGraph.from_arrays(int(n_token), ids[:m], ids[m:], w)
+    graph.__dict__["_json_text"] = text
+    return graph
+
+
+def _int_tokens(data: np.ndarray, ends, lengths, width: int) -> np.ndarray | None:
+    """The int64 values of the tokens data[ends - lengths:ends] (lengths 1
+    to width), or None if one is not a canonical %d token."""
+    back = np.arange(1, width + 1)[:, None]  # row k - 1: each token's k-th byte from its end
+    digits = data[ends - back] - 48  # uint8: a byte below "0" wraps above 9
+    digits[back > lengths] = 0  # bytes before the token (wrapped to the end of data for the first)
+    values = _POW10[:width] @ digits
+    if (digits > 9).any() or (values < _INT_FLOOR[lengths]).any():
+        return None
+    return values
+
+
+def _float_tokens(data: np.ndarray, starts, lengths, width: int) -> np.ndarray | None:
+    """The float64 values of the tokens data[starts:starts + lengths], or
+    None if a distinct token t is not repr(float(t))."""
+    cols = np.arange(width)[:, None]
+    block = data[starts + cols]
+    block[cols >= lengths] = 0  # bytes after the token; "S" drops trailing zeros
+    tokens = np.ascontiguousarray(block.T).view(f"S{width}").ravel()
+    distinct, inverse = np.unique(tokens, return_inverse=True)
+    values = []
+    for token in distinct.tolist():
+        try:
+            value = float(token)
+        except ValueError:
+            return None
+        if repr(value) != token.decode():
+            return None
+        values.append(value)
+    return np.array(values)[inverse]
+
+
+def _instance_from_doc(text: str) -> CspInstance | WeightedGraph:
+    """instance_from_json through json.loads, for any text."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("instance document must be a JSON object")

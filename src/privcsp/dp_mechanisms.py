@@ -183,11 +183,15 @@ def _em_cdf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarra
     with weight exp(epsilon * score / (2 * sensitivity)), in candidate order.
     The weights are taken of the scores minus their maximum, so no product
     overflows: at any epsilon the maximizers weigh exactly 1, and as epsilon
-    grows the law tends to the uniform one over them."""
-    w = scores - scores.max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):  # a huge epsilon makes a loser's weight exp(-inf) = 0
-        w *= epsilon / (2.0 * sensitivity)
-    np.exp(w, out=w)
+    grows the law tends to the uniform one over them. At epsilon = 0 every
+    weight is 1, also where the spread of a row overflows to inf."""
+    if epsilon == 0:
+        w = np.ones_like(scores)
+    else:
+        with np.errstate(over="ignore"):  # a huge epsilon or spread gives a loser exp(-inf) = 0
+            w = scores - scores.max(axis=-1, keepdims=True)
+            w *= epsilon / (2.0 * sensitivity)
+        np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     return w.cumsum(axis=-1)
 

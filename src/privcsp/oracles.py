@@ -197,7 +197,8 @@ def exact_em_distribution(
 ) -> np.ndarray:
     """Normalized exponential-mechanism weight vector for the given scores.
     As epsilon grows it tends to the uniform law over the maximizers, which
-    it gives exactly once every other weight underflows to 0."""
+    it gives exactly once every other weight underflows to 0. At epsilon = 0
+    it is the uniform law, also where the spread of the scores overflows."""
     s = np.asarray([float(v) for v in scores], dtype=np.float64)
     if s.size == 0:
         raise ValueError("candidate set must be nonempty")
@@ -208,6 +209,8 @@ def exact_em_distribution(
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     check_epsilon(epsilon)
+    if epsilon == 0:
+        return np.full(s.size, 1.0 / s.size)
     # weights of the scores minus their maximum: no product overflows, and
     # the maximizers weigh exactly 1 at any epsilon
     with np.errstate(over="ignore"):

@@ -1,5 +1,6 @@
 """tools/bench_ab.py: the exit status follows the runs' correctness, and the
-report gives each side's src/ line count and per-operation-group times."""
+report gives each side's src/ line count, per-operation-group times and
+failure counts."""
 
 import importlib.util
 import json
@@ -21,9 +22,11 @@ def bench_ab(monkeypatch):
     return module
 
 
-def fake_runs(module, monkeypatch, incorrect):
+def fake_runs(module, monkeypatch, incorrect, failures=None):
     """run_bench stand-in: every metric 1.0, `correct` False for the
-    (side, pair) entries in `incorrect`."""
+    (side, pair) entries in `incorrect`, and each side's (fail_share,
+    failed) from `failures` (default (0.0625, 0) on both)."""
+    failures = failures or {}
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     calls = {"base": 0, "change": 0}
 
@@ -32,7 +35,8 @@ def fake_runs(module, monkeypatch, incorrect):
         calls[side] += 1
         return {"correct": (side, calls[side]) not in incorrect,
                 "metrics": dict.fromkeys(names, 1.0), "sha": "x", "passes": 3,
-                "groups": {"audit - em": 1.0}}
+                "groups": {"audit - em": 1.0},
+                **dict(zip(("fail_share", "failed"), failures.get(side, (0.0625, 0))))}
 
     monkeypatch.setattr(module, "run_bench", run_bench)
     monkeypatch.setattr(sys, "argv", ["bench_ab.py", "--workload", "audit", "--seed", "1",
@@ -93,3 +97,19 @@ def test_op_group_table(bench_ab, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[lines.index(next(line for line in lines if line.startswith("op group"))) + 1].split() == [
         "audit", "-", "em", "1", "1", "1.0000"]
+
+
+@pytest.mark.parametrize("failures, flagged", [
+    ({}, False),
+    ({"base": (0.0625, 2), "change": (0.05, 1)}, False),
+    ({"change": (0.07, 0)}, True),
+    ({"change": (0.0625, 1)}, True),
+])
+def test_failures_reported_and_flagged(bench_ab, monkeypatch, capsys, failures, flagged):
+    fake_runs(bench_ab, monkeypatch, set(), failures)
+    assert bench_ab.main() == 0
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("median fail_share"))
+    base, change = (failures.get(side, (0.0625, 0)) for side in ("base", "change"))
+    assert line.startswith(f"median fail_share: base {base[0]:.4g}, change {change[0]:.4g}; "
+                           f"failed: base {3 * base[1]}, change {3 * change[1]}")
+    assert line.endswith("; FLAG: more failures on change") is flagged

@@ -29,8 +29,11 @@ from privcsp.csp_core import (
     is_triangle_free,
     lambda_j,
     load_edge_list,
+    load_instance,
     mu,
+    save_instance,
 )
+from privcsp.generators import gen_triangle_free_graph
 
 
 def xor(scope, b=1):
@@ -544,6 +547,130 @@ class TestSerialization:
             assert instance_from_json(text) == g
         assert instance_to_json(WeightedGraph(n=3, edges=())) == self.dumps_reference(
             WeightedGraph(n=3, edges=()))
+
+    @staticmethod
+    def outcome(read, text):
+        """read(text) as ("graph", n, columns, their dtypes), or the type
+        and message of what it raised."""
+        try:
+            g = read(text)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+        cols = g.edge_arrays()
+        return "graph", g.n, [a.tolist() for a in cols], [a.dtype for a in cols]
+
+    @staticmethod
+    def canonical_text(n, u, v, w):
+        """json.dumps of the columns as instance_to_json formats a graph, with
+        no check that they form a graph."""
+        doc = {"n": n, "kind": "maxcut",
+               "edges": [[int(a), int(b), float(c)] for a, b, c in zip(u, v, w)]}
+        return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
+
+    @pytest.mark.parametrize("weight", [
+        1.0, 0.1, 2.5, 1e-300, 1e300, 1e-05, -0.0, "mixed", "mixed with 1.0 and 1e300", "bip1000"])
+    def test_array_reader_matches_json_path(self, weight):
+        """On instance_to_json's text of random graphs, the array reader gives
+        the graph (or raises the error) json.loads does, and keeps the text."""
+        rng = np.random.default_rng(6)
+        shapes = [(500, 500, 5000)] if weight == "bip1000" else [(1, 1, 1), (5, 4, 30), (300, 300, 2000)]
+        for a, b, m in shapes:
+            u = rng.integers(0, a, size=m)
+            v = a + rng.integers(0, b, size=m)
+            if weight == "bip1000":
+                w = np.ones(m)
+            elif weight == "mixed":
+                w = rng.uniform(1e-3, 1e3, size=m)
+            elif weight == "mixed with 1.0 and 1e300":
+                w = rng.choice([1.0, 1e300, 0.1, 7.0], size=m)
+            else:
+                w = np.full(m, weight)
+            text = self.canonical_text(a + b, u, v, w)
+            for tail in ("", "\n"):
+                reference = self.outcome(csp_core._instance_from_doc, text + tail)
+                assert self.outcome(csp_core._graph_from_text, text + tail) == reference
+                assert self.outcome(instance_from_json, text + tail) == reference
+                if reference[0] == "graph":
+                    assert instance_to_json(csp_core._graph_from_text(text + tail)) == text
+                else:
+                    assert reference == (ValueError, "edge weight must be positive, got -0.0")
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"edges":[[0,999999999999999998,1.0]],"kind":"maxcut","n":999999999999999999}', None),
+        ('{"edges":[[0,1,2.2250738585072014e-308]],"kind":"maxcut","n":2}', None),
+        ('{"edges":[[0,1,-1.0000000000000001e-100]],"kind":"maxcut","n":2}',
+         "edge weight must be positive, got -1.0000000000000001e-100"),
+        ('{"edges":[[0,10,1.0],[9,0,3.0]],"kind":"maxcut","n":10}', "edge (0,10) out of range for n=10"),
+        ('{"edges":[[0,1,1.0]],"kind":"maxcut","n":0}', "edge (0,1) out of range for n=0"),
+        ('{"edges":[[0,1,1.0],[2,2,1.0]],"kind":"maxcut","n":3}', "self-loop at vertex 2"),
+    ])
+    def test_array_reader_edge_cases(self, text, error):
+        # 18-digit ids and the longest weight reprs are read as arrays, and
+        # what from_arrays rejects raises as it does on the JSON path
+        reference = self.outcome(csp_core._instance_from_doc, text)
+        assert self.outcome(csp_core._graph_from_text, text) == reference
+        assert reference[0] == "graph" if error is None else reference == (ValueError, error)
+
+    @pytest.mark.parametrize("text", [
+        '{"edges":[],"kind":"maxcut","n":3}',
+        '{"edges":[[0,1,2]],"kind":"maxcut","n":3}',
+        '{"edges":[[0,1,1e5]],"kind":"maxcut","n":3}',
+        '{"edges":[[0,1,1.0]],"kind":"maxcut","n":3}\n\n',
+        '{"edges":[[0,1,1.0]], "kind":"maxcut","n":3}',
+        '{"n":3,"kind":"maxcut","edges":[[0,1,1.0]]}',
+        '{"edges":[[-1,1,1.0]],"kind":"maxcut","n":3}',
+        '{"edges":[[0,1,1.0]],"kind":"maxcut","n":03}',
+        '{"edges":[[0,1000000000000000000,1.0]],"kind":"maxcut","n":3}',
+        '{"edges":[[0,1,1.0]],"kind":"maxcut","n":1000000000000000000}',
+        '{"edges":[[0,1,1.00000000000000000000000]],"kind":"maxcut","n":3}',
+        '{"edges":[[0,1,NaN]],"kind":"maxcut","n":3}',
+        '{"edges":[[0,1,1.0]],"kind":"maxcut","n":3,"kind":"maxcut","n":3}',
+    ])
+    def test_other_text_takes_the_json_path(self, text):
+        assert csp_core._graph_from_text(text) is None
+        assert self.outcome(instance_from_json, text) == self.outcome(csp_core._instance_from_doc, text)
+
+    @pytest.mark.parametrize("tail", ["", "\n"])
+    def test_array_reader_on_single_byte_mutants(self, tail):
+        """Every deletion of one byte and every substitution of one byte from
+        "0-9 [ ] , . e - +" and space: the array reader declines the text or
+        reads the graph json.loads reads, and instance_from_json raises what
+        the JSON path alone raises."""
+        text = '{"edges":[[0,1,1.0],[1,12,2.5],[3,0,0.1]],"kind":"maxcut","n":13}' + tail
+        mutants = {text[:i] + text[i + 1:] for i in range(len(text))}
+        mutants |= {text[:i] + c + text[i + 1:] for i in range(len(text)) for c in "0123456789[],.e-+ "}
+        read = 0
+        for mutant in sorted(mutants - {text}):
+            reference = self.outcome(csp_core._instance_from_doc, mutant)
+            try:
+                graph = csp_core._graph_from_text(mutant)
+            except ValueError as exc:
+                assert reference == (ValueError, str(exc)), mutant
+            else:
+                if graph is not None:
+                    read += 1
+                    assert self.outcome(lambda t: graph, mutant) == reference, mutant
+                    assert instance_to_json(graph) == mutant.removesuffix("\n")
+            assert self.outcome(instance_from_json, mutant) == reference, mutant
+        assert read > 100  # digit substitutions in ids and weights
+
+    @pytest.mark.parametrize("graph", [
+        gen_triangle_free_graph("random_bipartite", 40, 40, 260, seed=3),
+        gen_triangle_free_graph("random_bipartite", 500, 500, 5000, seed=4),
+        gen_triangle_free_graph("even_cycle", 6),
+        WeightedGraph.from_arrays(7, np.arange(6), np.arange(1, 7),
+                                  np.random.default_rng(7).uniform(1e-3, 1e3, size=6)),
+    ])
+    def test_loaded_graph_keeps_its_text(self, tmp_path, graph):
+        """A graph file read back and saved again is the same bytes, and the
+        text the reader keeps is what the formatter gives without it."""
+        path, again = tmp_path / "g.json", tmp_path / "again.json"
+        save_instance(graph, str(path))
+        loaded = load_instance(str(path))
+        assert loaded.__dict__["_json_text"] == path.read_text()[:-1]
+        assert WeightedGraph._json_text.func(loaded) == instance_to_json(loaded)
+        save_instance(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_unknown_field_rejected(self):
         doc = {"n": 2, "kind": "kxor", "constraints": [], "extra": 1}

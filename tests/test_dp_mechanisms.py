@@ -263,6 +263,20 @@ class TestExponentialMechanism:
         with pytest.raises(ValueError, match="finite"):
             exponential_mechanism([[1.0, 0.0]], eps, 1.0, gen())
 
+    def test_eps_zero_uniform_over_a_spread_beyond_float_max(self):
+        # scores minus their maximum overflow to -inf here, and 0 * -inf was
+        # nan, so every row took index 0
+        assert dp_mechanisms._em_cdf(np.array([[-1e308, 1e308]]), 0.0, 1.0).tolist() == [[0.5, 1.0]]
+        counts = em_counts([-1e308, 1e308], 0.0, 27, 40_000)
+        assert abs(counts[0] / 40_000 - 0.5) < 3.5 * math.sqrt(0.25 / 40_000)
+
+    def test_eps_zero_cdf_unchanged_on_ordinary_rows(self):
+        # the weights exp(0 * (score - max)) of every finite spread
+        scores = gen(28).normal(size=(50, 7)) * 100
+        weights = np.exp((scores - scores.max(axis=1, keepdims=True)) * 0.0)
+        cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        assert np.array_equal(dp_mechanisms._em_cdf(scores, 0.0, 1.0), cdf)
+
 
 class TestEmOverAssignments:
     def graph3(self):

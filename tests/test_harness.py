@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from privcsp import harness
-from privcsp.csp_core import Constraint, CspInstance, WeightedGraph
+from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, instance_from_json
 from privcsp.generators import GenSpec, gen_random_kxor, gen_triangle_free_graph
 from privcsp.harness import (
     ALGORITHMS,
@@ -96,6 +96,10 @@ class TestExperimentConfig:
         blob = json.dumps({"algorithm": "dp_shearer", "eps": [0.5, 1.0], "trials": 50, "seed": 7,
                            "alpha": config.alpha, "instance": text}, sort_keys=True)
         assert config.config_hash(g) == hashlib.sha256(blob.encode()).hexdigest()[:12]
+        # a graph read from its file hashes the text it was read from: the same
+        loaded = instance_from_json(text + "\n")
+        rebuilt = WeightedGraph.from_arrays(loaded.n, *loaded.edge_arrays())
+        assert config.config_hash(loaded) == config.config_hash(rebuilt) == config.config_hash(g)
         rng = np.random.default_rng(0)
         u, v, _ = g.edge_arrays()
         weighted = WeightedGraph.from_arrays(g.n, u, v, rng.uniform(0.1, 3.0, size=g.m))

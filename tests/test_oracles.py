@@ -284,6 +284,13 @@ class TestExactEmDistribution:
         assert exact_em_distribution([0.0, 4.0], 1e308, 1.0).tolist() == [0.0, 1.0]
         assert exact_em_distribution([4.0, 0.0, 4.0, 3.0], 1e308, 1.0).tolist() == [0.5, 0.0, 0.5, 0.0]
 
+    def test_eps_zero_uniform(self):
+        # a spread beyond float max gave 0 * -inf = nan weights
+        assert exact_em_distribution([-1e308, 1e308], 0.0, 1.0).tolist() == [0.5, 0.5]
+        scores = gen(3).normal(size=9) * 100
+        weights = np.exp(0.0 * (scores - scores.max()))
+        assert np.array_equal(exact_em_distribution(scores, 0.0, 1.0), weights / weights.sum())
+
     def test_sums_to_one(self):
         rng = gen(2)
         for _ in range(20):

@@ -21,6 +21,11 @@ every run checked its outputs as correct and whether ``outputs_sha256``
 is the same on both sides, and each side's median number of timed passes
 (``len(pass_s)`` in the result file), and each side's ``src/`` line
 count (newlines in its ``src/**/*.py`` files, as ``wc -l`` counts them).
+It gives each side's median ``fail_share`` (operations refused at the
+enumeration cap, over those attempted) and total ``failed`` count (crashed
+operations), both from the result file, and flags the change when either
+is higher than the base's, since a larger share of failing operations
+rejects a change.
 A second table shows where the time goes: one row per operation group
 (the operations of ``bench/workloads.py`` with the same kind, instance
 and algorithm or mechanism), with each side's median over its runs of the
@@ -93,6 +98,8 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "sha": record["outputs_sha256"],
         "passes": len(record["pass_s"]),
+        "fail_share": record["fail_share"],
+        "failed": record["failed"],
         "groups": group_seconds(root, workload, seed, record),
     }
 
@@ -169,6 +176,12 @@ def report(workload: str, runs: dict[str, list[dict]], src_counts: dict[str, int
     lines.append("median passes: " + ", ".join(
         f"{side} {statistics.median(r['passes'] for r in rs):g}" for side, rs in runs.items()))
     lines.append(f"src/ lines: base {src_counts['base']}, change {src_counts['change']}")
+    share = {side: statistics.median(r["fail_share"] for r in rs) for side, rs in runs.items()}
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    more = share["change"] > share["base"] or failed["change"] > failed["base"]
+    lines.append(f"median fail_share: base {share['base']:.4g}, change {share['change']:.4g}; "
+                 f"failed: base {failed['base']}, change {failed['change']}"
+                 + ("; FLAG: more failures on change" if more else ""))
     lines.append(f"all runs correct: {correct}")
     lines.append(f"outputs_sha256 identical: {same} "
                  f"(base {sorted(shas['base'])}, change {sorted(shas['change'])})")
