@@ -267,6 +267,7 @@ def alg2_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     """
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg2 requires a sign-form instance")
+    constraint_groups(instance)  # a weighted graph has none: ValueError, before any draw
     check_epsilon(epsilon, positive=True)
     return degree_split_batch(
         instance, epsilon, rng, trials, alg1_batch, 10000.0 / threshold_power(epsilon, 4, "eps^4")

@@ -1,4 +1,4 @@
-"""Private Max-Cut algorithms on the graph view.
+"""Private Max-Cut algorithms on graphs.
 
 - shearer_batch: the non-private two-color local rule.
 - dp_shearer_batch: its pure-DP version with integer Laplace noise on the

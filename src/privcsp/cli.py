@@ -40,7 +40,6 @@ from .harness import (
     ALGORITHMS,
     AUDIT_MECHANISMS,
     ExperimentConfig,
-    _wants_graph,
     audit,
     audit_csv_row,
     estimate_ratio,
@@ -199,17 +198,16 @@ def _cmd_solve(args) -> int:
     if not args.instance:
         raise ValueError("solve requires --instance")
     problem = _load_problem(args.instance)
-    kernel, want_graph = ALGORITHMS[args.algorithm]
-    prob = _wants_graph(problem, want_graph)
+    kernel = ALGORITHMS[args.algorithm]
     # row 0 of a one-trial kernel call: ratio --trials 1 with this seed
-    x = kernel(prob, args.eps, args.alpha, RngStream(args.seed, 0).generator(), 1)[0]
+    x = kernel(problem, args.eps, args.alpha, RngStream(args.seed, 0).generator(), 1)[0]
     print(
         json.dumps(
             {
                 "algorithm": args.algorithm,
                 "eps": args.eps,
                 "assignment": [int(v) for v in x],
-                "value": eval_value(prob, x),
+                "value": eval_value(problem, x),
             }
         )
     )

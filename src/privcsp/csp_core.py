@@ -6,9 +6,13 @@ predicate stored as an explicit truth table over its scope, or a parity
 1/2 + (b/2) * prod(x_i for i in scope) which is satisfied exactly when
 the scope product equals b.
 
-Max-Cut admits two lossless views: a CspInstance of 2XOR constraints
-with b = -1, and a WeightedGraph, stored as n and read-only edge columns
-u, v, w. Graph algorithms consume the graph view; CSP algorithms the other.
+A CspInstance holds general or kxor constraints. A Max-Cut instance is
+a WeightedGraph, stored as n and read-only edge columns u, v, w. It is
+also Max-2XOR with every b = -1: a graph has kind 'maxcut', arity 2 and,
+with unit weights, a constraint view, so graph and CSP algorithms alike
+run on it. Both types derive their constraint groups, scope
+distinctness, triangle-freeness and exponential-mechanism memo from
+their constraints in one shared base class.
 
 instance_from_json reads a graph file that is exactly what
 instance_to_json writes (plus at most one final newline) from its bytes
@@ -16,11 +20,11 @@ as arrays, and the graph keeps that text as its instance_to_json; every
 other text, CSP instances included, takes the general json.loads path.
 
 No object is changed after construction; operations are pure.
-Data derived from an instance (a graph's edge triples, degree counts and
-unit-weight flag; a CSP instance's degrees, maximum arity, scope
-distinctness, triangle-freeness and constraint groups) is computed once
-per object, on first use, and returned read-only, so callers that run
-many trials on one instance pay for it once.
+Data derived from an instance (a graph's edge triples, unit-weight flag
+and constraint view; a CSP instance's maximum arity; either's degrees,
+scope distinctness, triangle-freeness, constraint groups and JSON text)
+is computed once per object, on first use, and returned read-only, so
+callers that run many trials on one instance pay for it once.
 
 One evaluator, eval_value, computes values. It takes one assignment (a
 float comes back) or a (trials, n) block of assignments (a float64
@@ -94,8 +98,6 @@ __all__ = [
     "assignment_rows",
     "ValueChunks",
     "all_values",
-    "graph_to_instance",
-    "instance_to_graph",
     "instance_to_json",
     "instance_from_json",
     "load_instance",
@@ -225,40 +227,9 @@ class ConstraintGroup:
         return self.tables[np.arange(len(self.cons)), self.table_index(x)] == 1
 
 
-@dataclass(frozen=True)
-class CspInstance:
-    """A multiset of constraints over n variables.
-
-    kind is one of 'general', 'kxor' (every constraint in sign form) or
-    'maxcut' (every constraint a 2XOR with b = -1).
-    """
-
-    n: int
-    constraints: tuple[Constraint, ...]
-    kind: str = "general"
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("variable count must be nonnegative")
-        if self.kind not in ("general", "kxor", "maxcut"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        for c in self.constraints:
-            if max(c.scope, default=-1) >= self.n:
-                raise ValueError(f"scope {c.scope} out of range for n={self.n}")
-            if self.kind == "kxor" and not c.is_xor:
-                raise ValueError("kxor instances admit sign-form constraints only")
-            if self.kind == "maxcut" and not (
-                c.is_xor and c.arity == 2 and c.b == -1
-            ):
-                raise ValueError("maxcut constraints must be 2XOR with b = -1")
-
-    @property
-    def m(self) -> int:
-        return len(self.constraints)
-
-    @cached_property
-    def max_arity(self) -> int:
-        return max((c.arity for c in self.constraints), default=0)
+class _ConstraintData:
+    """Data derived from a problem's constraints, computed on first use.
+    A subclass supplies n and constraints."""
 
     def require_distinct_scopes(self) -> None:
         if not self._distinct_scopes:
@@ -291,14 +262,6 @@ class CspInstance:
         return tuple(groups)
 
     @cached_property
-    def _degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for c in self.constraints:
-            for i in c.scope:
-                deg[i] += 1
-        return _read_only(deg)
-
-    @cached_property
     def _triangle_free(self) -> bool:
         return _scan_triangle_free(self.constraints)
 
@@ -308,11 +271,71 @@ class CspInstance:
         return {}
 
 
+@dataclass(frozen=True)
+class CspInstance(_ConstraintData):
+    """A multiset of constraints over n variables.
+
+    kind is 'general' or 'kxor' (every constraint in sign form). A Max-Cut
+    instance is a WeightedGraph.
+    """
+
+    n: int
+    constraints: tuple[Constraint, ...]
+    kind: str = "general"
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("variable count must be nonnegative")
+        if self.kind == "maxcut":
+            raise ValueError("a Max-Cut instance is a WeightedGraph, not a CspInstance")
+        if self.kind not in ("general", "kxor"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        for c in self.constraints:
+            if max(c.scope, default=-1) >= self.n:
+                raise ValueError(f"scope {c.scope} out of range for n={self.n}")
+            if self.kind == "kxor" and not c.is_xor:
+                raise ValueError("kxor instances admit sign-form constraints only")
+
+    @property
+    def m(self) -> int:
+        return len(self.constraints)
+
+    @cached_property
+    def max_arity(self) -> int:
+        return max((c.arity for c in self.constraints), default=0)
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = np.zeros(self.n, dtype=np.int64)
+        for c in self.constraints:
+            for i in c.scope:
+                deg[i] += 1
+        return _read_only(deg)
+
+    @cached_property
+    def _json_text(self) -> str:
+        """instance_to_json's text."""
+        cons = []
+        for c in self.constraints:
+            if c.is_xor:
+                cons.append({"scope": list(c.scope), "b": c.b})
+            else:
+                cons.append({"scope": list(c.scope), "table": list(c.table)})
+        doc = {"n": self.n, "kind": self.kind, "constraints": cons}
+        return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
+
+
 @dataclass(frozen=True, eq=False, init=False, repr=False)
-class WeightedGraph:
+class WeightedGraph(_ConstraintData):
     """An undirected multigraph with positive finite weights and no self-loops: n and
     read-only edge columns u, v (int64), w (float64), from integer endpoints and real
-    weights (never bool). `edges` is derived from them; == and hash compare by value."""
+    weights (never bool). `edges` is derived from them; == and hash compare by value.
+
+    It is also the Max-2XOR instance of Max-Cut: kind 'maxcut', arity 2 (even with no
+    edges), and, for unit weights, `constraints`, one 2XOR with b = -1 per edge."""
+
+    kind = "maxcut"
+    max_arity = 2
 
     def __init__(self, n: int, edges: Iterable) -> None:
         edges = tuple(edges)
@@ -351,7 +374,14 @@ class WeightedGraph:
         return tuple(zip(*(a.tolist() for a in self._columns)))
 
     @cached_property
-    def _degree_counts(self) -> np.ndarray:
+    def constraints(self) -> tuple[Constraint, ...]:
+        if not self._unweighted:
+            raise ValueError("only unweighted graphs have a Max-2XOR constraint view")
+        u, v, _ = self._columns
+        return tuple(Constraint(scope=scope, b=-1) for scope in zip(u.tolist(), v.tolist()))
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
         u, v, _ = self._columns
         deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
         return _read_only(deg.astype(np.int64, copy=False))
@@ -364,14 +394,9 @@ class WeightedGraph:
     def _incidence(self) -> sparse.csr_array:
         # (m, n) edge-vertex incidence in the smallest dtype holding the largest degree
         u, v, _ = self._columns
-        ones = np.ones(2 * u.size, dtype=np.min_scalar_type(self._degree_counts.max(initial=0)))
+        ones = np.ones(2 * u.size, dtype=np.min_scalar_type(self._degrees.max(initial=0)))
         rows = np.tile(np.arange(u.size), 2)
         return sparse.csr_array((ones, (rows, np.concatenate((u, v)))), shape=(u.size, self.n))
-
-    @cached_property
-    def _em_cdf_memo(self) -> dict:
-        """One-entry memo of dp_mechanisms.em_over_assignments_batch."""
-        return {}
 
     @cached_property
     def _json_text(self) -> str:
@@ -394,7 +419,7 @@ class WeightedGraph:
 
     def degree_counts(self) -> np.ndarray:
         """Read-only incident-edge counts per vertex."""
-        return self._degree_counts
+        return self._degrees
 
     def has_triangle(self) -> bool:
         # an edge (x, y) of the adjacency A closes a triangle iff (A @ A)[x, y] > 0
@@ -485,8 +510,8 @@ def rows_per_chunk(problem: CspInstance | WeightedGraph) -> int:
     """Rows of a (rows, n) assignment block per chunk, so that a chunk
     holds about 2^VALUE_CHUNK_BITS entries of the widest per-row array the
     value and the kernels build: n variables, or m * arity (row, scope
-    entry) pairs, arity 2 on a graph. At least one row."""
-    width = problem.m * (2 if isinstance(problem, WeightedGraph) else problem.max_arity)
+    entry) pairs. At least one row."""
+    width = problem.m * problem.max_arity
     return max(1, (1 << VALUE_CHUNK_BITS) // max(1, problem.n, width))
 
 
@@ -579,8 +604,6 @@ def constraint_groups(instance: CspInstance) -> tuple[ConstraintGroup, ...]:
 def degrees(problem: CspInstance | WeightedGraph) -> np.ndarray:
     """Read-only per-variable count of constraints whose scope contains the
     variable; for a graph, its degree_counts()."""
-    if isinstance(problem, WeightedGraph):
-        return problem.degree_counts()
     return problem._degrees
 
 
@@ -797,39 +820,14 @@ def all_values(
     return out
 
 
-def graph_to_instance(graph: WeightedGraph) -> CspInstance:
-    """Max-Cut graph view to CSP view; requires unit weights."""
-    if not graph.is_unweighted:
-        raise ValueError("only unweighted graphs convert to a maxcut instance")
-    cons = tuple(Constraint(scope=(u, v), b=-1) for u, v, _ in graph.edges)
-    return CspInstance(n=graph.n, constraints=cons, kind="maxcut")
-
-
-def instance_to_graph(instance: CspInstance) -> WeightedGraph:
-    """Max-Cut CSP view to graph view."""
-    if instance.kind != "maxcut":
-        raise ValueError("only maxcut instances convert to a graph")
-    edges = tuple((c.scope[0], c.scope[1], 1.0) for c in instance.constraints)
-    return WeightedGraph(n=instance.n, edges=edges)
-
-
 _INSTANCE_FIELDS = {"n", "kind", "constraints", "edges"}
 _CONSTRAINT_FIELDS = {"scope", "b", "table"}
 
 
 def instance_to_json(problem: CspInstance | WeightedGraph) -> str:
-    """Compact JSON with sorted keys. A graph's text is formatted once per
-    object (or is the text it was read from), as json.dumps formats it."""
-    if isinstance(problem, WeightedGraph):
-        return problem._json_text
-    cons = []
-    for c in problem.constraints:
-        if c.is_xor:
-            cons.append({"scope": list(c.scope), "b": c.b})
-        else:
-            cons.append({"scope": list(c.scope), "table": list(c.table)})
-    doc = {"n": problem.n, "kind": problem.kind, "constraints": cons}
-    return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
+    """Compact JSON with sorted keys, as json.dumps formats it, formatted
+    once per object; a graph's is the text it was read from, if it was."""
+    return problem._json_text
 
 
 def _json_int(value, field: str) -> int:
@@ -984,6 +982,10 @@ def _instance_from_doc(text: str) -> CspInstance | WeightedGraph:
             cons.append(Constraint(scope=scope, table=table))
         else:
             raise ValueError("constraint requires 'b' or 'table'")
+    if kind == "maxcut":
+        if not all(c.is_xor and c.arity == 2 and c.b == -1 for c in cons):
+            raise ValueError("maxcut constraints must be 2XOR with b = -1")
+        return WeightedGraph(n, ((*c.scope, 1.0) for c in cons))
     return CspInstance(n=n, constraints=tuple(cons), kind=kind)
 
 

@@ -302,10 +302,10 @@ def noisy_high_mask(
     plus Laplace noise exceeds threshold, one row per run, from one
     sample_laplace draw of shape (trials, n). One constraint moves k
     degrees by one each, so the scale k / (share * epsilon), with k the max
-    arity (at least 1) of an instance and 2 for a graph, spends share *
+    arity (at least 1; 2 for every graph, edgeless too), spends share *
     epsilon (Dwork, McSherry, Nissim and Smith 2006).
     """
-    k = 2 if isinstance(problem, WeightedGraph) else max(problem.max_arity, 1)
+    k = max(problem.max_arity, 1)
     scale = k * share.denominator / (share.numerator * epsilon)
     return degrees(problem) + sample_laplace(scale, rng, size=(trials, problem.n)) > threshold
 

@@ -2,8 +2,10 @@
 audits, and hardness verification.
 
 Every ALGORITHMS entry wraps its algorithm's batch kernel, the only entry
-point the algorithm has, as kernel(view, eps, alpha, gen, trials) ->
-(trials, n) int8 block. At each epsilon the trials fill one
+point the algorithm has, as kernel(problem, eps, alpha, gen, trials) ->
+(trials, n) int8 block, and runs on the problem as it was loaded: a
+Max-Cut graph serves the CSP kernels as its own Max-2XOR instance. At
+each epsilon the trials fill one
 block, one kernel call per chunk of rows_per_chunk rows (about 2^20
 entries of the widest per-row array: n variables or m * arity scope
 entries), and one eval_value call per chunk evaluates it. All chunks at
@@ -15,11 +17,10 @@ chunks split the draws by row count), so a run with more trials does not
 extend a run with fewer. `solve` is row 0 of a one-trial kernel call on
 RngStream(seed, 0), so it equals `ratio --trials 1` with the same seed.
 
-An instance is converted to the view its algorithm consumes and validated
-once per experiment, not once per trial: the conversion happens once for
-the whole epsilon grid, and the checks the kernels repeat per call
-(triangle-freeness, unit weights, degrees, edge columns) read data the
-instance computed on first use. em_baseline's value table and CDF are
+An instance is validated once per experiment, not once per trial: the
+checks the kernels repeat per call (triangle-freeness, unit weights,
+degrees, edge columns, a graph's constraint view) read data the instance
+computed on first use. em_baseline's value table and CDF are
 built once per (instance, epsilon) as well: em_over_assignments_batch
 keeps the last CDF on the instance.
 """
@@ -43,10 +44,9 @@ from .csp_core import (
     Constraint,
     CspInstance,
     WeightedGraph,
+    constraint_groups,
     degrees,
     eval_value,
-    graph_to_instance,
-    instance_to_graph,
     instance_to_json,
     mu,
     rows_per_chunk,
@@ -82,38 +82,33 @@ __all__ = [
 ]
 
 
-def _wants_graph(problem, want_graph: bool):
-    """Converts between the Max-Cut views as required by an algorithm."""
-    if want_graph and isinstance(problem, CspInstance):
-        return instance_to_graph(problem)
-    if not want_graph and isinstance(problem, WeightedGraph):
-        return graph_to_instance(problem)
-    return problem
-
-
 def _em_baseline_batch(problem, eps, alpha, gen, trials):
     """Exponential mechanism (budget eps, sensitivity 1) over the variables
     some constraint touches; the others are uniform."""
+    constraint_groups(problem)  # a weighted graph has none: ValueError, as in every CSP kernel
     covered = np.broadcast_to(degrees(problem) > 0, (trials, problem.n))
     return em_on_part(problem, covered, eps, gen)
 
 
 def _random_baseline_batch(problem, eps, alpha, gen, trials):
+    constraint_groups(problem)  # a weighted graph has none: ValueError, as in every CSP kernel
     return signs_from_bits(gen.integers(0, 2, size=(trials, problem.n)))
 
 
-# id -> (kernel(problem, eps, alpha, gen, trials) -> (trials, n) block, wants_graph)
-ALGORITHMS: dict[str, tuple[Callable, bool]] = {
-    "alg1": (lambda p, e, a, g, t: algo_csp.alg1_batch(p, e, g, t), False),
-    "alg2": (lambda p, e, a, g, t: algo_csp.alg2_batch(p, e, g, t), False),
-    "alg3": (lambda p, e, a, g, t: algo_csp.alg3_batch(p, e, g, t), False),
-    "alg_oddk": (lambda p, e, a, g, t: algo_csp.alg_oddk_batch(p, e, g, t), False),
-    "shearer": (lambda p, e, a, g, t: algo_maxcut.shearer_batch(p, g, t), True),
-    "dp_shearer": (lambda p, e, a, g, t: algo_maxcut.dp_shearer_batch(p, e, g, t), True),
-    "alg5": (lambda p, e, a, g, t: algo_maxcut.dp_maxcut_unbounded_batch(p, e, g, t), True),
-    "alg6": (lambda p, e, a, g, t: algo_maxcut.dp_maxcut_general_batch(p, e, a, g, t), True),
-    "em_baseline": (_em_baseline_batch, False),
-    "random_baseline": (_random_baseline_batch, False),
+# id -> kernel(problem, eps, alpha, gen, trials) -> (trials, n) block. The CSP
+# kernels (alg1 to alg_oddk and the baselines) take a CspInstance or an
+# unweighted graph, the graph kernels (shearer to alg6) an unweighted graph.
+ALGORITHMS: dict[str, Callable] = {
+    "alg1": lambda p, e, a, g, t: algo_csp.alg1_batch(p, e, g, t),
+    "alg2": lambda p, e, a, g, t: algo_csp.alg2_batch(p, e, g, t),
+    "alg3": lambda p, e, a, g, t: algo_csp.alg3_batch(p, e, g, t),
+    "alg_oddk": lambda p, e, a, g, t: algo_csp.alg_oddk_batch(p, e, g, t),
+    "shearer": lambda p, e, a, g, t: algo_maxcut.shearer_batch(p, g, t),
+    "dp_shearer": lambda p, e, a, g, t: algo_maxcut.dp_shearer_batch(p, e, g, t),
+    "alg5": lambda p, e, a, g, t: algo_maxcut.dp_maxcut_unbounded_batch(p, e, g, t),
+    "alg6": lambda p, e, a, g, t: algo_maxcut.dp_maxcut_general_batch(p, e, a, g, t),
+    "em_baseline": _em_baseline_batch,
+    "random_baseline": _random_baseline_batch,
 }
 
 
@@ -238,21 +233,19 @@ def _baseline_value(problem) -> float:
 def _run_one_eps(
     config: ExperimentConfig,
     problem,
-    view,
     eps: float,
     opt: float | None,
     baseline: float,
     chash: str,
 ) -> ReportRow:
-    """Runs the trials at one eps on view, the form of problem that the
-    algorithm consumes; the row reports on problem, whose uniform-assignment
-    value is baseline."""
-    kernel = ALGORITHMS[config.algorithm][0]
+    """Runs the trials at one eps on problem, whose uniform-assignment value
+    is baseline."""
+    kernel = ALGORITHMS[config.algorithm]
     t0 = time.perf_counter()
     gen = RngStream(config.seed, 0).generator()
-    step = rows_per_chunk(view)
+    step = rows_per_chunk(problem)
     values = np.concatenate([
-        eval_value(view, kernel(view, eps, config.alpha, gen, min(step, config.trials - start)))
+        eval_value(problem, kernel(problem, eps, config.alpha, gen, min(step, config.trials - start)))
         for start in range(0, config.trials, step)
     ])
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -279,14 +272,13 @@ def _run_one_eps(
 def estimate_ratio(config: ExperimentConfig, problem) -> ExperimentReport:
     """Monte-Carlo value estimation over the epsilon grid, with the exact
     optimum and approximation ratio when the instance is small enough."""
-    view = _wants_graph(problem, ALGORITHMS[config.algorithm][1])
     opt: float | None = None
     if problem.n <= BRUTE_FORCE_CAP:
         opt = brute_force_opt(problem)[0]
     chash = config.config_hash(problem)
     baseline = _baseline_value(problem)
     rows = tuple(
-        _run_one_eps(config, problem, view, e, opt, baseline, chash) for e in config.eps
+        _run_one_eps(config, problem, e, opt, baseline, chash) for e in config.eps
     )
     return ExperimentReport(rows=rows)
 

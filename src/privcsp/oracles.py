@@ -438,14 +438,13 @@ def adversarial_single_constraint(
     epsilon: float,
     trials: int,
     rng,
-    kind: str = "kxor",
 ) -> AdversarialReport:
     """Probes a mechanism with its least favorable single-constraint instance.
 
-    Runs the mechanism on the empty instance, measures the output mass each
-    candidate constraint would receive on its scope, picks the candidate
-    with the least mass, then measures satisfaction probability on the
-    one-constraint instance and compares it against
+    Runs the mechanism on the empty kxor instance, measures the output
+    mass each candidate constraint would receive on its scope, picks the
+    candidate with the least mass, then measures satisfaction probability
+    on the one-constraint kxor instance and compares it against
     1 - e^{-epsilon} * (1 - mu) plus three standard errors.
 
     `mechanism(instance, generator, trials)` must return an array of
@@ -457,14 +456,14 @@ def adversarial_single_constraint(
     if len(scopes) != 1:
         raise ValueError("all candidates must share one scope")
     gen = as_generator(rng)
-    empty = CspInstance(n=n, constraints=(), kind=kind)
+    empty = CspInstance(n=n, constraints=(), kind="kxor")
     outs = mechanism(empty, gen, trials)
     masses = [
         float(eval_value(CspInstance(n=n, constraints=(c,)), outs).mean()) for c in candidates
     ]
     pick = int(np.argmin(masses))
     chosen = candidates[pick]
-    phi = CspInstance(n=n, constraints=(chosen,), kind=kind)
+    phi = CspInstance(n=n, constraints=(chosen,), kind="kxor")
     p = float(eval_value(phi, mechanism(phi, gen, trials)).mean())
     se = max(math.sqrt(max(p * (1.0 - p), 0.0) / trials), math.sqrt(0.25 / trials) / 10)
     bound = 1.0 - math.exp(-epsilon) * (1.0 - mu(chosen))

@@ -22,8 +22,6 @@ from privcsp.csp_core import (
     Constraint,
     CspInstance,
     WeightedGraph,
-    graph_to_instance,
-    instance_to_graph,
     lambda_j,
 )
 from privcsp.dp_mechanisms import (
@@ -168,7 +166,7 @@ def test_criterion_05_dp_shearer_per_edge_and_trend():
     config = ExperimentConfig(
         algorithm="dp_shearer", eps=(0.25, 0.5, 1.0), trials=4_000, seed=502
     )
-    rep = sweep(config, graph_to_instance(gen_triangle_free_graph("even_cycle", 30)))
+    rep = sweep(config, gen_triangle_free_graph("even_cycle", 30))
     ok &= rep.spearman_advantage_eps is not None and rep.spearman_advantage_eps > 0
     report("criterion 5: private two-coloring beats 1/2 per edge, monotone in eps", ok)
 
@@ -205,16 +203,12 @@ def test_criterion_07_single_constraint_hardness_bound():
     ok = rep_em.satisfaction_prob <= rep_em.bound + bound_slack
 
     def cut_mech(inst, g, t):
-        graph = (
-            instance_to_graph(inst)
-            if inst.m
-            else WeightedGraph(n=inst.n, edges=())
-        )
+        graph = WeightedGraph(n=inst.n, edges=((*c.scope, 1.0) for c in inst.constraints))
         return dp_shearer_batch(graph, eps, g, t)
 
     cut_candidates = [Constraint(scope=(0, 1), b=-1)]
     rep_cut = adversarial_single_constraint(
-        cut_mech, 3, cut_candidates, eps, trials, gen(701), kind="maxcut"
+        cut_mech, 3, cut_candidates, eps, trials, gen(701)
     )
     ok &= rep_cut.satisfaction_prob <= rep_cut.bound + bound_slack
     expected_bound = 1 - math.exp(-eps) * 0.5

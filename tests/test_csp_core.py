@@ -22,9 +22,7 @@ from privcsp.csp_core import (
     derivative_q,
     eval_value,
     g_value,
-    graph_to_instance,
     instance_from_json,
-    instance_to_graph,
     instance_to_json,
     is_triangle_free,
     lambda_j,
@@ -122,8 +120,8 @@ class TestAdvantage:
         assert abs(total) < 1e-9
 
     def test_maxcut_single_edge(self):
-        inst = CspInstance(n=2, constraints=(xor((0, 1), b=-1),), kind="maxcut")
-        assert associated_advantage(inst, [1, -1]) == 0.5
+        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        assert associated_advantage(g, [1, -1]) == 0.5
 
     def test_empty_raises(self):
         inst = CspInstance(n=2, constraints=(), kind="kxor")
@@ -233,7 +231,7 @@ class TestDegrees:
 
     def test_cycle_degrees(self):
         g = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4, 1.0) for i in range(4)))
-        assert graph_to_instance(g) and degrees(graph_to_instance(g)).tolist() == [2, 2, 2, 2]
+        assert degrees(g).tolist() == [2, 2, 2, 2]
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -740,14 +738,47 @@ class TestSerialization:
         g = load_edge_list(str(p))
         assert g.n == 3 and g.edges == ((0, 1, 1.0), (1, 2, 2.5))
 
-    def test_converters_roundtrip(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
-        assert instance_to_graph(graph_to_instance(g)) == g
+    def test_constraint_form_maxcut_loads_as_graph(self):
+        doc = {"n": 3, "kind": "maxcut", "constraints": [
+            {"scope": [1, 2], "b": -1}, {"scope": [0, 1], "b": -1}, {"scope": [1, 2], "b": -1}]}
+        g = instance_from_json(json.dumps(doc))
+        assert g == WeightedGraph(n=3, edges=((1, 2, 1.0), (0, 1, 1.0), (1, 2, 1.0)))
+        # it saves in edge form
+        assert instance_to_json(g) == '{"edges":[[1,2,1.0],[0,1,1.0],[1,2,1.0]],"kind":"maxcut","n":3}'
+        assert instance_from_json('{"n": 4, "kind": "maxcut"}') == WeightedGraph(n=4, edges=())
 
-    def test_weighted_graph_conversion_rejected(self):
-        g = WeightedGraph(n=2, edges=((0, 1, 2.0),))
-        with pytest.raises(ValueError):
-            graph_to_instance(g)
+    @pytest.mark.parametrize("constraint", [
+        {"scope": [0, 1], "b": 1}, {"scope": [0, 1, 2], "b": -1}, {"scope": [0], "b": -1},
+        {"scope": [0, 1], "table": [0, 1, 1, 0]},
+    ])
+    def test_constraint_form_maxcut_requires_cut_constraints(self, constraint):
+        doc = {"n": 3, "kind": "maxcut", "constraints": [{"scope": [1, 2], "b": -1}, constraint]}
+        with pytest.raises(ValueError, match="^maxcut constraints must be 2XOR with b = -1$"):
+            instance_from_json(json.dumps(doc))
+
+    def test_constraint_form_maxcut_range_checked(self):
+        doc = {"n": 2, "kind": "maxcut", "constraints": [{"scope": [0, 2], "b": -1}]}
+        with pytest.raises(ValueError, match="out of range for n=2"):
+            instance_from_json(json.dumps(doc))
+
+    def test_graph_constraints_are_its_edges(self):
+        g = WeightedGraph(n=4, edges=((2, 0, 1.0), (1, 3, 1), (2, 0, 1.0)))
+        assert g.constraints == tuple(
+            Constraint(scope=s, b=-1) for s in ((2, 0), (1, 3), (2, 0)))
+        assert g.constraints is g.constraints
+        assert (g.kind, g.max_arity, g.m) == ("maxcut", 2, 3)
+        assert WeightedGraph(n=3, edges=()).max_arity == 2
+        assert WeightedGraph(n=3, edges=()).constraints == ()
+
+    def test_weighted_graph_has_no_constraints(self):
+        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 2.0)))
+        with pytest.raises(ValueError, match="^only unweighted graphs"):
+            g.constraints
+        with pytest.raises(ValueError, match="^only unweighted graphs"):
+            constraint_groups(g)
+        # a weighted graph is still a graph: its degrees and values need no constraints
+        assert degrees(g).tolist() == [1, 2, 1]
+        assert eval_value(g, [1, -1, 1]) == 3.0
 
 
 class TestGraphValidation:
@@ -830,8 +861,9 @@ class TestGraphValidation:
             WeightedGraph(n=3, edges=edges)
 
     def test_kind_invariants(self):
-        with pytest.raises(ValueError):
-            CspInstance(n=2, constraints=(xor((0, 1), b=1),), kind="maxcut")
+        for cons in ((xor((0, 1), b=1),), (xor((0, 1), b=-1),), ()):
+            with pytest.raises(ValueError, match="Max-Cut instance is a WeightedGraph"):
+                CspInstance(n=2, constraints=cons, kind="maxcut")
         c = Constraint(scope=(0, 1), table=(1, 0, 0, 1))
         with pytest.raises(ValueError):
             CspInstance(n=2, constraints=(c,), kind="kxor")

@@ -23,6 +23,7 @@ from privcsp.dp_mechanisms import (
     noisy_high_mask,
     stage_budget,
 )
+from privcsp.harness import ExperimentConfig, estimate_ratio
 
 
 def gen(seed=0):
@@ -48,21 +49,22 @@ def spy_laplace_scales(monkeypatch):
     return scales
 
 
-def degree_stage_loss(deg_a, deg_b, scale, threshold):
+def degree_stage_loss(deg_a, deg_b, scale, threshold, scale_b=None):
     """max over high sets H of |ln P_a[H] - ln P_b[H]|, where P[H] is the
     probability that exactly the variables in H have degree plus
     Laplace(scale) noise above the threshold, from the closed-form tails
-    P[L > t] = e^(-t/scale) / 2 for t >= 0."""
+    P[L > t] = e^(-t/scale) / 2 for t >= 0. scale_b, if given, is side b's
+    scale."""
     assert threshold > max(deg_a.max(), deg_b.max())
 
-    def log_p(deg, high):
+    def log_p(deg, high, scale=scale):
         tail = -(threshold - deg) / scale + math.log(0.5)  # ln P[L > T - d]
         return sum(
             t if h else math.log1p(-math.exp(t)) for t, h in zip(tail.tolist(), high)
         )
 
     return max(
-        abs(log_p(deg_a, high) - log_p(deg_b, high))
+        abs(log_p(deg_a, high) - log_p(deg_b, high, scale_b or scale))
         for high in product((False, True), repeat=deg_a.size)
     )
 
@@ -109,6 +111,23 @@ class TestDegreeStageLoss:
                 one_edge.degree_counts(), empty.degree_counts(), scales[0], threshold
             )
             assert abs(loss - float(share) * eps) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1.0, 3.0, 6.0])
+    def test_alg2_graph_pair_through_harness(self, monkeypatch, eps):
+        # alg2 on the object the harness hands the kernel: a graph declares
+        # arity 2 even with no edges, so the edgeless graph draws at the
+        # one-edge graph's scale and the stage spends its share, not more
+        scales = spy_laplace_scales(monkeypatch)
+        one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        empty = WeightedGraph(n=2, edges=())
+        config = ExperimentConfig(algorithm="alg2", eps=(eps,), trials=1, seed=0)
+        estimate_ratio(config, one_edge)
+        estimate_ratio(config, empty)
+        assert len(scales) == 2
+        loss = degree_stage_loss(
+            degrees(one_edge), degrees(empty), scales[0], 10000.0 / eps ** 4, scales[1]
+        )
+        assert loss <= float(UNBOUNDED_BUDGET_FRACTIONS[0]) * eps * (1 + 1e-9)
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize("k", [2, 3])

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privcsp import harness
-from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, instance_from_json
+from privcsp import cli, harness
+from privcsp.csp_core import (
+    Constraint,
+    CspInstance,
+    WeightedGraph,
+    instance_from_json,
+    save_instance,
+)
+from privcsp.dp_mechanisms import RngStream
 from privcsp.generators import GenSpec, gen_random_kxor, gen_triangle_free_graph
 from privcsp.harness import (
     ALGORITHMS,
@@ -31,8 +38,7 @@ def cycle_instance(n):
 
 
 def maxcut_cycle(n):
-    cons = tuple(Constraint(scope=(i, (i + 1) % n), b=-1) for i in range(n))
-    return CspInstance(n=n, constraints=cons, kind="maxcut")
+    return WeightedGraph(n=n, edges=tuple((i, (i + 1) % n, 1.0) for i in range(n)))
 
 
 class TestExperimentConfig:
@@ -144,6 +150,78 @@ class TestEstimateRatio:
         config = ExperimentConfig(algorithm="random_baseline", eps=(1.0,), trials=10, seed=3)
         row = estimate_ratio(config, inst).rows[0]
         assert row.opt is None and row.ratio is None
+
+
+def kxor_twin(graph):
+    """The kxor instance with one 2XOR constraint of b = -1 per edge."""
+    cons = tuple(Constraint(scope=(u, v), b=-1) for u, v, _ in graph.edges)
+    return CspInstance(n=graph.n, constraints=cons, kind="kxor")
+
+
+def run_or_error(kernel, problem, eps, seed):
+    """(rows, generator state) of one kernel call, or the ValueError's text."""
+    gen = RngStream(seed, 0).generator()
+    try:
+        rows = kernel(problem, eps, 0.0, gen, 300)
+    except ValueError as exc:
+        return str(exc)
+    return rows.tobytes(), rows.shape, gen.bit_generator.state
+
+
+class TestOneMaxCutType:
+    """A graph is the only Max-Cut type: every ALGORITHMS kernel runs on it as loaded."""
+
+    CSP_KERNELS = ("alg1", "alg2", "alg3", "alg_oddk", "em_baseline", "random_baseline")
+    UNIT_GRAPHS = {
+        "even_cycle": gen_triangle_free_graph("even_cycle", 6),
+        "path": WeightedGraph(n=5, edges=tuple((i, i + 1, 1.0) for i in range(4))),
+        "parallel_edges": WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (1, 0, 1.0), (2, 3, 1.0))),
+    }
+    WEIGHTED = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 2.5), (2, 3, 1.0)))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("name", sorted(UNIT_GRAPHS))
+    @pytest.mark.parametrize("algorithm", CSP_KERNELS)
+    def test_csp_kernel_on_graph_equals_kxor_twin(self, algorithm, name):
+        # eps 15 puts alg2's degree threshold (10000/eps^4 = 0.2) under the
+        # degrees, so its high sets vary and the exponential mechanism runs
+        graph, kernel = self.UNIT_GRAPHS[name], ALGORITHMS[algorithm]
+        outcomes = []
+        for eps in (1.0, 15.0):
+            on_graph = run_or_error(kernel, graph, eps, seed=3)
+            assert on_graph == run_or_error(kernel, kxor_twin(graph), eps, seed=3)
+            outcomes.append(on_graph)
+        refused = [o for o in outcomes if isinstance(o, str)]
+        if algorithm == "alg_oddk":
+            assert refused == ["alg_oddk requires odd arity; use alg2_batch"] * 2
+        elif name == "parallel_edges" and algorithm in ("alg1", "alg2", "alg3"):
+            assert len(refused) == 2
+        else:
+            assert not refused
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_weighted_graph_refused(self, algorithm, tmp_path, capsys):
+        with pytest.raises(ValueError):
+            ALGORITHMS[algorithm](self.WEIGHTED, 0.1, 0.0, RngStream(0, 0).generator(), 4)
+        path = tmp_path / "weighted.json"
+        save_instance(self.WEIGHTED, str(path))
+        code = cli.main(["solve", "--algorithm", algorithm, "--instance", str(path), "--eps", "0.1"])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_kernels_get_the_graph_as_loaded(self, monkeypatch):
+        # the harness hands each kernel the object it was given, for every id
+        graph = self.UNIT_GRAPHS["path"]
+        seen = []
+
+        def record(problem, eps, alpha, gen, trials):
+            seen.append(problem)
+            return np.ones((trials, problem.n), dtype=np.int8)
+
+        for algorithm in ALGORITHMS:
+            monkeypatch.setitem(ALGORITHMS, algorithm, record)
+            estimate_ratio(ExperimentConfig(algorithm=algorithm, eps=(0.1,), trials=2, seed=0), graph)
+        assert len(seen) == len(ALGORITHMS) and all(p is graph for p in seen)
 
 
 class TestSweep:

@@ -348,10 +348,10 @@ def ref_rows(algorithm, view, eps, alpha, seed, trials):
     ], dtype=np.int8).reshape(trials, view.n)
 
 
-def ref_run_one_eps(config, problem, view, eps, opt, baseline, chash):
+def ref_run_one_eps(config, problem, eps, opt, baseline, chash):
     values = np.array([
-        ref_eval_value(view, row)
-        for row in ref_rows(config.algorithm, view, eps, config.alpha, config.seed, config.trials)
+        ref_eval_value(problem, row)
+        for row in ref_rows(config.algorithm, problem, eps, config.alpha, config.seed, config.trials)
     ])
     mean = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(config.trials)) if config.trials > 1 else 0.0
@@ -833,8 +833,7 @@ class TestTwoColor:
 class TestAlg1Batch:
     KXOR = [gen_random_kxor(GenSpec(n=30, m=12, k=k, seed=k, triangle_free=True))
             for k in (2, 3)]
-    CYCLE = CspInstance(n=8, constraints=tuple(
-        Constraint(scope=(i, (i + 1) % 8), b=-1) for i in range(8)), kind="maxcut")
+    CYCLE = WeightedGraph(n=8, edges=tuple((i, (i + 1) % 8, 1.0) for i in range(8)))
     # the audit's neighbouring pair: one constraint, and none
     PAIR = [CspInstance(n=4, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor"),
             CspInstance(n=4, constraints=(), kind="kxor")]
@@ -946,9 +945,7 @@ class TestHarness:
     K3 = CspInstance(n=9, constraints=tuple(
         Constraint(scope=(3 * i, 3 * i + 1, 3 * i + 2), b=(-1) ** i) for i in range(3)
     ) + (Constraint(scope=(0, 4, 8), b=1),), kind="kxor")
-    CYCLE = CspInstance(n=10, constraints=tuple(
-        Constraint(scope=(i, (i + 1) % 10), b=-1) for i in range(10)
-    ), kind="maxcut")
+    CYCLE = WeightedGraph(n=10, edges=tuple((i, (i + 1) % 10, 1.0) for i in range(10)))
     CASES = {
         "alg1": (KXOR, (0.5, 2.0)),
         "alg2": (KXOR, (0.5, 2.0)),
@@ -1023,7 +1020,7 @@ class TestKernelLaws:
 
     def kernel_rows(self, algorithm, seed=5):
         problem, eps = self.CASES[algorithm]
-        kernel = harness.ALGORITHMS[algorithm][0]
+        kernel = harness.ALGORITHMS[algorithm]
         rows = kernel(problem, eps, 0.0, RngStream(seed, 0).generator(), self.TRIALS)
         assert rows.shape == (self.TRIALS, problem.n) and rows.dtype == np.int8
         return problem, eps, rows
