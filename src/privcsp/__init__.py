@@ -22,7 +22,6 @@ from .dp_mechanisms import (
     exponential_mechanism,
     randomized_response,
     sample_discrete_laplace,
-    sample_laplace,
 )
 
 __version__ = "0.1.0"
@@ -41,7 +40,6 @@ __all__ = [
     "degrees",
     "derivative_q",
     "lambda_j",
-    "sample_laplace",
     "sample_discrete_laplace",
     "randomized_response",
     "exponential_mechanism",

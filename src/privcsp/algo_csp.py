@@ -259,15 +259,19 @@ def alg2_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     per row of the returned (trials, n) int8 block.
 
     The degree-split pipeline (dp_mechanisms.degree_split_batch): degrees
-    perturbed with Laplace(3k/epsilon) noise against the threshold
+    perturbed with integer Laplace noise at parameter epsilon/(3k) (k the
+    max arity, one constraint moving k degrees) against the threshold
     10000/eps^4 select the high set; one candidate applies the exponential
     mechanism (budget epsilon/3, sensitivity 1) to the constraints inside
     the high set, with uniform values elsewhere; the other runs alg1 on
-    the whole instance at epsilon/3. A fair coin picks between them.
+    the whole instance at epsilon/3. A fair coin picks between them. An
+    instance that is not triangle-free is refused before any draw.
     """
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg2 requires a sign-form instance")
-    constraint_groups(instance)  # a weighted graph has none: ValueError, before any draw
+    # a weighted graph has no constraints to scan: ValueError, before any draw
+    if not is_triangle_free(instance):
+        raise ValueError("alg2 requires a triangle-free instance")
     check_epsilon(epsilon, positive=True)
     return degree_split_batch(
         instance, epsilon, rng, trials, alg1_batch, 10000.0 / threshold_power(epsilon, 4, "eps^4")

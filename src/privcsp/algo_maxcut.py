@@ -119,12 +119,13 @@ def dp_maxcut_unbounded_batch(
     of the returned (trials, n) int8 block.
 
     The degree-split pipeline (dp_mechanisms.degree_split_batch): noisy
-    degrees (Laplace(6/epsilon), as one edge moves two degrees) against
-    the threshold 10000/eps^2 select the high-degree part; one candidate
-    cut applies the exponential mechanism (budget epsilon/3, sensitivity
-    1) to the induced high-degree subgraph with uniform sides elsewhere,
-    the other runs dp_shearer on the whole graph at epsilon/3. A fair
-    coin picks the output; each of the three stages spends epsilon/3.
+    degrees (integer Laplace noise at parameter epsilon/6, as one edge
+    moves two degrees) against the threshold 10000/eps^2 select the
+    high-degree part; one candidate cut applies the exponential mechanism
+    (budget epsilon/3, sensitivity 1) to the induced high-degree subgraph
+    with uniform sides elsewhere, the other runs dp_shearer on the whole
+    graph at epsilon/3. A fair coin picks the output; each of the three
+    stages spends epsilon/3.
     """
     _require_unweighted(graph, "dp_maxcut_unbounded_batch")
     check_epsilon(epsilon, positive=True)
@@ -221,7 +222,11 @@ def dp_maxcut_general_batch(
     gen = as_generator(rng)
     n = graph.n
     u, v, _ = graph.edge_arrays()
-    high = noisy_high_mask(graph, epsilon, degree_share, 24.0 / eps_pow, gen, trials)
+    degree_budget, threshold = stage_budget(epsilon, degree_share), 24.0 / eps_pow
+    try:
+        high = noisy_high_mask(graph, degree_budget, threshold, gen, trials)
+    except ValueError as exc:  # a budget below the sampler's floor
+        raise ValueError(f"epsilon = {epsilon} is too small for the degree stage ({exc})") from None
     s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen)
     kept = gen.random((trials, u.size)) < rate
     kept &= ~(high.take(u, axis=1) | high.take(v, axis=1))

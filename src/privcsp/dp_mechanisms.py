@@ -8,13 +8,15 @@ concurrent trials must use distinct stream ids.
 The exponential mechanism has two forms on one CDF function (_em_cdf):
 exponential_mechanism draws one candidate index per row of a (trials, k)
 score block, and em_over_assignments_batch draws (trials, |active|)
-blocks over all sign assignments of a variable set. The noisy-degree
-split is three helpers that work on (trials, n) blocks, one run per row:
-noisy_high_mask (the degree stage), em_on_part (the exponential mechanism
-on each row's part) and degree_split_batch, the unbounded-degree pipeline
-of alg2, alg_oddk and alg5. The share tables give each stage its part of
-epsilon, budget_ledger lists them per ALGORITHMS id, and threshold_power
-rejects an epsilon whose degree-threshold power underflows.
+blocks over all sign assignments of a variable set. The one noise
+sampler, sample_discrete_laplace, draws integer Laplace noise for the
+degree stage and dp_shearer. The noisy-degree split is three helpers that
+work on (trials, n) blocks, one run per row: noisy_high_mask (the degree
+stage), em_on_part (the exponential mechanism on each row's part) and
+degree_split_batch, the unbounded-degree pipeline of alg2, alg_oddk and
+alg5. The share tables give each stage its part of epsilon, budget_ledger
+lists them per ALGORITHMS id, and threshold_power rejects an epsilon
+whose degree-threshold power underflows.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "EM_ENUMERATION_CAP",
     "RngStream",
     "as_generator",
-    "sample_laplace",
     "sample_discrete_laplace",
     "check_epsilon",
     "keep_probability",
@@ -92,24 +93,15 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected Generator or RngStream, got {type(rng)!r}")
 
 
-def sample_laplace(scale: float, rng, size=None):
-    """Continuous Laplace draw(s) with the given scale, by inverse CDF."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    gen = as_generator(rng)
-    u = gen.uniform(-0.5, 0.5, size=size)
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-
-
-def sample_discrete_laplace(epsilon: float, rng, size=None):
-    """Integer draw(s) with mass (e^eps - 1)/(e^eps + 1) * e^{-eps|x|}.
+def sample_discrete_laplace(epsilon: float, rng, size) -> np.ndarray:
+    """An int64 array of shape size of integer draws, each with mass
+    (e^eps - 1)/(e^eps + 1) * e^{-eps|x|}.
 
     One uniform decides zero versus sign; an unconditional geometric draw
-    supplies the magnitude, so every sample consumes exactly two draws. An
-    array of draws is the int64 magnitude times the sign (u >= p0) -
-    2 (u >= mid), which is 0, 1 or -1. An epsilon so small that 1 - e^-eps
-    rounds to 0 (below about 1.1e-16) leaves the geometric law without a
-    success probability and is rejected with a ValueError before any draw.
+    supplies the magnitude, so every sample consumes exactly two draws: the
+    int64 magnitude times the sign (u >= p0) - 2 (u >= mid), 0, 1 or -1. An
+    epsilon so small that 1 - e^-eps rounds to 0 (below about 4.5e-17) is
+    rejected with a ValueError before any draw.
     """
     check_epsilon(epsilon, positive=True)
     q = np.exp(-epsilon)
@@ -123,10 +115,6 @@ def sample_discrete_laplace(epsilon: float, rng, size=None):
     mid = p_zero + (1.0 - p_zero) / 2.0
     u = gen.random(size=size)
     magnitude = gen.geometric(1.0 - q, size=size)
-    if size is None:
-        if u < p_zero:
-            return 0
-        return int(magnitude) if u < mid else -int(magnitude)
     # in place on the fresh magnitude array, with an int8 sign
     sign = (u >= p_zero).astype(np.int8)
     sign -= 2 * (u >= mid).astype(np.int8)
@@ -295,19 +283,18 @@ def budget_ledger(algorithm: str, epsilon: float) -> tuple[tuple[str, float], ..
     return tuple((name, stage_budget(epsilon, f)) for name, f in zip(names.split(), shares))
 
 
-def noisy_high_mask(
-    problem, epsilon: float, share: Fraction, threshold: float, rng, trials: int
-) -> np.ndarray:
+def noisy_high_mask(problem, budget: float, threshold: float, rng, trials: int) -> np.ndarray:
     """Degree stage: the (trials, n) bool mask of the variables whose degree
-    plus Laplace noise exceeds threshold, one row per run, from one
-    sample_laplace draw of shape (trials, n). One constraint moves k
-    degrees by one each, so the scale k / (share * epsilon), with k the max
-    arity (at least 1; 2 for every graph, edgeless too), spends share *
-    epsilon (Dwork, McSherry, Nissim and Smith 2006).
+    plus integer noise, one sample_discrete_laplace draw of shape (trials, n)
+    at parameter budget / k, exceeds threshold. One constraint moves k
+    degrees by one each (k the max arity, at least 1; 2 for every graph),
+    so the noise pmf changes by at most e^budget: the geometric mechanism
+    (Ghosh, Roughgarden and Sundararajan 2009). The int64 sums meet the
+    float threshold unfloored: it may lie beyond int64 (10000/eps^4).
     """
     k = max(problem.max_arity, 1)
-    scale = k * share.denominator / (share.numerator * epsilon)
-    return degrees(problem) + sample_laplace(scale, rng, size=(trials, problem.n)) > threshold
+    noise = sample_discrete_laplace(budget / k, rng, size=(trials, problem.n))
+    return degrees(problem) + noise > threshold
 
 
 def em_on_part(problem, part: np.ndarray, budget: float, rng):
@@ -340,12 +327,15 @@ def degree_split_batch(
     em_on_part on that part, uniform elsewhere; the other is the batch
     kernel subroutine(problem, budget, gen, trials) -> (trials, n) +-1
     block, run on the whole problem. A fair coin per row picks between
-    them. The three stages spend the UNBOUNDED_BUDGET_FRACTIONS shares of
-    epsilon, in that order, and draw in that order.
+    them. The three stages are handed stage_budget(epsilon, share) for the
+    UNBOUNDED_BUDGET_FRACTIONS shares, and draw, in that order.
     """
     gen = as_generator(rng)
     degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
-    high = noisy_high_mask(problem, epsilon, degree_share, threshold, gen, trials)
+    try:
+        high = noisy_high_mask(problem, stage_budget(epsilon, degree_share), threshold, gen, trials)
+    except ValueError as exc:  # a budget below the sampler's floor
+        raise ValueError(f"epsilon = {epsilon} is too small for the degree stage ({exc})") from None
     x1 = em_on_part(problem, high, stage_budget(epsilon, em_share), gen)
     x2 = np.asarray(subroutine(problem, stage_budget(epsilon, sub_share), gen, trials))
     if x2.shape != x1.shape or not np.all(np.abs(x2) == 1):

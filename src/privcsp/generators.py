@@ -190,10 +190,8 @@ def gen_hard_family(
     return family, len(supports) == count
 
 
-def gen_single_constraint(
-    n: int, constraint: Constraint | None, kind: str = "kxor"
-) -> CspInstance:
-    """A one-constraint probe instance, or the companion empty instance
-    when constraint is None."""
+def gen_single_constraint(n: int, constraint: Constraint | None) -> CspInstance:
+    """A one-constraint kxor probe instance, or the companion empty
+    instance when constraint is None."""
     cons = () if constraint is None else (constraint,)
-    return CspInstance(n=n, constraints=cons, kind=kind)
+    return CspInstance(n=n, constraints=cons, kind="kxor")

@@ -195,11 +195,23 @@ class TestAlg2:
 
     def test_rejects_triangles(self):
         # the low-degree candidate runs alg1 on the whole instance, and alg1
-        # refuses one that is not triangle-free
+        # needs a triangle-free one
         cons = (xor((0, 1)), xor((1, 2)), xor((0, 2)))
         inst = CspInstance(n=3, constraints=cons, kind="kxor")
         with pytest.raises(ValueError, match="triangle-free"):
             alg2_batch(inst, 1.0, gen(), 4)
+
+    def test_rejects_triangles_before_any_draw(self):
+        # at eps = 20 the threshold is 0.0625, so every variable of the
+        # complete instance is high; the check used to run only in alg1,
+        # after the exponential mechanism had hit its cap on 30 variables
+        cons = tuple(xor((i, j)) for i in range(30) for j in range(i + 1, 30))
+        inst = CspInstance(n=30, constraints=cons, kind="kxor")
+        g = gen()
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="alg2 requires a triangle-free instance"):
+            alg2_batch(inst, 20.0, g, 1)
+        assert g.bit_generator.state == state
 
     def test_half_value_floor(self):
         inst = gen_random_kxor(GenSpec(n=12, m=8, k=2, seed=1, triangle_free=True))

@@ -14,6 +14,8 @@ from privcsp.cli import (
     build_parser,
     main,
 )
+from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, save_instance
+from privcsp.harness import ALGORITHMS
 
 
 def run(capsys, *argv):
@@ -207,6 +209,31 @@ class TestSolveRatioSweep:
         )
         assert code == EXIT_RESOURCE and "resource cap" in err
 
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_solve_invalid_eps_rejected(self, tmp_path, capsys, algorithm, eps):
+        # shearer and random_baseline never read eps, and em_baseline on an
+        # edgeless graph draws nothing: they used to print it and exit 0
+        path = tmp_path / "edgeless.json"
+        save_instance(WeightedGraph(n=4, edges=()), str(path))
+        code, out, err = run(
+            capsys, "solve", "--algorithm", algorithm, "--instance", str(path), "--eps", eps
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "epsilon must be finite and nonnegative" in err
+
+    def test_solve_alg2_refuses_triangles(self, tmp_path, capsys):
+        # at eps = 20 every variable is high, and the exponential mechanism
+        # on all 30 used to hit its cap (exit 3) before alg1's check ran
+        path = tmp_path / "complete.json"
+        cons = tuple(Constraint(scope=(i, j), b=1) for i in range(30) for j in range(i + 1, 30))
+        save_instance(CspInstance(n=30, constraints=cons, kind="kxor"), str(path))
+        code, out, err = run(
+            capsys, "solve", "--algorithm", "alg2", "--instance", str(path), "--eps", "20"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "alg2 requires a triangle-free instance" in err
+
 
 class TestAuditCommand:
     def test_audit_pass(self, capsys):
@@ -253,6 +280,26 @@ class TestTinyEpsSweep:
             "--eps", "1e-12", "--trials", "5",
         )
         assert code == EXIT_OK and out.startswith("algorithm,")
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("algorithm,gen_args,eps", [
+        ("alg2", ("kxor", "--k", "2", "--m", "10", "--triangle-free"), "2.4e-16"),
+        ("alg_oddk", ("kxor", "--k", "3", "--m", "4"), "3.6e-16"),
+        ("alg5", ("even_cycle",), "2.4e-16"),
+        ("alg6", ("even_cycle",), "4.8e-16"),
+    ])
+    def test_degree_stage_names_the_stage(self, tmp_path, capsys, algorithm, gen_args, eps):
+        # the degree stage's noise parameter eps/(3k) or eps/12 lies below
+        # the sampler's floor of about 4.5e-17
+        path = tmp_path / "instance.json"
+        assert run(capsys, "gen", "--kind", *gen_args, "--n", "12", "--out", str(path))[0] == 0
+        code, out, err = run(
+            capsys,
+            "ratio", "--algorithm", algorithm, "--instance", str(path),
+            "--eps", eps, "--trials", "5",
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"epsilon = {eps} is too small for the degree stage" in err
 
 
 class TestVerifyHardnessCommand:

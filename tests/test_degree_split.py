@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from privcsp import algo_csp, algo_maxcut, dp_mechanisms
+from privcsp import algo_maxcut, dp_mechanisms
 from privcsp.algo_csp import alg2_batch
 from privcsp.algo_maxcut import dp_maxcut_general_batch, dp_maxcut_unbounded_batch
 from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, degrees
@@ -23,7 +23,7 @@ from privcsp.dp_mechanisms import (
     noisy_high_mask,
     stage_budget,
 )
-from privcsp.harness import ExperimentConfig, estimate_ratio
+from privcsp.harness import ALGORITHMS, ExperimentConfig, estimate_ratio
 
 
 def gen(seed=0):
@@ -34,37 +34,58 @@ def one_constraint(k):
     return CspInstance(n=k, constraints=(Constraint(scope=tuple(range(k)), b=1),), kind="kxor")
 
 
-def spy_laplace_scales(monkeypatch):
-    """Records the scale of every sample_laplace call, whichever module
+def spy_noise_params(monkeypatch):
+    """Records the parameter of every sample_discrete_laplace call of the
+    degree stage: dp_mechanisms' binding, which dp_shearer does not use."""
+    params = []
+    real = dp_mechanisms.sample_discrete_laplace
+
+    def spy(param, rng, size):
+        params.append(param)
+        return real(param, rng, size=size)
+
+    monkeypatch.setattr(dp_mechanisms, "sample_discrete_laplace", spy)
+    return params
+
+
+def spy_degree_budgets(monkeypatch):
+    """Records the budget of every noisy_high_mask call, whichever module
     binding the algorithm calls it through."""
-    scales = []
-    real = dp_mechanisms.sample_laplace
+    budgets = []
+    real = dp_mechanisms.noisy_high_mask
 
-    def spy(scale, rng, size=None):
-        scales.append(scale)
-        return real(scale, rng, size=size)
+    def spy(problem, budget, threshold, rng, trials):
+        budgets.append(budget)
+        return real(problem, budget, threshold, rng, trials)
 
-    for module in (dp_mechanisms, algo_csp, algo_maxcut):
-        monkeypatch.setattr(module, "sample_laplace", spy, raising=False)
-    return scales
+    for module in (dp_mechanisms, algo_maxcut):
+        monkeypatch.setattr(module, "noisy_high_mask", spy)
+    return budgets
 
 
-def degree_stage_loss(deg_a, deg_b, scale, threshold, scale_b=None):
+def log_tail(m, param):
+    """ln P[Z >= m] for Z integer Laplace at param, from the two-sided
+    geometric tails with q = e^-param: q^m / (1 + q) for m >= 1 and
+    1 - q^(1 - m) / (1 + q) for m <= 0."""
+    log1q = math.log1p(math.exp(-param))
+    if m >= 1:
+        return -m * param - log1q
+    return math.log1p(-math.exp(-(1 - m) * param - log1q))
+
+
+def degree_stage_loss(deg_a, deg_b, param, threshold, param_b=None):
     """max over high sets H of |ln P_a[H] - ln P_b[H]|, where P[H] is the
-    probability that exactly the variables in H have degree plus
-    Laplace(scale) noise above the threshold, from the closed-form tails
-    P[L > t] = e^(-t/scale) / 2 for t >= 0. scale_b, if given, is side b's
-    scale."""
+    probability that exactly the variables in H have degree plus integer
+    Laplace noise at param above the threshold: d + Z > T exactly when
+    Z >= floor(T - d) + 1. param_b, if given, is side b's parameter."""
     assert threshold > max(deg_a.max(), deg_b.max())
 
-    def log_p(deg, high, scale=scale):
-        tail = -(threshold - deg) / scale + math.log(0.5)  # ln P[L > T - d]
-        return sum(
-            t if h else math.log1p(-math.exp(t)) for t, h in zip(tail.tolist(), high)
-        )
+    def log_p(deg, high, param=param):
+        tail = [log_tail(math.floor(threshold - d) + 1, param) for d in deg.tolist()]
+        return sum(t if h else math.log1p(-math.exp(t)) for t, h in zip(tail, high))
 
     return max(
-        abs(log_p(deg_a, high) - log_p(deg_b, high, scale_b or scale))
+        abs(log_p(deg_a, high) - log_p(deg_b, high, param_b or param))
         for high in product((False, True), repeat=deg_a.size)
     )
 
@@ -100,32 +121,33 @@ class TestDegreeStageLoss:
             eps /= 30.0  # alg6 takes epsilon in (0, 0.1]
             run = lambda g: dp_maxcut_general_batch(g, eps, 0.0, gen(1), 1)[0]  # noqa: E731
             share = GENERAL_BUDGET_FRACTIONS[0]
-        scales = spy_laplace_scales(monkeypatch)
+        params = spy_noise_params(monkeypatch)
         one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
         empty = WeightedGraph(n=2, edges=())
         run(one_edge)
         run(empty)
-        assert len(scales) == 2 and scales[0] == scales[1]
+        assert len(params) == 2 and params[0] == params[1]
         for threshold in (1.5, 10.0, 200.0):
-            loss = degree_stage_loss(
-                one_edge.degree_counts(), empty.degree_counts(), scales[0], threshold
-            )
+            deg_a, deg_b = one_edge.degree_counts(), empty.degree_counts()
+            loss = degree_stage_loss(deg_a, deg_b, params[0], threshold)
             assert abs(loss - float(share) * eps) <= 1e-12
+            # mutation check: noise at the whole budget, not budget / 2
+            assert degree_stage_loss(deg_a, deg_b, 2 * params[0], threshold) > float(share) * eps
 
     @pytest.mark.parametrize("eps", [1.0, 3.0, 6.0])
     def test_alg2_graph_pair_through_harness(self, monkeypatch, eps):
         # alg2 on the object the harness hands the kernel: a graph declares
         # arity 2 even with no edges, so the edgeless graph draws at the
-        # one-edge graph's scale and the stage spends its share, not more
-        scales = spy_laplace_scales(monkeypatch)
+        # one-edge graph's parameter and the stage spends its share, not more
+        params = spy_noise_params(monkeypatch)
         one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
         empty = WeightedGraph(n=2, edges=())
         config = ExperimentConfig(algorithm="alg2", eps=(eps,), trials=1, seed=0)
         estimate_ratio(config, one_edge)
         estimate_ratio(config, empty)
-        assert len(scales) == 2
+        assert len(params) == 2
         loss = degree_stage_loss(
-            degrees(one_edge), degrees(empty), scales[0], 10000.0 / eps ** 4, scales[1]
+            degrees(one_edge), degrees(empty), params[0], 10000.0 / eps ** 4, params[1]
         )
         assert loss <= float(UNBOUNDED_BUDGET_FRACTIONS[0]) * eps * (1 + 1e-9)
 
@@ -133,16 +155,42 @@ class TestDegreeStageLoss:
     @pytest.mark.parametrize("k", [2, 3])
     def test_kxor_pair(self, monkeypatch, k, eps):
         # neighbouring kXOR instances share the arity k, so the empty
-        # instance is taken at the scale of the k-ary side
-        scales = spy_laplace_scales(monkeypatch)
+        # instance is taken at the parameter of the k-ary side
+        params = spy_noise_params(monkeypatch)
         inst = one_constraint(k)
         alg2_batch(inst, eps, gen(2), 1)
-        assert len(scales) == 1
+        assert len(params) == 1
         empty_deg = np.zeros(k, dtype=np.int64)
         share = UNBOUNDED_BUDGET_FRACTIONS[0]
         for threshold in (1.5, 10.0, 200.0):
-            loss = degree_stage_loss(degrees(inst), empty_deg, scales[0], threshold)
+            loss = degree_stage_loss(degrees(inst), empty_deg, params[0], threshold)
             assert abs(loss - float(share) * eps) <= 1e-12
+            # mutation check: noise at the whole budget, not budget / k
+            mutant = degree_stage_loss(degrees(inst), empty_deg, k * params[0], threshold)
+            assert mutant > float(share) * eps
+
+
+class TestNoiseFloor:
+    """The degree stage draws at parameter budget / k, and the sampler
+    refuses a parameter below about 4.5e-17: an epsilon whose parameter
+    falls below is refused before any draw, naming the stage and the
+    epsilon the kernel was given; one just above runs."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("algorithm,k,refused,runs", [
+        ("alg2", 2, 2.4e-16, 3e-16),  # parameter eps/6
+        ("alg_oddk", 3, 3.6e-16, 4.5e-16),  # eps/9
+        ("alg5", 2, 2.4e-16, 3e-16),  # eps/6
+        ("alg6", 2, 4.8e-16, 6e-16),  # eps/12
+    ])
+    def test_floor(self, algorithm, k, refused, runs):
+        problem = WeightedGraph(n=2, edges=((0, 1, 1.0),)) if k == 2 else one_constraint(k)
+        g = gen(6)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match=rf"epsilon = {refused} is too small for the degree stage"):
+            ALGORITHMS[algorithm](problem, refused, 0.0, g, 3)
+        assert g.bit_generator.state == state
+        assert ALGORITHMS[algorithm](problem, runs, 0.0, gen(6), 3).shape == (3, problem.n)
 
 
 class TestBudgetsMatchLedger:
@@ -150,6 +198,7 @@ class TestBudgetsMatchLedger:
 
     @pytest.mark.parametrize("eps", [0.3, 1.0, 2.7, 0.1 + 0.2])
     def test_alg2(self, monkeypatch, eps):
+        degree = spy_degree_budgets(monkeypatch)
         em = spy_em_budgets(monkeypatch)
         sub = []
 
@@ -159,13 +208,15 @@ class TestBudgetsMatchLedger:
 
         degree_split_batch(one_constraint(3), eps, gen(3), 1, subroutine, -1e9)
         ledger = dict(budget_ledger("alg2", eps))
+        assert degree == [ledger["degree-noise"]]
         assert em == [ledger["high-part-em"]]
         assert sub == [ledger["subroutine"]]
 
-    @pytest.mark.parametrize("eps", [70.0, 100.0, 0.1 + 0.2 + 99.0])
+    @pytest.mark.parametrize("eps", [71.0, 100.0, 0.1 + 0.2 + 99.0])
     def test_alg5(self, monkeypatch, eps):
-        # threshold 10000/eps^2 <= 2.1 and noise scale 6/eps: the cycle's
-        # degree-2 vertices are high
+        # threshold 10000/eps^2 < 2 and noise parameter eps/6: the cycle's
+        # degree-2 vertices are high unless the noise is negative
+        degree = spy_degree_budgets(monkeypatch)
         em = spy_em_budgets(monkeypatch)
         shearer = []
         real = algo_maxcut.dp_shearer_batch
@@ -178,6 +229,7 @@ class TestBudgetsMatchLedger:
         cycle = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4, 1.0) for i in range(4)))
         dp_maxcut_unbounded_batch(cycle, eps, gen(4), 1)
         ledger = dict(budget_ledger("alg5", eps))
+        assert degree == [ledger["degree-noise"]]
         assert em == [ledger["high-part-em"]]
         assert shearer == [ledger["dp-shearer"]]
 
@@ -186,6 +238,7 @@ class TestBudgetsMatchLedger:
     def test_alg6(self, monkeypatch, eps):
         # 600 parallel edges against the threshold 24/eps: both ends are
         # high on most seeds
+        degree = spy_degree_budgets(monkeypatch)
         em = spy_em_budgets(monkeypatch)
         matching, final = [], []
         real_check, real_em = algo_maxcut._check_amplification, algo_maxcut.exponential_mechanism
@@ -204,6 +257,7 @@ class TestBudgetsMatchLedger:
         for seed in range(5):
             dp_maxcut_general_batch(graph, eps, 0.0, gen(seed), 1)
         ledger = dict(budget_ledger("alg6", eps))
+        assert degree == [ledger["degree-noise"]] * 5
         assert len(em) >= 1 and set(em) == {ledger["high-part-em"]}
         assert matching == [ledger["matching-em"]] * 5
         assert final == [ledger["final-selection"]] * 5
@@ -251,14 +305,15 @@ class TestNoisyHighMask:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_scale_and_draw(self, monkeypatch, case):
         problem, k = self.CASES[case]
-        scales = spy_laplace_scales(monkeypatch)
+        params = spy_noise_params(monkeypatch)
         for i, eps in enumerate(log_uniform_eps(300, seed=2).tolist()):
-            for share, literal in ((Fraction(1, 3), 3.0 * k / eps), (Fraction(1, 6), 6.0 * k / eps)):
+            for budget in (eps / 3.0, eps / 6.0):
                 g1, g2 = gen(i), gen(i)
-                mask = noisy_high_mask(problem, eps, share, 1.5, g1, 1)[0]
-                ref = degrees(problem) + dp_mechanisms.sample_laplace(literal, g2, size=problem.n) > 1.5
+                mask = noisy_high_mask(problem, budget, 1.5, g1, 1)[0]
+                noise = dp_mechanisms.sample_discrete_laplace(budget / k, g2, size=(1, problem.n))
+                ref = degrees(problem) + noise[0] > 1.5
                 # the reference draw goes through the spy too: the helper's is second to last
-                assert scales[-2] == literal
+                assert params[-2] == budget / k
                 assert mask.dtype == bool and np.array_equal(mask, ref)
                 assert g1.bit_generator.state == g2.bit_generator.state
 

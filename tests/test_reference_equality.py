@@ -69,7 +69,6 @@ from privcsp.dp_mechanisms import (
     keep_probability,
     randomized_response,
     sample_discrete_laplace,
-    sample_laplace,
 )
 from privcsp.generators import GenSpec, gen_random_kxor
 from privcsp.oracles import exact_em_distribution, exact_median_theta
@@ -222,7 +221,7 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
     gen = as_generator(rng)
     n = graph.n
     threshold = 24.0 / epsilon ** (1.0 + alpha)
-    noisy = graph.degree_counts() + sample_laplace(12.0 / epsilon, gen, size=n)
+    noisy = graph.degree_counts() + sample_discrete_laplace(epsilon / 6.0 / 2, gen, size=n)
     high_mask = noisy > threshold
     high = np.flatnonzero(high_mask)
     s1 = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
@@ -245,11 +244,11 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
 
 def ref_alg2(instance, epsilon, rng, subroutine, threshold):
     """alg2_batch's one-trial form without its checks, with its own copy of the
-    noisy-degree split: literal Laplace scale and stage budgets. Also
-    returns the size of the high set."""
+    noisy-degree split: literal integer-noise parameter and stage budgets.
+    Also returns the size of the high set."""
     gen = as_generator(rng)
     k = max(instance.max_arity, 1)
-    noisy = degrees(instance) + sample_laplace(3.0 * k / epsilon, gen, size=instance.n)
+    noisy = degrees(instance) + sample_discrete_laplace(epsilon / 3.0 / k, gen, size=instance.n)
     high = np.flatnonzero(noisy > threshold)
     x1 = (2 * gen.integers(0, 2, size=instance.n) - 1).astype(np.int8)
     if high.size:
@@ -262,10 +261,10 @@ def ref_alg2(instance, epsilon, rng, subroutine, threshold):
 
 def ref_dp_maxcut_unbounded(graph, epsilon, rng):
     """dp_maxcut_unbounded_batch's one-trial form without its checks, with its own copy of the
-    noisy-degree split; the Laplace scale is 6/epsilon (one edge moves two
-    degrees)."""
+    noisy-degree split; the integer-noise parameter is epsilon/3/2 (one edge
+    moves two degrees)."""
     gen = as_generator(rng)
-    noisy = graph.degree_counts() + sample_laplace(6.0 / epsilon, gen, size=graph.n)
+    noisy = graph.degree_counts() + sample_discrete_laplace(epsilon / 3.0 / 2, gen, size=graph.n)
     high = np.flatnonzero(noisy > 10000.0 / epsilon ** 2)
     s1 = (2 * gen.integers(0, 2, size=graph.n) - 1).astype(np.int8)
     if high.size:
@@ -476,16 +475,12 @@ def ref_alg1_batch(instance, epsilon, rng, trials):
     return np.where(greedy, y * z, x).astype(np.int8)
 
 
-def ref_sample_discrete_laplace(epsilon, rng, size=None):
+def ref_sample_discrete_laplace(epsilon, rng, size):
     gen = as_generator(rng)
     q = np.exp(-epsilon)
     p_zero = (1.0 - q) / (1.0 + q)
     u = gen.random(size=size)
     magnitude = gen.geometric(1.0 - q, size=size)
-    if size is None:
-        if u < p_zero:
-            return 0
-        return int(magnitude) if u < p_zero + (1.0 - p_zero) / 2.0 else -int(magnitude)
     out = np.where(
         u < p_zero,
         0,
@@ -883,7 +878,7 @@ class TestDiscreteLaplace:
     @pytest.mark.parametrize("eps", [1e-12, 1e-3, 0.5, 1.0, 3.0, 40.0])
     def test_matches_nested_where(self, eps):
         for seed in SEEDS:
-            for size in (None, (), 5, (3, 4)):
+            for size in ((), 5, (3, 4)):
                 gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert same_result(sample_discrete_laplace(eps, gen_new, size=size),
                                    ref_sample_discrete_laplace(eps, gen_ref, size=size))
@@ -1050,10 +1045,10 @@ class TestKernelLaws:
     def test_alg2_exact_law(self, eps, threshold):
         # the pipeline with a constant subroutine row, so the law is half a
         # point mass and half the degree split's: P[high set = H] from the
-        # closed-form Laplace tails at scale 3k/eps, then the exponential
-        # mechanism at eps/3 on H
+        # two-sided geometric tails of integer noise at eps/(3k), then the
+        # exponential mechanism at eps/3 on H
         problem = self.ODD
-        n, scale, budget = problem.n, 3.0 * problem.max_arity / eps, eps / 3.0
+        n, param, budget = problem.n, eps / 3.0 / problem.max_arity, eps / 3.0
         ones = np.ones(n, dtype=np.int8)
 
         def constant(inst, e, gen, trials):
@@ -1061,8 +1056,9 @@ class TestKernelLaws:
 
         rows = degree_split_batch(
             problem, eps, RngStream(9, 0).generator(), self.TRIALS, constant, threshold)
-        t = threshold - degrees(problem)
-        p_high = np.where(t >= 0, 0.5 * np.exp(-np.abs(t) / scale), 1 - 0.5 * np.exp(-np.abs(t) / scale))
+        # d + Z > T exactly when Z >= m = floor(T - d) + 1
+        q, m = math.exp(-param), np.floor(threshold - degrees(problem)) + 1
+        p_high = np.where(m >= 1, q ** m / (1 + q), 1 - q ** (1 - m) / (1 + q))
         law = np.zeros(1 << n)
         law[(1 << n) - 1] += 0.5
         for hmask in range(1 << n):
@@ -1139,11 +1135,13 @@ class TestAlg6Subsampling:
         # no edges: every candidate scores 0, so the output is the uniform
         # s1 or s2 with probability 2/3 and the degree partition s3 (+1 on
         # the high vertices) with 1/3, each vertex high with probability
-        # P[Laplace(12/eps) > 24/eps] = e^-2 / 2
+        # P[Z > 24/eps] = P[Z >= 241] = q^241 / (1 + q) for integer noise at
+        # eps/12, q = e^(-eps/12)
         n = 4
         rows = dp_maxcut_general_batch(WeightedGraph(n=n, edges=()), 0.1, 0.0,
                                        RngStream(10, 0).generator(), self.TRIALS)
-        p = math.exp(-2.0) / 2
+        q = math.exp(-0.1 / 6.0 / 2)
+        p = q ** (math.floor(24.0 / 0.1) + 1) / (1 + q)
         pattern = np.array([p ** bin(c).count("1") * (1 - p) ** (n - bin(c).count("1"))
                             for c in range(1 << n)])
         assert_law(rows, 2 / 3 / (1 << n) + pattern / 3)
