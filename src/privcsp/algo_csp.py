@@ -152,61 +152,61 @@ def _single_hit_terms(instance: CspInstance, mask: np.ndarray, x: np.ndarray):
 
 
 def _greedy_medians(instance: CspInstance, greedy: np.ndarray, x: np.ndarray):
-    """(sum2, theta2, gamma) per cell (trial t, variable j) of (trials, n)
-    blocks, over the constraints active at j in trial t (j is their only
-    greedy scope variable): twice the summed derivative_q, twice its exact
-    median, both exact integers in int32, and the median's tie bias.
+    """(cells, sum2, theta2, gamma): the sorted flat indices t * n + j of
+    the cells (trial t, variable j) of (trials, n) blocks with a constraint
+    active at j (its only greedy scope variable in trial t), and at each,
+    twice the summed derivative_q, twice its exact median, both exact
+    integers in int32, and the median's tie bias. Every other cell has sum
+    and median 0 and tie bias 1/2.
 
     A cell whose active constraints are all parities of arity >= 2 reads
     the closed form _xor_median_by_count at their count; the other cells
-    with an active constraint go to _cell_medians.
+    go to _cell_medians.
     """
-    trials, n = greedy.shape
+    n = greedy.shape[1]
     terms = list(_single_hit_terms(instance, greedy, x))
-    flat, q2s, xor_flat, other_flat = ([np.zeros(0, dtype=np.intp)] for _ in range(4))
+    flat, q2s, is_xor = ([np.zeros(0, dtype=dtype)] for dtype in (np.intp, np.intp, bool))
     for group, t, _, _, j, q2 in terms:
         flat.append(t * n + j)
         q2s.append(q2)
-        (xor_flat if group.signs is not None and group.arity >= 2 else other_flat).append(flat[-1])
+        is_xor.append(np.full(t.size, group.signs is not None and group.arity >= 2))
+    flat, q2s, is_xor = (np.concatenate(parts) for parts in (flat, q2s, is_xor))
+    if np.all(flat[1:] > flat[:-1]):  # one term per cell, in cell order
+        cells, rank = flat, np.arange(flat.size)
+    else:
+        cells, rank = np.unique(flat, return_inverse=True)
 
-    def total(parts, weights=None):
-        sums = np.bincount(np.concatenate(parts), weights=weights, minlength=trials * n)
-        return sums.astype(np.int32).reshape(trials, n)
+    def total(rank, weights=None):
+        return np.bincount(rank, weights=weights, minlength=cells.size).astype(np.int32)
 
-    sum2, xors, others = total(flat, np.concatenate(q2s)), total(xor_flat), total(other_flat)
+    sum2, xors, others = total(rank, q2s), total(rank[is_xor]), total(rank[~is_xor])
     thetas, gammas = _xor_median_by_count(int(xors.max(initial=0)))
     # twice the median: an integer, as the derivatives are multiples of 1/2
     theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
-    cells = np.flatnonzero(others > 0)
-    if cells.size:
-        theta, gamma.flat[cells] = _cell_medians(instance, terms, trials, cells)
-        theta2.flat[cells] = 2 * theta
-    return sum2, theta2, gamma
+    mixed = others > 0
+    if mixed.any():
+        in_mixed = np.where(mixed, np.cumsum(mixed) - 1, -1)
+        theta, gamma[mixed] = _cell_medians(instance, terms, in_mixed[rank], cells[mixed])
+        theta2[mixed] = 2 * theta
+    return cells, sum2, theta2, gamma
 
 
-def _cell_medians(instance: CspInstance, terms: list, trials: int, cells: np.ndarray):
+def _cell_medians(instance: CspInstance, terms: list, rank: np.ndarray, cells: np.ndarray):
     """(theta, gamma) arrays of the exact median of the summed derivative,
-    and its tie bias, at each cell t * n + j of the sorted array `cells`,
-    each with at least one active constraint (terms are the
-    _single_hit_terms of the greedy mask). On a triangle-free instance the
-    active constraints of a cell share only j, so their fixed supports are
-    disjoint and the multiset of their pmf ids fixes the median: cells
-    with the same multiset share one _median_for call."""
+    and its tie bias, at each cell t * n + j of the sorted array `cells`.
+    terms are the _single_hit_terms of the greedy mask; rank gives, for
+    each of their rows in order, the index in cells of its cell, or -1.
+    On a triangle-free instance the active constraints of a cell share
+    only j, so their fixed supports are disjoint and the multiset of their
+    pmf ids fixes the median: cells with the same multiset share one
+    _median_for call."""
     n = instance.n
-    marked = np.zeros(trials * n, dtype=bool)
-    marked[cells] = True
-    marked = marked.reshape(trials, n)
     xor_id = _pmf_id(_XOR_STAND_IN, 0)
-    parts = []
-    for group, t, c, pos, j, _ in terms:
-        sel = marked[t, j]
-        t, c, pos, j = t[sel], c[sel], pos[sel], j[sel]
-        if group.signs is not None and group.arity >= 2:
-            pids = np.full(c.size, xor_id)
-        else:
-            pids = _group_pmf_ids(instance, group)[c, pos]
-        parts.append((np.searchsorted(cells, t * n + j), pids, group.cons[c]))
-    rank, pids, cons = (np.concatenate(cols) for cols in zip(*parts))
+    pids = [np.full(c.size, xor_id) if group.signs is not None and group.arity >= 2
+            else _group_pmf_ids(instance, group)[c, pos] for group, _, c, pos, _, _ in terms]
+    cons = [group.cons[c] for group, _, c, _, _, _ in terms]
+    sel = rank >= 0
+    rank, pids, cons = rank[sel], np.concatenate(pids)[sel], np.concatenate(cons)[sel]
     order = np.argsort(rank, kind="stable")
     bounds = np.searchsorted(rank, np.arange(cells.size + 1), sorter=order)
 
@@ -234,7 +234,8 @@ def alg1_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     Draws, each one (trials, n) array: the greedy mask, the initial x, the
     tie draw and the keep draw. The fixed scope variables of an active
     constraint are not greedy, so every derivative reads the initial x;
-    _greedy_medians gives the sums and their medians.
+    _greedy_medians gives the sums and their medians where a constraint
+    is active; elsewhere z compares the tie draw with 1/2.
     """
     keep_prob = keep_probability(epsilon)
     if not is_triangle_free(instance):
@@ -243,15 +244,16 @@ def alg1_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     n = instance.n
     greedy = gen.random((trials, n)) < 0.5
     x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
-    sum2, theta2, gamma = _greedy_medians(instance, greedy, x)
-    tie = gen.random((trials, n)) < gamma
+    cells, sum2, theta2, gamma = _greedy_medians(instance, greedy, x)
+    tie = gen.random((trials, n))
+    # z = +1 when s > theta, or s == theta and the tie draw is below gamma
+    z = tie < 0.5
+    z.reshape(-1)[cells] = (sum2 > theta2) | ((sum2 == theta2) & (tie.reshape(-1)[cells] < gamma))
     keep = gen.random((trials, n)) < keep_prob
-    # z = +1 when s > theta, or s == theta and tie; y = +1 when keep; and
-    # y * z = +1 exactly when the two agree
-    agree = ((sum2 > theta2) | ((sum2 == theta2) & tie)) == keep
+    # y = +1 when keep, and y * z = +1 exactly when the two agree;
     # np.where(greedy, y * z, x) in bool algebra: np.where branches per
     # element and is several times slower on a random mask
-    return signs_from_bits((greedy & agree) | (~greedy & (x > 0)))
+    return signs_from_bits((greedy & (z == keep)) | (~greedy & (x > 0)))
 
 
 def alg2_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.ndarray:

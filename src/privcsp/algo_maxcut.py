@@ -24,6 +24,7 @@ import numpy as np
 from .csp_core import WeightedGraph, eval_value, signs_from_bits
 from .dp_mechanisms import (
     GENERAL_BUDGET_FRACTIONS,
+    _degree_stage_refusal,
     as_generator,
     check_epsilon,
     degree_split_batch,
@@ -225,8 +226,8 @@ def dp_maxcut_general_batch(
     degree_budget, threshold = stage_budget(epsilon, degree_share), 24.0 / eps_pow
     try:
         high = noisy_high_mask(graph, degree_budget, threshold, gen, trials)
-    except ValueError as exc:  # a budget below the sampler's floor
-        raise ValueError(f"epsilon = {epsilon} is too small for the degree stage ({exc})") from None
+    except ValueError:  # a noise parameter below the sampler's floor
+        raise _degree_stage_refusal(epsilon, graph, degree_budget) from None
     s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen)
     kept = gen.random((trials, u.size)) < rate
     kept &= ~(high.take(u, axis=1) | high.take(v, axis=1))

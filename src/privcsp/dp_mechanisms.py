@@ -143,27 +143,18 @@ def keep_probability(epsilon: float) -> float:
     return 1.0 / (1.0 + math.exp(-epsilon))
 
 
-def randomized_response(bit, epsilon: float, rng, domain: str = "pm1"):
-    """Keeps the input with probability keep_probability(eps), flips
-    otherwise.
-
-    domain selects the flip target: 'pm1' negates, '01' complements.
-    Works elementwise on arrays.
+def randomized_response(bits, epsilon: float, rng) -> np.ndarray:
+    """Keeps each entry of a +-1 array with probability
+    keep_probability(eps) and negates it otherwise; one uniform per entry.
+    Returns an array of the input's shape and dtype.
     """
     keep_prob = keep_probability(epsilon)
-    if domain not in ("pm1", "01"):
-        raise ValueError(f"domain must be 'pm1' or '01', got {domain!r}")
     gen = as_generator(rng)
-    arr = np.asarray(bit)
-    a, b = (-1, 1) if domain == "pm1" else (0, 1)
-    if not np.all((arr == a) | (arr == b)):
-        raise ValueError(f"input values must lie in {[a, b]}")
+    arr = np.asarray(bits)
+    if not np.all((arr == -1) | (arr == 1)):
+        raise ValueError("input values must lie in [-1, 1]")
     keep = gen.random(size=arr.shape) < keep_prob
-    flipped = -arr if domain == "pm1" else 1 - arr
-    out = np.where(keep, arr, flipped)
-    if np.isscalar(bit) or arr.shape == ():
-        return int(out)
-    return out
+    return np.where(keep, arr, -arr)
 
 
 def _em_cdf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarray:
@@ -292,9 +283,22 @@ def noisy_high_mask(problem, budget: float, threshold: float, rng, trials: int) 
     (Ghosh, Roughgarden and Sundararajan 2009). The int64 sums meet the
     float threshold unfloored: it may lie beyond int64 (10000/eps^4).
     """
-    k = max(problem.max_arity, 1)
-    noise = sample_discrete_laplace(budget / k, rng, size=(trials, problem.n))
+    noise = sample_discrete_laplace(_degree_noise(problem, budget), rng, size=(trials, problem.n))
     return degrees(problem) + noise > threshold
+
+
+def _degree_noise(problem, budget: float) -> float:
+    return budget / max(problem.max_arity, 1)
+
+
+def _degree_stage_refusal(epsilon: float, problem, budget: float) -> ValueError:
+    """A degree-split kernel's error at an epsilon whose degree stage,
+    handed budget, draws noise below sample_discrete_laplace's floor."""
+    return ValueError(
+        f"epsilon = {epsilon} is too small for the degree stage: its noise parameter "
+        f"{_degree_noise(problem, budget)} is below the discrete-Laplace sampler's floor "
+        "(1 - exp(-parameter) rounds to 0)"
+    )
 
 
 def em_on_part(problem, part: np.ndarray, budget: float, rng):
@@ -332,10 +336,11 @@ def degree_split_batch(
     """
     gen = as_generator(rng)
     degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
+    degree_budget = stage_budget(epsilon, degree_share)
     try:
-        high = noisy_high_mask(problem, stage_budget(epsilon, degree_share), threshold, gen, trials)
-    except ValueError as exc:  # a budget below the sampler's floor
-        raise ValueError(f"epsilon = {epsilon} is too small for the degree stage ({exc})") from None
+        high = noisy_high_mask(problem, degree_budget, threshold, gen, trials)
+    except ValueError:  # a noise parameter below the sampler's floor
+        raise _degree_stage_refusal(epsilon, problem, degree_budget) from None
     x1 = em_on_part(problem, high, stage_budget(epsilon, em_share), gen)
     x2 = np.asarray(subroutine(problem, stage_budget(epsilon, sub_share), gen, trials))
     if x2.shape != x1.shape or not np.all(np.abs(x2) == 1):

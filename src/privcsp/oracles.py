@@ -34,7 +34,8 @@ BRUTE_FORCE_CAP = 26
 PACKING_CAP = 24
 EM_DISTRIBUTION_CAP = 1 << 20
 LAPLACE_SUPPORT_CAP = 1 << 22
-# most values (max - min + 1) an audit column's rank table may span
+# most values (max - min + 1) an audit column's rank table may span, and
+# the most codes the audit's bucket codes may span before compaction
 RANGE_TABLE_SPAN = 1 << 16
 # empirical_epsilon's settings, read at call time: the Wilson intervals'
 # confidence, the fewest hits per side of a reliable bucket, and the most
@@ -262,73 +263,76 @@ class AuditReport:
             raise ValueError("audit interval must bracket the point estimate")
 
 
-def _column_ranks(col: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank of each entry of an integer column among the column's distinct
-    values (0 for the smallest), and the number of distinct values.
-
-    A column whose [min, max] holds at most RANGE_TABLE_SPAN integers is
-    ranked through a presence table over that range: bincount of the
-    offsets from the minimum, then cumsum - 1 as the rank lookup. The
-    offsets are taken in intp, since in the column's own dtype int8
-    -128..127 would overflow; uint64 wraps modulo 2**64 in intp, which
-    leaves a small offset exact. Wider columns keep np.unique and
-    np.searchsorted.
-    """
-    lo, hi = col.min(), col.max()
-    if int(hi) - int(lo) < RANGE_TABLE_SPAN:
-        offsets = col.astype(np.intp)
-        offsets -= lo.astype(np.intp)
-        lookup = np.cumsum(np.bincount(offsets) > 0) - 1
-        return lookup[offsets], int(lookup[-1]) + 1
-    vals = np.unique(col)
-    return np.searchsorted(vals, col), len(vals)
-
-
 def _bucket_counts(
     out_a: np.ndarray, out_b: np.ndarray, max_buckets: int
 ) -> tuple[list, np.ndarray, np.ndarray]:
     """Distinct rows of both sides (unsorted labels: plain ints for 1-D
-    outputs, tuples of ints for 2-D) and the per-side count of each.
+    outputs, tuples of ints for 2-D, bools from bool outputs) and the
+    per-side count of each.
 
-    Each distinct row of the stacked sides gets an exact integer code,
-    built column by column: code * len(values) + rank of the entry among
-    the column's values, re-compacted to 0..distinct-1 through a bincount
-    presence mask, so no intermediate exceeds max_buckets**2. Ranks come
-    from _column_ranks: a presence table over the column's [min, max]
-    range, or np.unique and np.searchsorted for columns whose range spans
-    more than RANGE_TABLE_SPAN integers.
+    Each row gets one integer code, built in place column by column in
+    mixed radix: code * span + (entry - lo), lo and span the range of the
+    column over both sides. int64 wraps modulo 2**64, so the codes, in
+    0..size-1, are exact also on uint64 columns. A column whose span
+    exceeds max_buckets is first ranked among its values: through a
+    bincount presence table over its range, or by np.unique when the range
+    is wider than RANGE_TABLE_SPAN. Codes that would span more than
+    RANGE_TABLE_SPAN values are first ranked the same way. One np.bincount
+    per side counts the codes; labels are read from rows holding them.
     """
-    stacked = np.concatenate([out_a, out_b])
-    flat = stacked.reshape(stacked.shape[0], -1)
-    code = np.zeros(flat.shape[0], dtype=np.int64)
+    sides = [out.reshape(out.shape[0], -1) for out in (out_a, out_b)]
+    codes = [np.zeros(side.shape[0], dtype=np.int64) for side in sides]
     size = 1
-    for col in flat.T:
-        ranks, nvals = _column_ranks(col)
-        if nvals > max_buckets:
-            raise ResourceCapError(
-                f"audit output column has {nvals} values, bucket cap is {max_buckets}"
-            )
-        if size == 1:
-            # every code is 0 so far, and ranks are already 0..nvals-1
-            code, size = ranks, nvals
-            continue
-        code *= nvals
-        code += ranks
-        present = np.bincount(code, minlength=size * nvals) > 0
-        size = int(np.count_nonzero(present))
-        if size > max_buckets:
-            raise ResourceCapError(
-                f"audit produced at least {size} buckets, cap is {max_buckets}"
-            )
-        code = (np.cumsum(present) - 1)[code]
-    first = np.empty(size, dtype=np.int64)
-    first[code] = np.arange(code.shape[0])
-    rows = stacked[first].tolist()
-    labels = rows if stacked.ndim == 1 else [tuple(r) for r in rows]
-    trials = out_a.shape[0]
-    counts_a = np.bincount(code[:trials], minlength=size)
-    counts_b = np.bincount(code[trials:], minlength=size)
-    return labels, counts_a, counts_b
+
+    def ranks(parts, span):
+        # the rank of each entry among the distinct values of parts, in 0..span-1
+        present = np.bincount(parts[0], minlength=span) + np.bincount(parts[1], minlength=span)
+        lookup = np.cumsum(present > 0) - 1
+        return [lookup[part] for part in parts], int(lookup[-1]) + 1
+
+    def over_cap(distinct):
+        return ResourceCapError(f"audit produced at least {distinct} buckets, cap is {max_buckets}")
+
+    for j in range(sides[0].shape[1]):
+        # uint64 read as int64 wraps, which keeps distinct values distinct
+        cols = [side[:, j] for side in sides]
+        cols = [col.view(np.int64) if col.dtype == np.uint64 else col for col in cols]
+        lo = min(col.min().item() for col in cols)
+        span = max(col.max().item() for col in cols) - lo + 1
+        if span > max_buckets:
+            if span > RANGE_TABLE_SPAN:
+                vals = np.unique(np.concatenate(cols))
+                cols, span = [np.searchsorted(vals, col) for col in cols], vals.size
+            else:
+                cols, span = ranks([np.subtract(col, lo, dtype=np.int64) for col in cols], span)
+            if span > max_buckets:
+                raise ResourceCapError(
+                    f"audit output column has {span} values, bucket cap is {max_buckets}"
+                )
+            lo = 0
+        if size * span > RANGE_TABLE_SPAN:
+            codes, size = ranks(codes, size)
+            if size > max_buckets:
+                raise over_cap(size)
+        for code, col in zip(codes, cols):
+            code *= span
+            code += col
+            code -= lo
+        size *= span
+    counts_a, counts_b = (np.bincount(code, minlength=size) for code in codes)
+    keep = np.flatnonzero(counts_a + counts_b)
+    if keep.size > max_buckets:
+        raise over_cap(keep.size)
+    # each label from a row of side a that holds its code, else of side b
+    reps = np.empty((keep.size,) + out_a.shape[1:], dtype=np.result_type(out_a, out_b))
+    row = np.empty(size, dtype=np.intp)
+    in_a = counts_a[keep] > 0
+    for out, code, mine in ((out_a, codes[0], in_a), (out_b, codes[1], ~in_a)):
+        if mine.any():
+            row[code] = np.arange(code.size)
+            reps[mine] = out[row[keep[mine]]]
+    labels = reps.tolist() if out_a.ndim == 1 else [tuple(r) for r in reps.tolist()]
+    return labels, counts_a[keep], counts_b[keep]
 
 
 def _mechanism_output(out, trials: int) -> np.ndarray:
@@ -365,7 +369,8 @@ def empirical_epsilon(
     estimate; buckets with fewer than AUDIT_MIN_HITS on either side are
     flagged unreliable. More than AUDIT_MAX_BUCKETS distinct rows raise
     ResourceCapError. Both constants, and AUDIT_CONFIDENCE, are read at
-    call time.
+    call time. _bucket_counts counts the rows: one integer code per row
+    and one np.bincount per side.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

@@ -300,6 +300,7 @@ class TestTinyEpsSweep:
         )
         assert code == EXIT_VALIDATION and out == ""
         assert f"epsilon = {eps} is too small for the degree stage" in err
+        assert err.count(eps) == 1 and "noise parameter" in err
 
 
 class TestVerifyHardnessCommand:

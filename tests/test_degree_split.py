@@ -187,9 +187,13 @@ class TestNoiseFloor:
         problem = WeightedGraph(n=2, edges=((0, 1, 1.0),)) if k == 2 else one_constraint(k)
         g = gen(6)
         state = g.bit_generator.state
-        with pytest.raises(ValueError, match=rf"epsilon = {refused} is too small for the degree stage"):
+        with pytest.raises(ValueError, match=rf"epsilon = {refused} is too small for the degree stage") as exc:
             ALGORITHMS[algorithm](problem, refused, 0.0, g, 3)
         assert g.bit_generator.state == state
+        # epsilon once; the sampler's value goes by its own name
+        message = str(exc.value)
+        assert message.count(str(refused)) == 1 and message.count("epsilon") == 1
+        assert "noise parameter" in message
         assert ALGORITHMS[algorithm](problem, runs, 0.0, gen(6), 3).shape == (3, problem.n)
 
 

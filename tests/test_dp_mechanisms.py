@@ -151,15 +151,12 @@ class TestRandomizedResponse:
         out = randomized_response(bits, 800.0, gen(13))
         assert np.array_equal(out, bits)
 
-    def test_01_domain(self):
-        out = randomized_response(np.array([0, 1, 0]), 100.0, gen(11), domain="01")
-        assert set(np.unique(out)) <= {0, 1}
-
     def test_domain_validation(self):
+        # +-1 inputs only: 0/1 bits are refused, and there is no domain option
         with pytest.raises(ValueError):
-            randomized_response(np.array([0, 1]), 1.0, gen(), domain="pm1")
-        with pytest.raises(ValueError):
-            randomized_response(1, 1.0, gen(), domain="flip")
+            randomized_response(np.array([0, 1]), 1.0, gen())
+        with pytest.raises(TypeError):
+            randomized_response(np.array([1, -1]), 1.0, gen(), domain="pm1")
 
     def test_negative_eps(self):
         with pytest.raises(ValueError):

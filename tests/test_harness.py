@@ -315,6 +315,40 @@ class TestAudit:
         parts = row.split(",")
         assert parts[0] == "randomized_response" and parts[2] == "20000"
 
+    # audit CSV row and sha256 of repr(report.buckets) of each built-in
+    # audit at eps 1, 2*10^4 trials and seed 7, as the Counter-free
+    # bucketing and alg1's dense median assembly first produced them:
+    # faster code must keep every draw and every byte
+    PINNED = {
+        "alg1": (
+            "alg1,1,20000,0.31699110104939038,0.20138261650847608,"
+            "0.43259958559030498,full-output",
+            "82d06c2bf1a382b2f979544a9127fbe89fd9e28d63ac2d0abfeba16b700f7c96",
+        ),
+        "dp_shearer": (
+            "dp_shearer,1,20000,0.12607419324036448,0.075377012530093976,"
+            "0.17677137395063486,full-output",
+            "c37eff6879311bf7d97bcb5c6377b31ad920490c86540a275e91ececc5cd67ad",
+        ),
+        "em": (
+            "em,1,20000,0.30708997246821945,0.21442737981069437,"
+            "0.39975256512574453,full-output",
+            "baadc4f5ab8d7efd447f6ec63f465518a46dd316a120bdcc34e47687fbc7f538",
+        ),
+        "randomized_response": (
+            "randomized_response,1,20000,0.97480769005039092,0.94371879375516665,"
+            "1.0058965863456146,identity",
+            "b141da67626ef9fbd0a7176bef24f76186ac3f74c5eef6f67a87188e2c3b146b",
+        ),
+    }
+
+    @pytest.mark.parametrize("mechanism", sorted(AUDIT_MECHANISMS))
+    def test_pinned_rows(self, mechanism):
+        report, ok = audit(mechanism, 1.0, 20_000, seed=7)
+        row, digest = self.PINNED[mechanism]
+        assert ok and audit_csv_row(mechanism, 1.0, report) == row
+        assert hashlib.sha256(repr(report.buckets).encode()).hexdigest() == digest
+
 
 class TestVerifyHardness:
     def test_small_family(self):

@@ -538,6 +538,69 @@ class TestBucketRanking:
             _bucket_counts(np.zeros((3, 2), dtype=np.int8), np.arange(130).reshape(65, 2), 64)
 
 
+class TestBucketCountsRandom:
+    """_bucket_counts against _counter_counts on seeded random outputs."""
+
+    # each dtype's value pool: full ranges, and values near the dtype's ends
+    VALUES = {
+        "bool": np.array([False, True]),
+        "int8": np.arange(-128, 128, dtype=np.int8),
+        "uint8": np.arange(256, dtype=np.uint8),
+        "int64": np.array([-(2**62), -5, 0, 3, 2**62 - 1, 2**62, 2**63 - 1], dtype=np.int64),
+        "uint64": np.array([0, 1, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+    }
+
+    @staticmethod
+    def sides(g, values, shape):
+        """Two sides of up to 1200 rows drawn from one pool of at most 40
+        distinct rows; each side draws from its own part of the pool, so
+        some buckets are seen on one side only."""
+        pool = values[g.integers(0, values.size, size=(int(g.integers(1, 41)),) + shape)]
+        cut_a, cut_b = sorted(g.integers(0, pool.shape[0] + 1, size=2).tolist())
+        part_a, part_b = pool[: max(cut_b, 1)], pool[cut_a:] if cut_a < pool.shape[0] else pool
+        rows_a = part_a[g.integers(0, part_a.shape[0], size=int(g.integers(1, 1200)))]
+        rows_b = part_b[g.integers(0, part_b.shape[0], size=int(g.integers(1, 1200)))]
+        return rows_a, rows_b
+
+    def check(self, out_a, out_b, max_buckets=64):
+        labels, ka, kb = _bucket_counts(out_a, out_b, max_buckets)
+        got = {lab: (int(a), int(b)) for lab, a, b in zip(labels, ka, kb)}
+        ref = _counter_counts(out_a, out_b)
+        assert len(got) == len(labels) and got == ref
+        # the same label types: bool stays bool, uint64 stays exact
+        assert sorted(map(repr, got)) == sorted(map(repr, ref))
+        assert ka.dtype == kb.dtype == np.int64
+        return got
+
+    @pytest.mark.parametrize("dtype", sorted(VALUES))
+    def test_matches_counter(self, dtype):
+        g = gen(24)
+        one_sided = 0
+        for width in [None] + list(range(9)):
+            for _ in range(6):
+                shape = () if width is None else (width,)
+                got = self.check(*self.sides(g, self.VALUES[dtype], shape))
+                one_sided += any(0 in hits for hits in got.values())
+        assert one_sided > 0
+
+    def test_compaction(self):
+        # eight columns of span 61: the radix space passes RANGE_TABLE_SPAN
+        # at the third column, and the codes are compacted on the way
+        g = gen(25)
+        values = np.array([0, 60], dtype=np.int16)
+        compacted = 0
+        for _ in range(20):
+            out_a, out_b = self.sides(g, values, (8,))
+            both = np.concatenate([out_a, out_b])
+            spans = both.max(axis=0).astype(int) - both.min(axis=0) + 1
+            compacted += math.prod(spans.tolist()) > oracles.RANGE_TABLE_SPAN
+            self.check(out_a, out_b)
+        assert compacted >= 10
+        # 16 distinct rows in a radix space of 61**4 codes
+        rows = values[(np.arange(16)[:, None] >> np.arange(8)) & 1]
+        assert len(self.check(rows, rows[:3])) == 16
+
+
 class TestEmpiricalEpsilonMatchesCounter:
     @pytest.mark.parametrize("mechanism", sorted(harness.AUDIT_MECHANISMS))
     def test_builtin_audits(self, mechanism, monkeypatch):

@@ -475,6 +475,52 @@ def ref_alg1_batch(instance, epsilon, rng, trials):
     return np.where(greedy, y * z, x).astype(np.int8)
 
 
+def ref_dense_greedy_medians(instance, greedy, x):
+    """alg1's median assembly over every cell of the (trials, n) block:
+    dense bincounts of the sums and of the parity and other terms, dense
+    gathers of the count-indexed median table, and _cell_medians at each
+    cell with a term that is not a parity of arity >= 2. Returns sum2,
+    theta2, gamma and the per-cell parity and other term counts."""
+    trials, n = greedy.shape
+    terms = list(algo_csp._single_hit_terms(instance, greedy, x))
+    flat, q2s, xor_flat, other_flat = ([np.zeros(0, dtype=np.intp)] for _ in range(4))
+    for group, t, _, _, j, q2 in terms:
+        flat.append(t * n + j)
+        q2s.append(q2)
+        is_xor = group.signs is not None and group.arity >= 2
+        (xor_flat if is_xor else other_flat).append(flat[-1])
+
+    def total(parts, weights=None):
+        sums = np.bincount(np.concatenate(parts), weights=weights, minlength=trials * n)
+        return sums.astype(np.int32).reshape(trials, n)
+
+    sum2, xors, others = total(flat, np.concatenate(q2s)), total(xor_flat), total(other_flat)
+    thetas, gammas = algo_csp._xor_median_by_count(int(xors.max(initial=0)))
+    theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
+    cells = np.flatnonzero(others > 0)
+    if cells.size:
+        all_flat = np.concatenate(flat)
+        rank = np.where(np.isin(all_flat, cells), np.searchsorted(cells, all_flat), -1)
+        theta, gamma.flat[cells] = algo_csp._cell_medians(instance, terms, rank, cells)
+        theta2.flat[cells] = 2 * theta
+    return sum2, theta2, gamma, xors, others
+
+
+def ref_dense_alg1_batch(instance, epsilon, rng, trials):
+    """alg1_batch without its checks, on ref_dense_greedy_medians: the
+    tie draw compared with a dense gamma block."""
+    keep_prob = keep_probability(epsilon)
+    gen = as_generator(rng)
+    n = instance.n
+    greedy = gen.random((trials, n)) < 0.5
+    x = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
+    sum2, theta2, gamma, _, _ = ref_dense_greedy_medians(instance, greedy, x)
+    tie = gen.random((trials, n)) < gamma
+    keep = gen.random((trials, n)) < keep_prob
+    z = (sum2 > theta2) | ((sum2 == theta2) & tie)
+    return np.where(greedy, np.where(z == keep, 1, -1), x).astype(np.int8)
+
+
 def ref_sample_discrete_laplace(epsilon, rng, size):
     gen = as_generator(rng)
     q = np.exp(-epsilon)
@@ -494,19 +540,14 @@ def ref_assignment_rows(rows, k):
     return np.where(bits & 1 == 1, 1, -1).astype(np.int8)
 
 
-def ref_randomized_response(bit, epsilon, rng, domain="pm1"):
+def ref_randomized_response(bits, epsilon, rng):
     keep_prob = keep_probability(epsilon)
     gen = as_generator(rng)
-    arr = np.asarray(bit)
-    valid = {-1, 1} if domain == "pm1" else {0, 1}
-    if not set(np.unique(arr).tolist()) <= valid:
-        raise ValueError(f"input values must lie in {sorted(valid)}")
+    arr = np.asarray(bits)
+    if not set(np.unique(arr).tolist()) <= {-1, 1}:
+        raise ValueError("input values must lie in [-1, 1]")
     keep = gen.random(size=arr.shape) < keep_prob
-    flipped = -arr if domain == "pm1" else 1 - arr
-    out = np.where(keep, arr, flipped)
-    if np.isscalar(bit) or arr.shape == ():
-        return int(out)
-    return out
+    return np.where(keep, arr, -arr)
 
 
 def ref_dp_shearer_batch(graph, epsilon, rng, trials):
@@ -854,6 +895,45 @@ class TestAlg1Batch:
             for trials in (0, 1):
                 self.run_both(self.KXOR[0], 1.0, seed, trials=trials)
 
+    def test_audit_pair_at_audit_scale(self):
+        for inst in self.PAIR:
+            for seed in range(3):
+                self.run_both(inst, 1.0, seed, trials=10_000)
+
+    @staticmethod
+    def mixed_triangle_free():
+        """Parities and truth tables in one triangle-free instance, with a
+        variable in several constraints."""
+        for seed in range(100):
+            inst = triangle_free(mixed_instance(seed, n=12, m=30))
+            forms = {c.is_xor and c.arity >= 2 for c in inst.constraints}
+            if forms == {True, False} and max(degrees(inst)) >= 2:
+                return inst
+        raise AssertionError("no mixed instance found")
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 800.0])
+    def test_mixed_instance_matches_dense_assembly(self, eps):
+        inst = self.mixed_triangle_free()
+        trials = 10_000
+        # the instance has empty cells, parity-only cells and _cell_medians cells
+        g = np.random.default_rng(0)
+        greedy = g.random((trials, inst.n)) < 0.5
+        x = (2 * g.integers(0, 2, size=(trials, inst.n)) - 1).astype(np.int8)
+        _, _, _, xors, others = ref_dense_greedy_medians(inst, greedy, x)
+        assert np.any((xors == 0) & (others == 0))
+        assert np.any((xors > 0) & (others == 0))
+        assert np.any((xors > 0) & (others > 0)) and np.any((xors == 0) & (others > 0))
+        for seed in range(3):
+            gen_new, gen_ref = RngStream(seed, 2).generator(), RngStream(seed, 2).generator()
+            out = algo_csp.alg1_batch(inst, eps, gen_new, trials)
+            assert same_result(out, ref_dense_alg1_batch(inst, eps, gen_ref, trials))
+            assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+        # the sign-form pair of the audit reads the same draws in both references
+        for inst in self.PAIR:
+            gen_a, gen_b = RngStream(3, 2).generator(), RngStream(3, 2).generator()
+            assert same_result(ref_dense_alg1_batch(inst, eps, gen_a, 1_000),
+                               ref_alg1_batch(inst, eps, gen_b, 1_000))
+
     def test_closed_form_median_table(self):
         thetas, gammas = algo_csp._xor_median_by_count(60)
         ref_thetas, ref_gammas = ref_xor_median_by_count(60)
@@ -895,40 +975,37 @@ class TestAssignmentRows:
 
 
 class TestRandomizedResponseCheck:
+    # the one input domain, +-1; a 0-d input gives a 0-d array
     INPUTS = {
         "pm1": [1, -1, np.array([1, -1, 1], dtype=np.int64),
                 np.array([[-1, 1], [1, 1]], dtype=np.int8), np.array([1.0, -1.0])],
-        "01": [0, 1, np.array([0, 1, 1], dtype=np.int64), np.array([True, False]),
-               np.array([[1, 0]], dtype=np.uint8)],
     }
     INVALID = [2, 0, np.array([1, 0]), np.array([-1, 1, 2]), np.array([0.5]),
                np.array([np.nan]), np.array([True, False])]
 
-    @pytest.mark.parametrize("domain", ["pm1", "01"])
+    @pytest.mark.parametrize("domain", sorted(INPUTS))
     @pytest.mark.parametrize("eps", [0.0, 1.0, 800.0])
     def test_matches_unique_check(self, domain, eps):
         for seed in SEEDS:
             for bit in self.INPUTS[domain]:
                 gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert same_result(randomized_response(bit, eps, gen_new, domain),
-                                   ref_randomized_response(bit, eps, gen_ref, domain))
+                assert same_result(randomized_response(bit, eps, gen_new),
+                                   ref_randomized_response(bit, eps, gen_ref))
                 assert gen_new.bit_generator.state == gen_ref.bit_generator.state
 
-    @pytest.mark.parametrize("domain", ["pm1", "01"])
+    @pytest.mark.parametrize("domain", sorted(INPUTS))
     def test_same_rejections(self, domain):
-        for bit in self.INVALID:
+        for bit in self.INVALID + self.INPUTS[domain]:
             outcomes = []
             for fn in (randomized_response, ref_randomized_response):
                 try:
-                    fn(bit, 1.0, np.random.default_rng(0), domain)
+                    fn(bit, 1.0, np.random.default_rng(0))
                     outcomes.append(None)
                 except ValueError as exc:
                     outcomes.append(str(exc))
             assert outcomes[0] == outcomes[1]
         with pytest.raises(ValueError, match=r"input values must lie in \[-1, 1\]"):
             randomized_response(np.array([0, 1]), 1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=r"input values must lie in \[0, 1\]"):
-            randomized_response(-1, 1.0, np.random.default_rng(0), "01")
 
 
 def _without_wall_ms(csv_text):
