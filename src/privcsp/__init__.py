@@ -20,6 +20,7 @@ from .dp_mechanisms import (
     RngStream,
     em_over_assignments_batch,
     exponential_mechanism,
+    noisy_above,
     randomized_response,
     sample_discrete_laplace,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "derivative_q",
     "lambda_j",
     "sample_discrete_laplace",
+    "noisy_above",
     "randomized_response",
     "exponential_mechanism",
     "em_over_assignments_batch",

@@ -2,7 +2,7 @@
 
 - shearer_batch: the non-private two-color local rule.
 - dp_shearer_batch: its pure-DP version with integer Laplace noise on the
-  same-color counts.
+  same-color counts (dp_mechanisms.noisy_above).
 - dp_maxcut_unbounded_batch (alg5): the degree-split pipeline
   (dp_mechanisms.degree_split_batch) with dp_shearer as its subroutine.
 - dp_maxcut_general_batch (alg6): degree split, subsampled mutual-choice
@@ -30,8 +30,8 @@ from .dp_mechanisms import (
     degree_split_batch,
     em_on_part,
     exponential_mechanism,
+    noisy_above,
     noisy_high_mask,
-    sample_discrete_laplace,
     stage_budget,
     threshold_power,
 )
@@ -69,13 +69,25 @@ def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int
     n = graph.n
     c1 = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
     c2 = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
-    u, v, _ = graph.edge_arrays()
-    same = c1[:, u] == c1[:, v]
-    # the (trials, m) same-color indicator times the graph's (m, n) incidence, whose
-    # dtype holds every vertex's same-color count (uint8 reads the bool without a copy)
-    incidence = graph._incidence
-    ell = incidence.T @ same.T.view(np.uint8).astype(incidence.dtype, copy=False)
-    return c1, c2, np.ascontiguousarray(ell.T, dtype=np.int64)
+    # c1 times the signed adjacency product is a vertex's same-color minus
+    # other-color neighbours; the adjacency dtype holds 2 * max degree, so
+    # degree plus that difference, twice the same-color count, never wraps.
+    # The work runs in the product's (n, trials) layout, where the degrees
+    # broadcast along whole rows even when n is tiny
+    adjacency = graph._adjacency
+    c1_t = c1.T.astype(adjacency.dtype, order="C")
+    ell_t = adjacency @ c1_t
+    ell_t *= c1_t
+    ell_t += graph.degree_counts()[:, None]
+    ell_t //= 2
+    return c1, c2, np.ascontiguousarray(ell_t.T, dtype=np.int64)
+
+
+def _pick(take_first: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """np.where(take_first, c1, c2) for +-1 int8 blocks in bool algebra:
+    np.where branches per element and is several times slower on a random
+    mask."""
+    return signs_from_bits((take_first & (c1 > 0)) | (~take_first & (c2 > 0)))
 
 
 def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
@@ -88,29 +100,23 @@ def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
     c1, c2, ell = _two_color_batch(graph, gen, trials)
     deg = graph.degree_counts()
     coin = gen.random((trials, graph.n)) < 0.5
-    take_first = np.where(2 * ell < deg, True, np.where(2 * ell > deg, False, coin))
-    return np.where(take_first, c1, c2).astype(np.int8)
+    ell *= 2
+    return _pick((ell < deg) | ((ell == deg) & coin), c1, c2)
 
 
 def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> np.ndarray:
     """Pure-DP variant of the two-coloring rule; one independent run per
-    row of the returned (trials, n) int8 block. The neighbor count is
-    compared against ceil((d(v)-1)/2) plus integer Laplace noise at
-    epsilon/2, which makes the sensitivity-2 count vector epsilon-DP."""
+    row of the returned (trials, n) int8 block. The first color is kept
+    unless the same-color count plus integer Laplace noise at epsilon/2
+    exceeds ceil((d(v)-1)/2) (noisy_above, one uniform per entry), which
+    makes the sensitivity-2 count vector epsilon-DP."""
     _require_unweighted(graph, "dp_shearer_batch")
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     c1, c2, ell = _two_color_batch(graph, gen, trials)
-    deg = graph.degree_counts()
-    zeta = sample_discrete_laplace(epsilon / 2.0, gen, size=(trials, graph.n))
-    # ell - ceil((d - 1) / 2) + zeta, in place on the fresh noise array;
     # ceil((d - 1) / 2) equals d // 2 for every nonnegative integer d
-    zeta += ell
-    zeta -= deg // 2
-    take_first = zeta <= 0
-    # np.where(take_first, c1, c2) in bool algebra: np.where branches per
-    # element and is several times slower on a random mask
-    return signs_from_bits((take_first & (c1 > 0)) | (~take_first & (c2 > 0)))
+    ell -= graph.degree_counts() // 2
+    return _pick(~noisy_above(ell, 0, epsilon / 2.0, gen, ell.shape), c1, c2)
 
 
 def dp_maxcut_unbounded_batch(

@@ -391,12 +391,13 @@ class WeightedGraph(_ConstraintData):
         return bool(np.all(self._columns[2] == 1))
 
     @cached_property
-    def _incidence(self) -> sparse.csr_array:
-        # (m, n) edge-vertex incidence in the smallest dtype holding the largest degree
+    def _adjacency(self) -> sparse.csr_array:
+        # (n, n) adjacency, a parallel edge counted once per copy, in the smallest
+        # signed dtype holding twice the largest degree
         u, v, _ = self._columns
-        ones = np.ones(2 * u.size, dtype=np.min_scalar_type(self._degrees.max(initial=0)))
-        rows = np.tile(np.arange(u.size), 2)
-        return sparse.csr_array((ones, (rows, np.concatenate((u, v)))), shape=(u.size, self.n))
+        dtype = np.min_scalar_type(-1 - 2 * int(self._degrees.max(initial=0)))
+        ends = (np.concatenate((u, v)), np.concatenate((v, u)))
+        return sparse.csr_array((np.ones(2 * u.size, dtype), ends), shape=(self.n, self.n))
 
     @cached_property
     def _json_text(self) -> str:
@@ -423,9 +424,7 @@ class WeightedGraph(_ConstraintData):
 
     def has_triangle(self) -> bool:
         # an edge (x, y) of the adjacency A closes a triangle iff (A @ A)[x, y] > 0
-        u, v, _ = self._columns
-        ends = (np.concatenate((u, v)), np.concatenate((v, u)))
-        adj = sparse.csr_array((np.ones(2 * u.size), ends), shape=(self.n, self.n))
+        adj = self._adjacency.astype(np.float64)
         return bool((adj @ adj).multiply(adj).sum() > 0)
 
 

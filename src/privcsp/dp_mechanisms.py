@@ -9,8 +9,10 @@ The exponential mechanism has two forms on one CDF function (_em_cdf):
 exponential_mechanism draws one candidate index per row of a (trials, k)
 score block, and em_over_assignments_batch draws (trials, |active|)
 blocks over all sign assignments of a variable set. The one noise
-sampler, sample_discrete_laplace, draws integer Laplace noise for the
-degree stage and dp_shearer. The noisy-degree split is three helpers that
+primitive, noisy_above, draws value + Z > threshold for integer Laplace
+noise Z as one uniform per entry against the exact tail, for the degree
+stage and dp_shearer; sample_discrete_laplace draws Z itself, the law the
+primitive is tested against. The noisy-degree split is three helpers that
 work on (trials, n) blocks, one run per row: noisy_high_mask (the degree
 stage), em_on_part (the exponential mechanism on each row's part) and
 degree_split_batch, the unbounded-degree pipeline of alg2, alg_oddk and
@@ -56,6 +58,7 @@ __all__ = [
     "RngStream",
     "as_generator",
     "sample_discrete_laplace",
+    "noisy_above",
     "check_epsilon",
     "keep_probability",
     "randomized_response",
@@ -103,13 +106,7 @@ def sample_discrete_laplace(epsilon: float, rng, size) -> np.ndarray:
     epsilon so small that 1 - e^-eps rounds to 0 (below about 4.5e-17) is
     rejected with a ValueError before any draw.
     """
-    check_epsilon(epsilon, positive=True)
-    q = np.exp(-epsilon)
-    if 1.0 - q == 0.0:
-        raise ValueError(
-            f"epsilon = {epsilon} is too small for the discrete-Laplace sampler: "
-            "1 - exp(-epsilon) rounds to 0"
-        )
+    q = _laplace_q(epsilon)
     gen = as_generator(rng)
     p_zero = (1.0 - q) / (1.0 + q)
     mid = p_zero + (1.0 - p_zero) / 2.0
@@ -120,6 +117,52 @@ def sample_discrete_laplace(epsilon: float, rng, size) -> np.ndarray:
     sign -= 2 * (u >= mid).astype(np.int8)
     magnitude *= sign
     return magnitude
+
+
+def _laplace_q(epsilon: float) -> float:
+    """e^-epsilon for integer Laplace noise at parameter epsilon; ValueError
+    where check_epsilon refuses epsilon or 1 - e^-epsilon rounds to 0."""
+    check_epsilon(epsilon, positive=True)
+    q = np.exp(-epsilon)
+    if 1.0 - q == 0.0:
+        raise ValueError(
+            f"epsilon = {epsilon} is too small for the discrete-Laplace sampler: "
+            "1 - exp(-epsilon) rounds to 0"
+        )
+    return q
+
+
+def _small_tail(values, threshold: float, param: float) -> np.ndarray:
+    """P[value + Z > threshold] for integer values and Z integer Laplace at
+    param where value <= threshold, one minus it elsewhere: with q = e^-param
+    and m = floor(threshold) + 1 - value (a float: no threshold overflows),
+    P[Z >= m] is q^m / (1 + q) for m >= 1 and 1 - q^(1 - m) / (1 + q) else."""
+    q = _laplace_q(param)
+    m = np.floor(threshold) + 1.0 - np.asarray(values)
+    return np.exp(-param * np.where(m >= 1, m, 1 - m)) / (1.0 + q)
+
+
+def noisy_above(values, threshold: float, param: float, rng, shape) -> np.ndarray:
+    """The bool block of the given shape marking value + Z > threshold, for
+    integer values that broadcast to shape and Z iid integer Laplace noise at
+    param (sample_discrete_laplace's law, and its parameter floor, checked
+    before any draw). One gen.random double per entry is compared with the
+    small side of the exact tail (_small_tail), flipped where the value alone
+    is above, so a tiny tail is never lost to 1 - tiny rounding. The tail is
+    taken once per integer from min(0, values) to max(0, values) and
+    gathered, or once per value where that range outnumbers the values."""
+    values = np.asarray(values)
+    lo, hi = int(values.min(initial=0)), int(values.max(initial=0))
+    if hi - lo < values.size:
+        # entry k holds value k's tail, and a negative value's entry counts
+        # from the end, so the values index the table as they are
+        ks = np.concatenate((np.arange(hi + 1), np.arange(lo, 0)))
+        small = _small_tail(ks, threshold, param)[values]
+    else:
+        small = _small_tail(values, threshold, param)
+    above = as_generator(rng).random(shape) < small
+    above ^= values > threshold
+    return above
 
 
 def check_epsilon(epsilon: float, name: str = "epsilon", positive: bool = False) -> None:
@@ -276,15 +319,15 @@ def budget_ledger(algorithm: str, epsilon: float) -> tuple[tuple[str, float], ..
 
 def noisy_high_mask(problem, budget: float, threshold: float, rng, trials: int) -> np.ndarray:
     """Degree stage: the (trials, n) bool mask of the variables whose degree
-    plus integer noise, one sample_discrete_laplace draw of shape (trials, n)
-    at parameter budget / k, exceeds threshold. One constraint moves k
-    degrees by one each (k the max arity, at least 1; 2 for every graph),
-    so the noise pmf changes by at most e^budget: the geometric mechanism
-    (Ghosh, Roughgarden and Sundararajan 2009). The int64 sums meet the
-    float threshold unfloored: it may lie beyond int64 (10000/eps^4).
+    plus integer Laplace noise at parameter budget / k exceeds threshold,
+    one noisy_above draw per (row, variable) against the exact tail of each
+    degree. One constraint moves k degrees by one each (k the max arity, at
+    least 1; 2 for every graph), so the noise pmf changes by at most
+    e^budget: the geometric mechanism (Ghosh, Roughgarden and Sundararajan
+    2009). The float threshold may lie beyond int64 (10000/eps^4).
     """
-    noise = sample_discrete_laplace(_degree_noise(problem, budget), rng, size=(trials, problem.n))
-    return degrees(problem) + noise > threshold
+    return noisy_above(degrees(problem), threshold, _degree_noise(problem, budget), rng,
+                       (trials, problem.n))
 
 
 def _degree_noise(problem, budget: float) -> float:
@@ -293,7 +336,7 @@ def _degree_noise(problem, budget: float) -> float:
 
 def _degree_stage_refusal(epsilon: float, problem, budget: float) -> ValueError:
     """A degree-split kernel's error at an epsilon whose degree stage,
-    handed budget, draws noise below sample_discrete_laplace's floor."""
+    handed budget, draws noise below noisy_above's floor."""
     return ValueError(
         f"epsilon = {epsilon} is too small for the degree stage: its noise parameter "
         f"{_degree_noise(problem, budget)} is below the discrete-Laplace sampler's floor "

@@ -323,14 +323,17 @@ def _bucket_counts(
     keep = np.flatnonzero(counts_a + counts_b)
     if keep.size > max_buckets:
         raise over_cap(keep.size)
-    # each label from a row of side a that holds its code, else of side b
+    # each label from a row of side a that holds its code, else of side b, found
+    # by a scatter over a prefix of the side, widened while a label has no row
     reps = np.empty((keep.size,) + out_a.shape[1:], dtype=np.result_type(out_a, out_b))
-    row = np.empty(size, dtype=np.intp)
+    row = np.full(size, -1, dtype=np.intp)
     in_a = counts_a[keep] > 0
     for out, code, mine in ((out_a, codes[0], in_a), (out_b, codes[1], ~in_a)):
-        if mine.any():
-            row[code] = np.arange(code.size)
-            reps[mine] = out[row[keep[mine]]]
+        wanted, start, stop = keep[mine], 0, int(mine.sum())
+        while wanted.size and (start == 0 or (row[wanted] < 0).any()):
+            row[code[start:stop]] = np.arange(start, stop)
+            start, stop = stop, min(4 * stop, code.size)
+        reps[mine] = out[row[wanted]]
     labels = reps.tolist() if out_a.ndim == 1 else [tuple(r) for r in reps.tolist()]
     return labels, counts_a[keep], counts_b[keep]
 

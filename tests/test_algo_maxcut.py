@@ -16,7 +16,12 @@ from privcsp.algo_maxcut import (
     shearer_batch,
 )
 from privcsp.csp_core import WeightedGraph, eval_value
-from privcsp.dp_mechanisms import UNBOUNDED_BUDGET_FRACTIONS, RngStream, budget_ledger
+from privcsp.dp_mechanisms import (
+    UNBOUNDED_BUDGET_FRACTIONS,
+    RngStream,
+    budget_ledger,
+    sample_discrete_laplace,
+)
 from privcsp.generators import gen_triangle_free_graph
 
 
@@ -185,6 +190,31 @@ class TestDpShearer:
         hist_a = np.bincount(base_sizes, minlength=10) / trials
         hist_b = np.bincount(noisy_sizes, minlength=10) / trials
         assert 0.5 * np.abs(hist_a - hist_b).sum() <= 0.02
+
+    @pytest.mark.parametrize("eps", [0.5, 2.0])
+    def test_take_first_law_at_fixed_colourings(self, monkeypatch, eps):
+        # one colouring c1 and c2 = -c1 in every row, so a vertex shows c1
+        # exactly when it takes the first colour; its frequency against the
+        # sample_discrete_laplace formulation ell - d // 2 + zeta <= 0, zeta
+        # at eps/2, at 4 sigma; vertex 6 is isolated
+        graph = WeightedGraph(n=7, edges=tuple((a, b, 1.0) for a, b in (
+            (0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 5), (1, 2), (3, 5))))
+        c1 = np.array([1, 1, -1, -1, 1, 1, -1], dtype=np.int8)
+        u, v, _ = graph.edge_arrays()
+        same = c1[u] == c1[v]
+        ell = np.bincount(u, same, graph.n) + np.bincount(v, same, graph.n)
+        trials = 400_000
+
+        def fixed(graph, gen, t):
+            block = np.broadcast_to(c1, (t, graph.n))
+            return block.copy(), -block, np.broadcast_to(ell.astype(np.int64), (t, graph.n)).copy()
+
+        monkeypatch.setattr(algo_maxcut, "_two_color_batch", fixed)
+        take_first = (dp_shearer_batch(graph, eps, gen(12), trials) == c1).mean(axis=0)
+        zeta = sample_discrete_laplace(eps / 2.0, gen(13), size=(trials, graph.n))
+        ref = (ell - graph.degree_counts() // 2 + zeta <= 0).mean(axis=0)
+        pooled = (take_first + ref) / 2
+        assert np.all(np.abs(take_first - ref) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / trials))
 
     def test_determinism(self):
         a = dp_shearer_batch(cycle(6), 1.0, gen(9), 1)[0]

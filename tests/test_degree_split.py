@@ -11,7 +11,11 @@ import pytest
 
 from privcsp import algo_maxcut, dp_mechanisms
 from privcsp.algo_csp import alg2_batch
-from privcsp.algo_maxcut import dp_maxcut_general_batch, dp_maxcut_unbounded_batch
+from privcsp.algo_maxcut import (
+    dp_maxcut_general_batch,
+    dp_maxcut_unbounded_batch,
+    dp_shearer_batch,
+)
 from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, degrees
 from privcsp.dp_mechanisms import (
     GENERAL_BUDGET_FRACTIONS,
@@ -35,16 +39,16 @@ def one_constraint(k):
 
 
 def spy_noise_params(monkeypatch):
-    """Records the parameter of every sample_discrete_laplace call of the
-    degree stage: dp_mechanisms' binding, which dp_shearer does not use."""
+    """Records the parameter of every noisy_above call of the degree stage:
+    dp_mechanisms' binding, which dp_shearer does not use."""
     params = []
-    real = dp_mechanisms.sample_discrete_laplace
+    real = dp_mechanisms.noisy_above
 
-    def spy(param, rng, size):
+    def spy(values, threshold, param, rng, shape):
         params.append(param)
-        return real(param, rng, size=size)
+        return real(values, threshold, param, rng, shape)
 
-    monkeypatch.setattr(dp_mechanisms, "sample_discrete_laplace", spy)
+    monkeypatch.setattr(dp_mechanisms, "noisy_above", spy)
     return params
 
 
@@ -63,31 +67,37 @@ def spy_degree_budgets(monkeypatch):
     return budgets
 
 
-def log_tail(m, param):
-    """ln P[Z >= m] for Z integer Laplace at param, from the two-sided
-    geometric tails with q = e^-param: q^m / (1 + q) for m >= 1 and
-    1 - q^(1 - m) / (1 + q) for m <= 0."""
-    log1q = math.log1p(math.exp(-param))
-    if m >= 1:
-        return -m * param - log1q
-    return math.log1p(-math.exp(-(1 - m) * param - log1q))
+def small_side(m, param):
+    """The smaller side of P[Z >= m] for Z integer Laplace at param, from the
+    two-sided geometric tails with q = e^-param: P[Z >= m] = q^m / (1 + q)
+    for m >= 1, and P[Z < m] = q^(1 - m) / (1 + q) for m <= 0."""
+    q = math.exp(-param)
+    return q ** (m if m >= 1 else 1 - m) / (1 + q)
 
 
-def degree_stage_loss(deg_a, deg_b, param, threshold, param_b=None):
-    """max over high sets H of |ln P_a[H] - ln P_b[H]|, where P[H] is the
-    probability that exactly the variables in H have degree plus integer
-    Laplace noise at param above the threshold: d + Z > T exactly when
-    Z >= floor(T - d) + 1. param_b, if given, is side b's parameter."""
-    assert threshold > max(deg_a.max(), deg_b.max())
+def above_loss(values_a, values_b, param, threshold, param_b=None):
+    """max over sets H of |ln P_a[H] - ln P_b[H]|, where P[H] is the
+    probability that exactly the entries in H have value plus integer Laplace
+    noise at param above the threshold, each entry's probability from
+    noisy_above's own tail table (_small_tail, flipped where the value alone
+    is above). A set impossible on both sides is skipped. param_b, if given,
+    is side b's parameter."""
 
-    def log_p(deg, high, param=param):
-        tail = [log_tail(math.floor(threshold - d) + 1, param) for d in deg.tolist()]
-        return sum(t if h else math.log1p(-math.exp(t)) for t, h in zip(tail, high))
+    def log_p(values, param):
+        values = np.asarray(values)
+        small = dp_mechanisms._small_tail(values, threshold, param)
+        with np.errstate(divide="ignore"):  # a tail that underflows to 0
+            log_small, log_large = np.log(small), np.log1p(-small)
+        flip = values > threshold
+        return np.where(flip, log_large, log_small), np.where(flip, log_small, log_large)
 
-    return max(
-        abs(log_p(deg_a, high) - log_p(deg_b, high, param_b or param))
-        for high in product((False, True), repeat=deg_a.size)
-    )
+    (high_a, low_a), (high_b, low_b) = log_p(values_a, param), log_p(values_b, param_b or param)
+    losses = []
+    for high in product((False, True), repeat=len(values_a)):
+        a, b = np.where(high, high_a, low_a).sum(), np.where(high, high_b, low_b).sum()
+        if a > -math.inf or b > -math.inf:
+            losses.append(abs(a - b))
+    return max(losses)
 
 
 def spy_em_budgets(monkeypatch):
@@ -129,10 +139,10 @@ class TestDegreeStageLoss:
         assert len(params) == 2 and params[0] == params[1]
         for threshold in (1.5, 10.0, 200.0):
             deg_a, deg_b = one_edge.degree_counts(), empty.degree_counts()
-            loss = degree_stage_loss(deg_a, deg_b, params[0], threshold)
+            loss = above_loss(deg_a, deg_b, params[0], threshold)
             assert abs(loss - float(share) * eps) <= 1e-12
             # mutation check: noise at the whole budget, not budget / 2
-            assert degree_stage_loss(deg_a, deg_b, 2 * params[0], threshold) > float(share) * eps
+            assert above_loss(deg_a, deg_b, 2 * params[0], threshold) > float(share) * eps
 
     @pytest.mark.parametrize("eps", [1.0, 3.0, 6.0])
     def test_alg2_graph_pair_through_harness(self, monkeypatch, eps):
@@ -146,7 +156,7 @@ class TestDegreeStageLoss:
         estimate_ratio(config, one_edge)
         estimate_ratio(config, empty)
         assert len(params) == 2
-        loss = degree_stage_loss(
+        loss = above_loss(
             degrees(one_edge), degrees(empty), params[0], 10000.0 / eps ** 4, params[1]
         )
         assert loss <= float(UNBOUNDED_BUDGET_FRACTIONS[0]) * eps * (1 + 1e-9)
@@ -163,11 +173,42 @@ class TestDegreeStageLoss:
         empty_deg = np.zeros(k, dtype=np.int64)
         share = UNBOUNDED_BUDGET_FRACTIONS[0]
         for threshold in (1.5, 10.0, 200.0):
-            loss = degree_stage_loss(degrees(inst), empty_deg, params[0], threshold)
+            loss = above_loss(degrees(inst), empty_deg, params[0], threshold)
             assert abs(loss - float(share) * eps) <= 1e-12
             # mutation check: noise at the whole budget, not budget / k
-            mutant = degree_stage_loss(degrees(inst), empty_deg, k * params[0], threshold)
+            mutant = above_loss(degrees(inst), empty_deg, k * params[0], threshold)
             assert mutant > float(share) * eps
+
+
+class TestDpShearerLoss:
+    """dp_shearer on the edgeless and the one-edge 2-vertex graph at the
+    same colourings spends at most epsilon: at fixed colourings the output
+    is a function of the set of vertices whose count clears the noisy
+    threshold, so the loss over those sets, computed exactly from the values
+    and the parameter dp_shearer hands noisy_above, bounds it."""
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0])
+    def test_edge_pair(self, monkeypatch, eps):
+        calls = []
+        real = algo_maxcut.noisy_above
+
+        def spy(values, threshold, param, rng, shape):
+            calls.append((np.array(values), threshold, param))
+            return real(values, threshold, param, rng, shape)
+
+        monkeypatch.setattr(algo_maxcut, "noisy_above", spy)
+        one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        empty = WeightedGraph(n=2, edges=())
+        # the colourings are the first draws, so one seed gives both the same
+        dp_shearer_batch(one_edge, eps, gen(3), 16)
+        dp_shearer_batch(empty, eps, gen(3), 16)
+        (values_a, threshold, param), (values_b, threshold_b, param_b) = calls
+        assert param == param_b == eps / 2 and threshold == threshold_b == 0
+        losses = [above_loss(a, b, param, 0) for a, b in zip(values_a, values_b)]
+        # a row whose colours agree moves both counts by one: the bound is met exactly
+        assert max(losses) <= eps * (1 + 1e-12) and abs(max(losses) - eps) <= 1e-12
+        # mutation check: noise at the whole epsilon, not epsilon / 2
+        assert max(above_loss(a, b, eps, 0) for a, b in zip(values_a, values_b)) > eps
 
 
 class TestNoiseFloor:
@@ -314,12 +355,28 @@ class TestNoisyHighMask:
             for budget in (eps / 3.0, eps / 6.0):
                 g1, g2 = gen(i), gen(i)
                 mask = noisy_high_mask(problem, budget, 1.5, g1, 1)[0]
-                noise = dp_mechanisms.sample_discrete_laplace(budget / k, g2, size=(1, problem.n))
-                ref = degrees(problem) + noise[0] > 1.5
-                # the reference draw goes through the spy too: the helper's is second to last
-                assert params[-2] == budget / k
+                # one uniform per variable against the small side of its tail,
+                # flipped where the degree alone is above: d + Z > 1.5 exactly
+                # when Z >= m = floor(1.5 - d) + 1
+                u = g2.random((1, problem.n))[0]
+                ms = [math.floor(1.5 - d) + 1 for d in degrees(problem).tolist()]
+                ref = [bool(x < small_side(m, budget / k)) != (m <= 0) for x, m in zip(u, ms)]
+                assert params[-1] == budget / k
                 assert mask.dtype == bool and np.array_equal(mask, ref)
                 assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_law_against_sampler(self, case):
+        # per variable, the frequency of the mask against the
+        # sample_discrete_laplace formulation d + Z > T at 4 sigma, with a
+        # threshold between the degrees and noise of scale about 1
+        problem, k = self.CASES[case]
+        trials, budget, threshold = 400_000, 0.8 * k, 0.5
+        mask = noisy_high_mask(problem, budget, threshold, gen(30), trials).mean(axis=0)
+        noise = dp_mechanisms.sample_discrete_laplace(budget / k, gen(31), size=(trials, problem.n))
+        ref = (degrees(problem) + noise > threshold).mean(axis=0)
+        pooled = (mask + ref) / 2
+        assert np.all(np.abs(mask - ref) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / trials))
 
     def test_degrees_of_a_graph(self):
         g = WeightedGraph(n=3, edges=((0, 1, 1.0), (0, 2, 1.0)))

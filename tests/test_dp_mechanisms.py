@@ -19,6 +19,7 @@ from privcsp.dp_mechanisms import (
     em_over_assignments_batch,
     exponential_mechanism,
     keep_probability,
+    noisy_above,
     randomized_response,
     sample_discrete_laplace,
 )
@@ -110,6 +111,86 @@ class TestDiscreteLaplace:
         a = sample_discrete_laplace(0.7, gen(8), size=10)
         b = sample_discrete_laplace(0.7, gen(8), size=10)
         assert np.array_equal(a, b)
+
+
+def above_probability(value, threshold, param):
+    """P[value + Z > threshold] for Z integer Laplace at param: Z >= m =
+    floor(threshold - value) + 1 has probability q^m / (1 + q) for m >= 1
+    and 1 - q^(1 - m) / (1 + q) for m <= 0, with q = e^-param."""
+    q = math.exp(-param)
+    m = math.floor(threshold - value) + 1
+    return q ** m / (1 + q) if m >= 1 else 1 - q ** (1 - m) / (1 + q)
+
+
+def assert_frequencies(values, above, threshold, param):
+    """Per distinct value, the frequency of above within 4 sigma of the
+    exact tail; a tail of exactly 0 or 1 must be met exactly."""
+    for value in np.unique(values).tolist():
+        hits = above[np.broadcast_to(values, above.shape) == value]
+        p = above_probability(value, threshold, param)
+        sigma = math.sqrt(p * (1 - p) / hits.size)
+        assert abs(hits.mean() - p) <= 4 * sigma, (value, hits.size, hits.mean(), p)
+
+
+class TestNoisyAbove:
+    """noisy_above against the exact two-sided geometric tail: empirical
+    frequencies from 10^6 draws at 4 sigma, on both sides of the threshold
+    (m >= 1 and m <= 0), from the floor parameter's neighbourhood to one at
+    which every tail is 0 or 1."""
+
+    PARAMS = [1e-12, 0.25, 1.0, 800.0]
+
+    @pytest.mark.parametrize("param", PARAMS)
+    def test_per_column_values(self, param):
+        # threshold 0.5: m = 1 - value runs from 4 down to -5
+        values = np.array([-3, -1, 0, 1, 2, 6])
+        above = noisy_above(values, 0.5, param, gen(20), (200_000, values.size))
+        assert above.dtype == bool and above.shape == (200_000, values.size)
+        assert_frequencies(values, above, 0.5, param)
+
+    @pytest.mark.parametrize("param", PARAMS)
+    def test_per_entry_values(self, param):
+        values = gen(21).integers(-4, 5, size=(250_000, 4)).astype(np.int8)
+        above = noisy_above(values, 1.0, param, gen(22), values.shape)
+        assert above.shape == values.shape
+        assert_frequencies(values, above, 1.0, param)
+
+    @pytest.mark.parametrize("threshold", [2.0 ** 70, 1e300, math.inf])
+    def test_threshold_beyond_int64(self, threshold):
+        # unfloored: the tail beyond 2^70 underflows to 0 even at a tiny
+        # parameter, and the mirrored threshold is always cleared
+        values = np.array([0, 5, 2 ** 40])
+        for param in (4.6e-17, 1e-12, 1.0):
+            assert not noisy_above(values, threshold, param, gen(23), (1000, 3)).any()
+            assert noisy_above(values, -threshold, param, gen(23), (1000, 3)).all()
+
+    def test_one_uniform_per_entry(self):
+        for values, shape in ((np.arange(-2, 3), (7, 5)), (np.ones((3, 4), dtype=np.int16), (3, 4)),
+                              (np.zeros(0, dtype=np.int64), (5, 0))):
+            g1, g2 = gen(24), gen(24)
+            noisy_above(values, 0.0, 0.5, g1, shape)
+            g2.random(shape)
+            assert g1.bit_generator.state == g2.bit_generator.state
+
+    def test_value_range_wider_than_the_index_dtype(self):
+        # int8 values whose table offsets pass 127
+        values = np.array([[-120, 120]], dtype=np.int8)
+        above = noisy_above(values, 0.5, 1.0, gen(25), (1000, 2))
+        assert not above[:, 0].any() and above[:, 1].all()
+
+    @pytest.mark.parametrize("param", [1e-17, 5e-324])
+    def test_floor_refused_before_any_draw(self, param):
+        g = gen(26)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match=rf"epsilon = {param} is too small for the discrete-Laplace sampler"):
+            noisy_above(np.zeros(3, dtype=np.int64), 0.0, param, g, (2, 3))
+        assert g.bit_generator.state == state
+
+    @pytest.mark.parametrize("param,message", [(0.0, "positive"), (math.nan, "finite"),
+                                               (math.inf, "finite"), (-1.0, "finite")])
+    def test_invalid_parameter(self, param, message):
+        with pytest.raises(ValueError, match=message):
+            noisy_above(np.zeros(3, dtype=np.int64), 0.0, param, gen(), (2, 3))
 
 
 class TestRandomizedResponse:

@@ -464,6 +464,16 @@ class TestBucketCounts:
         assert any(kb == 0 for _, kb in got.values())
         assert any(ka == 0 for ka, _ in got.values())
 
+    def test_rare_buckets_late_in_a_side(self):
+        # labels found past the first prefixes of the row scatter: one row
+        # of side a and the last row of side b are the only ones of their kind
+        out_a = np.zeros((100_000, 2), dtype=np.int8)
+        out_b = np.ones((100_000, 2), dtype=np.int8)
+        out_a[70_001] = (0, 1)
+        out_b[-1] = (1, 0)
+        got = self.check(out_a, out_b)
+        assert got == {(0, 0): (99_999, 0), (0, 1): (1, 0), (1, 1): (0, 99_999), (1, 0): (0, 1)}
+
     def test_zero_width_rows(self):
         got = self.check(np.empty((10, 0), dtype=np.int8), np.empty((10, 0), dtype=np.int8))
         assert got == {(): (10, 10)}

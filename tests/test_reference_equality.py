@@ -13,7 +13,9 @@ eval_value, have their per-constraint loops. The audit kernels have
 copies of their float64/int64 forms with nested np.where: alg1_batch with
 np.add.at and the stand-in median table, sample_discrete_laplace,
 assignment_rows, randomized_response's np.unique input check, and
-dp_shearer_batch.
+dp_shearer_batch. noisy_above, which draws dp_shearer's and the degree
+stage's noisy comparisons, has ref_noisy_above: one uniform per entry
+against the two-sided geometric tail computed entry by entry.
 
 Where a kernel reads the same draws as its reference, every comparison is
 exact (np.array_equal or ==), and the generator state after a run must
@@ -221,6 +223,7 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
     gen = as_generator(rng)
     n = graph.n
     threshold = 24.0 / epsilon ** (1.0 + alpha)
+    # degree noise from sample_discrete_laplace: the law tests compare noisy_above's law with it
     noisy = graph.degree_counts() + sample_discrete_laplace(epsilon / 6.0 / 2, gen, size=n)
     high_mask = noisy > threshold
     high = np.flatnonzero(high_mask)
@@ -248,8 +251,8 @@ def ref_alg2(instance, epsilon, rng, subroutine, threshold):
     Also returns the size of the high set."""
     gen = as_generator(rng)
     k = max(instance.max_arity, 1)
-    noisy = degrees(instance) + sample_discrete_laplace(epsilon / 3.0 / k, gen, size=instance.n)
-    high = np.flatnonzero(noisy > threshold)
+    high = np.flatnonzero(ref_noisy_above(degrees(instance), threshold, epsilon / 3.0 / k, gen,
+                                          instance.n))
     x1 = (2 * gen.integers(0, 2, size=instance.n) - 1).astype(np.int8)
     if high.size:
         x1[high] = em_over_assignments_batch(
@@ -264,8 +267,8 @@ def ref_dp_maxcut_unbounded(graph, epsilon, rng):
     noisy-degree split; the integer-noise parameter is epsilon/3/2 (one edge
     moves two degrees)."""
     gen = as_generator(rng)
-    noisy = graph.degree_counts() + sample_discrete_laplace(epsilon / 3.0 / 2, gen, size=graph.n)
-    high = np.flatnonzero(noisy > 10000.0 / epsilon ** 2)
+    high = np.flatnonzero(ref_noisy_above(graph.degree_counts(), 10000.0 / epsilon ** 2,
+                                          epsilon / 3.0 / 2, gen, graph.n))
     s1 = (2 * gen.integers(0, 2, size=graph.n) - 1).astype(np.int8)
     if high.size:
         s1[high] = em_over_assignments_batch(graph, high.tolist(), epsilon / 3.0, 1.0, gen, 1)[0]
@@ -535,6 +538,21 @@ def ref_sample_discrete_laplace(epsilon, rng, size):
     return out.astype(np.int64)
 
 
+def ref_noisy_above(values, threshold, param, rng, size):
+    """value + Z > threshold for integer Laplace noise Z at param, one uniform
+    per entry: Z >= m = floor(threshold - value) + 1 has probability
+    q^m / (1 + q) for m >= 1 and 1 - q^(1 - m) / (1 + q) for m <= 0, with
+    q = e^-param, and the uniform is compared with the smaller side."""
+    q = math.exp(-param)
+    u = as_generator(rng).random(size)
+    values = np.broadcast_to(values, u.shape)
+    out = np.empty(u.shape, dtype=bool)
+    for i in np.ndindex(u.shape):
+        m = math.floor(threshold - int(values[i])) + 1
+        out[i] = u[i] < q ** m / (1 + q) if m >= 1 else u[i] >= q ** (1 - m) / (1 + q)
+    return out
+
+
 def ref_assignment_rows(rows, k):
     bits = np.asarray(rows)[..., None] >> np.arange(k)
     return np.where(bits & 1 == 1, 1, -1).astype(np.int8)
@@ -553,8 +571,8 @@ def ref_randomized_response(bits, epsilon, rng):
 def ref_dp_shearer_batch(graph, epsilon, rng, trials):
     gen = as_generator(rng)
     c1, c2, ell = ref_two_color_batch(graph, gen, trials)
-    zeta = ref_sample_discrete_laplace(epsilon / 2.0, gen, size=(trials, graph.n))
-    take_first = ell - graph.degree_counts() // 2 + zeta <= 0
+    take_first = ~ref_noisy_above(ell - graph.degree_counts() // 2, 0, epsilon / 2.0, gen,
+                                  (trials, graph.n))
     return np.where(take_first, c1, c2).astype(np.int8)
 
 
@@ -853,6 +871,30 @@ class TestTwoColor:
             for a, b in zip(new, ref):
                 assert same_result(a, b)
             assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    def test_counts_match_incidence_product(self):
+        # the same-color indicator times the (m, n) edge-vertex incidence, on
+        # graphs with parallel edges and isolated vertices; 63 and 64
+        # parallel edges put twice the largest degree on either side of int8
+        graphs = [
+            WeightedGraph(n=6, edges=((0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (1, 2, 1.0),
+                                      (1, 2, 1.0), (4, 5, 1.0))),
+            WeightedGraph(n=4, edges=((2, 3, 1.0),)),
+            WeightedGraph(n=3, edges=((0, 1, 1.0),) * 63),
+            WeightedGraph(n=3, edges=((0, 1, 1.0),) * 64),
+        ]
+        assert [g._adjacency.dtype for g in graphs[2:]] == [np.int8, np.int16]
+        for seed in range(50):
+            for g in graphs:
+                gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                c1, c2, ell = _two_color_batch(g, gen_new, 16)
+                ref = ref_two_color_batch(g, gen_ref, 16)
+                assert same_result(c1, ref[0]) and same_result(c2, ref[1])
+                u, v, _ = g.edge_arrays()
+                incidence = np.zeros((g.m, g.n), dtype=np.int64)
+                incidence[np.arange(g.m), u] = incidence[np.arange(g.m), v] = 1
+                assert same_result(ell, (c1[:, u] == c1[:, v]).astype(np.int64) @ incidence)
+                assert gen_new.bit_generator.state == gen_ref.bit_generator.state
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 2.0, 800.0])
     def test_dp_shearer_batch(self, eps):
