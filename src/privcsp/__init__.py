@@ -20,6 +20,7 @@ from .dp_mechanisms import (
     RngStream,
     em_over_assignments_batch,
     exponential_mechanism,
+    fair_signs,
     noisy_above,
     randomized_response,
     sample_discrete_laplace,
@@ -41,6 +42,7 @@ __all__ = [
     "degrees",
     "derivative_q",
     "lambda_j",
+    "fair_signs",
     "sample_discrete_laplace",
     "noisy_above",
     "randomized_response",

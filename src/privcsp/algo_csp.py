@@ -34,6 +34,7 @@ from .dp_mechanisms import (
     as_generator,
     check_epsilon,
     degree_split_batch,
+    fair_signs,
     keep_probability,
     threshold_power,
 )
@@ -231,24 +232,25 @@ def alg1_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     randomized response at the full budget. Every output coordinate is
     marginally uniform.
 
-    Draws, each one (trials, n) array: the greedy mask, the initial x, the
-    tie draw and the keep draw. The fixed scope variables of an active
-    constraint are not greedy, so every derivative reads the initial x;
-    _greedy_medians gives the sums and their medians where a constraint
-    is active; elsewhere z compares the tie draw with 1/2.
+    Draws, in order: three (trials, n) fair_signs blocks, the greedy
+    mask, the initial x and a fair default z; one gen.random double per
+    cell where a constraint is active, for its tie; the (trials, n) keep
+    draw. The fixed scope variables of an active constraint are not greedy,
+    so every derivative reads the initial x; _greedy_medians gives the
+    cells with their sums and medians, and z there compares the sum with
+    the median, a tie going to +1 when its double is below the tie bias.
     """
     keep_prob = keep_probability(epsilon)
     if not is_triangle_free(instance):
         raise ValueError("alg1 requires a triangle-free instance")
     gen = as_generator(rng)
     n = instance.n
-    greedy = gen.random((trials, n)) < 0.5
-    x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
+    greedy = fair_signs(gen, (trials, n)) > 0
+    x = fair_signs(gen, (trials, n))
     cells, sum2, theta2, gamma = _greedy_medians(instance, greedy, x)
-    tie = gen.random((trials, n))
+    z = fair_signs(gen, (trials, n)) > 0
     # z = +1 when s > theta, or s == theta and the tie draw is below gamma
-    z = tie < 0.5
-    z.reshape(-1)[cells] = (sum2 > theta2) | ((sum2 == theta2) & (tie.reshape(-1)[cells] < gamma))
+    z.reshape(-1)[cells] = (sum2 > theta2) | ((sum2 == theta2) & (gen.random(cells.size) < gamma))
     keep = gen.random((trials, n)) < keep_prob
     # y = +1 when keep, and y * z = +1 exactly when the two agree;
     # np.where(greedy, y * z, x) in bool algebra: np.where branches per
@@ -286,9 +288,13 @@ def boost_scale(epsilon: float, m: int) -> float:
 
 
 def private_boost(lambda_value, scale: float, rng):
-    """Draws +-1 with Pr[+1] = (1 + tanh(scale * lambda_value)) / 2."""
+    """Draws +-1 with Pr[+1] = (1 + tanh(scale * lambda_value)) / 2, taken
+    as the logistic 1 / (1 + exp(-2 * scale * lambda_value)): the tanh form
+    cancels to 0 from scale * lambda_value ~ -19 on, where this one keeps
+    full relative precision."""
     gen = as_generator(rng)
-    p_plus = (1.0 + np.tanh(scale * np.asarray(lambda_value))) / 2.0
+    with np.errstate(over="ignore"):  # exp(inf) = inf gives Pr[+1] = 0
+        p_plus = 1.0 / (1.0 + np.exp(-2.0 * scale * np.asarray(lambda_value)))
     out = np.where(gen.random(size=np.shape(lambda_value)) < p_plus, 1, -1)
     if np.isscalar(lambda_value):
         return int(out)
@@ -335,6 +341,11 @@ def alg3_batch(
     whole row with probability 1/2. Each row draws its own scale s, flip
     index r and negation.
 
+    Draws, in order: the scales (unless fixed); the (trials, n) keep
+    uniforms; the initial x, a (trials, n) fair_signs block; one boost
+    uniform per entry; the flip indices (unless fixed); the (trials, n)
+    flip uniforms; the negation, a (trials, 1) fair_signs block.
+
     scale fixes s for every row (it must be >= 1; None draws it uniformly
     from 1..ceil(log2 k)); flip_index fixes r for every row (it must lie
     in 0..k; None draws it uniformly). Both only pin the law in tests.
@@ -358,7 +369,7 @@ def alg3_batch(
     else:
         s = gen.integers(1, smax + 1, size=trials)
     keep = gen.random((trials, n)) < (2.0 ** -s)[:, None]
-    x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
+    x = fair_signs(gen, (trials, n))
     lam = _kept_influence(instance, keep, x)
     x = np.where(keep, private_boost(lam, boost_scale(epsilon, m), gen), x)
     if flip_index is not None:
@@ -368,8 +379,8 @@ def alg3_batch(
     eta = np.array([math.cos(i * math.pi / k) / 2.0 for i in range(k + 1)])[r]
     flip = gen.random((trials, n)) < ((1.0 - eta) / 2.0)[:, None]
     x = np.where(keep & flip, -x, x).astype(np.int8)
-    negate = gen.random(trials) < 0.5
-    return np.where(negate[:, None], -x, x).astype(np.int8)
+    x *= fair_signs(gen, (trials, 1))
+    return x
 
 
 def alg_oddk_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .dp_mechanisms import (
     degree_split_batch,
     em_on_part,
     exponential_mechanism,
+    fair_signs,
     noisy_above,
     noisy_high_mask,
     stage_budget,
@@ -63,22 +64,24 @@ def matched_edge_cut_probability() -> float:
     return w / (1.0 + w)
 
 
-def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int):
-    """Common machinery: two uniform colorings and per-vertex counts of
-    neighbors sharing the first color."""
+def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int, offset=0):
+    """Common machinery: two uniform colorings (fair_signs blocks, c1 then
+    c2) and per-vertex counts of neighbors sharing the first color, minus
+    the per-vertex offset."""
     n = graph.n
-    c1 = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
-    c2 = signs_from_bits(gen.integers(0, 2, size=(trials, n)))
+    c1 = fair_signs(gen, (trials, n))
+    c2 = fair_signs(gen, (trials, n))
     # c1 times the signed adjacency product is a vertex's same-color minus
     # other-color neighbours; the adjacency dtype holds 2 * max degree, so
-    # degree plus that difference, twice the same-color count, never wraps.
-    # The work runs in the product's (n, trials) layout, where the degrees
-    # broadcast along whole rows even when n is tiny
+    # degree plus that difference, twice the same-color count, never wraps,
+    # also less twice an offset in 0..degree // 2. The work runs in the
+    # product's (n, trials) layout, where the degrees and offsets broadcast
+    # along whole rows even when n is tiny
     adjacency = graph._adjacency
     c1_t = c1.T.astype(adjacency.dtype, order="C")
     ell_t = adjacency @ c1_t
     ell_t *= c1_t
-    ell_t += graph.degree_counts()[:, None]
+    ell_t += (graph.degree_counts() - 2 * np.asarray(offset))[:, None]
     ell_t //= 2
     return c1, c2, np.ascontiguousarray(ell_t.T, dtype=np.int64)
 
@@ -94,12 +97,13 @@ def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
     """Two-coloring local rule; one independent run per row of the returned
     (trials, n) int8 block. Keep the first color when strictly fewer than
     half the neighbors share it, switch to the second when strictly more
-    do, and flip a fair coin on a tie."""
+    do, and flip a fair coin on a tie. Draws, in order: the two colorings
+    and the tie coins, three (trials, n) fair_signs blocks."""
     _require_unweighted(graph, "shearer_batch")
     gen = as_generator(rng)
     c1, c2, ell = _two_color_batch(graph, gen, trials)
     deg = graph.degree_counts()
-    coin = gen.random((trials, graph.n)) < 0.5
+    coin = fair_signs(gen, (trials, graph.n)) > 0
     ell *= 2
     return _pick((ell < deg) | ((ell == deg) & coin), c1, c2)
 
@@ -109,13 +113,14 @@ def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> 
     row of the returned (trials, n) int8 block. The first color is kept
     unless the same-color count plus integer Laplace noise at epsilon/2
     exceeds ceil((d(v)-1)/2) (noisy_above, one uniform per entry), which
-    makes the sensitivity-2 count vector epsilon-DP."""
+    makes the sensitivity-2 count vector epsilon-DP. Draws, in order: the
+    two colorings, (trials, n) fair_signs blocks, then one (trials, n)
+    noisy_above block."""
     _require_unweighted(graph, "dp_shearer_batch")
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
-    c1, c2, ell = _two_color_batch(graph, gen, trials)
     # ceil((d - 1) / 2) equals d // 2 for every nonnegative integer d
-    ell -= graph.degree_counts() // 2
+    c1, c2, ell = _two_color_batch(graph, gen, trials, graph.degree_counts() // 2)
     return _pick(~noisy_above(ell, 0, epsilon / 2.0, gen, ell.shape), c1, c2)
 
 
@@ -201,11 +206,13 @@ def dp_maxcut_general_batch(
     selects among them by cut value.
 
     Every stage draws one block for all rows, in this order: the degree
-    noise and em_on_part; one subsampling uniform per (row, edge), the edge
+    noise and em_on_part (a fair_signs block, then its exponential
+    mechanism draws); one subsampling uniform per (row, edge), the edge
     kept below the rate unless an endpoint is high in that row; one choice
     uniform per (row, vertex) for the mutual-choice matching
     (_mutual_choice); one matching-mechanism uniform per (row, vertex),
-    which gives the vertex side +1 below 1/2, except that a matched edge's
+    which gives the vertex side +1 below 1/2 (a double, not fair_signs,
+    as it also decides matched edges), except that a matched edge's
     lower endpoint takes the side opposite its partner's below
     matched_edge_cut_probability() and the same side otherwise; one
     final-selection uniform per row.

@@ -3,7 +3,9 @@ stages the algorithms compose them into.
 
 Every mechanism draws from a numpy Generator. RngStream wraps a
 (seed, stream) pair that reproduces draws bit-for-bit across runs;
-concurrent trials must use distinct stream ids.
+concurrent trials must use distinct stream ids. Every fair coin and
+uniform sign the kernels draw comes from fair_signs, one random bit per
+entry unpacked from random bytes.
 
 The exponential mechanism has two forms on one CDF function (_em_cdf):
 exponential_mechanism draws one candidate index per row of a (trials, k)
@@ -37,7 +39,6 @@ from .csp_core import (
     all_values,
     assignment_rows,
     degrees,
-    signs_from_bits,
 )
 
 EM_ENUMERATION_CAP = 24
@@ -57,6 +58,7 @@ __all__ = [
     "EM_ENUMERATION_CAP",
     "RngStream",
     "as_generator",
+    "fair_signs",
     "sample_discrete_laplace",
     "noisy_above",
     "check_epsilon",
@@ -94,6 +96,19 @@ def as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
     raise TypeError(f"expected Generator or RngStream, got {type(rng)!r}")
+
+
+def fair_signs(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-ordered, writeable int8 block of the given shape of iid fair
+    +-1 signs: one bit each, unpacked from ceil(size / 8) uint8 draws of
+    gen.integers(0, 256), which read 32 random bits per 4 bytes under any
+    bit generator (a raw MT19937 word holds only 32)."""
+    size = math.prod(shape)
+    packed = gen.integers(0, 256, size=-(-size // 8), dtype=np.uint8)
+    out = np.unpackbits(packed, count=size).view(np.int8).reshape(shape)
+    out *= 2
+    out -= 1
+    return out
 
 
 def sample_discrete_laplace(epsilon: float, rng, size) -> np.ndarray:
@@ -218,6 +233,23 @@ def _em_cdf(scores: np.ndarray, epsilon: float, sensitivity: float) -> np.ndarra
     return w.cumsum(axis=-1)
 
 
+def _cdf_count(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of entries <= u of each nondecreasing CDF along the last
+    axis of cdf: one (k,) CDF for every u, or one per row of a (trials, k)
+    block. With k <= 16 and at least 256 * k uniforms, each column is one
+    pass over u, whose per-pass call cost is then amortized; otherwise a
+    1-D table is searched with np.searchsorted, a block compared whole."""
+    k = cdf.shape[-1]
+    if k <= 16 and u.size >= 256 * k:
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for c in range(k):
+            idx += u >= cdf[..., c]
+        return idx
+    if cdf.ndim == 1:
+        return np.searchsorted(cdf, u, side="right")
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
 def exponential_mechanism(scores, epsilon: float, sensitivity: float, rng) -> np.ndarray:
     """Row-wise exponential mechanism over a (trials, k) block of candidate
     scores: the returned (trials,) int64 vector holds one candidate index per
@@ -236,8 +268,7 @@ def exponential_mechanism(scores, epsilon: float, sensitivity: float, rng) -> np
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
     cdf = _em_cdf(scores, epsilon, sensitivity)
-    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
-    idx = (cdf <= as_generator(rng).random(scores.shape[0])[:, None]).sum(axis=1)
+    idx = _cdf_count(cdf, as_generator(rng).random(scores.shape[0]))
     return np.minimum(idx, scores.shape[1] - 1)
 
 
@@ -287,7 +318,7 @@ def em_over_assignments_batch(
         cdf = memo[key] = _em_cdf(all_values(problem, active), budget, sensitivity)
         cdf.flags.writeable = False
     # inverse CDF on one uniform per row; ties go by the uniform, never by index
-    idx = np.searchsorted(cdf, as_generator(rng).random(trials), side="right")
+    idx = _cdf_count(cdf, as_generator(rng).random(trials))
     return assignment_rows(np.minimum(idx, cdf.shape[0] - 1), len(active))
 
 
@@ -345,13 +376,13 @@ def _degree_stage_refusal(epsilon: float, problem, budget: float) -> ValueError:
 
 
 def em_on_part(problem, part: np.ndarray, budget: float, rng):
-    """A uniform +-1 int8 block shaped like the (trials, n) bool block part,
-    one part per row, with the variables of each row's part replaced by an
+    """A fair_signs block shaped like the (trials, n) bool block part, one
+    part per row, with the variables of each row's part replaced by an
     exponential-mechanism draw (budget, sensitivity 1) on them. Rows with
     the same part share one em_over_assignments_batch call, one draw per
-    row; empty parts draw only the uniform block."""
+    row; empty parts draw only the fair_signs block."""
     gen = as_generator(rng)
-    x = signs_from_bits(gen.integers(0, 2, size=part.shape))
+    x = fair_signs(gen, part.shape)
     groups: dict[bytes, list[int]] = {}
     for r in np.flatnonzero(part.any(axis=1)).tolist():
         groups.setdefault(part[r].tobytes(), []).append(r)
@@ -373,8 +404,9 @@ def degree_split_batch(
     variables whose noisy degree exceeds threshold. One candidate is
     em_on_part on that part, uniform elsewhere; the other is the batch
     kernel subroutine(problem, budget, gen, trials) -> (trials, n) +-1
-    block, run on the whole problem. A fair coin per row picks between
-    them. The three stages are handed stage_budget(epsilon, share) for the
+    block, run on the whole problem. A fair coin per row, one (trials,)
+    fair_signs draw after the stages, picks between them. The three stages
+    are handed stage_budget(epsilon, share) for the
     UNBOUNDED_BUDGET_FRACTIONS shares, and draw, in that order.
     """
     gen = as_generator(rng)
@@ -390,4 +422,4 @@ def degree_split_batch(
         raise ValueError(
             f"subroutine must return a {x1.shape} block of -1/+1 entries, got shape {x2.shape}"
         )
-    return np.where((gen.random(trials) < 0.5)[:, None], x1, x2).astype(np.int8, copy=False)
+    return np.where((fair_signs(gen, (trials,)) > 0)[:, None], x1, x2).astype(np.int8, copy=False)

@@ -50,13 +50,13 @@ from .csp_core import (
     instance_to_json,
     mu,
     rows_per_chunk,
-    signs_from_bits,
 )
 from .dp_mechanisms import (
     RngStream,
     check_epsilon,
     em_on_part,
     em_over_assignments_batch,
+    fair_signs,
     randomized_response,
 )
 from .generators import gen_hard_family
@@ -92,7 +92,7 @@ def _em_baseline_batch(problem, eps, alpha, gen, trials):
 
 def _random_baseline_batch(problem, eps, alpha, gen, trials):
     constraint_groups(problem)  # a weighted graph has none: ValueError, as in every CSP kernel
-    return signs_from_bits(gen.integers(0, 2, size=(trials, problem.n)))
+    return fair_signs(gen, (trials, problem.n))
 
 
 # id -> kernel(problem, eps, alpha, gen, trials) -> (trials, n) block. The CSP

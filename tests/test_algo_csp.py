@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from privcsp import algo_csp
 from privcsp.algo_csp import (
     alg1_batch,
     alg2_batch,
@@ -73,6 +74,37 @@ class TestAlg1:
         rows = alg1_batch(inst, 1.0, gen(3), 100_000)
         sigma = 1.0 / math.sqrt(rows.shape[0])
         assert np.all(np.abs(rows.mean(axis=0)) < 3.8 * sigma)
+
+    def test_fair_z_on_active_and_default_cells(self, monkeypatch):
+        # at eps 800 randomized response keeps every sign, so a greedy
+        # output is z: +1 half the time on the active cells (arity-2
+        # parities, whose derivative ties at the median -1/2 half the time,
+        # with tie bias 0, and an arity-1 parity that always ties, with bias
+        # 1/2, so its per-cell double decides), and on the greedy cells
+        # without a constraint; at eps 1 every coordinate is uniform
+        inst = CspInstance(n=6, constraints=(xor((0, 1)), xor((2,)), xor((3, 4), b=-1)),
+                           kind="kxor")
+        seen = {}
+        real = algo_csp._greedy_medians
+
+        def spy(instance, greedy, x):
+            seen["greedy"], seen["out"] = greedy, real(instance, greedy, x)
+            return seen["out"]
+
+        monkeypatch.setattr(algo_csp, "_greedy_medians", spy)
+        trials = 200_000
+        rows = alg1_batch(inst, 800.0, gen(40), trials)
+        cells = seen["out"][0]
+        plus = rows.reshape(-1) > 0
+        column = cells % inst.n
+        default = np.flatnonzero(seen["greedy"].reshape(-1))
+        default = default[~np.isin(default, cells)]
+        for group in (cells[column != 2], cells[column == 2], default):
+            assert group.size > 10_000
+            hits = plus[group].sum()
+            assert abs(hits - group.size / 2) <= 4 * math.sqrt(group.size / 4)
+        rows = alg1_batch(inst, 1.0, gen(41), trials)
+        assert np.all(np.abs(rows.mean(axis=0)) <= 4 / math.sqrt(trials))
 
     def test_positive_advantage(self):
         inst = cycle_instance(16)
@@ -262,6 +294,17 @@ class TestAlg2:
         assert calls == [1.0]
 
 
+class FixedUniform(np.random.Generator):
+    """A generator whose gen.random draws all equal u."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None):
+        return np.full(size, self.u)
+
+
 class TestPrivateBoost:
     def test_zero_lambda_uniform(self):
         out = private_boost(np.zeros(100_000), 5.0, gen(12))
@@ -275,6 +318,19 @@ class TestPrivateBoost:
             p = np.mean(out == 1)
             sigma = math.sqrt(target * (1 - target) / out.size)
             assert abs(p - target) < 3.8 * sigma
+
+    @pytest.mark.parametrize("y", [-30.0, -19.0, -18.5, -5.0, -0.3, 0.0, 0.7, 19.0])
+    def test_logistic_probability(self, y):
+        # Pr[+1] at scale * lambda = y against e^2y / (1 + e^2y) in math
+        # floats, within 4 ulp, read through a uniform just below and just
+        # above it; the tanh form gave 0 at y = -19 and 5.55e-17 at -18.5
+        target = math.exp(2 * y) / (1 + math.exp(2 * y))
+        assert target > 0
+        for scale, lam in ((1.0, y), (4.0, y / 4)):
+            below, above = target - 4 * math.ulp(target), target + 4 * math.ulp(target)
+            assert private_boost(np.array([lam]), scale, FixedUniform(below))[0] == 1
+            if above < 1:
+                assert private_boost(np.array([lam]), scale, FixedUniform(above))[0] == -1
 
     def test_scalar(self):
         assert private_boost(100.0, 1.0, gen(14)) == 1

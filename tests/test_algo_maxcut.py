@@ -205,9 +205,10 @@ class TestDpShearer:
         ell = np.bincount(u, same, graph.n) + np.bincount(v, same, graph.n)
         trials = 400_000
 
-        def fixed(graph, gen, t):
+        def fixed(graph, gen, t, offset=0):
             block = np.broadcast_to(c1, (t, graph.n))
-            return block.copy(), -block, np.broadcast_to(ell.astype(np.int64), (t, graph.n)).copy()
+            counts = (ell - offset).astype(np.int64)
+            return block.copy(), -block, np.broadcast_to(counts, (t, graph.n)).copy()
 
         monkeypatch.setattr(algo_maxcut, "_two_color_batch", fixed)
         take_first = (dp_shearer_batch(graph, eps, gen(12), trials) == c1).mean(axis=0)

@@ -386,9 +386,11 @@ class TestNoisyHighMask:
 
 class TestEmOnPart:
     def test_empty_part_draws_only_the_uniform_vector(self):
+        # the fair_signs block: entry i is bit 7 - i of one uint8 draw
         g1, g2 = gen(5), gen(5)
         x = em_on_part(one_constraint(3), np.zeros((1, 3), dtype=bool), 1.0, g1)
-        ref = (2 * g2.integers(0, 2, size=(1, 3)) - 1).astype(np.int8)
+        byte = int(g2.integers(0, 256, size=1, dtype=np.uint8)[0])
+        ref = np.array([[1 if byte >> (7 - i) & 1 else -1 for i in range(3)]], dtype=np.int8)
         assert x.dtype == np.int8 and np.array_equal(x, ref)
         assert g1.bit_generator.state == g2.bit_generator.state
 

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from privcsp.dp_mechanisms import (
     check_epsilon,
     em_over_assignments_batch,
     exponential_mechanism,
+    fair_signs,
     keep_probability,
     noisy_above,
     randomized_response,
@@ -40,6 +43,99 @@ class TestRngStream:
         a = RngStream(7, 0).generator().random(5)
         b = RngStream(7, 1).generator().random(5)
         assert not np.array_equal(a, b)
+
+
+def shifted_bits(packed, size):
+    """Entry i is bit 7 - i % 8 of byte i // 8 of the uint8 array packed."""
+    packed = np.asarray(packed, dtype=np.int64)
+    return ((packed[:, None] >> np.arange(7, -1, -1)) & 1).reshape(-1)[:size]
+
+
+def within_4_sigma(successes, n, p=0.5):
+    return abs(successes - n * p) <= 4 * math.sqrt(n * p * (1 - p))
+
+
+def chi2_4_sigma(counts):
+    """The chi-square statistic of counts against the uniform law is within
+    4 standard deviations of its mean."""
+    counts = np.asarray(counts, dtype=float)
+    expect = counts.sum() / counts.size
+    df = counts.size - 1
+    return ((counts - expect) ** 2 / expect).sum() <= df + 4 * math.sqrt(2 * df)
+
+
+# a fair coin drawn outside fair_signs: an integer draw below 2, or a
+# uniform double compared with one half
+FAIR_DRAW = re.compile(r"integers\(\s*0\s*,\s*2\b|random\((?:[^()]|\([^()]*\))*\)\s*<\s*0?\.5\b")
+# instance generation, not a mechanism: its draws fix every generated
+# instance file, so moving them would change the instances themselves
+FAIR_DRAW_EXEMPT = {"generators.py"}
+
+
+class TestFairSigns:
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0), (1,), (13,), (3, 7), (2, 3, 5),
+                                       (64, 8)])
+    def test_block_and_draws(self, shape):
+        # bit i of the block is bit 7 - i % 8 of byte i // 8 of one
+        # integers(0, 256) uint8 draw of ceil(size / 8) bytes, and the
+        # generator ends where that draw leaves it
+        g1, g2 = gen(21), gen(21)
+        out = fair_signs(g1, shape)
+        assert out.dtype == np.int8 and out.shape == shape
+        assert out.flags.c_contiguous and out.flags.writeable
+        size = math.prod(shape)
+        packed = g2.integers(0, 256, size=-(-size // 8), dtype=np.uint8)
+        assert np.array_equal(out.reshape(-1), 2 * shifted_bits(packed, size) - 1)
+        assert g1.bit_generator.state == g2.bit_generator.state
+        out[...] = 1
+        assert np.all(out == 1)
+
+    def test_bit_balance(self):
+        # overall and at each bit position of a byte, within 4 sigma
+        out = fair_signs(gen(23), (1000, 1000)).reshape(-1) > 0
+        assert within_4_sigma(out.sum(), out.size)
+        for position in range(8):
+            column = out[position::8]
+            assert within_4_sigma(column.sum(), column.size)
+
+    def test_adjacent_entries_independent(self):
+        # a row of 13 entries straddles bytes at different offsets: pairs
+        # within a byte, across a byte boundary and across a row boundary
+        # agree half the time
+        out = fair_signs(gen(24), (40_000, 13))
+        flat = out.reshape(-1)
+        agree = flat[:-1] == flat[1:]
+        in_byte = np.arange(agree.size) % 8 != 7
+        for pairs in (agree[in_byte], agree[~in_byte], out[:-1, -1] == out[1:, 0]):
+            assert within_4_sigma(pairs.sum(), pairs.size)
+
+    def test_three_position_patterns(self):
+        # consecutive triples, which start at every offset of a byte: all 8
+        # patterns equally often (chi-square), also at each start offset
+        flat = (fair_signs(gen(25), (3 * 8 * 20_000,)) > 0).astype(np.int64)
+        codes = 4 * flat[0::3] + 2 * flat[1::3] + flat[2::3]
+        assert chi2_4_sigma(np.bincount(codes, minlength=8))
+        offsets = (3 * np.arange(codes.size)) % 8
+        for offset in range(8):
+            assert chi2_4_sigma(np.bincount(codes[offsets == offset], minlength=8))
+
+    def test_no_other_fair_draws_in_src(self):
+        src = Path(dp_mechanisms.__file__).parent
+        found = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name not in FAIR_DRAW_EXEMPT
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if FAIR_DRAW.search(line)
+        ]
+        assert found == []
+        # the pattern finds the forms fair_signs replaced
+        for line in ("x = signs_from_bits(gen.integers(0, 2, size=(trials, n)))",
+                     "greedy = gen.random((trials, n)) < 0.5",
+                     "negate = gen.random(trials) < .5",
+                     "coin = gen.random() < 0.5"):
+            assert FAIR_DRAW.search(line), line
+        assert not FAIR_DRAW.search("keep = gen.random((trials, n)) < keep_prob")
+        assert not FAIR_DRAW.search("packed = gen.integers(0, 256, size=k, dtype=np.uint8)")
 
 
 class TestCheckEpsilon:
@@ -334,6 +430,85 @@ class TestExponentialMechanism:
         weights = np.exp((scores - scores.max(axis=1, keepdims=True)) * 0.0)
         cdf = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)
         assert np.array_equal(dp_mechanisms._em_cdf(scores, 0.0, 1.0), cdf)
+
+
+class TestCdfCount:
+    """_cdf_count gives the inverse-CDF index the parent's forms gave:
+    np.searchsorted(cdf, u, side="right") on one table, the compare-sum on
+    a block of per-row tables."""
+
+    @staticmethod
+    def tables(rng, k, rows=None):
+        # nondecreasing, with repeated entries and zero-weight heads
+        steps = rng.random((rows or 1, k)) * (rng.random((rows or 1, k)) < 0.7)
+        cdf = np.cumsum(steps, axis=1)
+        cdf /= np.maximum(cdf[:, -1:], 1e-300)
+        return cdf[0] if rows is None else cdf
+
+    @pytest.mark.parametrize("k", list(range(1, 21)) + [64, 256])
+    def test_matches_searchsorted_and_compare_sum(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            cdf = self.tables(rng, k)
+            # uniforms and every table entry and its neighbours, where ties
+            # decide; 4096 uniforms or more take the column passes up to k = 16
+            u = np.concatenate((rng.random(4096), cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)))
+            assert np.array_equal(dp_mechanisms._cdf_count(cdf, u),
+                                  np.searchsorted(cdf, u, side="right"))
+            block = self.tables(rng, k, rows=u.size)
+            block[4096:] = cdf  # the rows whose u is an entry or its neighbour
+            assert np.array_equal(dp_mechanisms._cdf_count(block, u),
+                                  (block <= u[:, None]).sum(axis=1))
+
+    def test_column_passes_only_on_short_tables_and_many_uniforms(self, monkeypatch):
+        # a long table (em_baseline's 2^16) and a few uniforms (one solve)
+        # keep np.searchsorted
+        calls = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *a, **kw: calls.append((a[0].size, a[1].size)) or real(*a, **kw))
+        u = gen(30).random(4096)
+        for k, n in ((16, 4096), (17, 4096), (16, 4095), (2, 512), (2, 511), (8, 1)):
+            dp_mechanisms._cdf_count(np.linspace(0.0, 1.0, k), u[:n])
+        assert calls == [(17, 4096), (16, 4095), (2, 511), (8, 1)]
+
+    @pytest.mark.parametrize("trials", [1, 511, 512, 5_000])
+    def test_both_paths_on_either_side_of_the_switch(self, trials):
+        rng = np.random.default_rng(trials)
+        for k in (1, 2, 3, 16):
+            cdf = self.tables(rng, k)
+            u = rng.random(trials)
+            assert np.array_equal(dp_mechanisms._cdf_count(cdf, u),
+                                  np.searchsorted(cdf, u, side="right"))
+            block = self.tables(rng, k, rows=trials)
+            assert np.array_equal(dp_mechanisms._cdf_count(block, u),
+                                  (block <= u[:, None]).sum(axis=1))
+
+    @pytest.mark.parametrize("active", [[0], [0, 1, 2], [2, 0, 1, 3], list(range(5))])
+    def test_em_over_assignments_identical(self, active):
+        # the parent's searchsorted draw on the same uniforms, rows and state
+        inst = CspInstance(n=5, constraints=(
+            Constraint(scope=(0, 1), b=1), Constraint(scope=(1, 2), b=-1),
+            Constraint(scope=(2, 3, 4), b=1), Constraint(scope=(3,), b=1)), kind="kxor")
+        for budget in (0.0, 0.7, 40.0):
+            g1, g2 = gen(31), gen(31)
+            out = em_over_assignments_batch(inst, active, budget, 1.0, g1, 20_000)
+            cdf = next(iter(inst._em_cdf_memo.values()))
+            idx = np.searchsorted(cdf, g2.random(20_000), side="right")
+            assert np.array_equal(out, assignment_rows(np.minimum(idx, cdf.size - 1), len(active)))
+            assert g1.bit_generator.state == g2.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 3, 16, 17, 40])
+    def test_exponential_mechanism_identical(self, k):
+        # the parent's compare-sum on the same uniforms and state
+        scores = np.floor(gen(32).random((5_000, k)) * 4)
+        for eps in (0.0, 1.0, 50.0):
+            g1, g2 = gen(33), gen(33)
+            picks = exponential_mechanism(scores, eps, 1.0, g1)
+            cdf = dp_mechanisms._em_cdf(scores, eps, 1.0)
+            idx = (cdf <= g2.random(scores.shape[0])[:, None]).sum(axis=1)
+            assert np.array_equal(picks, np.minimum(idx, k - 1))
+            assert g1.bit_generator.state == g2.bit_generator.state
 
 
 class TestEmOverAssignments:

@@ -21,3 +21,10 @@ def test_all_names_resolve(name):
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
 
+
+
+def test_fair_signs_exported():
+    from privcsp import dp_mechanisms
+
+    assert "fair_signs" in privcsp.__all__ and "fair_signs" in dp_mechanisms.__all__
+    assert privcsp.fair_signs is dp_mechanisms.fair_signs

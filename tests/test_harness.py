@@ -318,19 +318,20 @@ class TestAudit:
     # audit CSV row and sha256 of repr(report.buckets) of each built-in
     # audit at eps 1, 2*10^4 trials and seed 7, as the Counter-free
     # bucketing and alg1's dense median assembly first produced them:
-    # faster code must keep every draw and every byte. dp_shearer's entry is
-    # that of its noisy_above draws, which the audit with
-    # test_reference_equality's per-entry ref_dp_shearer_batch gives too
+    # faster code must keep every draw and every byte. The alg1 and
+    # dp_shearer entries are those of their fair_signs draws, which the
+    # audit with test_reference_equality's ref_alg1_batch and
+    # ref_dp_shearer_batch (bits read by shifts) gives too
     PINNED = {
         "alg1": (
-            "alg1,1,20000,0.31699110104939038,0.20138261650847608,"
-            "0.43259958559030498,full-output",
-            "82d06c2bf1a382b2f979544a9127fbe89fd9e28d63ac2d0abfeba16b700f7c96",
+            "alg1,1,20000,0.28454235244711329,0.16956316872889404,"
+            "0.39952153616533265,full-output",
+            "2d6d71cbd6f92da01f70cff2905a5adbe8f320422583b5396017cf4768b97a50",
         ),
         "dp_shearer": (
-            "dp_shearer,1,20000,0.15959956034314698,0.10916500595965503,"
-            "0.21003411472663899,full-output",
-            "241a3f05af8918a75082b34821cef7e7cabffda53915a60ad0dc6046b0529d5a",
+            "dp_shearer,1,20000,0.13646957984394947,0.086643985628423348,"
+            "0.18629517405947546,full-output",
+            "ef87c76168d43700b4c3e4bfc7a01350af36220489d0803aed92120438ff3c25",
         ),
         "em": (
             "em,1,20000,0.30708997246821945,0.21442737981069437,"

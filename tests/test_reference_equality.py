@@ -166,10 +166,20 @@ def ref_kept_influence(instance, keep, x):
     return lam
 
 
+def ref_fair_signs(gen, shape):
+    """fair_signs with each bit read by shifts: entry i is +1 exactly when
+    bit 7 - i % 8 of byte i // 8 of the gen.integers(0, 256) uint8 draws is
+    set."""
+    size = math.prod(shape)
+    packed = gen.integers(0, 256, size=(size + 7) // 8, dtype=np.uint8).astype(np.int64)
+    bits = (packed[:, None] >> np.arange(7, -1, -1)) & 1
+    return (2 * bits.reshape(-1)[:size] - 1).astype(np.int8).reshape(shape)
+
+
 def ref_two_color_batch(graph, gen, trials):
     n = graph.n
-    c1 = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
-    c2 = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
+    c1 = ref_fair_signs(gen, (trials, n))
+    c2 = ref_fair_signs(gen, (trials, n))
     ell = np.zeros((trials, n), dtype=np.int64)
     if graph.m:
         u, v, _ = graph.edge_arrays()
@@ -253,13 +263,13 @@ def ref_alg2(instance, epsilon, rng, subroutine, threshold):
     k = max(instance.max_arity, 1)
     high = np.flatnonzero(ref_noisy_above(degrees(instance), threshold, epsilon / 3.0 / k, gen,
                                           instance.n))
-    x1 = (2 * gen.integers(0, 2, size=instance.n) - 1).astype(np.int8)
+    x1 = ref_fair_signs(gen, (instance.n,))
     if high.size:
         x1[high] = em_over_assignments_batch(
             instance, high.tolist(), epsilon / 3.0, 1.0, gen, 1
         )[0]
     x2 = as_assignment(subroutine(instance, epsilon / 3.0, gen), instance.n)
-    return (x1 if gen.random() < 0.5 else x2), int(high.size)
+    return (x1 if ref_fair_signs(gen, (1,))[0] > 0 else x2), int(high.size)
 
 
 def ref_dp_maxcut_unbounded(graph, epsilon, rng):
@@ -269,11 +279,11 @@ def ref_dp_maxcut_unbounded(graph, epsilon, rng):
     gen = as_generator(rng)
     high = np.flatnonzero(ref_noisy_above(graph.degree_counts(), 10000.0 / epsilon ** 2,
                                           epsilon / 3.0 / 2, gen, graph.n))
-    s1 = (2 * gen.integers(0, 2, size=graph.n) - 1).astype(np.int8)
+    s1 = ref_fair_signs(gen, (graph.n,))
     if high.size:
         s1[high] = em_over_assignments_batch(graph, high.tolist(), epsilon / 3.0, 1.0, gen, 1)[0]
     s2 = ref_dp_shearer_batch(graph, epsilon / 3.0, gen, 1)[0]
-    return s1 if gen.random() < 0.5 else s2
+    return s1 if ref_fair_signs(gen, (1,))[0] > 0 else s2
 
 
 def ref_run_em_baseline(problem, eps, alpha, gen):
@@ -285,7 +295,7 @@ def ref_run_em_baseline(problem, eps, alpha, gen):
         deg = degrees(problem)
         n = problem.n
     covered = np.flatnonzero(deg > 0)
-    x = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
+    x = ref_fair_signs(gen, (n,))
     if covered.size:
         x[covered] = em_over_assignments_batch(problem, covered.tolist(), eps, 1.0, gen, 1)[0]
     return x
@@ -450,12 +460,13 @@ def ref_xor_median_by_count(max_count):
 
 def ref_alg1_batch(instance, epsilon, rng, trials):
     """alg1_batch without its checks: float sums with np.add.at, the
-    stand-in median table up to m, and nested np.where."""
+    stand-in median table up to m, and nested np.where; the tie draws, one
+    per cell with an active constraint, in row-major cell order."""
     keep_prob = keep_probability(epsilon)
     gen = as_generator(rng)
     n, m = instance.n, instance.m
-    greedy = gen.random((trials, n)) < 0.5
-    x = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
+    greedy = ref_fair_signs(gen, (trials, n)) > 0
+    x = ref_fair_signs(gen, (trials, n))
     sum_q = np.zeros((trials, n))
     count = np.zeros((trials, n), dtype=np.int64)
     for c in instance.constraints:
@@ -472,7 +483,9 @@ def ref_alg1_batch(instance, epsilon, rng, trials):
     thetas, gammas = ref_xor_median_by_count(m)
     theta = thetas[count]
     gamma = gammas[count]
-    tie = gen.random((trials, n)) < gamma
+    tie = ref_fair_signs(gen, (trials, n)) > 0
+    active = count > 0
+    tie[active] = gen.random(int(active.sum())) < gamma[active]
     z = np.where(sum_q > theta, 1, np.where(sum_q < theta, -1, np.where(tie, 1, -1)))
     y = np.where(gen.random((trials, n)) < keep_prob, 1, -1)
     return np.where(greedy, y * z, x).astype(np.int8)
@@ -510,15 +523,18 @@ def ref_dense_greedy_medians(instance, greedy, x):
 
 
 def ref_dense_alg1_batch(instance, epsilon, rng, trials):
-    """alg1_batch without its checks, on ref_dense_greedy_medians: the
-    tie draw compared with a dense gamma block."""
+    """alg1_batch without its checks, on ref_dense_greedy_medians: a fair
+    tie everywhere, redrawn against the dense gamma block where a term
+    is."""
     keep_prob = keep_probability(epsilon)
     gen = as_generator(rng)
     n = instance.n
-    greedy = gen.random((trials, n)) < 0.5
-    x = (2 * gen.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
-    sum2, theta2, gamma, _, _ = ref_dense_greedy_medians(instance, greedy, x)
-    tie = gen.random((trials, n)) < gamma
+    greedy = ref_fair_signs(gen, (trials, n)) > 0
+    x = ref_fair_signs(gen, (trials, n))
+    sum2, theta2, gamma, xors, others = ref_dense_greedy_medians(instance, greedy, x)
+    tie = ref_fair_signs(gen, (trials, n)) > 0
+    held = (xors + others) > 0
+    tie[held] = gen.random(int(held.sum())) < gamma[held]
     keep = gen.random((trials, n)) < keep_prob
     z = (sum2 > theta2) | ((sum2 == theta2) & tie)
     return np.where(greedy, np.where(z == keep, 1, -1), x).astype(np.int8)
@@ -895,6 +911,24 @@ class TestTwoColor:
                 incidence[np.arange(g.m), u] = incidence[np.arange(g.m), v] = 1
                 assert same_result(ell, (c1[:, u] == c1[:, v]).astype(np.int64) @ incidence)
                 assert gen_new.bit_generator.state == gen_ref.bit_generator.state
+
+    def test_offset_matches_subtraction_after(self):
+        # the offset taken in the (n, trials) layout equals the subtraction
+        # from the returned counts, on the same colourings; dp_shearer's
+        # offset d // 2 and any offset in 0..d // 2
+        graphs = [unit_graph(s, n=9, m=25) for s in range(10)]
+        graphs += [WeightedGraph(n=3, edges=((0, 1, 1.0),) * 64), WeightedGraph(n=4, edges=())]
+        for seed in range(60):
+            g = graphs[seed % len(graphs)]
+            deg = g.degree_counts()
+            rng = np.random.default_rng(1000 + seed)
+            for offset in (deg // 2, rng.integers(0, deg // 2 + 1)):
+                gen_a, gen_b = np.random.default_rng(seed), np.random.default_rng(seed)
+                c1, c2, ell = _two_color_batch(g, gen_a, 2 + seed % 5, offset)
+                ref = _two_color_batch(g, gen_b, 2 + seed % 5)
+                assert same_result(c1, ref[0]) and same_result(c2, ref[1])
+                assert same_result(ell, ref[2] - offset)
+                assert gen_a.bit_generator.state == gen_b.bit_generator.state
 
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 2.0, 800.0])
     def test_dp_shearer_batch(self, eps):
