@@ -273,7 +273,6 @@ def alg2_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.nd
     """
     if instance.kind not in ("kxor", "maxcut"):
         raise ValueError("alg2 requires a sign-form instance")
-    # a weighted graph has no constraints to scan: ValueError, before any draw
     if not is_triangle_free(instance):
         raise ValueError("alg2 requires a triangle-free instance")
     check_epsilon(epsilon, positive=True)

@@ -9,7 +9,7 @@
   matching with a factorized exponential mechanism, and a final
   three-way selection, each stage one block draw for all rows.
 
-All algorithms require unweighted graphs and return +-1 sides. Each is
+All algorithms take a graph and return +-1 sides. Each is
 one batch kernel, its only entry point, that returns a (trials, n) int8
 block, one independent run per row; a single run is kernel(..., 1)[0].
 """
@@ -26,6 +26,7 @@ from .dp_mechanisms import (
     GENERAL_BUDGET_FRACTIONS,
     _degree_stage_refusal,
     as_generator,
+    check_alpha,
     check_epsilon,
     degree_split_batch,
     em_on_part,
@@ -50,11 +51,6 @@ __all__ = [
     "dp_maxcut_unbounded_batch",
     "dp_maxcut_general_batch",
 ]
-
-
-def _require_unweighted(graph: WeightedGraph, name: str) -> None:
-    if not graph.is_unweighted:
-        raise ValueError(f"{name} requires an unweighted graph")
 
 
 def matched_edge_cut_probability() -> float:
@@ -99,7 +95,6 @@ def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
     half the neighbors share it, switch to the second when strictly more
     do, and flip a fair coin on a tie. Draws, in order: the two colorings
     and the tie coins, three (trials, n) fair_signs blocks."""
-    _require_unweighted(graph, "shearer_batch")
     gen = as_generator(rng)
     c1, c2, ell = _two_color_batch(graph, gen, trials)
     deg = graph.degree_counts()
@@ -116,7 +111,6 @@ def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> 
     makes the sensitivity-2 count vector epsilon-DP. Draws, in order: the
     two colorings, (trials, n) fair_signs blocks, then one (trials, n)
     noisy_above block."""
-    _require_unweighted(graph, "dp_shearer_batch")
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     # ceil((d - 1) / 2) equals d // 2 for every nonnegative integer d
@@ -139,7 +133,6 @@ def dp_maxcut_unbounded_batch(
     graph at epsilon/3. A fair coin picks the output; each of the three
     stages spends epsilon/3.
     """
-    _require_unweighted(graph, "dp_maxcut_unbounded_batch")
     check_epsilon(epsilon, positive=True)
     threshold = 10000.0 / threshold_power(epsilon, 2, "eps^2")
     return degree_split_batch(graph, epsilon, rng, trials, dp_shearer_batch, threshold)
@@ -217,11 +210,9 @@ def dp_maxcut_general_batch(
     matched_edge_cut_probability() and the same side otherwise; one
     final-selection uniform per row.
     """
-    _require_unweighted(graph, "dp_maxcut_general_batch")
     if not (0.0 < epsilon <= 0.1):
         raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon}")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    check_alpha(alpha)
     eps_pow = threshold_power(epsilon, 1.0 + alpha, f"eps^(1+alpha) at alpha = {alpha}")
     degree_share, em_share, matching_share, final_share = GENERAL_BUDGET_FRACTIONS
     rate = eps_pow / 70.0
@@ -235,7 +226,7 @@ def dp_maxcut_general_batch(
         )
     gen = as_generator(rng)
     n = graph.n
-    u, v, _ = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     degree_budget, threshold = stage_budget(epsilon, degree_share), 24.0 / eps_pow
     try:
         high = noisy_high_mask(graph, degree_budget, threshold, gen, trials)

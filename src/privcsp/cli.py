@@ -29,7 +29,7 @@ from .csp_core import (
     load_instance,
     save_instance,
 )
-from .dp_mechanisms import RngStream, check_epsilon
+from .dp_mechanisms import RngStream, check_alpha, check_epsilon
 from .generators import (
     GenSpec,
     gen_random_kxor,
@@ -198,6 +198,7 @@ def _cmd_solve(args) -> int:
     if not args.instance:
         raise ValueError("solve requires --instance")
     check_epsilon(args.eps)
+    check_alpha(args.alpha)
     problem = _load_problem(args.instance)
     kernel = ALGORITHMS[args.algorithm]
     # row 0 of a one-trial kernel call: ratio --trials 1 with this seed

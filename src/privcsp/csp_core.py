@@ -7,12 +7,14 @@ predicate stored as an explicit truth table over its scope, or a parity
 the scope product equals b.
 
 A CspInstance holds general or kxor constraints. A Max-Cut instance is
-a WeightedGraph, stored as n and read-only edge columns u, v, w. It is
-also Max-2XOR with every b = -1: a graph has kind 'maxcut', arity 2 and,
-with unit weights, a constraint view, so graph and CSP algorithms alike
-run on it. Both types derive their constraint groups, scope
-distinctness, triangle-freeness and exponential-mechanism memo from
-their constraints in one shared base class.
+a WeightedGraph, stored as n and read-only int64 edge columns u, v: every
+edge weighs 1, the unit-constraint model of the paper's neighbouring
+instances, and a file's weights are checked at load. It is also
+Max-2XOR with every b = -1: a graph has kind 'maxcut', arity 2 and a
+constraint view, so graph and CSP algorithms alike run on it. Both types
+derive their constraint groups, scope distinctness, triangle-freeness
+and exponential-mechanism memo from their constraints in one shared
+base class.
 
 instance_from_json reads a graph file that is exactly what
 instance_to_json writes (plus at most one final newline) from its bytes
@@ -20,43 +22,36 @@ as arrays, and the graph keeps that text as its instance_to_json; every
 other text, CSP instances included, takes the general json.loads path.
 
 No object is changed after construction; operations are pure.
-Data derived from an instance (a graph's edge triples, unit-weight flag
-and constraint view; a CSP instance's maximum arity; either's degrees,
-scope distinctness, triangle-freeness, constraint groups and JSON text)
-is computed once per object, on first use, and returned read-only, so
-callers that run many trials on one instance pay for it once.
+Data derived from an instance (a graph's edge pairs and constraint view;
+a CSP instance's maximum arity; either's degrees, scope distinctness,
+triangle-freeness, constraint groups and JSON text) is computed once per
+object, on first use, and returned read-only, so callers that run many
+trials on one instance pay for it once.
 
 One evaluator, eval_value, computes values. It takes one assignment (a
 float comes back) or a (trials, n) block of assignments (a float64
 vector comes back, one value per row). It works on constraint groups:
 the constraints of one form (sign or truth table) and one arity, as
-arrays of scope indices, signs and tables. A CSP value is the integer
-count of satisfied constraints, so it is exact. A cut value adds the cut
-edges' weights in edge order, one float addition per edge, as
-ValueChunks does; unit weights give exact integer counts.
+arrays of scope indices, signs and tables; on a graph, on its edge
+columns. A value is the integer count of satisfied constraints (cut
+edges), so it is exact.
 
 Exact enumeration (all_values, and brute_force_opt in oracles) runs on one
 kernel, ValueChunks. Over an ordered list `active` of k variables, row r
 of the value table is the assignment with active[t] = +1 exactly when bit
 t of r is set, else -1. Each constraint inside `active` contributes its
-2^arity local table, broadcast over the rows, so no assignment block is
-built. When every local table is 0/1 times one weight w (every CSP
-instance, and a graph whose edges inside `active` share one weight), a
-chunk holds integer hit counts in the smallest unsigned dtype that holds
-the number of tables: one byte per row up to 255 tables. A count k maps
-to its value through the ordered sum S[0] = 0.0, S[k] = S[k-1] + w, which
-is the edge-order float sum bit for bit, since an uncut edge adds 0.0.
-Only a graph whose edges inside `active` differ in weight keeps float64
-chunks, adding its tables in edge order. Working memory is one chunk of
-2^VALUE_CHUNK_BITS entries (1 MiB of uint8 counts, 8 MiB of float64),
-plus the result for all_values.
+0/1 local table of 2^arity entries, broadcast over the rows, so no
+assignment block is built. A chunk holds integer hit counts, each row's
+value, in the smallest unsigned dtype that holds the number of tables:
+one byte per row up to 255 tables. Working memory is one chunk of
+2^VALUE_CHUNK_BITS entries (1 MiB of uint8 counts), plus the result for
+all_values.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -68,8 +63,7 @@ from scipy import sparse
 ARITY_CAP = 20
 # A value-table chunk holds 2^VALUE_CHUNK_BITS entries: hit counts in the
 # smallest unsigned dtype that holds the number of constraints inside the
-# active set (1 MiB in uint8), or float64 values (8 MiB) for a graph whose
-# edges there differ in weight.
+# active set (1 MiB in uint8).
 # Each constraint's table is spelled out over the lowest VALUE_RUN_BITS
 # bits before it is added: numpy adds a broadcast operand fast only along
 # a long contiguous axis (2-3x over broadcasting bit by bit).
@@ -327,12 +321,13 @@ class CspInstance(_ConstraintData):
 
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class WeightedGraph(_ConstraintData):
-    """An undirected multigraph with positive finite weights and no self-loops: n and
-    read-only edge columns u, v (int64), w (float64), from integer endpoints and real
-    weights (never bool). `edges` is derived from them; == and hash compare by value.
+    """An undirected multigraph with no self-loops, every edge of weight 1: n and read-only
+    int64 edge columns u, v, from integer endpoints (never bool). `edges` is derived from
+    them; == and hash compare by value.
 
     It is also the Max-2XOR instance of Max-Cut: kind 'maxcut', arity 2 (even with no
-    edges), and, for unit weights, `constraints`, one 2XOR with b = -1 per edge."""
+    edges), and `constraints`, one 2XOR with b = -1 per edge. (The benchmark traces its
+    methods by this class name, so the name stays.)"""
 
     kind = "maxcut"
     max_arity = 2
@@ -340,20 +335,20 @@ class WeightedGraph(_ConstraintData):
     def __init__(self, n: int, edges: Iterable) -> None:
         edges = tuple(edges)
         try:
-            cols = _triple_columns(edges)
+            cols = _pair_columns(edges)
         except OverflowError:
             cols = None
         self.__dict__.update(n=n, _columns=tuple(map(_read_only, _check_edges(n, cols, edges))))
 
     @classmethod
-    def from_arrays(cls, n: int, u, v, w) -> WeightedGraph:
-        """The graph with edges (u[i], v[i], w[i]), from copies of 1-D columns
-        of one length: u and v of an integer dtype, w of an integer or float one."""
-        cols = [np.asarray(a) for a in (u, v, w)]
+    def from_arrays(cls, n: int, u, v) -> WeightedGraph:
+        """The graph with edges (u[i], v[i]), from copies of two 1-D integer
+        columns of one length."""
+        cols = [np.asarray(a) for a in (u, v)]
         if {a.shape for a in cols} != {(cols[0].size,)} or not all(
-                a.dtype.kind in k for a, k in zip(cols, ("iu", "iu", "iuf"))):
-            raise ValueError("edge columns must be 1-D, of one length, integer, integer and real")
-        cols = [a.astype(t) for a, t in zip(cols, (np.int64, np.int64, np.float64))]
+                a.dtype.kind in "iu" for a in cols):
+            raise ValueError("edge columns must be 1-D, of one length and integer")
+        cols = [a.astype(np.int64) for a in cols]
         graph = cls.__new__(cls)
         graph.__dict__.update(n=n, _columns=tuple(map(_read_only, _check_edges(n, cols, ()))))
         return graph
@@ -370,51 +365,39 @@ class WeightedGraph(_ConstraintData):
         return self._columns[0].size
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
+    def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*(a.tolist() for a in self._columns)))
 
     @cached_property
     def constraints(self) -> tuple[Constraint, ...]:
-        if not self._unweighted:
-            raise ValueError("only unweighted graphs have a Max-2XOR constraint view")
-        u, v, _ = self._columns
-        return tuple(Constraint(scope=scope, b=-1) for scope in zip(u.tolist(), v.tolist()))
+        return tuple(Constraint(scope=scope, b=-1) for scope in self.edges)
 
     @cached_property
     def _degrees(self) -> np.ndarray:
-        u, v, _ = self._columns
+        u, v = self._columns
         deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
         return _read_only(deg.astype(np.int64, copy=False))
-
-    @cached_property
-    def _unweighted(self) -> bool:
-        return bool(np.all(self._columns[2] == 1))
 
     @cached_property
     def _adjacency(self) -> sparse.csr_array:
         # (n, n) adjacency, a parallel edge counted once per copy, in the smallest
         # signed dtype holding twice the largest degree
-        u, v, _ = self._columns
+        u, v = self._columns
         dtype = np.min_scalar_type(-1 - 2 * int(self._degrees.max(initial=0)))
         ends = (np.concatenate((u, v)), np.concatenate((v, u)))
         return sparse.csr_array((np.ones(2 * u.size, dtype), ends), shape=(self.n, self.n))
 
     @cached_property
     def _json_text(self) -> str:
-        """instance_to_json's text, formatted as json.dumps formats ints and finite floats: by %d
-        and float.__repr__. _graph_from_text seeds it with the text it read."""
-        flat = [None] * (3 * self.m)
-        for t, column in enumerate(self._columns):
-            flat[t::3] = column.tolist()
-        edges = ("[%d,%d,%r]," * self.m)[:-1] % tuple(flat)
+        """instance_to_json's text, each edge [u,v,1.0] as json.dumps formats it, ids by %d.
+        _graph_from_text seeds it with the text it read."""
+        flat = [None] * (2 * self.m)
+        flat[0::2], flat[1::2] = (a.tolist() for a in self._columns)
+        edges = ("[%d,%d,1.0]," * self.m)[:-1] % tuple(flat)
         return '{"edges":[%s],"kind":"maxcut","n":%d}' % (edges, self.n)
 
-    @property
-    def is_unweighted(self) -> bool:
-        return self._unweighted
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns the read-only (u, v, w) column arrays; empty arrays for no
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Returns the read-only (u, v) column arrays; empty arrays for no
         edges."""
         return self._columns
 
@@ -429,47 +412,39 @@ class WeightedGraph(_ConstraintData):
 
 
 _INTS = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
-_REALS = _INTS | {float, *(np.dtype(c).type for c in np.typecodes["Float"])}
-_EDGE_TYPE_ERROR = "edge endpoints must be integers and its weight a number, got {}"
 
 
-def _triple_columns(edges: Sequence):
-    """The int64 u, v and float64 w columns of a sequence of (u, v, w) lists or tuples, or
-    None if an entry is not one or has a value not of its column's types (_INTS, _REALS)."""
-    if not set(map(type, edges)) <= {tuple, list} or set(map(len, edges)) - {3}:
+def _pair_columns(edges: Sequence):
+    """The int64 u and v columns of a sequence of (u, v) lists or tuples, or None if an entry
+    is not one or has an endpoint not of _INTS."""
+    if not set(map(type, edges)) <= {tuple, list} or set(map(len, edges)) - {2}:
         return None
     flat = list(itertools.chain.from_iterable(edges))
-    us, vs, ws = flat[0::3], flat[1::3], flat[2::3]
-    if not (set(map(type, us + vs)) <= _INTS and set(map(type, ws)) <= _REALS):
+    if not set(map(type, flat)) <= _INTS:
         return None
-    return (np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
-            np.array(ws, dtype=np.float64))
+    return np.array(flat[0::2], dtype=np.int64), np.array(flat[1::2], dtype=np.int64)
 
 
 def _check_edges(n: int, cols, edges: Sequence):
-    """cols, if every edge has distinct endpoints in [0, n) and a positive finite weight; else
-    raises for the first invalid edge, walking edges (cols None) or the one the test found."""
+    """cols, if every edge has distinct endpoints in [0, n); else raises for the first invalid
+    edge, walking edges (cols None) or the one the test found."""
     if not 0 <= n < 2 ** 63:
         raise ValueError(f"vertex count must be nonnegative and below 2^63, got {n}")
     if cols is not None:
-        u, v, w = cols
-        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n) | ~(w > 0) | (w == np.inf)
+        u, v = cols
+        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
         if not bad.any():
             return cols
         i = int(bad.argmax())
-        edges = (edges[i] if edges else (u[i].item(), v[i].item(), w[i].item()),)
+        edges = (edges[i] if edges else (u[i].item(), v[i].item()),)
     for edge in edges:
-        u, v, w = edge
+        u, v = edge
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if not w > 0:
-            raise ValueError(f"edge weight must be positive, got {w}")
-        if w == math.inf:
-            raise ValueError(f"edge weight must be finite, got {w}")
-        if _triple_columns([edge]) is None:
-            raise ValueError(_EDGE_TYPE_ERROR.format(list(edge)))
+        if _pair_columns([edge]) is None:
+            raise ValueError(f"edge endpoints must be integers, got {list(edge)}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -478,14 +453,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def eval_value(problem: CspInstance | WeightedGraph, xs):
-    """Number of satisfied constraints (total weight of cut edges) of one
-    assignment, as a float, or of each row of a (trials, n) block of
-    assignments, as a float64 vector.
+    """Number of satisfied constraints (cut edges) of one assignment, as a
+    float, or of each row of a (trials, n) block of assignments, as a
+    float64 vector.
 
     Rows are evaluated rows_per_chunk at a time, so the temporaries of a
-    chunk hold about 2^VALUE_CHUNK_BITS (row, scope entry) pairs. On a
-    graph each row adds its cut edges' weights in edge order, starting
-    from 0.0, as ValueChunks does: row r of all_values(g, active) equals the value of
+    chunk hold about 2^VALUE_CHUNK_BITS (row, scope entry) pairs. Row r of
+    all_values(problem, active) equals the value of
     assignment_rows(r, len(active)) placed on `active` (others -1).
     """
     arr = np.asarray(xs)
@@ -516,12 +490,8 @@ def rows_per_chunk(problem: CspInstance | WeightedGraph) -> int:
 
 def _block_values(problem: CspInstance | WeightedGraph, block: np.ndarray) -> np.ndarray:
     if isinstance(problem, WeightedGraph):
-        u, v, w = problem.edge_arrays()
-        cut = block[:, u] != block[:, v]
-        if problem.is_unweighted:
-            return cut.sum(axis=1).astype(np.float64)
-        # a running sum, for the edge-order float additions
-        return np.cumsum(np.where(cut, w, 0.0), axis=1)[:, -1]
+        u, v = problem.edge_arrays()
+        return (block[:, u] != block[:, v]).sum(axis=1).astype(np.float64)
     count = np.zeros(block.shape[0], dtype=np.int64)
     for group in problem._groups:
         count += group.satisfied(block).sum(axis=1)
@@ -690,51 +660,33 @@ def signs_from_bits(bits) -> np.ndarray:
 
 def _local_tables(
     problem: CspInstance | WeightedGraph, active: Sequence[int]
-) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], np.ndarray | None]:
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(positions in `active`, local table) for each constraint (edge)
-    whose scope lies inside `active`, in constraint order, and the
-    count-to-value map. A table has one length-2 axis per scope variable,
-    in scope order; index 1 means +1.
-
-    When every table is 0/1 times one weight w (every CSP instance, and a
-    graph whose edges inside `active` share one weight), the tables hold
-    0/1 counts in the smallest unsigned dtype that holds their number,
-    one array per distinct table, and the map is
-    sums[0] = 0.0, sums[k] = sums[k-1] + w, or None when w = 1, since a
-    count then is its value. Otherwise the tables hold float64 values and
-    the map is None.
+    whose scope lies inside `active`, in constraint order. A table has one
+    length-2 axis per scope variable, in scope order, where index 1 means
+    +1; it holds 0/1 counts in the smallest unsigned dtype that holds the
+    number of tables, one array per distinct table.
     """
     pos = {v: t for t, v in enumerate(active)}
     if len(pos) != len(active) or not all(0 <= v < problem.n for v in pos):
         raise ValueError(f"active variables must be distinct and in [0, {problem.n})")
     if isinstance(problem, WeightedGraph):
-        u, v, ws = problem.edge_arrays()
+        u, v = problem.edge_arrays()
         where = np.full(problem.n, -1)  # each vertex's position in `active`, -1 outside it
         where[active] = np.arange(len(active))
         keep = (where[u] >= 0) & (where[v] >= 0)
-        inside = list(zip(where[u[keep]].tolist(), where[v[keep]].tolist(), ws[keep].tolist()))
-        weights = {w for _, _, w in inside}
-        if len(weights) > 1:
-            return [((a, b), np.array([[0.0, w], [w, 0.0]])) for a, b, w in inside], None
-        weight = weights.pop() if weights else 1.0
-        cut = np.array([[0, 1], [1, 0]], dtype=np.min_scalar_type(len(inside)))
-        tables = [((a, b), cut) for a, b, _ in inside]
-    else:
-        weight = 1.0
-        inside = [c for c in problem.constraints if all(i in pos for i in c.scope)]
-        dtype = np.min_scalar_type(len(inside))
-        shared: dict[tuple, np.ndarray] = {}
-        tables = []
-        for c in inside:
-            key = (c.arity, c.b, c.table)
-            if key not in shared:
-                shared[key] = _count_table(c, dtype)
-            tables.append((tuple(pos[i] for i in c.scope), shared[key]))
-    if weight == 1:
-        return tables, None
-    # one float addition per hit, in order, as eval_value adds cut weights
-    hits = itertools.accumulate(itertools.repeat(float(weight), len(tables)), initial=0.0)
-    return tables, np.fromiter(hits, dtype=np.float64, count=len(tables) + 1)
+        cut = np.array([[0, 1], [1, 0]], dtype=np.min_scalar_type(int(keep.sum())))
+        return [(ends, cut) for ends in zip(where[u[keep]].tolist(), where[v[keep]].tolist())]
+    inside = [c for c in problem.constraints if all(i in pos for i in c.scope)]
+    dtype = np.min_scalar_type(len(inside))
+    shared: dict[tuple, np.ndarray] = {}
+    tables = []
+    for c in inside:
+        key = (c.arity, c.b, c.table)
+        if key not in shared:
+            shared[key] = _count_table(c, dtype)
+        tables.append((tuple(pos[i] for i in c.scope), shared[key]))
+    return tables
 
 
 def _count_table(c: Constraint, dtype) -> np.ndarray:
@@ -758,21 +710,15 @@ class ValueChunks:
     and holds one entry per setting of the low L bits. Every constraint
     (edge) inside `active` adds its local table (see _local_tables), sliced
     at the chunk's fixed bits and broadcast over the rest, in constraint
-    order. An entry is the row's hit count, which `sums` maps to its value
-    (strictly increasing, so counts order rows as values do), or, when
-    `sums` is None, the row's value itself: a float64 value, or a count of
-    unit weight. values() maps a chunk or an entry to its values.
+    order. An entry is the row's hit count, its value.
     """
 
     def __init__(
         self, problem: CspInstance | WeightedGraph, active: Sequence[int], bits: int
     ) -> None:
-        self.tables, self.sums = _local_tables(problem, list(active))
+        self.tables = _local_tables(problem, list(active))
         self.dtype = self.tables[0][1].dtype if self.tables else np.uint8
         self.bits = bits
-
-    def values(self, counts):
-        return counts if self.sums is None else self.sums[counts]
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         low_bits = min(self.bits, VALUE_CHUNK_BITS)
@@ -807,15 +753,13 @@ def all_values(
 
     Row r has active[t] = +1 exactly when bit t of r is set, else -1 (see
     assignment_rows). Only constraints (edges) whose scope lies entirely
-    inside `active` contribute. Each chunk of ValueChunks is mapped to
-    values once; working memory beyond the result is one chunk and its
-    float64 values.
+    inside `active` contribute. Working memory beyond the result is one
+    chunk of ValueChunks.
     """
     active = list(active)
     out = np.empty(1 << len(active), dtype=np.float64)
-    chunks = ValueChunks(problem, active, len(active))
-    for start, chunk in chunks:
-        out[start:start + chunk.shape[0]] = chunks.values(chunk)
+    for start, chunk in ValueChunks(problem, active, len(active)):
+        out[start:start + chunk.shape[0]] = chunk
     return out
 
 
@@ -838,13 +782,15 @@ def _json_int(value, field: str) -> int:
 
 def instance_from_json(text: str) -> CspInstance | WeightedGraph:
     """Parses instance_to_json's format. n, scope entries, b, table entries
-    and edge endpoints must be JSON integers and edge weights JSON numbers:
-    anything else (a float, a bool, a string) is rejected, not rounded.
+    and edge endpoints must be JSON integers, anything else (a float, a
+    bool, a string) is rejected, not rounded; each edge is [u, v, w] with w
+    a JSON number equal to 1 (1, 1.0 or 1e0, never true or "1"), any other
+    weight is rejected naming the edge.
 
     Text that is exactly instance_to_json of a graph with edges, plus at
     most one final newline, is read as arrays (_graph_from_text); any other
-    text goes through json.loads (_instance_from_doc). Both build a graph
-    with WeightedGraph.from_arrays, so they accept and reject alike."""
+    text goes through json.loads (_instance_from_doc). Both build the graph
+    from its (u, v) columns, so they accept and reject alike."""
     graph = _graph_from_text(text)
     return _instance_from_doc(text) if graph is None else graph
 
@@ -852,8 +798,6 @@ def instance_from_json(text: str) -> CspInstance | WeightedGraph:
 _GRAPH_HEAD = '{"edges":['
 _GRAPH_TAIL = '],"kind":"maxcut","n":'
 _INT_DIGITS = 18  # a canonical %d token of at most 18 digits fits int64
-_FLOAT_REPR_MAX = 24  # len(repr(x)) of a float64 x is at most 24
-_TOKEN_BYTES = b"0123456789.e+-"
 _POW10 = 10 ** np.arange(_INT_DIGITS, dtype=np.int64)
 # the least canonical value of a token of each length: 0 for one digit, 10^(L-1) for L > 1
 _INT_FLOOR = np.array([0, 0, *_POW10[1:]])
@@ -863,12 +807,13 @@ def _graph_from_text(text: str) -> WeightedGraph | None:
     """The graph of text that is exactly instance_to_json(graph) for a graph
     with edges, plus at most one final newline; None for any other text.
 
-    The edges are read from the text's bytes (np.frombuffer). The bytes
-    between tokens must be "[,,]," repeated, endpoints and n canonical %d
-    tokens (digits, no leading zero, at most 18 of them), and each distinct
-    weight token t must be repr(float(t)). So the text is the graph's
-    instance_to_json, which the graph keeps, and json.loads would read the
-    same numbers from it."""
+    Every edge's weight token must be the bytes 1.0, so the body with each
+    ",1.0]" cut to "]" is "[u,v],...,[u,v]" with one cut per edge. Its
+    endpoints are read from its bytes (np.frombuffer): the bytes between
+    them must be "[,]," repeated, endpoints and n canonical %d tokens
+    (digits, no leading zero, at most 18 of them). So the text is the
+    graph's instance_to_json, which the graph keeps, and json.loads would
+    read the same numbers from it."""
     if not (text.isascii() and text.startswith(_GRAPH_HEAD + "[")):
         return None
     text = text[:-1] if text.endswith("\n") else text
@@ -877,33 +822,28 @@ def _graph_from_text(text: str) -> WeightedGraph | None:
     if not (end > 0 and text.endswith("}") and n_token.isdigit()
             and len(n_token) <= _INT_DIGITS and (n_token == "0" or n_token[0] != "0")):
         return None
-    raw = text[len(_GRAPH_HEAD):].encode("ascii")
-    size = end - len(_GRAPH_HEAD)  # of the body, "[u,v,w],...,[u,v,w]"
-    skeleton = raw[:size].translate(None, _TOKEN_BYTES)
-    m = (len(skeleton) + 1) // 5
-    if skeleton != (b"[,,]," * m)[:-1]:
+    body = text[len(_GRAPH_HEAD):end].encode("ascii")  # "[u,v,1.0],...,[u,v,1.0]"
+    pairs = body.replace(b",1.0]", b"]")
+    skeleton = pairs.translate(None, b"0123456789")
+    m = (len(skeleton) + 1) // 4
+    if skeleton != (b"[,]," * m)[:-1] or len(body) - len(pairs) != 4 * m:
         return None
-    # the rest of the text pads the last token's bytes for _float_tokens
-    data = np.frombuffer(raw, dtype=np.uint8)
-    # the commas, one before the body and one after it: each edge's
-    # "[u,v,w]" lies between bounds[3e] and bounds[3e + 3]
-    bounds = np.empty(3 * m + 1, dtype=np.intp)
+    data = np.frombuffer(pairs, dtype=np.uint8)
+    # the commas, one before the pairs and one after them: edge e's "[u,v]"
+    # lies between bounds[2e] and bounds[2e + 2], its inner comma at bounds[2e + 1]
+    bounds = np.empty(2 * m + 1, dtype=np.intp)
     bounds[0] = -1
-    bounds[1:-1] = np.flatnonzero(data[:size] == ord(","))
-    bounds[-1] = size
-    int_ends = np.concatenate((bounds[1::3], bounds[2::3]))  # u, then v
-    int_lengths = int_ends - np.concatenate((bounds[:-1:3] + 2, bounds[1::3] + 1))
-    w_starts = bounds[2::3] + 1
-    w_lengths = bounds[3::3] - 1 - w_starts
-    int_width, w_width = int(int_lengths.max()), int(w_lengths.max())
-    if (min(int_lengths.min(), w_lengths.min()) < 1 or int_width > _INT_DIGITS
-            or w_width > _FLOAT_REPR_MAX):
+    bounds[1:-1] = np.flatnonzero(data == ord(","))
+    bounds[-1] = data.size
+    ends = np.concatenate((bounds[1::2], bounds[2::2] - 1))  # u, then v
+    lengths = ends - np.concatenate((bounds[:-1:2] + 2, bounds[1::2] + 1))
+    width = int(lengths.max())
+    if lengths.min() < 1 or width > _INT_DIGITS:
         return None
-    ids = _int_tokens(data, int_ends, int_lengths, int_width)
-    w = _float_tokens(data, w_starts, w_lengths, w_width)
-    if ids is None or w is None:
+    ids = _int_tokens(data, ends, lengths, width)
+    if ids is None:
         return None
-    graph = WeightedGraph.from_arrays(int(n_token), ids[:m], ids[m:], w)
+    graph = WeightedGraph.from_arrays(int(n_token), ids[:m], ids[m:])
     graph.__dict__["_json_text"] = text
     return graph
 
@@ -918,26 +858,6 @@ def _int_tokens(data: np.ndarray, ends, lengths, width: int) -> np.ndarray | Non
     if (digits > 9).any() or (values < _INT_FLOOR[lengths]).any():
         return None
     return values
-
-
-def _float_tokens(data: np.ndarray, starts, lengths, width: int) -> np.ndarray | None:
-    """The float64 values of the tokens data[starts:starts + lengths], or
-    None if a distinct token t is not repr(float(t))."""
-    cols = np.arange(width)[:, None]
-    block = data[starts + cols]
-    block[cols >= lengths] = 0  # bytes after the token; "S" drops trailing zeros
-    tokens = np.ascontiguousarray(block.T).view(f"S{width}").ravel()
-    distinct, inverse = np.unique(tokens, return_inverse=True)
-    values = []
-    for token in distinct.tolist():
-        try:
-            value = float(token)
-        except ValueError:
-            return None
-        if repr(value) != token.decode():
-            return None
-        values.append(value)
-    return np.array(values)[inverse]
 
 
 def _instance_from_doc(text: str) -> CspInstance | WeightedGraph:
@@ -956,14 +876,12 @@ def _instance_from_doc(text: str) -> CspInstance | WeightedGraph:
             raise ValueError("'edges' is only valid for kind 'maxcut'")
         if "constraints" in doc:
             raise ValueError("give either 'constraints' or 'edges', not both")
-        try:
-            cols = _triple_columns(doc["edges"])
-            if cols is None:  # name the first entry that is not [integer, integer, number]
-                bad = next(e for e in doc["edges"] if _triple_columns([e]) is None)
-                raise ValueError(_EDGE_TYPE_ERROR.format(bad))
-        except OverflowError as exc:
-            raise ValueError(f"edge endpoint beyond int64 or weight out of float range: {exc}")
-        return WeightedGraph.from_arrays(n, *cols)
+        edges = doc["edges"]
+        for edge in edges:
+            if not (type(edge) is list and len(edge) == 3 and type(edge[2]) in (int, float)
+                    and edge[2] == 1):
+                raise ValueError(f"edge weight must be 1, got {edge}")
+        return WeightedGraph(n, (edge[:2] for edge in edges))
     cons = []
     for entry in doc.get("constraints", []):
         if not isinstance(entry, dict):
@@ -984,7 +902,7 @@ def _instance_from_doc(text: str) -> CspInstance | WeightedGraph:
     if kind == "maxcut":
         if not all(c.is_xor and c.arity == 2 and c.b == -1 for c in cons):
             raise ValueError("maxcut constraints must be 2XOR with b = -1")
-        return WeightedGraph(n, ((*c.scope, 1.0) for c in cons))
+        return WeightedGraph(n, (c.scope for c in cons))
     return CspInstance(n=n, constraints=tuple(cons), kind=kind)
 
 
@@ -1000,9 +918,11 @@ def save_instance(problem: CspInstance | WeightedGraph, path: str) -> None:
 
 
 def load_edge_list(path: str) -> WeightedGraph:
-    """Parses the text format: one 'u v [weight]' line per edge, with '#'
-    comments and blank lines ignored; vertices 0-indexed."""
-    edges: list[tuple[int, int, float]] = []
+    """Parses the text format: one 'u v' or 'u v 1' line per edge (a weight
+    token is any number equal to 1), with '#' comments and blank lines
+    ignored; vertices 0-indexed. Any other weight is rejected naming its
+    line."""
+    edges: list[tuple[int, int]] = []
     max_vertex = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -1011,14 +931,16 @@ def load_edge_list(path: str) -> WeightedGraph:
                 continue
             parts = line.split()
             if len(parts) not in (2, 3):
-                raise ValueError(f"line {lineno}: expected 'u v [weight]', got {raw!r}")
+                raise ValueError(f"line {lineno}: expected 'u v [1]', got {raw!r}")
             try:
                 u, v = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
+                unit = len(parts) == 2 or float(parts[2]) == 1
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: endpoints must be integers and the weight a number, got {raw!r}"
                 ) from None
-            edges.append((u, v, w))
+            if not unit:
+                raise ValueError(f"line {lineno}: edge weight must be 1, got {raw!r}")
+            edges.append((u, v))
             max_vertex = max(max_vertex, u, v)
     return WeightedGraph(n=max_vertex + 1, edges=edges)

@@ -62,6 +62,7 @@ __all__ = [
     "sample_discrete_laplace",
     "noisy_above",
     "check_epsilon",
+    "check_alpha",
     "keep_probability",
     "randomized_response",
     "exponential_mechanism",
@@ -189,6 +190,12 @@ def check_epsilon(epsilon: float, name: str = "epsilon", positive: bool = False)
         raise ValueError(f"{name} must be finite and nonnegative, got {epsilon}")
     if positive and epsilon == 0:
         raise ValueError(f"{name} must be positive, got {epsilon}")
+
+
+def check_alpha(alpha: float) -> None:
+    """Raises ValueError unless alpha, alg6's subsampling exponent (rate
+    eps^(1+alpha)/70), is finite and nonnegative; check_epsilon's rule."""
+    check_epsilon(alpha, "alpha")
 
 
 def keep_probability(epsilon: float) -> float:

@@ -1,7 +1,7 @@
 """Reproducible instance generators.
 
 Random sign-form CSPs (optionally triangle-free and degree-bounded),
-triangle-free graphs, the weighted complete-bipartite hard family, and
+triangle-free graphs, the complete-bipartite hard family, and
 single-constraint probe instances. Generation is deterministic under a
 fixed spec and seed; infeasible requests fail loudly instead of
 silently returning fewer constraints.
@@ -129,7 +129,7 @@ def gen_random_kxor(spec: GenSpec) -> CspInstance:
 
 
 def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> WeightedGraph:
-    """Triangle-free unweighted graphs.
+    """Triangle-free graphs.
 
     kind 'even_cycle' takes (n) with n even >= 4; 'complete_bipartite'
     takes (a, b); 'random_bipartite' takes (a, b, m) and draws m distinct
@@ -139,7 +139,7 @@ def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> WeightedGraph:
         (n,) = args
         if n < 4 or n % 2 != 0:
             raise ValueError("even_cycle needs an even n >= 4")
-        return WeightedGraph.from_arrays(n, np.arange(n), (np.arange(n) + 1) % n, np.ones(n))
+        return WeightedGraph.from_arrays(n, np.arange(n), (np.arange(n) + 1) % n)
     if kind == "complete_bipartite":
         a, b = args
         if a < 1 or b < 1:
@@ -149,19 +149,21 @@ def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> WeightedGraph:
         a, b, m = args
         if a < 1 or b < 1:
             raise ValueError("random_bipartite needs positive part sizes")
+        if m < 0:
+            raise ValueError(f"requested {m} edges, a negative edge count")
         if m > a * b:
             raise ValueError(f"requested {m} edges, only {a * b} cross pairs exist")
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         picks = np.sort(gen.choice(a * b, size=m, replace=False))
     else:
         raise ValueError(f"unknown triangle-free graph kind {kind!r}")
-    return WeightedGraph.from_arrays(a + b, picks // b, a + picks % b, np.ones(picks.size))
+    return WeightedGraph.from_arrays(a + b, picks // b, a + picks % b)
 
 
 def gen_hard_family(
     n: int, epsilon: float, count: int, seed: int, max_retries: int = 10_000
 ) -> tuple[PackingFamily, bool]:
-    """Weighted complete-bipartite hard instances on half-size supports.
+    """Complete-bipartite hard instances on half-size supports.
 
     Supports are drawn uniformly among size-n/2 subsets and accepted only
     when every pairwise intersection with previously accepted supports

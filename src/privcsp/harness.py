@@ -18,9 +18,9 @@ extend a run with fewer. `solve` is row 0 of a one-trial kernel call on
 RngStream(seed, 0), so it equals `ratio --trials 1` with the same seed.
 
 An instance is validated once per experiment, not once per trial: the
-checks the kernels repeat per call (triangle-freeness, unit weights,
-degrees, edge columns, a graph's constraint view) read data the instance
-computed on first use. em_baseline's value table and CDF are
+checks the kernels repeat per call (triangle-freeness, degrees, edge
+columns, a graph's constraint view) read data the instance computed on
+first use. em_baseline's value table and CDF are
 built once per (instance, epsilon) as well: em_over_assignments_batch
 keeps the last CDF on the instance.
 """
@@ -34,7 +34,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -44,7 +44,6 @@ from .csp_core import (
     Constraint,
     CspInstance,
     WeightedGraph,
-    constraint_groups,
     degrees,
     eval_value,
     instance_to_json,
@@ -53,6 +52,7 @@ from .csp_core import (
 )
 from .dp_mechanisms import (
     RngStream,
+    check_alpha,
     check_epsilon,
     em_on_part,
     em_over_assignments_batch,
@@ -85,19 +85,17 @@ __all__ = [
 def _em_baseline_batch(problem, eps, alpha, gen, trials):
     """Exponential mechanism (budget eps, sensitivity 1) over the variables
     some constraint touches; the others are uniform."""
-    constraint_groups(problem)  # a weighted graph has none: ValueError, as in every CSP kernel
     covered = np.broadcast_to(degrees(problem) > 0, (trials, problem.n))
     return em_on_part(problem, covered, eps, gen)
 
 
 def _random_baseline_batch(problem, eps, alpha, gen, trials):
-    constraint_groups(problem)  # a weighted graph has none: ValueError, as in every CSP kernel
     return fair_signs(gen, (trials, problem.n))
 
 
 # id -> kernel(problem, eps, alpha, gen, trials) -> (trials, n) block. The CSP
-# kernels (alg1 to alg_oddk and the baselines) take a CspInstance or an
-# unweighted graph, the graph kernels (shearer to alg6) an unweighted graph.
+# kernels (alg1 to alg_oddk and the baselines) take a CspInstance or a graph,
+# the graph kernels (shearer to alg6) a graph.
 ALGORITHMS: dict[str, Callable] = {
     "alg1": lambda p, e, a, g, t: algo_csp.alg1_batch(p, e, g, t),
     "alg2": lambda p, e, a, g, t: algo_csp.alg2_batch(p, e, g, t),
@@ -157,6 +155,7 @@ class ExperimentConfig:
             raise ValueError("epsilon grid must be nonempty")
         for e in self.eps:
             check_epsilon(e, name="epsilon grid value")
+        check_alpha(self.alpha)
 
     def config_hash(self, problem) -> str:
         blob = json.dumps(
@@ -224,9 +223,9 @@ class ExperimentReport:
 
 
 def _baseline_value(problem) -> float:
-    """Expected value of a uniform assignment: mu times total weight."""
+    """Expected value of a uniform assignment: mu times the constraint count."""
     if isinstance(problem, WeightedGraph):
-        return 0.5 * sum(problem.edge_arrays()[2].tolist())
+        return 0.5 * problem.m
     return mu(problem) * problem.m
 
 
@@ -305,8 +304,8 @@ def _neighboring_delta(a, b) -> int:
     if isinstance(a, WeightedGraph) != isinstance(b, WeightedGraph):
         raise ValueError("pair must share a representation")
     if isinstance(a, WeightedGraph):
-        items_a = sorted((min(u, v), max(u, v), w) for u, v, w in a.edges)
-        items_b = sorted((min(u, v), max(u, v), w) for u, v, w in b.edges)
+        items_a = sorted((min(u, v), max(u, v)) for u, v in a.edges)
+        items_b = sorted((min(u, v), max(u, v)) for u, v in b.edges)
     else:
         items_a = sorted((c.scope, c.b, c.table) for c in a.constraints)
         items_b = sorted((c.scope, c.b, c.table) for c in b.constraints)
@@ -324,7 +323,7 @@ def _audit_randomized_response(epsilon: float, trials: int, rng) -> AuditReport:
 
 
 def _audit_dp_shearer(epsilon: float, trials: int, rng) -> AuditReport:
-    g_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+    g_edge = WeightedGraph(n=2, edges=((0, 1),))
     g_none = WeightedGraph(n=2, edges=())
     assert _neighboring_delta(g_edge, g_none) == 1
 
@@ -418,16 +417,12 @@ class HardnessReport:
 
 def verify_hardness(n: int, epsilon: float, size: int, seed: int) -> HardnessReport:
     """Generates the hard family and checks the separation property and
-    the exact optimum of each member graph."""
+    the exact optimum of each member graph: (n/2)^2 cut edges, the whole
+    complete bipartite graph, whose weighted value is n * degree / 2."""
     family, complete = gen_hard_family(n, epsilon, size, seed)
     ok, counterexample = verify_packing_separation(family)
-    opt_ok = True
-    expected = n * family.degree / 2.0
-    for i in range(len(family.supports)):
-        opt, _ = brute_force_opt(family.graph(i))
-        if not math.isclose(opt, expected, rel_tol=1e-9, abs_tol=1e-12):
-            opt_ok = False
-            break
+    opt_ok = all(brute_force_opt(family.graph(i))[0] == (n // 2) ** 2
+                 for i in range(len(family.supports)))
     return HardnessReport(
         n=n,
         epsilon=epsilon,

@@ -68,10 +68,8 @@ def brute_force_opt(problem: CspInstance | WeightedGraph) -> tuple[float, np.nda
     side -1 (cut values are invariant under a global flip). Rows are scanned
     in ValueChunks order and the first row with the largest entry wins.
     The argmax runs on the chunks as ValueChunks yields them: integer hit
-    counts, whose map to values is strictly increasing, so the same row
-    wins as on the values, or float64 values for a graph whose edges
-    differ in weight. Only the winning entry is mapped to its value.
-    Refuses n above BRUTE_FORCE_CAP, read at call time.
+    counts, each row's value. Refuses n above BRUTE_FORCE_CAP, read at call
+    time.
     """
     n = problem.n
     if n > BRUTE_FORCE_CAP:
@@ -83,7 +81,7 @@ def brute_force_opt(problem: CspInstance | WeightedGraph) -> tuple[float, np.nda
         idx = int(np.argmax(chunk))
         if best is None or chunk[idx] > best:
             best, best_row = chunk[idx], start + idx
-    return float(chunks.values(best)), assignment_rows(best_row, n)
+    return float(best), assignment_rows(best_row, n)
 
 
 def _constraint_q_pmf(c: Constraint, j: int) -> dict[Fraction, Fraction]:
@@ -489,9 +487,11 @@ def adversarial_single_constraint(
 class PackingFamily:
     """A family of half-size vertex supports with bounded pairwise overlap.
 
-    Each support S induces the weighted complete bipartite graph between S
-    and its complement with per-edge weight 1/(64 n epsilon); every vertex
-    then has weighted degree exactly 1/(128 epsilon).
+    Each support S induces the complete bipartite graph between S and its
+    complement, graph(i), whose edges the paper weighs `weight` =
+    1/(64 n epsilon) each; every vertex then has weighted degree exactly
+    `degree` = 1/(128 epsilon). The graph has unit edges, and the weight
+    stays a scalar: it scales every value alike.
     """
 
     n: int
@@ -528,8 +528,7 @@ class PackingFamily:
     def graph(self, index: int) -> WeightedGraph:
         s = np.array(sorted(set(self.supports[index])), dtype=np.int64)
         rest = np.setdiff1d(np.arange(self.n), s)
-        return WeightedGraph.from_arrays(self.n, np.repeat(s, rest.size), np.tile(rest, s.size),
-                                         np.full(s.size * rest.size, self.weight))
+        return WeightedGraph.from_arrays(self.n, np.repeat(s, rest.size), np.tile(rest, s.size))
 
 
 def verify_packing_separation(

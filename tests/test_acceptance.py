@@ -158,7 +158,7 @@ def test_criterion_05_dp_shearer_per_edge_and_trend():
         (500, gen_triangle_free_graph("even_cycle", 50)),
         (501, gen_triangle_free_graph("complete_bipartite", 5, 5)),
     ):
-        u, v, _ = graph.edge_arrays()
+        u, v = graph.edge_arrays()
         for eps in (0.5, 1.0):
             rows = dp_shearer_batch(graph, eps, gen(seed + int(10 * eps)), trials)
             freqs = (rows[:, u] != rows[:, v]).mean(axis=0)
@@ -203,7 +203,7 @@ def test_criterion_07_single_constraint_hardness_bound():
     ok = rep_em.satisfaction_prob <= rep_em.bound + bound_slack
 
     def cut_mech(inst, g, t):
-        graph = WeightedGraph(n=inst.n, edges=((*c.scope, 1.0) for c in inst.constraints))
+        graph = WeightedGraph(n=inst.n, edges=(c.scope for c in inst.constraints))
         return dp_shearer_batch(graph, eps, g, t)
 
     cut_candidates = [Constraint(scope=(0, 1), b=-1)]
@@ -223,10 +223,12 @@ def test_criterion_08_hard_family_separation_and_opt():
         ok &= complete
         sep_ok, counterexample = verify_packing_separation(family)
         ok &= sep_ok and counterexample is None
-        expected = n * family.degree / 2.0
         for i in range(len(family.supports)):
-            opt, _ = brute_force_opt(family.graph(i))
-            ok &= math.isclose(opt, expected, rel_tol=1e-12)
+            # the optimum cuts all (n/2)^2 unit edges, whose weighted value is
+            # the paper's n * degree / 2
+            count = brute_force_opt(family.graph(i))[0]
+            ok &= count == (n // 2) ** 2
+            ok &= math.isclose(family.weight * count, n * family.degree / 2, rel_tol=1e-12)
     report("criterion 8: hard family separates and has the exact optimum", ok)
 
 

@@ -15,7 +15,7 @@ from privcsp.algo_maxcut import (
     matched_edge_cut_probability,
     shearer_batch,
 )
-from privcsp.csp_core import WeightedGraph, eval_value
+from privcsp.csp_core import WeightedGraph, eval_value, load_edge_list, load_instance
 from privcsp.dp_mechanisms import (
     UNBOUNDED_BUDGET_FRACTIONS,
     RngStream,
@@ -30,19 +30,19 @@ def gen(seed=0):
 
 
 def cycle(n):
-    return WeightedGraph(n=n, edges=tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+    return WeightedGraph(n=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def k33():
     return WeightedGraph(
-        n=6, edges=tuple((i, 3 + j, 1.0) for i in range(3) for j in range(3))
+        n=6, edges=tuple((i, 3 + j) for i in range(3) for j in range(3))
     )
 
 
 def mutual_choice(graph, kept, draws):
     """_mutual_choice on a graph's edges: the picks, and each row's matched
     edges as sorted (lower, upper) tuples."""
-    u, v, _ = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     chosen, rows, lower = _mutual_choice(graph.n, u, v, kept, draws)
     edges = [[] for _ in range(draws.shape[0])]
     for r, x in zip(rows.tolist(), lower.tolist()):
@@ -56,13 +56,13 @@ def all_kept(graph, trials, seed):
 
 
 def edge_cut_freqs(graph, rows):
-    u, v, _ = graph.edge_arrays()
+    u, v = graph.edge_arrays()
     return (rows[:, u] != rows[:, v]).mean(axis=0)
 
 
 class TestCutAndLedger:
     def test_cut_validation(self):
-        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=2, edges=((0, 1),))
         with pytest.raises(ValueError):
             eval_value(g, [1, 0])
         assert eval_value(g, np.array([1, -1])) == 1.0
@@ -97,13 +97,18 @@ class TestCutAndLedger:
 
 
 class TestShearerBaseline:
-    def test_rejects_weighted(self):
-        g = WeightedGraph(n=2, edges=((0, 1, 2.0),))
+    def test_rejects_weighted(self, tmp_path):
+        # a weight other than 1 is refused where the graph is read, so no
+        # kernel sees one; the constructor takes (u, v) pairs only
+        path = tmp_path / "g.json"
+        path.write_text('{"edges":[[0,1,2.0]],"kind":"maxcut","n":2}\n')
+        with pytest.raises(ValueError, match=r"^edge weight must be 1, got \[0, 1, 2.0\]$"):
+            load_instance(str(path))
         with pytest.raises(ValueError):
-            shearer_batch(g, gen(), 1)
+            WeightedGraph(n=2, edges=((0, 1, 2.0),))
 
     def test_isolated_vertex_uniform(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=3, edges=((0, 1),))
         rows = shearer_batch(g, gen(1), 100_000)
         assert abs(rows[:, 2].mean()) < 0.015
 
@@ -111,7 +116,7 @@ class TestShearerBaseline:
         # exhaustive over both colorings: distinct first colors force the
         # first coloring (cut), equal first colors force the second
         # (cut with probability 1/2), so Pr[cut] = 3/4 exactly
-        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=2, edges=((0, 1),))
         rows = shearer_batch(g, gen(2), 200_000)
         p = float(edge_cut_freqs(g, rows)[0])
         sigma = math.sqrt(0.75 * 0.25 / rows.shape[0])
@@ -123,7 +128,7 @@ class TestShearerBaseline:
             rows = shearer_batch(graph, gen(3), 100_000)
             freqs = edge_cut_freqs(graph, rows)
             sigma = 0.5 / math.sqrt(rows.shape[0])
-            for (u, v, _), p in zip(graph.edges, freqs):
+            for (u, v), p in zip(graph.edges, freqs):
                 bound = (
                     0.5
                     + 1.0 / (8.0 * math.sqrt(2.0 * deg[u]))
@@ -144,16 +149,19 @@ class TestDpShearer:
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_rejected(self, eps):
         # a one-edge graph at eps=inf used to return an assignment
-        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=2, edges=((0, 1),))
         with pytest.raises(ValueError, match="finite"):
             dp_shearer_batch(g, eps, gen(), 1)
         with pytest.raises(ValueError, match="finite"):
             dp_shearer_batch(g, eps, gen(), 3)
 
-    def test_rejects_weighted(self):
-        g = WeightedGraph(n=2, edges=((0, 1, 0.5),))
-        with pytest.raises(ValueError):
-            dp_shearer_batch(g, 1.0, gen(), 1)
+    def test_rejects_weighted(self, tmp_path):
+        # a weight other than 1 is refused where the graph is read, naming
+        # the line, so no kernel sees one
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n0 1 0.5\n")
+        with pytest.raises(ValueError, match="^line 2: edge weight must be 1, got '0 1 0.5\\\\n'$"):
+            load_edge_list(str(path))
 
     def test_single_edge_exact(self):
         # closed form from the noisy comparison: with
@@ -163,7 +171,7 @@ class TestDpShearer:
         p0 = (math.exp(eps / 2) - 1) / (math.exp(eps / 2) + 1)
         a = (1 + p0) / 2
         target = 0.25 + a / 2
-        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=2, edges=((0, 1),))
         rows = dp_shearer_batch(g, eps, gen(5), 200_000)
         p = float(edge_cut_freqs(g, rows)[0])
         sigma = math.sqrt(target * (1 - target) / rows.shape[0])
@@ -184,7 +192,7 @@ class TestDpShearer:
         trials = 100_000
         base = shearer_batch(graph, gen(7), trials)
         noisy = dp_shearer_batch(graph, 50.0, gen(8), trials)
-        u, v, _ = graph.edge_arrays()
+        u, v = graph.edge_arrays()
         base_sizes = (base[:, u] != base[:, v]).sum(axis=1)
         noisy_sizes = (noisy[:, u] != noisy[:, v]).sum(axis=1)
         hist_a = np.bincount(base_sizes, minlength=10) / trials
@@ -197,10 +205,10 @@ class TestDpShearer:
         # exactly when it takes the first colour; its frequency against the
         # sample_discrete_laplace formulation ell - d // 2 + zeta <= 0, zeta
         # at eps/2, at 4 sigma; vertex 6 is isolated
-        graph = WeightedGraph(n=7, edges=tuple((a, b, 1.0) for a, b in (
+        graph = WeightedGraph(n=7, edges=tuple((a, b) for a, b in (
             (0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 5), (1, 2), (3, 5))))
         c1 = np.array([1, 1, -1, -1, 1, 1, -1], dtype=np.int8)
-        u, v, _ = graph.edge_arrays()
+        u, v = graph.edge_arrays()
         same = c1[u] == c1[v]
         ell = np.bincount(u, same, graph.n) + np.bincount(v, same, graph.n)
         trials = 400_000
@@ -259,12 +267,12 @@ class TestDpMaxcutUnbounded:
 
 class TestMutualChoiceMatching:
     def test_single_edge_forced(self):
-        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=2, edges=((0, 1),))
         chosen, edges = mutual_choice(g, *all_kept(g, 5, 12))
         assert edges == [[(0, 1)]] * 5 and np.array_equal(chosen, [[1, 0]] * 5)
 
     def test_path_halves(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        g = WeightedGraph(n=3, edges=((0, 1), (1, 2)))
         trials = 50_000
         _, edges = mutual_choice(g, *all_kept(g, trials, 13))
         assert all(len(row) == 1 for row in edges)
@@ -283,7 +291,7 @@ class TestMutualChoiceMatching:
             kept = rng.random((5, g.m)) < 0.5
             _, edges = mutual_choice(g, kept, rng.random((5, g.n)))
             for r, row in enumerate(edges):
-                kept_set = {tuple(sorted(g.edges[i][:2])) for i in np.flatnonzero(kept[r])}
+                kept_set = {tuple(sorted(g.edges[i])) for i in np.flatnonzero(kept[r])}
                 assert set(row) <= kept_set
 
     @staticmethod
@@ -291,7 +299,7 @@ class TestMutualChoiceMatching:
         """The adjacency-list walk the column kernel replaced, on one row of
         choice uniforms."""
         adj = [[] for _ in range(graph.n)]
-        for u, v, _ in graph.edges:
+        for u, v in graph.edges:
             adj[u].append(v)
             adj[v].append(u)
         choices = [int(sorted(a)[int(draws[v] * len(a))]) if a else -1 for v, a in enumerate(adj)]
@@ -307,8 +315,7 @@ class TestMutualChoiceMatching:
         for _ in range(300):
             n, m = int(rng.integers(2, 12)), int(rng.integers(0, 20))
             u = rng.integers(0, n, size=m)
-            graphs.append(WeightedGraph.from_arrays(n, u, (u + rng.integers(1, n, size=m)) % n,
-                                                    np.ones(m)))
+            graphs.append(WeightedGraph.from_arrays(n, u, (u + rng.integers(1, n, size=m)) % n))
         for i, g in enumerate(graphs):
             kept, draws = all_kept(g, 3, i)
             chosen, edges = mutual_choice(g, kept, draws)
@@ -323,10 +330,10 @@ class TestMutualChoiceMatching:
         rng = gen(15)
         trials = 300
         g = gen_triangle_free_graph("random_bipartite", 6, 6, 12, seed=int(rng.integers(1 << 30)))
-        present = {tuple(sorted((u, v))) for u, v, _ in g.edges}
+        present = {tuple(sorted((u, v))) for u, v in g.edges}
         candidates = [(u, 6 + v) for u in range(6) for v in range(6) if (u, 6 + v) not in present]
         extra = candidates[int(rng.integers(len(candidates)))]
-        g2 = WeightedGraph(n=12, edges=g.edges + ((extra[0], extra[1], 1.0),))
+        g2 = WeightedGraph(n=12, edges=g.edges + ((extra[0], extra[1]),))
         kept, draws = all_kept(g2, trials, int(rng.integers(1 << 30)))
         _, m1 = mutual_choice(g, kept[:, :-1], draws)
         _, m2 = mutual_choice(g2, kept, draws)

@@ -48,6 +48,13 @@ class TestGen:
         )
         assert code == EXIT_VALIDATION and "error" in err
 
+    def test_negative_edge_count(self, capsys):
+        # numpy's "negative dimensions are not allowed" used to surface here
+        code, out, err = run(
+            capsys, "gen", "--kind", "random_bipartite", "--a", "3", "--b", "3", "--m", "-1")
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == "error: requested -1 edges, a negative edge count\n"
+
     def test_single_constraint(self, capsys):
         code, out, _ = run(
             capsys,
@@ -140,7 +147,8 @@ class TestSolveRatioSweep:
     @pytest.mark.parametrize("doc, field", [
         ({"n": 3.9, "kind": "kxor", "constraints": []}, "n must be"),
         ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1.7], "b": 1}]}, "scope entry"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 1e999]]}, "must be finite"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 1e999]]},
+         "edge weight must be 1, got [0, 1, inf]"),
     ])
     def test_non_integral_instance_values_rejected(self, tmp_path, capsys, doc, field):
         path = tmp_path / "inst.json"
@@ -346,6 +354,28 @@ class TestAlg6Alpha:
             "--eps", "0.1", "--alpha", alpha,
         )
         assert code == EXIT_VALIDATION and out == "" and "alpha" in err
+
+
+class TestAlphaCheck:
+    """One alpha rule, check_alpha, for every algorithm and entry point: a
+    nan, infinite or negative alpha exits 1 before any trial, and never
+    reaches a CSV row or a config_hash."""
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["ratio", "sweep", "solve", "config"])
+    def test_bad_alpha_exits_1(self, tmp_path, capsys, command, alpha):
+        path = tmp_path / "cycle.json"
+        assert run(capsys, "gen", "--kind", "even_cycle", "--n", "8", "--out", str(path))[0] == 0
+        argv = ["--algorithm", "random_baseline", "--instance", str(path), "--eps", "0.5"]
+        if command == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"alpha": float(alpha)}))
+            argv = ["ratio", *argv, "--config", str(cfg)]
+        else:
+            argv = [command, *argv, "--alpha", alpha]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == f"error: alpha must be finite and nonnegative, got {float(alpha)}\n"
 
 
 class TestThresholdUnderflow:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from privcsp.csp_core import (
     save_instance,
 )
 from privcsp.generators import gen_triangle_free_graph
+from privcsp.harness import ExperimentConfig
 
 
 def xor(scope, b=1):
@@ -95,7 +97,7 @@ class TestEvalValue:
         assert eval_value(inst, [1, -1, 1]) == 0
 
     def test_maxcut_path(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        g = WeightedGraph(n=3, edges=((0, 1), (1, 2)))
         assert eval_value(g, [1, -1, 1]) == 2
 
     def test_length_mismatch(self):
@@ -120,7 +122,7 @@ class TestAdvantage:
         assert abs(total) < 1e-9
 
     def test_maxcut_single_edge(self):
-        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=2, edges=((0, 1),))
         assert associated_advantage(g, [1, -1]) == 0.5
 
     def test_empty_raises(self):
@@ -230,7 +232,7 @@ class TestDegrees:
         assert degrees(inst).tolist() == [0, 1, 1, 1, 0]
 
     def test_cycle_degrees(self):
-        g = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4, 1.0) for i in range(4)))
+        g = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4) for i in range(4)))
         assert degrees(g).tolist() == [2, 2, 2, 2]
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -307,7 +309,7 @@ class TestEnumeration:
             assert vals[r] == eval_value(inst, row)
 
     def test_induced_subproblem_only(self):
-        g = WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)))
+        g = WeightedGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
         vals = all_values(g, [0, 1])
         # only the (0,1) edge lies inside the active set
         assert vals.max() == 1.0 and vals.min() == 0.0
@@ -327,29 +329,23 @@ def mixed_instance(seed, n=9, m=14):
     return CspInstance(n=n, constraints=tuple(cons))
 
 
-def weighted_graph(seed, n=8, m=16):
-    """Non-dyadic weights, so the sum order shows in the last bits; with
-    repeated edges."""
+def multigraph(seed, n=8, m=16):
+    """Random edges, the first one repeated at the end."""
     rng = np.random.default_rng(seed)
-    edges = []
-    for _ in range(m):
-        u, v = rng.choice(n, size=2, replace=False).tolist()
-        edges.append((u, v, float(rng.uniform(0.1, 3.0))))
-    edges.append(edges[0])
-    return WeightedGraph(n=n, edges=tuple(edges))
+    edges = [tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(m)]
+    return WeightedGraph(n=n, edges=(*edges, edges[0]))
 
 
 def reference_values(problem, active):
     """Per-row values of the sub-problem induced on `active`: eval_value for
-    a CSP; for a graph, cut weights added in edge order, as a float sum."""
+    a CSP; for a graph, its cut edges inside `active`, counted one by one."""
     inside = set(active)
     vals = []
     for row in all_rows(len(active)):
         x = np.full(problem.n, -1)
         x[list(active)] = row
         if isinstance(problem, WeightedGraph):
-            vals.append(sum(w for u, v, w in problem.edges
-                            if u in inside and v in inside and x[u] != x[v]))
+            vals.append(sum(u in inside and v in inside and x[u] != x[v] for u, v in problem.edges))
         else:
             sub = CspInstance(n=problem.n, constraints=tuple(
                 c for c in problem.constraints if inside.issuperset(c.scope)))
@@ -370,8 +366,8 @@ class TestValueKernel:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("active", [[5, 0, 3, 7, 1], [7, 6, 5, 4, 3, 2, 1, 0]])
-    def test_weighted_graph_matches_reference(self, seed, active):
-        g = weighted_graph(seed)
+    def test_multigraph_matches_reference(self, seed, active):
+        g = multigraph(seed)
         assert np.array_equal(all_values(g, active), reference_values(g, active))
 
     def test_straddling_constraints_excluded(self):
@@ -391,12 +387,12 @@ class TestValueKernel:
         ))
         assert all_values(inst, []).tolist() == [0.0]
         assert all_values(inst, [0]).tolist() == [1.0, 1.0]
-        assert all_values(WeightedGraph(n=2, edges=((0, 1, 1.5),)), [1]).tolist() == [0.0, 0.0]
+        assert all_values(WeightedGraph(n=2, edges=((0, 1),)), [1]).tolist() == [0.0, 0.0]
 
     # (chunk bits, run bits): several chunks, and runs shorter than a chunk
     @pytest.mark.parametrize("chunk_bits, run_bits", [(20, 2), (3, 0), (3, 2), (1, 1), (0, 0)])
     def test_multi_chunk(self, monkeypatch, chunk_bits, run_bits):
-        inst, g = mixed_instance(7), weighted_graph(7)
+        inst, g = mixed_instance(7), multigraph(7)
         inst_active, g_active = [8, 2, 6, 0, 4, 1, 7], [6, 2, 7, 0, 3, 5]
         whole = (all_values(inst, inst_active), all_values(g, g_active))
         monkeypatch.setattr(csp_core, "VALUE_CHUNK_BITS", chunk_bits)
@@ -422,7 +418,7 @@ class TestValueKernel:
 
     @pytest.mark.parametrize("active", [[0, 9], [-1, 2]])
     def test_out_of_range_active_rejected(self, active):
-        for problem in (mixed_instance(0), weighted_graph(0, n=9)):
+        for problem in (mixed_instance(0), multigraph(0, n=9)):
             with pytest.raises(ValueError, match=r"distinct and in \[0, 9\)"):
                 all_values(problem, active)
 
@@ -431,14 +427,6 @@ class TestValueKernel:
         rows = assignment_rows(np.arange(8), 3)
         assert rows.dtype == np.int8
         assert np.array_equal(rows, np.array(all_rows(3)))
-
-
-def uniform_graph(w, seed=0, n=9, m=30):
-    """Edges of one non-dyadic weight w, with repeated edges: rows cut 6
-    and more edges, where the ordered sum w + w + ... differs from k * w."""
-    rng = np.random.default_rng(seed)
-    edges = [tuple(rng.choice(n, size=2, replace=False).tolist()) + (w,) for _ in range(m)]
-    return WeightedGraph(n=n, edges=tuple(edges))
 
 
 class TestCountPath:
@@ -464,53 +452,38 @@ class TestCountPath:
         assert np.array_equal(values, reference_values(inst, active))
         assert [c.dtype for _, c in csp_core.ValueChunks(inst, active, 3)] == [dtype]
 
-    @pytest.mark.parametrize("w", [0.1, 1 / 640])
-    def test_uniform_weight_is_the_ordered_sum(self, w):
-        g = uniform_graph(w)
-        values = all_values(g, range(g.n))
-        exact = eval_value(g, assignment_rows(np.arange(1 << g.n), g.n))
-        assert values.tobytes() == exact.tobytes()
+    def test_graph_chunks_count_cut_edges(self):
+        # a multigraph's uint8 counts are its values, parallel edges counted
+        # once per copy
+        g = multigraph(0, n=9, m=30)
+        rows = assignment_rows(np.arange(1 << g.n), g.n)
+        assert np.array_equal(all_values(g, range(g.n)), eval_value(g, rows))
         assert [c.dtype for _, c in csp_core.ValueChunks(g, range(g.n), g.n)] == [np.uint8]
-        # rows where k * w is not the value occur
-        assert np.any(values != np.round(values / w) * w)
-
-    def test_differing_weights_keep_float64(self):
-        g = weighted_graph(0)
-        assert [c.dtype for _, c in csp_core.ValueChunks(g, range(g.n), g.n)] == [np.float64]
 
 
 def edge_walk_tables(g, active):
     """The edge-by-edge selection that csp_core._local_tables replaced."""
     pos = {v: t for t, v in enumerate(active)}
-    inside = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
-    weights = {w for _, _, w in inside}
-    if len(weights) > 1:
-        return [((a, b), np.array([[0.0, w], [w, 0.0]])) for a, b, w in inside], None
-    weight = weights.pop() if weights else 1.0
+    inside = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
     cut = np.array([[0, 1], [1, 0]], dtype=np.min_scalar_type(len(inside)))
-    tables = [((a, b), cut) for a, b, _ in inside]
-    if weight == 1:
-        return tables, None
-    hits = itertools.accumulate(itertools.repeat(float(weight), len(tables)), initial=0.0)
-    return tables, np.fromiter(hits, dtype=np.float64, count=len(tables) + 1)
+    return [(ends, cut) for ends in inside]
 
 
 class TestGraphTables:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("graph", [weighted_graph, lambda seed: uniform_graph(0.1, seed),
-                                       lambda seed: uniform_graph(1.0, seed)])
+    @pytest.mark.parametrize("graph", [
+        multigraph, lambda seed: multigraph(seed, n=9, m=30),
+        lambda seed: gen_triangle_free_graph("random_bipartite", 4, 5, 12, seed=seed)])
     def test_match_edge_walk(self, seed, graph):
         g = graph(seed)
         rng = np.random.default_rng(seed)
         for size in (0, 1, 3, 5, g.n):
             active = rng.permutation(g.n)[:size].tolist()  # random and unsorted
-            tables, sums = csp_core._local_tables(g, active)
-            ref_tables, ref_sums = edge_walk_tables(g, active)
+            tables = csp_core._local_tables(g, active)
+            ref_tables = edge_walk_tables(g, active)
             assert [t for t, _ in tables] == [t for t, _ in ref_tables]
             for (_, a), (_, b) in zip(tables, ref_tables):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert (sums is None) == (ref_sums is None)
-            assert sums is None or sums.tobytes() == ref_sums.tobytes()
 
 
 class TestSerialization:
@@ -521,7 +494,7 @@ class TestSerialization:
         assert again == inst
 
     def test_roundtrip_graph(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 2.5)))
+        g = WeightedGraph(n=3, edges=((0, 1), (1, 2), (0, 1)))
         again = instance_from_json(instance_to_json(g))
         assert again == g
 
@@ -529,20 +502,30 @@ class TestSerialization:
     def dumps_reference(g):
         """The list comprehension and json.dumps that instance_to_json
         replaced for graphs."""
-        doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, w] for u, v, w in g.edges]}
+        doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in g.edges]}
         return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
     @pytest.mark.parametrize("weight", [1.0, 0.1, 2.5, 1e-300, 1e300, 3, "mixed"])
     def test_graph_json_matches_json_dumps(self, weight):
+        """A graph's text is json.dumps of its edges with weight 1.0; json.dumps
+        of the same edges with any other weight is refused, naming edge 0."""
         rng = np.random.default_rng(5)
         for n, m in ((2, 1), (9, 30), (600, 2000)):
             u = rng.integers(0, n - 1, size=m)
             v = (u + rng.integers(1, n, size=m)) % n
-            w = rng.uniform(1e-3, 1e3, size=m) if weight == "mixed" else np.full(m, weight)
-            g = WeightedGraph.from_arrays(n, u, v, w)
+            g = WeightedGraph.from_arrays(n, u, v)
             text = instance_to_json(g)
             assert text == self.dumps_reference(g)
             assert instance_from_json(text) == g
+            w = rng.uniform(1e-3, 1e3, size=m).tolist() if weight == "mixed" else [weight] * m
+            doc = {"n": n, "kind": "maxcut", "edges": [[a, b, c] for (a, b), c in zip(g.edges, w)]}
+            other = json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
+            if weight == 1.0:
+                assert other == text
+            else:
+                message = f"edge weight must be 1, got {doc['edges'][0]}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    instance_from_json(other)
         assert instance_to_json(WeightedGraph(n=3, edges=())) == self.dumps_reference(
             WeightedGraph(n=3, edges=()))
 
@@ -560,7 +543,7 @@ class TestSerialization:
     @staticmethod
     def canonical_text(n, u, v, w):
         """json.dumps of the columns as instance_to_json formats a graph, with
-        no check that they form a graph."""
+        no check that they form a graph or that w is 1."""
         doc = {"n": n, "kind": "maxcut",
                "edges": [[int(a), int(b), float(c)] for a, b, c in zip(u, v, w)]}
         return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
@@ -568,8 +551,10 @@ class TestSerialization:
     @pytest.mark.parametrize("weight", [
         1.0, 0.1, 2.5, 1e-300, 1e300, 1e-05, -0.0, "mixed", "mixed with 1.0 and 1e300", "bip1000"])
     def test_array_reader_matches_json_path(self, weight):
-        """On instance_to_json's text of random graphs, the array reader gives
-        the graph (or raises the error) json.loads does, and keeps the text."""
+        """On instance_to_json's text of random graphs, with weight w in place
+        of 1.0, the array reader gives the graph (or raises the error)
+        json.loads does, and keeps the text; a weight other than 1 is refused
+        alike, naming the first edge that has one."""
         rng = np.random.default_rng(6)
         shapes = [(500, 500, 5000)] if weight == "bip1000" else [(1, 1, 1), (5, 4, 30), (300, 300, 2000)]
         for a, b, m in shapes:
@@ -586,27 +571,40 @@ class TestSerialization:
             text = self.canonical_text(a + b, u, v, w)
             for tail in ("", "\n"):
                 reference = self.outcome(csp_core._instance_from_doc, text + tail)
-                assert self.outcome(csp_core._graph_from_text, text + tail) == reference
                 assert self.outcome(instance_from_json, text + tail) == reference
-                if reference[0] == "graph":
-                    assert instance_to_json(csp_core._graph_from_text(text + tail)) == text
+                graph = csp_core._graph_from_text(text + tail)
+                if np.all(w == 1):
+                    assert self.outcome(lambda t: graph, text + tail) == reference
+                    assert instance_to_json(graph) == text
                 else:
-                    assert reference == (ValueError, "edge weight must be positive, got -0.0")
+                    # a weight token other than 1.0 leaves the text to the JSON path
+                    first = int(np.flatnonzero(w != 1)[0])
+                    bad = [int(u[first]), int(v[first]), float(w[first])]
+                    assert graph is None
+                    assert reference == (ValueError, f"edge weight must be 1, got {bad}")
 
     @pytest.mark.parametrize("text, error", [
         ('{"edges":[[0,999999999999999998,1.0]],"kind":"maxcut","n":999999999999999999}', None),
-        ('{"edges":[[0,1,2.2250738585072014e-308]],"kind":"maxcut","n":2}', None),
+        ('{"edges":[[0,1,2.2250738585072014e-308]],"kind":"maxcut","n":2}',
+         "edge weight must be 1, got [0, 1, 2.2250738585072014e-308]"),
         ('{"edges":[[0,1,-1.0000000000000001e-100]],"kind":"maxcut","n":2}',
-         "edge weight must be positive, got -1.0000000000000001e-100"),
-        ('{"edges":[[0,10,1.0],[9,0,3.0]],"kind":"maxcut","n":10}', "edge (0,10) out of range for n=10"),
+         "edge weight must be 1, got [0, 1, -1.0000000000000001e-100]"),
+        # every weight is checked before the endpoints
+        ('{"edges":[[0,10,1.0],[9,0,3.0]],"kind":"maxcut","n":10}',
+         "edge weight must be 1, got [9, 0, 3.0]"),
         ('{"edges":[[0,1,1.0]],"kind":"maxcut","n":0}', "edge (0,1) out of range for n=0"),
         ('{"edges":[[0,1,1.0],[2,2,1.0]],"kind":"maxcut","n":3}', "self-loop at vertex 2"),
     ])
     def test_array_reader_edge_cases(self, text, error):
-        # 18-digit ids and the longest weight reprs are read as arrays, and
-        # what from_arrays rejects raises as it does on the JSON path
+        # 18-digit ids are read as arrays, and what from_arrays rejects raises
+        # as it does on the JSON path; a weight token other than 1.0 leaves
+        # the text to the JSON path
         reference = self.outcome(csp_core._instance_from_doc, text)
-        assert self.outcome(csp_core._graph_from_text, text) == reference
+        assert self.outcome(instance_from_json, text) == reference
+        if error is not None and error.startswith("edge weight"):
+            assert csp_core._graph_from_text(text) is None
+        else:
+            assert self.outcome(csp_core._graph_from_text, text) == reference
         assert reference[0] == "graph" if error is None else reference == (ValueError, error)
 
     @pytest.mark.parametrize("text", [
@@ -634,7 +632,8 @@ class TestSerialization:
         "0-9 [ ] , . e - +" and space: the array reader declines the text or
         reads the graph json.loads reads, and instance_from_json raises what
         the JSON path alone raises."""
-        text = '{"edges":[[0,1,1.0],[1,12,2.5],[3,0,0.1]],"kind":"maxcut","n":13}' + tail
+        text = ('{"edges":[[0,1,1.0],[1,12,1.0],[3,0,1.0],[10,11,1.0],[7,5,1.0],[2,9,1.0]],'
+                '"kind":"maxcut","n":99}' + tail)
         mutants = {text[:i] + text[i + 1:] for i in range(len(text))}
         mutants |= {text[:i] + c + text[i + 1:] for i in range(len(text)) for c in "0123456789[],.e-+ "}
         read = 0
@@ -650,14 +649,13 @@ class TestSerialization:
                     assert self.outcome(lambda t: graph, mutant) == reference, mutant
                     assert instance_to_json(graph) == mutant.removesuffix("\n")
             assert self.outcome(instance_from_json, mutant) == reference, mutant
-        assert read > 100  # digit substitutions in ids and weights
+        assert read > 100  # digit substitutions in ids
 
     @pytest.mark.parametrize("graph", [
         gen_triangle_free_graph("random_bipartite", 40, 40, 260, seed=3),
         gen_triangle_free_graph("random_bipartite", 500, 500, 5000, seed=4),
         gen_triangle_free_graph("even_cycle", 6),
-        WeightedGraph.from_arrays(7, np.arange(6), np.arange(1, 7),
-                                  np.random.default_rng(7).uniform(1e-3, 1e3, size=6)),
+        WeightedGraph.from_arrays(7, np.arange(6), np.arange(1, 7)),
     ])
     def test_loaded_graph_keeps_its_text(self, tmp_path, graph):
         """A graph file read back and saved again is the same bytes, and the
@@ -705,19 +703,45 @@ class TestSerialization:
         ({"n": 3, "kind": "kxor", "constraints": [[0, 1]]}, "constraint must be"),
         ({"n": 3, "kind": "maxcut", "edges": [[0, 1.9, 1.0]]}, "edge endpoints"),
         ({"n": 3, "kind": "maxcut", "edges": [[0, True, 1.0]]}, "edge endpoints"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, "1.0"]]}, "edge endpoints"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, False]]}, "edge endpoints"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.inf]]}, "must be finite"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.nan]]}, "must be positive"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 10 ** 400]]}, "out of float range"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, "1.0"]]}, "edge weight must be 1"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, False]]}, "edge weight must be 1"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.inf]]}, "edge weight must be 1"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.nan]]}, "edge weight must be 1"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 10 ** 400]]}, "edge weight must be 1"),
     ])
     def test_non_integral_values_rejected(self, doc, field):
         with pytest.raises(ValueError, match=field):
             instance_from_json(json.dumps(doc))
 
     def test_integer_weights_read_as_float(self):
-        g = instance_from_json('{"n": 2, "kind": "maxcut", "edges": [[0, 1, 2]]}')
-        assert g.edges == ((0, 1, 2.0),) and type(g.edges[0][2]) is float
+        # a JSON integer 1 is the unit weight, written back as 1.0
+        g = instance_from_json('{"n": 2, "kind": "maxcut", "edges": [[0, 1, 1]]}')
+        assert g.edges == ((0, 1),)
+        assert instance_to_json(g) == '{"edges":[[0,1,1.0]],"kind":"maxcut","n":2}'
+
+    @pytest.mark.parametrize("token, accepted", [
+        ("1.0", True), ("1", True), ("1e0", True), ("1.00", True), ("2.0", False),
+        ("0.5", False), ("-1.0", False), ("true", False), ('"1"', False),
+    ])
+    def test_weight_tokens_alike_on_both_paths(self, token, accepted):
+        """A weight token is accepted exactly when it is a JSON number equal
+        to 1, by the array reader and the JSON path alike; a refusal names
+        the first edge that has it, and an accepted file gets the canonical
+        text, so the canonical config_hash."""
+        text = '{"edges":[[0,1,1.0],[1,2,%s],[2,0,%s]],"kind":"maxcut","n":3}' % (token, token)
+        for tail in ("", "\n"):
+            reference = self.outcome(csp_core._instance_from_doc, text + tail)
+            assert self.outcome(instance_from_json, text + tail) == reference
+            assert csp_core._graph_from_text(text + tail) is None or token == "1.0"
+            if accepted:
+                g = instance_from_json(text + tail)
+                canonical = '{"edges":[[0,1,1.0],[1,2,1.0],[2,0,1.0]],"kind":"maxcut","n":3}'
+                assert g == instance_from_json(canonical) and instance_to_json(g) == canonical
+                config = ExperimentConfig(algorithm="dp_shearer", eps=(1.0,), trials=5, seed=0)
+                assert config.config_hash(g) == config.config_hash(instance_from_json(canonical))
+            else:
+                bad = [1, 2, json.loads(token)]
+                assert reference == (ValueError, f"edge weight must be 1, got {bad}")
 
     @pytest.mark.parametrize("line", ["0 1.9", "0 true", "0 1 x"])
     def test_edge_list_rejects_non_integral(self, tmp_path, line):
@@ -729,20 +753,27 @@ class TestSerialization:
     def test_edge_list_rejects_infinite_weight(self, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("0 1 inf\n")
-        with pytest.raises(ValueError, match="must be finite, got inf"):
+        with pytest.raises(ValueError, match=r"^line 1: edge weight must be 1, got '0 1 inf\\n'$"):
+            load_edge_list(str(p))
+
+    @pytest.mark.parametrize("line", ["0 1 2", "0 1 nan", "0 1 -1", "0 1 0"])
+    def test_edge_list_rejects_other_weights(self, tmp_path, line):
+        p = tmp_path / "g.edges"
+        p.write_text(f"# comment\n0 1\n{line}\n")
+        with pytest.raises(ValueError, match=f"^line 3: edge weight must be 1, got '{line}\\\\n'$"):
             load_edge_list(str(p))
 
     def test_edge_list(self, tmp_path):
         p = tmp_path / "g.edges"
-        p.write_text("# comment\n0 1\n1 2 2.5\n\n")
+        p.write_text("# comment\n0 1\n1 2 1\n2 0 1.0\n\n")
         g = load_edge_list(str(p))
-        assert g.n == 3 and g.edges == ((0, 1, 1.0), (1, 2, 2.5))
+        assert g.n == 3 and g.edges == ((0, 1), (1, 2), (2, 0))
 
     def test_constraint_form_maxcut_loads_as_graph(self):
         doc = {"n": 3, "kind": "maxcut", "constraints": [
             {"scope": [1, 2], "b": -1}, {"scope": [0, 1], "b": -1}, {"scope": [1, 2], "b": -1}]}
         g = instance_from_json(json.dumps(doc))
-        assert g == WeightedGraph(n=3, edges=((1, 2, 1.0), (0, 1, 1.0), (1, 2, 1.0)))
+        assert g == WeightedGraph(n=3, edges=((1, 2), (0, 1), (1, 2)))
         # it saves in edge form
         assert instance_to_json(g) == '{"edges":[[1,2,1.0],[0,1,1.0],[1,2,1.0]],"kind":"maxcut","n":3}'
         assert instance_from_json('{"n": 4, "kind": "maxcut"}') == WeightedGraph(n=4, edges=())
@@ -762,7 +793,7 @@ class TestSerialization:
             instance_from_json(json.dumps(doc))
 
     def test_graph_constraints_are_its_edges(self):
-        g = WeightedGraph(n=4, edges=((2, 0, 1.0), (1, 3, 1), (2, 0, 1.0)))
+        g = WeightedGraph(n=4, edges=((2, 0), (1, 3), (2, 0)))
         assert g.constraints == tuple(
             Constraint(scope=s, b=-1) for s in ((2, 0), (1, 3), (2, 0)))
         assert g.constraints is g.constraints
@@ -770,61 +801,62 @@ class TestSerialization:
         assert WeightedGraph(n=3, edges=()).max_arity == 2
         assert WeightedGraph(n=3, edges=()).constraints == ()
 
-    def test_weighted_graph_has_no_constraints(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 2.0)))
-        with pytest.raises(ValueError, match="^only unweighted graphs"):
-            g.constraints
-        with pytest.raises(ValueError, match="^only unweighted graphs"):
-            constraint_groups(g)
-        # a weighted graph is still a graph: its degrees and values need no constraints
-        assert degrees(g).tolist() == [1, 2, 1]
-        assert eval_value(g, [1, -1, 1]) == 3.0
-
 
 class TestGraphValidation:
     def test_self_loop(self):
         with pytest.raises(ValueError):
-            WeightedGraph(n=2, edges=((1, 1, 1.0),))
+            WeightedGraph(n=2, edges=((1, 1),))
 
     def test_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(n=2, edges=((0, 1, 0.0),))
+        # a weight is checked where a file is read, and 0 is not 1
+        with pytest.raises(ValueError, match=r"^edge weight must be 1, got \[0, 1, 0.0\]$"):
+            instance_from_json('{"edges":[[0,1,0.0]],"kind":"maxcut","n":2}')
 
     @staticmethod
     def loop_check(n, edges):
         """The edge-by-edge check the column check must agree with."""
-        for u, v, w in edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if not w > 0:
-                raise ValueError(f"edge weight must be positive, got {w}")
-            if w == math.inf:
-                raise ValueError(f"edge weight must be finite, got {w}")
+
+    @classmethod
+    def file_check(cls, n, edges):
+        """A file's edges [u, v, w]: every weight, then the (u, v) pairs."""
+        for edge in edges:
+            if not edge[2] == 1:
+                raise ValueError(f"edge weight must be 1, got {list(edge)}")
+        cls.loop_check(n, [edge[:2] for edge in edges])
 
     @pytest.mark.parametrize("edges,message", [
         (((0, 1, 1.0), (2, 2, 1.0), (0, 9, 1.0)), "self-loop at vertex 2"),
         (((0, 1, 1.0), (0, 3, 1.0), (2, 2, 1.0)), r"edge \(0,3\) out of range for n=3"),
         (((-1, 1, 1.0),), r"edge \(-1,1\) out of range for n=3"),
-        (((0, 1, 1.0), (1, 2, -0.5), (1, 1, 1.0)), "edge weight must be positive, got -0.5"),
-        (((0, 1, 0),), "edge weight must be positive, got 0"),
-        (((0, 1, float("nan")),), "edge weight must be positive, got nan"),
+        (((0, 1, 1.0), (1, 2, -0.5), (1, 1, 1.0)), r"edge weight must be 1, got \[1, 2, -0.5\]"),
+        (((0, 1, 0),), r"edge weight must be 1, got \[0, 1, 0\]"),
+        (((0, 1, float("nan")),), r"edge weight must be 1, got \[0, 1, nan\]"),
         (((float("nan"), 1, 1.0),), r"edge \(nan,1\) out of range for n=3"),
         (((2 ** 70, 1, 1.0),), r"edge \(1180591620717411303424,1\) out of range for n=3"),
-        (((0, 1, 1.0), (1, 2, math.inf)), "edge weight must be finite, got inf"),
-        (((0, 1, np.float32("inf")),), "edge weight must be finite, got inf"),
+        (((0, 1, 1.0), (1, 2, math.inf)), r"edge weight must be 1, got \[1, 2, inf\]"),
+        (((0, 3, 1.0), (1, 1, 2.0)), r"edge weight must be 1, got \[1, 1, 2.0\]"),
     ])
     def test_first_offending_edge_named(self, edges, message):
+        """A file names the first edge whose weight is not 1, else the first
+        invalid (u, v) pair, which the constructor names alike."""
+        text = json.dumps({"n": 3, "kind": "maxcut", "edges": [list(e) for e in edges]})
         with pytest.raises(ValueError, match=f"^{message}$"):
-            WeightedGraph(n=3, edges=edges)
+            instance_from_json(text)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            self.loop_check(3, edges)
+            self.file_check(3, edges)
+        if all(edge[2] == 1 for edge in edges):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                WeightedGraph(n=3, edges=[edge[:2] for edge in edges])
 
     @pytest.mark.parametrize("edges", [
-        (("0", "1", 1.0),), ((None, 1, 1.0),), ((0, 1),), ((0, 1, 1.0, 2),),
-        ((0, 1, 1.0), (0, 1, 2, 9), (1, 2)), ((0, 1, [1.0]),), (5,), ((0, 1, 1 + 0j),),
-        ((0, 1, 1.0), (1, 2, "x")),
+        (("0", "1"),), ((None, 1),), ((0, 1, 1.0),), ((0,),),
+        ((0, 1), (0, 1, 2, 9), (1, 2)), ((0, [1]),), (5,), ((0, 1 + 0j),),
+        ((0, 1), (1, "x")),
     ])
     def test_other_rejections_unchanged(self, edges):
         with pytest.raises(Exception) as new:
@@ -834,30 +866,24 @@ class TestGraphValidation:
         assert type(new.value) is type(ref.value) and str(new.value) == str(ref.value)
 
     def test_accepted_edges_and_columns(self):
-        cases = [
-            ((0, 1, 1.0), (1, 2, 2.5)), ((0, 2, 3),),
-            ((np.int64(0), np.int64(2), np.float64(3.0)),), (),
-        ]
+        cases = [((0, 1), (1, 2)), ((0, 2),), ((np.int64(0), np.int64(2)),), ([1, 0], (2, 1)), ()]
         for edges in cases:
             g = WeightedGraph(n=3, edges=edges)
-            arr = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
-            u, v, w = g.edge_arrays()
-            assert u.dtype == v.dtype == np.int64 and w.dtype == np.float64
-            assert u.tolist() == arr[:, 0].astype(np.int64).tolist()
-            assert v.tolist() == arr[:, 1].astype(np.int64).tolist()
-            assert w.tolist() == arr[:, 2].tolist()
+            arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            u, v = g.edge_arrays()
+            assert u.dtype == v.dtype == np.int64
+            assert u.tolist() == arr[:, 0].tolist() and v.tolist() == arr[:, 1].tolist()
             assert instance_from_json(instance_to_json(g)) == g
         # two ids that float64 rounds to one value stay two ids
-        g = WeightedGraph(n=2 ** 60, edges=((2 ** 53, 2 ** 53 + 1, 1.0),))
-        assert [a.tolist() for a in g.edge_arrays()[:2]] == [[2 ** 53], [2 ** 53 + 1]]
+        g = WeightedGraph(n=2 ** 60, edges=((2 ** 53, 2 ** 53 + 1),))
+        assert [a.tolist() for a in g.edge_arrays()] == [[2 ** 53], [2 ** 53 + 1]]
         assert instance_from_json(instance_to_json(g)) == g
 
     @pytest.mark.parametrize("edges", [
-        ((True, False, 1),), ((0.5, 1, 1.0),), ((0, 1, 1.0), (np.float64(1), 2, 1.0)),
-        ((0, 1, True),),
+        ((True, False),), ((0.5, 1),), ((0, 1), (np.float64(1), 2)), ((np.int64(0), np.bool_(True)),),
     ])
     def test_non_integer_endpoints_rejected(self, edges):
-        with pytest.raises(ValueError, match="^edge endpoints must be integers and its weight a number"):
+        with pytest.raises(ValueError, match="^edge endpoints must be integers, got"):
             WeightedGraph(n=3, edges=edges)
 
     def test_kind_invariants(self):
@@ -871,25 +897,23 @@ class TestGraphValidation:
 
 class TestDerivedDataOncePerObject:
     def graph(self):
-        return WeightedGraph(n=4, edges=((0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)))
+        return WeightedGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
 
     def test_edge_arrays_read_only_and_shared(self):
         g = self.graph()
-        u, v, w = g.edge_arrays()
-        for arr in (u, v, w):
+        u, v = g.edge_arrays()
+        for arr in (u, v):
             with pytest.raises(ValueError):
                 arr[0] = 3
         assert g.edge_arrays() is g.edge_arrays()
         assert u.tolist() == [0, 1, 2] and v.tolist() == [1, 2, 3]
-        assert w.tolist() == [1.0, 1.0, 2.0]
 
     def test_empty_graph_arrays(self):
         g = WeightedGraph(n=3, edges=())
-        u, v, w = g.edge_arrays()
-        assert u.shape == v.shape == w.shape == (0,)
-        assert u.dtype == np.int64 and w.dtype == np.float64
+        u, v = g.edge_arrays()
+        assert u.shape == v.shape == (0,)
+        assert u.dtype == v.dtype == np.int64
         assert g.degree_counts().tolist() == [0, 0, 0]
-        assert g.is_unweighted
 
     def test_degree_counts_read_only_and_shared(self):
         g = self.graph()
@@ -904,30 +928,32 @@ class TestDerivedDataOncePerObject:
         for name in ("n", "_columns", "edges"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
-        h = WeightedGraph.from_arrays(4, np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([1, 1, 2]))
+        h = WeightedGraph.from_arrays(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
         assert g == h and hash(g) == hash(h) and g != WeightedGraph(n=5, edges=g.edges)
+
+    @pytest.mark.parametrize("u, v", [
+        ([0, 1], [1.0, 2.0]), ([0, 1], [1]), ([[0, 1]], [[1, 2]]), ([True], [False])])
+    def test_from_arrays_refuses_other_columns(self, u, v):
+        with pytest.raises(ValueError, match="^edge columns must be 1-D, of one length and integer$"):
+            WeightedGraph.from_arrays(3, np.array(u), np.array(v))
 
     def test_triangles_match_neighbour_sets(self):
         rng = np.random.default_rng(0)
-        graphs = [weighted_graph(3), uniform_graph(1.0, seed=4), WeightedGraph(n=3, edges=()),
-                  WeightedGraph(n=3, edges=((0, 1, 1.0), (2, 1, 1.0), (0, 2, 1.0)))]
-        graphs += [WeightedGraph.from_arrays(8, u, (u + rng.integers(1, 8, 7)) % 8, np.ones(7))
+        graphs = [multigraph(3), multigraph(4, n=9, m=30), WeightedGraph(n=3, edges=()),
+                  WeightedGraph(n=3, edges=((0, 1), (2, 1), (0, 2)))]
+        graphs += [WeightedGraph.from_arrays(8, u, (u + rng.integers(1, 8, 7)) % 8)
                    for u in rng.integers(0, 8, size=(40, 7))]
         for g in graphs:
             neigh = [set() for _ in range(g.n)]
-            for u, v, _ in g.edges:
+            for u, v in g.edges:
                 neigh[u].add(v)
                 neigh[v].add(u)
-            assert g.has_triangle() == any(neigh[u] & neigh[v] for u, v, _ in g.edges)
+            assert g.has_triangle() == any(neigh[u] & neigh[v] for u, v in g.edges)
         assert graphs[3].has_triangle() and not graphs[2].has_triangle()
 
     def test_degree_counts_multigraph(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0)))
+        g = WeightedGraph(n=3, edges=((0, 1), (1, 0), (1, 2)))
         assert g.degree_counts().tolist() == [2, 3, 1]
-
-    def test_unit_weight_flag(self):
-        assert not self.graph().is_unweighted
-        assert WeightedGraph(n=2, edges=((0, 1, 1.0),)).is_unweighted
 
     def test_instance_degrees_read_only_and_shared(self):
         inst = CspInstance(n=4, constraints=(xor((0, 1)), xor((1, 2, 3))), kind="kxor")

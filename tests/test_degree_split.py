@@ -132,7 +132,7 @@ class TestDegreeStageLoss:
             run = lambda g: dp_maxcut_general_batch(g, eps, 0.0, gen(1), 1)[0]  # noqa: E731
             share = GENERAL_BUDGET_FRACTIONS[0]
         params = spy_noise_params(monkeypatch)
-        one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        one_edge = WeightedGraph(n=2, edges=((0, 1),))
         empty = WeightedGraph(n=2, edges=())
         run(one_edge)
         run(empty)
@@ -150,7 +150,7 @@ class TestDegreeStageLoss:
         # arity 2 even with no edges, so the edgeless graph draws at the
         # one-edge graph's parameter and the stage spends its share, not more
         params = spy_noise_params(monkeypatch)
-        one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        one_edge = WeightedGraph(n=2, edges=((0, 1),))
         empty = WeightedGraph(n=2, edges=())
         config = ExperimentConfig(algorithm="alg2", eps=(eps,), trials=1, seed=0)
         estimate_ratio(config, one_edge)
@@ -197,7 +197,7 @@ class TestDpShearerLoss:
             return real(values, threshold, param, rng, shape)
 
         monkeypatch.setattr(algo_maxcut, "noisy_above", spy)
-        one_edge = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        one_edge = WeightedGraph(n=2, edges=((0, 1),))
         empty = WeightedGraph(n=2, edges=())
         # the colourings are the first draws, so one seed gives both the same
         dp_shearer_batch(one_edge, eps, gen(3), 16)
@@ -225,7 +225,7 @@ class TestNoiseFloor:
         ("alg6", 2, 4.8e-16, 6e-16),  # eps/12
     ])
     def test_floor(self, algorithm, k, refused, runs):
-        problem = WeightedGraph(n=2, edges=((0, 1, 1.0),)) if k == 2 else one_constraint(k)
+        problem = WeightedGraph(n=2, edges=((0, 1),)) if k == 2 else one_constraint(k)
         g = gen(6)
         state = g.bit_generator.state
         with pytest.raises(ValueError, match=rf"epsilon = {refused} is too small for the degree stage") as exc:
@@ -271,7 +271,7 @@ class TestBudgetsMatchLedger:
             return real(graph, e, rng, trials)
 
         monkeypatch.setattr(algo_maxcut, "dp_shearer_batch", spy)
-        cycle = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4, 1.0) for i in range(4)))
+        cycle = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4) for i in range(4)))
         dp_maxcut_unbounded_batch(cycle, eps, gen(4), 1)
         ledger = dict(budget_ledger("alg5", eps))
         assert degree == [ledger["degree-noise"]]
@@ -298,7 +298,7 @@ class TestBudgetsMatchLedger:
 
         monkeypatch.setattr(algo_maxcut, "_check_amplification", check)
         monkeypatch.setattr(algo_maxcut, "exponential_mechanism", select)
-        graph = WeightedGraph(n=2, edges=((0, 1, 1.0),) * 600)
+        graph = WeightedGraph(n=2, edges=((0, 1),) * 600)
         for seed in range(5):
             dp_maxcut_general_batch(graph, eps, 0.0, gen(seed), 1)
         ledger = dict(budget_ledger("alg6", eps))
@@ -341,7 +341,7 @@ class TestStageBudget:
 
 class TestNoisyHighMask:
     CASES = [
-        (WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0))), 2),
+        (WeightedGraph(n=3, edges=((0, 1), (1, 2))), 2),
         (WeightedGraph(n=2, edges=()), 2),
         (one_constraint(3), 3),
         (CspInstance(n=4, constraints=(), kind="kxor"), 1),
@@ -379,7 +379,7 @@ class TestNoisyHighMask:
         assert np.all(np.abs(mask - ref) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / trials))
 
     def test_degrees_of_a_graph(self):
-        g = WeightedGraph(n=3, edges=((0, 1, 1.0), (0, 2, 1.0)))
+        g = WeightedGraph(n=3, edges=((0, 1), (0, 2)))
         assert degrees(g) is g.degree_counts()
         assert degrees(g).tolist() == [2, 1, 1]
 

@@ -513,7 +513,7 @@ class TestCdfCount:
 
 class TestEmOverAssignments:
     def graph3(self):
-        return WeightedGraph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)))
+        return WeightedGraph(n=3, edges=((0, 1), (1, 2)))
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     @pytest.mark.parametrize("active", [[0, 1, 2], []])
@@ -538,7 +538,7 @@ class TestEmOverAssignments:
     def test_single_edge_cut_probability(self):
         # one edge, the factorized selection exponent: budget 2.5 at
         # sensitivity 2 gives weight e^{2.5/4} to each cutting assignment
-        g = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        g = WeightedGraph(n=2, edges=((0, 1),))
         target = math.exp(2.5 / 4) / (1 + math.exp(2.5 / 4))
         rng = gen(17)
         trials = 100_000
@@ -626,7 +626,7 @@ def memo_kxor():
 
 
 def memo_graph():
-    return WeightedGraph(n=5, edges=((0, 1, 1.0), (1, 2, 2.0), (2, 3, 0.5), (3, 4, 1.0)))
+    return WeightedGraph(n=5, edges=((0, 1), (1, 2), (1, 2), (2, 3), (3, 4)))
 
 
 def disable_memo(monkeypatch):
@@ -747,8 +747,7 @@ class TestEmMemo:
         # noise lifts a few of 14 vertices above the threshold, a
         # different few on each seed
         rng = np.random.default_rng(5)
-        edges = tuple(tuple(rng.choice(14, size=2, replace=False).tolist()) + (1.0,)
-                      for _ in range(300))
+        edges = tuple(tuple(rng.choice(14, size=2, replace=False).tolist()) for _ in range(300))
         g = WeightedGraph(n=14, edges=edges)
         keys = set()
         for seed in range(60):

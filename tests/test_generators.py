@@ -79,11 +79,19 @@ class TestGenTriangleFreeGraph:
     def test_random_bipartite(self):
         g = gen_triangle_free_graph("random_bipartite", 5, 5, 12, seed=3)
         assert g.n == 10 and g.m == 12 and not g.has_triangle()
-        edges = {(u, v) for u, v, _ in g.edges}
+        edges = {(u, v) for u, v in g.edges}
         assert len(edges) == 12
         assert all(u < 5 <= v for u, v in edges)
         with pytest.raises(ValueError):
             gen_triangle_free_graph("random_bipartite", 2, 2, 5)
+
+    def test_negative_edge_count_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr(np.random, "Generator", no_draw)
+        with pytest.raises(ValueError, match="^requested -1 edges, a negative edge count$"):
+            gen_triangle_free_graph("random_bipartite", 2, 2, -1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -99,13 +107,13 @@ class TestGenTriangleFreeGraph:
         """The per-edge tuple construction the column generators replaced."""
         if kind == "even_cycle":
             (n,) = args
-            return n, tuple((i, (i + 1) % n, 1.0) for i in range(n))
+            return n, tuple((i, (i + 1) % n) for i in range(n))
         a, b, *rest = args
         if kind == "complete_bipartite":
-            return a + b, tuple((i, a + j, 1.0) for i in range(a) for j in range(b))
+            return a + b, tuple((i, a + j) for i in range(a) for j in range(b))
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         picks = gen.choice(a * b, size=rest[0], replace=False)
-        return a + b, tuple((int(p) // b, a + int(p) % b, 1.0) for p in sorted(picks))
+        return a + b, tuple((int(p) // b, a + int(p) % b) for p in sorted(picks))
 
     @pytest.mark.parametrize("kind, args, seed", [
         ("even_cycle", (4,), 0), ("even_cycle", (50,), 0), ("complete_bipartite", (1, 1), 0),
@@ -116,7 +124,7 @@ class TestGenTriangleFreeGraph:
         g = gen_triangle_free_graph(kind, *args, seed=seed)
         n, edges = self.tuple_reference(kind, *args, seed=seed)
         assert g == WeightedGraph(n=n, edges=edges) and g.edges == edges
-        doc = {"n": n, "kind": "maxcut", "edges": [list(e) for e in edges]}
+        doc = {"n": n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in edges]}
         assert instance_to_json(g) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
 
@@ -136,11 +144,11 @@ class TestGenHardFamily:
         ok, counterexample = verify_packing_separation(family)
         assert ok and counterexample is None
         for i in range(len(family.supports)):
-            g = family.graph(i)
-            opt, _ = brute_force_opt(g)
+            count, _ = brute_force_opt(family.graph(i))
             # complete bipartite on equal halves: the optimum cuts all
-            # weight * (n/4)^2 * 2 ... i.e. n * degree / 2
-            assert opt == pytest.approx(8 * family.degree / 2, rel=1e-12)
+            # (n/2)^2 unit edges, of weighted value n * degree / 2
+            assert count == (8 // 2) ** 2
+            assert family.weight * count == pytest.approx(8 * family.degree / 2, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,7 +166,7 @@ class TestGenHardFamily:
         family, _ = gen_hard_family(16, 0.3, 3, seed=4)
         for i in range(len(family.supports)):
             g = family.graph(i)
-            doc = {"n": g.n, "kind": "maxcut", "edges": [list(e) for e in g.edges]}
+            doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in g.edges]}
             assert instance_to_json(g) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
     def test_determinism(self):

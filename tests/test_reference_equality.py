@@ -86,8 +86,8 @@ def ref_eval_value(problem, x):
         sv = as_assignment(x, problem.n)
         if problem.m == 0:
             return 0.0
-        u, v, w = problem.edge_arrays()
-        return float(w[sv[u] != sv[v]].sum())
+        u, v = problem.edge_arrays()
+        return float((sv[u] != sv[v]).sum())
     xv = as_assignment(x, problem.n)
     return float(sum(c.evaluate(xv) for c in problem.constraints))
 
@@ -182,7 +182,7 @@ def ref_two_color_batch(graph, gen, trials):
     c2 = ref_fair_signs(gen, (trials, n))
     ell = np.zeros((trials, n), dtype=np.int64)
     if graph.m:
-        u, v, _ = graph.edge_arrays()
+        u, v = graph.edge_arrays()
         same = (c1[:, u] == c1[:, v]).astype(np.int64)
         rows = np.arange(trials)[:, None]
         np.add.at(ell, (rows, u[None, :]), same)
@@ -196,7 +196,7 @@ def ref_mutual_choice(n, edges, draws):
     len(adj))]. Returns the picks (-1 for none) and the matched (x, pick)
     pairs with x < pick, in vertex order."""
     nbrs = {}
-    for a, b, _ in edges:
+    for a, b in edges:
         nbrs.setdefault(a, []).append(b)
         nbrs.setdefault(b, []).append(a)
     chosen = [-1] * n
@@ -242,7 +242,7 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
         s1[high] = em_over_assignments_batch(graph, high.tolist(), epsilon / 6.0, 1.0, gen, 1)[0]
     rate = epsilon ** (1.0 + alpha) / 70.0
     low_edges = tuple(
-        (u, v, w) for u, v, w in graph.edges if not high_mask[u] and not high_mask[v]
+        (u, v) for u, v in graph.edges if not high_mask[u] and not high_mask[v]
     )
     kept = tuple(e for e in low_edges if gen.random() < rate)
     _, pairs = ref_mutual_choice(n, kept, gen.random(n))
@@ -679,19 +679,10 @@ def random_block(seed, n, trials=7):
     return (2 * rng.integers(0, 2, size=(trials, n)) - 1).astype(np.int8)
 
 
-def weighted_graph(seed, n=12, m=40):
-    rng = np.random.default_rng(seed)
-    edges = []
-    for _ in range(m):
-        u, v = rng.choice(n, size=2, replace=False).tolist()
-        edges.append((u, v, float(rng.uniform(0.1, 3.0))))
-    return WeightedGraph(n=n, edges=tuple(edges))
-
-
 def unit_graph(seed, n=12, m=30):
     rng = np.random.default_rng(seed)
     edges = tuple(
-        tuple(rng.choice(n, size=2, replace=False).tolist()) + (1.0,) for _ in range(m)
+        tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(m)
     )
     return WeightedGraph(n=n, edges=edges)
 
@@ -721,7 +712,7 @@ class TestEvalValue:
     def test_row_chunks(self, monkeypatch):
         from privcsp import csp_core
 
-        inst, g = mixed_instance(3), weighted_graph(3)
+        inst, g = mixed_instance(3), unit_graph(3)
         blocks = random_block(3, inst.n, 40), random_block(4, g.n, 40)
         whole = eval_value(inst, blocks[0]), eval_value(g, blocks[1])
         monkeypatch.setattr(csp_core, "VALUE_CHUNK_BITS", 5)
@@ -766,31 +757,6 @@ class TestValueEvaluators:
                          gen_random_kxor(GenSpec(n=12, m=30, k=3, seed=seed))):
                 for x in self.assignments(seed, inst.n):
                     assert associated_advantage(inst, x) == ref_associated_advantage(inst, x)
-
-
-class TestWeightedOrder:
-    """A weighted cut value adds the cut edges' weights in edge order, as
-    ValueChunks does, so a row of all_values equals eval_value of the
-    assignment the row decodes to, bit for bit."""
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_all_values(self, seed):
-        g = weighted_graph(seed)
-        table = all_values(g, range(g.n))
-        rows = np.random.default_rng(seed).integers(0, 1 << g.n, size=64)
-        block = assignment_rows(rows, g.n)
-        assert np.array_equal(eval_value(g, block), table[rows])
-        assert eval_value(g, block[0]) == table[rows[0]]
-
-    def test_edge_order_sum(self):
-        for seed in range(50):
-            g = weighted_graph(seed)
-            for x in random_block(seed, g.n):
-                total = 0.0
-                for u, v, w in g.edges:
-                    if x[u] != x[v]:
-                        total += w
-                assert eval_value(g, x) == total
 
 
 class TestAlg1:
@@ -878,7 +844,7 @@ class TestTwoColor:
         graphs = [unit_graph(s) for s in range(20)] + [WeightedGraph(n=5, edges=())]
         # a star of degree 600: its center counts about 300 same-color edges,
         # above the 255 of the narrowest type
-        graphs.append(WeightedGraph(n=601, edges=tuple((0, i, 1.0) for i in range(1, 601))))
+        graphs.append(WeightedGraph(n=601, edges=tuple((0, i) for i in range(1, 601))))
         for seed in SEEDS:
             g = graphs[seed % len(graphs)]
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -893,11 +859,11 @@ class TestTwoColor:
         # graphs with parallel edges and isolated vertices; 63 and 64
         # parallel edges put twice the largest degree on either side of int8
         graphs = [
-            WeightedGraph(n=6, edges=((0, 1, 1.0), (0, 1, 1.0), (1, 2, 1.0), (1, 2, 1.0),
-                                      (1, 2, 1.0), (4, 5, 1.0))),
-            WeightedGraph(n=4, edges=((2, 3, 1.0),)),
-            WeightedGraph(n=3, edges=((0, 1, 1.0),) * 63),
-            WeightedGraph(n=3, edges=((0, 1, 1.0),) * 64),
+            WeightedGraph(n=6, edges=((0, 1), (0, 1), (1, 2), (1, 2),
+                                      (1, 2), (4, 5))),
+            WeightedGraph(n=4, edges=((2, 3),)),
+            WeightedGraph(n=3, edges=((0, 1),) * 63),
+            WeightedGraph(n=3, edges=((0, 1),) * 64),
         ]
         assert [g._adjacency.dtype for g in graphs[2:]] == [np.int8, np.int16]
         for seed in range(50):
@@ -906,7 +872,7 @@ class TestTwoColor:
                 c1, c2, ell = _two_color_batch(g, gen_new, 16)
                 ref = ref_two_color_batch(g, gen_ref, 16)
                 assert same_result(c1, ref[0]) and same_result(c2, ref[1])
-                u, v, _ = g.edge_arrays()
+                u, v = g.edge_arrays()
                 incidence = np.zeros((g.m, g.n), dtype=np.int64)
                 incidence[np.arange(g.m), u] = incidence[np.arange(g.m), v] = 1
                 assert same_result(ell, (c1[:, u] == c1[:, v]).astype(np.int64) @ incidence)
@@ -917,7 +883,7 @@ class TestTwoColor:
         # from the returned counts, on the same colourings; dp_shearer's
         # offset d // 2 and any offset in 0..d // 2
         graphs = [unit_graph(s, n=9, m=25) for s in range(10)]
-        graphs += [WeightedGraph(n=3, edges=((0, 1, 1.0),) * 64), WeightedGraph(n=4, edges=())]
+        graphs += [WeightedGraph(n=3, edges=((0, 1),) * 64), WeightedGraph(n=4, edges=())]
         for seed in range(60):
             g = graphs[seed % len(graphs)]
             deg = g.degree_counts()
@@ -933,7 +899,7 @@ class TestTwoColor:
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 2.0, 800.0])
     def test_dp_shearer_batch(self, eps):
         graphs = [unit_graph(s, n=8, m=12) for s in range(10)]
-        graphs += [WeightedGraph(n=2, edges=((0, 1, 1.0),)), WeightedGraph(n=3, edges=())]
+        graphs += [WeightedGraph(n=2, edges=((0, 1),)), WeightedGraph(n=3, edges=())]
         for seed in SEEDS:
             g = graphs[seed % len(graphs)]
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -945,7 +911,7 @@ class TestTwoColor:
 class TestAlg1Batch:
     KXOR = [gen_random_kxor(GenSpec(n=30, m=12, k=k, seed=k, triangle_free=True))
             for k in (2, 3)]
-    CYCLE = WeightedGraph(n=8, edges=tuple((i, (i + 1) % 8, 1.0) for i in range(8)))
+    CYCLE = WeightedGraph(n=8, edges=tuple((i, (i + 1) % 8) for i in range(8)))
     # the audit's neighbouring pair: one constraint, and none
     PAIR = [CspInstance(n=4, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor"),
             CspInstance(n=4, constraints=(), kind="kxor")]
@@ -1093,7 +1059,7 @@ class TestHarness:
     K3 = CspInstance(n=9, constraints=tuple(
         Constraint(scope=(3 * i, 3 * i + 1, 3 * i + 2), b=(-1) ** i) for i in range(3)
     ) + (Constraint(scope=(0, 4, 8), b=1),), kind="kxor")
-    CYCLE = WeightedGraph(n=10, edges=tuple((i, (i + 1) % 10, 1.0) for i in range(10)))
+    CYCLE = WeightedGraph(n=10, edges=tuple((i, (i + 1) % 10) for i in range(10)))
     CASES = {
         "alg1": (KXOR, (0.5, 2.0)),
         "alg2": (KXOR, (0.5, 2.0)),
@@ -1144,7 +1110,7 @@ class TestKernelLaws:
         Constraint(scope=(0, 1, 2), b=1), Constraint(scope=(1, 3), b=-1),
         Constraint(scope=(3,), b=-1)), kind="kxor")
     GRAPH = WeightedGraph(n=4, edges=tuple(
-        (u, v, 1.0) for u, v in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))))
+        (u, v) for u, v in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))))
     CASES = {
         "alg1": (PATH, 1.0),
         # threshold 10000/15^4 = 0.2 against noise of scale 0.4
@@ -1241,7 +1207,7 @@ class TestAlg6Subsampling:
         # about 7% of the vertices clear the threshold through noise alone;
         # the graph is dense enough that even the smallest rate keeps edges
         graph = unit_graph(3, n=14, m=300)
-        u, v, _ = graph.edge_arrays()
+        u, v = graph.edge_arrays()
         seen = {}
         real_high, real_choice = algo_maxcut.noisy_high_mask, algo_maxcut._mutual_choice
 
@@ -1299,7 +1265,7 @@ class TestAlg6Subsampling:
                             for c in range(1 << n)])
         assert_law(rows, 2 / 3 / (1 << n) + pattern / 3)
         # one edge, whose endpoints noise sometimes lifts into the high set
-        graph = WeightedGraph(n=2, edges=((0, 1, 1.0),))
+        graph = WeightedGraph(n=2, edges=((0, 1),))
         rows = dp_maxcut_general_batch(graph, 0.1, 0.0, RngStream(11, 0).generator(), self.TRIALS)
         assert_same_law(rows, ref_rows("alg6", graph, 0.1, 0.0, 12, self.REF_TRIALS), 2)
 
