@@ -6,7 +6,6 @@ from .csp_core import (
     Constraint,
     CspInstance,
     ResourceCapError,
-    WeightedGraph,
     associated_advantage,
     degrees,
     derivative_q,
@@ -31,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Constraint",
     "CspInstance",
-    "WeightedGraph",
     "ResourceCapError",
     "RngStream",
     "eval_value",

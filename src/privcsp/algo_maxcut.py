@@ -9,9 +9,10 @@
   matching with a factorized exponential mechanism, and a final
   three-way selection, each stage one block draw for all rows.
 
-All algorithms take a graph and return +-1 sides. Each is
-one batch kernel, its only entry point, that returns a (trials, n) int8
-block, one independent run per row; a single run is kernel(..., 1)[0].
+All algorithms take a graph, a CspInstance of kind 'maxcut', and return
++-1 sides; any other kind is refused before any draw. Each is one batch
+kernel, its only entry point, that returns a (trials, n) int8 block, one
+independent run per row; a single run is kernel(..., 1)[0].
 """
 
 from __future__ import annotations
@@ -21,19 +22,17 @@ import warnings
 
 import numpy as np
 
-from .csp_core import WeightedGraph, eval_value, signs_from_bits
+from .csp_core import CspInstance, constraint_groups, degrees, eval_value, signs_from_bits
 from .dp_mechanisms import (
     GENERAL_BUDGET_FRACTIONS,
-    _degree_stage_refusal,
     as_generator,
     check_alpha,
     check_epsilon,
     degree_split_batch,
-    em_on_part,
     exponential_mechanism,
     fair_signs,
     noisy_above,
-    noisy_high_mask,
+    noisy_degree_split,
     stage_budget,
     threshold_power,
 )
@@ -60,7 +59,15 @@ def matched_edge_cut_probability() -> float:
     return w / (1.0 + w)
 
 
-def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int, offset=0):
+def _edges(graph: CspInstance, kernel: str) -> np.ndarray:
+    """The read-only (2, m) rows u and v of a graph's edges; ValueError
+    naming the kernel for an instance of any other kind."""
+    if graph.kind != "maxcut":
+        raise ValueError(f"{kernel} requires a Max-Cut instance, got kind {graph.kind!r}")
+    return constraint_groups(graph)[0].scopes.T
+
+
+def _two_color_batch(graph: CspInstance, gen: np.random.Generator, trials: int, offset=0):
     """Common machinery: two uniform colorings (fair_signs blocks, c1 then
     c2) and per-vertex counts of neighbors sharing the first color, minus
     the per-vertex offset."""
@@ -77,7 +84,7 @@ def _two_color_batch(graph: WeightedGraph, gen: np.random.Generator, trials: int
     c1_t = c1.T.astype(adjacency.dtype, order="C")
     ell_t = adjacency @ c1_t
     ell_t *= c1_t
-    ell_t += (graph.degree_counts() - 2 * np.asarray(offset))[:, None]
+    ell_t += (degrees(graph) - 2 * np.asarray(offset))[:, None]
     ell_t //= 2
     return c1, c2, np.ascontiguousarray(ell_t.T, dtype=np.int64)
 
@@ -89,21 +96,22 @@ def _pick(take_first: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return signs_from_bits((take_first & (c1 > 0)) | (~take_first & (c2 > 0)))
 
 
-def shearer_batch(graph: WeightedGraph, rng, trials: int) -> np.ndarray:
+def shearer_batch(graph: CspInstance, rng, trials: int) -> np.ndarray:
     """Two-coloring local rule; one independent run per row of the returned
     (trials, n) int8 block. Keep the first color when strictly fewer than
     half the neighbors share it, switch to the second when strictly more
     do, and flip a fair coin on a tie. Draws, in order: the two colorings
     and the tie coins, three (trials, n) fair_signs blocks."""
+    _edges(graph, "shearer")
     gen = as_generator(rng)
     c1, c2, ell = _two_color_batch(graph, gen, trials)
-    deg = graph.degree_counts()
+    deg = degrees(graph)
     coin = fair_signs(gen, (trials, graph.n)) > 0
     ell *= 2
     return _pick((ell < deg) | ((ell == deg) & coin), c1, c2)
 
 
-def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> np.ndarray:
+def dp_shearer_batch(graph: CspInstance, epsilon: float, rng, trials: int) -> np.ndarray:
     """Pure-DP variant of the two-coloring rule; one independent run per
     row of the returned (trials, n) int8 block. The first color is kept
     unless the same-color count plus integer Laplace noise at epsilon/2
@@ -111,15 +119,16 @@ def dp_shearer_batch(graph: WeightedGraph, epsilon: float, rng, trials: int) -> 
     makes the sensitivity-2 count vector epsilon-DP. Draws, in order: the
     two colorings, (trials, n) fair_signs blocks, then one (trials, n)
     noisy_above block."""
+    _edges(graph, "dp_shearer")
     check_epsilon(epsilon, positive=True)
     gen = as_generator(rng)
     # ceil((d - 1) / 2) equals d // 2 for every nonnegative integer d
-    c1, c2, ell = _two_color_batch(graph, gen, trials, graph.degree_counts() // 2)
+    c1, c2, ell = _two_color_batch(graph, gen, trials, degrees(graph) // 2)
     return _pick(~noisy_above(ell, 0, epsilon / 2.0, gen, ell.shape), c1, c2)
 
 
 def dp_maxcut_unbounded_batch(
-    graph: WeightedGraph, epsilon: float, rng, trials: int
+    graph: CspInstance, epsilon: float, rng, trials: int
 ) -> np.ndarray:
     """Unbounded-degree private Max-Cut (alg5); one independent run per row
     of the returned (trials, n) int8 block.
@@ -133,6 +142,7 @@ def dp_maxcut_unbounded_batch(
     graph at epsilon/3. A fair coin picks the output; each of the three
     stages spends epsilon/3.
     """
+    _edges(graph, "alg5")
     check_epsilon(epsilon, positive=True)
     threshold = 10000.0 / threshold_power(epsilon, 2, "eps^2")
     return degree_split_batch(graph, epsilon, rng, trials, dp_shearer_batch, threshold)
@@ -181,7 +191,7 @@ def _check_amplification(rate: float, budget: float) -> None:
 
 
 def dp_maxcut_general_batch(
-    graph: WeightedGraph,
+    graph: CspInstance,
     epsilon: float,
     alpha: float,
     rng,
@@ -210,6 +220,7 @@ def dp_maxcut_general_batch(
     matched_edge_cut_probability() and the same side otherwise; one
     final-selection uniform per row.
     """
+    u, v = _edges(graph, "alg6")
     if not (0.0 < epsilon <= 0.1):
         raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon}")
     check_alpha(alpha)
@@ -226,13 +237,8 @@ def dp_maxcut_general_batch(
         )
     gen = as_generator(rng)
     n = graph.n
-    u, v = graph.edge_arrays()
-    degree_budget, threshold = stage_budget(epsilon, degree_share), 24.0 / eps_pow
-    try:
-        high = noisy_high_mask(graph, degree_budget, threshold, gen, trials)
-    except ValueError:  # a noise parameter below the sampler's floor
-        raise _degree_stage_refusal(epsilon, graph, degree_budget) from None
-    s1 = em_on_part(graph, high, stage_budget(epsilon, em_share), gen)
+    high, s1 = noisy_degree_split(graph, epsilon, degree_share, em_share, 24.0 / eps_pow,
+                                  gen, trials)
     kept = gen.random((trials, u.size)) < rate
     kept &= ~(high.take(u, axis=1) | high.take(v, axis=1))
     # one choice uniform per vertex regardless of degree, so a neighbouring

@@ -21,7 +21,6 @@ import sys
 
 from .csp_core import (
     Constraint,
-    CspInstance,
     ResourceCapError,
     eval_value,
     instance_to_json,
@@ -187,8 +186,7 @@ def _cmd_gen(args) -> int:
         )
     if args.out:
         save_instance(problem, args.out)
-        kind = "graph" if not isinstance(problem, CspInstance) else problem.kind
-        print(f"wrote {args.out}: n={problem.n}, m={problem.m}, kind={kind}")
+        print(f"wrote {args.out}: n={problem.n}, m={problem.m}, kind={problem.kind}")
     else:
         print(instance_to_json(problem))
     return EXIT_OK

@@ -6,35 +6,33 @@ predicate stored as an explicit truth table over its scope, or a parity
 1/2 + (b/2) * prod(x_i for i in scope) which is satisfied exactly when
 the scope product equals b.
 
-A CspInstance holds general or kxor constraints. A Max-Cut instance is
-a WeightedGraph, stored as n and read-only int64 edge columns u, v: every
+There is one instance type, CspInstance: n, a kind and the constraint
+groups, the constraints of one form (sign or truth table) and one arity
+each, as read-only arrays of constraint indices, scope indices, signs and
+tables. A Max-Cut graph is the CspInstance of kind 'maxcut' whose one
+group is the 2XOR group with every b = -1, one row (u, v) per edge: every
 edge weighs 1, the unit-constraint model of the paper's neighbouring
-instances, and a file's weights are checked at load. It is also
-Max-2XOR with every b = -1: a graph has kind 'maxcut', arity 2 and a
-constraint view, so graph and CSP algorithms alike run on it. Both types
-derive their constraint groups, scope distinctness, triangle-freeness
-and exponential-mechanism memo from their constraints in one shared
-base class.
+instances, and a file's weights are checked at load. CSP and graph
+algorithms alike run on it; the graph kernels refuse any other kind.
 
 instance_from_json reads a graph file that is exactly what
 instance_to_json writes (plus at most one final newline) from its bytes
-as arrays, and the graph keeps that text as its instance_to_json; every
-other text, CSP instances included, takes the general json.loads path.
+as arrays (CspInstance.from_edges), and the graph keeps that text as its
+instance_to_json; every other text takes the general json.loads path.
 
-No object is changed after construction; operations are pure.
-Data derived from an instance (a graph's edge pairs and constraint view;
-a CSP instance's maximum arity; either's degrees, scope distinctness,
-triangle-freeness, constraint groups and JSON text) is computed once per
-object, on first use, and returned read-only, so callers that run many
-trials on one instance pay for it once.
+No object is changed after construction; operations are pure. An
+instance's m and maximum arity are set when it is made; other data
+derived from it (its constraint view, degrees, summed mu, scope
+distinctness, triangle-freeness, a graph's adjacency, and its JSON text)
+is computed once per object, on first use, and returned read-only, so
+callers that run many trials on one instance pay for it once. No graph
+kernel and no value computation reads the constraint view.
 
 One evaluator, eval_value, computes values. It takes one assignment (a
 float comes back) or a (trials, n) block of assignments (a float64
-vector comes back, one value per row). It works on constraint groups:
-the constraints of one form (sign or truth table) and one arity, as
-arrays of scope indices, signs and tables; on a graph, on its edge
-columns. A value is the integer count of satisfied constraints (cut
-edges), so it is exact.
+vector comes back, one value per row). It works on the constraint
+groups, one at a time. A value is the integer count of satisfied
+constraints (cut edges), so it is exact.
 
 Exact enumeration (all_values, and brute_force_opt in oracles) runs on one
 kernel, ValueChunks. Over an ordered list `active` of k variables, row r
@@ -50,7 +48,7 @@ all_values.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,7 +74,6 @@ __all__ = [
     "Constraint",
     "CspInstance",
     "ConstraintGroup",
-    "WeightedGraph",
     "as_assignment",
     "eval_value",
     "associated_advantage",
@@ -131,12 +128,14 @@ class Constraint:
     table: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not all(type(i) is int or isinstance(i, np.integer) for i in self.scope):
+            raise ValueError(f"scope indices must be integers: {self.scope}")
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"scope indices must be distinct: {self.scope}")
         if len(self.scope) == 0:
             raise ValueError("scope must be nonempty")
-        if any(i < 0 for i in self.scope):
-            raise ValueError(f"scope indices must be nonnegative: {self.scope}")
+        if not all(0 <= i < 2 ** 63 for i in self.scope):
+            raise ValueError(f"scope indices must be nonnegative and below 2^63: {self.scope}")
         if (self.b is None) == (self.table is None):
             raise ValueError("exactly one of b or table must be given")
         if self.b is not None and self.b not in (-1, 1):
@@ -187,24 +186,23 @@ class ConstraintGroup:
 
     cons holds the constraints' indices in the instance, scopes their
     variables (one column per scope position), signs the b of each parity
-    constraint and tables each truth table (None for the other form).
+    constraint and tables each truth table (None for the other form); the
+    arrays are the ones given, made read-only.
     The methods take one assignment x or a block of them (last axis the n
     variables) and return one column per constraint.
     """
 
     def __init__(self, cons: np.ndarray, scopes: np.ndarray,
                  signs: np.ndarray | None, tables: np.ndarray | None) -> None:
-        self.cons, self.scopes, self.signs, self.tables = cons, scopes, signs, tables
-
-    @property
-    def arity(self) -> int:
-        return self.scopes.shape[1]
+        self.cons, self.scopes, self.signs, self.tables = (
+            None if a is None else _read_only(a) for a in (cons, scopes, signs, tables))
+        self.arity = scopes.shape[1]
 
     def products(self, x: np.ndarray) -> np.ndarray:
         """Product of x over each scope (int8 when x is)."""
         prod = x[..., self.scopes[:, 0]]
         for t in range(1, self.arity):
-            prod = prod * x[..., self.scopes[:, t]]
+            prod *= x[..., self.scopes[:, t]]
         return prod
 
     def table_index(self, x: np.ndarray) -> np.ndarray:
@@ -221,9 +219,118 @@ class ConstraintGroup:
         return self.tables[np.arange(len(self.cons)), self.table_index(x)] == 1
 
 
-class _ConstraintData:
-    """Data derived from a problem's constraints, computed on first use.
-    A subclass supplies n and constraints."""
+class CspInstance:
+    """A multiset of constraints over n variables, held as its constraint
+    groups (see ConstraintGroup). No instance changes after construction,
+    and == and hash compare by value.
+
+    kind is 'general', 'kxor' (every constraint in sign form) or 'maxcut': a
+    Max-Cut graph, Max-2XOR with every b = -1, whose one group is that 2XOR
+    group, also with no edges, so its max arity is 2. CspInstance(n,
+    constraints, kind) groups a constraint tuple, which seeds the
+    `constraints` view; from_edges builds a graph from two edge columns, and
+    its view is derived on first use.
+    """
+
+    def __init__(self, n: int, constraints: Iterable[Constraint], kind: str = "general") -> None:
+        constraints = tuple(constraints)
+        if kind == "maxcut" and not all(c.is_xor and c.arity == 2 and c.b == -1
+                                        for c in constraints):
+            raise ValueError("maxcut constraints must be 2XOR with b = -1")
+        if kind == "kxor" and not all(c.is_xor for c in constraints):
+            raise ValueError("kxor instances admit sign-form constraints only")
+        members: dict[tuple[bool, int], list[int]] = {(True, 2): []} if kind == "maxcut" else {}
+        for idx, c in enumerate(constraints):
+            members.setdefault((c.is_xor, c.arity), []).append(idx)
+        groups = []
+        for (is_xor, arity), idxs in sorted(members.items()):
+            cons = [constraints[i] for i in idxs]
+            signs = tables = None
+            if is_xor:
+                signs = np.array([c.b for c in cons], dtype=np.int8)
+            else:
+                tables = np.array([c.table for c in cons], dtype=np.int8)
+            groups.append(ConstraintGroup(
+                np.array(idxs, dtype=np.intp),
+                np.array([c.scope for c in cons], dtype=np.intp).reshape(-1, arity), signs, tables))
+        self._set(n, kind, groups)
+        self.__dict__["constraints"] = constraints
+
+    @classmethod
+    def from_edges(cls, n: int, u, v) -> CspInstance:
+        """The Max-Cut instance on n vertices with edges (u[i], v[i]), from
+        copies of two 1-D integer columns of one length."""
+        cols = [np.asarray(a) for a in (u, v)]
+        if {a.shape for a in cols} != {(cols[0].size,)} or not all(
+                a.dtype.kind in "iu" for a in cols):
+            raise ValueError("edge columns must be 1-D, of one length and integer")
+        m = cols[0].size
+        # the scopes in Fortran order, so that each column, u and v, is contiguous
+        group = ConstraintGroup(np.arange(m), np.array(cols, dtype=np.intp).T,
+                                np.full(m, -1, dtype=np.int8), None)
+        instance = cls.__new__(cls)
+        instance._set(n, "maxcut", [group])
+        return instance
+
+    def _set(self, n: int, kind: str, groups: list[ConstraintGroup]) -> None:
+        if not 0 <= n < 2 ** 63:
+            raise ValueError(f"variable count must be nonnegative and below 2^63, got {n}")
+        if kind not in ("general", "kxor", "maxcut"):
+            raise ValueError(f"unknown kind {kind!r}")
+        _check_scopes(n, kind, groups)
+        self.__dict__.update(n=n, kind=kind, _groups=tuple(groups),
+                             m=sum(len(group.cons) for group in groups),
+                             max_arity=max((group.arity for group in groups), default=0))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"CspInstance is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"CspInstance is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self._value == getattr(other, "_value", None)
+
+    def __hash__(self) -> int:
+        return hash(self._value)
+
+    def __repr__(self) -> str:
+        return f"CspInstance(n={self.n}, m={self.m}, kind={self.kind!r})"
+
+    @cached_property
+    def _value(self) -> tuple:
+        """n, kind and every group's arrays, as bytes: equal exactly for
+        instances with equal constraint tuples."""
+        return (self.n, self.kind, *(
+            (g.arity, *(None if a is None else a.tobytes()
+                        for a in (g.cons, g.scopes, g.signs, g.tables)))
+            for g in self._groups))
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """One Constraint per row of the groups, in constraint order."""
+        out: list = [None] * self.m
+        for g in self._groups:
+            forms = ({"b": b} for b in g.signs.tolist()) if g.signs is not None else (
+                {"table": tuple(t)} for t in g.tables.tolist())
+            for c, scope, form in zip(g.cons.tolist(), g.scopes.tolist(), forms):
+                out[c] = Constraint(scope=tuple(scope), **form)
+        return tuple(out)
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        deg = np.zeros(self.n, dtype=np.int64)
+        for g in self._groups:
+            deg += np.bincount(g.scopes.ravel(order="K"), minlength=self.n)
+        return _read_only(deg)
+
+    @cached_property
+    def _mu_sum(self) -> Fraction:
+        """The exact sum over the constraints of each one's mu: a parity is
+        satisfied by half of its 2^arity local assignments."""
+        return sum((Fraction(
+            len(g.cons) << (g.arity - 1) if g.tables is None else int(g.tables.sum()),
+            1 << g.arity) for g in self._groups), Fraction(0))
 
     def require_distinct_scopes(self) -> None:
         if not self._distinct_scopes:
@@ -235,27 +342,6 @@ class _ConstraintData:
         return len(scopes) == len(self.constraints)
 
     @cached_property
-    def _groups(self) -> tuple[ConstraintGroup, ...]:
-        members: dict[tuple[bool, int], list[int]] = {}
-        for idx, c in enumerate(self.constraints):
-            members.setdefault((c.is_xor, c.arity), []).append(idx)
-        groups = []
-        for (is_xor, arity), idxs in sorted(members.items()):
-            cons = [self.constraints[i] for i in idxs]
-            signs = tables = None
-            if is_xor:
-                signs = _read_only(np.array([c.b for c in cons], dtype=np.int8))
-            else:
-                tables = _read_only(np.array([c.table for c in cons], dtype=np.int8))
-            groups.append(ConstraintGroup(
-                cons=_read_only(np.array(idxs, dtype=np.intp)),
-                scopes=_read_only(np.array([c.scope for c in cons], dtype=np.intp)),
-                signs=signs,
-                tables=tables,
-            ))
-        return tuple(groups)
-
-    @cached_property
     def _triangle_free(self) -> bool:
         return _scan_triangle_free(self.constraints)
 
@@ -264,146 +350,34 @@ class _ConstraintData:
         """One-entry memo of dp_mechanisms.em_over_assignments_batch."""
         return {}
 
-
-@dataclass(frozen=True)
-class CspInstance(_ConstraintData):
-    """A multiset of constraints over n variables.
-
-    kind is 'general' or 'kxor' (every constraint in sign form). A Max-Cut
-    instance is a WeightedGraph.
-    """
-
-    n: int
-    constraints: tuple[Constraint, ...]
-    kind: str = "general"
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("variable count must be nonnegative")
-        if self.kind == "maxcut":
-            raise ValueError("a Max-Cut instance is a WeightedGraph, not a CspInstance")
-        if self.kind not in ("general", "kxor"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        for c in self.constraints:
-            if max(c.scope, default=-1) >= self.n:
-                raise ValueError(f"scope {c.scope} out of range for n={self.n}")
-            if self.kind == "kxor" and not c.is_xor:
-                raise ValueError("kxor instances admit sign-form constraints only")
-
-    @property
-    def m(self) -> int:
-        return len(self.constraints)
-
-    @cached_property
-    def max_arity(self) -> int:
-        return max((c.arity for c in self.constraints), default=0)
-
-    @cached_property
-    def _degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for c in self.constraints:
-            for i in c.scope:
-                deg[i] += 1
-        return _read_only(deg)
-
     @cached_property
     def _json_text(self) -> str:
-        """instance_to_json's text."""
-        cons = []
-        for c in self.constraints:
-            if c.is_xor:
-                cons.append({"scope": list(c.scope), "b": c.b})
-            else:
-                cons.append({"scope": list(c.scope), "table": list(c.table)})
+        """instance_to_json's text, from the groups' arrays (so numpy integers
+        in a Constraint are written as the integers they are). A graph's edges
+        are each [u,v,1.0] as json.dumps formats it, ids by %d;
+        _graph_from_text seeds it with the text it read."""
+        if self.kind == "maxcut":
+            edges = ("[%d,%d,1.0]," * self.m)[:-1] % tuple(self._groups[0].scopes.ravel().tolist())
+            return '{"edges":[%s],"kind":"maxcut","n":%d}' % (edges, self.n)
+        cons: list = [None] * self.m
+        for g in self._groups:
+            key, forms = (("b", g.signs.tolist()) if g.signs is not None
+                          else ("table", g.tables.tolist()))
+            for c, scope, form in zip(g.cons.tolist(), g.scopes.tolist(), forms):
+                cons[c] = {"scope": scope, key: form}
         doc = {"n": self.n, "kind": self.kind, "constraints": cons}
         return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
-
-@dataclass(frozen=True, eq=False, init=False, repr=False)
-class WeightedGraph(_ConstraintData):
-    """An undirected multigraph with no self-loops, every edge of weight 1: n and read-only
-    int64 edge columns u, v, from integer endpoints (never bool). `edges` is derived from
-    them; == and hash compare by value.
-
-    It is also the Max-2XOR instance of Max-Cut: kind 'maxcut', arity 2 (even with no
-    edges), and `constraints`, one 2XOR with b = -1 per edge. (The benchmark traces its
-    methods by this class name, so the name stays.)"""
-
-    kind = "maxcut"
-    max_arity = 2
-
-    def __init__(self, n: int, edges: Iterable) -> None:
-        edges = tuple(edges)
-        try:
-            cols = _pair_columns(edges)
-        except OverflowError:
-            cols = None
-        self.__dict__.update(n=n, _columns=tuple(map(_read_only, _check_edges(n, cols, edges))))
-
-    @classmethod
-    def from_arrays(cls, n: int, u, v) -> WeightedGraph:
-        """The graph with edges (u[i], v[i]), from copies of two 1-D integer
-        columns of one length."""
-        cols = [np.asarray(a) for a in (u, v)]
-        if {a.shape for a in cols} != {(cols[0].size,)} or not all(
-                a.dtype.kind in "iu" for a in cols):
-            raise ValueError("edge columns must be 1-D, of one length and integer")
-        cols = [a.astype(np.int64) for a in cols]
-        graph = cls.__new__(cls)
-        graph.__dict__.update(n=n, _columns=tuple(map(_read_only, _check_edges(n, cols, ()))))
-        return graph
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeightedGraph) and self.n == other.n and all(
-            map(np.array_equal, self._columns, other._columns))
-
-    def __hash__(self) -> int:
-        return hash((self.n, *(a.tobytes() for a in self._columns)))
-
-    @property
-    def m(self) -> int:
-        return self._columns[0].size
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*(a.tolist() for a in self._columns)))
-
-    @cached_property
-    def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(Constraint(scope=scope, b=-1) for scope in self.edges)
-
-    @cached_property
-    def _degrees(self) -> np.ndarray:
-        u, v = self._columns
-        deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
-        return _read_only(deg.astype(np.int64, copy=False))
-
     @cached_property
     def _adjacency(self) -> sparse.csr_array:
-        # (n, n) adjacency, a parallel edge counted once per copy, in the smallest
-        # signed dtype holding twice the largest degree
-        u, v = self._columns
+        # a graph's (n, n) adjacency, a parallel edge counted once per copy, in
+        # the smallest signed dtype holding twice the largest degree
+        if self.kind != "maxcut":
+            raise ValueError(f"an adjacency needs a Max-Cut instance, got kind {self.kind!r}")
+        u, v = self._groups[0].scopes.T
         dtype = np.min_scalar_type(-1 - 2 * int(self._degrees.max(initial=0)))
         ends = (np.concatenate((u, v)), np.concatenate((v, u)))
         return sparse.csr_array((np.ones(2 * u.size, dtype), ends), shape=(self.n, self.n))
-
-    @cached_property
-    def _json_text(self) -> str:
-        """instance_to_json's text, each edge [u,v,1.0] as json.dumps formats it, ids by %d.
-        _graph_from_text seeds it with the text it read."""
-        flat = [None] * (2 * self.m)
-        flat[0::2], flat[1::2] = (a.tolist() for a in self._columns)
-        edges = ("[%d,%d,1.0]," * self.m)[:-1] % tuple(flat)
-        return '{"edges":[%s],"kind":"maxcut","n":%d}' % (edges, self.n)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Returns the read-only (u, v) column arrays; empty arrays for no
-        edges."""
-        return self._columns
-
-    def degree_counts(self) -> np.ndarray:
-        """Read-only incident-edge counts per vertex."""
-        return self._degrees
 
     def has_triangle(self) -> bool:
         # an edge (x, y) of the adjacency A closes a triangle iff (A @ A)[x, y] > 0
@@ -411,40 +385,35 @@ class WeightedGraph(_ConstraintData):
         return bool((adj @ adj).multiply(adj).sum() > 0)
 
 
-_INTS = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+def _check_scopes(n: int, kind: str, groups: list[ConstraintGroup]) -> None:
+    """Raises for the first constraint, in constraint order, whose scope holds
+    an index outside [0, n) or one index twice; for a graph, the first edge
+    that is a self-loop or out of range (_check_edge). A Constraint's
+    indices are distinct, so only a graph's edge columns can repeat one."""
+    first = None
+    for g in groups:
+        s = g.scopes
+        loops = s[:, 0] == s[:, 1] if kind == "maxcut" else np.zeros(len(s), dtype=bool)
+        # whole-array extremes first: one pass each in the common, valid case
+        if loops.any() or s.size and (s.min() < 0 or s.max() >= n):
+            row = int((((s < 0) | (s >= n)).any(axis=1) | loops).argmax())
+            if first is None or g.cons[row] < first[0]:
+                first = (g.cons[row], g.scopes[row].tolist())
+    if first is None:
+        return
+    scope = first[1]
+    if kind == "maxcut":
+        _check_edge(n, *scope)
+    raise ValueError(f"scope {tuple(scope)} out of range for n={n}")
 
 
-def _pair_columns(edges: Sequence):
-    """The int64 u and v columns of a sequence of (u, v) lists or tuples, or None if an entry
-    is not one or has an endpoint not of _INTS."""
-    if not set(map(type, edges)) <= {tuple, list} or set(map(len, edges)) - {2}:
-        return None
-    flat = list(itertools.chain.from_iterable(edges))
-    if not set(map(type, flat)) <= _INTS:
-        return None
-    return np.array(flat[0::2], dtype=np.int64), np.array(flat[1::2], dtype=np.int64)
-
-
-def _check_edges(n: int, cols, edges: Sequence):
-    """cols, if every edge has distinct endpoints in [0, n); else raises for the first invalid
-    edge, walking edges (cols None) or the one the test found."""
-    if not 0 <= n < 2 ** 63:
-        raise ValueError(f"vertex count must be nonnegative and below 2^63, got {n}")
-    if cols is not None:
-        u, v = cols
-        bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
-        if not bad.any():
-            return cols
-        i = int(bad.argmax())
-        edges = (edges[i] if edges else (u[i].item(), v[i].item()),)
-    for edge in edges:
-        u, v = edge
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if _pair_columns([edge]) is None:
-            raise ValueError(f"edge endpoints must be integers, got {list(edge)}")
+def _check_edge(n: int, u, v) -> None:
+    """Raises ValueError naming (u, v) unless it is an edge of an n-vertex
+    graph: a self-loop first, then an endpoint outside [0, n)."""
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -452,7 +421,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def eval_value(problem: CspInstance | WeightedGraph, xs):
+def eval_value(problem: CspInstance, xs):
     """Number of satisfied constraints (cut edges) of one assignment, as a
     float, or of each row of a (trials, n) block of assignments, as a
     float64 vector.
@@ -479,7 +448,7 @@ def eval_value(problem: CspInstance | WeightedGraph, xs):
     return out
 
 
-def rows_per_chunk(problem: CspInstance | WeightedGraph) -> int:
+def rows_per_chunk(problem: CspInstance) -> int:
     """Rows of a (rows, n) assignment block per chunk, so that a chunk
     holds about 2^VALUE_CHUNK_BITS entries of the widest per-row array the
     value and the kernels build: n variables, or m * arity (row, scope
@@ -488,14 +457,12 @@ def rows_per_chunk(problem: CspInstance | WeightedGraph) -> int:
     return max(1, (1 << VALUE_CHUNK_BITS) // max(1, problem.n, width))
 
 
-def _block_values(problem: CspInstance | WeightedGraph, block: np.ndarray) -> np.ndarray:
-    if isinstance(problem, WeightedGraph):
-        u, v = problem.edge_arrays()
-        return (block[:, u] != block[:, v]).sum(axis=1).astype(np.float64)
-    count = np.zeros(block.shape[0], dtype=np.int64)
+def _block_values(problem: CspInstance, block: np.ndarray) -> np.ndarray:
+    # float64 holds every count exactly
+    count = np.zeros(block.shape[0])
     for group in problem._groups:
         count += group.satisfied(block).sum(axis=1)
-    return count.astype(np.float64)
+    return count
 
 
 def associated_advantage(instance: CspInstance, x) -> float:
@@ -503,9 +470,8 @@ def associated_advantage(instance: CspInstance, x) -> float:
     mu) / m, in exact fractions, so value = (mu + advantage) * m holds."""
     if instance.m == 0:
         raise ValueError("advantage undefined for an empty instance")
-    mu_sum = sum(map(_mu_constraint_exact, instance.constraints), Fraction(0))
     value = int(eval_value(instance, as_assignment(x, instance.n)))
-    return float((value - mu_sum) / instance.m)
+    return float((value - instance._mu_sum) / instance.m)
 
 
 def g_value(instance: CspInstance, x) -> float:
@@ -520,23 +486,18 @@ def g_value(instance: CspInstance, x) -> float:
     return (2 * eval_value(instance, xv) - instance.m) / np.sqrt(instance.m)
 
 
-def _mu_constraint_exact(c: Constraint) -> Fraction:
-    if c.is_xor:
-        return Fraction(1, 2)
-    return Fraction(sum(c.table), len(c.table))
-
-
 def mu(obj: Constraint | CspInstance) -> float:
     """Exact satisfaction probability under a uniform assignment.
 
-    For an instance, the average over constraints. Truth tables are
-    enumerated directly; arity is capped at construction time.
+    For an instance, the average over constraints, in exact fractions from
+    its groups. Truth tables are enumerated directly; arity is capped at
+    construction time.
     """
     if isinstance(obj, Constraint):
-        return float(_mu_constraint_exact(obj))
+        return 0.5 if obj.is_xor else sum(obj.table) / len(obj.table)
     if obj.m == 0:
         raise ValueError("mu undefined for an empty instance")
-    return float(sum(_mu_constraint_exact(c) for c in obj.constraints) / obj.m)
+    return float(obj._mu_sum / obj.m)
 
 
 def is_triangle_free(instance: CspInstance) -> bool:
@@ -570,9 +531,10 @@ def constraint_groups(instance: CspInstance) -> tuple[ConstraintGroup, ...]:
     return instance._groups
 
 
-def degrees(problem: CspInstance | WeightedGraph) -> np.ndarray:
-    """Read-only per-variable count of constraints whose scope contains the
-    variable; for a graph, its degree_counts()."""
+def degrees(problem: CspInstance) -> np.ndarray:
+    """Read-only int64 per-variable count of constraints whose scope
+    contains the variable (a graph's vertex degrees, a parallel edge counted
+    once per copy), computed once per instance."""
     return problem._degrees
 
 
@@ -659,45 +621,51 @@ def signs_from_bits(bits) -> np.ndarray:
 
 
 def _local_tables(
-    problem: CspInstance | WeightedGraph, active: Sequence[int]
+    problem: CspInstance, active: Sequence[int]
 ) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(positions in `active`, local table) for each constraint (edge)
-    whose scope lies inside `active`, in constraint order. A table has one
-    length-2 axis per scope variable, in scope order, where index 1 means
-    +1; it holds 0/1 counts in the smallest unsigned dtype that holds the
-    number of tables, one array per distinct table.
+    whose scope lies inside `active`, group by group (see ConstraintGroup),
+    in constraint order within a group. A table has one length-2 axis per
+    scope variable, in scope order, where index 1 means +1; it holds 0/1
+    counts in the smallest unsigned dtype that holds the number of tables,
+    one array per distinct table.
     """
     pos = {v: t for t, v in enumerate(active)}
     if len(pos) != len(active) or not all(0 <= v < problem.n for v in pos):
         raise ValueError(f"active variables must be distinct and in [0, {problem.n})")
-    if isinstance(problem, WeightedGraph):
-        u, v = problem.edge_arrays()
-        where = np.full(problem.n, -1)  # each vertex's position in `active`, -1 outside it
-        where[active] = np.arange(len(active))
-        keep = (where[u] >= 0) & (where[v] >= 0)
-        cut = np.array([[0, 1], [1, 0]], dtype=np.min_scalar_type(int(keep.sum())))
-        return [(ends, cut) for ends in zip(where[u[keep]].tolist(), where[v[keep]].tolist())]
-    inside = [c for c in problem.constraints if all(i in pos for i in c.scope)]
-    dtype = np.min_scalar_type(len(inside))
-    shared: dict[tuple, np.ndarray] = {}
+    where = np.full(problem.n, -1)  # each variable's position in `active`, -1 outside it
+    where[active] = np.arange(len(active))
+    inside = []
+    for group in problem._groups:
+        at = where[group.scopes]
+        keep = (at >= 0).all(axis=1)
+        forms = group.tables if group.signs is None else group.signs
+        inside.append((group.arity, at[keep], forms[keep], group.signs is not None))
+    dtype = np.min_scalar_type(sum(len(at) for _, at, _, _ in inside))
     tables = []
-    for c in inside:
-        key = (c.arity, c.b, c.table)
-        if key not in shared:
-            shared[key] = _count_table(c, dtype)
-        tables.append((tuple(pos[i] for i in c.scope), shared[key]))
+    for arity, at, forms, is_xor in inside:
+        if is_xor:  # sign -1 or +1, as table False (0) or True (1)
+            distinct, which = (-1, 1), forms > 0
+        else:
+            distinct, which = np.unique(forms, axis=0, return_inverse=True)
+            distinct = map(tuple, distinct.tolist())
+        shared = [_count_table(arity, form, dtype) for form in distinct]
+        tables += zip(zip(*at.T.tolist()), map(shared.__getitem__, which.reshape(-1).tolist()))
     return tables
 
 
-def _count_table(c: Constraint, dtype) -> np.ndarray:
-    """The constraint's 0/1 local table in dtype."""
-    if c.is_xor:
+@functools.lru_cache(maxsize=256)
+def _count_table(arity: int, form: int | tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+    """The read-only 0/1 local table in dtype of a constraint of this arity
+    and form, the sign b of a parity or a truth table; a few tables serve
+    most calls, so they are kept."""
+    if type(form) is int:
         # the product is b when the number of -1 signs is even for b = +1,
         # odd for b = -1; the count does not depend on the axis order
-        minus = c.arity - np.bitwise_count(np.arange(1 << c.arity))
-        return ((minus & 1) == (c.b < 0)).astype(dtype).reshape((2,) * c.arity)
+        minus = arity - np.bitwise_count(np.arange(1 << arity))
+        return _read_only(((minus & 1) == (form < 0)).astype(dtype).reshape((2,) * arity))
     # flat index bit t is scope position t, the last C-order axis
-    return np.asarray(c.table, dtype=dtype).reshape((2,) * c.arity).T
+    return _read_only(np.asarray(form, dtype=dtype).reshape((2,) * arity).T)
 
 
 class ValueChunks:
@@ -709,12 +677,12 @@ class ValueChunks:
     set. Each chunk fixes the bits from L = min(bits, VALUE_CHUNK_BITS) up
     and holds one entry per setting of the low L bits. Every constraint
     (edge) inside `active` adds its local table (see _local_tables), sliced
-    at the chunk's fixed bits and broadcast over the rest, in constraint
-    order. An entry is the row's hit count, its value.
+    at the chunk's fixed bits and broadcast over the rest, in
+    _local_tables's order. An entry is the row's hit count, its value.
     """
 
     def __init__(
-        self, problem: CspInstance | WeightedGraph, active: Sequence[int], bits: int
+        self, problem: CspInstance, active: Sequence[int], bits: int
     ) -> None:
         self.tables = _local_tables(problem, list(active))
         self.dtype = self.tables[0][1].dtype if self.tables else np.uint8
@@ -746,7 +714,7 @@ class ValueChunks:
 
 
 def all_values(
-    problem: CspInstance | WeightedGraph, active: Sequence[int]
+    problem: CspInstance, active: Sequence[int]
 ) -> np.ndarray:
     """Values of the sub-problem induced on `active`, for all 2^|active|
     assignments of the active variables, as float64.
@@ -767,7 +735,7 @@ _INSTANCE_FIELDS = {"n", "kind", "constraints", "edges"}
 _CONSTRAINT_FIELDS = {"scope", "b", "table"}
 
 
-def instance_to_json(problem: CspInstance | WeightedGraph) -> str:
+def instance_to_json(problem: CspInstance) -> str:
     """Compact JSON with sorted keys, as json.dumps formats it, formatted
     once per object; a graph's is the text it was read from, if it was."""
     return problem._json_text
@@ -780,12 +748,20 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def instance_from_json(text: str) -> CspInstance | WeightedGraph:
+def _json_list(value, field: str) -> list:
+    """value, if it is a JSON array."""
+    if type(value) is not list:
+        raise ValueError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def instance_from_json(text: str) -> CspInstance:
     """Parses instance_to_json's format. n, scope entries, b, table entries
     and edge endpoints must be JSON integers, anything else (a float, a
     bool, a string) is rejected, not rounded; each edge is [u, v, w] with w
     a JSON number equal to 1 (1, 1.0 or 1e0, never true or "1"), any other
-    weight is rejected naming the edge.
+    weight is rejected naming the edge. A field of the wrong JSON type, or a
+    missing one, raises ValueError naming it.
 
     Text that is exactly instance_to_json of a graph with edges, plus at
     most one final newline, is read as arrays (_graph_from_text); any other
@@ -803,7 +779,7 @@ _POW10 = 10 ** np.arange(_INT_DIGITS, dtype=np.int64)
 _INT_FLOOR = np.array([0, 0, *_POW10[1:]])
 
 
-def _graph_from_text(text: str) -> WeightedGraph | None:
+def _graph_from_text(text: str) -> CspInstance | None:
     """The graph of text that is exactly instance_to_json(graph) for a graph
     with edges, plus at most one final newline; None for any other text.
 
@@ -843,7 +819,7 @@ def _graph_from_text(text: str) -> WeightedGraph | None:
     ids = _int_tokens(data, ends, lengths, width)
     if ids is None:
         return None
-    graph = WeightedGraph.from_arrays(int(n_token), ids[:m], ids[m:])
+    graph = CspInstance.from_edges(int(n_token), ids[:m], ids[m:])
     graph.__dict__["_json_text"] = text
     return graph
 
@@ -860,7 +836,7 @@ def _int_tokens(data: np.ndarray, ends, lengths, width: int) -> np.ndarray | Non
     return values
 
 
-def _instance_from_doc(text: str) -> CspInstance | WeightedGraph:
+def _instance_from_doc(text: str) -> CspInstance:
     """instance_from_json through json.loads, for any text."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -876,53 +852,68 @@ def _instance_from_doc(text: str) -> CspInstance | WeightedGraph:
             raise ValueError("'edges' is only valid for kind 'maxcut'")
         if "constraints" in doc:
             raise ValueError("give either 'constraints' or 'edges', not both")
-        edges = doc["edges"]
+        edges = _json_list(doc["edges"], "'edges'")
         for edge in edges:
-            if not (type(edge) is list and len(edge) == 3 and type(edge[2]) in (int, float)
-                    and edge[2] == 1):
+            if not (type(edge) is list and len(edge) == 3):
+                raise ValueError(f"edge must be a list [u, v, 1], got {edge!r}")
+            if not (type(edge[2]) in (int, float) and edge[2] == 1):
                 raise ValueError(f"edge weight must be 1, got {edge}")
-        return WeightedGraph(n, (edge[:2] for edge in edges))
+        return CspInstance.from_edges(n, *_edge_columns(n, [edge[:2] for edge in edges]))
     cons = []
-    for entry in doc.get("constraints", []):
+    for entry in _json_list(doc.get("constraints", []), "'constraints'"):
         if not isinstance(entry, dict):
             raise ValueError(f"constraint must be a JSON object, got {entry!r}")
         unknown = set(entry) - _CONSTRAINT_FIELDS
         if unknown:
             raise ValueError(f"unknown constraint fields: {sorted(unknown)}")
-        scope = tuple(_json_int(i, "scope entry") for i in entry["scope"])
+        if "scope" not in entry:
+            raise ValueError("constraint requires 'scope'")
+        scope = tuple(_json_int(i, "scope entry") for i in _json_list(entry["scope"], "'scope'"))
         if "b" in entry and "table" in entry:
             raise ValueError("give either 'b' or 'table', not both")
         if "b" in entry:
             cons.append(Constraint(scope=scope, b=_json_int(entry["b"], "b")))
         elif "table" in entry:
-            table = tuple(_json_int(t, "table entry") for t in entry["table"])
+            table = tuple(_json_int(t, "table entry") for t in _json_list(entry["table"], "'table'"))
             cons.append(Constraint(scope=scope, table=table))
         else:
             raise ValueError("constraint requires 'b' or 'table'")
-    if kind == "maxcut":
-        if not all(c.is_xor and c.arity == 2 and c.b == -1 for c in cons):
-            raise ValueError("maxcut constraints must be 2XOR with b = -1")
-        return WeightedGraph(n, (c.scope for c in cons))
     return CspInstance(n=n, constraints=tuple(cons), kind=kind)
 
 
-def load_instance(path: str) -> CspInstance | WeightedGraph:
+def _edge_columns(n: int, pairs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 u and v columns of a document's [u, v] endpoint pairs.
+    Unless every endpoint is a JSON integer in [0, n), raises for the first
+    pair that is not an edge (_check_edge, comparing numbers as they are,
+    so a nan names its edge) or, where that passes, not two integers."""
+    flat = [a for pair in pairs for a in pair]
+    if set(map(type, flat)) <= {int} and 0 <= min(flat, default=0) and max(flat, default=-1) < n:
+        return np.array(flat[0::2], dtype=np.int64), np.array(flat[1::2], dtype=np.int64)
+    for u, v in pairs:
+        if {type(u), type(v)} <= {int, float}:
+            _check_edge(n, u, v)
+        if not type(u) is type(v) is int:
+            raise ValueError(f"edge endpoints must be integers, got {[u, v]}")
+
+
+def load_instance(path: str) -> CspInstance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_json(fh.read())
 
 
-def save_instance(problem: CspInstance | WeightedGraph, path: str) -> None:
+def save_instance(problem: CspInstance, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(instance_to_json(problem))
         fh.write("\n")
 
 
-def load_edge_list(path: str) -> WeightedGraph:
+def load_edge_list(path: str) -> CspInstance:
     """Parses the text format: one 'u v' or 'u v 1' line per edge (a weight
     token is any number equal to 1), with '#' comments and blank lines
-    ignored; vertices 0-indexed. Any other weight is rejected naming its
-    line."""
-    edges: list[tuple[int, int]] = []
+    ignored; vertices 0-indexed, n one more than the largest. A negative
+    endpoint, one that int64 cannot count past, or any other weight is
+    rejected naming its line."""
+    ends: list[int] = []
     max_vertex = -1
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -941,6 +932,8 @@ def load_edge_list(path: str) -> WeightedGraph:
                 ) from None
             if not unit:
                 raise ValueError(f"line {lineno}: edge weight must be 1, got {raw!r}")
-            edges.append((u, v))
+            if not (0 <= min(u, v) and max(u, v) < 2 ** 63 - 1):
+                raise ValueError(f"line {lineno}: endpoints must lie in [0, 2^63 - 1), got {raw!r}")
+            ends += (u, v)
             max_vertex = max(max_vertex, u, v)
-    return WeightedGraph(n=max_vertex + 1, edges=edges)
+    return CspInstance.from_edges(max_vertex + 1, *np.array(ends, dtype=np.int64).reshape(-1, 2).T)

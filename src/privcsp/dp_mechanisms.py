@@ -14,13 +14,14 @@ blocks over all sign assignments of a variable set. The one noise
 primitive, noisy_above, draws value + Z > threshold for integer Laplace
 noise Z as one uniform per entry against the exact tail, for the degree
 stage and dp_shearer; sample_discrete_laplace draws Z itself, the law the
-primitive is tested against. The noisy-degree split is three helpers that
-work on (trials, n) blocks, one run per row: noisy_high_mask (the degree
-stage), em_on_part (the exponential mechanism on each row's part) and
-degree_split_batch, the unbounded-degree pipeline of alg2, alg_oddk and
-alg5. The share tables give each stage its part of epsilon, budget_ledger
-lists them per ALGORITHMS id, and threshold_power rejects an epsilon
-whose degree-threshold power underflows.
+primitive is tested against. The noisy-degree split works on (trials, n)
+blocks, one run per row: noisy_high_mask (the degree stage) and
+em_on_part (the exponential mechanism on each row's part) make up
+noisy_degree_split, the one helper that alg6 and degree_split_batch (the
+unbounded-degree pipeline of alg2, alg_oddk and alg5) both call. The
+share tables give each stage its part of epsilon, budget_ledger lists
+them per ALGORITHMS id, and threshold_power rejects an epsilon whose
+degree-threshold power underflows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from .csp_core import (
     CspInstance,
     ResourceCapError,
-    WeightedGraph,
     all_values,
     assignment_rows,
     degrees,
@@ -74,6 +74,7 @@ __all__ = [
     "budget_ledger",
     "noisy_high_mask",
     "em_on_part",
+    "noisy_degree_split",
     "degree_split_batch",
 ]
 
@@ -280,7 +281,7 @@ def exponential_mechanism(scores, epsilon: float, sensitivity: float, rng) -> np
 
 
 def em_over_assignments_batch(
-    problem: CspInstance | WeightedGraph,
+    problem: CspInstance,
     active: Sequence[int],
     budget: float,
     sensitivity: float,
@@ -372,16 +373,6 @@ def _degree_noise(problem, budget: float) -> float:
     return budget / max(problem.max_arity, 1)
 
 
-def _degree_stage_refusal(epsilon: float, problem, budget: float) -> ValueError:
-    """A degree-split kernel's error at an epsilon whose degree stage,
-    handed budget, draws noise below noisy_above's floor."""
-    return ValueError(
-        f"epsilon = {epsilon} is too small for the degree stage: its noise parameter "
-        f"{_degree_noise(problem, budget)} is below the discrete-Laplace sampler's floor "
-        "(1 - exp(-parameter) rounds to 0)"
-    )
-
-
 def em_on_part(problem, part: np.ndarray, budget: float, rng):
     """A fair_signs block shaped like the (trials, n) bool block part, one
     part per row, with the variables of each row's part replaced by an
@@ -401,13 +392,34 @@ def em_on_part(problem, part: np.ndarray, budget: float, rng):
     return x
 
 
+def noisy_degree_split(problem, epsilon: float, degree_share: Fraction, em_share: Fraction,
+                       threshold: float, rng, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first two stages of a degree-split kernel, in draw order: the
+    (trials, n) bool high mask of noisy_high_mask at stage_budget(epsilon,
+    degree_share) against threshold, and the exponential-mechanism
+    candidate em_on_part draws on it at stage_budget(epsilon, em_share).
+    Returns (high, candidate). An epsilon whose degree noise parameter lies
+    below noisy_above's floor is refused, naming epsilon, before any draw."""
+    gen = as_generator(rng)
+    degree_budget = stage_budget(epsilon, degree_share)
+    try:
+        high = noisy_high_mask(problem, degree_budget, threshold, gen, trials)
+    except ValueError:  # a noise parameter below the sampler's floor
+        raise ValueError(
+            f"epsilon = {epsilon} is too small for the degree stage: its noise parameter "
+            f"{_degree_noise(problem, degree_budget)} is below the discrete-Laplace sampler's "
+            "floor (1 - exp(-parameter) rounds to 0)"
+        ) from None
+    return high, em_on_part(problem, high, stage_budget(epsilon, em_share), gen)
+
+
 def degree_split_batch(
     problem, epsilon: float, rng, trials: int, subroutine, threshold: float
 ) -> np.ndarray:
     """The unbounded-degree pipeline; one independent run per row of the
     returned (trials, n) int8 block. Input checks are the caller's.
 
-    The degree stage (noisy_high_mask) marks each row's high part: the
+    The degree stage (noisy_degree_split) marks each row's high part: the
     variables whose noisy degree exceeds threshold. One candidate is
     em_on_part on that part, uniform elsewhere; the other is the batch
     kernel subroutine(problem, budget, gen, trials) -> (trials, n) +-1
@@ -418,12 +430,7 @@ def degree_split_batch(
     """
     gen = as_generator(rng)
     degree_share, em_share, sub_share = UNBOUNDED_BUDGET_FRACTIONS
-    degree_budget = stage_budget(epsilon, degree_share)
-    try:
-        high = noisy_high_mask(problem, degree_budget, threshold, gen, trials)
-    except ValueError:  # a noise parameter below the sampler's floor
-        raise _degree_stage_refusal(epsilon, problem, degree_budget) from None
-    x1 = em_on_part(problem, high, stage_budget(epsilon, em_share), gen)
+    _, x1 = noisy_degree_split(problem, epsilon, degree_share, em_share, threshold, gen, trials)
     x2 = np.asarray(subroutine(problem, stage_budget(epsilon, sub_share), gen, trials))
     if x2.shape != x1.shape or not np.all(np.abs(x2) == 1):
         raise ValueError(

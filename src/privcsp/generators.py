@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csp_core import Constraint, CspInstance, WeightedGraph, is_triangle_free
+from .csp_core import Constraint, CspInstance, is_triangle_free
 from .dp_mechanisms import as_generator
 from .oracles import PackingFamily
 
@@ -128,7 +128,7 @@ def gen_random_kxor(spec: GenSpec) -> CspInstance:
     return instance
 
 
-def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> WeightedGraph:
+def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> CspInstance:
     """Triangle-free graphs.
 
     kind 'even_cycle' takes (n) with n even >= 4; 'complete_bipartite'
@@ -139,7 +139,7 @@ def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> WeightedGraph:
         (n,) = args
         if n < 4 or n % 2 != 0:
             raise ValueError("even_cycle needs an even n >= 4")
-        return WeightedGraph.from_arrays(n, np.arange(n), (np.arange(n) + 1) % n)
+        return CspInstance.from_edges(n, np.arange(n), (np.arange(n) + 1) % n)
     if kind == "complete_bipartite":
         a, b = args
         if a < 1 or b < 1:
@@ -157,7 +157,7 @@ def gen_triangle_free_graph(kind: str, *args, seed: int = 0) -> WeightedGraph:
         picks = np.sort(gen.choice(a * b, size=m, replace=False))
     else:
         raise ValueError(f"unknown triangle-free graph kind {kind!r}")
-    return WeightedGraph.from_arrays(a + b, picks // b, a + picks % b)
+    return CspInstance.from_edges(a + b, picks // b, a + picks % b)
 
 
 def gen_hard_family(

@@ -18,11 +18,10 @@ extend a run with fewer. `solve` is row 0 of a one-trial kernel call on
 RngStream(seed, 0), so it equals `ratio --trials 1` with the same seed.
 
 An instance is validated once per experiment, not once per trial: the
-checks the kernels repeat per call (triangle-freeness, degrees, edge
-columns, a graph's constraint view) read data the instance computed on
-first use. em_baseline's value table and CDF are
-built once per (instance, epsilon) as well: em_over_assignments_batch
-keeps the last CDF on the instance.
+checks the kernels repeat per call (triangle-freeness, degrees, a
+graph's adjacency) read data the instance computed on first use.
+em_baseline's value table and CDF are built once per (instance, epsilon)
+as well: em_over_assignments_batch keeps the last CDF on the instance.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from . import algo_csp, algo_maxcut
 from .csp_core import (
     Constraint,
     CspInstance,
-    WeightedGraph,
     degrees,
     eval_value,
     instance_to_json,
@@ -94,8 +92,9 @@ def _random_baseline_batch(problem, eps, alpha, gen, trials):
 
 
 # id -> kernel(problem, eps, alpha, gen, trials) -> (trials, n) block. The CSP
-# kernels (alg1 to alg_oddk and the baselines) take a CspInstance or a graph,
-# the graph kernels (shearer to alg6) a graph.
+# kernels (alg1 to alg_oddk and the baselines) take any CspInstance their
+# checks admit, a graph included; the graph kernels (shearer to alg6) refuse
+# every kind but 'maxcut'.
 ALGORITHMS: dict[str, Callable] = {
     "alg1": lambda p, e, a, g, t: algo_csp.alg1_batch(p, e, g, t),
     "alg2": lambda p, e, a, g, t: algo_csp.alg2_batch(p, e, g, t),
@@ -223,10 +222,9 @@ class ExperimentReport:
 
 
 def _baseline_value(problem) -> float:
-    """Expected value of a uniform assignment: mu times the constraint count."""
-    if isinstance(problem, WeightedGraph):
-        return 0.5 * problem.m
-    return mu(problem) * problem.m
+    """Expected value of a uniform assignment: mu times the constraint count,
+    0 with no constraints."""
+    return mu(problem) * problem.m if problem.m else 0.0
 
 
 def _run_one_eps(
@@ -300,16 +298,13 @@ def sweep(config: ExperimentConfig, problem) -> ExperimentReport:
 
 
 def _neighboring_delta(a, b) -> int:
-    """Number of constraints/edges by which two instances differ."""
-    if isinstance(a, WeightedGraph) != isinstance(b, WeightedGraph):
-        raise ValueError("pair must share a representation")
-    if isinstance(a, WeightedGraph):
-        items_a = sorted((min(u, v), max(u, v)) for u, v in a.edges)
-        items_b = sorted((min(u, v), max(u, v)) for u, v in b.edges)
-    else:
-        items_a = sorted((c.scope, c.b, c.table) for c in a.constraints)
-        items_b = sorted((c.scope, c.b, c.table) for c in b.constraints)
-    ca, cb = Counter(items_a), Counter(items_b)
+    """Number of constraints (edges) by which two instances of one kind
+    differ. A parity does not depend on its scope's order, so a sign
+    constraint's scope is taken as a set: the edges (1,0) and (0,1) are one."""
+    if a.kind != b.kind:
+        raise ValueError(f"pair must share a kind, got {a.kind!r} and {b.kind!r}")
+    ca, cb = (Counter((frozenset(c.scope) if c.is_xor else c.scope, c.b, c.table)
+                      for c in p.constraints) for p in (a, b))
     return sum((ca - cb).values()) + sum((cb - ca).values())
 
 
@@ -323,8 +318,8 @@ def _audit_randomized_response(epsilon: float, trials: int, rng) -> AuditReport:
 
 
 def _audit_dp_shearer(epsilon: float, trials: int, rng) -> AuditReport:
-    g_edge = WeightedGraph(n=2, edges=((0, 1),))
-    g_none = WeightedGraph(n=2, edges=())
+    g_edge = CspInstance(n=2, constraints=(Constraint(scope=(0, 1), b=-1),), kind="maxcut")
+    g_none = CspInstance(n=2, constraints=(), kind="maxcut")
     assert _neighboring_delta(g_edge, g_none) == 1
 
     def mech(graph, gen, t):

@@ -21,7 +21,6 @@ from .csp_core import (
     Constraint,
     CspInstance,
     ResourceCapError,
-    WeightedGraph,
     assignment_rows,
     derivative_q,
     eval_value,
@@ -61,10 +60,10 @@ __all__ = [
 ]
 
 
-def brute_force_opt(problem: CspInstance | WeightedGraph) -> tuple[float, np.ndarray]:
+def brute_force_opt(problem: CspInstance) -> tuple[float, np.ndarray]:
     """Exact maximum value and a first-found argmax assignment.
 
-    For graphs, the search space is halved by pinning the last vertex to
+    For a Max-Cut instance, the search space is halved by pinning the last vertex to
     side -1 (cut values are invariant under a global flip). Rows are scanned
     in ValueChunks order and the first row with the largest entry wins.
     The argmax runs on the chunks as ValueChunks yields them: integer hit
@@ -74,7 +73,7 @@ def brute_force_opt(problem: CspInstance | WeightedGraph) -> tuple[float, np.nda
     n = problem.n
     if n > BRUTE_FORCE_CAP:
         raise ResourceCapError(f"brute_force_opt: n = {n} exceeds cap {BRUTE_FORCE_CAP}")
-    halve = isinstance(problem, WeightedGraph) and n >= 1
+    halve = problem.kind == "maxcut" and n >= 1
     chunks = ValueChunks(problem, range(n), n - 1 if halve else n)
     best, best_row = None, 0
     for start, chunk in chunks:
@@ -525,10 +524,10 @@ class PackingFamily:
     def degree(self) -> float:
         return 1.0 / (128.0 * self.epsilon)
 
-    def graph(self, index: int) -> WeightedGraph:
+    def graph(self, index: int) -> CspInstance:
         s = np.array(sorted(set(self.supports[index])), dtype=np.int64)
         rest = np.setdiff1d(np.arange(self.n), s)
-        return WeightedGraph.from_arrays(self.n, np.repeat(s, rest.size), np.tile(rest, s.size))
+        return CspInstance.from_edges(self.n, np.repeat(s, rest.size), np.tile(rest, s.size))
 
 
 def verify_packing_separation(

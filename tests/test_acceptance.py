@@ -21,7 +21,7 @@ from privcsp.constants import AT_THRESHOLD_LOWER_C
 from privcsp.csp_core import (
     Constraint,
     CspInstance,
-    WeightedGraph,
+    constraint_groups,
     lambda_j,
 )
 from privcsp.dp_mechanisms import (
@@ -47,6 +47,17 @@ from privcsp.oracles import (
     threshold_pmf,
     verify_packing_separation,
 )
+
+
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
+
+def edge_columns(g):
+    """A graph's u and v edge columns: the rows of its 2XOR group's scopes."""
+    return constraint_groups(g)[0].scopes.T
 
 
 def gen(seed, stream=0):
@@ -158,7 +169,7 @@ def test_criterion_05_dp_shearer_per_edge_and_trend():
         (500, gen_triangle_free_graph("even_cycle", 50)),
         (501, gen_triangle_free_graph("complete_bipartite", 5, 5)),
     ):
-        u, v = graph.edge_arrays()
+        u, v = edge_columns(graph)
         for eps in (0.5, 1.0):
             rows = dp_shearer_batch(graph, eps, gen(seed + int(10 * eps)), trials)
             freqs = (rows[:, u] != rows[:, v]).mean(axis=0)
@@ -203,7 +214,7 @@ def test_criterion_07_single_constraint_hardness_bound():
     ok = rep_em.satisfaction_prob <= rep_em.bound + bound_slack
 
     def cut_mech(inst, g, t):
-        graph = WeightedGraph(n=inst.n, edges=(c.scope for c in inst.constraints))
+        graph = cut_graph(inst.n, (c.scope for c in inst.constraints))
         return dp_shearer_batch(graph, eps, g, t)
 
     cut_candidates = [Constraint(scope=(0, 1), b=-1)]

@@ -15,7 +15,15 @@ from privcsp.algo_maxcut import (
     matched_edge_cut_probability,
     shearer_batch,
 )
-from privcsp.csp_core import WeightedGraph, eval_value, load_edge_list, load_instance
+from privcsp.csp_core import (
+    Constraint,
+    CspInstance,
+    constraint_groups,
+    degrees,
+    eval_value,
+    load_edge_list,
+    load_instance,
+)
 from privcsp.dp_mechanisms import (
     UNBOUNDED_BUDGET_FRACTIONS,
     RngStream,
@@ -25,24 +33,38 @@ from privcsp.dp_mechanisms import (
 from privcsp.generators import gen_triangle_free_graph
 
 
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
+
+def edge_list(g):
+    """A graph's edges, as (u, v) tuples in edge order."""
+    return tuple(c.scope for c in g.constraints)
+
+
+def edge_columns(g):
+    """A graph's u and v edge columns: the rows of its 2XOR group's scopes."""
+    return constraint_groups(g)[0].scopes.T
+
+
 def gen(seed=0):
     return RngStream(seed, 0).generator()
 
 
 def cycle(n):
-    return WeightedGraph(n=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+    return cut_graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def k33():
-    return WeightedGraph(
-        n=6, edges=tuple((i, 3 + j) for i in range(3) for j in range(3))
-    )
+    return cut_graph(6, tuple((i, 3 + j) for i in range(3) for j in range(3)))
 
 
 def mutual_choice(graph, kept, draws):
     """_mutual_choice on a graph's edges: the picks, and each row's matched
     edges as sorted (lower, upper) tuples."""
-    u, v = graph.edge_arrays()
+    u, v = edge_columns(graph)
     chosen, rows, lower = _mutual_choice(graph.n, u, v, kept, draws)
     edges = [[] for _ in range(draws.shape[0])]
     for r, x in zip(rows.tolist(), lower.tolist()):
@@ -56,13 +78,32 @@ def all_kept(graph, trials, seed):
 
 
 def edge_cut_freqs(graph, rows):
-    u, v = graph.edge_arrays()
+    u, v = edge_columns(graph)
     return (rows[:, u] != rows[:, v]).mean(axis=0)
+
+
+class TestKindRefusal:
+    @pytest.mark.parametrize("name, call", [
+        ("shearer", lambda p, g: shearer_batch(p, g, 5)),
+        ("dp_shearer", lambda p, g: dp_shearer_batch(p, 1.0, g, 5)),
+        ("alg5", lambda p, g: dp_maxcut_unbounded_batch(p, 1.0, g, 5)),
+        ("alg6", lambda p, g: dp_maxcut_general_batch(p, 0.1, 0.0, g, 5)),
+    ])
+    def test_other_kinds_refused_before_any_draw(self, name, call):
+        # the 2XOR twin of a one-edge graph, and an empty general instance
+        for problem in (CspInstance(n=3, constraints=(Constraint(scope=(0, 1), b=-1),), kind="kxor"),
+                        CspInstance(n=3, constraints=())):
+            g = gen(4)
+            state = g.bit_generator.state
+            message = f"^{name} requires a Max-Cut instance, got kind {problem.kind!r}$"
+            with pytest.raises(ValueError, match=message):
+                call(problem, g)
+            assert g.bit_generator.state == state
 
 
 class TestCutAndLedger:
     def test_cut_validation(self):
-        g = WeightedGraph(n=2, edges=((0, 1),))
+        g = cut_graph(2, ((0, 1),))
         with pytest.raises(ValueError):
             eval_value(g, [1, 0])
         assert eval_value(g, np.array([1, -1])) == 1.0
@@ -105,10 +146,10 @@ class TestShearerBaseline:
         with pytest.raises(ValueError, match=r"^edge weight must be 1, got \[0, 1, 2.0\]$"):
             load_instance(str(path))
         with pytest.raises(ValueError):
-            WeightedGraph(n=2, edges=((0, 1, 2.0),))
+            cut_graph(2, ((0, 1, 2.0),))
 
     def test_isolated_vertex_uniform(self):
-        g = WeightedGraph(n=3, edges=((0, 1),))
+        g = cut_graph(3, ((0, 1),))
         rows = shearer_batch(g, gen(1), 100_000)
         assert abs(rows[:, 2].mean()) < 0.015
 
@@ -116,7 +157,7 @@ class TestShearerBaseline:
         # exhaustive over both colorings: distinct first colors force the
         # first coloring (cut), equal first colors force the second
         # (cut with probability 1/2), so Pr[cut] = 3/4 exactly
-        g = WeightedGraph(n=2, edges=((0, 1),))
+        g = cut_graph(2, ((0, 1),))
         rows = shearer_batch(g, gen(2), 200_000)
         p = float(edge_cut_freqs(g, rows)[0])
         sigma = math.sqrt(0.75 * 0.25 / rows.shape[0])
@@ -124,11 +165,11 @@ class TestShearerBaseline:
 
     def test_per_edge_bound(self):
         for graph in (cycle(6), k33()):
-            deg = graph.degree_counts()
+            deg = degrees(graph)
             rows = shearer_batch(graph, gen(3), 100_000)
             freqs = edge_cut_freqs(graph, rows)
             sigma = 0.5 / math.sqrt(rows.shape[0])
-            for (u, v), p in zip(graph.edges, freqs):
+            for (u, v), p in zip(edge_list(graph), freqs):
                 bound = (
                     0.5
                     + 1.0 / (8.0 * math.sqrt(2.0 * deg[u]))
@@ -149,7 +190,7 @@ class TestDpShearer:
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_rejected(self, eps):
         # a one-edge graph at eps=inf used to return an assignment
-        g = WeightedGraph(n=2, edges=((0, 1),))
+        g = cut_graph(2, ((0, 1),))
         with pytest.raises(ValueError, match="finite"):
             dp_shearer_batch(g, eps, gen(), 1)
         with pytest.raises(ValueError, match="finite"):
@@ -171,7 +212,7 @@ class TestDpShearer:
         p0 = (math.exp(eps / 2) - 1) / (math.exp(eps / 2) + 1)
         a = (1 + p0) / 2
         target = 0.25 + a / 2
-        g = WeightedGraph(n=2, edges=((0, 1),))
+        g = cut_graph(2, ((0, 1),))
         rows = dp_shearer_batch(g, eps, gen(5), 200_000)
         p = float(edge_cut_freqs(g, rows)[0])
         sigma = math.sqrt(target * (1 - target) / rows.shape[0])
@@ -192,7 +233,7 @@ class TestDpShearer:
         trials = 100_000
         base = shearer_batch(graph, gen(7), trials)
         noisy = dp_shearer_batch(graph, 50.0, gen(8), trials)
-        u, v = graph.edge_arrays()
+        u, v = edge_columns(graph)
         base_sizes = (base[:, u] != base[:, v]).sum(axis=1)
         noisy_sizes = (noisy[:, u] != noisy[:, v]).sum(axis=1)
         hist_a = np.bincount(base_sizes, minlength=10) / trials
@@ -205,10 +246,10 @@ class TestDpShearer:
         # exactly when it takes the first colour; its frequency against the
         # sample_discrete_laplace formulation ell - d // 2 + zeta <= 0, zeta
         # at eps/2, at 4 sigma; vertex 6 is isolated
-        graph = WeightedGraph(n=7, edges=tuple((a, b) for a, b in (
+        graph = cut_graph(7, tuple((a, b) for a, b in (
             (0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 5), (1, 2), (3, 5))))
         c1 = np.array([1, 1, -1, -1, 1, 1, -1], dtype=np.int8)
-        u, v = graph.edge_arrays()
+        u, v = edge_columns(graph)
         same = c1[u] == c1[v]
         ell = np.bincount(u, same, graph.n) + np.bincount(v, same, graph.n)
         trials = 400_000
@@ -221,7 +262,7 @@ class TestDpShearer:
         monkeypatch.setattr(algo_maxcut, "_two_color_batch", fixed)
         take_first = (dp_shearer_batch(graph, eps, gen(12), trials) == c1).mean(axis=0)
         zeta = sample_discrete_laplace(eps / 2.0, gen(13), size=(trials, graph.n))
-        ref = (ell - graph.degree_counts() // 2 + zeta <= 0).mean(axis=0)
+        ref = (ell - degrees(graph) // 2 + zeta <= 0).mean(axis=0)
         pooled = (take_first + ref) / 2
         assert np.all(np.abs(take_first - ref) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / trials))
 
@@ -267,12 +308,12 @@ class TestDpMaxcutUnbounded:
 
 class TestMutualChoiceMatching:
     def test_single_edge_forced(self):
-        g = WeightedGraph(n=2, edges=((0, 1),))
+        g = cut_graph(2, ((0, 1),))
         chosen, edges = mutual_choice(g, *all_kept(g, 5, 12))
         assert edges == [[(0, 1)]] * 5 and np.array_equal(chosen, [[1, 0]] * 5)
 
     def test_path_halves(self):
-        g = WeightedGraph(n=3, edges=((0, 1), (1, 2)))
+        g = cut_graph(3, ((0, 1), (1, 2)))
         trials = 50_000
         _, edges = mutual_choice(g, *all_kept(g, trials, 13))
         assert all(len(row) == 1 for row in edges)
@@ -291,7 +332,7 @@ class TestMutualChoiceMatching:
             kept = rng.random((5, g.m)) < 0.5
             _, edges = mutual_choice(g, kept, rng.random((5, g.n)))
             for r, row in enumerate(edges):
-                kept_set = {tuple(sorted(g.edges[i])) for i in np.flatnonzero(kept[r])}
+                kept_set = {tuple(sorted(edge_list(g)[i])) for i in np.flatnonzero(kept[r])}
                 assert set(row) <= kept_set
 
     @staticmethod
@@ -299,7 +340,7 @@ class TestMutualChoiceMatching:
         """The adjacency-list walk the column kernel replaced, on one row of
         choice uniforms."""
         adj = [[] for _ in range(graph.n)]
-        for u, v in graph.edges:
+        for u, v in edge_list(graph):
             adj[u].append(v)
             adj[v].append(u)
         choices = [int(sorted(a)[int(draws[v] * len(a))]) if a else -1 for v, a in enumerate(adj)]
@@ -311,11 +352,11 @@ class TestMutualChoiceMatching:
         # multigraphs with isolated vertices, repeated edges and both
         # orientations, all edges kept in every row, exactly on the same uniforms
         rng = gen(16)
-        graphs = [WeightedGraph(n=0, edges=()), WeightedGraph(n=5, edges=()), cycle(6), k33()]
+        graphs = [cut_graph(0, ()), cut_graph(5, ()), cycle(6), k33()]
         for _ in range(300):
             n, m = int(rng.integers(2, 12)), int(rng.integers(0, 20))
             u = rng.integers(0, n, size=m)
-            graphs.append(WeightedGraph.from_arrays(n, u, (u + rng.integers(1, n, size=m)) % n))
+            graphs.append(CspInstance.from_edges(n, u, (u + rng.integers(1, n, size=m)) % n))
         for i, g in enumerate(graphs):
             kept, draws = all_kept(g, 3, i)
             chosen, edges = mutual_choice(g, kept, draws)
@@ -330,10 +371,10 @@ class TestMutualChoiceMatching:
         rng = gen(15)
         trials = 300
         g = gen_triangle_free_graph("random_bipartite", 6, 6, 12, seed=int(rng.integers(1 << 30)))
-        present = {tuple(sorted((u, v))) for u, v in g.edges}
+        present = {tuple(sorted((u, v))) for u, v in edge_list(g)}
         candidates = [(u, 6 + v) for u in range(6) for v in range(6) if (u, 6 + v) not in present]
         extra = candidates[int(rng.integers(len(candidates)))]
-        g2 = WeightedGraph(n=12, edges=g.edges + ((extra[0], extra[1]),))
+        g2 = cut_graph(12, edge_list(g) + ((extra[0], extra[1]),))
         kept, draws = all_kept(g2, trials, int(rng.integers(1 << 30)))
         _, m1 = mutual_choice(g, kept[:, :-1], draws)
         _, m2 = mutual_choice(g2, kept, draws)
@@ -379,7 +420,7 @@ class TestMatchingEmCut:
         assert abs(p_mid - 0.5) < 3.5 * math.sqrt(0.25 / trials)
 
     def test_unmatched_vertices_uniform(self, monkeypatch):
-        rows = self.matching_rows(monkeypatch, WeightedGraph(n=3, edges=()), (), 50_000, 17)
+        rows = self.matching_rows(monkeypatch, cut_graph(3, ()), (), 50_000, 17)
         assert np.all(np.abs(rows.mean(axis=0)) < 0.02)
 
 

@@ -14,8 +14,14 @@ from privcsp.cli import (
     build_parser,
     main,
 )
-from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, save_instance
+from privcsp.csp_core import Constraint, CspInstance, save_instance
 from privcsp.harness import ALGORITHMS
+
+
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
 
 
 def run(capsys, *argv):
@@ -41,6 +47,11 @@ class TestGen:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["n"] == 6
+
+    def test_graph_to_file_names_its_kind(self, tmp_path, capsys):
+        path = tmp_path / "cycle.json"
+        code, out, _ = run(capsys, "gen", "--kind", "even_cycle", "--n", "6", "--out", str(path))
+        assert code == EXIT_OK and out == f"wrote {path}: n=6, m=6, kind=maxcut\n"
 
     def test_infeasible_spec(self, capsys):
         code, _, err = run(
@@ -223,7 +234,7 @@ class TestSolveRatioSweep:
         # shearer and random_baseline never read eps, and em_baseline on an
         # edgeless graph draws nothing: they used to print it and exit 0
         path = tmp_path / "edgeless.json"
-        save_instance(WeightedGraph(n=4, edges=()), str(path))
+        save_instance(cut_graph(4, ()), str(path))
         code, out, err = run(
             capsys, "solve", "--algorithm", algorithm, "--instance", str(path), "--eps", eps
         )
@@ -341,6 +352,61 @@ class TestEdgeListLoading:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert len(doc["assignment"]) == 4
+
+    @pytest.mark.parametrize("line", ["-1 2", "2 -5 1", "0 9223372036854775807"])
+    def test_endpoint_out_of_reach_names_its_line(self, tmp_path, capsys, line):
+        # a negative endpoint used to surface as "edge (-1,2) out of range
+        # for n=3", naming no line
+        path = tmp_path / "graph.edges"
+        path.write_text(f"0 1\n{line}\n")
+        code, out, err = run(capsys, "solve", "--algorithm", "shearer", "--instance", str(path))
+        assert code == EXIT_VALIDATION and out == ""
+        assert err == f"error: line 2: endpoints must lie in [0, 2^63 - 1), got {line + chr(10)!r}\n"
+
+
+class TestGraphKernelsRefuseOtherKinds:
+    """The graph kernels take only a Max-Cut instance; on a kxor file they
+    used to die with an AttributeError traceback."""
+
+    @pytest.mark.parametrize("algorithm, eps", [
+        ("shearer", "1.0"), ("dp_shearer", "1.0"), ("alg5", "1.0"), ("alg6", "0.1")])
+    def test_kxor_file_exits_1(self, tmp_path, capsys, algorithm, eps):
+        path = tmp_path / "kxor.json"
+        code, _, _ = run(capsys, "gen", "--kind", "kxor", "--n", "8", "--m", "6", "--k", "2",
+                         "--seed", "1", "--out", str(path))
+        assert code == EXIT_OK
+        for command in (["solve"], ["ratio", "--trials", "3"], ["sweep", "--trials", "3"]):
+            code, out, err = run(capsys, *command, "--algorithm", algorithm,
+                                 "--instance", str(path), "--eps", eps)
+            assert code == EXIT_VALIDATION and out == ""
+            assert err == f"error: {algorithm} requires a Max-Cut instance, got kind 'kxor'\n"
+
+
+class TestMalformedInstanceDocuments:
+    """A field of the wrong JSON type, or a missing one, exits 1 naming it;
+    TypeError and KeyError used to escape with a traceback."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 3, "kind": "maxcut", "edges": 5}, "'edges' must be a list, got 5"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"b": 1}]}, "constraint requires 'scope'"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 1.0], 7]},
+         "edge must be a list [u, v, 1], got 7"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, 1]]}, "edge must be a list [u, v, 1], got [0, 1]"),
+        ({"n": 3, "kind": "maxcut", "edges": [[0, "1", 1.0]]},
+         "edge endpoints must be integers, got [0, '1']"),
+        ({"n": 3, "kind": "kxor", "constraints": [{"scope": 0, "b": 1}]},
+         "'scope' must be a list, got 0"),
+        ({"n": 3, "kind": "kxor", "constraints": {"scope": [0, 1], "b": 1}},
+         "'constraints' must be a list, got {'scope': [0, 1], 'b': 1}"),
+        ({"n": 2, "kind": "general", "constraints": [{"scope": [0], "table": 1}]},
+         "'table' must be a list, got 1"),
+    ])
+    def test_exits_1_naming_the_field(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--algorithm", "random_baseline",
+                             "--instance", str(path))
+        assert code == EXIT_VALIDATION and out == "" and err == f"error: {message}\n"
 
 
 class TestAlg6Alpha:

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from privcsp.csp_core import (
     Constraint,
     CspInstance,
     ResourceCapError,
-    WeightedGraph,
     all_values,
     as_assignment,
     associated_advantage,
@@ -44,6 +44,29 @@ def all_rows(k):
     """Every +-1 assignment of k variables, in enumeration order: entry t
     of row r is +1 exactly when bit t of r is set."""
     return [np.array([1 if (r >> t) & 1 else -1 for t in range(k)]) for r in range(1 << k)]
+
+
+# WeightedGraph, the Max-Cut type merged into CspInstance, or an isinstance
+# test that picks a path by instance type (the name of what is tested, or the
+# type it is tested against)
+INSTANCE_TYPE_TEST = re.compile(
+    r"WeightedGraph|isinstance\((problem|graph|instance|inst|a|b|other)\b|isinstance\([^)]*CspInstance")
+
+
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
+
+def edge_list(g):
+    """A graph's edges, as (u, v) tuples in edge order."""
+    return tuple(c.scope for c in g.constraints)
+
+
+def edge_columns(g):
+    """A graph's u and v edge columns: the rows of its 2XOR group's scopes."""
+    return constraint_groups(g)[0].scopes.T
 
 
 def rand_instance(rng, n=8, m=6, k=3, kind="kxor"):
@@ -97,7 +120,7 @@ class TestEvalValue:
         assert eval_value(inst, [1, -1, 1]) == 0
 
     def test_maxcut_path(self):
-        g = WeightedGraph(n=3, edges=((0, 1), (1, 2)))
+        g = cut_graph(3, ((0, 1), (1, 2)))
         assert eval_value(g, [1, -1, 1]) == 2
 
     def test_length_mismatch(self):
@@ -122,7 +145,7 @@ class TestAdvantage:
         assert abs(total) < 1e-9
 
     def test_maxcut_single_edge(self):
-        g = WeightedGraph(n=2, edges=((0, 1),))
+        g = cut_graph(2, ((0, 1),))
         assert associated_advantage(g, [1, -1]) == 0.5
 
     def test_empty_raises(self):
@@ -232,7 +255,7 @@ class TestDegrees:
         assert degrees(inst).tolist() == [0, 1, 1, 1, 0]
 
     def test_cycle_degrees(self):
-        g = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4) for i in range(4)))
+        g = cut_graph(4, tuple((i, (i + 1) % 4) for i in range(4)))
         assert degrees(g).tolist() == [2, 2, 2, 2]
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -309,7 +332,7 @@ class TestEnumeration:
             assert vals[r] == eval_value(inst, row)
 
     def test_induced_subproblem_only(self):
-        g = WeightedGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+        g = cut_graph(4, ((0, 1), (1, 2), (2, 3)))
         vals = all_values(g, [0, 1])
         # only the (0,1) edge lies inside the active set
         assert vals.max() == 1.0 and vals.min() == 0.0
@@ -333,7 +356,7 @@ def multigraph(seed, n=8, m=16):
     """Random edges, the first one repeated at the end."""
     rng = np.random.default_rng(seed)
     edges = [tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(m)]
-    return WeightedGraph(n=n, edges=(*edges, edges[0]))
+    return cut_graph(n, (*edges, edges[0]))
 
 
 def reference_values(problem, active):
@@ -344,8 +367,8 @@ def reference_values(problem, active):
     for row in all_rows(len(active)):
         x = np.full(problem.n, -1)
         x[list(active)] = row
-        if isinstance(problem, WeightedGraph):
-            vals.append(sum(u in inside and v in inside and x[u] != x[v] for u, v in problem.edges))
+        if problem.kind == "maxcut":
+            vals.append(sum(u in inside and v in inside and x[u] != x[v] for u, v in edge_list(problem)))
         else:
             sub = CspInstance(n=problem.n, constraints=tuple(
                 c for c in problem.constraints if inside.issuperset(c.scope)))
@@ -387,7 +410,7 @@ class TestValueKernel:
         ))
         assert all_values(inst, []).tolist() == [0.0]
         assert all_values(inst, [0]).tolist() == [1.0, 1.0]
-        assert all_values(WeightedGraph(n=2, edges=((0, 1),)), [1]).tolist() == [0.0, 0.0]
+        assert all_values(cut_graph(2, ((0, 1),)), [1]).tolist() == [0.0, 0.0]
 
     # (chunk bits, run bits): several chunks, and runs shorter than a chunk
     @pytest.mark.parametrize("chunk_bits, run_bits", [(20, 2), (3, 0), (3, 2), (1, 1), (0, 0)])
@@ -464,7 +487,7 @@ class TestCountPath:
 def edge_walk_tables(g, active):
     """The edge-by-edge selection that csp_core._local_tables replaced."""
     pos = {v: t for t, v in enumerate(active)}
-    inside = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
+    inside = [(pos[u], pos[v]) for u, v in edge_list(g) if u in pos and v in pos]
     cut = np.array([[0, 1], [1, 0]], dtype=np.min_scalar_type(len(inside)))
     return [(ends, cut) for ends in inside]
 
@@ -493,8 +516,22 @@ class TestSerialization:
         again = instance_from_json(instance_to_json(inst))
         assert again == inst
 
+    def test_instance_json_from_groups(self):
+        """A CSP instance's text, read from its groups, is json.dumps of its
+        constraints in constraint order; numpy integers in a Constraint are
+        written as the integers they are (json.dumps refused them)."""
+        for inst in (mixed_instance(3), rand_instance(np.random.default_rng(1))):
+            cons = [{"scope": list(c.scope), **({"b": c.b} if c.is_xor else {"table": list(c.table)})}
+                    for c in inst.constraints]
+            doc = {"n": inst.n, "kind": inst.kind, "constraints": cons}
+            assert instance_to_json(inst) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        inst = CspInstance(n=3, constraints=(Constraint(scope=(np.int64(0), 2), b=np.int8(-1)),),
+                           kind="kxor")
+        assert instance_to_json(inst) == '{"constraints":[{"b":-1,"scope":[0,2]}],"kind":"kxor","n":3}'
+        assert instance_from_json(instance_to_json(inst)) == inst
+
     def test_roundtrip_graph(self):
-        g = WeightedGraph(n=3, edges=((0, 1), (1, 2), (0, 1)))
+        g = cut_graph(3, ((0, 1), (1, 2), (0, 1)))
         again = instance_from_json(instance_to_json(g))
         assert again == g
 
@@ -502,7 +539,7 @@ class TestSerialization:
     def dumps_reference(g):
         """The list comprehension and json.dumps that instance_to_json
         replaced for graphs."""
-        doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in g.edges]}
+        doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in edge_list(g)]}
         return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
 
     @pytest.mark.parametrize("weight", [1.0, 0.1, 2.5, 1e-300, 1e300, 3, "mixed"])
@@ -513,12 +550,12 @@ class TestSerialization:
         for n, m in ((2, 1), (9, 30), (600, 2000)):
             u = rng.integers(0, n - 1, size=m)
             v = (u + rng.integers(1, n, size=m)) % n
-            g = WeightedGraph.from_arrays(n, u, v)
+            g = CspInstance.from_edges(n, u, v)
             text = instance_to_json(g)
             assert text == self.dumps_reference(g)
             assert instance_from_json(text) == g
             w = rng.uniform(1e-3, 1e3, size=m).tolist() if weight == "mixed" else [weight] * m
-            doc = {"n": n, "kind": "maxcut", "edges": [[a, b, c] for (a, b), c in zip(g.edges, w)]}
+            doc = {"n": n, "kind": "maxcut", "edges": [[a, b, c] for (a, b), c in zip(edge_list(g), w)]}
             other = json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
             if weight == 1.0:
                 assert other == text
@@ -526,8 +563,8 @@ class TestSerialization:
                 message = f"edge weight must be 1, got {doc['edges'][0]}"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     instance_from_json(other)
-        assert instance_to_json(WeightedGraph(n=3, edges=())) == self.dumps_reference(
-            WeightedGraph(n=3, edges=()))
+        assert instance_to_json(cut_graph(3, ())) == self.dumps_reference(
+            cut_graph(3, ()))
 
     @staticmethod
     def outcome(read, text):
@@ -537,7 +574,7 @@ class TestSerialization:
             g = read(text)
         except Exception as exc:  # compared by type and message
             return type(exc), str(exc)
-        cols = g.edge_arrays()
+        cols = edge_columns(g)
         return "graph", g.n, [a.tolist() for a in cols], [a.dtype for a in cols]
 
     @staticmethod
@@ -655,7 +692,7 @@ class TestSerialization:
         gen_triangle_free_graph("random_bipartite", 40, 40, 260, seed=3),
         gen_triangle_free_graph("random_bipartite", 500, 500, 5000, seed=4),
         gen_triangle_free_graph("even_cycle", 6),
-        WeightedGraph.from_arrays(7, np.arange(6), np.arange(1, 7)),
+        CspInstance.from_edges(7, np.arange(6), np.arange(1, 7)),
     ])
     def test_loaded_graph_keeps_its_text(self, tmp_path, graph):
         """A graph file read back and saved again is the same bytes, and the
@@ -664,7 +701,7 @@ class TestSerialization:
         save_instance(graph, str(path))
         loaded = load_instance(str(path))
         assert loaded.__dict__["_json_text"] == path.read_text()[:-1]
-        assert WeightedGraph._json_text.func(loaded) == instance_to_json(loaded)
+        assert CspInstance._json_text.func(loaded) == instance_to_json(loaded)
         save_instance(loaded, str(again))
         assert again.read_bytes() == path.read_bytes()
 
@@ -716,7 +753,7 @@ class TestSerialization:
     def test_integer_weights_read_as_float(self):
         # a JSON integer 1 is the unit weight, written back as 1.0
         g = instance_from_json('{"n": 2, "kind": "maxcut", "edges": [[0, 1, 1]]}')
-        assert g.edges == ((0, 1),)
+        assert edge_list(g) == ((0, 1),)
         assert instance_to_json(g) == '{"edges":[[0,1,1.0]],"kind":"maxcut","n":2}'
 
     @pytest.mark.parametrize("token, accepted", [
@@ -767,16 +804,16 @@ class TestSerialization:
         p = tmp_path / "g.edges"
         p.write_text("# comment\n0 1\n1 2 1\n2 0 1.0\n\n")
         g = load_edge_list(str(p))
-        assert g.n == 3 and g.edges == ((0, 1), (1, 2), (2, 0))
+        assert g.n == 3 and edge_list(g) == ((0, 1), (1, 2), (2, 0))
 
     def test_constraint_form_maxcut_loads_as_graph(self):
         doc = {"n": 3, "kind": "maxcut", "constraints": [
             {"scope": [1, 2], "b": -1}, {"scope": [0, 1], "b": -1}, {"scope": [1, 2], "b": -1}]}
         g = instance_from_json(json.dumps(doc))
-        assert g == WeightedGraph(n=3, edges=((1, 2), (0, 1), (1, 2)))
+        assert g == cut_graph(3, ((1, 2), (0, 1), (1, 2)))
         # it saves in edge form
         assert instance_to_json(g) == '{"edges":[[1,2,1.0],[0,1,1.0],[1,2,1.0]],"kind":"maxcut","n":3}'
-        assert instance_from_json('{"n": 4, "kind": "maxcut"}') == WeightedGraph(n=4, edges=())
+        assert instance_from_json('{"n": 4, "kind": "maxcut"}') == cut_graph(4, ())
 
     @pytest.mark.parametrize("constraint", [
         {"scope": [0, 1], "b": 1}, {"scope": [0, 1, 2], "b": -1}, {"scope": [0], "b": -1},
@@ -793,19 +830,19 @@ class TestSerialization:
             instance_from_json(json.dumps(doc))
 
     def test_graph_constraints_are_its_edges(self):
-        g = WeightedGraph(n=4, edges=((2, 0), (1, 3), (2, 0)))
+        g = CspInstance.from_edges(4, [2, 1, 2], [0, 3, 0])
         assert g.constraints == tuple(
             Constraint(scope=s, b=-1) for s in ((2, 0), (1, 3), (2, 0)))
         assert g.constraints is g.constraints
         assert (g.kind, g.max_arity, g.m) == ("maxcut", 2, 3)
-        assert WeightedGraph(n=3, edges=()).max_arity == 2
-        assert WeightedGraph(n=3, edges=()).constraints == ()
+        assert cut_graph(3, ()).max_arity == 2
+        assert cut_graph(3, ()).constraints == ()
 
 
 class TestGraphValidation:
     def test_self_loop(self):
         with pytest.raises(ValueError):
-            WeightedGraph(n=2, edges=((1, 1),))
+            cut_graph(2, ((1, 1),))
 
     def test_nonpositive_weight(self):
         # a weight is checked where a file is read, and 0 is not 1
@@ -843,15 +880,19 @@ class TestGraphValidation:
     ])
     def test_first_offending_edge_named(self, edges, message):
         """A file names the first edge whose weight is not 1, else the first
-        invalid (u, v) pair, which the constructor names alike."""
+        invalid (u, v) pair, which the columnar constructor names alike on
+        integer endpoints."""
         text = json.dumps({"n": 3, "kind": "maxcut", "edges": [list(e) for e in edges]})
         with pytest.raises(ValueError, match=f"^{message}$"):
             instance_from_json(text)
         with pytest.raises(ValueError, match=f"^{message}$"):
             self.file_check(3, edges)
-        if all(edge[2] == 1 for edge in edges):
+        pairs = [edge[:2] for edge in edges]
+        if all(edge[2] == 1 for edge in edges) and all(
+                type(a) is int and abs(a) < 2 ** 63 for pair in pairs for a in pair):
+            u, v = np.array(pairs, dtype=np.int64).T
             with pytest.raises(ValueError, match=f"^{message}$"):
-                WeightedGraph(n=3, edges=[edge[:2] for edge in edges])
+                CspInstance.from_edges(3, u, v)
 
     @pytest.mark.parametrize("edges", [
         (("0", "1"),), ((None, 1),), ((0, 1, 1.0),), ((0,),),
@@ -859,37 +900,54 @@ class TestGraphValidation:
         ((0, 1), (1, "x")),
     ])
     def test_other_rejections_unchanged(self, edges):
-        with pytest.raises(Exception) as new:
-            WeightedGraph(n=3, edges=edges)
-        with pytest.raises(Exception) as ref:
-            self.loop_check(3, edges)
-        assert type(new.value) is type(ref.value) and str(new.value) == str(ref.value)
+        """Entries that are not [u, v, 1] lists of two integers, where the
+        reference loop raised TypeError or an unpacking error, are refused by
+        the document reader with a ValueError naming the first such entry: a
+        malformed one first, else one with non-integer endpoints."""
+        entries = [[*e, 1.0] if isinstance(e, tuple) else e for e in edges]
+        text = json.dumps({"n": 3, "kind": "maxcut", "edges": entries}, default=repr)
+        read = json.loads(text)["edges"]
+        malformed = [e for e in read if not (type(e) is list and len(e) == 3)]
+        if malformed:
+            expected = f"edge must be a list [u, v, 1], got {malformed[0]!r}"
+        else:
+            first = next(e for e in read if not all(type(a) is int for a in e[:2]))
+            expected = f"edge endpoints must be integers, got {first[:2]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            instance_from_json(text)
 
     def test_accepted_edges_and_columns(self):
         cases = [((0, 1), (1, 2)), ((0, 2),), ((np.int64(0), np.int64(2)),), ([1, 0], (2, 1)), ()]
         for edges in cases:
-            g = WeightedGraph(n=3, edges=edges)
+            g = cut_graph(3, edges)
             arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-            u, v = g.edge_arrays()
+            u, v = edge_columns(g)
             assert u.dtype == v.dtype == np.int64
             assert u.tolist() == arr[:, 0].tolist() and v.tolist() == arr[:, 1].tolist()
             assert instance_from_json(instance_to_json(g)) == g
         # two ids that float64 rounds to one value stay two ids
-        g = WeightedGraph(n=2 ** 60, edges=((2 ** 53, 2 ** 53 + 1),))
-        assert [a.tolist() for a in g.edge_arrays()] == [[2 ** 53], [2 ** 53 + 1]]
+        g = cut_graph(2 ** 60, ((2 ** 53, 2 ** 53 + 1),))
+        assert [a.tolist() for a in edge_columns(g)] == [[2 ** 53], [2 ** 53 + 1]]
         assert instance_from_json(instance_to_json(g)) == g
 
     @pytest.mark.parametrize("edges", [
         ((True, False),), ((0.5, 1),), ((0, 1), (np.float64(1), 2)), ((np.int64(0), np.bool_(True)),),
     ])
     def test_non_integer_endpoints_rejected(self, edges):
+        entries = [[a.item() if isinstance(a, np.generic) else a for a in e] + [1.0] for e in edges]
         with pytest.raises(ValueError, match="^edge endpoints must be integers, got"):
-            WeightedGraph(n=3, edges=edges)
+            instance_from_json(json.dumps({"n": 3, "kind": "maxcut", "edges": entries}))
+        with pytest.raises(ValueError, match="^scope indices must be integers: "):
+            cut_graph(3, edges)
 
     def test_kind_invariants(self):
-        for cons in ((xor((0, 1), b=1),), (xor((0, 1), b=-1),), ()):
-            with pytest.raises(ValueError, match="Max-Cut instance is a WeightedGraph"):
-                CspInstance(n=2, constraints=cons, kind="maxcut")
+        with pytest.raises(ValueError, match="^maxcut constraints must be 2XOR with b = -1$"):
+            CspInstance(n=2, constraints=(xor((0, 1), b=1),), kind="maxcut")
+        one_edge = CspInstance(n=2, constraints=(xor((0, 1), b=-1),), kind="maxcut")
+        assert one_edge == CspInstance.from_edges(2, [0], [1])
+        assert CspInstance(n=2, constraints=(), kind="maxcut").max_arity == 2
+        with pytest.raises(ValueError, match="^unknown kind 'graph'$"):
+            CspInstance(n=2, constraints=(), kind="graph")
         c = Constraint(scope=(0, 1), table=(1, 0, 0, 1))
         with pytest.raises(ValueError):
             CspInstance(n=2, constraints=(c,), kind="kxor")
@@ -897,63 +955,66 @@ class TestGraphValidation:
 
 class TestDerivedDataOncePerObject:
     def graph(self):
-        return WeightedGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+        return cut_graph(4, ((0, 1), (1, 2), (2, 3)))
 
     def test_edge_arrays_read_only_and_shared(self):
         g = self.graph()
-        u, v = g.edge_arrays()
-        for arr in (u, v):
+        scopes = constraint_groups(g)[0].scopes
+        u, v = edge_columns(g)
+        for arr in (scopes, u, v):
             with pytest.raises(ValueError):
                 arr[0] = 3
-        assert g.edge_arrays() is g.edge_arrays()
+        assert constraint_groups(g)[0].scopes is scopes
         assert u.tolist() == [0, 1, 2] and v.tolist() == [1, 2, 3]
 
     def test_empty_graph_arrays(self):
-        g = WeightedGraph(n=3, edges=())
-        u, v = g.edge_arrays()
+        g = cut_graph(3, ())
+        u, v = edge_columns(g)
         assert u.shape == v.shape == (0,)
         assert u.dtype == v.dtype == np.int64
-        assert g.degree_counts().tolist() == [0, 0, 0]
+        assert degrees(g).tolist() == [0, 0, 0]
 
     def test_degree_counts_read_only_and_shared(self):
         g = self.graph()
-        deg = g.degree_counts()
+        deg = degrees(g)
         with pytest.raises(ValueError):
             deg[0] = 7
-        assert g.degree_counts() is deg
+        assert degrees(g) is deg
         assert deg.dtype == np.int64 and deg.tolist() == [1, 2, 2, 1]
 
     def test_graph_frozen_and_compared_by_value(self):
         g = self.graph()
-        for name in ("n", "_columns", "edges"):
+        for name in ("n", "kind", "_groups", "constraints"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
-        h = WeightedGraph.from_arrays(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
-        assert g == h and hash(g) == hash(h) and g != WeightedGraph(n=5, edges=g.edges)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        h = CspInstance.from_edges(4, np.array([0, 1, 2]), np.array([1, 2, 3]))
+        assert g == h and hash(g) == hash(h) and g != cut_graph(5, edge_list(g))
 
     @pytest.mark.parametrize("u, v", [
         ([0, 1], [1.0, 2.0]), ([0, 1], [1]), ([[0, 1]], [[1, 2]]), ([True], [False])])
     def test_from_arrays_refuses_other_columns(self, u, v):
         with pytest.raises(ValueError, match="^edge columns must be 1-D, of one length and integer$"):
-            WeightedGraph.from_arrays(3, np.array(u), np.array(v))
+            CspInstance.from_edges(3, np.array(u), np.array(v))
 
     def test_triangles_match_neighbour_sets(self):
         rng = np.random.default_rng(0)
-        graphs = [multigraph(3), multigraph(4, n=9, m=30), WeightedGraph(n=3, edges=()),
-                  WeightedGraph(n=3, edges=((0, 1), (2, 1), (0, 2)))]
-        graphs += [WeightedGraph.from_arrays(8, u, (u + rng.integers(1, 8, 7)) % 8)
+        graphs = [multigraph(3), multigraph(4, n=9, m=30), cut_graph(3, ()),
+                  cut_graph(3, ((0, 1), (2, 1), (0, 2)))]
+        graphs += [CspInstance.from_edges(8, u, (u + rng.integers(1, 8, 7)) % 8)
                    for u in rng.integers(0, 8, size=(40, 7))]
         for g in graphs:
             neigh = [set() for _ in range(g.n)]
-            for u, v in g.edges:
+            for u, v in edge_list(g):
                 neigh[u].add(v)
                 neigh[v].add(u)
-            assert g.has_triangle() == any(neigh[u] & neigh[v] for u, v in g.edges)
+            assert g.has_triangle() == any(neigh[u] & neigh[v] for u, v in edge_list(g))
         assert graphs[3].has_triangle() and not graphs[2].has_triangle()
 
     def test_degree_counts_multigraph(self):
-        g = WeightedGraph(n=3, edges=((0, 1), (1, 0), (1, 2)))
-        assert g.degree_counts().tolist() == [2, 3, 1]
+        g = cut_graph(3, ((0, 1), (1, 0), (1, 2)))
+        assert degrees(g).tolist() == [2, 3, 1]
 
     def test_instance_degrees_read_only_and_shared(self):
         inst = CspInstance(n=4, constraints=(xor((0, 1)), xor((1, 2, 3))), kind="kxor")
@@ -1004,3 +1065,26 @@ class TestDerivedDataOncePerObject:
                     assert g.signs[row] == c.b and g.tables is None
                 else:
                     assert tuple(g.tables[row]) == c.table and g.signs is None
+
+
+def test_one_instance_type_in_src():
+    """Every kind is a CspInstance on one path: no module names the merged
+    Max-Cut type or branches on an instance's type."""
+    src = Path(csp_core.__file__).parent
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if INSTANCE_TYPE_TEST.search(line)
+    ]
+    assert found == []
+    # the pattern finds the forms the merge removed, and leaves other tests alone
+    for line in ("if isinstance(problem, WeightedGraph):",
+                 "halve = isinstance(problem, WeightedGraph) and n >= 1",
+                 "if isinstance(a, WeightedGraph) != isinstance(b, WeightedGraph):",
+                 "if not isinstance(problem, CspInstance) else problem.kind",
+                 "def brute_force_opt(problem: CspInstance | WeightedGraph):"):
+        assert INSTANCE_TYPE_TEST.search(line), line
+    for line in ("if isinstance(obj, Constraint):", "if not isinstance(doc, dict):",
+                 "if isinstance(rng, np.random.Generator):"):
+        assert not INSTANCE_TYPE_TEST.search(line), line

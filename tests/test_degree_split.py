@@ -16,7 +16,7 @@ from privcsp.algo_maxcut import (
     dp_maxcut_unbounded_batch,
     dp_shearer_batch,
 )
-from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, degrees
+from privcsp.csp_core import Constraint, CspInstance, degrees
 from privcsp.dp_mechanisms import (
     GENERAL_BUDGET_FRACTIONS,
     UNBOUNDED_BUDGET_FRACTIONS,
@@ -28,6 +28,12 @@ from privcsp.dp_mechanisms import (
     stage_budget,
 )
 from privcsp.harness import ALGORITHMS, ExperimentConfig, estimate_ratio
+
+
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
 
 
 def gen(seed=0):
@@ -53,8 +59,8 @@ def spy_noise_params(monkeypatch):
 
 
 def spy_degree_budgets(monkeypatch):
-    """Records the budget of every noisy_high_mask call, whichever module
-    binding the algorithm calls it through."""
+    """Records the budget of every noisy_high_mask call; every degree-split
+    algorithm reaches it through dp_mechanisms.noisy_degree_split."""
     budgets = []
     real = dp_mechanisms.noisy_high_mask
 
@@ -62,8 +68,7 @@ def spy_degree_budgets(monkeypatch):
         budgets.append(budget)
         return real(problem, budget, threshold, rng, trials)
 
-    for module in (dp_mechanisms, algo_maxcut):
-        monkeypatch.setattr(module, "noisy_high_mask", spy)
+    monkeypatch.setattr(dp_mechanisms, "noisy_high_mask", spy)
     return budgets
 
 
@@ -132,13 +137,13 @@ class TestDegreeStageLoss:
             run = lambda g: dp_maxcut_general_batch(g, eps, 0.0, gen(1), 1)[0]  # noqa: E731
             share = GENERAL_BUDGET_FRACTIONS[0]
         params = spy_noise_params(monkeypatch)
-        one_edge = WeightedGraph(n=2, edges=((0, 1),))
-        empty = WeightedGraph(n=2, edges=())
+        one_edge = cut_graph(2, ((0, 1),))
+        empty = cut_graph(2, ())
         run(one_edge)
         run(empty)
         assert len(params) == 2 and params[0] == params[1]
         for threshold in (1.5, 10.0, 200.0):
-            deg_a, deg_b = one_edge.degree_counts(), empty.degree_counts()
+            deg_a, deg_b = degrees(one_edge), degrees(empty)
             loss = above_loss(deg_a, deg_b, params[0], threshold)
             assert abs(loss - float(share) * eps) <= 1e-12
             # mutation check: noise at the whole budget, not budget / 2
@@ -150,8 +155,8 @@ class TestDegreeStageLoss:
         # arity 2 even with no edges, so the edgeless graph draws at the
         # one-edge graph's parameter and the stage spends its share, not more
         params = spy_noise_params(monkeypatch)
-        one_edge = WeightedGraph(n=2, edges=((0, 1),))
-        empty = WeightedGraph(n=2, edges=())
+        one_edge = cut_graph(2, ((0, 1),))
+        empty = cut_graph(2, ())
         config = ExperimentConfig(algorithm="alg2", eps=(eps,), trials=1, seed=0)
         estimate_ratio(config, one_edge)
         estimate_ratio(config, empty)
@@ -197,8 +202,8 @@ class TestDpShearerLoss:
             return real(values, threshold, param, rng, shape)
 
         monkeypatch.setattr(algo_maxcut, "noisy_above", spy)
-        one_edge = WeightedGraph(n=2, edges=((0, 1),))
-        empty = WeightedGraph(n=2, edges=())
+        one_edge = cut_graph(2, ((0, 1),))
+        empty = cut_graph(2, ())
         # the colourings are the first draws, so one seed gives both the same
         dp_shearer_batch(one_edge, eps, gen(3), 16)
         dp_shearer_batch(empty, eps, gen(3), 16)
@@ -225,7 +230,7 @@ class TestNoiseFloor:
         ("alg6", 2, 4.8e-16, 6e-16),  # eps/12
     ])
     def test_floor(self, algorithm, k, refused, runs):
-        problem = WeightedGraph(n=2, edges=((0, 1),)) if k == 2 else one_constraint(k)
+        problem = cut_graph(2, ((0, 1),)) if k == 2 else one_constraint(k)
         g = gen(6)
         state = g.bit_generator.state
         with pytest.raises(ValueError, match=rf"epsilon = {refused} is too small for the degree stage") as exc:
@@ -271,7 +276,7 @@ class TestBudgetsMatchLedger:
             return real(graph, e, rng, trials)
 
         monkeypatch.setattr(algo_maxcut, "dp_shearer_batch", spy)
-        cycle = WeightedGraph(n=4, edges=tuple((i, (i + 1) % 4) for i in range(4)))
+        cycle = cut_graph(4, tuple((i, (i + 1) % 4) for i in range(4)))
         dp_maxcut_unbounded_batch(cycle, eps, gen(4), 1)
         ledger = dict(budget_ledger("alg5", eps))
         assert degree == [ledger["degree-noise"]]
@@ -298,7 +303,7 @@ class TestBudgetsMatchLedger:
 
         monkeypatch.setattr(algo_maxcut, "_check_amplification", check)
         monkeypatch.setattr(algo_maxcut, "exponential_mechanism", select)
-        graph = WeightedGraph(n=2, edges=((0, 1),) * 600)
+        graph = cut_graph(2, ((0, 1),) * 600)
         for seed in range(5):
             dp_maxcut_general_batch(graph, eps, 0.0, gen(seed), 1)
         ledger = dict(budget_ledger("alg6", eps))
@@ -341,8 +346,8 @@ class TestStageBudget:
 
 class TestNoisyHighMask:
     CASES = [
-        (WeightedGraph(n=3, edges=((0, 1), (1, 2))), 2),
-        (WeightedGraph(n=2, edges=()), 2),
+        (cut_graph(3, ((0, 1), (1, 2))), 2),
+        (cut_graph(2, ()), 2),
         (one_constraint(3), 3),
         (CspInstance(n=4, constraints=(), kind="kxor"), 1),
     ]
@@ -379,8 +384,8 @@ class TestNoisyHighMask:
         assert np.all(np.abs(mask - ref) <= 4 * np.sqrt(pooled * (1 - pooled) * 2 / trials))
 
     def test_degrees_of_a_graph(self):
-        g = WeightedGraph(n=3, edges=((0, 1), (0, 2)))
-        assert degrees(g) is g.degree_counts()
+        g = cut_graph(3, ((0, 1), (0, 2)))
+        assert degrees(g) is degrees(g)
         assert degrees(g).tolist() == [2, 1, 1]
 
 

@@ -9,7 +9,6 @@ from privcsp.csp_core import (
     Constraint,
     CspInstance,
     ResourceCapError,
-    WeightedGraph,
     all_values,
     assignment_rows,
 )
@@ -27,6 +26,12 @@ from privcsp.dp_mechanisms import (
     sample_discrete_laplace,
 )
 from privcsp.oracles import exact_em_distribution
+
+
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
 
 
 def gen(seed=0, stream=0):
@@ -513,7 +518,7 @@ class TestCdfCount:
 
 class TestEmOverAssignments:
     def graph3(self):
-        return WeightedGraph(n=3, edges=((0, 1), (1, 2)))
+        return cut_graph(3, ((0, 1), (1, 2)))
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     @pytest.mark.parametrize("active", [[0, 1, 2], []])
@@ -538,7 +543,7 @@ class TestEmOverAssignments:
     def test_single_edge_cut_probability(self):
         # one edge, the factorized selection exponent: budget 2.5 at
         # sensitivity 2 gives weight e^{2.5/4} to each cutting assignment
-        g = WeightedGraph(n=2, edges=((0, 1),))
+        g = cut_graph(2, ((0, 1),))
         target = math.exp(2.5 / 4) / (1 + math.exp(2.5 / 4))
         rng = gen(17)
         trials = 100_000
@@ -626,14 +631,13 @@ def memo_kxor():
 
 
 def memo_graph():
-    return WeightedGraph(n=5, edges=((0, 1), (1, 2), (1, 2), (2, 3), (3, 4)))
+    return cut_graph(5, ((0, 1), (1, 2), (1, 2), (2, 3), (3, 4)))
 
 
 def disable_memo(monkeypatch):
     """Gives every call an empty memo of its own, so each one builds the
     value table and CDF afresh, as before the memo existed."""
-    for cls in (CspInstance, WeightedGraph):
-        monkeypatch.setattr(cls, "_em_cdf_memo", property(lambda self: {}))
+    monkeypatch.setattr(CspInstance, "_em_cdf_memo", property(lambda self: {}))
 
 
 def count_tables(monkeypatch):
@@ -748,7 +752,7 @@ class TestEmMemo:
         # different few on each seed
         rng = np.random.default_rng(5)
         edges = tuple(tuple(rng.choice(14, size=2, replace=False).tolist()) for _ in range(300))
-        g = WeightedGraph(n=14, edges=edges)
+        g = cut_graph(14, edges)
         keys = set()
         for seed in range(60):
             dp_maxcut_general_batch(g, 0.1, 0.0, gen(seed), 1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from privcsp.csp_core import (
-    WeightedGraph,
+    Constraint,
+    CspInstance,
     degrees,
     instance_to_json,
     is_triangle_free,
@@ -17,6 +18,17 @@ from privcsp.generators import (
     gen_triangle_free_graph,
 )
 from privcsp.oracles import brute_force_opt, verify_packing_separation
+
+
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
+
+def edge_list(g):
+    """A graph's edges, as (u, v) tuples in edge order."""
+    return tuple(c.scope for c in g.constraints)
 
 
 class TestGenSpec:
@@ -79,7 +91,7 @@ class TestGenTriangleFreeGraph:
     def test_random_bipartite(self):
         g = gen_triangle_free_graph("random_bipartite", 5, 5, 12, seed=3)
         assert g.n == 10 and g.m == 12 and not g.has_triangle()
-        edges = {(u, v) for u, v in g.edges}
+        edges = {(u, v) for u, v in edge_list(g)}
         assert len(edges) == 12
         assert all(u < 5 <= v for u, v in edges)
         with pytest.raises(ValueError):
@@ -100,7 +112,7 @@ class TestGenTriangleFreeGraph:
     def test_determinism(self):
         a = gen_triangle_free_graph("random_bipartite", 4, 4, 8, seed=9)
         b = gen_triangle_free_graph("random_bipartite", 4, 4, 8, seed=9)
-        assert a.edges == b.edges
+        assert edge_list(a) == edge_list(b)
 
     @staticmethod
     def tuple_reference(kind, *args, seed=0):
@@ -123,7 +135,7 @@ class TestGenTriangleFreeGraph:
     def test_matches_tuple_construction_and_json(self, kind, args, seed):
         g = gen_triangle_free_graph(kind, *args, seed=seed)
         n, edges = self.tuple_reference(kind, *args, seed=seed)
-        assert g == WeightedGraph(n=n, edges=edges) and g.edges == edges
+        assert g == cut_graph(n, edges) and edge_list(g) == edges
         doc = {"n": n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in edges]}
         assert instance_to_json(g) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
@@ -166,7 +178,7 @@ class TestGenHardFamily:
         family, _ = gen_hard_family(16, 0.3, 3, seed=4)
         for i in range(len(family.supports)):
             g = family.graph(i)
-            doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in g.edges]}
+            doc = {"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in edge_list(g)]}
             assert instance_to_json(g) == json.dumps(doc, separators=(",", ":"), sort_keys=True)
 
     def test_determinism(self):

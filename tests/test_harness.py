@@ -11,7 +11,7 @@ from privcsp import cli, harness
 from privcsp.csp_core import (
     Constraint,
     CspInstance,
-    WeightedGraph,
+    constraint_groups,
     instance_from_json,
 )
 from privcsp.dp_mechanisms import RngStream
@@ -31,13 +31,29 @@ from privcsp.harness import (
 from privcsp.harness import _neighboring_delta
 
 
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
+
+def edge_list(g):
+    """A graph's edges, as (u, v) tuples in edge order."""
+    return tuple(c.scope for c in g.constraints)
+
+
+def edge_columns(g):
+    """A graph's u and v edge columns: the rows of its 2XOR group's scopes."""
+    return constraint_groups(g)[0].scopes.T
+
+
 def cycle_instance(n):
     cons = tuple(Constraint(scope=(i, (i + 1) % n), b=1) for i in range(n))
     return CspInstance(n=n, constraints=cons, kind="kxor")
 
 
 def maxcut_cycle(n):
-    return WeightedGraph(n=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+    return cut_graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 class TestExperimentConfig:
@@ -96,14 +112,14 @@ class TestExperimentConfig:
         config = ExperimentConfig(algorithm="dp_shearer", eps=(0.5, 1.0), trials=50, seed=7)
         # the reference: the graph's edge lists through json.dumps, as
         # instance_to_json wrote them before it formatted the columns
-        text = json.dumps({"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in g.edges]},
+        text = json.dumps({"n": g.n, "kind": "maxcut", "edges": [[u, v, 1.0] for u, v in edge_list(g)]},
                           indent=None, separators=(",", ":"), sort_keys=True)
         blob = json.dumps({"algorithm": "dp_shearer", "eps": [0.5, 1.0], "trials": 50, "seed": 7,
                            "alpha": config.alpha, "instance": text}, sort_keys=True)
         assert config.config_hash(g) == hashlib.sha256(blob.encode()).hexdigest()[:12]
         # a graph read from its file hashes the text it was read from: the same
         loaded = instance_from_json(text + "\n")
-        rebuilt = WeightedGraph.from_arrays(loaded.n, *loaded.edge_arrays())
+        rebuilt = CspInstance.from_edges(loaded.n, *edge_columns(loaded))
         assert config.config_hash(loaded) == config.config_hash(rebuilt) == config.config_hash(g)
         assert harness._baseline_value(g) == 0.5 * g.m == 2500.0
 
@@ -139,6 +155,14 @@ class TestEstimateRatio:
         report = estimate_ratio(config, inst)
         assert report.rows[0].n == 6
 
+    def test_empty_instance_baseline_is_zero(self):
+        # an empty CSP instance used to fail with "mu undefined for an empty
+        # instance"; every kind now has the graph's baseline of 0
+        config = ExperimentConfig(algorithm="random_baseline", eps=(1.0,), trials=4, seed=0)
+        for kind in ("general", "kxor", "maxcut"):
+            row = estimate_ratio(config, CspInstance(n=3, constraints=(), kind=kind)).rows[0]
+            assert (row.m, row.mean_val, row.opt, row.advantage) == (0, 0.0, 0.0, 0.0)
+
     def test_above_brute_force_cap_skips_opt(self):
         # 28 variables, above BRUTE_FORCE_CAP (26)
         inst = cycle_instance(28)
@@ -149,7 +173,7 @@ class TestEstimateRatio:
 
 def kxor_twin(graph):
     """The kxor instance with one 2XOR constraint of b = -1 per edge."""
-    cons = tuple(Constraint(scope=(u, v), b=-1) for u, v in graph.edges)
+    cons = tuple(Constraint(scope=(u, v), b=-1) for u, v in edge_list(graph))
     return CspInstance(n=graph.n, constraints=cons, kind="kxor")
 
 
@@ -169,8 +193,8 @@ class TestOneMaxCutType:
     CSP_KERNELS = ("alg1", "alg2", "alg3", "alg_oddk", "em_baseline", "random_baseline")
     UNIT_GRAPHS = {
         "even_cycle": gen_triangle_free_graph("even_cycle", 6),
-        "path": WeightedGraph(n=5, edges=tuple((i, i + 1) for i in range(4))),
-        "parallel_edges": WeightedGraph(n=4, edges=((0, 1), (1, 2), (1, 0), (2, 3))),
+        "path": cut_graph(5, tuple((i, i + 1) for i in range(4))),
+        "parallel_edges": cut_graph(4, ((0, 1), (1, 2), (1, 0), (2, 3))),
     }
     WEIGHTED = '{"edges":[[0,1,1.0],[1,2,2.5],[2,3,1.0]],"kind":"maxcut","n":4}\n'
 
@@ -275,13 +299,23 @@ class TestNeighboringDelta:
         assert _neighboring_delta(a, a) == 0
 
     def test_graphs(self):
-        g1 = WeightedGraph(n=3, edges=((0, 1),))
-        g2 = WeightedGraph(n=3, edges=((0, 1), (1, 2)))
+        g1 = cut_graph(3, ((0, 1),))
+        g2 = cut_graph(3, ((0, 1), (1, 2)))
         assert _neighboring_delta(g1, g2) == 1
+
+    def test_sign_scopes_compared_as_sets(self):
+        # a parity does not depend on its scope's order; a truth table does
+        assert _neighboring_delta(cut_graph(3, ((1, 0),)), CspInstance.from_edges(3, [0], [1])) == 0
+        a, b = (CspInstance(n=3, constraints=(Constraint(scope=s, b=1),), kind="kxor")
+                for s in ((0, 1), (1, 0)))
+        assert _neighboring_delta(a, b) == 0
+        a, b = (CspInstance(n=3, constraints=(Constraint(scope=s, table=(0, 1, 0, 0)),))
+                for s in ((0, 1), (1, 0)))
+        assert _neighboring_delta(a, b) == 2
 
     def test_mixed_rejected(self):
         with pytest.raises(ValueError):
-            _neighboring_delta(cycle_instance(4), WeightedGraph(n=2, edges=()))
+            _neighboring_delta(cycle_instance(4), cut_graph(2, ()))
 
 
 class TestAudit:
@@ -356,3 +390,29 @@ class TestVerifyHardness:
         assert report.separation_ok and report.counterexample is None
         assert report.opt_ok
         assert report.generated == 3
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_graph_kernels_never_build_the_constraint_view(tmp_path, monkeypatch, capsys):
+    """A random_bipartite file read through the canonical-text path runs
+    ratio with every graph kernel, brute-force optimum included, on its edge
+    group alone: no Constraint object is made for its edges."""
+    path = tmp_path / "bip.json"
+    assert cli.main(["gen", "--kind", "random_bipartite", "--a", "9", "--b", "9", "--m", "40",
+                     "--seed", "2", "--out", str(path)]) == 0
+    loaded = []
+
+    def load(p):
+        loaded.append(cli.load_instance(p))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "_load_problem", load)
+    # eps = 70 puts high vertices on alg5's exponential mechanism
+    for algorithm, eps in (("shearer", "1"), ("dp_shearer", "1"), ("alg5", "70"), ("alg6", "0.1")):
+        assert cli.main(["ratio", "--algorithm", algorithm, "--instance", str(path),
+                         "--eps", eps, "--trials", "40", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert len(loaded) == 4
+    for graph in loaded:
+        assert graph.__dict__["_json_text"] == path.read_text()[:-1]
+        assert "constraints" not in graph.__dict__

@@ -10,14 +10,20 @@ import pytest
 
 from privcsp import dp_mechanisms, harness
 from privcsp.cli import EXIT_OK, main
-from privcsp.csp_core import Constraint, CspInstance, WeightedGraph, save_instance
+from privcsp.csp_core import Constraint, CspInstance, save_instance
 from privcsp.generators import GenSpec, gen_random_kxor
+
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
 
 KXOR = gen_random_kxor(GenSpec(n=14, m=8, k=2, seed=3, triangle_free=True))
 K3 = CspInstance(n=9, constraints=tuple(
     Constraint(scope=(3 * i, 3 * i + 1, 3 * i + 2), b=(-1) ** i) for i in range(3)
 ) + (Constraint(scope=(0, 4, 8), b=1),), kind="kxor")
-CYCLE = WeightedGraph(n=10, edges=tuple((i, (i + 1) % 10) for i in range(10)))
+CYCLE = cut_graph(10, tuple((i, (i + 1) % 10) for i in range(10)))
 # algorithm -> (problem in the view its kernel takes, eps)
 CASES = {
     "alg1": (KXOR, 1.0),
@@ -57,7 +63,7 @@ def bipartite(n=1000, m=2000, seed=0):
     rng = np.random.default_rng(seed)
     half = n // 2
     u, v = rng.integers(0, half, m), rng.integers(half, n, m)
-    return WeightedGraph(n=n, edges=tuple((int(a), int(b)) for a, b in zip(u, v)))
+    return cut_graph(n, tuple((int(a), int(b)) for a, b in zip(u, v)))
 
 
 def dense_kxor(seed=0):

@@ -12,8 +12,8 @@ from privcsp.csp_core import (
     Constraint,
     CspInstance,
     ResourceCapError,
-    WeightedGraph,
     all_values,
+    degrees,
     eval_value,
 )
 from privcsp.dp_mechanisms import RngStream, as_generator, randomized_response
@@ -34,6 +34,12 @@ from privcsp.oracles import (
 )
 
 
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
+
 def gen(seed=0):
     return RngStream(seed, 0).generator()
 
@@ -43,7 +49,7 @@ def ascending_scan(problem):
     vertex n-1 pinned to -1), replacing the best only on a strictly larger
     value."""
     n = problem.n
-    halve = isinstance(problem, WeightedGraph) and n >= 1
+    halve = problem.kind == "maxcut" and n >= 1
     best_val, best_x = -math.inf, None
     for r in range(1 << (n - 1 if halve else n)):
         x = np.array([1 if (r >> t) & 1 else -1 for t in range(n)])
@@ -55,18 +61,16 @@ def ascending_scan(problem):
 
 class TestBruteForceOpt:
     def test_k22(self):
-        g = WeightedGraph(
-            n=4, edges=tuple((i, 2 + j) for i in range(2) for j in range(2))
-        )
+        g = cut_graph(4, tuple((i, 2 + j) for i in range(2) for j in range(2)))
         val, x = brute_force_opt(g)
         assert val == 4 and eval_value(g, x) == 4
 
     def test_triangle(self):
-        g = WeightedGraph(n=3, edges=((0, 1), (1, 2), (0, 2)))
+        g = cut_graph(3, ((0, 1), (1, 2), (0, 2)))
         assert brute_force_opt(g)[0] == 2
 
     def test_flip_invariance(self):
-        g = WeightedGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+        g = cut_graph(4, ((0, 1), (1, 2), (2, 3)))
         val, x = brute_force_opt(g)
         assert eval_value(g, -x) == val
 
@@ -86,16 +90,16 @@ class TestBruteForceOpt:
     @pytest.mark.parametrize("problem", [
         # three disjoint edges and two isolated vertices: 16 tied optima
         # among the 256 rows with vertex 8 pinned
-        WeightedGraph(n=9, edges=((0, 5), (6, 2), (3, 7))),
+        cut_graph(9, ((0, 5), (6, 2), (3, 7))),
         # a multigraph: a triangle with a doubled side and a path with a doubled edge
-        WeightedGraph(n=6, edges=((0, 1), (1, 2), (2, 0), (1, 2), (3, 4), (5, 3), (4, 3))),
+        cut_graph(6, ((0, 1), (1, 2), (2, 0), (1, 2), (3, 4), (5, 3), (4, 3))),
         CspInstance(n=7, constraints=(
             Constraint(scope=(4, 1), b=1),
             Constraint(scope=(2, 6, 0), b=-1),
             Constraint(scope=(5,), table=(0, 1)),
         )),
         CspInstance(n=2, constraints=()),
-        WeightedGraph(n=1, edges=()),
+        cut_graph(1, ()),
     ])
     # (chunk bits, run bits); None keeps the module constants
     @pytest.mark.parametrize("bits", [None, (0, 0), (2, 1), (3, 3)])
@@ -696,8 +700,8 @@ class TestPackingFamily:
         assert fam.degree == pytest.approx(1.0 / (128 * 0.5))
         # the unit graph's degrees times the scalar weight
         g = fam.graph(0)
-        assert g.degree_counts().tolist() == [4] * 8
-        assert np.allclose(g.degree_counts() * fam.weight, fam.degree)
+        assert degrees(g).tolist() == [4] * 8
+        assert np.allclose(degrees(g) * fam.weight, fam.degree)
 
     def test_duplicate_support_rejected(self):
         with pytest.raises(ValueError):

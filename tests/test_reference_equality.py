@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from privcsp import algo_csp, algo_maxcut, harness
+from privcsp import algo_csp, algo_maxcut, dp_mechanisms, harness
 from privcsp.algo_csp import (
     _kept_influence,
     _median_for,
@@ -52,11 +52,11 @@ from privcsp.algo_maxcut import (
 from privcsp.csp_core import (
     Constraint,
     CspInstance,
-    WeightedGraph,
     all_values,
     as_assignment,
     assignment_rows,
     associated_advantage,
+    constraint_groups,
     degrees,
     derivative_q,
     eval_value,
@@ -81,12 +81,28 @@ SEEDS = range(200)
 # ------------------------------------------------------------ references
 
 
+def cut_graph(n, edges):
+    """The Max-Cut instance on n vertices with these (u, v) edges."""
+    return CspInstance(n=n, constraints=tuple(Constraint(scope=tuple(e), b=-1) for e in edges),
+                       kind="maxcut")
+
+
+def edge_list(g):
+    """A graph's edges, as (u, v) tuples in edge order."""
+    return tuple(c.scope for c in g.constraints)
+
+
+def edge_columns(g):
+    """A graph's u and v edge columns: the rows of its 2XOR group's scopes."""
+    return constraint_groups(g)[0].scopes.T
+
+
 def ref_eval_value(problem, x):
-    if isinstance(problem, WeightedGraph):
+    if problem.kind == "maxcut":
         sv = as_assignment(x, problem.n)
         if problem.m == 0:
             return 0.0
-        u, v = problem.edge_arrays()
+        u, v = edge_columns(problem)
         return float((sv[u] != sv[v]).sum())
     xv = as_assignment(x, problem.n)
     return float(sum(c.evaluate(xv) for c in problem.constraints))
@@ -182,7 +198,7 @@ def ref_two_color_batch(graph, gen, trials):
     c2 = ref_fair_signs(gen, (trials, n))
     ell = np.zeros((trials, n), dtype=np.int64)
     if graph.m:
-        u, v = graph.edge_arrays()
+        u, v = edge_columns(graph)
         same = (c1[:, u] == c1[:, v]).astype(np.int64)
         rows = np.arange(trials)[:, None]
         np.add.at(ell, (rows, u[None, :]), same)
@@ -234,7 +250,7 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
     n = graph.n
     threshold = 24.0 / epsilon ** (1.0 + alpha)
     # degree noise from sample_discrete_laplace: the law tests compare noisy_above's law with it
-    noisy = graph.degree_counts() + sample_discrete_laplace(epsilon / 6.0 / 2, gen, size=n)
+    noisy = degrees(graph) + sample_discrete_laplace(epsilon / 6.0 / 2, gen, size=n)
     high_mask = noisy > threshold
     high = np.flatnonzero(high_mask)
     s1 = (2 * gen.integers(0, 2, size=n) - 1).astype(np.int8)
@@ -242,7 +258,7 @@ def ref_dp_maxcut_general(graph, epsilon, alpha, rng):
         s1[high] = em_over_assignments_batch(graph, high.tolist(), epsilon / 6.0, 1.0, gen, 1)[0]
     rate = epsilon ** (1.0 + alpha) / 70.0
     low_edges = tuple(
-        (u, v) for u, v in graph.edges if not high_mask[u] and not high_mask[v]
+        (u, v) for u, v in edge_list(graph) if not high_mask[u] and not high_mask[v]
     )
     kept = tuple(e for e in low_edges if gen.random() < rate)
     _, pairs = ref_mutual_choice(n, kept, gen.random(n))
@@ -277,7 +293,7 @@ def ref_dp_maxcut_unbounded(graph, epsilon, rng):
     noisy-degree split; the integer-noise parameter is epsilon/3/2 (one edge
     moves two degrees)."""
     gen = as_generator(rng)
-    high = np.flatnonzero(ref_noisy_above(graph.degree_counts(), 10000.0 / epsilon ** 2,
+    high = np.flatnonzero(ref_noisy_above(degrees(graph), 10000.0 / epsilon ** 2,
                                           epsilon / 3.0 / 2, gen, graph.n))
     s1 = ref_fair_signs(gen, (graph.n,))
     if high.size:
@@ -288,8 +304,8 @@ def ref_dp_maxcut_unbounded(graph, epsilon, rng):
 
 def ref_run_em_baseline(problem, eps, alpha, gen):
     """harness._run_em_baseline with its own view branch and split."""
-    if isinstance(problem, WeightedGraph):
-        deg = problem.degree_counts()
+    if problem.kind == "maxcut":
+        deg = degrees(problem)
         n = problem.n
     else:
         deg = degrees(problem)
@@ -326,7 +342,7 @@ def ref_alg3(instance, epsilon, rng, scale=None, flip_index=None):
 def ref_shearer(graph, gen):
     """shearer_batch's one-trial form on ref_two_color_batch."""
     c1, c2, ell = ref_two_color_batch(graph, gen, 1)
-    deg = graph.degree_counts()
+    deg = degrees(graph)
     coin = gen.random((1, graph.n)) < 0.5
     take_first = np.where(2 * ell < deg, True, np.where(2 * ell > deg, False, coin))
     return np.where(take_first, c1, c2).astype(np.int8)[0]
@@ -587,7 +603,7 @@ def ref_randomized_response(bits, epsilon, rng):
 def ref_dp_shearer_batch(graph, epsilon, rng, trials):
     gen = as_generator(rng)
     c1, c2, ell = ref_two_color_batch(graph, gen, trials)
-    take_first = ~ref_noisy_above(ell - graph.degree_counts() // 2, 0, epsilon / 2.0, gen,
+    take_first = ~ref_noisy_above(ell - degrees(graph) // 2, 0, epsilon / 2.0, gen,
                                   (trials, graph.n))
     return np.where(take_first, c1, c2).astype(np.int8)
 
@@ -684,7 +700,7 @@ def unit_graph(seed, n=12, m=30):
     edges = tuple(
         tuple(rng.choice(n, size=2, replace=False).tolist()) for _ in range(m)
     )
-    return WeightedGraph(n=n, edges=edges)
+    return cut_graph(n, edges)
 
 
 # ---------------------------------------------------------------- tests
@@ -721,7 +737,7 @@ class TestEvalValue:
 
     def test_empty_problems(self):
         inst = CspInstance(n=3, constraints=(), kind="kxor")
-        g = WeightedGraph(n=3, edges=())
+        g = cut_graph(3, ())
         block = random_block(0, 3)
         assert eval_value(inst, block).tolist() == [0.0] * 7
         assert eval_value(g, block).tolist() == [0.0] * 7
@@ -841,10 +857,10 @@ class TestAlg3:
 class TestTwoColor:
     @pytest.mark.parametrize("trials", [1, 7])
     def test_counts_match_add_at(self, trials):
-        graphs = [unit_graph(s) for s in range(20)] + [WeightedGraph(n=5, edges=())]
+        graphs = [unit_graph(s) for s in range(20)] + [cut_graph(5, ())]
         # a star of degree 600: its center counts about 300 same-color edges,
         # above the 255 of the narrowest type
-        graphs.append(WeightedGraph(n=601, edges=tuple((0, i) for i in range(1, 601))))
+        graphs.append(cut_graph(601, tuple((0, i) for i in range(1, 601))))
         for seed in SEEDS:
             g = graphs[seed % len(graphs)]
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -859,11 +875,10 @@ class TestTwoColor:
         # graphs with parallel edges and isolated vertices; 63 and 64
         # parallel edges put twice the largest degree on either side of int8
         graphs = [
-            WeightedGraph(n=6, edges=((0, 1), (0, 1), (1, 2), (1, 2),
-                                      (1, 2), (4, 5))),
-            WeightedGraph(n=4, edges=((2, 3),)),
-            WeightedGraph(n=3, edges=((0, 1),) * 63),
-            WeightedGraph(n=3, edges=((0, 1),) * 64),
+            cut_graph(6, ((0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (4, 5))),
+            cut_graph(4, ((2, 3),)),
+            cut_graph(3, ((0, 1),) * 63),
+            cut_graph(3, ((0, 1),) * 64),
         ]
         assert [g._adjacency.dtype for g in graphs[2:]] == [np.int8, np.int16]
         for seed in range(50):
@@ -872,7 +887,7 @@ class TestTwoColor:
                 c1, c2, ell = _two_color_batch(g, gen_new, 16)
                 ref = ref_two_color_batch(g, gen_ref, 16)
                 assert same_result(c1, ref[0]) and same_result(c2, ref[1])
-                u, v = g.edge_arrays()
+                u, v = edge_columns(g)
                 incidence = np.zeros((g.m, g.n), dtype=np.int64)
                 incidence[np.arange(g.m), u] = incidence[np.arange(g.m), v] = 1
                 assert same_result(ell, (c1[:, u] == c1[:, v]).astype(np.int64) @ incidence)
@@ -883,10 +898,10 @@ class TestTwoColor:
         # from the returned counts, on the same colourings; dp_shearer's
         # offset d // 2 and any offset in 0..d // 2
         graphs = [unit_graph(s, n=9, m=25) for s in range(10)]
-        graphs += [WeightedGraph(n=3, edges=((0, 1),) * 64), WeightedGraph(n=4, edges=())]
+        graphs += [cut_graph(3, ((0, 1),) * 64), cut_graph(4, ())]
         for seed in range(60):
             g = graphs[seed % len(graphs)]
-            deg = g.degree_counts()
+            deg = degrees(g)
             rng = np.random.default_rng(1000 + seed)
             for offset in (deg // 2, rng.integers(0, deg // 2 + 1)):
                 gen_a, gen_b = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -899,7 +914,7 @@ class TestTwoColor:
     @pytest.mark.parametrize("eps", [1e-12, 0.5, 2.0, 800.0])
     def test_dp_shearer_batch(self, eps):
         graphs = [unit_graph(s, n=8, m=12) for s in range(10)]
-        graphs += [WeightedGraph(n=2, edges=((0, 1),)), WeightedGraph(n=3, edges=())]
+        graphs += [cut_graph(2, ((0, 1),)), cut_graph(3, ())]
         for seed in SEEDS:
             g = graphs[seed % len(graphs)]
             gen_new, gen_ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -911,7 +926,7 @@ class TestTwoColor:
 class TestAlg1Batch:
     KXOR = [gen_random_kxor(GenSpec(n=30, m=12, k=k, seed=k, triangle_free=True))
             for k in (2, 3)]
-    CYCLE = WeightedGraph(n=8, edges=tuple((i, (i + 1) % 8) for i in range(8)))
+    CYCLE = cut_graph(8, tuple((i, (i + 1) % 8) for i in range(8)))
     # the audit's neighbouring pair: one constraint, and none
     PAIR = [CspInstance(n=4, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor"),
             CspInstance(n=4, constraints=(), kind="kxor")]
@@ -1059,7 +1074,7 @@ class TestHarness:
     K3 = CspInstance(n=9, constraints=tuple(
         Constraint(scope=(3 * i, 3 * i + 1, 3 * i + 2), b=(-1) ** i) for i in range(3)
     ) + (Constraint(scope=(0, 4, 8), b=1),), kind="kxor")
-    CYCLE = WeightedGraph(n=10, edges=tuple((i, (i + 1) % 10) for i in range(10)))
+    CYCLE = cut_graph(10, tuple((i, (i + 1) % 10) for i in range(10)))
     CASES = {
         "alg1": (KXOR, (0.5, 2.0)),
         "alg2": (KXOR, (0.5, 2.0)),
@@ -1109,7 +1124,7 @@ class TestKernelLaws:
     ODD = CspInstance(n=4, constraints=(
         Constraint(scope=(0, 1, 2), b=1), Constraint(scope=(1, 3), b=-1),
         Constraint(scope=(3,), b=-1)), kind="kxor")
-    GRAPH = WeightedGraph(n=4, edges=tuple(
+    GRAPH = cut_graph(4, tuple(
         (u, v) for u, v in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2))))
     CASES = {
         "alg1": (PATH, 1.0),
@@ -1207,9 +1222,9 @@ class TestAlg6Subsampling:
         # about 7% of the vertices clear the threshold through noise alone;
         # the graph is dense enough that even the smallest rate keeps edges
         graph = unit_graph(3, n=14, m=300)
-        u, v = graph.edge_arrays()
+        u, v = edge_columns(graph)
         seen = {}
-        real_high, real_choice = algo_maxcut.noisy_high_mask, algo_maxcut._mutual_choice
+        real_high, real_choice = dp_mechanisms.noisy_high_mask, algo_maxcut._mutual_choice
 
         def high_spy(*args):
             seen["high"] = real_high(*args)
@@ -1220,7 +1235,7 @@ class TestAlg6Subsampling:
             seen["out"] = real_choice(n, u, v, kept, draws)
             return seen["out"]
 
-        monkeypatch.setattr(algo_maxcut, "noisy_high_mask", high_spy)
+        monkeypatch.setattr(dp_mechanisms, "noisy_high_mask", high_spy)
         monkeypatch.setattr(algo_maxcut, "_mutual_choice", choice_spy)
         trials = 2000
         dp_maxcut_general_batch(graph, eps, alpha, RngStream(7, 0).generator(), trials)
@@ -1234,7 +1249,7 @@ class TestAlg6Subsampling:
         chosen, rows, lower = seen["out"]
         assert len(rows) >= 100
         for r in range(trials):
-            edges = [graph.edges[i] for i in np.flatnonzero(kept[r])]
+            edges = [edge_list(graph)[i] for i in np.flatnonzero(kept[r])]
             ref_chosen, ref_pairs = ref_mutual_choice(graph.n, edges, draws[r])
             assert chosen[r].tolist() == ref_chosen
             assert [(x, ref_chosen[x]) for x in lower[rows == r].tolist()] == ref_pairs
@@ -1257,7 +1272,7 @@ class TestAlg6Subsampling:
         # P[Z > 24/eps] = P[Z >= 241] = q^241 / (1 + q) for integer noise at
         # eps/12, q = e^(-eps/12)
         n = 4
-        rows = dp_maxcut_general_batch(WeightedGraph(n=n, edges=()), 0.1, 0.0,
+        rows = dp_maxcut_general_batch(cut_graph(n, ()), 0.1, 0.0,
                                        RngStream(10, 0).generator(), self.TRIALS)
         q = math.exp(-0.1 / 6.0 / 2)
         p = q ** (math.floor(24.0 / 0.1) + 1) / (1 + q)
@@ -1265,7 +1280,7 @@ class TestAlg6Subsampling:
                             for c in range(1 << n)])
         assert_law(rows, 2 / 3 / (1 << n) + pattern / 3)
         # one edge, whose endpoints noise sometimes lifts into the high set
-        graph = WeightedGraph(n=2, edges=((0, 1),))
+        graph = cut_graph(2, ((0, 1),))
         rows = dp_maxcut_general_batch(graph, 0.1, 0.0, RngStream(11, 0).generator(), self.TRIALS)
         assert_same_law(rows, ref_rows("alg6", graph, 0.1, 0.0, 12, self.REF_TRIALS), 2)
 
@@ -1318,7 +1333,7 @@ class TestDegreeSplit:
             lambda seed: unit_graph(seed, n=12, m=10),
             lambda seed: CspInstance(n=5, constraints=(Constraint(scope=(1, 3), b=-1),), kind="kxor"),
             lambda seed: CspInstance(n=4, constraints=(), kind="kxor"),
-            lambda seed: WeightedGraph(n=3, edges=()),
+            lambda seed: cut_graph(3, ()),
         ]
         for seed in SEEDS:
             for make in cases:
