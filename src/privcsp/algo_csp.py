@@ -113,15 +113,14 @@ def _xor_median_by_count(max_count: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, gammas
 
 
-def _group_pmf_ids(instance: CspInstance, group: ConstraintGroup) -> np.ndarray:
+def _group_pmf_ids(group: ConstraintGroup) -> np.ndarray:
     """_pmf_id of each constraint of a group at each scope position, as a
     (constraints, arity) array; computed once per group."""
     ids = _GROUP_PMF_IDS.get(group)
     if ids is None:
-        ids = np.array([
-            [_pmf_id(instance.constraints[c], j) for j in scope]
-            for c, scope in zip(group.cons.tolist(), group.scopes.tolist())
-        ], dtype=np.intp).reshape(group.scopes.shape)
+        rows = (group.constraint(row) for row in range(len(group.cons)))
+        ids = np.array([[_pmf_id(c, j) for j in c.scope] for c in rows],
+                       dtype=np.intp).reshape(group.scopes.shape)
         _GROUP_PMF_IDS[group] = ids
     return ids
 
@@ -204,16 +203,20 @@ def _cell_medians(instance: CspInstance, terms: list, rank: np.ndarray, cells: n
     n = instance.n
     xor_id = _pmf_id(_XOR_STAND_IN, 0)
     pids = [np.full(c.size, xor_id) if group.signs is not None and group.arity >= 2
-            else _group_pmf_ids(instance, group)[c, pos] for group, _, c, pos, _, _ in terms]
-    cons = [group.cons[c] for group, _, c, _, _, _ in terms]
+            else _group_pmf_ids(group)[c, pos] for group, _, c, pos, _, _ in terms]
+    # each term row's place: the index in terms of its group, and its row there
+    owner = [np.full(c.size, i) for i, (_, _, c, _, _, _) in enumerate(terms)]
+    rows = [c for _, _, c, _, _, _ in terms]
     sel = rank >= 0
-    rank, pids, cons = rank[sel], np.concatenate(pids)[sel], np.concatenate(cons)[sel]
+    rank, pids = rank[sel], np.concatenate(pids)[sel]
+    owner, rows = np.concatenate(owner)[sel], np.concatenate(rows)[sel]
     order = np.argsort(rank, kind="stable")
     bounds = np.searchsorted(rank, np.arange(cells.size + 1), sorter=order)
 
     def median(k):
-        cs = cons[order[bounds[k]:bounds[k + 1]]].tolist()
-        return _median_for([instance.constraints[i] for i in cs], int(cells[k] % n))
+        picks = order[bounds[k]:bounds[k + 1]]
+        return _median_for([terms[i][0].constraint(row) for i, row in zip(
+            owner[picks].tolist(), rows[picks].tolist())], int(cells[k] % n))
 
     ids, id_rank = np.unique(pids, return_inverse=True)
     sigs = np.bincount(rank * ids.size + id_rank, minlength=cells.size * ids.size)

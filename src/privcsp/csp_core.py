@@ -15,18 +15,24 @@ edge weighs 1, the unit-constraint model of the paper's neighbouring
 instances, and a file's weights are checked at load. CSP and graph
 algorithms alike run on it; the graph kernels refuse any other kind.
 
-instance_from_json reads a graph file that is exactly what
-instance_to_json writes (plus at most one final newline) from its bytes
-as arrays (CspInstance.from_edges), and the graph keeps that text as its
-instance_to_json; every other text takes the general json.loads path.
+Instances are built from columns (CspInstance.from_groups, and
+from_edges for a graph); CspInstance(n, constraints, kind) groups a
+Constraint tuple into them and is the reference path. instance_from_json
+reads a graph file that is exactly what instance_to_json writes (plus at
+most one final newline) from its bytes as arrays, and the graph keeps that
+text as its instance_to_json; every other text takes the json.loads path,
+which reads kxor and general documents into columns with whole-list checks
+and walks Constraint objects only when one fails, so that the error names
+the first fault.
 
 No object is changed after construction; operations are pure. An
 instance's m and maximum arity are set when it is made; other data
 derived from it (its constraint view, degrees, summed mu, scope
 distinctness, triangle-freeness, a graph's adjacency, and its JSON text)
 is computed once per object, on first use, and returned read-only, so
-callers that run many trials on one instance pay for it once. No graph
-kernel and no value computation reads the constraint view.
+callers that run many trials on one instance pay for it once. All but the
+constraint view are computed from the groups' arrays, and no kernel and
+no value computation reads that view.
 
 One evaluator, eval_value, computes values. It takes one assignment (a
 float comes back) or a (trials, n) block of assignments (a float64
@@ -49,6 +55,7 @@ all_values.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,6 +220,13 @@ class ConstraintGroup:
             idx |= (x[..., self.scopes[:, t]] > 0).astype(np.intp) << t
         return idx
 
+    def constraint(self, row: int) -> Constraint:
+        """The Constraint of one row, from the arrays."""
+        scope = tuple(self.scopes[row].tolist())
+        if self.signs is not None:
+            return Constraint(scope=scope, b=int(self.signs[row]))
+        return Constraint(scope=scope, table=tuple(self.tables[row].tolist()))
+
     def satisfied(self, x: np.ndarray) -> np.ndarray:
         if self.signs is not None:
             return self.products(x) == self.signs
@@ -228,33 +242,37 @@ class CspInstance:
     Max-Cut graph, Max-2XOR with every b = -1, whose one group is that 2XOR
     group, also with no edges, so its max arity is 2. CspInstance(n,
     constraints, kind) groups a constraint tuple, which seeds the
-    `constraints` view; from_edges builds a graph from two edge columns, and
-    its view is derived on first use.
+    `constraints` view; from_groups builds an instance from its groups'
+    columns and from_edges a graph from two edge columns, and their view is
+    derived on first use.
     """
 
     def __init__(self, n: int, constraints: Iterable[Constraint], kind: str = "general") -> None:
         constraints = tuple(constraints)
-        if kind == "maxcut" and not all(c.is_xor and c.arity == 2 and c.b == -1
-                                        for c in constraints):
-            raise ValueError("maxcut constraints must be 2XOR with b = -1")
-        if kind == "kxor" and not all(c.is_xor for c in constraints):
-            raise ValueError("kxor instances admit sign-form constraints only")
         members: dict[tuple[bool, int], list[int]] = {(True, 2): []} if kind == "maxcut" else {}
         for idx, c in enumerate(constraints):
             members.setdefault((c.is_xor, c.arity), []).append(idx)
-        groups = []
-        for (is_xor, arity), idxs in sorted(members.items()):
+        columns = []
+        for (is_xor, arity), idxs in members.items():
             cons = [constraints[i] for i in idxs]
-            signs = tables = None
-            if is_xor:
-                signs = np.array([c.b for c in cons], dtype=np.int8)
-            else:
-                tables = np.array([c.table for c in cons], dtype=np.int8)
-            groups.append(ConstraintGroup(
-                np.array(idxs, dtype=np.intp),
-                np.array([c.scope for c in cons], dtype=np.intp).reshape(-1, arity), signs, tables))
-        self._set(n, kind, groups)
+            forms = [c.b for c in cons] if is_xor else [c.table for c in cons]
+            columns.append((idxs, np.array([c.scope for c in cons], dtype=np.intp).reshape(-1, arity),
+                            *((forms, None) if is_xor else (None, forms))))
+        self._set(n, kind, columns, repeats=False)  # a Constraint's indices are distinct
         self.__dict__["constraints"] = constraints
+
+    @classmethod
+    def from_groups(cls, n: int, kind: str, groups: Iterable[tuple]) -> CspInstance:
+        """The instance on n variables whose constraints are given as columns,
+        one (cons, scopes, signs, tables) tuple of arrays per form and arity:
+        constraint indices, a (rows, arity) scope matrix, and the signs (b =
+        +-1) or the (rows, 2^arity) 0/1 truth tables, the other None (see
+        ConstraintGroup). Together the cons are 0..m-1 once each. The
+        groups are typed and sorted as CspInstance(n, constraints, kind)
+        makes them, so the same constraints give an equal instance."""
+        instance = cls.__new__(cls)
+        instance._set(n, kind, groups, repeats=True)
+        return instance
 
     @classmethod
     def from_edges(cls, n: int, u, v) -> CspInstance:
@@ -266,18 +284,31 @@ class CspInstance:
             raise ValueError("edge columns must be 1-D, of one length and integer")
         m = cols[0].size
         # the scopes in Fortran order, so that each column, u and v, is contiguous
-        group = ConstraintGroup(np.arange(m), np.array(cols, dtype=np.intp).T,
-                                np.full(m, -1, dtype=np.int8), None)
-        instance = cls.__new__(cls)
-        instance._set(n, "maxcut", [group])
-        return instance
+        scopes = np.array(cols, dtype=np.intp).T
+        return cls.from_groups(n, "maxcut", [(np.arange(m), scopes, np.full(m, -1, np.int8), None)])
 
-    def _set(self, n: int, kind: str, groups: list[ConstraintGroup]) -> None:
+    def _set(self, n: int, kind: str, columns: Iterable[tuple], repeats: bool) -> None:
+        """Sets the state from (cons, scopes, signs, tables) columns: the
+        groups sorted by form (tables first) and arity, a group with no rows
+        dropped but a graph's one group kept, after the kind's form check,
+        the variable count's and every scope's (_check_scopes, which looks
+        for an index repeated within a scope when repeats is set)."""
+        groups = sorted(
+            (ConstraintGroup(np.asarray(cons, dtype=np.intp), np.asarray(scopes, dtype=np.intp),
+                             *(None if a is None else np.asarray(a, dtype=np.int8)
+                               for a in (signs, tables)))
+             for cons, scopes, signs, tables in columns if kind == "maxcut" or len(cons)),
+            key=lambda g: (g.signs is not None, g.arity))
+        if kind == "maxcut" and not (len(groups) == 1 and groups[0].arity == 2 and (
+                groups[0].signs is not None and (groups[0].signs == -1).all())):
+            raise ValueError("maxcut constraints must be 2XOR with b = -1")
+        if kind == "kxor" and any(g.signs is None for g in groups):
+            raise ValueError("kxor instances admit sign-form constraints only")
         if not 0 <= n < 2 ** 63:
             raise ValueError(f"variable count must be nonnegative and below 2^63, got {n}")
         if kind not in ("general", "kxor", "maxcut"):
             raise ValueError(f"unknown kind {kind!r}")
-        _check_scopes(n, kind, groups)
+        _check_scopes(n, kind, groups, repeats)
         self.__dict__.update(n=n, kind=kind, _groups=tuple(groups),
                              m=sum(len(group.cons) for group in groups),
                              max_arity=max((group.arity for group in groups), default=0))
@@ -311,10 +342,8 @@ class CspInstance:
         """One Constraint per row of the groups, in constraint order."""
         out: list = [None] * self.m
         for g in self._groups:
-            forms = ({"b": b} for b in g.signs.tolist()) if g.signs is not None else (
-                {"table": tuple(t)} for t in g.tables.tolist())
-            for c, scope, form in zip(g.cons.tolist(), g.scopes.tolist(), forms):
-                out[c] = Constraint(scope=tuple(scope), **form)
+            for row, c in enumerate(g.cons.tolist()):
+                out[c] = g.constraint(row)
         return tuple(out)
 
     @cached_property
@@ -338,12 +367,21 @@ class CspInstance:
 
     @cached_property
     def _distinct_scopes(self) -> bool:
-        scopes = {frozenset(c.scope) for c in self.constraints}
-        return len(scopes) == len(self.constraints)
+        """No two constraints have one scope as a set: per arity, the sorted
+        scope rows of its groups are distinct."""
+        rows: dict[int, list[np.ndarray]] = {}
+        for g in self._groups:
+            rows.setdefault(g.arity, []).append(np.sort(g.scopes, axis=1))
+        for same_arity in rows.values():
+            scopes = np.concatenate(same_arity)
+            scopes = scopes[np.lexsort(scopes.T)]  # equal rows next to each other
+            if (scopes[1:] == scopes[:-1]).all(axis=1).any():
+                return False
+        return True
 
     @cached_property
     def _triangle_free(self) -> bool:
-        return _scan_triangle_free(self.constraints)
+        return _triangle_free_groups(self._groups, self._degrees)
 
     @cached_property
     def _em_cdf_memo(self) -> dict:
@@ -353,20 +391,31 @@ class CspInstance:
     @cached_property
     def _json_text(self) -> str:
         """instance_to_json's text, from the groups' arrays (so numpy integers
-        in a Constraint are written as the integers they are). A graph's edges
-        are each [u,v,1.0] as json.dumps formats it, ids by %d;
-        _graph_from_text seeds it with the text it read."""
+        in a Constraint are written as the integers they are), in the bytes
+        json.dumps(sort_keys=True) gives. A graph's edges are each [u,v,1.0],
+        ids by %d; _graph_from_text seeds it with the text it read. Other
+        constraints are formatted by one %-format per group, one row per
+        constraint, and placed in constraint order."""
         if self.kind == "maxcut":
             edges = ("[%d,%d,1.0]," * self.m)[:-1] % tuple(self._groups[0].scopes.ravel().tolist())
             return '{"edges":[%s],"kind":"maxcut","n":%d}' % (edges, self.n)
-        cons: list = [None] * self.m
+        texts = []  # each group's rows, one per line
         for g in self._groups:
-            key, forms = (("b", g.signs.tolist()) if g.signs is not None
-                          else ("table", g.tables.tolist()))
-            for c, scope, form in zip(g.cons.tolist(), g.scopes.tolist(), forms):
-                cons[c] = {"scope": scope, key: form}
-        doc = {"n": self.n, "kind": self.kind, "constraints": cons}
-        return json.dumps(doc, indent=None, separators=(",", ":"), sort_keys=True)
+            scope = ",".join(["%d"] * g.arity)
+            if g.signs is not None:
+                row, values = '{"b":%d,"scope":[' + scope + "]}", (g.signs[:, None], g.scopes)
+            else:
+                table = ",".join(["%d"] * g.tables.shape[1])
+                row, values = '{"scope":[' + scope + '],"table":[' + table + "]}", (g.scopes, g.tables)
+            texts.append(((row + "\n") * len(g.cons))[:-1] % tuple(np.hstack(values).ravel().tolist()))
+        if len(texts) == 1:  # one group: its rows are in constraint order
+            body = texts[0].replace("\n", ",")
+        else:
+            parts = np.empty(self.m, dtype=object)
+            for g, text in zip(self._groups, texts):
+                parts[g.cons] = text.split("\n")
+            body = ",".join(parts)
+        return '{"constraints":[%s],"kind":"%s","n":%d}' % (body, self.kind, self.n)
 
     @cached_property
     def _adjacency(self) -> sparse.csr_array:
@@ -385,26 +434,32 @@ class CspInstance:
         return bool((adj @ adj).multiply(adj).sum() > 0)
 
 
-def _check_scopes(n: int, kind: str, groups: list[ConstraintGroup]) -> None:
+def _check_scopes(n: int, kind: str, groups: list[ConstraintGroup], repeats: bool) -> None:
     """Raises for the first constraint, in constraint order, whose scope holds
-    an index outside [0, n) or one index twice; for a graph, the first edge
-    that is a self-loop or out of range (_check_edge). A Constraint's
-    indices are distinct, so only a graph's edge columns can repeat one."""
+    an index outside [0, n) or, when repeats is set, one index twice (named
+    first, as Constraint names it; a Constraint's indices are distinct); for
+    a graph, the first edge that is a self-loop or out of range
+    (_check_edge)."""
     first = None
     for g in groups:
         s = g.scopes
-        loops = s[:, 0] == s[:, 1] if kind == "maxcut" else np.zeros(len(s), dtype=bool)
-        # whole-array extremes first: one pass each in the common, valid case
-        if loops.any() or s.size and (s.min() < 0 or s.max() >= n):
-            row = int((((s < 0) | (s >= n)).any(axis=1) | loops).argmax())
+        twice = np.zeros(len(s), dtype=bool)
+        for a, b in itertools.combinations(range(g.arity), 2) if repeats else ():
+            twice |= s[:, a] == s[:, b]
+        # the whole-array maximum first, one pass in the common, valid case; as
+        # unsigned, a negative index is above every n < 2^63
+        if twice.any() or s.size and s.view(np.uint64).max() >= n:
+            row = int((twice | (s.view(np.uint64) >= n).any(axis=1)).argmax())
             if first is None or g.cons[row] < first[0]:
-                first = (g.cons[row], g.scopes[row].tolist())
+                first = (g.cons[row], tuple(s[row].tolist()))
     if first is None:
         return
     scope = first[1]
     if kind == "maxcut":
         _check_edge(n, *scope)
-    raise ValueError(f"scope {tuple(scope)} out of range for n={n}")
+    if len(set(scope)) < len(scope):
+        raise ValueError(f"scope indices must be distinct: {scope}")
+    raise ValueError(f"scope {scope} out of range for n={n}")
 
 
 def _check_edge(n: int, u, v) -> None:
@@ -502,11 +557,53 @@ def mu(obj: Constraint | CspInstance) -> float:
 
 def is_triangle_free(instance: CspInstance) -> bool:
     """True iff every pair of constraints shares at most one variable and
-    no three constraints pairwise intersect. Scanned once per instance."""
+    no three constraints pairwise intersect. Three constraints on one
+    variable pairwise intersect, so a triangle-free instance has every
+    variable's degree at most 2. Checked once per instance, from its
+    arrays, in O(n + m k^2) for m constraints of arity at most k
+    (_triangle_free_groups)."""
     return instance._triangle_free
 
 
+def _triangle_free_groups(groups: Sequence[ConstraintGroup], degrees: np.ndarray) -> bool:
+    """is_triangle_free from the groups' arrays and the variables' degrees,
+    in O(n + m k^2) for m constraints of arity at most k; equal to
+    _scan_triangle_free, the reference.
+
+    A variable in three or more constraints makes them pairwise intersect.
+    Otherwise each variable in two constraints joins that pair, each
+    constraint has at most k neighbours, one per scope position, and the
+    (m, k) table nbr names them (-1 for none). A row naming one neighbour
+    twice is a pair sharing two variables; an intersecting pair whose rows
+    name a common neighbour closes a triangle."""
+    if degrees.max(initial=0) > 2:
+        return False
+    if not groups:
+        return True
+    width = max(g.arity for g in groups)
+    var = np.concatenate([g.scopes.ravel() for g in groups])
+    con = np.concatenate([np.repeat(g.cons, g.arity) for g in groups])
+    slot = np.concatenate([np.tile(np.arange(g.arity), len(g.cons)) for g in groups])
+    shared = np.flatnonzero(degrees[var] == 2)
+    # one of the two entries of each shared variable, whichever is written last
+    owner = np.empty(degrees.size, dtype=np.intp)
+    owner[var[shared]] = shared
+    second = shared[owner[var[shared]] != shared]
+    first = owner[var[second]]
+    a, b = con[first], con[second]
+    nbr = np.full((sum(len(g.cons) for g in groups), width), -1, dtype=np.intp)
+    nbr[a, slot[first]] = b
+    nbr[b, slot[second]] = a
+    if any(((nbr[:, s] == nbr[:, t]) & (nbr[:, s] >= 0)).any()
+           for s, t in itertools.combinations(range(width), 2)):
+        return False
+    near_a, near_b = nbr[a], nbr[b]
+    return not any(((near_a[:, s] == near_b[:, t]) & (near_a[:, s] >= 0)).any()
+                   for s, t in itertools.product(range(width), repeat=2))
+
+
 def _scan_triangle_free(constraints: Sequence[Constraint]) -> bool:
+    """The reference triangle scan: every pair of constraints, in Python."""
     scopes = [frozenset(c.scope) for c in constraints]
     m = len(scopes)
     adj: list[set[int]] = [set() for _ in range(m)]
@@ -765,8 +862,10 @@ def instance_from_json(text: str) -> CspInstance:
 
     Text that is exactly instance_to_json of a graph with edges, plus at
     most one final newline, is read as arrays (_graph_from_text); any other
-    text goes through json.loads (_instance_from_doc). Both build the graph
-    from its (u, v) columns, so they accept and reject alike."""
+    text goes through json.loads (_instance_from_doc), which reads kxor and
+    general documents into columns too (_doc_columns) and walks Constraint
+    objects only to name a fault. All of them build the instance from its
+    columns, so they accept and reject alike."""
     graph = _graph_from_text(text)
     return _instance_from_doc(text) if graph is None else graph
 
@@ -859,8 +958,15 @@ def _instance_from_doc(text: str) -> CspInstance:
             if not (type(edge[2]) in (int, float) and edge[2] == 1):
                 raise ValueError(f"edge weight must be 1, got {edge}")
         return CspInstance.from_edges(n, *_edge_columns(n, [edge[:2] for edge in edges]))
+    entries = doc.get("constraints", [])
+    columns = _doc_columns(kind, entries)
+    if columns is not None:
+        try:
+            return CspInstance.from_groups(n, kind, columns)
+        except ValueError:  # the walk below names the first fault
+            pass
     cons = []
-    for entry in _json_list(doc.get("constraints", []), "'constraints'"):
+    for entry in _json_list(entries, "'constraints'"):
         if not isinstance(entry, dict):
             raise ValueError(f"constraint must be a JSON object, got {entry!r}")
         unknown = set(entry) - _CONSTRAINT_FIELDS
@@ -879,6 +985,69 @@ def _instance_from_doc(text: str) -> CspInstance:
         else:
             raise ValueError("constraint requires 'b' or 'table'")
     return CspInstance(n=n, constraints=tuple(cons), kind=kind)
+
+
+_SIGN_ENTRY, _TABLE_ENTRY = frozenset({"scope", "b"}), frozenset({"scope", "table"})
+
+
+def _doc_columns(kind, entries) -> list[tuple] | None:
+    """The (cons, scopes, signs, tables) columns of a kxor or general
+    document's constraint entries, for CspInstance.from_groups, checked by
+    whole-list and array operations: each entry an object with the fields
+    scope and b, or scope and table; each scope a nonempty list of JSON
+    integers that fit int64; each b -1 or +1; each table a list of 2^arity
+    JSON integers 0 or 1, arity at most ARITY_CAP. from_groups checks the
+    rest (n, the scopes' range and distinct indices, and that a kxor
+    instance has no table). None when a check fails, or for another kind,
+    so that the Constraint walk raises naming the first fault."""
+    if not (kind in ("general", "kxor") and type(entries) is list
+            and set(map(type, entries)) <= {dict}):
+        return None
+    fields = set(map(frozenset, entries))
+    if not fields <= {_SIGN_ENTRY, _TABLE_ENTRY}:
+        return None
+    scopes = [e["scope"] for e in entries]
+    if not set(map(type, scopes)) <= {list}:
+        return None
+    arity = np.fromiter(map(len, scopes), dtype=np.intp, count=len(scopes))
+    flat = list(itertools.chain.from_iterable(scopes))
+    if not set(map(type, flat)) <= {int} or arity.min(initial=1) < 1:
+        return None
+    try:
+        flat = np.array(flat, dtype=np.int64)
+    except OverflowError:  # an index beyond int64, out of range
+        return None
+    is_table = np.array(["table" in e for e in entries], dtype=bool)
+    signs = [e["b"] for e in entries if "b" in e]
+    tables = [e["table"] for e in entries if "table" in e]
+    if not (set(map(type, signs)) <= {int} and set(signs) <= {-1, 1}
+            and _tables_valid(tables, arity[is_table])):
+        return None
+    form = 2 * arity + is_table  # the group of each entry: arity, then form
+    sign_at = np.zeros(len(entries), dtype=np.int8)
+    sign_at[~is_table] = signs
+    table_at = np.cumsum(is_table) - 1  # each table entry's place in `tables`
+    starts = np.cumsum(arity) - arity
+    columns = []
+    for key in np.unique(form).tolist():
+        k, tabled = divmod(key, 2)
+        rows = np.flatnonzero(form == key)
+        columns.append((rows, flat[starts[rows, None] + np.arange(k)], *(
+            (None, np.array([tables[i] for i in table_at[rows].tolist()], dtype=np.int8))
+            if tabled else (sign_at[rows], None))))
+    return columns
+
+
+def _tables_valid(tables: list, arity: np.ndarray) -> bool:
+    """Each table a list of 2^arity JSON integers 0 or 1, arity at most ARITY_CAP."""
+    if not tables:
+        return True
+    if not set(map(type, tables)) <= {list} or arity.max() > ARITY_CAP:
+        return False
+    lengths = np.fromiter(map(len, tables), dtype=np.intp, count=len(tables))
+    entries = list(itertools.chain.from_iterable(tables))
+    return bool((lengths == 1 << arity).all()) and set(map(type, entries)) <= {int} and set(
+        entries) <= {0, 1}
 
 
 def _edge_columns(n: int, pairs: list) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csp_core import Constraint, CspInstance, is_triangle_free
+from .csp_core import Constraint, CspInstance, ResourceCapError, is_triangle_free
 from .dp_mechanisms import as_generator
 from .oracles import PackingFamily
 
@@ -64,65 +64,50 @@ def gen_random_kxor(spec: GenSpec) -> CspInstance:
     """Random sign-form instance with distinct scopes and uniform signs.
 
     Scopes are drawn uniformly and rejected on duplication, degree-cap
-    violation, or (when requested) loss of triangle-freeness, with
-    incremental pairwise-overlap bookkeeping. A long rejection streak
-    raises instead of under-delivering.
+    violation, or (when requested) loss of triangle-freeness. The
+    triangle test reads, per variable, the placed constraints that hold it,
+    so a candidate costs O(k) bookkeeping, not O(m). A long rejection
+    streak raises ResourceCapError instead of under-delivering. The
+    instance is built from its columns (CspInstance.from_groups).
     """
     gen = as_generator(np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed))))
     scopes: list[tuple[int, ...]] = []
-    scope_sets: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    degree = np.zeros(spec.n, dtype=np.int64)
-    # adjacency in the constraint-intersection graph, for the
-    # three-pairwise-intersections check
+    seen: set[tuple[int, ...]] = set()
+    # per variable, the placed constraints whose scope holds it (its degree
+    # is their count), and per constraint, its neighbours in the
+    # constraint-intersection graph, for the three-pairwise-intersections check
+    holders: list[list[int]] = [[] for _ in range(spec.n)]
     adj: list[set[int]] = []
     rejections = 0
     while len(scopes) < spec.m:
         if rejections > MAX_REJECTIONS:
-            raise RuntimeError(
+            raise ResourceCapError(
                 f"generator stalled after {MAX_REJECTIONS} rejections with "
                 f"{len(scopes)}/{spec.m} constraints placed; spec {spec} "
                 "is likely infeasible in practice"
             )
         cand = tuple(sorted(gen.choice(spec.n, size=spec.k, replace=False).tolist()))
-        cset = frozenset(cand)
-        if cset in seen:
-            rejections += 1
-            continue
-        if spec.max_degree is not None and np.any(degree[list(cand)] + 1 > spec.max_degree):
-            rejections += 1
-            continue
-        new_adj: set[int] = set()
-        ok = True
-        if spec.triangle_free:
-            for idx, other in enumerate(scope_sets):
-                common = len(cset & other)
-                if common > 1:
-                    ok = False
-                    break
-                if common == 1:
-                    new_adj.add(idx)
-            if ok:
-                for idx in new_adj:
-                    if adj[idx] & new_adj:
-                        ok = False
-                        break
+        ok = cand not in seen and (
+            spec.max_degree is None or all(len(holders[i]) < spec.max_degree for i in cand))
+        if ok and spec.triangle_free:
+            # one entry per variable the candidate shares with a placed constraint
+            met = [c for i in cand for c in holders[i]]
+            new_adj = set(met)
+            ok = len(new_adj) == len(met) and not any(adj[c] & new_adj for c in new_adj)
         if not ok:
             rejections += 1
             continue
         if spec.triangle_free:
-            for idx in new_adj:
-                adj[idx].add(len(scopes))
+            for c in new_adj:
+                adj[c].add(len(scopes))
             adj.append(new_adj)
+        for i in cand:
+            holders[i].append(len(scopes))
+        seen.add(cand)
         scopes.append(cand)
-        scope_sets.append(cset)
-        seen.add(cset)
-        degree[list(cand)] += 1
     signs = 2 * gen.integers(0, 2, size=spec.m) - 1
-    cons = tuple(
-        Constraint(scope=s, b=int(b)) for s, b in zip(scopes, signs)
-    )
-    instance = CspInstance(n=spec.n, constraints=cons, kind="kxor")
+    instance = CspInstance.from_groups(spec.n, "kxor", [(
+        np.arange(spec.m), np.array(scopes, dtype=np.intp).reshape(spec.m, spec.k), signs, None)])
     if spec.triangle_free:
         assert is_triangle_free(instance)
     return instance

@@ -179,13 +179,13 @@ class TestAlg1:
         import privcsp.csp_core as core
 
         calls = []
-        scan = core._scan_triangle_free
+        scan = core._triangle_free_groups
 
-        def counting_scan(constraints):
+        def counting_scan(groups, degrees):
             calls.append(1)
-            return scan(constraints)
+            return scan(groups, degrees)
 
-        monkeypatch.setattr(core, "_scan_triangle_free", counting_scan)
+        monkeypatch.setattr(core, "_triangle_free_groups", counting_scan)
         inst = cycle_instance(8)
         for t in range(5):
             assert core.is_triangle_free(inst)

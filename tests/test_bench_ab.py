@@ -22,11 +22,13 @@ def bench_ab(monkeypatch):
     return module
 
 
-def fake_runs(module, monkeypatch, incorrect, failures=None):
+def fake_runs(module, monkeypatch, incorrect, failures=None, group_times=None):
     """run_bench stand-in: every metric 1.0, `correct` False for the
-    (side, pair) entries in `incorrect`, and each side's (fail_share,
-    failed) from `failures` (default (0.0625, 0) on both)."""
+    (side, pair) entries in `incorrect`, each side's (fail_share, failed)
+    from `failures` (default (0.0625, 0) on both), and the one operation
+    group's time in each pair from `group_times` (default 1.0)."""
     failures = failures or {}
+    group_times = group_times or {}
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     calls = {"base": 0, "change": 0}
 
@@ -35,7 +37,7 @@ def fake_runs(module, monkeypatch, incorrect, failures=None):
         calls[side] += 1
         return {"correct": (side, calls[side]) not in incorrect,
                 "metrics": dict.fromkeys(names, 1.0), "sha": "x", "passes": 3,
-                "groups": {"audit - em": 1.0},
+                "groups": {"audit - em": group_times.get(side, [1.0] * 3)[calls[side] - 1]},
                 **dict(zip(("fail_share", "failed"), failures.get(side, (0.0625, 0))))}
 
     monkeypatch.setattr(module, "run_bench", run_bench)
@@ -92,11 +94,20 @@ def test_op_group_table(bench_ab, monkeypatch, capsys):
     assert bench_ab.group_seconds(ROOT, "exact_enum", 1, dict(record, calib_s=[0.008]))[
         "verify-hardness - -"] == 0.5 * 3.0  # median of 2 and 4, scale 0.5
 
-    fake_runs(bench_ab, monkeypatch, set())
-    assert bench_ab.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[lines.index(next(line for line in lines if line.startswith("op group"))) + 1].split() == [
-        "audit", "-", "em", "1", "1", "1.0000"]
+    def group_row(group_times):
+        fake_runs(bench_ab, monkeypatch, set(), group_times=group_times)
+        assert bench_ab.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(line for line in lines if line.startswith("op group"))
+        assert header.split()[-1] == "wins"
+        return lines[lines.index(header) + 1].split()
+
+    assert group_row(None) == ["audit", "-", "em", "1", "1", "1.0000", "0/3"]
+    # wins count the pairs whose change time is below the base's, not the medians
+    assert group_row({"base": [1.0, 2.0, 3.0], "change": [1.5, 1.0, 2.0]}) == [
+        "audit", "-", "em", "2", "1.5", "0.7500", "2/3"]
+    assert group_row({"base": [1.0, 2.0, 3.0], "change": [0.5, 2.5, 3.5]}) == [
+        "audit", "-", "em", "2", "2.5", "1.2500", "1/3"]
 
 
 @pytest.mark.parametrize("failures, flagged", [

@@ -14,7 +14,7 @@ from privcsp.cli import (
     build_parser,
     main,
 )
-from privcsp.csp_core import Constraint, CspInstance, save_instance
+from privcsp.csp_core import Constraint, CspInstance, load_instance, save_instance
 from privcsp.harness import ALGORITHMS
 
 
@@ -52,6 +52,15 @@ class TestGen:
         path = tmp_path / "cycle.json"
         code, out, _ = run(capsys, "gen", "--kind", "even_cycle", "--n", "6", "--out", str(path))
         assert code == EXIT_OK and out == f"wrote {path}: n=6, m=6, kind=maxcut\n"
+
+    def test_stalled_generator_exits_resource(self, capsys, monkeypatch):
+        # feasible on paper (m <= C(4, 2)), but no 5 pairs of 4 variables are
+        # triangle-free: the stall is a resource cap, exit 3, not a traceback
+        monkeypatch.setattr("privcsp.generators.MAX_REJECTIONS", 50)
+        code, out, err = run(capsys, "gen", "--kind", "kxor", "--n", "4", "--m", "5", "--k", "2",
+                             "--triangle-free", "--seed", "1")
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("resource cap: generator stalled after 50 rejections")
 
     def test_infeasible_spec(self, capsys):
         code, _, err = run(
@@ -614,3 +623,46 @@ class TestBenchmarkArgv:
             for inst in self.workloads.instances(workload, instance_set):
                 argv = [*inst.gen_argv, "--seed", str(inst.base_seed), "--out", "inst.json"]
                 assert parser.parse_args(argv).command == "gen"
+
+
+# a triangle-free general instance: truth tables of arity 1 to 3 and
+# parities of arity 1 and 2 along a path, so alg1's median cells read tables
+MIXED_PATH = CspInstance(n=9, kind="general", constraints=(
+    Constraint(scope=(0, 1), table=(0, 1, 1, 1)), Constraint(scope=(1, 2, 3), b=-1),
+    Constraint(scope=(3, 4, 5), table=(1, 0, 0, 1, 0, 1, 1, 0)), Constraint(scope=(5, 6), b=1),
+    Constraint(scope=(6,), table=(0, 1)), Constraint(scope=(7,), b=1), Constraint(scope=(8,), b=-1)))
+
+
+@pytest.mark.parametrize("algorithm, instance", [
+    ("alg1", 2), ("alg2", 2), ("alg3", 2), ("alg3", 3), ("alg_oddk", 3), ("alg1", 1), ("alg2", 1),
+    ("alg1", MIXED_PATH)])
+def test_sweep_never_builds_constraint_view(tmp_path, capsys, monkeypatch, algorithm, instance):
+    """A kxor file of arity k, or a general file for alg1, runs from its columns:
+    loading it, its triangle and distinct-scope checks, its config_hash and
+    the kernels (alg1's medians of truth tables and arity-1 parities
+    included) read the groups' arrays, and no Constraint tuple is derived
+    from them."""
+    from functools import cached_property
+
+    path = tmp_path / "inst.json"
+    if isinstance(instance, int):
+        assert main(["gen", "--kind", "kxor", "--n", "60", "--m", "20", "--k", str(instance),
+                     "--triangle-free", "--max-degree", "2", "--seed", "4", "--out", str(path)]) == 0
+    else:
+        save_instance(instance, str(path))
+    built = []
+    view = CspInstance.constraints
+
+    def counting_view(instance):
+        built.append(instance)
+        return view.func(instance)
+
+    counted = cached_property(counting_view)
+    counted.__set_name__(CspInstance, "constraints")
+    monkeypatch.setattr(CspInstance, "constraints", counted)
+    code, out, err = run(capsys, "sweep", "--algorithm", algorithm, "--instance", str(path),
+                         "--eps", "0.5", "2", "--trials", "5", "--seed", "1")
+    assert code == EXIT_OK, err
+    assert "config_hash" in out and built == []
+    m = len(load_instance(str(path)).constraints)  # the counter counts
+    assert m == (20 if isinstance(instance, int) else 7) and len(built) == 1

@@ -249,6 +249,42 @@ class TestTriangleFree:
         assert is_triangle_free(inst) == brute_force_triangle_free(inst)
 
 
+    def test_array_check_matches_scan(self):
+        """The array check (_triangle_free_groups) equals the reference scan
+        on seeded random instances of arity 1 to 3, with repeated and
+        permuted scopes, truth-table groups and Max-Cut multigraphs with
+        parallel edges, and on the empty instance and K3,3."""
+        rng = np.random.default_rng(24)
+        k33 = cut_graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        instances = [CspInstance(n=0, constraints=(), kind="kxor"), cut_graph(0, ()), cut_graph(4, ()),
+                     k33, CspInstance(n=6, constraints=k33.constraints, kind="kxor")]
+        for t in range(3000):
+            n = int(rng.integers(2, 10))
+            if t % 3 == 0:  # a multigraph on few vertices: parallel edges are common
+                m = int(rng.integers(0, 9))
+                u = rng.integers(0, n, size=m)
+                instances.append(CspInstance.from_edges(n, u, (u + rng.integers(1, n, size=m)) % n))
+                continue
+            cons = []
+            for _ in range(int(rng.integers(0, 9))):
+                if cons and rng.random() < 0.15:  # a repeated scope, maybe permuted
+                    scope = tuple(rng.permutation(cons[int(rng.integers(len(cons)))].scope).tolist())
+                else:
+                    scope = tuple(rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)),
+                                             replace=False).tolist())
+                if t % 3 == 2 and rng.random() < 0.5:
+                    cons.append(Constraint(scope=scope, table=tuple(
+                        rng.integers(0, 2, 2 ** len(scope)).tolist())))
+                else:
+                    cons.append(xor(scope, b=int(rng.choice([-1, 1]))))
+            instances.append(CspInstance(n=n, constraints=cons, kind="general" if t % 3 == 2 else "kxor"))
+        verdicts = [csp_core._triangle_free_groups(constraint_groups(inst), degrees(inst))
+                    for inst in instances]
+        assert verdicts == [csp_core._scan_triangle_free(inst.constraints) for inst in instances]
+        assert verdicts[:5] == [True, True, True, False, False]
+        assert 500 < sum(verdicts) < len(verdicts) - 500  # both verdicts are common
+
+
 class TestDegrees:
     def test_single_constraint(self):
         inst = CspInstance(n=5, constraints=(xor((1, 2, 3), b=1),), kind="kxor")
@@ -509,6 +545,32 @@ class TestGraphTables:
                 assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+# instance documents with a value that is not a JSON integer, and the
+# field the refusal names
+NON_INTEGRAL_DOCS = [
+    ({"n": 3.9, "kind": "kxor", "constraints": []}, "n must be"),
+    ({"n": True, "kind": "kxor", "constraints": []}, "n must be"),
+    ({"n": "3", "kind": "kxor", "constraints": []}, "n must be"),
+    ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1.7], "b": 1}]}, "scope entry"),
+    ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, True], "b": 1}]}, "scope entry"),
+    ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": 1.5}]}, "b must be"),
+    ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": True}]}, "b must be"),
+    ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": 1.0}]}, "b must be"),
+    ({"n": 2, "kind": "general", "constraints": [{"scope": [0], "table": [0.6, 1]}]},
+     "table entry"),
+    ({"n": 2, "kind": "general", "constraints": [{"scope": [0], "table": [False, 1]}]},
+     "table entry"),
+    ({"n": 3, "kind": "kxor", "constraints": [[0, 1]]}, "constraint must be"),
+    ({"n": 3, "kind": "maxcut", "edges": [[0, 1.9, 1.0]]}, "edge endpoints"),
+    ({"n": 3, "kind": "maxcut", "edges": [[0, True, 1.0]]}, "edge endpoints"),
+    ({"n": 3, "kind": "maxcut", "edges": [[0, 1, "1.0"]]}, "edge weight must be 1"),
+    ({"n": 3, "kind": "maxcut", "edges": [[0, 1, False]]}, "edge weight must be 1"),
+    ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.inf]]}, "edge weight must be 1"),
+    ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.nan]]}, "edge weight must be 1"),
+    ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 10 ** 400]]}, "edge weight must be 1"),
+]
+
+
 class TestSerialization:
     def test_roundtrip_instance(self):
         rng = np.random.default_rng(5)
@@ -724,28 +786,7 @@ class TestSerialization:
         with pytest.raises(ValueError):
             instance_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("doc, field", [
-        ({"n": 3.9, "kind": "kxor", "constraints": []}, "n must be"),
-        ({"n": True, "kind": "kxor", "constraints": []}, "n must be"),
-        ({"n": "3", "kind": "kxor", "constraints": []}, "n must be"),
-        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1.7], "b": 1}]}, "scope entry"),
-        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, True], "b": 1}]}, "scope entry"),
-        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": 1.5}]}, "b must be"),
-        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": True}]}, "b must be"),
-        ({"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": 1.0}]}, "b must be"),
-        ({"n": 2, "kind": "general", "constraints": [{"scope": [0], "table": [0.6, 1]}]},
-         "table entry"),
-        ({"n": 2, "kind": "general", "constraints": [{"scope": [0], "table": [False, 1]}]},
-         "table entry"),
-        ({"n": 3, "kind": "kxor", "constraints": [[0, 1]]}, "constraint must be"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1.9, 1.0]]}, "edge endpoints"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, True, 1.0]]}, "edge endpoints"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, "1.0"]]}, "edge weight must be 1"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, False]]}, "edge weight must be 1"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.inf]]}, "edge weight must be 1"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, math.nan]]}, "edge weight must be 1"),
-        ({"n": 3, "kind": "maxcut", "edges": [[0, 1, 10 ** 400]]}, "edge weight must be 1"),
-    ])
+    @pytest.mark.parametrize("doc, field", NON_INTEGRAL_DOCS)
     def test_non_integral_values_rejected(self, doc, field):
         with pytest.raises(ValueError, match=field):
             instance_from_json(json.dumps(doc))
@@ -837,6 +878,134 @@ class TestSerialization:
         assert (g.kind, g.max_arity, g.m) == ("maxcut", 2, 3)
         assert cut_graph(3, ()).max_arity == 2
         assert cut_graph(3, ()).constraints == ()
+
+
+class TestColumnarReader:
+    """kxor and general documents are read into columns (_doc_columns); the
+    Constraint walk, the reference, runs only when a check fails. Both give
+    an equal instance with the same constraints view, text and config_hash,
+    or raise the same error."""
+
+    CONFIG = ExperimentConfig(algorithm="alg3", eps=(1.0,), trials=5, seed=0)
+
+    @classmethod
+    def outcome(cls, read, text):
+        try:
+            inst = read(text)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+        return inst, inst.constraints, instance_to_json(inst), cls.CONFIG.config_hash(inst)
+
+    @classmethod
+    def walk(cls, text):
+        """The outcome of the JSON path with the columnar reader switched off."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csp_core, "_doc_columns", lambda kind, entries: None)
+            return cls.outcome(csp_core._instance_from_doc, text)
+
+    @staticmethod
+    def random_doc(rng):
+        """A kxor or general document, corrupted at one place half the time."""
+        n, kind = int(rng.integers(1, 10)), str(rng.choice(["kxor", "general"]))
+        cons = []
+        for _ in range(int(rng.integers(0, 8))):
+            scope = rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False).tolist()
+            if kind == "general" and rng.random() < 0.4:
+                cons.append({"scope": scope, "table": rng.integers(0, 2, 2 ** len(scope)).tolist()})
+            else:
+                cons.append({"b": int(rng.choice([-1, 1])), "scope": scope})
+        doc = {"n": n, "kind": kind, "constraints": cons}
+        if cons and rng.random() < 0.5:
+            c = cons[int(rng.integers(len(cons)))]
+            key = "table" if "table" in c else "b"
+            fault = [
+                lambda: c["scope"].append(c["scope"][0]), lambda: c["scope"].append(n),
+                lambda: c["scope"].append(-1), lambda: c["scope"].clear(),
+                lambda: c["scope"].append(2 ** 70), lambda: c.update(scope=tuple(c["scope"])),
+                lambda: c["scope"].append(float(n + 1)), lambda: c.update({key: 0}),
+                lambda: c.update(b=0), lambda: c.update(b=2), lambda: c.update(extra=1),
+                lambda: c.pop("scope"), lambda: c.pop(key), lambda: c.update(table=[0, 1]),
+                lambda: c.update({key: [1] * 2 ** len(c["scope"])}), lambda: doc.update(n=2 ** 64),
+                lambda: doc.update(n=-1), lambda: doc.update(kind="maxcut"), lambda: cons.append(7),
+                lambda: c.update(table=[2] * 2 ** len(c["scope"])),
+            ]
+            fault[int(rng.integers(len(fault)))]()
+        return doc
+
+    def test_matches_walk_on_random_documents(self):
+        rng = np.random.default_rng(14)
+        read = 0
+        for _ in range(1500):
+            text = json.dumps(self.random_doc(rng))
+            reference = self.walk(text)
+            assert self.outcome(instance_from_json, text) == reference, text
+            read += type(reference[0]) is CspInstance
+        assert 500 < read < 1400
+
+    @pytest.mark.parametrize("doc", [doc for doc, _ in NON_INTEGRAL_DOCS] + [
+        {"n": 2, "kind": "kxor", "constraints": [], "extra": 1},
+        {"n": 2, "kind": "kxor", "constraints": [{"scope": [0, 1], "b": 1, "note": "x"}]},
+        {"n": 3, "kind": "kxor", "constraints": [{"scope": [0, 1], "table": [0, 1, 1, 0]}]},
+        {"n": 3, "kind": "general", "constraints": [{"scope": [0, 1], "b": 1, "table": [0, 1, 1, 0]}]},
+        {"n": 3, "kind": "general", "constraints": [{"scope": [0, 3], "b": 1}, {"scope": [1, 1], "b": 1}]},
+        {"n": 3, "kind": "kxor", "constraints": {"scope": [0, 1], "b": 1}},
+        {"n": 3, "kind": "xor", "constraints": [{"scope": [0, 1], "b": 1}]},
+        {"n": 3, "kind": "kxor", "constraints": [{"scope": [0], "b": -1}, {"scope": [0, 1, 2], "b": 1}]},
+        {"n": 3, "kind": "kxor", "constraints": [{"scope": [0], "b": -1}, {"scope": 5, "b": 1}]},
+        {"n": 3, "kind": "kxor", "constraints": [{"scope": None, "b": 1}]},
+        {"n": 3, "kind": "general", "constraints": [{"scope": [0], "table": [0, 2]}]},
+        {"n": 21, "kind": "general", "constraints": [{"scope": list(range(21)), "table": [0] * 2 ** 21}]},
+    ])
+    def test_matches_walk_on_fixed_documents(self, doc):
+        for text in (json.dumps(doc), json.dumps(doc, separators=(",", ":"), sort_keys=True)):
+            assert self.outcome(instance_from_json, text) == self.walk(text)
+
+    @pytest.mark.parametrize("tail", ["", "\n"])
+    def test_matches_walk_on_single_byte_mutants(self, tail):
+        """Every deletion of one byte of a saved kxor file, and every
+        substitution of one byte from "0-9 [ ] { } , : - b" and a quote."""
+        text = ('{"constraints":[{"b":1,"scope":[0,12,4]},{"b":-1,"scope":[3,5,11]},'
+                '{"b":1,"scope":[10,7,9]}],"kind":"kxor","n":13}' + tail)
+        mutants = {text[:i] + text[i + 1:] for i in range(len(text))}
+        mutants |= {text[:i] + c + text[i + 1:] for i in range(len(text)) for c in '0123456789[]{},:-b"'}
+        read = 0
+        for mutant in sorted(mutants):
+            reference = self.walk(mutant)
+            assert self.outcome(instance_from_json, mutant) == reference, mutant
+            read += type(reference[0]) is CspInstance
+        assert read > 50  # digit substitutions in ids and signs
+
+    def test_from_groups_checks_scopes(self):
+        """from_groups, unlike the tuple constructor, may be given a scope that
+        repeats an index; the first faulty constraint is named."""
+        def kxor(scopes):
+            return CspInstance.from_groups(4, "kxor", [(np.arange(len(scopes)), np.array(scopes),
+                                                        np.ones(len(scopes)), None)])
+        with pytest.raises(ValueError, match=r"^scope indices must be distinct: \(1, 2, 1\)$"):
+            kxor([[0, 1, 2], [1, 2, 1], [0, 5, 1]])
+        with pytest.raises(ValueError, match=r"^scope \(0, 5, 1\) out of range for n=4$"):
+            kxor([[0, 1, 2], [0, 5, 1], [1, 2, 1]])
+        assert kxor([[0, 1, 2], [3, 2, 1]]) == CspInstance(
+            n=4, constraints=(xor((0, 1, 2)), xor((3, 2, 1))), kind="kxor")
+
+    def test_reads_saved_files(self, tmp_path):
+        """Saved kxor instances of arity 1 to 3, with up to 18-digit indices,
+        mixed arities, an empty instance and a general one load equal, and
+        their text formatted from the groups is the saved text."""
+        big = 10 ** 17
+        cases = [rand_instance(np.random.default_rng(s), n=40, m=30, k=k)
+                 for s, k in ((1, 1), (2, 2), (3, 3))]
+        cases += [CspInstance(n=big + 1, constraints=(xor((big, 0), b=-1),), kind="kxor"),
+                  CspInstance(n=4, constraints=(xor((0,)), xor((1, 2))), kind="kxor"),
+                  CspInstance(n=4, constraints=(), kind="kxor"),
+                  mixed_instance(2)]
+        for inst in cases:
+            path = tmp_path / "inst.json"
+            save_instance(inst, str(path))
+            text = path.read_text()
+            loaded = load_instance(str(path))
+            assert loaded == inst and self.outcome(instance_from_json, text) == self.walk(text)
+            assert instance_to_json(loaded) == text[:-1]
 
 
 class TestGraphValidation:

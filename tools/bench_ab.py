@@ -31,7 +31,9 @@ A second table shows where the time goes: one row per operation group
 and algorithm or mechanism), with each side's median over its runs of the
 group's median per-pass time, taken from the result file's ``op_s`` and
 scaled by ``CALIB_REF_S`` over the mean of its ``calib_s``, as
-``bench/run.py`` scales its end-to-end times, and change/base.
+``bench/run.py`` scales its end-to-end times, change/base, and the number
+of pairs in which the change's group time is below the base's: a group's
+ratio drifts by several percent between runs, so read it with its wins.
 The timed phase repeats passes for ``--seconds``, so a faster side runs
 more of them, and ``peak_rss_mb`` rises with the pass count: read a
 small RSS rise next to the two counts.
@@ -164,12 +166,15 @@ def report(workload: str, runs: dict[str, list[dict]], src_counts: dict[str, int
             f"{' / '.join(f'{v:.4g}' for v in cq):>34} {ratio:>11.4f} "
             f"{wins:>3}/{len(base):<2}  {'yes' if gap else 'no'}"
         )
-    lines.append(f"{'op group':<40} {'base s/pass':>12} {'change s/pass':>14} {'change/base':>11}")
+    lines.append(f"{'op group':<40} {'base s/pass':>12} {'change s/pass':>14} {'change/base':>11} "
+                 f"{'wins':>6}")
     for label in [g for g in runs["base"][0]["groups"] if g in runs["change"][0]["groups"]]:
-        base, change = (statistics.median(r["groups"][label] for r in runs[side])
-                        for side in ("base", "change"))
+        times = {side: [r["groups"][label] for r in runs[side]] for side in ("base", "change")}
+        base, change = (statistics.median(times[side]) for side in ("base", "change"))
+        wins = sum(c < b for b, c in zip(times["base"], times["change"]))
         ratio = change / base if base else float("nan")
-        lines.append(f"{label:<40} {base:>12.4g} {change:>14.4g} {ratio:>11.4f}")
+        lines.append(f"{label:<40} {base:>12.4g} {change:>14.4g} {ratio:>11.4f} "
+                     f"{wins:>3}/{len(times['base']):<2}")
     correct = all(r["correct"] for side in runs.values() for r in side)
     shas = {side: {r["sha"] for r in rs} for side, rs in runs.items()}
     same = len(shas["base"] | shas["change"]) == 1
