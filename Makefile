@@ -1,5 +1,7 @@
-.PHONY: install test acceptance bench bench-ab bench-ab-all
+.PHONY: install test acceptance bench bench-ab bench-ab-all import-time
 
+# import-time: the 15 imports with the largest cumulative time (microseconds,
+# from python -X importtime) of a fresh `import privcsp.cli`;
 # bench-ab: alternating benchmark runs of AB_BASE and the working tree;
 # bench-ab-all: the same on every workload in turn, stopping at the first
 # run whose outputs are incorrect
@@ -28,3 +30,6 @@ bench-ab-all:
 	for workload in mc_large exact_enum audit; do \
 		python3 tools/bench_ab.py --workload $$workload --seed $(AB_SEED) --pairs $(AB_PAIRS) --seconds $(AB_SECONDS) --base $(AB_BASE) || exit 1; \
 	done
+
+import-time:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python3 -X importtime -c "import privcsp.cli" 2>&1 >/dev/null | sort -t'|' -k2 -n -r | head -15

@@ -36,8 +36,12 @@ no value computation reads that view.
 
 One evaluator, eval_value, computes values. It takes one assignment (a
 float comes back) or a (trials, n) block of assignments (a float64
-vector comes back, one value per row). It works on the constraint
-groups, one at a time. A value is the integer count of satisfied
+vector comes back, one value per row). It works on the variable-major
+transpose of the block, (n, rows), one constraint group at a time
+(ConstraintGroup.hits): each scope column is one contiguous take of
+whole variable rows, and one integer reduction over the group's
+constraints counts each row's hits, (m + sum of b * scope product) / 2
+for a parity group. A value is the integer count of satisfied
 constraints (cut edges), so it is exact.
 
 Exact enumeration (all_values, and brute_force_opt in oracles) runs on one
@@ -115,7 +119,7 @@ def as_assignment(x: Sequence[int] | np.ndarray, n: int | None = None) -> np.nda
         raise ValueError(f"assignment must be one-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"assignment length {arr.shape[0]} != variable count {n}")
-    if not np.all(np.abs(arr) == 1):
+    if not (np.abs(arr) == 1).all():
         raise ValueError("assignment entries must be -1 or +1")
     return arr.astype(np.int8)
 
@@ -195,8 +199,9 @@ class ConstraintGroup:
     variables (one column per scope position), signs the b of each parity
     constraint and tables each truth table (None for the other form); the
     arrays are the ones given, made read-only.
-    The methods take one assignment x or a block of them (last axis the n
-    variables) and return one column per constraint.
+    products and table_index take one assignment x or a block of them (last
+    axis the n variables) and return one column per constraint; hits, the
+    evaluator's, takes a block's variable-major transpose.
     """
 
     def __init__(self, cons: np.ndarray, scopes: np.ndarray,
@@ -227,10 +232,25 @@ class ConstraintGroup:
             return Constraint(scope=scope, b=int(self.signs[row]))
         return Constraint(scope=scope, table=tuple(self.tables[row].tolist()))
 
-    def satisfied(self, x: np.ndarray) -> np.ndarray:
+    def hits(self, xt: np.ndarray) -> np.ndarray:
+        """Satisfied-constraint count of each column of a variable-major
+        (n, rows) int8 block of +-1 entries: every scope column is one
+        contiguous take of whole variable rows, giving a (constraints, rows)
+        block that one reduction over the constraints sums. A parity group
+        counts (m + sum of b * scope product) / 2 with one int32 matrix
+        product (exact below 2^31 constraints)."""
+        cols = [xt.take(self.scopes[:, t], axis=0) for t in range(self.arity)]
         if self.signs is not None:
-            return self.products(x) == self.signs
-        return self.tables[np.arange(len(self.cons)), self.table_index(x)] == 1
+            prod = cols[0]
+            for col in cols[1:]:
+                prod *= col
+            return (len(self.cons) + self.signs.astype(np.int32) @ prod) >> 1
+        # entry index in the flat tables: the row's offset plus bit t set
+        # for x = +1 at scope position t
+        idx = (np.arange(len(self.cons)) << self.arity)[:, None] + (cols[0] > 0)
+        for t in range(1, self.arity):
+            idx += (cols[t] > 0).astype(np.intp) << t
+        return self.tables.reshape(-1).take(idx).sum(axis=0)
 
 
 class CspInstance:
@@ -493,7 +513,7 @@ def eval_value(problem: CspInstance, xs):
         raise ValueError(f"assignments must be one row or a 2-D block, got shape {arr.shape}")
     if arr.shape[1] != problem.n:
         raise ValueError(f"assignment length {arr.shape[1]} != variable count {problem.n}")
-    if not np.all(np.abs(arr) == 1):
+    if not (np.abs(arr) == 1).all():
         raise ValueError("assignment entries must be -1 or +1")
     block = arr.astype(np.int8, copy=False)
     out = np.empty(block.shape[0])
@@ -513,11 +533,10 @@ def rows_per_chunk(problem: CspInstance) -> int:
 
 
 def _block_values(problem: CspInstance, block: np.ndarray) -> np.ndarray:
-    # float64 holds every count exactly
-    count = np.zeros(block.shape[0])
-    for group in problem._groups:
-        count += group.satisfied(block).sum(axis=1)
-    return count
+    """Values of the rows of a (rows, n) int8 block, as int64 counts,
+    evaluated on its variable-major transpose (ConstraintGroup.hits)."""
+    xt = np.ascontiguousarray(block.T)
+    return sum((group.hits(xt) for group in problem._groups), np.zeros(block.shape[0], np.int64))
 
 
 def associated_advantage(instance: CspInstance, x) -> float:

@@ -36,7 +36,6 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from . import algo_csp, algo_maxcut
 from .csp_core import (
@@ -281,20 +280,33 @@ def estimate_ratio(config: ExperimentConfig, problem) -> ExperimentReport:
 
 
 def sweep(config: ExperimentConfig, problem) -> ExperimentReport:
-    """estimate_ratio plus a monotone-trend summary of advantage vs eps: the
-    Spearman correlation, nan when either vector is constant (an algorithm
-    that ignores eps reads the same draws at every eps)."""
+    """estimate_ratio plus a monotone-trend summary of advantage vs eps:
+    their Spearman correlation (_spearman)."""
     report = estimate_ratio(config, problem)
     spearman = None
     if len(report.rows) >= 2:
-        adv = [r.advantage for r in report.rows]
-        eps = [r.eps for r in report.rows]
-        if len(set(adv)) == 1 or len(set(eps)) == 1:
-            # scipy returns nan here too, with a ConstantInputWarning
-            spearman = math.nan
-        else:
-            spearman = float(stats.spearmanr(eps, adv).statistic)
+        spearman = _spearman([r.eps for r in report.rows], [r.advantage for r in report.rows])
     return ExperimentReport(rows=report.rows, spearman_advantage_eps=spearman)
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rank correlation of two sequences of one length: the
+    Pearson correlation (np.corrcoef) of their average ranks, the values
+    scipy.stats.spearmanr computes, to the last bit. nan when either
+    sequence is constant (as an algorithm that ignores eps gives: it reads
+    the same draws at every eps), where the correlation is undefined."""
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        return math.nan
+    return float(np.corrcoef(np.column_stack([_average_ranks(x), _average_ranks(y)]),
+                             rowvar=False)[1, 0])
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, ties given the mean of the ranks they span: (number
+    below + number at or below + 1) / 2, an exact half-integer."""
+    v = np.asarray(values, dtype=np.float64)
+    s = np.sort(v)
+    return (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2
 
 
 def _neighboring_delta(a, b) -> int:

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .csp_core import (
     Constraint,
@@ -37,9 +36,12 @@ LAPLACE_SUPPORT_CAP = 1 << 22
 # the most codes the audit's bucket codes may span before compaction
 RANGE_TABLE_SPAN = 1 << 16
 # empirical_epsilon's settings, read at call time: the Wilson intervals'
-# confidence, the fewest hits per side of a reliable bucket, and the most
-# distinct output rows
+# confidence and its two-sided normal quantile (AUDIT_Z = the standard
+# normal's quantile at 0.5 + AUDIT_CONFIDENCE / 2, to the last bit; the two
+# change together), the fewest hits per side of a reliable bucket, and the
+# most distinct output rows
 AUDIT_CONFIDENCE = 0.95
+AUDIT_Z = 1.959963984540054
 AUDIT_MIN_HITS = 100
 AUDIT_MAX_BUCKETS = 64
 
@@ -176,7 +178,8 @@ def threshold_pmf(d: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     check_epsilon(epsilon, positive=True)
     z, zp = _discrete_laplace_pmf(epsilon)
     x = np.arange(d)
-    xp = stats.binom.pmf(x, d - 1, 0.5)
+    # C(d-1, k) / 2^(d-1): a ratio of exact integers, correctly rounded
+    xp = np.array([math.comb(d - 1, k) / 2 ** (d - 1) for k in range(d)])
     support = np.arange(z[0] + x[0], z[-1] + x[-1] + 1)
     probs = np.convolve(zp, xp)
     assert probs.shape == support.shape
@@ -218,10 +221,10 @@ def exact_em_distribution(
 
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, at confidence
-    AUDIT_CONFIDENCE."""
+    AUDIT_CONFIDENCE (its normal quantile AUDIT_Z)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = float(stats.norm.ppf(0.5 + AUDIT_CONFIDENCE / 2.0))
+    z = AUDIT_Z
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -368,9 +371,9 @@ def empirical_epsilon(
     only are reported as lower-bound-only evidence, never as an infinite
     estimate; buckets with fewer than AUDIT_MIN_HITS on either side are
     flagged unreliable. More than AUDIT_MAX_BUCKETS distinct rows raise
-    ResourceCapError. Both constants, and AUDIT_CONFIDENCE, are read at
-    call time. _bucket_counts counts the rows: one integer code per row
-    and one np.bincount per side.
+    ResourceCapError. Both constants, and AUDIT_CONFIDENCE with its AUDIT_Z,
+    are read at call time. _bucket_counts counts the rows: one integer code
+    per row and one np.bincount per side.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

@@ -133,6 +133,107 @@ class TestEvalValue:
             as_assignment([1, 0, 1])
 
 
+def counted_values(problem, xs):
+    """Each row's value counted in Python, one Constraint at a time."""
+    return np.array([sum(c.evaluate_local([int(x[i]) for i in c.scope]) for c in problem.constraints)
+                     for x in xs], dtype=np.float64)
+
+
+def random_constraint(rng, n, arity, form):
+    """A constraint on `arity` distinct variables in random order, in sign
+    form or as a random truth table."""
+    scope = tuple(rng.choice(n, size=arity, replace=False).tolist())
+    if form == "sign":
+        return Constraint(scope=scope, b=int(rng.choice([-1, 1])))
+    return Constraint(scope=scope, table=tuple(rng.integers(0, 2, 2 ** arity).tolist()))
+
+
+def random_block(rng, rows, n, dtype=np.int8):
+    return np.where(rng.random((rows, n)) < 0.5, -1, 1).astype(dtype)
+
+
+class TestBlockEvaluator:
+    """eval_value's variable-major evaluator against a Python count."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 50])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("form", ["sign", "table"])
+    def test_one_group(self, form, arity, rows):
+        rng = np.random.default_rng(100 * arity + rows)
+        inst = CspInstance(n=9, constraints=[random_constraint(rng, 9, arity, form) for _ in range(13)],
+                           kind="kxor" if form == "sign" else "general")
+        assert len(constraint_groups(inst)) == 1
+        xs = random_block(rng, rows, 9)
+        assert np.array_equal(eval_value(inst, xs), counted_values(inst, xs))
+        assert eval_value(inst, xs[0]) == counted_values(inst, xs[:1])[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("rows", [1, 3, 17])
+    def test_mixed_groups(self, seed, rows):
+        # sign and table groups of arity 1 to 3 in one instance, constraints
+        # of one scope repeated, in int8, int64 and float blocks
+        rng = np.random.default_rng(seed)
+        cons = [random_constraint(rng, 7, int(rng.integers(1, 4)), ("sign", "table")[int(rng.integers(2))])
+                for _ in range(20)]
+        inst = CspInstance(n=7, constraints=cons + cons[:3])
+        assert len(constraint_groups(inst)) > 2
+        xs = random_block(rng, rows, 7)
+        expect = counted_values(inst, xs)
+        for dtype in (np.int8, np.int64, np.float64):
+            assert np.array_equal(eval_value(inst, xs.astype(dtype)), expect)
+
+    @pytest.mark.parametrize("rows", [1, 3, 40])
+    def test_maxcut(self, rows):
+        rng = np.random.default_rng(rows)
+        g = gen_triangle_free_graph("random_bipartite", 12, 12, 60, seed=rows)
+        xs = random_block(rng, rows, g.n)
+        cut = [sum(x[u] != x[v] for u, v in edge_list(g)) for x in xs]
+        assert eval_value(g, xs).tolist() == cut == counted_values(g, xs).tolist()
+
+    @pytest.mark.parametrize("problem", [
+        CspInstance(n=4, constraints=()),
+        CspInstance(n=4, constraints=(), kind="kxor"),
+        cut_graph(4, ()),
+        CspInstance(n=0, constraints=()),
+    ])
+    def test_zero_constraints(self, problem):
+        for rows in (1, 5):
+            values = eval_value(problem, -np.ones((rows, problem.n), dtype=np.int8))
+            assert values.dtype == np.float64 and values.tolist() == [0.0] * rows
+        assert eval_value(problem, -np.ones(problem.n)) == 0.0
+
+    def test_blocks_cross_rows_per_chunk(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        inst = CspInstance(n=8, constraints=[
+            random_constraint(rng, 8, arity, form) for arity in (1, 2, 3) for form in ("sign", "table")
+            for _ in range(4)])
+        xs = random_block(rng, 23, 8)
+        whole = eval_value(inst, xs)
+        # 2^6 entries per chunk over m * max arity = 72: one row a chunk;
+        # 2^9 over 72: 7 rows a chunk, the last chunk partial
+        for bits, step in ((6, 1), (9, 7)):
+            monkeypatch.setattr(csp_core, "VALUE_CHUNK_BITS", bits)
+            assert csp_core.rows_per_chunk(inst) == step
+            assert np.array_equal(eval_value(inst, xs), whole)
+        assert np.array_equal(whole, counted_values(inst, xs))
+
+    def test_group_sums_beyond_int16(self):
+        # 70000 parallel edges: the signed sum over the group is +-70000, which
+        # no int8 or int16 accumulator holds
+        g = CspInstance.from_edges(2, np.zeros(70_000, np.intp), np.ones(70_000, np.intp))
+        xs = np.array([[1, -1], [1, 1], [-1, 1]], dtype=np.int8)
+        assert eval_value(g, xs).tolist() == [70_000.0, 0.0, 70_000.0]
+
+    @pytest.mark.parametrize("bad", [0, 2, -2, 0.5, 127])
+    def test_non_pm1_refused(self, bad):
+        inst = CspInstance(n=3, constraints=(xor((0, 1)),), kind="kxor")
+        block = np.ones((4, 3))
+        block[2, 1] = bad
+        for xs in (block, block[2], block.astype(np.int64) if float(bad).is_integer() else block):
+            with pytest.raises(ValueError, match=r"^assignment entries must be -1 or \+1$"):
+                eval_value(inst, xs)
+
+
 class TestAdvantage:
     def test_single_2xor(self):
         inst = CspInstance(n=3, constraints=(xor((1, 2), b=1),), kind="kxor")

@@ -7,6 +7,7 @@ import pytest
 from privcsp.csp_core import (
     Constraint,
     CspInstance,
+    ResourceCapError,
     degrees,
     instance_to_json,
     is_triangle_free,
@@ -112,11 +113,18 @@ class TestGenRandomKxor:
         b = gen_random_kxor(GenSpec(n=12, m=8, k=2, seed=2))
         assert instance_to_json(a) != instance_to_json(b)
 
-    def test_stall_raises(self):
-        # n = k forces a single possible scope; asking for two must stall
-        # on the triangle-free overlap rule long before MAX_REJECTIONS
+    def test_stall_raises(self, monkeypatch):
+        # three pairs that pairwise meet (a triangle, or three at one
+        # variable) are not triangle-free, so at most 6 of the 15 pairs of 6
+        # variables fit: every candidate is rejected from then on, and the
+        # rejection budget, lowered here from 10^6 so that the test does not
+        # draw 10^6 candidates, raises the cap
+        monkeypatch.setattr("privcsp.generators.MAX_REJECTIONS", 50)
         spec = GenSpec(n=6, m=15, k=2, seed=0, triangle_free=True)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ResourceCapError,
+                           match=r"^generator stalled after 50 rejections with \d+/15 constraints "
+                                 r"placed; spec GenSpec\(n=6, m=15, k=2, seed=0, .*\) is likely "
+                                 r"infeasible in practice$"):
             gen_random_kxor(spec)
 
     def test_empty(self):

@@ -291,6 +291,40 @@ class TestSweep:
         assert "# spearman" not in rep.csv()
 
 
+class TestSpearman:
+    """harness._spearman is scipy.stats.spearmanr's statistic to the last bit."""
+
+    def test_matches_scipy_on_random_grids(self):
+        rng = np.random.default_rng(2024)
+        constant = 0
+        for _ in range(10_000):
+            k = int(rng.integers(2, 9))
+            # small integer grids (ties, negatives, -0.0) or continuous values
+            x, y = (rng.integers(-3, 4, k) * rng.choice([1.0, 0.5, -0.1, 1e-300, 1e300])
+                    if rng.random() < 0.5 else rng.normal(size=k) * 10.0 ** rng.integers(-5, 6)
+                    for _ in range(2))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", stats.ConstantInputWarning)
+                expect = stats.spearmanr(x, y).statistic
+            got = harness._spearman(x.tolist(), y.tolist())
+            if math.isnan(expect):
+                constant += 1
+                assert math.isnan(got)
+            else:
+                assert got == expect
+        assert 100 < constant < 5_000
+
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 1.0], [0.0, 1.0]),
+        ([0.5, 1.0, 2.0], [3.0, 3.0, 3.0]),
+        ([0.0, -0.0, 0.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_constant_input_is_nan_without_warning(self, x, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(harness._spearman(x, y))
+
+
 class TestNeighboringDelta:
     def test_instances(self):
         a = cycle_instance(4)

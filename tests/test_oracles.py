@@ -249,6 +249,16 @@ class TestAtThresholdProb:
             with pytest.raises(ResourceCapError, match=re.escape(f"epsilon = {eps} has {entries} entries")):
                 call(3, eps)
 
+    def test_binomial_matches_scipy(self):
+        # the binomial part alone: at an epsilon whose noise is 0 with
+        # probability 1 - 1e-300, the convolution is the binomial's pmf
+        stats = pytest.importorskip("scipy.stats")
+        for d in (1, 2, 3, 7, 20, 50, 200, 1100):
+            support, probs = threshold_pmf(d, 700.0)
+            assert support.tolist() == list(range(-1, d + 1))
+            assert np.allclose(probs[1:-1], stats.binom.pmf(np.arange(d), d - 1, 0.5), rtol=1e-12,
+                               atol=1e-300)
+
     def test_support_under_cap(self):
         # 2 * ceil(34.5 / 1e-4) + 1 = 690779 noise entries, under the cap
         # of 2^22, and d - 1 more for the binomial
@@ -309,6 +319,13 @@ class TestExactEmDistribution:
 
 
 class TestWilson:
+    def test_z_is_the_normal_quantile(self):
+        stats = pytest.importorskip("scipy.stats")
+        assert oracles.AUDIT_Z == stats.norm.ppf(0.5 + oracles.AUDIT_CONFIDENCE / 2.0)
+        # the half-width at p = 1/2 on a large sample is about z / (2 sqrt(n))
+        lo, hi = wilson_interval(500_000, 1_000_000)
+        assert (hi - lo) / 2 == pytest.approx(oracles.AUDIT_Z / 2000, rel=1e-5)
+
     def test_contains_proportion(self):
         lo, hi = wilson_interval(50, 100)
         assert lo < 0.5 < hi
