@@ -199,9 +199,10 @@ class ConstraintGroup:
     variables (one column per scope position), signs the b of each parity
     constraint and tables each truth table (None for the other form); the
     arrays are the ones given, made read-only.
-    products and table_index take one assignment x or a block of them (last
-    axis the n variables) and return one column per constraint; hits, the
-    evaluator's, takes a block's variable-major transpose.
+    products and table_index take one assignment x or a block of them (the
+    n variables on axis, the last by default) and return one entry per
+    constraint on that axis; hits, the evaluator's, takes a block's
+    variable-major transpose.
     """
 
     def __init__(self, cons: np.ndarray, scopes: np.ndarray,
@@ -210,19 +211,19 @@ class ConstraintGroup:
             None if a is None else _read_only(a) for a in (cons, scopes, signs, tables))
         self.arity = scopes.shape[1]
 
-    def products(self, x: np.ndarray) -> np.ndarray:
+    def products(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Product of x over each scope (int8 when x is)."""
-        prod = x[..., self.scopes[:, 0]]
+        prod = x.take(self.scopes[:, 0], axis=axis)
         for t in range(1, self.arity):
-            prod *= x[..., self.scopes[:, t]]
+            prod *= x.take(self.scopes[:, t], axis=axis)
         return prod
 
-    def table_index(self, x: np.ndarray) -> np.ndarray:
+    def table_index(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """Truth-table entry of x on each scope: bit t set for x = +1 at
         scope position t."""
-        idx = (x[..., self.scopes[:, 0]] > 0).astype(np.intp)
+        idx = (x.take(self.scopes[:, 0], axis=axis) > 0).astype(np.intp)
         for t in range(1, self.arity):
-            idx |= (x[..., self.scopes[:, t]] > 0).astype(np.intp) << t
+            idx |= (x.take(self.scopes[:, t], axis=axis) > 0).astype(np.intp) << t
         return idx
 
     def constraint(self, row: int) -> Constraint:
@@ -234,22 +235,16 @@ class ConstraintGroup:
 
     def hits(self, xt: np.ndarray) -> np.ndarray:
         """Satisfied-constraint count of each column of a variable-major
-        (n, rows) int8 block of +-1 entries: every scope column is one
-        contiguous take of whole variable rows, giving a (constraints, rows)
-        block that one reduction over the constraints sums. A parity group
-        counts (m + sum of b * scope product) / 2 with one int32 matrix
-        product (exact below 2^31 constraints)."""
-        cols = [xt.take(self.scopes[:, t], axis=0) for t in range(self.arity)]
+        (n, rows) int8 block of +-1 entries: products and table_index on
+        axis 0, where every scope column is one contiguous take of whole
+        variable rows, give a (constraints, rows) block that one reduction
+        over the constraints sums. A parity group counts (m + sum of b *
+        scope product) / 2 with one int32 matrix product (exact below 2^31
+        constraints)."""
         if self.signs is not None:
-            prod = cols[0]
-            for col in cols[1:]:
-                prod *= col
-            return (len(self.cons) + self.signs.astype(np.int32) @ prod) >> 1
-        # entry index in the flat tables: the row's offset plus bit t set
-        # for x = +1 at scope position t
-        idx = (np.arange(len(self.cons)) << self.arity)[:, None] + (cols[0] > 0)
-        for t in range(1, self.arity):
-            idx += (cols[t] > 0).astype(np.intp) << t
+            return (len(self.cons) + self.signs.astype(np.int32) @ self.products(xt, axis=0)) >> 1
+        # entry index in the flat tables: the row's offset plus its entry
+        idx = self.table_index(xt, axis=0) + (np.arange(len(self.cons)) << self.arity)[:, None]
         return self.tables.reshape(-1).take(idx).sum(axis=0)
 
 

@@ -36,12 +36,9 @@ LAPLACE_SUPPORT_CAP = 1 << 22
 # the most codes the audit's bucket codes may span before compaction
 RANGE_TABLE_SPAN = 1 << 16
 # empirical_epsilon's settings, read at call time: the Wilson intervals'
-# confidence and its two-sided normal quantile (AUDIT_Z = the standard
-# normal's quantile at 0.5 + AUDIT_CONFIDENCE / 2, to the last bit; the two
-# change together), the fewest hits per side of a reliable bucket, and the
-# most distinct output rows
+# confidence, the fewest hits per side of a reliable bucket, and the most
+# distinct output rows
 AUDIT_CONFIDENCE = 0.95
-AUDIT_Z = 1.959963984540054
 AUDIT_MIN_HITS = 100
 AUDIT_MAX_BUCKETS = 64
 
@@ -178,8 +175,13 @@ def threshold_pmf(d: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     check_epsilon(epsilon, positive=True)
     z, zp = _discrete_laplace_pmf(epsilon)
     x = np.arange(d)
-    # C(d-1, k) / 2^(d-1): a ratio of exact integers, correctly rounded
-    xp = np.array([math.comb(d - 1, k) / 2 ** (d - 1) for k in range(d)])
+    # C(d-1, k) / 2^(d-1), a ratio of exact integers, correctly rounded; the
+    # row is symmetric, so its first half is built, by the exact recurrence
+    # C(n, k+1) = C(n, k) (n-k) / (k+1), and mirrored
+    n, c, den, xp = d - 1, 1, 1 << (d - 1), np.empty(d)
+    for k in range((d + 1) // 2):
+        xp[k] = xp[n - k] = c / den
+        c = c * (n - k) // (k + 1)
     support = np.arange(z[0] + x[0], z[-1] + x[-1] + 1)
     probs = np.convolve(zp, xp)
     assert probs.shape == support.shape
@@ -219,12 +221,63 @@ def exact_em_distribution(
     return w / w.sum()
 
 
+# Cephes' ndtri coefficients: the rational approximations of the normal
+# quantile for |p - 1/2| <= 1/2 - exp(-2) (P0, Q0), and in the tails for
+# sqrt(-2 log p) below 8 (P1, Q1) and from 8 (P2, Q2); Q's leading 1 is implied
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x: float, coefs: Sequence[float], monic: bool = False) -> float:
+    acc = x + coefs[0] if monic else coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _normal_quantile(p: float) -> float:
+    """The standard normal's quantile at p in (0, 1), by Cephes' ndtri (the
+    algorithm of scipy.stats.norm.ppf) step for step, so the same double
+    comes out; statistics.NormalDist().inv_cdf is one ulp away at 0.975,
+    which moves about one Wilson interval in a hundred."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"quantile level must lie in (0, 1), got {p}")
+    tail = math.exp(-2.0)
+    upper = p > 1.0 - tail
+    y = 1.0 - p if upper else p
+    if y > tail:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0, monic=True))
+        return x * 2.50662827463100050242
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    p_coefs, q_coefs = (_NDTRI_P1, _NDTRI_Q1) if x < 8.0 else (_NDTRI_P2, _NDTRI_Q2)
+    x = x - math.log(x) / x - z * _horner(z, p_coefs) / _horner(z, q_coefs, monic=True)
+    return x if upper else -x
+
+
 def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, at confidence
-    AUDIT_CONFIDENCE (its normal quantile AUDIT_Z)."""
+    AUDIT_CONFIDENCE."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = AUDIT_Z
+    z = _normal_quantile(0.5 + AUDIT_CONFIDENCE / 2.0)
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -371,9 +424,9 @@ def empirical_epsilon(
     only are reported as lower-bound-only evidence, never as an infinite
     estimate; buckets with fewer than AUDIT_MIN_HITS on either side are
     flagged unreliable. More than AUDIT_MAX_BUCKETS distinct rows raise
-    ResourceCapError. Both constants, and AUDIT_CONFIDENCE with its AUDIT_Z,
-    are read at call time. _bucket_counts counts the rows: one integer code
-    per row and one np.bincount per side.
+    ResourceCapError. Both constants, and AUDIT_CONFIDENCE, are read at
+    call time. _bucket_counts counts the rows: one integer code per row
+    and one np.bincount per side.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")

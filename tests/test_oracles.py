@@ -253,7 +253,7 @@ class TestAtThresholdProb:
         # the binomial part alone: at an epsilon whose noise is 0 with
         # probability 1 - 1e-300, the convolution is the binomial's pmf
         stats = pytest.importorskip("scipy.stats")
-        for d in (1, 2, 3, 7, 20, 50, 200, 1100):
+        for d in (1, 2, 3, 4, 7, 20, 50, 200, 1100, 1101, 5000):
             support, probs = threshold_pmf(d, 700.0)
             assert support.tolist() == list(range(-1, d + 1))
             assert np.allclose(probs[1:-1], stats.binom.pmf(np.arange(d), d - 1, 0.5), rtol=1e-12,
@@ -321,10 +321,31 @@ class TestExactEmDistribution:
 class TestWilson:
     def test_z_is_the_normal_quantile(self):
         stats = pytest.importorskip("scipy.stats")
-        assert oracles.AUDIT_Z == stats.norm.ppf(0.5 + oracles.AUDIT_CONFIDENCE / 2.0)
+        z = stats.norm.ppf(0.5 + oracles.AUDIT_CONFIDENCE / 2.0)
+        assert oracles._normal_quantile(0.5 + oracles.AUDIT_CONFIDENCE / 2.0) == z
         # the half-width at p = 1/2 on a large sample is about z / (2 sqrt(n))
         lo, hi = wilson_interval(500_000, 1_000_000)
-        assert (hi - lo) / 2 == pytest.approx(oracles.AUDIT_Z / 2000, rel=1e-5)
+        assert (hi - lo) / 2 == pytest.approx(z / 2000, rel=1e-5)
+
+    def test_quantile_bit_equal_to_scipy(self):
+        # every branch: the center, the tails below and above exp(-32)
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(3)
+        tails = 10.0 ** rng.uniform(-300, -0.87, 5000)
+        ps = np.concatenate([rng.uniform(0, 1, 10_000), tails, 1 - tails[tails > 1e-16]])
+        ps = ps[(ps > 0) & (ps < 1)]
+        got = np.array([oracles._normal_quantile(float(p)) for p in ps])
+        assert np.array_equal(got, stats.norm.ppf(ps))
+
+    def test_confidence_is_read_at_call_time(self, monkeypatch):
+        stats = pytest.importorskip("scipy.stats")
+        monkeypatch.setattr(oracles, "AUDIT_CONFIDENCE", 0.99)
+        lo, hi = wilson_interval(500_000, 1_000_000)
+        assert (hi - lo) / 2 == pytest.approx(stats.norm.ppf(0.995) / 2000, rel=1e-5)
+        for confidence in (-1.0, 1.0):
+            monkeypatch.setattr(oracles, "AUDIT_CONFIDENCE", confidence)
+            with pytest.raises(ValueError, match="quantile level"):
+                wilson_interval(1, 2)
 
     def test_contains_proportion(self):
         lo, hi = wilson_interval(50, 100)
