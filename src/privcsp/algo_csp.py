@@ -5,25 +5,31 @@ Every algorithm is one batch kernel, its only entry point, that returns a
 kernel(..., 1)[0].
 
 - alg1_batch: greedy signed-majority rounding with randomized response,
-  for triangle-free instances.
+  for triangle-free instances, against exact medians that one cached
+  routine (_median2) computes from the laws the constraint groups' arrays
+  give.
 - alg2_batch: the degree-split pipeline (dp_mechanisms.degree_split_batch)
   with alg1 as its subroutine.
 - alg3_batch: scaled keep-set selection, per-variable private boost with a
   tanh marginal, and a Chebyshev-bias coordinate flip.
 - alg_oddk_batch: the degree-split pipeline with alg3 as its subroutine,
   for odd arity.
+
+The kernels read an instance's constraint-group arrays only: none builds
+its Constraint view or calls privcsp.oracles, so that the oracles
+(exact_median_theta among them) stay independent checks.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
-import weakref
-from typing import Sequence
 
 import numpy as np
 
 from .csp_core import (
-    Constraint,
     ConstraintGroup,
     CspInstance,
     constraint_groups,
@@ -38,7 +44,6 @@ from .dp_mechanisms import (
     keep_probability,
     threshold_power,
 )
-from .oracles import _constraint_q_pmf, exact_median_theta
 
 __all__ = [
     "boost_scale",
@@ -50,79 +55,63 @@ __all__ = [
 ]
 
 
-# Cached (theta, gamma) per multiset of per-constraint derivative pmfs,
-# for constraints whose fixed supports (scope minus j) are pairwise
-# disjoint: only then is the summed derivative a sum of independent terms
-# whose law the multiset fixes. A pmf is named by a small integer id, one
-# per distinct pmf, looked up by the constraint's shape (sign or truth
-# table, arity, position of j in the scope), which alone fixes the pmf. The
-# maps grow with the shapes seen, not with instances or trials.
-_MEDIAN_CACHE: dict[tuple[int, ...], tuple[float, float]] = {}
-_PMF_IDS: dict[tuple, int] = {}
-_SHAPE_PMF_ID: dict[tuple, int] = {}
-# Per constraint group (one instance's constraints of one form and arity),
-# the pmf id of each constraint at each scope position; dropped with the
-# instance.
-_GROUP_PMF_IDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-# A parity of arity >= 2 has the derivative +-1/2 with equal odds at any
-# scope position and for either sign, so all of them share this one's pmf.
-_XOR_STAND_IN = Constraint(scope=(0, 1), b=1)
+# A law (neg, zero, pos) gives twice a term's derivative_q the values -1,
+# 0 and +1 with odds neg : zero : pos (see _term_laws); it is packed into
+# one integer, neg << 42 | zero << 21 | pos, as each count is at most
+# 2^ARITY_CAP < 2^21. A parity of arity >= 2 has the law (1, 0, 1) at any
+# scope position and for either sign.
+_LAW_MASK = (1 << 21) - 1
+_PARITY_LAW = 1 << 42 | 1
 
 
-def _pmf_id(c: Constraint, j: int) -> int:
-    shape = (c.b, c.table, c.arity, c.scope.index(j))
-    pid = _SHAPE_PMF_ID.get(shape)
-    if pid is None:
-        pmf = tuple(sorted(_constraint_q_pmf(c, j).items()))
-        pid = _PMF_IDS.setdefault(pmf, len(_PMF_IDS))
-        _SHAPE_PMF_ID[shape] = pid
-    return pid
+@functools.lru_cache(maxsize=None)
+def _median2(multiset: tuple[tuple[int, int], ...]) -> tuple[int, float]:
+    """(theta2, gamma) of a sum of independent terms whose packed laws make
+    up multiset, sorted (law, count) pairs, so that one multiset is one
+    cache entry: twice the sum's exact median, its first value whose cdf
+    reaches 1/2, and the tie bias gamma = (1/2 - P[> median]) / P[= median]
+    that makes the three-way comparison exactly unbiased.
 
-
-def _median_for(constraints: Sequence[Constraint], j: int) -> tuple[float, float]:
-    sig = tuple(sorted(_pmf_id(c, j) for c in constraints))
-    hit = _MEDIAN_CACHE.get(sig)
-    if hit is None:
-        hit = exact_median_theta(list(constraints), j)
-        _MEDIAN_CACHE[sig] = hit
-    return hit
-
-
-def _xor_median_by_count(max_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(theta, gamma) arrays indexed by the number q of active sign-form
-    constraints of arity >= 2 with disjoint fixed supports, for q up to
-    max_count.
-
-    Each such constraint adds +-1/2 with equal odds, so the summed
-    derivative is (2 Bin(q, 1/2) - q) / 2. theta is its median, the first
-    support value whose cdf reaches 1/2, and gamma = (1/2 - P[> theta]) /
-    P[= theta]; both are exact ratios of binomial coefficients, rounded
-    once to float, so they equal exact_median_theta on q stand-ins.
+    The sum's law over -q..q, for q terms, is the product of the laws as
+    integer polynomials, so gamma is a ratio of exact integers rounded once
+    to float, as exact_median_theta's float(Fraction) is.
     """
-    thetas = np.zeros(max_count + 1)
-    gammas = np.full(max_count + 1, 0.5)
-    for q in range(1, max_count + 1):
-        total, cdf, b = 1 << q, 0, -1
-        while 2 * cdf < total:
-            b += 1
-            cdf += math.comb(q, b)
-        thetas[q] = (2 * b - q) / 2
-        # (1/2 - (total - cdf) / total) / (comb(q, b) / total); int / int is
-        # the exact fraction rounded once, as float(Fraction) is
-        gammas[q] = (2 * cdf - total) / (2 * math.comb(q, b))
-    return thetas, gammas
+    pmf = [1]
+    for law, count in multiset:
+        neg, zero, pos = law >> 42, law >> 21 & _LAW_MASK, law & _LAW_MASK
+        for _ in range(count):
+            pmf = [neg * a + zero * b + pos * c
+                   for a, b, c in zip(pmf + [0, 0], [0] + pmf + [0], [0, 0] + pmf)]
+    cdf = list(itertools.accumulate(pmf))
+    i = bisect.bisect_left(cdf, (cdf[-1] + 1) // 2)  # the first 2 * cdf >= total
+    # (1/2 - (total - cdf) / total) / (pmf / total)
+    return i - len(pmf) // 2, (2 * cdf[i] - cdf[-1]) / (2 * pmf[i])
 
 
-def _group_pmf_ids(group: ConstraintGroup) -> np.ndarray:
-    """_pmf_id of each constraint of a group at each scope position, as a
-    (constraints, arity) array; computed once per group."""
-    ids = _GROUP_PMF_IDS.get(group)
-    if ids is None:
-        rows = (group.constraint(row) for row in range(len(group.cons)))
-        ids = np.array([[_pmf_id(c, j) for j in c.scope] for c in rows],
-                       dtype=np.intp).reshape(group.scopes.shape)
-        _GROUP_PMF_IDS[group] = ids
-    return ids
+def _term_laws(group: ConstraintGroup, c: np.ndarray, pos: np.ndarray, columns: dict):
+    """The column in columns, a dict from packed law to column that gains
+    each law it lacks, of the law of each term (constraint row c, scope
+    position pos) of a group: the counts of twice its derivative_q being
+    -1, 0 and +1 over the settings of the other scope variables, divided by
+    the largest power of two that divides all three, so that one law has
+    one code. A parity group of arity >= 2 has one law, returned as one
+    scalar; a parity of arity 1 has the table (b == -1, b == +1)."""
+    if group.signs is not None and group.arity >= 2:
+        return columns.setdefault(_PARITY_LAW, len(columns))
+    if group.tables is not None:
+        tables = group.tables[c]
+    else:
+        tables = np.stack((group.signs[c] < 0, group.signs[c] > 0), axis=1).astype(np.int8)
+    # over all 2^arity settings s, each setting of the others is seen twice
+    s, bit, rows = np.arange(1 << group.arity), (1 << pos)[:, None], np.arange(c.size)[:, None]
+    q2 = tables[rows, s | bit] - tables[rows, s & ~bit]
+    laws = np.stack([(q2 == v).sum(axis=1) for v in (-1, 0, 1)], axis=1).astype(np.int64)
+    common = np.bitwise_or.reduce(laws, axis=1)
+    laws //= (common & -common)[:, None]
+    distinct, inverse = np.unique(laws[:, 0] << 42 | laws[:, 1] << 21 | laws[:, 2],
+                                  return_inverse=True)
+    ids = [columns.setdefault(law, len(columns)) for law in distinct.tolist()]
+    return np.array(ids, dtype=np.intp)[inverse]
 
 
 def _single_hit_terms(instance: CspInstance, mask: np.ndarray, x: np.ndarray):
@@ -159,71 +148,42 @@ def _greedy_medians(instance: CspInstance, greedy: np.ndarray, x: np.ndarray):
     integers in int32, and the median's tie bias. Every other cell has sum
     and median 0 and tie bias 1/2.
 
-    A cell whose active constraints are all parities of arity >= 2 reads
-    the closed form _xor_median_by_count at their count; the other cells
-    go to _cell_medians.
+    On a triangle-free instance the active constraints of a cell share
+    only j, so their terms are independent and the multiset of their laws
+    (_term_laws) fixes the median: a cell's multiset is its count of each
+    law, and cells with one multiset share one _median2 call. When one law
+    is seen, as on a parity instance, its count names the multiset and
+    nothing is sorted.
     """
     n = greedy.shape[1]
-    terms = list(_single_hit_terms(instance, greedy, x))
-    flat, q2s, is_xor = ([np.zeros(0, dtype=dtype)] for dtype in (np.intp, np.intp, bool))
-    for group, t, _, _, j, q2 in terms:
+    columns: dict[int, int] = {}
+    flat, q2s, laws = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.int8)], []
+    for group, t, c, pos, j, q2 in _single_hit_terms(instance, greedy, x):
         flat.append(t * n + j)
         q2s.append(q2)
-        is_xor.append(np.full(t.size, group.signs is not None and group.arity >= 2))
-    flat, q2s, is_xor = (np.concatenate(parts) for parts in (flat, q2s, is_xor))
+        laws.append(_term_laws(group, c, pos, columns))
+    sizes = [part.size for part in flat[1:]]
+    flat, q2s = np.concatenate(flat), np.concatenate(q2s)
     if np.all(flat[1:] > flat[:-1]):  # one term per cell, in cell order
         cells, rank = flat, np.arange(flat.size)
     else:
         cells, rank = np.unique(flat, return_inverse=True)
-
-    def total(rank, weights=None):
-        return np.bincount(rank, weights=weights, minlength=cells.size).astype(np.int32)
-
-    sum2, xors, others = total(rank, q2s), total(rank[is_xor]), total(rank[~is_xor])
-    thetas, gammas = _xor_median_by_count(int(xors.max(initial=0)))
-    # twice the median: an integer, as the derivatives are multiples of 1/2
-    theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
-    mixed = others > 0
-    if mixed.any():
-        in_mixed = np.where(mixed, np.cumsum(mixed) - 1, -1)
-        theta, gamma[mixed] = _cell_medians(instance, terms, in_mixed[rank], cells[mixed])
-        theta2[mixed] = 2 * theta
-    return cells, sum2, theta2, gamma
-
-
-def _cell_medians(instance: CspInstance, terms: list, rank: np.ndarray, cells: np.ndarray):
-    """(theta, gamma) arrays of the exact median of the summed derivative,
-    and its tie bias, at each cell t * n + j of the sorted array `cells`.
-    terms are the _single_hit_terms of the greedy mask; rank gives, for
-    each of their rows in order, the index in cells of its cell, or -1.
-    On a triangle-free instance the active constraints of a cell share
-    only j, so their fixed supports are disjoint and the multiset of their
-    pmf ids fixes the median: cells with the same multiset share one
-    _median_for call."""
-    n = instance.n
-    xor_id = _pmf_id(_XOR_STAND_IN, 0)
-    pids = [np.full(c.size, xor_id) if group.signs is not None and group.arity >= 2
-            else _group_pmf_ids(group)[c, pos] for group, _, c, pos, _, _ in terms]
-    # each term row's place: the index in terms of its group, and its row there
-    owner = [np.full(c.size, i) for i, (_, _, c, _, _, _) in enumerate(terms)]
-    rows = [c for _, _, c, _, _, _ in terms]
-    sel = rank >= 0
-    rank, pids = rank[sel], np.concatenate(pids)[sel]
-    owner, rows = np.concatenate(owner)[sel], np.concatenate(rows)[sel]
-    order = np.argsort(rank, kind="stable")
-    bounds = np.searchsorted(rank, np.arange(cells.size + 1), sorter=order)
-
-    def median(k):
-        picks = order[bounds[k]:bounds[k + 1]]
-        return _median_for([terms[i][0].constraint(row) for i, row in zip(
-            owner[picks].tolist(), rows[picks].tolist())], int(cells[k] % n))
-
-    ids, id_rank = np.unique(pids, return_inverse=True)
-    sigs = np.bincount(rank * ids.size + id_rank, minlength=cells.size * ids.size)
-    sigs = sigs.reshape(cells.size, ids.size)
-    _, first, sig = np.unique(sigs, axis=0, return_index=True, return_inverse=True)
-    meds = np.array([median(k) for k in first.tolist()])[sig.ravel()]
-    return meds[:, 0], meds[:, 1]
+    sum2 = np.bincount(rank, weights=q2s, minlength=cells.size).astype(np.int32)
+    width = max(len(columns), 1)
+    counts, start = np.zeros((cells.size, width), dtype=np.int32), 0
+    for law, size in zip(laws, sizes):
+        part, start = rank[start:start + size], start + size
+        counts += np.bincount(part * width + law, minlength=counts.size).reshape(counts.shape)
+    if width == 1:  # the distinct counts, and each cell's rank among them
+        seen = np.bincount(counts[:, 0]) > 0
+        rows, key = np.flatnonzero(seen)[:, None], (np.cumsum(seen) - 1)[counts[:, 0]]
+    else:
+        rows, key = np.unique(counts, axis=0, return_inverse=True)
+    medians = [_median2(tuple(sorted((law, k) for law, k in zip(columns, row) if k)))
+               for row in rows.tolist()]
+    key = key.reshape(-1)
+    theta2 = np.array([med[0] for med in medians], dtype=np.int32)[key]
+    return cells, sum2, theta2, np.array([med[1] for med in medians], dtype=np.float64)[key]
 
 
 def alg1_batch(instance: CspInstance, epsilon: float, rng, trials: int) -> np.ndarray:

@@ -32,7 +32,8 @@ distinctness, triangle-freeness, a graph's adjacency, and its JSON text)
 is computed once per object, on first use, and returned read-only, so
 callers that run many trials on one instance pay for it once. All but the
 constraint view are computed from the groups' arrays, and no kernel and
-no value computation reads that view.
+no value computation reads that view: the kernels (and alg1's exact
+medians) read the groups' arrays only.
 
 One evaluator, eval_value, computes values. It takes one assignment (a
 float comes back) or a (trials, n) block of assignments (a float64
@@ -442,11 +443,6 @@ class CspInstance:
         dtype = np.min_scalar_type(-1 - 2 * int(self._degrees.max(initial=0)))
         ends = (np.concatenate((u, v)), np.concatenate((v, u)))
         return sparse.csr_array((np.ones(2 * u.size, dtype), ends), shape=(self.n, self.n))
-
-    def has_triangle(self) -> bool:
-        # an edge (x, y) of the adjacency A closes a triangle iff (A @ A)[x, y] > 0
-        adj = self._adjacency.astype(np.float64)
-        return bool((adj @ adj).multiply(adj).sum() > 0)
 
 
 def _check_scopes(n: int, kind: str, groups: list[ConstraintGroup], repeats: bool) -> None:

@@ -320,69 +320,41 @@ def _neighboring_delta(a, b) -> int:
     return sum((ca - cb).values()) + sum((cb - ca).values())
 
 
-def _audit_randomized_response(epsilon: float, trials: int, rng) -> AuditReport:
-    def mech(bit, gen, t):
-        return randomized_response(np.full(t, bit, dtype=np.int64), epsilon, gen)
-
-    return empirical_epsilon(
-        mech, 1, -1, trials, rng, coarsening_label="identity"
-    )
-
-
-def _audit_dp_shearer(epsilon: float, trials: int, rng) -> AuditReport:
-    g_edge = CspInstance(n=2, constraints=(Constraint(scope=(0, 1), b=-1),), kind="maxcut")
-    g_none = CspInstance(n=2, constraints=(), kind="maxcut")
-    assert _neighboring_delta(g_edge, g_none) == 1
-
-    def mech(graph, gen, t):
-        return algo_maxcut.dp_shearer_batch(graph, epsilon, gen, t)
-
-    return empirical_epsilon(
-        mech, g_edge, g_none, trials, rng, coarsening_label="full-output"
-    )
+def _pair(n: int, kind: str, b: int, scopes_a, scopes_b) -> tuple[CspInstance, CspInstance]:
+    """Two instances on n variables, one per list of scopes, every b the
+    same, that must differ by exactly one constraint."""
+    pair = tuple(CspInstance(n=n, constraints=tuple(Constraint(scope=s, b=b) for s in scopes),
+                             kind=kind) for scopes in (scopes_a, scopes_b))
+    if _neighboring_delta(*pair) != 1:
+        raise ValueError(f"an audit pair must differ by one constraint: {scopes_a} and {scopes_b}")
+    return pair
 
 
-def _audit_alg1(epsilon: float, trials: int, rng) -> AuditReport:
-    inst_a = CspInstance(
-        n=4, constraints=(Constraint(scope=(0, 1), b=1),), kind="kxor"
-    )
-    inst_b = CspInstance(n=4, constraints=(), kind="kxor")
-    assert _neighboring_delta(inst_a, inst_b) == 1
-
-    def mech(inst, gen, t):
-        return algo_csp.alg1_batch(inst, epsilon, gen, t)
-
-    return empirical_epsilon(
-        mech, inst_a, inst_b, trials, rng, coarsening_label="full-output"
-    )
-
-
-def _audit_em(epsilon: float, trials: int, rng) -> AuditReport:
-    inst_a = CspInstance(
-        n=3,
-        constraints=(Constraint(scope=(0, 1), b=1),),
-        kind="kxor",
-    )
-    inst_b = CspInstance(
-        n=3,
-        constraints=(Constraint(scope=(0, 1), b=1), Constraint(scope=(1, 2), b=1)),
-        kind="kxor",
-    )
-    assert _neighboring_delta(inst_a, inst_b) == 1
-
-    def mech(inst, gen, t):
-        return em_over_assignments_batch(inst, [0, 1, 2], epsilon, 1.0, gen, t)
-
-    return empirical_epsilon(
-        mech, inst_a, inst_b, trials, rng, coarsening_label="full-output"
-    )
-
-
-AUDIT_MECHANISMS: dict[str, Callable] = {
-    "randomized_response": _audit_randomized_response,
-    "dp_shearer": _audit_dp_shearer,
-    "alg1": _audit_alg1,
-    "em": _audit_em,
+# id -> (input pair, kernel(input, eps, gen, trials) -> output rows,
+# coarsening label). audit runs the kernel on both inputs, on one generator;
+# an instance pair is made by _pair, which checks that it differs by one
+# constraint (edge).
+AUDIT_MECHANISMS: dict[str, tuple[tuple, Callable, str]] = {
+    "randomized_response": (
+        (1, -1),
+        lambda bit, e, g, t: randomized_response(np.full(t, bit, dtype=np.int64), e, g),
+        "identity",
+    ),
+    "dp_shearer": (
+        _pair(2, "maxcut", -1, [(0, 1)], []),
+        lambda graph, e, g, t: algo_maxcut.dp_shearer_batch(graph, e, g, t),
+        "full-output",
+    ),
+    "alg1": (
+        _pair(4, "kxor", 1, [(0, 1)], []),
+        lambda inst, e, g, t: algo_csp.alg1_batch(inst, e, g, t),
+        "full-output",
+    ),
+    "em": (
+        _pair(3, "kxor", 1, [(0, 1)], [(0, 1), (1, 2)]),
+        lambda inst, e, g, t: em_over_assignments_batch(inst, [0, 1, 2], e, 1.0, g, t),
+        "full-output",
+    ),
 }
 
 
@@ -399,7 +371,9 @@ def audit(mechanism: str, epsilon: float, trials: int, seed: int) -> tuple[Audit
             f"unknown audit mechanism {mechanism!r}; known: {sorted(AUDIT_MECHANISMS)}"
         )
     check_epsilon(epsilon)
-    report = AUDIT_MECHANISMS[mechanism](epsilon, trials, RngStream(seed, 0))
+    (input_a, input_b), kernel, label = AUDIT_MECHANISMS[mechanism]
+    report = empirical_epsilon(lambda inp, gen, t: kernel(inp, epsilon, gen, t), input_a, input_b,
+                               trials, RngStream(seed, 0), coarsening_label=label)
     return report, report.ci_lower <= epsilon
 
 

@@ -8,7 +8,6 @@ from privcsp.algo_csp import (
     alg1_batch,
     alg2_batch,
     alg3_batch,
-    _median_for,
     alg_oddk_batch,
     boost_scale,
     private_boost,
@@ -197,6 +196,16 @@ class TestAlg1:
 
 
 class TestMedianMemo:
+    @staticmethod
+    def cell_median(cons, n):
+        """(theta, gamma) of _greedy_medians at variable 0, the only greedy
+        one, on the instance of cons."""
+        greedy = (np.arange(n) == 0)[None]
+        inst = CspInstance(n=n, constraints=tuple(cons))
+        cells, _, theta2, gamma = algo_csp._greedy_medians(inst, greedy, np.ones((1, n), np.int8))
+        assert cells.tolist() == [0]
+        return theta2[0] / 2, gamma[0]
+
     @pytest.mark.parametrize(
         "tables",
         [
@@ -215,8 +224,9 @@ class TestMedianMemo:
             scope = (0, t + 1) if pos == 0 else (t + 1, 0)
             cons.append(Constraint(scope=scope, table=table))
         cons.append(xor((0, len(tables) + 1)))
-        assert _median_for(cons, 0) == exact_median_theta(cons, 0)
-        assert _median_for(cons[:-1], 0) == exact_median_theta(cons[:-1], 0)
+        n = len(tables) + 2
+        assert self.cell_median(cons, n) == exact_median_theta(cons, 0)
+        assert self.cell_median(cons[:-1], n) == exact_median_theta(cons[:-1], 0)
 
 
 class TestAlg2:

@@ -1268,20 +1268,6 @@ class TestDerivedDataOncePerObject:
         with pytest.raises(ValueError, match="^edge columns must be 1-D, of one length and integer$"):
             CspInstance.from_edges(3, np.array(u), np.array(v))
 
-    def test_triangles_match_neighbour_sets(self):
-        rng = np.random.default_rng(0)
-        graphs = [multigraph(3), multigraph(4, n=9, m=30), cut_graph(3, ()),
-                  cut_graph(3, ((0, 1), (2, 1), (0, 2)))]
-        graphs += [CspInstance.from_edges(8, u, (u + rng.integers(1, 8, 7)) % 8)
-                   for u in rng.integers(0, 8, size=(40, 7))]
-        for g in graphs:
-            neigh = [set() for _ in range(g.n)]
-            for u, v in edge_list(g):
-                neigh[u].add(v)
-                neigh[v].add(u)
-            assert g.has_triangle() == any(neigh[u] & neigh[v] for u, v in edge_list(g))
-        assert graphs[3].has_triangle() and not graphs[2].has_triangle()
-
     def test_degree_counts_multigraph(self):
         g = cut_graph(3, ((0, 1), (1, 0), (1, 2)))
         assert degrees(g).tolist() == [2, 3, 1]

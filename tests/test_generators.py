@@ -33,6 +33,16 @@ def edge_list(g):
     return tuple(c.scope for c in g.constraints)
 
 
+def has_triangle(g):
+    """Whether some edge of graph g closes a triangle: its ends share a
+    neighbour."""
+    neigh = [set() for _ in range(g.n)]
+    for u, v in edge_list(g):
+        neigh[u].add(v)
+        neigh[v].add(u)
+    return any(neigh[u] & neigh[v] for u, v in edge_list(g))
+
+
 # sha256 of instance_to_json(gen_random_kxor(GenSpec(n, m, k, seed,
 # triangle_free, max_degree))): the benchmark's xor2, xor3, xor22 and xor16
 # at instance sets 0-3 (xor16 at the first seed whose instance covers every
@@ -148,17 +158,18 @@ class TestGenRandomKxor:
 class TestGenTriangleFreeGraph:
     def test_even_cycle(self):
         g = gen_triangle_free_graph("even_cycle", 6)
-        assert g.n == 6 and g.m == 6 and not g.has_triangle()
+        assert g.n == 6 and g.m == 6 and not has_triangle(g)
+        assert has_triangle(cut_graph(3, ((0, 1), (1, 2), (2, 0))))
         with pytest.raises(ValueError):
             gen_triangle_free_graph("even_cycle", 5)
 
     def test_complete_bipartite(self):
         g = gen_triangle_free_graph("complete_bipartite", 3, 4)
-        assert g.n == 7 and g.m == 12 and not g.has_triangle()
+        assert g.n == 7 and g.m == 12 and not has_triangle(g)
 
     def test_random_bipartite(self):
         g = gen_triangle_free_graph("random_bipartite", 5, 5, 12, seed=3)
-        assert g.n == 10 and g.m == 12 and not g.has_triangle()
+        assert g.n == 10 and g.m == 12 and not has_triangle(g)
         edges = {(u, v) for u, v in edge_list(g)}
         assert len(edges) == 12
         assert all(u < 5 <= v for u, v in edges)

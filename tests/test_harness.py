@@ -363,6 +363,16 @@ class TestAudit:
         with pytest.raises(ValueError):
             audit("gaussian", 1.0, 100, 0)
 
+    def test_every_instance_pair_is_neighbouring(self):
+        # the instance pairs differ by one constraint, as _pair checks
+        pairs = [pair for pair, _, _ in AUDIT_MECHANISMS.values()
+                 if isinstance(pair[0], CspInstance)]
+        assert len(pairs) == 3 and all(_neighboring_delta(a, b) == 1 for a, b in pairs)
+        assert len(harness._pair(3, "kxor", 1, [(0, 1)], [])) == 2
+        for scopes in ([(0, 1)], [(1, 2)], [(1, 2), (0, 2), (0, 1)]):
+            with pytest.raises(ValueError, match="differ by one constraint"):
+                harness._pair(3, "kxor", 1, [(0, 1)], scopes)
+
     def test_randomized_response_audit(self):
         report, ok = audit("randomized_response", 1.0, 200_000, seed=0)
         assert ok

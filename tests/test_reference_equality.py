@@ -38,7 +38,6 @@ import pytest
 from privcsp import algo_csp, algo_maxcut, dp_mechanisms, harness
 from privcsp.algo_csp import (
     _kept_influence,
-    _median_for,
     alg1_batch,
     alg3_batch,
     private_boost,
@@ -151,7 +150,7 @@ def ref_alg1(instance, epsilon, rng):
             for c in cs:
                 fixed = {i: int(x[i]) for i in c.scope if i != j}
                 sum_q += derivative_q(c, j, fixed)
-            theta, gamma = _median_for(cs, j)
+            theta, gamma = ref_median(tuple(cs), j)
         else:
             sum_q, theta, gamma = 0.0, 0.0, 0.5
         if sum_q > theta:
@@ -463,6 +462,13 @@ def assert_same_law(rows_a, rows_b, n):
 
 
 @functools.lru_cache(maxsize=None)
+def ref_median(cs, j):
+    """exact_median_theta on a tuple of constraints active at j; read
+    only."""
+    return exact_median_theta(list(cs), j)
+
+
+@functools.lru_cache(maxsize=None)
 def ref_xor_median_by_count(max_count):
     """The exact-median oracle on q stand-in parities, for every q up to
     max_count; read only."""
@@ -508,33 +514,38 @@ def ref_alg1_batch(instance, epsilon, rng, trials):
 
 
 def ref_dense_greedy_medians(instance, greedy, x):
-    """alg1's median assembly over every cell of the (trials, n) block:
-    dense bincounts of the sums and of the parity and other terms, dense
-    gathers of the count-indexed median table, and _cell_medians at each
-    cell with a term that is not a parity of arity >= 2. Returns sum2,
-    theta2, gamma and the per-cell parity and other term counts."""
+    """alg1's median assembly over every cell of the (trials, n) block, one
+    constraint at a time: dense sums of twice derivative_q, counts of the
+    active parities of arity >= 2 and of the other active constraints, and
+    at each cell with an active constraint ref_median on them (the set bits
+    of a dense mask). Returns sum2, theta2, gamma and the two counts."""
     trials, n = greedy.shape
-    terms = list(algo_csp._single_hit_terms(instance, greedy, x))
-    flat, q2s, xor_flat, other_flat = ([np.zeros(0, dtype=np.intp)] for _ in range(4))
-    for group, t, _, _, j, q2 in terms:
-        flat.append(t * n + j)
-        q2s.append(q2)
-        is_xor = group.signs is not None and group.arity >= 2
-        (xor_flat if is_xor else other_flat).append(flat[-1])
-
-    def total(parts, weights=None):
-        sums = np.bincount(np.concatenate(parts), weights=weights, minlength=trials * n)
-        return sums.astype(np.int32).reshape(trials, n)
-
-    sum2, xors, others = total(flat, np.concatenate(q2s)), total(xor_flat), total(other_flat)
-    thetas, gammas = algo_csp._xor_median_by_count(int(xors.max(initial=0)))
-    theta2, gamma = (2 * thetas).astype(np.int32)[xors], gammas[xors]
-    cells = np.flatnonzero(others > 0)
-    if cells.size:
-        all_flat = np.concatenate(flat)
-        rank = np.where(np.isin(all_flat, cells), np.searchsorted(cells, all_flat), -1)
-        theta, gamma.flat[cells] = algo_csp._cell_medians(instance, terms, rank, cells)
-        theta2.flat[cells] = 2 * theta
+    cons = instance.constraints
+    assert len(cons) < 63
+    sum2, xors, others = (np.zeros((trials, n), dtype=np.int32) for _ in range(3))
+    active = np.zeros((trials, n), dtype=np.int64)
+    for i, c in enumerate(cons):
+        scope = np.asarray(c.scope)
+        rows = np.flatnonzero(greedy[:, scope].sum(axis=1) == 1)
+        pos = np.argmax(greedy[rows][:, scope], axis=1)
+        j, xs = scope[pos], x[rows][:, scope]
+        if c.is_xor:
+            # b times the product over the scope without j
+            q2 = c.b * xs.prod(axis=1) * x[rows, j]
+        else:
+            idx = ((xs > 0) << np.arange(c.arity)).sum(axis=1)
+            table = np.asarray(c.table)
+            q2 = table[idx | (1 << pos)] - table[idx & ~(1 << pos)]
+        sum2[rows, j] += q2
+        (xors if c.is_xor and c.arity >= 2 else others)[rows, j] += 1
+        active[rows, j] |= 1 << i
+    theta2, gamma = np.zeros((trials, n), dtype=np.int32), np.full((trials, n), 0.5)
+    held = active != 0
+    keys = np.stack((active, np.broadcast_to(np.arange(n), (trials, n))), axis=-1)[held]
+    distinct, which = np.unique(keys, axis=0, return_inverse=True)
+    meds = np.array([ref_median(tuple(c for i, c in enumerate(cons) if mask >> i & 1), j)
+                     for mask, j in distinct.tolist()]).reshape(-1, 2)[which.reshape(-1)]
+    theta2[held], gamma[held] = 2 * meds[:, 0], meds[:, 1]
     return sum2, theta2, gamma, xors, others
 
 
@@ -972,7 +983,8 @@ class TestAlg1Batch:
     def test_mixed_instance_matches_dense_assembly(self, eps):
         inst = self.mixed_triangle_free()
         trials = 10_000
-        # the instance has empty cells, parity-only cells and _cell_medians cells
+        # the instance has empty cells, parity-only cells, mixed cells and
+        # cells with no parity
         g = np.random.default_rng(0)
         greedy = g.random((trials, inst.n)) < 0.5
         x = (2 * g.integers(0, 2, size=(trials, inst.n)) - 1).astype(np.int8)
@@ -992,23 +1004,81 @@ class TestAlg1Batch:
                                ref_alg1_batch(inst, eps, gen_b, 1_000))
 
     def test_closed_form_median_table(self):
-        thetas, gammas = algo_csp._xor_median_by_count(60)
+        # q parities of arity >= 2: the law (1, 0, 1), q times
+        medians = [algo_csp._median2(((algo_csp._PARITY_LAW, q),) if q else ())
+                   for q in range(61)]
         ref_thetas, ref_gammas = ref_xor_median_by_count(60)
-        assert thetas.tolist() == ref_thetas.tolist()
-        assert gammas.tolist() == ref_gammas.tolist()
+        assert [theta2 / 2 for theta2, _ in medians] == ref_thetas.tolist()
+        assert [gamma for _, gamma in medians] == ref_gammas.tolist()
 
     def test_table_only_up_to_largest_count(self, monkeypatch):
         # 120 disjoint parities: no variable has more than one constraint
         inst = CspInstance(n=240, constraints=tuple(
             Constraint(scope=(2 * i, 2 * i + 1), b=1) for i in range(120)), kind="kxor")
         sizes = []
-        real = algo_csp._xor_median_by_count
-        monkeypatch.setattr(algo_csp, "_xor_median_by_count",
-                            lambda q: sizes.append(q) or real(q))
+        real = algo_csp._median2
+        monkeypatch.setattr(algo_csp, "_median2",
+                            lambda multiset: sizes.append([k for _, k in multiset]) or real(multiset))
         algo_csp.alg1_batch(inst, 1.0, np.random.default_rng(0), 50)
-        # on the cycle a variable lies in two constraints, so two is the most
+        assert sizes == [[1]]
+        # on the cycle a variable lies in two constraints, so two is the
+        # most; one call per distinct multiset
         algo_csp.alg1_batch(self.CYCLE, 1.0, np.random.default_rng(0), 1000)
-        assert sizes == [1, 2]
+        assert sizes == [[1], [1], [2]]
+
+
+class TestGreedyMedians:
+    """_greedy_medians against ref_dense_greedy_medians, whose medians are
+    exact_median_theta's on each cell's active constraints: the same cells,
+    sums, medians and tie biases, bit for bit and dtype for dtype."""
+
+    @staticmethod
+    def check(inst, greedy, x):
+        cells, sum2, theta2, gamma = algo_csp._greedy_medians(inst, greedy, x)
+        ref_sum2, ref_theta2, ref_gamma, xors, others = ref_dense_greedy_medians(inst, greedy, x)
+        assert same_result(cells, np.flatnonzero(xors + others))
+        assert same_result(sum2, ref_sum2.reshape(-1)[cells])
+        assert same_result(theta2, ref_theta2.reshape(-1)[cells])
+        assert same_result(gamma, ref_gamma.reshape(-1)[cells])
+        return cells.size
+
+    @staticmethod
+    def instance(seed, n=12, m=20):
+        """Truth tables and parities of arity 1-3, triangle-free."""
+        rng = np.random.default_rng(seed)
+        cons = []
+        for _ in range(m):
+            k = int(rng.integers(1, 4))
+            scope = random_scope(rng, n, k)
+            if rng.random() < 0.5:
+                cons.append(Constraint(scope=scope, b=int(rng.choice([-1, 1]))))
+            else:
+                cons.append(Constraint(scope=scope, table=random_table(rng, k)))
+        return triangle_free(CspInstance(n=n, constraints=tuple(cons)))
+
+    @pytest.mark.parametrize("trials", [1, 7, 300])
+    def test_random_mixed_instances(self, trials):
+        forms = set()
+        for seed in range(30):
+            inst = self.instance(seed)
+            forms |= {(c.is_xor, c.arity) for c in inst.constraints}
+            rng = np.random.default_rng(seed)
+            greedy = rng.random((trials, inst.n)) < 0.5
+            self.check(inst, greedy, random_block(seed, inst.n, trials))
+        assert forms == {(is_xor, k) for is_xor in (True, False) for k in (1, 2, 3)}
+
+    def test_sign_instances(self):
+        for inst in TestAlg1Batch.KXOR + [TestAlg1Batch.CYCLE] + TestAlg1Batch.PAIR:
+            greedy = np.random.default_rng(1).random((300, inst.n)) < 0.5
+            assert self.check(inst, greedy, random_block(1, inst.n, 300)) > 0 or inst.m == 0
+
+    def test_empty_mask_and_empty_instance(self):
+        inst = self.instance(0)
+        greedy = np.zeros((7, inst.n), dtype=bool)
+        assert self.check(inst, greedy, random_block(0, inst.n)) == 0
+        for empty in TestAlg1Batch.EMPTY + [CspInstance(n=5, constraints=())]:
+            greedy = np.ones((7, empty.n), dtype=bool)
+            assert self.check(empty, greedy, random_block(0, empty.n)) == 0
 
 
 class TestDiscreteLaplace:
